@@ -11,12 +11,19 @@ the Heisenberg limit.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, metrology
-from .walk import WalkParams, WalkerState, default_initial_state, per_step_fields
+from .walk import (
+    WalkParams,
+    WalkerState,
+    default_initial_state,
+    dynamics_lattice_size,
+    per_step_fields,
+    wrap_angle,
+)
 
 RNG_NAME = "numpy-pcg64"  # np.random.default_rng's generator
 
@@ -120,38 +127,53 @@ def defect_probability_series(
     return probs
 
 
-def _with_defect_angle(field, defect_index, angle):
-    angles2 = field.angles2.copy()
-    angles2[defect_index] = angle
-    return type(field)(field.angles1, angles2)
-
-
 def candidate_probability_table(
     params_template: WalkParams, candidates: np.ndarray, schedule, coin_fields=None
 ) -> np.ndarray:
     """P0(t; candidate) for every scheduled t, shape (len(schedule), n_candidates).
 
-    One walk per candidate covers all scheduled steps; this table is the
-    expensive part of estimation and is reused across trials and experiments.
-    With ``coin_fields`` the candidate walks run on those (possibly
-    disordered) bulk angles, each candidate replacing only the defect entry.
+    All candidate walks step together as one real (C, W, 2) stack; this table
+    is the expensive part of estimation and is reused across trials and
+    experiments.  The candidates share the field's coin tables and differ
+    only in the layer-2 coin at the defect, which is redone per candidate
+    after each step.  The stack covers the light cone of the last scheduled
+    step, W = 2 t_max + 3 sites around the defect, or the whole ring when
+    that is smaller; amplitudes outside the cone are exactly zero, so the
+    window changes no bit of the table.  With ``coin_fields`` the candidate
+    walks run on those (possibly disordered) bulk angles.
     """
     schedule = [int(t) for t in schedule]
     t_max = max(schedule)
-    initial = default_initial_state(params_template.lattice_size)
-    defect = params_template.defect_index
-    base_fields = per_step_fields(params_template, t_max, coin_fields)
-    table = np.empty((len(schedule), len(candidates)))
-    for j, theta02 in enumerate(candidates):
-        params_j = replace(params_template, theta02=float(theta02))
-        rewritten = {}
-        fields_j = [
-            rewritten.setdefault(id(f), _with_defect_angle(f, defect, params_j.theta02))
-            for f in base_fields
-        ]
-        series = defect_probability_series(params_j, initial, t_max, fields_j)
-        table[:, j] = series[schedule]
-    return table
+    width = min(params_template.lattice_size, dynamics_lattice_size(t_max))
+    start = params_template.defect_index - (width - 1) // 2
+    window = slice(start, start + width)
+    defect = (width - 1) // 2
+    initial = default_initial_state(width).grid()
+    # real coins and shifts keep the real start state real: float64 reproduces
+    # the complex walk's bits
+    assert not initial.imag.any()
+    current = np.repeat(initial.real[np.newaxis], len(candidates), axis=0)
+    scratch = np.empty_like(current)
+    half = 0.5 * np.array([wrap_angle(theta) for theta in candidates])
+    c02, s02 = np.cos(half), np.sin(half)
+    probs = np.empty((t_max + 1, len(candidates)))
+    probs[0] = (current[:, defect] ** 2).sum(axis=-1)
+    prev_field = None
+    for t, field in enumerate(per_step_fields(params_template, t_max, coin_fields)):
+        if field is not prev_field:
+            c1, s1, c2, s2 = (table[window] for table in field.half_angle_tables())
+            prev_field = field
+        kernels.split_step(current, c1, s1, c2, s2, scratch)
+        # layer 2 at the defect again, with each candidate's angle: fu is the
+        # up amplitude shifted in from the left neighbour, fd the defect's down
+        left, here = current[:, defect - 1], current[:, defect]
+        fu = c1[defect - 1] * left[:, 0] - s1[defect - 1] * left[:, 1]
+        fd = s1[defect] * here[:, 0] + c1[defect] * here[:, 1]
+        scratch[:, defect, 0] = c02 * fu - s02 * fd
+        scratch[:, defect - 1, 1] = s02 * fu + c02 * fd
+        current, scratch = scratch, current
+        probs[t + 1] = (current[:, defect] ** 2).sum(axis=-1)
+    return probs[schedule]
 
 
 def informative_schedule(
@@ -161,6 +183,7 @@ def informative_schedule(
     t_max: int,
     n_points: int = 8,
     grid_points: int = DEFAULT_GRID_POINTS,
+    table: np.ndarray | None = None,
 ) -> tuple[int, ...]:
     """Measurement times at which a single-shot experiment identifies theta02.
 
@@ -171,16 +194,21 @@ def informative_schedule(
     and picks, per block, the step with the least fold ambiguity (monotone
     responses win outright), widest response span breaking ties.  It uses
     only the walk model over the prior, never measurement data, so it is
-    ordinary Bayesian experiment design.
+    ordinary Bayesian experiment design.  ``table`` may carry the precomputed
+    candidate_probability_table over t_min..t_max and the prior grid to skip
+    the walks.
     """
     lo, hi = prior_interval
     if not lo < hi:
         raise ValueError(f"prior interval must satisfy lo < hi, got ({lo}, {hi})")
     if not 1 <= t_min < t_max:
         raise ValueError(f"need 1 <= t_min < t_max, got ({t_min}, {t_max})")
-    candidates = np.linspace(lo, hi, grid_points)
     steps = list(range(t_min, t_max + 1))
-    table = candidate_probability_table(params_template, candidates, steps)
+    if table is None:
+        candidates = np.linspace(lo, hi, grid_points)
+        table = candidate_probability_table(params_template, candidates, steps)
+    if table.shape != (len(steps), grid_points):
+        raise ValueError("table must have one row per step and one column per grid point")
     span = table.max(axis=1) - table.min(axis=1)
     penalty = np.array([_fold_ambiguity(col) for col in table])
     edges = np.linspace(t_min, t_max + 1, n_points + 1)

@@ -229,6 +229,18 @@ def validate_config(doc: dict, seed_override=None, out_override=None) -> Experim
             if t1 is not None and s_steps is not None:
                 cfg.surface = {"theta1_over_pi": t1, "steps": s_steps}
 
+    if experiment in _DYNAMICS and cfg.walk is not None:
+        # the ring must hold the light cone of the steps the run propagates
+        propagated = cfg.steps
+        if experiment == "fi-surface":
+            propagated = cfg.surface["steps"] if cfg.surface is not None else None
+        if propagated is not None and cfg.walk.lattice_size < dynamics_lattice_size(propagated):
+            check.fail(
+                "walk.lattice_size",
+                f"{cfg.walk.lattice_size} sites let a {propagated}-step walk wrap the ring; "
+                f"need >= {dynamics_lattice_size(propagated)}",
+            )
+
     disorder_doc = doc.get("disorder") if isinstance(doc.get("disorder"), dict) else {}
     if experiment == "bayes" or (
         experiment == "disorder" and disorder_doc.get("observable") == "msre"

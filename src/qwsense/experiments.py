@@ -167,17 +167,28 @@ def _run_spectrum(cfg: ExperimentConfig, threads: int) -> Artifacts:
     return art
 
 
-def _estimation_config(cfg: ExperimentConfig) -> bayes.EstimationConfig:
+def _estimation_config(
+    cfg: ExperimentConfig,
+) -> tuple[bayes.EstimationConfig, np.ndarray | None]:
+    """The estimation config and, for a model-selected schedule, its clean
+    candidate table (one row per scheduled step); None for a given schedule."""
     settings = cfg.estimation
     lo, hi = settings.prior_over_pi
     prior = (lo * PI, hi * PI)
     schedule = settings.schedule
+    table = None
     if schedule is None:
         t_min = 20 if cfg.steps > 40 else max(1, cfg.steps // 5)
-        schedule = bayes.informative_schedule(
-            cfg.walk, prior, t_min, cfg.steps, grid_points=settings.grid_points
+        # the selector scores every step in t_min..steps; the estimation
+        # likelihood reuses the scheduled rows instead of walking again
+        table = bayes.candidate_probability_table(
+            cfg.walk, np.linspace(*prior, settings.grid_points), range(t_min, cfg.steps + 1)
         )
-    return bayes.EstimationConfig(
+        schedule = bayes.informative_schedule(
+            cfg.walk, prior, t_min, cfg.steps, grid_points=settings.grid_points, table=table
+        )
+        table = table[[t - t_min for t in schedule]]
+    est = bayes.EstimationConfig(
         params=cfg.walk,
         prior_interval=prior,
         schedule=schedule,
@@ -186,11 +197,12 @@ def _estimation_config(cfg: ExperimentConfig) -> bayes.EstimationConfig:
         master_seed=cfg.seed,
         repetitions=settings.repetitions,
     )
+    return est, table
 
 
 def _run_bayes(cfg: ExperimentConfig, threads: int) -> Artifacts:
-    est = _estimation_config(cfg)
-    curve = bayes.estimation_curve(est, keep_posteriors=True)
+    est, table = _estimation_config(cfg)
+    curve = bayes.estimation_curve(est, candidate_table=table, keep_posteriors=True)
     est_rows = [(r.step, r.trials, r.successes, r.msre) for r in curve.records]
     post_rows = []
     for record, grid in zip(curve.records, curve.posteriors):
@@ -210,7 +222,8 @@ def _run_disorder(cfg: ExperimentConfig, threads: int) -> Artifacts:
     spec = cfg.disorder_spec
     art = Artifacts()
     if cfg.disorder_observable == "msre":
-        result = disorder.ensemble_msre(spec, _estimation_config(cfg), threads=threads)
+        est, _ = _estimation_config(cfg)
+        result = disorder.ensemble_msre(spec, est, threads=threads)
     else:
         params = cfg.walk
         result = disorder.ensemble_fisher(

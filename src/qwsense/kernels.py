@@ -14,7 +14,9 @@ the numpy path.  ``BACKEND`` records which one is active.
 Layout contract: a state is a C-contiguous complex128 array of shape (N, 2)
 with the coin pair (up, down) contiguous per site; site index i maps to
 physical position x = i - (N - 1) // 2.  Coin tables are the per-site
-half-angle cosines/sines of the two coin layers.
+half-angle cosines/sines of the two coin layers.  The step kernel also takes
+a stack of walks, shape (..., N, 2), that share one set of tables; every
+coin and shift is real, so a real (float64) stack stays real.
 """
 
 import os
@@ -42,15 +44,16 @@ BACKEND = "numba" if NUMBA_ENABLED else "numpy"
 def split_step_numpy(amps, cos1, sin1, cos2, sin2, out):
     """One split step, vectorized numpy path.
 
-    amps/out: (N, 2) complex128; cos*/sin*: (N,) float64 half-angle tables.
+    amps/out: (..., N, 2) complex128 or float64; cos*/sin*: (N,) float64
+    half-angle tables, shared by every walk in the stack.
     Sweeps: coin layer 1, shift up (+1) of the up component, coin layer 2,
     shift down (-1) of the down component; periodic wrap.
     """
-    up = cos1 * amps[:, 0] - sin1 * amps[:, 1]
-    down = sin1 * amps[:, 0] + cos1 * amps[:, 1]
-    up = np.roll(up, 1)
-    out[:, 0] = cos2 * up - sin2 * down
-    out[:, 1] = np.roll(sin2 * up + cos2 * down, -1)
+    up = cos1 * amps[..., 0] - sin1 * amps[..., 1]
+    down = sin1 * amps[..., 0] + cos1 * amps[..., 1]
+    up = np.roll(up, 1, axis=-1)
+    out[..., 0] = cos2 * up - sin2 * down
+    out[..., 1] = np.roll(sin2 * up + cos2 * down, -1, axis=-1)
     return out
 
 
@@ -83,18 +86,23 @@ def split_step_pair_numpy(amps, damps, cos1, sin1, cos2, sin2, defect, out, dout
 
 
 def _split_step_loops(amps, cos1, sin1, cos2, sin2, out):
-    n = amps.shape[0]
-    phi_up = np.empty(n, np.complex128)
-    phi_down = np.empty(n, np.complex128)
-    for i in range(n):
-        u = cos1[i] * amps[i, 0] - sin1[i] * amps[i, 1]
-        j = i + 1 if i + 1 < n else 0
-        phi_up[j] = u
-        phi_down[i] = sin1[i] * amps[i, 0] + cos1[i] * amps[i, 1]
-    for i in range(n):
-        j = i - 1 if i > 0 else n - 1
-        out[i, 0] = cos2[i] * phi_up[i] - sin2[i] * phi_down[i]
-        out[j, 1] = sin2[i] * phi_up[i] + cos2[i] * phi_down[i]
+    n = amps.shape[-2]
+    walks = amps.reshape((-1, n, 2))
+    outs = out.reshape((-1, n, 2))  # a view: states are C-contiguous
+    phi_up = np.empty(n, amps.dtype)
+    phi_down = np.empty(n, amps.dtype)
+    for b in range(walks.shape[0]):
+        a = walks[b]
+        o = outs[b]
+        for i in range(n):
+            u = cos1[i] * a[i, 0] - sin1[i] * a[i, 1]
+            j = i + 1 if i + 1 < n else 0
+            phi_up[j] = u
+            phi_down[i] = sin1[i] * a[i, 0] + cos1[i] * a[i, 1]
+        for i in range(n):
+            j = i - 1 if i > 0 else n - 1
+            o[i, 0] = cos2[i] * phi_up[i] - sin2[i] * phi_down[i]
+            o[j, 1] = sin2[i] * phi_up[i] + cos2[i] * phi_down[i]
     return out
 
 

@@ -10,6 +10,7 @@ production path).
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,11 @@ def wrap_angle(theta: float) -> float:
 
 
 def _check_lattice_size(n) -> int:
+    integral = isinstance(n, numbers.Integral) or (
+        isinstance(n, numbers.Real) and float(n).is_integer()
+    )
+    if isinstance(n, (bool, np.bool_)) or not integral:
+        raise ValueError(f"lattice_size must be an integer, got {n!r}")
     n = int(n)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"lattice_size must be odd and >= 3, got {n}")

@@ -1,9 +1,12 @@
 """Grid-posterior estimation of the defect angle from binomial click counts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qwsense.bayes import (
@@ -16,7 +19,15 @@ from qwsense.bayes import (
     posterior,
     simulate_trials,
 )
-from qwsense.walk import WalkParams, default_initial_state, evolve, position_probability
+from qwsense.disorder import DisorderSpec, sample_disorder
+from qwsense.walk import (
+    CoinField,
+    WalkParams,
+    default_initial_state,
+    evolve,
+    per_step_fields,
+    position_probability,
+)
 
 PI = math.pi
 
@@ -120,6 +131,81 @@ def test_posterior_validates_arguments():
         posterior(PRIOR, 5, 10, 10, 5, p)  # grid too coarse
     with pytest.raises(ValueError):
         posterior(PRIOR, 51, 10, 10, 50, p)  # successes > trials
+
+
+# --- batched candidate table ----------------------------------------------------
+
+
+def serial_table(params, candidates, schedule, coin_fields=None):
+    """Reference: one complex full-ring defect_probability_series walk per candidate."""
+    t_max = max(schedule)
+    initial = default_initial_state(params.lattice_size)
+    fields = per_step_fields(params, t_max, coin_fields)
+    columns = []
+    for theta in candidates:
+        p = replace(params, theta02=float(theta))  # WalkParams wraps the angle
+        rewritten = {}
+        for f in fields:
+            if id(f) not in rewritten:
+                angles2 = f.angles2.copy()
+                angles2[p.defect_index] = p.theta02
+                rewritten[id(f)] = CoinField(f.angles1, angles2)
+        own = [rewritten[id(f)] for f in fields]
+        columns.append(defect_probability_series(p, initial, t_max, own)[list(schedule)])
+    return np.stack(columns, axis=1)
+
+
+def _static(params, steps):
+    return sample_disorder(DisorderSpec("static", 0.1 * PI, 2, 4), params, 1)
+
+
+def _dynamic(params, steps):
+    return sample_disorder(DisorderSpec("dynamic", 0.1 * PI, 2, 4), params, 0, steps)
+
+
+@pytest.mark.parametrize(
+    "n, schedule, fields, prior",
+    [
+        (63, range(1, 31), None, PRIOR),  # clean, window = whole lattice
+        (83, [30, 1, 12], None, PRIOR),  # clean, window inside the lattice
+        (83, [1, 9, 20], _static, PRIOR),
+        (83, [20, 3, 1], _dynamic, PRIOR),
+        (21, [1, 25], None, PRIOR),  # the walk wraps: full-ring fallback
+        (21, [1, 25], _static, PRIOR),
+        (63, [1, 17], None, (0.98 * PI, 1.02 * PI)),  # straddles +-pi
+    ],
+)
+def test_batched_table_equals_serial_walks_bit_for_bit(n, schedule, fields, prior):
+    p = nontrivial(n)
+    coin_fields = fields(p, max(schedule)) if fields else None
+    candidates = np.linspace(*prior, 17)
+    batched = candidate_probability_table(p, candidates, schedule, coin_fields)
+    assert batched.shape == (len(schedule), 17)
+    assert np.array_equal(batched, serial_table(p, candidates, schedule, coin_fields))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    theta1=st.floats(-PI, PI),
+    theta2=st.floats(-PI, PI),
+    candidates=st.lists(st.floats(-3 * PI, 3 * PI), min_size=1, max_size=6),
+    t_max=st.integers(1, 12),
+)
+def test_batched_table_equals_serial_walks_for_drawn_angles(theta1, theta2, candidates, t_max):
+    p = WalkParams(theta1, theta2, 0.0, 31)
+    schedule = [1, t_max]
+    batched = candidate_probability_table(p, np.array(candidates), schedule)
+    assert np.array_equal(batched, serial_table(p, candidates, schedule))
+
+
+def test_informative_schedule_reuses_a_given_table():
+    p = nontrivial(63)
+    candidates = np.linspace(*PRIOR, 51)
+    table = candidate_probability_table(p, candidates, range(6, 31))
+    reused = informative_schedule(p, PRIOR, 6, 30, grid_points=51, table=table)
+    assert reused == informative_schedule(p, PRIOR, 6, 30, grid_points=51)
+    with pytest.raises(ValueError):
+        informative_schedule(p, PRIOR, 6, 30, grid_points=51, table=table[1:])
 
 
 # --- msre ---------------------------------------------------------------------

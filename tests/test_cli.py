@@ -1,8 +1,13 @@
 """CLI flows: run/validate/plot, file schemas, determinism, exit codes."""
 
 import json
+import math
 
 from qwsense import cli
+from qwsense.bayes import EstimationConfig, estimation_curve, informative_schedule
+from qwsense.walk import WalkParams
+
+PI = math.pi
 
 WALK = {"theta1_over_pi": 0.9, "theta2_over_pi": 0.75, "theta02_over_pi": -0.55}
 
@@ -46,6 +51,19 @@ def test_validate_reports_every_violation(tmp_path, capsys):
     assert "seed" in err
     assert "theta1_over_pi" in err
     assert "theta02_over_pi" in err  # missing angle also reported
+
+
+def test_validate_rejects_lattice_the_walk_would_wrap(tmp_path, capsys):
+    small = {**WALK, "lattice_size": 21}
+    cfg = write_config(tmp_path, {"experiment": "fi-scaling", "steps": 100, "walk": small})
+    assert cli.main(["validate", "--config", cfg]) == 2
+    assert "walk.lattice_size" in capsys.readouterr().err
+    # fi-surface propagates surface.steps, not the top-level steps
+    surface = {"theta1_over_pi": [-0.9, 0.9, 3]}
+    fits = {"experiment": "fi-surface", "walk": small, "surface": {**surface, "steps": 9}}
+    assert cli.main(["validate", "--config", write_config(tmp_path, fits)]) == 0
+    wraps = {"experiment": "fi-surface", "walk": small, "surface": {**surface, "steps": 10}}
+    assert cli.main(["validate", "--config", write_config(tmp_path, wraps)]) == 2
 
 
 def test_validate_unknown_experiment(tmp_path, capsys):
@@ -271,6 +289,21 @@ def test_posterior_schema_and_weights(tmp_path):
     header, rows = read_csv(out / "estimation.csv")
     assert header == ["t", "M", "m", "msre"]
     assert len(rows) == 3
+
+
+def test_bayes_with_selected_schedule_matches_the_library_path(tmp_path):
+    # the run reuses the selector's candidate table for the likelihood
+    estimation = {"prior_over_pi": [-0.556, -0.544], "grid_points": 21, "trials": 200}
+    doc = {"experiment": "bayes", "steps": 30, "seed": 5, "walk": WALK, "estimation": estimation}
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "estimation.csv")
+    params = WalkParams(0.9 * PI, 0.75 * PI, -0.55 * PI, 63)
+    prior = (-0.556 * PI, -0.544 * PI)
+    schedule = informative_schedule(params, prior, 6, 30, grid_points=21)
+    config = EstimationConfig(params, prior, schedule, grid_points=21, trials=200, master_seed=5)
+    expected = [(r.step, r.successes, r.msre) for r in estimation_curve(config).records]
+    assert [(int(t), int(m), float(e)) for t, _, m, e in rows] == expected
 
 
 def test_manifest_lists_each_file_with_hash(tmp_path):

@@ -47,6 +47,21 @@ def test_pair_backends_agree(n):
     np.testing.assert_allclose(dout_l, dout_n, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("kernel", [kernels.split_step_numpy, kernels.split_step_loops])
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_step_on_a_stack_equals_separate_walks(kernel, dtype):
+    n, walks = 7, 5
+    rng = np.random.default_rng(11)
+    _, c1, s1, c2, s2 = _random_inputs(n, 12)
+    stack = rng.normal(size=(walks, n, 2)).astype(dtype)
+    if dtype == np.complex128:
+        stack += 1j * rng.normal(size=(walks, n, 2))
+    batched = kernel(stack, c1, s1, c2, s2, np.empty_like(stack))
+    for b in range(walks):
+        single = kernel(stack[b], c1, s1, c2, s2, np.empty_like(stack[b]))
+        assert np.array_equal(batched[b], single)
+
+
 def test_env_flag_selects_numpy_backend():
     env = dict(os.environ, QWSENSE_NO_NUMBA="1")
     code = "from qwsense import kernels; print(kernels.BACKEND)"

@@ -376,6 +376,17 @@ def test_params_wrap_and_validate():
         WalkParams(0.1, 0.2, 0.3, 9, boundary="open")
 
 
+@pytest.mark.parametrize("size", [203.7, 9.5, True, np.bool_(True), "9"])
+def test_params_reject_non_integral_lattice_size(size):
+    with pytest.raises(ValueError, match="integer"):
+        WalkParams(0.1, 0.2, 0.3, size)
+
+
+def test_params_accept_integral_lattice_size_of_any_type():
+    for size in (9, 9.0, np.int64(9), np.float64(9.0)):
+        assert WalkParams(0.1, 0.2, 0.3, size).lattice_size == 9
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         WalkerState(np.ones(18), 9, 4)  # unnormalized
