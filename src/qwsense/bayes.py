@@ -22,6 +22,7 @@ from .walk import (
     default_initial_state,
     dynamics_lattice_size,
     per_step_fields,
+    propagate,
     wrap_angle,
 )
 
@@ -108,23 +109,11 @@ def defect_probability_series(
     params: WalkParams, initial: WalkerState, steps: int, coin_fields=None
 ) -> np.ndarray:
     """P0(t) for t = 0..steps (state-only propagation, no derivative)."""
-    fields = per_step_fields(params, steps, coin_fields)
     defect = params.defect_index
-    current = initial.grid().copy()  # ping-pong buffers must not alias the caller's state
-    scratch = np.empty_like(current)
-    probs = np.empty(steps + 1)
-    probs[0] = (np.abs(current[defect]) ** 2).sum()
-    prev_field = None
-    tables = None
-    for t in range(steps):
-        field = fields[t]
-        if field is not prev_field:
-            tables = field.half_angle_tables()
-            prev_field = field
-        kernels.split_step(current, *tables, scratch)
-        current, scratch = scratch, current
-        probs[t + 1] = (np.abs(current[defect]) ** 2).sum()
-    return probs
+    return np.array([
+        (np.abs(psi[defect]) ** 2).sum()
+        for psi in propagate(params, initial, steps, coin_fields)
+    ])
 
 
 def candidate_probability_table(
@@ -164,11 +153,8 @@ def candidate_probability_table(
             c1, s1, c2, s2 = (table[window] for table in field.half_angle_tables())
             prev_field = field
         kernels.split_step(current, c1, s1, c2, s2, scratch)
-        # layer 2 at the defect again, with each candidate's angle: fu is the
-        # up amplitude shifted in from the left neighbour, fd the defect's down
-        left, here = current[:, defect - 1], current[:, defect]
-        fu = c1[defect - 1] * left[:, 0] - s1[defect - 1] * left[:, 1]
-        fd = s1[defect] * here[:, 0] + c1[defect] * here[:, 1]
+        # layer 2 at the defect again, with each candidate's angle
+        fu, fd = kernels.defect_coin_inputs(current, c1, s1, defect)
         scratch[:, defect, 0] = c02 * fu - s02 * fd
         scratch[:, defect - 1, 1] = s02 * fu + c02 * fd
         current, scratch = scratch, current

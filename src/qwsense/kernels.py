@@ -1,12 +1,17 @@
-"""Hot split-step kernels: numba-compiled loops with a pure-numpy fallback.
+"""Hot split-step kernel: a numba-compiled loop with a pure-numpy fallback.
 
 The walk spends essentially all of its time applying one step of
-U = T_down R2 T_up R1 to a state vector (and, for Fisher-information work,
-to the state/derivative pair).  Both kernels exist in two interchangeable
-implementations:
+U = T_down R2 T_up R1 to a state vector or a stack of them.  There is one
+step body per backend, interchangeable:
 
-* loop versions compiled with ``numba.njit`` (default when numba imports),
-* vectorized numpy versions (fallback, and always available for testing).
+* a loop version compiled with ``numba.njit`` (default when numba imports),
+* a vectorized numpy version (fallback, and always available for testing).
+
+The joint step of a state and its theta02-derivative, ``split_step_pair``,
+is that step applied to psi and to dpsi, plus a two-entry correction at the
+defect from differentiating the defect's layer-2 coin.  The correction reads
+the two layer-1 outputs that coin mixes (``defect_coin_inputs``); the
+batched candidate walk in ``bayes`` redoes the defect coin from the same two.
 
 Set the environment variable ``QWSENSE_NO_NUMBA=1`` before import to force
 the numpy path.  ``BACKEND`` records which one is active.
@@ -57,34 +62,6 @@ def split_step_numpy(amps, cos1, sin1, cos2, sin2, out):
     return out
 
 
-def split_step_pair_numpy(amps, damps, cos1, sin1, cos2, sin2, defect, out, dout):
-    """Joint step of (psi, dpsi/dtheta02); exact product rule, numpy path.
-
-    The derivative picks up U dpsi plus the defect term T_down (dR) phi where
-    phi = T_up R1 psi and dR = dR/dtheta(theta02) acts at ``defect`` only.
-    """
-    n = amps.shape[0]
-    up = cos1 * amps[:, 0] - sin1 * amps[:, 1]
-    down = sin1 * amps[:, 0] + cos1 * amps[:, 1]
-    phi_up = np.roll(up, 1)
-    out[:, 0] = cos2 * phi_up - sin2 * down
-    out[:, 1] = np.roll(sin2 * phi_up + cos2 * down, -1)
-
-    dup = cos1 * damps[:, 0] - sin1 * damps[:, 1]
-    ddown = sin1 * damps[:, 0] + cos1 * damps[:, 1]
-    dphi_up = np.roll(dup, 1)
-    dout[:, 0] = cos2 * dphi_up - sin2 * ddown
-    dout[:, 1] = np.roll(sin2 * dphi_up + cos2 * ddown, -1)
-
-    c02 = cos2[defect]
-    s02 = sin2[defect]
-    fu = phi_up[defect]
-    fd = down[defect]
-    dout[defect, 0] += -0.5 * s02 * fu - 0.5 * c02 * fd
-    dout[(defect - 1) % n, 1] += 0.5 * c02 * fu - 0.5 * s02 * fd
-    return out, dout
-
-
 def _split_step_loops(amps, cos1, sin1, cos2, sin2, out):
     n = amps.shape[-2]
     walks = amps.reshape((-1, n, 2))
@@ -106,41 +83,38 @@ def _split_step_loops(amps, cos1, sin1, cos2, sin2, out):
     return out
 
 
-def _split_step_pair_loops(amps, damps, cos1, sin1, cos2, sin2, defect, out, dout):
-    n = amps.shape[0]
-    phi_up = np.empty(n, np.complex128)
-    phi_down = np.empty(n, np.complex128)
-    dphi_up = np.empty(n, np.complex128)
-    dphi_down = np.empty(n, np.complex128)
-    for i in range(n):
-        j = i + 1 if i + 1 < n else 0
-        phi_up[j] = cos1[i] * amps[i, 0] - sin1[i] * amps[i, 1]
-        phi_down[i] = sin1[i] * amps[i, 0] + cos1[i] * amps[i, 1]
-        dphi_up[j] = cos1[i] * damps[i, 0] - sin1[i] * damps[i, 1]
-        dphi_down[i] = sin1[i] * damps[i, 0] + cos1[i] * damps[i, 1]
-    for i in range(n):
-        j = i - 1 if i > 0 else n - 1
-        out[i, 0] = cos2[i] * phi_up[i] - sin2[i] * phi_down[i]
-        out[j, 1] = sin2[i] * phi_up[i] + cos2[i] * phi_down[i]
-        dout[i, 0] = cos2[i] * dphi_up[i] - sin2[i] * dphi_down[i]
-        dout[j, 1] = sin2[i] * dphi_up[i] + cos2[i] * dphi_down[i]
-    c02 = cos2[defect]
-    s02 = sin2[defect]
-    fu = phi_up[defect]
-    fd = phi_down[defect]
-    dout[defect, 0] += -0.5 * s02 * fu - 0.5 * c02 * fd
-    j = defect - 1 if defect > 0 else n - 1
-    dout[j, 1] += 0.5 * c02 * fu - 0.5 * s02 * fd
-    return out, dout
-
-
 if NUMBA_ENABLED:
     split_step_loops = njit(cache=True)(_split_step_loops)
-    split_step_pair_loops = njit(cache=True)(_split_step_pair_loops)
     split_step = split_step_loops
-    split_step_pair = split_step_pair_loops
 else:
     split_step_loops = _split_step_loops
-    split_step_pair_loops = _split_step_pair_loops
     split_step = split_step_numpy
-    split_step_pair = split_step_pair_numpy
+
+
+def defect_coin_inputs(amps, cos1, sin1, defect):
+    """The two layer-1 outputs the layer-2 coin at ``defect`` mixes.
+
+    fu is the up amplitude shifted in from ``defect - 1`` (periodic), fd the
+    defect's own down amplitude; amps: (..., N, 2), one pair per walk.
+    """
+    left, here = amps[..., defect - 1, :], amps[..., defect, :]
+    fu = cos1[defect - 1] * left[..., 0] - sin1[defect - 1] * left[..., 1]
+    fd = sin1[defect] * here[..., 0] + cos1[defect] * here[..., 1]
+    return fu, fd
+
+
+def split_step_pair(amps, damps, cos1, sin1, cos2, sin2, defect, out, dout):
+    """Joint step of (psi, dpsi/dtheta02); exact product rule.
+
+    The derivative picks up U dpsi plus the defect term T_down (dR) phi where
+    phi = T_up R1 psi and dR = dR/dtheta(theta02) acts at ``defect`` only, so
+    only two entries of U dpsi are corrected.
+    """
+    split_step(amps, cos1, sin1, cos2, sin2, out)
+    split_step(damps, cos1, sin1, cos2, sin2, dout)
+    c02 = cos2[defect]
+    s02 = sin2[defect]
+    fu, fd = defect_coin_inputs(amps, cos1, sin1, defect)
+    dout[defect, 0] += -0.5 * s02 * fu - 0.5 * c02 * fd
+    dout[defect - 1, 1] += 0.5 * c02 * fu - 0.5 * s02 * fd
+    return out, dout

@@ -1,7 +1,9 @@
 """Fisher information of the defect measurement and its scaling in time.
 
-Three information measures are computed from one exactly propagated
-(state, derivative) trajectory:
+Three information measures are computed from the exactly propagated
+(state, derivative) pair, each reduced to one number per step as the walk
+streams through ``walk.propagate``; no trajectory is stored, so a series
+of any length holds O(N) memory besides its T + 1 values:
 
 * defect-site FI:  (dP0/dtheta02)^2 / [P0 (1 - P0)] from the binary
   "walker at the defect?" measurement,
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .walk import WalkParams, WalkerState, per_step_fields
+from .walk import WalkParams, WalkerState, propagate
 
 P_FLOOR = 1e-12
 
@@ -66,44 +67,16 @@ class ScalingFit:
         return self.prefactor * np.asarray(t, dtype=np.float64) ** self.exponent
 
 
-def pair_trajectory(
-    params: WalkParams,
-    initial: WalkerState,
-    steps: int,
-    coin_fields=None,
-):
-    """States and theta02-derivatives for t = 0..steps as (T+1, N, 2) arrays."""
+def pair_trajectory(params: WalkParams, initial: WalkerState, steps: int, coin_fields, observe):
+    """Stacked ``observe(psi_t, dpsi_t)`` for t = 0..steps over one streamed walk.
+
+    ``observe`` gets the (N, 2) state and theta02-derivative buffers of each
+    step; they are reused, so it must return a reduction, not the buffers.
+    """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    n = params.lattice_size
-    if initial.lattice_size != n:
-        raise ValueError("initial state lattice size does not match params")
-    fields = per_step_fields(params, steps, coin_fields)
-    defect = params.defect_index
-    states = np.zeros((steps + 1, n, 2), dtype=np.complex128)
-    dstates = np.zeros_like(states)
-    states[0] = initial.grid()
-    prev_field = None
-    tables = None
-    for t in range(steps):
-        field = fields[t]
-        if field.lattice_size != n:
-            raise ValueError("coin field length does not match lattice size")
-        if field is not prev_field:
-            tables = field.half_angle_tables()
-            prev_field = field
-        kernels.split_step_pair(
-            states[t], dstates[t], *tables, defect, states[t + 1], dstates[t + 1]
-        )
-    return states, dstates
-
-
-def _defect_probabilities(states, dstates, defect):
-    p0 = (np.abs(states[:, defect, :]) ** 2).sum(axis=1)
-    dp0 = 2.0 * np.real(
-        np.conj(states[:, defect, :]) * dstates[:, defect, :]
-    ).sum(axis=1)
-    return p0, dp0
+    pairs = propagate(params, initial, steps, coin_fields, derivative=True)
+    return np.array([observe(psi, dpsi) for psi, dpsi in pairs])
 
 
 def binary_fisher(p0, dp0):
@@ -130,8 +103,14 @@ def fisher_at_defect(
     measurement carries no information and the quotient is singular) are
     emitted as 0 and flagged.
     """
-    states, dstates = pair_trajectory(params, initial, steps, coin_fields)
-    p0, dp0 = _defect_probabilities(states, dstates, params.defect_index)
+    defect = params.defect_index
+
+    def observe(psi, dpsi):
+        p0 = (np.abs(psi[defect]) ** 2).sum()
+        dp0 = 2.0 * np.real(np.conj(psi[defect]) * dpsi[defect]).sum()
+        return p0, dp0
+
+    p0, dp0 = pair_trajectory(params, initial, steps, coin_fields, observe).T
     values, degenerate = binary_fisher(p0, dp0)
     return FisherSeries(np.arange(steps + 1), values, DEFECT_SITE_FI, params, degenerate)
 
@@ -140,11 +119,14 @@ def global_fisher(
     params: WalkParams, initial: WalkerState, steps: int, coin_fields=None
 ) -> FisherSeries:
     """GFI(t) over the full position distribution, skipping P_i below floor."""
-    states, dstates = pair_trajectory(params, initial, steps, coin_fields)
-    probs = (np.abs(states) ** 2).sum(axis=2)
-    dprobs = 2.0 * np.real(np.conj(states) * dstates).sum(axis=2)
-    contrib = np.where(probs >= P_FLOOR, dprobs**2 / np.where(probs >= P_FLOOR, probs, 1.0), 0.0)
-    values = contrib.sum(axis=1)
+
+    def observe(psi, dpsi):
+        probs = (np.abs(psi) ** 2).sum(axis=1)
+        dprobs = 2.0 * np.real(np.conj(psi) * dpsi).sum(axis=1)
+        usable = probs >= P_FLOOR
+        return np.where(usable, dprobs**2 / np.where(usable, probs, 1.0), 0.0).sum()
+
+    values = pair_trajectory(params, initial, steps, coin_fields, observe)
     return FisherSeries(np.arange(steps + 1), values, GLOBAL_FI, params, None)
 
 
@@ -152,12 +134,13 @@ def quantum_fisher(
     params: WalkParams, initial: WalkerState, steps: int, coin_fields=None
 ) -> FisherSeries:
     """QFI(t) = 4(<dpsi|dpsi> - |<dpsi|psi>|^2) from the exact derivative."""
-    states, dstates = pair_trajectory(params, initial, steps, coin_fields)
-    flat = states.reshape(states.shape[0], -1)
-    dflat = dstates.reshape(dstates.shape[0], -1)
-    dd = (np.abs(dflat) ** 2).sum(axis=1)
-    overlap = (np.conj(dflat) * flat).sum(axis=1)
-    values = 4.0 * (dd - np.abs(overlap) ** 2)
+
+    def observe(psi, dpsi):
+        flat, dflat = psi.reshape(-1), dpsi.reshape(-1)
+        overlap = (np.conj(dflat) * flat).sum()
+        return 4.0 * ((np.abs(dflat) ** 2).sum() - np.abs(overlap) ** 2)
+
+    values = pair_trajectory(params, initial, steps, coin_fields, observe)
     return FisherSeries(np.arange(steps + 1), np.maximum(values, 0.0), QUANTUM_FI, params, None)
 
 

@@ -1,4 +1,4 @@
-"""Split-step quantum walk core: state, parameters, coin fields, one-step unitary.
+"""Split-step quantum walk core: state, parameters, coin fields, propagation.
 
 One step is U = T_down R2 T_up R1 on a periodic 1D lattice of N sites (N odd)
 with a two-level coin.  The second coin layer carries a defect angle theta02
@@ -7,6 +7,12 @@ spectra, Bayesian estimation) is a function of this walk and of the exact
 derivative of the evolved state with respect to theta02, which is propagated
 jointly with the state by the product rule (no finite differences on the
 production path).
+
+``propagate`` is the one loop over time steps: it streams the state (and,
+on request, its derivative) through two reused (N, 2) buffers, so a run of
+any length holds O(N) memory.  ``evolve`` and the probability and Fisher
+series consume it; ``apply_step`` and ``apply_step_with_derivative`` are
+single-step wrappers over the same kernels.
 """
 
 import math
@@ -252,19 +258,58 @@ def apply_step_with_derivative(
     return DerivativePair(new_state, dout.reshape(-1))
 
 
-def evolve(params: WalkParams, initial: WalkerState, steps: int) -> list[WalkerState]:
-    """States after 0..steps applications of the params-defined step."""
+def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=None,
+              derivative: bool = False):
+    """Stream psi_t for t = 0..steps, or (psi_t, dpsi_t) with ``derivative``.
+
+    Yields (N, 2) buffers that the next step overwrites: read them, copy
+    what must outlive the iteration, never write to them.  ``coin_fields``
+    is None (the clean walk of ``params``), one CoinField for every step,
+    or a sequence of per-step fields.  dpsi is the exact derivative with
+    respect to the layer-2 angle at ``params.defect_index``, starting from
+    zero.  The inputs are checked when iteration starts, before any step.
+    """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if initial.lattice_size != params.lattice_size:
-        raise ValueError("initial state lattice size does not match params")
-    coins = CoinField.from_params(params)
-    series = [initial]
-    state = initial
-    for _ in range(steps):
-        state = apply_step(state, coins)
-        series.append(state)
-    return series
+    n = params.lattice_size
+    if initial.lattice_size != n:
+        raise ValueError(
+            f"initial state lattice size {initial.lattice_size} does not match params ({n})"
+        )
+    fields = per_step_fields(params, steps, coin_fields)
+    for field in fields:
+        if field.lattice_size != n:
+            raise ValueError(
+                f"coin field length {field.lattice_size} does not match lattice size {n}"
+            )
+    defect = params.defect_index
+    current = initial.grid().copy()  # ping-pong buffers must not alias the caller's state
+    scratch = np.empty_like(current)
+    dcurrent = np.zeros_like(current) if derivative else None
+    dscratch = np.empty_like(current) if derivative else None
+    yield (current, dcurrent) if derivative else current
+    prev_field = None
+    tables = None
+    for field in fields:
+        if field is not prev_field:
+            tables = field.half_angle_tables()
+            prev_field = field
+        if derivative:
+            kernels.split_step_pair(current, dcurrent, *tables, defect, scratch, dscratch)
+            dcurrent, dscratch = dscratch, dcurrent
+        else:
+            kernels.split_step(current, *tables, scratch)
+        current, scratch = scratch, current
+        yield (current, dcurrent) if derivative else current
+
+
+def evolve(params: WalkParams, initial: WalkerState, steps: int) -> list[WalkerState]:
+    """States after 0..steps applications of the params-defined step."""
+    n = params.lattice_size
+    return [
+        WalkerState(psi.flatten(), n, initial.origin_offset)
+        for psi in propagate(params, initial, steps)
+    ]
 
 
 def position_probability(state: WalkerState, x: int) -> float:

@@ -1,4 +1,4 @@
-"""Backend equivalence: numba-compiled kernels against the numpy fallback."""
+"""Step kernels: backend equivalence, batching, and the composed pair step."""
 
 import os
 import subprocess
@@ -31,20 +31,42 @@ def test_step_backends_agree(n):
     np.testing.assert_allclose(out_loops, out_numpy, rtol=0, atol=1e-15)
 
 
+def reference_pair_step(amps, damps, cos1, sin1, cos2, sin2, defect, out, dout):
+    """Joint (psi, dpsi) step written out in full, as a standalone kernel body."""
+    n = amps.shape[0]
+    up = cos1 * amps[:, 0] - sin1 * amps[:, 1]
+    down = sin1 * amps[:, 0] + cos1 * amps[:, 1]
+    phi_up = np.roll(up, 1)
+    out[:, 0] = cos2 * phi_up - sin2 * down
+    out[:, 1] = np.roll(sin2 * phi_up + cos2 * down, -1)
+
+    dup = cos1 * damps[:, 0] - sin1 * damps[:, 1]
+    ddown = sin1 * damps[:, 0] + cos1 * damps[:, 1]
+    dphi_up = np.roll(dup, 1)
+    dout[:, 0] = cos2 * dphi_up - sin2 * ddown
+    dout[:, 1] = np.roll(sin2 * dphi_up + cos2 * ddown, -1)
+
+    c02 = cos2[defect]
+    s02 = sin2[defect]
+    fu = phi_up[defect]
+    fd = down[defect]
+    dout[defect, 0] += -0.5 * s02 * fu - 0.5 * c02 * fd
+    dout[(defect - 1) % n, 1] += 0.5 * c02 * fu - 0.5 * s02 * fd
+    return out, dout
+
+
 @pytest.mark.parametrize("n", [3, 7, 64, 203])
-def test_pair_backends_agree(n):
-    if not kernels.NUMBA_ENABLED:
-        pytest.skip("numba backend not active")
+def test_pair_step_equals_reference_kernel(n):
     rng = np.random.default_rng(n + 1)
     amps, c1, s1, c2, s2 = _random_inputs(n, n)
     damps = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    defect = (n - 1) // 2
-    out_l, dout_l = np.empty_like(amps), np.empty_like(amps)
-    out_n, dout_n = np.empty_like(amps), np.empty_like(amps)
-    kernels.split_step_pair_loops(amps, damps, c1, s1, c2, s2, defect, out_l, dout_l)
-    kernels.split_step_pair_numpy(amps, damps, c1, s1, c2, s2, defect, out_n, dout_n)
-    np.testing.assert_allclose(out_l, out_n, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(dout_l, dout_n, rtol=0, atol=1e-15)
+    for defect in sorted({0, 1, (n - 1) // 2, n - 1}):
+        out, dout = np.empty_like(amps), np.empty_like(amps)
+        ref_out, ref_dout = np.empty_like(amps), np.empty_like(amps)
+        kernels.split_step_pair(amps, damps, c1, s1, c2, s2, defect, out, dout)
+        reference_pair_step(amps, damps, c1, s1, c2, s2, defect, ref_out, ref_dout)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(dout, ref_dout)
 
 
 @pytest.mark.parametrize("kernel", [kernels.split_step_numpy, kernels.split_step_loops])

@@ -1,12 +1,17 @@
 """Fisher information series, the FI/GFI/QFI hierarchy, and scaling fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qwsense import bayes
+from qwsense import bayes, kernels
+from qwsense.disorder import DYNAMIC, STATIC, DisorderSpec, sample_disorder
 from qwsense.metrology import (
+    P_FLOOR,
     FisherSeries,
     averaged_fisher,
     binary_fisher,
@@ -16,7 +21,7 @@ from qwsense.metrology import (
     power_law_fit,
     quantum_fisher,
 )
-from qwsense.walk import WalkParams, default_initial_state
+from qwsense.walk import WalkParams, default_initial_state, per_step_fields
 
 PI = math.pi
 
@@ -127,6 +132,97 @@ def test_fi_matches_probability_finite_differences():
         if fi.flagged[t] or flags[t]:
             continue
         assert fi.values[t] == pytest.approx(expected[t], rel=1e-5)
+
+
+# --- streamed series against a stored trajectory ---------------------------
+
+
+def stored_trajectory(params, initial, steps, coin_fields=None):
+    """Reference: every state and derivative kept as (T+1, N, 2) arrays."""
+    n = params.lattice_size
+    fields = per_step_fields(params, steps, coin_fields)
+    states = np.zeros((steps + 1, n, 2), dtype=np.complex128)
+    dstates = np.zeros_like(states)
+    states[0] = initial.grid()
+    for t, field in enumerate(fields):
+        kernels.split_step_pair(
+            states[t], dstates[t], *field.half_angle_tables(), params.defect_index,
+            states[t + 1], dstates[t + 1],
+        )
+    return states, dstates
+
+
+def stored_fisher_values(params, initial, steps, coin_fields=None):
+    """FI, GFI and QFI reduced from the stored trajectory in whole-array passes."""
+    states, dstates = stored_trajectory(params, initial, steps, coin_fields)
+    defect = params.defect_index
+    p0 = (np.abs(states[:, defect, :]) ** 2).sum(axis=1)
+    dp0 = 2.0 * np.real(np.conj(states[:, defect, :]) * dstates[:, defect, :]).sum(axis=1)
+    fi, _ = binary_fisher(p0, dp0)
+
+    probs = (np.abs(states) ** 2).sum(axis=2)
+    dprobs = 2.0 * np.real(np.conj(states) * dstates).sum(axis=2)
+    contrib = np.where(probs >= P_FLOOR, dprobs**2 / np.where(probs >= P_FLOOR, probs, 1.0), 0.0)
+    gfi = contrib.sum(axis=1)
+
+    flat = states.reshape(states.shape[0], -1)
+    dflat = dstates.reshape(dstates.shape[0], -1)
+    dd = (np.abs(dflat) ** 2).sum(axis=1)
+    overlap = (np.conj(dflat) * flat).sum(axis=1)
+    qfi = np.maximum(4.0 * (dd - np.abs(overlap) ** 2), 0.0)
+    return fi, gfi, qfi
+
+
+def _static(p, steps):
+    return sample_disorder(DisorderSpec(STATIC, 0.1 * PI, 1, 3), p, 0)
+
+
+def _dynamic(p, steps):
+    return sample_disorder(DisorderSpec(DYNAMIC, 0.1 * PI, 1, 4), p, 0, steps=steps)
+
+
+@pytest.mark.parametrize("point, disorder", [
+    (NONTRIVIAL, None), (TRIVIAL, None), (NONTRIVIAL, _static), (NONTRIVIAL, _dynamic),
+])
+def test_streamed_fisher_equals_stored_trajectory(point, disorder):
+    steps = 60
+    p, init = series_pair(*point, steps)
+    fields = disorder(p, steps) if disorder else None
+    fi, gfi, qfi = stored_fisher_values(p, init, steps, fields)
+    assert np.array_equal(fisher_at_defect(p, init, steps, fields).values, fi)
+    assert np.array_equal(global_fisher(p, init, steps, fields).values, gfi)
+    assert np.array_equal(quantum_fisher(p, init, steps, fields).values, qfi)
+
+
+def test_long_fisher_series_streams_in_small_memory():
+    steps = 2000
+    p, init = series_pair(*NONTRIVIAL, steps)
+    tracemalloc.start()
+    try:
+        fisher_at_defect(p, init, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a stored (T+1, N, 2) trajectory pair would take 2 * 2001 * 4003 * 32 B = 513 MB
+    assert peak < 8e6
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    angles=st.tuples(*[st.floats(-PI, PI)] * 3),
+    steps=st.integers(1, 40),
+    margin=st.integers(0, 5),
+)
+def test_information_hierarchy_at_drawn_angles(angles, steps, margin):
+    n = 2 * steps + 3 + 2 * margin
+    p = WalkParams(*angles, n)
+    init = default_initial_state(n)
+    fi = fisher_at_defect(p, init, steps).values
+    gfi = global_fisher(p, init, steps).values
+    qfi = quantum_fisher(p, init, steps).values
+    # the tolerance of perfbench/checks.py: a <= b + 1e-9 |b| + 1e-12
+    assert (fi <= gfi + 1e-9 * np.abs(gfi) + 1e-12).all()
+    assert (gfi <= qfi + 1e-9 * np.abs(qfi) + 1e-12).all()
 
 
 def test_trivial_case_peaks_sit_above_the_bulk_fit():

@@ -10,7 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qwsense.bayes import defect_probability_series
+from qwsense.metrology import fisher_at_defect
 from qwsense.walk import (
     CoinField,
     DerivativePair,
@@ -23,6 +27,7 @@ from qwsense.walk import (
     default_initial_state,
     evolve,
     position_probability,
+    propagate,
     wrap_angle,
 )
 
@@ -327,6 +332,63 @@ def test_light_cone_support_is_exactly_zero():
 def test_evolve_negative_steps_rejected():
     with pytest.raises(ValueError):
         evolve(nontrivial(9), default_initial_state(9), -1)
+
+
+# --- streaming propagation -------------------------------------------------
+
+
+def _bad_steps(params):
+    return default_initial_state(params.lattice_size), -1, None
+
+
+def _bad_initial(params):
+    return default_initial_state(params.lattice_size + 2), 5, None
+
+
+def _bad_field(params):
+    fields = [CoinField.from_params(params)] * 4
+    fields.append(CoinField.from_params(nontrivial(params.lattice_size + 2)))
+    return default_initial_state(params.lattice_size), 5, fields
+
+
+@pytest.mark.parametrize("series", [defect_probability_series, fisher_at_defect])
+@pytest.mark.parametrize("inputs, message", [
+    (_bad_steps, "steps must be"),
+    (_bad_initial, "initial state lattice size"),
+    (_bad_field, "coin field length"),
+])
+def test_streamed_series_reject_mismatched_inputs(series, inputs, message):
+    params = nontrivial(13)
+    initial, steps, fields = inputs(params)
+    with pytest.raises(ValueError, match=message):
+        series(params, initial, steps, fields)
+
+
+def test_streamed_pair_equals_single_step_pairs():
+    params = nontrivial(31)
+    pair = DerivativePair.initial(default_initial_state(31))
+    coins = CoinField.from_params(params)
+    for t, (psi, dpsi) in enumerate(
+        propagate(params, pair.state, 12, derivative=True)
+    ):
+        if t:
+            pair = apply_step_with_derivative(pair, coins, 0)
+        assert np.array_equal(psi.reshape(-1), pair.state.amplitudes)
+        assert np.array_equal(dpsi.reshape(-1), pair.derivative)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    angles=st.tuples(*[st.floats(-PI, PI)] * 3),
+    steps=st.integers(0, 40),
+    margin=st.integers(0, 5),
+)
+def test_propagation_stays_unitary_and_tangent(angles, steps, margin):
+    n = 2 * steps + 3 + 2 * margin
+    params = WalkParams(*angles, n)
+    for psi, dpsi in propagate(params, default_initial_state(n), steps, derivative=True):
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        assert abs(np.vdot(psi, dpsi).real) <= 1e-12
 
 
 # --- probabilities ---------------------------------------------------------
