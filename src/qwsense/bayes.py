@@ -108,10 +108,13 @@ class EstimationCurve:
 def defect_probability_series(
     params: WalkParams, initial: WalkerState, steps: int, coin_fields=None
 ) -> np.ndarray:
-    """P0(t) for t = 0..steps (state-only propagation, no derivative)."""
+    """P0(t) for t = 0..steps (state-only propagation, no derivative).
+
+    Shape (steps + 1,), or (steps + 1, B) for coin fields with (B, N) angles.
+    """
     defect = params.defect_index
     return np.array([
-        (np.abs(psi[defect]) ** 2).sum()
+        (np.abs(psi[..., defect, :]) ** 2).sum(axis=-1)
         for psi in propagate(params, initial, steps, coin_fields)
     ])
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__, bayes, disorder, metrology, plotting, serialize, spectral, topology
 from .config import ExperimentConfig
-from .walk import default_initial_state
+from .walk import CoinField, default_initial_state
 
 PI = math.pi
 
@@ -69,15 +69,14 @@ def _run_fi_scaling(cfg: ExperimentConfig, threads: int) -> Artifacts:
 
 def _run_gfi_qfi(cfg: ExperimentConfig, threads: int) -> Artifacts:
     params = cfg.walk
-    initial = default_initial_state(params.lattice_size)
+    series = metrology.fisher_series(params, default_initial_state(params.lattice_size), cfg.steps)
     art = Artifacts()
-    for name, fn in (
-        ("fi_series.csv", metrology.fisher_at_defect),
-        ("gfi_series.csv", metrology.global_fisher),
-        ("qfi_series.csv", metrology.quantum_fisher),
+    for name, kind in (
+        ("fi_series.csv", metrology.DEFECT_SITE_FI),
+        ("gfi_series.csv", metrology.GLOBAL_FI),
+        ("qfi_series.csv", metrology.QUANTUM_FI),
     ):
-        series = fn(params, initial, cfg.steps)
-        art.csv[name] = (FI_HEADER, _fi_series_rows(series))
+        art.csv[name] = (FI_HEADER, _fi_series_rows(series[kind]))
         art.plots.append((name, "scaling"))
     return art
 
@@ -101,15 +100,20 @@ def _run_fi_surface(cfg: ExperimentConfig, threads: int) -> Artifacts:
     params = cfg.walk
     t1_over_pi = cfg.surface["theta1_over_pi"]
     steps = cfg.surface["steps"]
-    initial = default_initial_state(params.lattice_size)
-    rows = []
-    for t1 in t1_over_pi:
-        point = replace(params, theta1=float(t1) * PI)
-        series = metrology.fisher_at_defect(point, initial, steps)
-        rows.extend(
-            (float(t1), float(t), float(v), bool(f))
-            for t, v, f in zip(series.steps, series.values, series.flagged)
-        )
+    # every theta1 walks as one row of a (B, N) batch; the batch buffers are
+    # gone before the rows are built
+    fields = CoinField.stack([
+        CoinField.from_params(replace(params, theta1=float(t1) * PI)) for t1 in t1_over_pi
+    ])
+    values, flagged = metrology.information_values(
+        params, default_initial_state(params.lattice_size), steps,
+        (metrology.DEFECT_SITE_FI,), fields,
+    )[metrology.DEFECT_SITE_FI]
+    rows = [
+        (float(t1), float(t), float(v), bool(f))
+        for t1, walk_values, walk_flagged in zip(t1_over_pi, values.T, flagged.T)
+        for t, v, f in zip(range(steps + 1), walk_values, walk_flagged)
+    ]
     art = Artifacts()
     art.csv["fi_surface.csv"] = (("theta1_over_pi", "t", "value", "flagged"), rows)
     art.plots.append(("fi_surface.csv", "heatmap"))
@@ -227,8 +231,7 @@ def _run_disorder(cfg: ExperimentConfig, threads: int) -> Artifacts:
     else:
         params = cfg.walk
         result = disorder.ensemble_fisher(
-            spec, params, default_initial_state(params.lattice_size), cfg.steps,
-            threads=threads,
+            spec, params, default_initial_state(params.lattice_size), cfg.steps
         )
         mean_series = metrology.FisherSeries(
             result.steps, result.mean, metrology.DEFECT_SITE_FI, params, None

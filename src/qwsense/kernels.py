@@ -16,12 +16,18 @@ batched candidate walk in ``bayes`` redoes the defect coin from the same two.
 Set the environment variable ``QWSENSE_NO_NUMBA=1`` before import to force
 the numpy path.  ``BACKEND`` records which one is active.
 
-Layout contract: a state is a C-contiguous complex128 array of shape (N, 2)
-with the coin pair (up, down) contiguous per site; site index i maps to
-physical position x = i - (N - 1) // 2.  Coin tables are the per-site
-half-angle cosines/sines of the two coin layers.  The step kernel also takes
-a stack of walks, shape (..., N, 2), that share one set of tables; every
-coin and shift is real, so a real (float64) stack stays real.
+Layout contract: a state is a complex128 array of shape (N, 2) with the
+coin pair (up, down) contiguous per site; site index i maps to physical
+position x = i - (N - 1) // 2.  Coin tables are the per-site half-angle
+cosines/sines of the two coin layers.  The kernels also take a batch of B
+walks, shape (B, N, 2), with either one (N,) table set shared by every walk
+or (B, N) tables, one row per walk; tables are always indexed on their last
+axis.  Every coin and shift is real, so a real (float64) stack stays real.
+
+The ring is periodic, so a kernel call on a contiguous window of rows wraps
+within the window.  That is exact when the window's first and last rows hold
+zeros, which is how ``walk.propagate`` steps only a walk's light cone: the
+window is a view into the full-size buffers and may be non-contiguous.
 """
 
 import os
@@ -49,57 +55,74 @@ BACKEND = "numba" if NUMBA_ENABLED else "numpy"
 def split_step_numpy(amps, cos1, sin1, cos2, sin2, out):
     """One split step, vectorized numpy path.
 
-    amps/out: (..., N, 2) complex128 or float64; cos*/sin*: (N,) float64
-    half-angle tables, shared by every walk in the stack.
+    amps/out: (N, 2) or (B, N, 2), complex128 or float64; cos*/sin*: (N,)
+    half-angle tables shared by every walk, or (B, N), one row per walk.
     Sweeps: coin layer 1, shift up (+1) of the up component, coin layer 2,
-    shift down (-1) of the down component; periodic wrap.
+    shift down (-1) of the down component; periodic wrap.  The shifts are
+    slice copies (np.roll costs more per call than a small step).
     """
-    up = cos1 * amps[..., 0] - sin1 * amps[..., 1]
-    down = sin1 * amps[..., 0] + cos1 * amps[..., 1]
-    up = np.roll(up, 1, axis=-1)
+    a_up, a_down = amps[..., 0], amps[..., 1]
+    up = cos1 * a_up - sin1 * a_down
+    down = sin1 * a_up + cos1 * a_down
+    up = np.concatenate((up[..., -1:], up[..., :-1]), axis=-1)
     out[..., 0] = cos2 * up - sin2 * down
-    out[..., 1] = np.roll(sin2 * up + cos2 * down, -1, axis=-1)
+    mixed = sin2 * up + cos2 * down
+    out[..., :-1, 1] = mixed[..., 1:]
+    out[..., -1, 1] = mixed[..., 0]
     return out
+
+
+def _loops_body(amps, cos1, sin1, cos2, sin2, out):
+    """Loop body on (B, N, 2) walks and (B, N) tables, or (1, N) shared ones."""
+    n = amps.shape[1]
+    phi_up = np.empty(n, amps.dtype)
+    phi_down = np.empty(n, amps.dtype)
+    for b in range(amps.shape[0]):
+        r = b if cos1.shape[0] > 1 else 0
+        a = amps[b]
+        o = out[b]
+        for i in range(n):
+            u = cos1[r, i] * a[i, 0] - sin1[r, i] * a[i, 1]
+            j = i + 1 if i + 1 < n else 0
+            phi_up[j] = u
+            phi_down[i] = sin1[r, i] * a[i, 0] + cos1[r, i] * a[i, 1]
+        for i in range(n):
+            j = i - 1 if i > 0 else n - 1
+            o[i, 0] = cos2[r, i] * phi_up[i] - sin2[r, i] * phi_down[i]
+            o[j, 1] = sin2[r, i] * phi_up[i] + cos2[r, i] * phi_down[i]
+    return out
+
+
+_loops = njit(cache=True)(_loops_body) if NUMBA_ENABLED else _loops_body
 
 
 def _split_step_loops(amps, cos1, sin1, cos2, sin2, out):
-    n = amps.shape[-2]
-    walks = amps.reshape((-1, n, 2))
-    outs = out.reshape((-1, n, 2))  # a view: states are C-contiguous
-    phi_up = np.empty(n, amps.dtype)
-    phi_down = np.empty(n, amps.dtype)
-    for b in range(walks.shape[0]):
-        a = walks[b]
-        o = outs[b]
-        for i in range(n):
-            u = cos1[i] * a[i, 0] - sin1[i] * a[i, 1]
-            j = i + 1 if i + 1 < n else 0
-            phi_up[j] = u
-            phi_down[i] = sin1[i] * a[i, 0] + cos1[i] * a[i, 1]
-        for i in range(n):
-            j = i - 1 if i > 0 else n - 1
-            o[i, 0] = cos2[i] * phi_up[i] - sin2[i] * phi_down[i]
-            o[j, 1] = sin2[i] * phi_up[i] + cos2[i] * phi_down[i]
+    """One split step, loop path; same arguments as ``split_step_numpy``.
+
+    A single walk and shared tables gain a leading axis of length 1: views,
+    so the loop body writes straight into ``out``.
+    """
+    walks = amps[np.newaxis] if amps.ndim == 2 else amps
+    outs = out[np.newaxis] if out.ndim == 2 else out
+    tables = [t[np.newaxis] if t.ndim == 1 else t for t in (cos1, sin1, cos2, sin2)]
+    _loops(walks, *tables, outs)
     return out
 
 
-if NUMBA_ENABLED:
-    split_step_loops = njit(cache=True)(_split_step_loops)
-    split_step = split_step_loops
-else:
-    split_step_loops = _split_step_loops
-    split_step = split_step_numpy
+split_step_loops = _split_step_loops
+split_step = split_step_loops if NUMBA_ENABLED else split_step_numpy
 
 
 def defect_coin_inputs(amps, cos1, sin1, defect):
     """The two layer-1 outputs the layer-2 coin at ``defect`` mixes.
 
     fu is the up amplitude shifted in from ``defect - 1`` (periodic), fd the
-    defect's own down amplitude; amps: (..., N, 2), one pair per walk.
+    defect's own down amplitude; amps: (..., N, 2), one pair per walk, with
+    (N,) or (..., N) tables.
     """
     left, here = amps[..., defect - 1, :], amps[..., defect, :]
-    fu = cos1[defect - 1] * left[..., 0] - sin1[defect - 1] * left[..., 1]
-    fd = sin1[defect] * here[..., 0] + cos1[defect] * here[..., 1]
+    fu = cos1[..., defect - 1] * left[..., 0] - sin1[..., defect - 1] * left[..., 1]
+    fd = sin1[..., defect] * here[..., 0] + cos1[..., defect] * here[..., 1]
     return fu, fd
 
 
@@ -108,13 +131,14 @@ def split_step_pair(amps, damps, cos1, sin1, cos2, sin2, defect, out, dout):
 
     The derivative picks up U dpsi plus the defect term T_down (dR) phi where
     phi = T_up R1 psi and dR = dR/dtheta(theta02) acts at ``defect`` only, so
-    only two entries of U dpsi are corrected.
+    only two entries of U dpsi are corrected.  Shapes as in ``split_step``;
+    ``defect`` indexes the site axis of every walk.
     """
     split_step(amps, cos1, sin1, cos2, sin2, out)
     split_step(damps, cos1, sin1, cos2, sin2, dout)
-    c02 = cos2[defect]
-    s02 = sin2[defect]
+    c02 = cos2[..., defect]
+    s02 = sin2[..., defect]
     fu, fd = defect_coin_inputs(amps, cos1, sin1, defect)
-    dout[defect, 0] += -0.5 * s02 * fu - 0.5 * c02 * fd
-    dout[defect - 1, 1] += 0.5 * c02 * fu - 0.5 * s02 * fd
+    dout[..., defect, 0] += -0.5 * s02 * fu - 0.5 * c02 * fd
+    dout[..., defect - 1, 1] += 0.5 * c02 * fu - 0.5 * s02 * fd
     return out, dout

@@ -12,7 +12,14 @@ of any length holds O(N) memory besides its T + 1 values:
 * quantum FI:      4 (<dpsi|dpsi> - |<dpsi|psi>|^2), the measurement
   optimum for the pure state.
 
-They obey FI <= GFI <= QFI pointwise.  Power-law growth FI ~ t^b is
+They obey FI <= GFI <= QFI pointwise.  ``information_values`` computes any
+set of them in one pass over one walk, or over a batch of B walks when the
+coin fields carry (B, N) angles (a disorder ensemble, a theta1 sweep); the
+observers reduce over the last axes only, so each walk's values are those
+of its own serial pass.  They read the full-size buffers ``propagate``
+yields, so a reduction's summation order does not depend on the light-cone
+window.  ``fisher_at_defect``, ``global_fisher`` and ``quantum_fisher`` are
+single-walk, single-measure wrappers.  Power-law growth FI ~ t^b is
 extracted by least squares in log-log coordinates; b = 2 is the Heisenberg
 limit, b = 1 the shot-noise limit.
 """
@@ -28,6 +35,7 @@ P_FLOOR = 1e-12
 DEFECT_SITE_FI = "defect_site_fi"
 GLOBAL_FI = "global_fi"
 QUANTUM_FI = "quantum_fi"
+MEASURES = (DEFECT_SITE_FI, GLOBAL_FI, QUANTUM_FI)  # what one walk's pass computes
 AVERAGED_FI = "averaged_fi"
 
 ALL_POINTS = "all_points"
@@ -94,54 +102,86 @@ def binary_fisher(p0, dp0):
     return values, degenerate
 
 
-def fisher_at_defect(
-    params: WalkParams, initial: WalkerState, steps: int, coin_fields=None
-) -> FisherSeries:
-    """FI(t) of the defect-site measurement for t = 0..steps.
+def information_values(
+    params: WalkParams, initial: WalkerState, steps: int, kinds=MEASURES, coin_fields=None
+) -> dict:
+    """{kind: (values, flagged)} for each requested measure, from one streamed walk.
 
-    Degenerate points (P0 within P_FLOOR of 0 or 1, where the binary
-    measurement carries no information and the quotient is singular) are
-    emitted as 0 and flagged.
+    Both arrays have shape (steps + 1,), or (steps + 1, B) when the coin
+    fields carry (B, N) angles.  Only the defect-site FI flags points: where
+    P0 is within P_FLOOR of 0 or 1 the binary measurement carries no
+    information and the quotient is singular, so the value is 0 and flagged.
+    GFI skips sites whose probability is below P_FLOOR.
     """
+    unknown = set(kinds) - set(MEASURES)
+    if unknown:
+        raise ValueError(f"unknown information measures {sorted(unknown)}; expected {MEASURES}")
     defect = params.defect_index
 
     def observe(psi, dpsi):
-        p0 = (np.abs(psi[defect]) ** 2).sum()
-        dp0 = 2.0 * np.real(np.conj(psi[defect]) * dpsi[defect]).sum()
-        return p0, dp0
+        terms = []
+        if DEFECT_SITE_FI in kinds:
+            here, dhere = psi[..., defect, :], dpsi[..., defect, :]
+            terms.append((np.abs(here) ** 2).sum(axis=-1))
+            terms.append(2.0 * np.real(np.conj(here) * dhere).sum(axis=-1))
+        if GLOBAL_FI in kinds:
+            probs = (np.abs(psi) ** 2).sum(axis=-1)
+            dprobs = 2.0 * np.real(np.conj(psi) * dpsi).sum(axis=-1)
+            usable = probs >= P_FLOOR
+            terms.append(
+                np.where(usable, dprobs**2 / np.where(usable, probs, 1.0), 0.0).sum(axis=-1)
+            )
+        if QUANTUM_FI in kinds:
+            flat = psi.reshape(psi.shape[:-2] + (-1,))
+            dflat = dpsi.reshape(flat.shape)
+            overlap = (np.conj(dflat) * flat).sum(axis=-1)
+            terms.append(4.0 * ((np.abs(dflat) ** 2).sum(axis=-1) - np.abs(overlap) ** 2))
+        return terms
 
-    p0, dp0 = pair_trajectory(params, initial, steps, coin_fields, observe).T
-    values, degenerate = binary_fisher(p0, dp0)
-    return FisherSeries(np.arange(steps + 1), values, DEFECT_SITE_FI, params, degenerate)
+    terms = iter(pair_trajectory(params, initial, steps, coin_fields, observe).swapaxes(0, 1))
+    measures = {}
+    if DEFECT_SITE_FI in kinds:
+        measures[DEFECT_SITE_FI] = binary_fisher(next(terms), next(terms))
+    if GLOBAL_FI in kinds:
+        gfi = next(terms)
+        measures[GLOBAL_FI] = gfi, np.zeros(gfi.shape, dtype=bool)
+    if QUANTUM_FI in kinds:
+        qfi = next(terms)
+        measures[QUANTUM_FI] = np.maximum(qfi, 0.0), np.zeros(qfi.shape, dtype=bool)
+    return measures
+
+
+def fisher_series(
+    params: WalkParams, initial: WalkerState, steps: int, kinds=MEASURES, coin_fields=None
+) -> dict:
+    """{kind: FisherSeries} for one walk, every requested measure from one pass."""
+    return {
+        kind: FisherSeries(np.arange(steps + 1), values, kind, params, flagged)
+        for kind, (values, flagged) in information_values(
+            params, initial, steps, kinds, coin_fields
+        ).items()
+    }
+
+
+def fisher_at_defect(
+    params: WalkParams, initial: WalkerState, steps: int, coin_fields=None
+) -> FisherSeries:
+    """FI(t) of the defect-site measurement for t = 0..steps; degenerate points flagged."""
+    return fisher_series(params, initial, steps, (DEFECT_SITE_FI,), coin_fields)[DEFECT_SITE_FI]
 
 
 def global_fisher(
     params: WalkParams, initial: WalkerState, steps: int, coin_fields=None
 ) -> FisherSeries:
     """GFI(t) over the full position distribution, skipping P_i below floor."""
-
-    def observe(psi, dpsi):
-        probs = (np.abs(psi) ** 2).sum(axis=1)
-        dprobs = 2.0 * np.real(np.conj(psi) * dpsi).sum(axis=1)
-        usable = probs >= P_FLOOR
-        return np.where(usable, dprobs**2 / np.where(usable, probs, 1.0), 0.0).sum()
-
-    values = pair_trajectory(params, initial, steps, coin_fields, observe)
-    return FisherSeries(np.arange(steps + 1), values, GLOBAL_FI, params, None)
+    return fisher_series(params, initial, steps, (GLOBAL_FI,), coin_fields)[GLOBAL_FI]
 
 
 def quantum_fisher(
     params: WalkParams, initial: WalkerState, steps: int, coin_fields=None
 ) -> FisherSeries:
     """QFI(t) = 4(<dpsi|dpsi> - |<dpsi|psi>|^2) from the exact derivative."""
-
-    def observe(psi, dpsi):
-        flat, dflat = psi.reshape(-1), dpsi.reshape(-1)
-        overlap = (np.conj(dflat) * flat).sum()
-        return 4.0 * ((np.abs(dflat) ** 2).sum() - np.abs(overlap) ** 2)
-
-    values = pair_trajectory(params, initial, steps, coin_fields, observe)
-    return FisherSeries(np.arange(steps + 1), np.maximum(values, 0.0), QUANTUM_FI, params, None)
+    return fisher_series(params, initial, steps, (QUANTUM_FI,), coin_fields)[QUANTUM_FI]
 
 
 def averaged_fisher(series: FisherSeries, window: int = 5, spacing: int = 5) -> FisherSeries:

@@ -9,14 +9,30 @@ jointly with the state by the product rule (no finite differences on the
 production path).
 
 ``propagate`` is the one loop over time steps: it streams the state (and,
-on request, its derivative) through two reused (N, 2) buffers, so a run of
-any length holds O(N) memory.  ``evolve`` and the probability and Fisher
+on request, its derivative) through two reused full-size buffers, so a run
+of any length holds O(N) memory.  ``evolve`` and the probability and Fisher
 series consume it; ``apply_step`` and ``apply_step_with_derivative`` are
 single-step wrappers over the same kernels.
+
+Light-cone window: one step moves amplitude by at most one site, so after t
+steps the walk is zero outside the initial support widened by t sites per
+side.  ``propagate`` steps only that window plus one zero row per side (the
+kernel's periodic wrap then reads zeros, as the ring does), widening it a
+site per side per step until it no longer fits in the ring; rows outside
+the window are never written and stay exact zeros.  The yielded buffers
+equal the full-ring walk's bit for bit (up to the sign of zero), so every
+reduction over them reads the same numbers.
+
+Batch axis: a CoinField with (B, N) angles describes B walks, one per row.
+``propagate`` walks all B from the same initial state at once, through
+(B, N, 2) buffers and (B, N) coin tables, each walk bit-identical to its own
+serial walk; disorder ensembles and parameter sweeps use this.
 """
 
+import itertools
 import math
 import numbers
+from collections.abc import Sized
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,7 +163,11 @@ def default_initial_state(lattice_size: int) -> WalkerState:
 
 @dataclass(frozen=True)
 class CoinField:
-    """Per-site angles of the two coin layers (layer 2 carries the defect)."""
+    """Per-site angles of the two coin layers (layer 2 carries the defect).
+
+    Angles of shape (N,) describe one walk; (B, N) describe B walks, one per
+    row, that ``propagate`` steps as one batch.
+    """
 
     angles1: np.ndarray
     angles2: np.ndarray
@@ -155,8 +175,8 @@ class CoinField:
     def __post_init__(self):
         a1 = np.ascontiguousarray(self.angles1, dtype=np.float64)
         a2 = np.ascontiguousarray(self.angles2, dtype=np.float64)
-        if a1.ndim != 1 or a1.shape != a2.shape:
-            raise ValueError("coin layers must be 1D arrays of equal length")
+        if a1.ndim not in (1, 2) or a1.shape != a2.shape:
+            raise ValueError("coin layers must be arrays of equal shape, (N,) or (B, N)")
         if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
             raise ValueError("coin angles must be finite")
         object.__setattr__(self, "angles1", a1)
@@ -170,9 +190,14 @@ class CoinField:
         a2[params.defect_index] = params.theta02
         return cls(a1, a2)
 
+    @classmethod
+    def stack(cls, fields) -> "CoinField":
+        """One (B, N) field from B single-walk (N,) fields, in order."""
+        return cls(np.stack([f.angles1 for f in fields]), np.stack([f.angles2 for f in fields]))
+
     @property
     def lattice_size(self) -> int:
-        return self.angles1.shape[0]
+        return self.angles1.shape[-1]
 
     def half_angle_tables(self):
         """cos/sin tables consumed by the step kernels."""
@@ -262,12 +287,18 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
               derivative: bool = False):
     """Stream psi_t for t = 0..steps, or (psi_t, dpsi_t) with ``derivative``.
 
-    Yields (N, 2) buffers that the next step overwrites: read them, copy
+    Yields full-size buffers that the next step overwrites: read them, copy
     what must outlive the iteration, never write to them.  ``coin_fields``
     is None (the clean walk of ``params``), one CoinField for every step,
-    or a sequence of per-step fields.  dpsi is the exact derivative with
-    respect to the layer-2 angle at ``params.defect_index``, starting from
-    zero.  The inputs are checked when iteration starts, before any step.
+    or per-step fields as in ``per_step_fields``; an iterator of them is
+    read a step at a time, so a run need not hold all its fields.  Fields
+    with (B, N) angles walk B walks from ``initial`` at once and the buffers
+    are (B, N, 2); every field of a run has the same shape.  dpsi is the
+    exact derivative with respect to the layer-2 angle at
+    ``params.defect_index``, starting from zero.  Each step runs on the
+    light-cone window of the module docstring.  The step count and the
+    initial state are checked when iteration starts, each field before its
+    first step.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -276,29 +307,48 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
         raise ValueError(
             f"initial state lattice size {initial.lattice_size} does not match params ({n})"
         )
-    fields = per_step_fields(params, steps, coin_fields)
-    for field in fields:
-        if field.lattice_size != n:
-            raise ValueError(
-                f"coin field length {field.lattice_size} does not match lattice size {n}"
-            )
+    fields = iter(per_step_fields(params, steps, coin_fields))
+    head = next(fields) if steps else None
+    batch = head.angles1.shape[:-1] if steps else ()
     defect = params.defect_index
-    current = initial.grid().copy()  # ping-pong buffers must not alias the caller's state
-    scratch = np.empty_like(current)
+    # the window at step t is rows [first - t, stop + t): the initial support
+    # and the defect, plus one zero row per side
+    occupied = np.flatnonzero(initial.grid().any(axis=1))
+    first = min(occupied[0], defect) - 1
+    stop = max(occupied[-1], defect) + 2
+    # ping-pong buffers must not alias the caller's state, and start all zero:
+    # a windowed step leaves the rows outside its window as they are
+    current = np.zeros(batch + (n, 2), dtype=np.complex128)
+    current[...] = initial.grid()
+    scratch = np.zeros_like(current)
     dcurrent = np.zeros_like(current) if derivative else None
-    dscratch = np.empty_like(current) if derivative else None
+    dscratch = np.zeros_like(current) if derivative else None
     yield (current, dcurrent) if derivative else current
     prev_field = None
     tables = None
-    for field in fields:
+    for t, field in enumerate(itertools.chain([head], fields) if steps else ()):
         if field is not prev_field:
+            if field.lattice_size != n:
+                raise ValueError(
+                    f"coin field length {field.lattice_size} does not match lattice size {n}"
+                )
+            if field.angles1.shape[:-1] != batch:
+                raise ValueError(
+                    f"coin fields of one run must share one batch shape, got "
+                    f"{field.angles1.shape[:-1]} and {batch}"
+                )
             tables = field.half_angle_tables()
             prev_field = field
+        lo, hi = first - t, stop + t
+        rows = slice(lo, hi) if lo >= 0 and hi <= n else slice(0, n)
+        window = [table[..., rows] for table in tables]
+        psi, out = current[..., rows, :], scratch[..., rows, :]
         if derivative:
-            kernels.split_step_pair(current, dcurrent, *tables, defect, scratch, dscratch)
+            kernels.split_step_pair(psi, dcurrent[..., rows, :], *window, defect - rows.start,
+                                    out, dscratch[..., rows, :])
             dcurrent, dscratch = dscratch, dcurrent
         else:
-            kernels.split_step(current, *tables, scratch)
+            kernels.split_step(psi, *window, out)
         current, scratch = scratch, current
         yield (current, dcurrent) if derivative else current
 
@@ -324,13 +374,28 @@ def dynamics_lattice_size(steps: int) -> int:
     return 2 * max(int(steps), 0) + 3
 
 
-def per_step_fields(params: WalkParams, steps: int, coin_fields=None) -> list[CoinField]:
-    """Normalize a clean/static/per-step coin-field argument to a per-step list."""
+def per_step_fields(params: WalkParams, steps: int, coin_fields=None):
+    """Normalize a clean/static/per-step coin-field argument to per-step fields.
+
+    Returns a list of ``steps`` fields, except for an unsized iterable (an
+    iterator), which is read lazily: its first ``steps`` fields, and a
+    ValueError where it runs out before.
+    """
     if coin_fields is None:
         return [CoinField.from_params(params)] * steps
     if isinstance(coin_fields, CoinField):
         return [coin_fields] * steps
+    if not isinstance(coin_fields, Sized):
+        return _lazy_fields(coin_fields, steps)
     fields = list(coin_fields)
     if len(fields) < steps:
         raise ValueError(f"need {steps} per-step coin fields, got {len(fields)}")
     return fields[:steps]
+
+
+def _lazy_fields(coin_fields, steps):
+    count = 0
+    for count, field in enumerate(itertools.islice(coin_fields, steps), 1):
+        yield field
+    if count < steps:
+        raise ValueError(f"need {steps} per-step coin fields, got {count}")

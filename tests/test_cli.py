@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import qwsense
 from qwsense import cli
 from qwsense.bayes import EstimationConfig, estimation_curve, informative_schedule
 from qwsense.walk import WalkParams
@@ -33,6 +38,19 @@ def test_validate_accepts_good_config(tmp_path, capsys):
     cfg = write_config(tmp_path, {"experiment": "fi-scaling", "steps": 30, "walk": WALK})
     assert cli.main(["validate", "--config", cfg]) == 0
     assert "config ok" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_the_cli():
+    repo = Path(__file__).resolve().parents[1]
+    package_root = str(Path(qwsense.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "qwsense", "validate",
+         "--config", str(repo / "configs" / "fi_scaling_nontrivial.json")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "config ok" in done.stdout
 
 
 def test_validate_reports_every_violation(tmp_path, capsys):

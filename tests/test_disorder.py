@@ -1,12 +1,17 @@
 """Seeded disorder ensembles: sampling contracts and averaged observables."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwsense.bayes import EstimationConfig, estimation_curve, informative_schedule
 from qwsense.disorder import (
+    DYNAMIC,
+    STATIC,
     DisorderSpec,
     ensemble_fisher,
     ensemble_msre,
@@ -105,17 +110,72 @@ def test_zero_width_ensemble_collapses_to_clean_run():
     np.testing.assert_array_equal(result.std, np.zeros(31))
 
 
-def test_ensemble_reproducible_and_thread_invariant():
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from([STATIC, DYNAMIC]),
+    realizations=st.integers(1, 4),
+    steps=st.integers(1, 30),
+)
+def test_zero_width_ensemble_is_the_clean_run(kind, realizations, steps):
+    n = 2 * steps + 3
+    base, init = nontrivial(n), default_initial_state(n)
+    spec = DisorderSpec(kind=kind, half_width=0.0, n_realizations=realizations, master_seed=2)
+    result = ensemble_fisher(spec, base, init, steps)
+    assert np.array_equal(result.mean, fisher_at_defect(base, init, steps).values)
+    assert np.array_equal(result.std, np.zeros(steps + 1))
+    assert result.realizations == realizations
+
+
+def serial_ensemble_fisher(spec, base, initial, steps):
+    """Reference: one walk per realization, stacked in realization order."""
+    values = np.stack([
+        fisher_at_defect(base, initial, steps,
+                         coin_fields=sample_disorder(spec, base, index, steps)).values
+        for index in range(spec.n_realizations)
+    ])
+    return values.mean(axis=0), values.std(axis=0)
+
+
+def test_ensemble_reproducible_and_batch_invariant():
     base = nontrivial(63)
     init = default_initial_state(63)
     spec = DisorderSpec(kind="dynamic", half_width=W, n_realizations=4, master_seed=11)
     a = ensemble_fisher(spec, base, init, 25)
     b = ensemble_fisher(spec, base, init, 25)
-    c = ensemble_fisher(spec, base, init, 25, threads=4)
+    mean, std = serial_ensemble_fisher(spec, base, init, 25)
     np.testing.assert_array_equal(a.mean, b.mean)
-    np.testing.assert_array_equal(a.mean, c.mean)
-    np.testing.assert_array_equal(a.std, c.std)
+    np.testing.assert_array_equal(a.mean, mean)
+    np.testing.assert_array_equal(a.std, std)
     assert (a.std >= 0).all()
+
+
+def test_dynamic_ensemble_draws_its_fields_step_by_step():
+    steps = 400
+    n = 2 * steps + 3
+    spec = DisorderSpec(kind="dynamic", half_width=W, n_realizations=10, master_seed=3)
+    tracemalloc.start()
+    try:
+        ensemble_fisher(spec, nontrivial(n), default_initial_state(n), steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all 400 steps' (10, 803) angle pairs at once would take 51 MB
+    assert peak < 4e6
+
+
+# ten realizations sum in a different order than numpy's blocked pairwise sum
+# over a contiguous axis would, so they pin the reduction layout too
+@pytest.mark.parametrize("kind", [STATIC, DYNAMIC])
+@pytest.mark.parametrize("realizations", [1, 3, 10])
+def test_batched_ensemble_equals_serial_realizations(kind, realizations):
+    steps = 40
+    n = 2 * steps + 3
+    base, init = nontrivial(n), default_initial_state(n)
+    spec = DisorderSpec(kind=kind, half_width=W, n_realizations=realizations, master_seed=13)
+    result = ensemble_fisher(spec, base, init, steps)
+    mean, std = serial_ensemble_fisher(spec, base, init, steps)
+    assert np.array_equal(result.mean, mean)
+    assert np.array_equal(result.std, std)
 
 
 @pytest.mark.parametrize("kind", ["static", "dynamic"])

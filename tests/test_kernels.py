@@ -100,3 +100,52 @@ def test_dispatch_matches_active_backend():
     else:
         assert kernels.split_step is kernels.split_step_numpy
         assert kernels.BACKEND == "numpy"
+
+
+def _per_walk_tables(walks, n, seed):
+    rng = np.random.default_rng(seed)
+    a1 = rng.uniform(-np.pi, np.pi, size=(walks, n))
+    a2 = rng.uniform(-np.pi, np.pi, size=(walks, n))
+    return np.cos(a1 / 2), np.sin(a1 / 2), np.cos(a2 / 2), np.sin(a2 / 2)
+
+
+def _complex_stack(walks, n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(walks, n, 2)) + 1j * rng.normal(size=(walks, n, 2))
+
+
+# _loops_body is the loop kernel's body, uncompiled even where numba is
+# installed: it takes (B, N, 2) walks and (B, N) tables directly
+@pytest.mark.parametrize(
+    "kernel", [kernels.split_step_numpy, kernels.split_step_loops, kernels._loops_body]
+)
+@pytest.mark.parametrize("walks", [1, 3])
+def test_step_with_per_walk_tables_equals_separate_walks(kernel, walks):
+    n = 9
+    stack = _complex_stack(walks, n, 21)
+    tables = _per_walk_tables(walks, n, 22)
+    batched = kernel(stack, *tables, np.empty_like(stack))
+    for b in range(walks):
+        row = [t[b : b + 1] for t in tables]
+        single = kernel(stack[b : b + 1], *row, np.empty_like(stack[b : b + 1]))
+        assert np.array_equal(batched[b], single[0])
+
+
+@pytest.mark.parametrize("walks", [1, 3])
+@pytest.mark.parametrize("per_walk", [False, True], ids=["shared", "per_walk"])
+def test_pair_step_on_a_stack_equals_separate_walks(walks, per_walk):
+    n = 11
+    stack, dstack = _complex_stack(walks, n, 31), _complex_stack(walks, n, 32)
+    if per_walk:
+        tables = _per_walk_tables(walks, n, 33)
+    else:
+        tables = _random_inputs(n, 34)[1:]
+    for defect in (0, 1, n // 2, n - 1):
+        out, dout = np.empty_like(stack), np.empty_like(stack)
+        kernels.split_step_pair(stack, dstack, *tables, defect, out, dout)
+        for b in range(walks):
+            row = [t[b] for t in tables] if per_walk else tables
+            ref_out, ref_dout = np.empty((n, 2), complex), np.empty((n, 2), complex)
+            reference_pair_step(stack[b], dstack[b], *row, defect, ref_out, ref_dout)
+            assert np.array_equal(out[b], ref_out)
+            assert np.array_equal(dout[b], ref_dout)

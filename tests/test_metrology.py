@@ -2,26 +2,34 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwsense import bayes, kernels
+from qwsense import bayes, experiments, kernels, serialize
+from qwsense.config import validate_config
 from qwsense.disorder import DYNAMIC, STATIC, DisorderSpec, sample_disorder
 from qwsense.metrology import (
+    DEFECT_SITE_FI,
+    GLOBAL_FI,
+    MEASURES,
     P_FLOOR,
+    QUANTUM_FI,
     FisherSeries,
     averaged_fisher,
     binary_fisher,
     fisher_at_defect,
+    fisher_series,
     fit_scaling,
     global_fisher,
+    information_values,
     power_law_fit,
     quantum_fisher,
 )
-from qwsense.walk import WalkParams, default_initial_state, per_step_fields
+from qwsense.walk import CoinField, WalkParams, default_initial_state, per_step_fields
 
 PI = math.pi
 
@@ -192,6 +200,98 @@ def test_streamed_fisher_equals_stored_trajectory(point, disorder):
     assert np.array_equal(fisher_at_defect(p, init, steps, fields).values, fi)
     assert np.array_equal(global_fisher(p, init, steps, fields).values, gfi)
     assert np.array_equal(quantum_fisher(p, init, steps, fields).values, qfi)
+
+
+@pytest.mark.parametrize("disorder", [None, _static, _dynamic])
+def test_one_pass_measures_equal_separate_series(disorder):
+    steps = 60
+    p, init = series_pair(*NONTRIVIAL, steps)
+    fields = disorder(p, steps) if disorder else None
+    one_pass = fisher_series(p, init, steps, MEASURES, fields)
+    for kind, separate in ((DEFECT_SITE_FI, fisher_at_defect), (GLOBAL_FI, global_fisher),
+                           (QUANTUM_FI, quantum_fisher)):
+        series = separate(p, init, steps, fields)
+        assert one_pass[kind].kind == kind
+        assert np.array_equal(one_pass[kind].values, series.values)
+        assert np.array_equal(one_pass[kind].flagged, series.flagged)
+    fi, gfi, qfi = stored_fisher_values(p, init, steps, fields)
+    assert np.array_equal(one_pass[DEFECT_SITE_FI].values, fi)
+    assert np.array_equal(one_pass[GLOBAL_FI].values, gfi)
+    assert np.array_equal(one_pass[QUANTUM_FI].values, qfi)
+
+
+def test_information_values_reject_unknown_measures():
+    p, init = series_pair(*NONTRIVIAL, 5)
+    with pytest.raises(ValueError, match="unknown information measures"):
+        information_values(p, init, 5, ("averaged_fi",))
+
+
+@pytest.mark.parametrize("walks", [1, 3])
+@pytest.mark.parametrize("kind", ["clean", STATIC, DYNAMIC])
+def test_batched_measures_equal_serial_walks(walks, kind):
+    steps = 40
+    p, init = series_pair(*NONTRIVIAL, steps)
+    if kind == "clean":
+        serial = [CoinField.from_params(replace(p, theta1=t))
+                  for t in np.linspace(0.2 * PI, 0.9 * PI, walks)]
+    else:
+        spec = DisorderSpec(kind, 0.1 * PI, walks, 5)
+        serial = [sample_disorder(spec, p, r, steps) for r in range(walks)]
+    if kind == DYNAMIC:
+        batched = [CoinField.stack(step) for step in zip(*serial)]
+    else:
+        batched = CoinField.stack(serial)
+    measures = information_values(p, init, steps, MEASURES, batched)
+    for b, fields in enumerate(serial):
+        for kind, (values, flagged) in information_values(p, init, steps, MEASURES,
+                                                          fields).items():
+            assert measures[kind][0].shape == (steps + 1, walks)
+            assert np.array_equal(measures[kind][0][:, b], values)
+            assert np.array_equal(measures[kind][1][:, b], flagged)
+
+
+def fi_surface_rows(params, t1_over_pi, steps):
+    """Reference: one walk per theta1, rows appended theta1 by theta1."""
+    initial = default_initial_state(params.lattice_size)
+    rows = []
+    for t1 in t1_over_pi:
+        series = fisher_at_defect(replace(params, theta1=float(t1) * PI), initial, steps)
+        rows.extend(
+            (float(t1), float(t), float(v), bool(f))
+            for t, v, f in zip(series.steps, series.values, series.flagged)
+        )
+    return rows
+
+
+def test_batched_fi_surface_equals_per_theta1_walks(tmp_path):
+    doc = {
+        "experiment": "fi-surface", "formats": ["csv"],
+        "walk": {"theta1_over_pi": 0.9, "theta2_over_pi": 0.75, "theta02_over_pi": -0.97,
+                 "lattice_size": 45},
+        # FI is even in theta1: an asymmetric grid tells the walks apart
+        "surface": {"theta1_over_pi": [-0.95, 0.85, 9], "steps": 21},
+    }
+    cfg = validate_config(doc)
+    experiments.run(cfg, tmp_path / "batched")
+    rows = fi_surface_rows(cfg.walk, cfg.surface["theta1_over_pi"], 21)
+    reference = tmp_path / "reference.csv"
+    serialize.write_csv(reference, ("theta1_over_pi", "t", "value", "flagged"), rows)
+    assert (tmp_path / "batched" / "fi_surface.csv").read_bytes() == reference.read_bytes()
+
+
+def test_gfi_qfi_run_writes_each_separate_series(tmp_path):
+    doc = {"experiment": "gfi-qfi", "steps": 30, "formats": ["csv"],
+           "walk": {"theta1_over_pi": 0.9, "theta2_over_pi": 0.75, "theta02_over_pi": -0.55}}
+    cfg = validate_config(doc)
+    experiments.run(cfg, tmp_path / "run")
+    init = default_initial_state(cfg.walk.lattice_size)
+    for name, separate in (("fi_series.csv", fisher_at_defect), ("gfi_series.csv", global_fisher),
+                           ("qfi_series.csv", quantum_fisher)):
+        series = separate(cfg.walk, init, 30)
+        rows = [(float(t), float(v), bool(f))
+                for t, v, f in zip(series.steps, series.values, series.flagged)]
+        serialize.write_csv(tmp_path / name, experiments.FI_HEADER, rows)
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_long_fisher_series_streams_in_small_memory():

@@ -7,13 +7,16 @@ differences for every derivative claim.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwsense import kernels
 from qwsense.bayes import defect_probability_series
+from qwsense.disorder import DYNAMIC, STATIC, DisorderSpec, sample_disorder
 from qwsense.metrology import fisher_at_defect
 from qwsense.walk import (
     CoinField,
@@ -26,6 +29,7 @@ from qwsense.walk import (
     coin_matrix_derivative,
     default_initial_state,
     evolve,
+    per_step_fields,
     position_probability,
     propagate,
     wrap_angle,
@@ -351,11 +355,29 @@ def _bad_field(params):
     return default_initial_state(params.lattice_size), 5, fields
 
 
+def _bad_first_field(params):
+    fields = [CoinField.from_params(nontrivial(params.lattice_size + 2))] * 5
+    return default_initial_state(params.lattice_size), 5, fields
+
+
+def _mixed_batch(params):
+    clean = CoinField.from_params(params)
+    fields = [CoinField.stack([clean, clean])] * 4 + [clean]
+    return default_initial_state(params.lattice_size), 5, fields
+
+
+def _short_iterator(params):
+    return default_initial_state(params.lattice_size), 5, iter([CoinField.from_params(params)] * 4)
+
+
 @pytest.mark.parametrize("series", [defect_probability_series, fisher_at_defect])
 @pytest.mark.parametrize("inputs, message", [
     (_bad_steps, "steps must be"),
     (_bad_initial, "initial state lattice size"),
     (_bad_field, "coin field length"),
+    (_bad_first_field, "coin field length"),
+    (_mixed_batch, "share one batch shape"),
+    (_short_iterator, "need 5 per-step coin fields, got 4"),
 ])
 def test_streamed_series_reject_mismatched_inputs(series, inputs, message):
     params = nontrivial(13)
@@ -389,6 +411,117 @@ def test_propagation_stays_unitary_and_tangent(angles, steps, margin):
     for psi, dpsi in propagate(params, default_initial_state(n), steps, derivative=True):
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
         assert abs(np.vdot(psi, dpsi).real) <= 1e-12
+
+
+def full_ring_walk(params, initial, steps, coin_fields=None):
+    """Reference: every step on the whole ring into fresh arrays, no window."""
+    fields = per_step_fields(params, steps, coin_fields)
+    psi = np.zeros(fields[0].angles1.shape + (2,), dtype=np.complex128)
+    psi[...] = initial.grid()
+    dpsi = np.zeros_like(psi)
+    yield psi, dpsi
+    for field in fields:
+        out, dout = np.empty_like(psi), np.empty_like(psi)
+        kernels.split_step_pair(psi, dpsi, *field.half_angle_tables(), params.defect_index,
+                                out, dout)
+        psi, dpsi = out, dout
+        yield psi, dpsi
+
+
+def _assert_walks_equal(params, initial, steps, coin_fields=None):
+    reference = list(full_ring_walk(params, initial, steps, coin_fields))
+    pairs = propagate(params, initial, steps, coin_fields, derivative=True)
+    for (psi, dpsi), (ref, dref) in zip(pairs, reference, strict=True):
+        assert np.array_equal(psi, ref)
+        assert np.array_equal(dpsi, dref)
+    states = propagate(params, initial, steps, coin_fields)
+    for psi, (ref, _) in zip(states, reference, strict=True):
+        assert np.array_equal(psi, ref)
+
+
+@st.composite
+def lattice_states(draw):
+    """A basis state at any site, or a superposition of two sites."""
+    n = 2 * draw(st.integers(1, 15)) + 1
+    offset = (n - 1) // 2
+    sites = st.tuples(st.integers(-offset, offset), st.sampled_from(["up", "down"]))
+    first = draw(sites)
+    state = WalkerState.from_position(*first, n)
+    if draw(st.booleans()):
+        second = draw(sites.filter(lambda site: site[0] != first[0]))
+        angle = draw(st.floats(0.1, 1.4))
+        phase = draw(st.floats(-PI, PI))
+        amps = math.cos(angle) * state.amplitudes
+        amps += math.sin(angle) * np.exp(1j * phase) * WalkerState.from_position(
+            *second, n).amplitudes
+        state = WalkerState(amps, n, offset)
+    return state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    initial=lattice_states(),
+    angles=st.tuples(*[st.floats(-PI, PI)] * 3),
+    extra=st.integers(0, 40),
+)
+def test_windowed_walk_equals_full_ring_walk(initial, angles, extra):
+    # up to 40 steps past a ring-covering cone, so the walk wraps around
+    n = initial.lattice_size
+    _assert_walks_equal(WalkParams(*angles, n), initial, n // 2 + extra)
+
+
+def test_windowed_walk_equals_full_ring_walk_under_disorder():
+    n, steps = 31, 40
+    params = nontrivial(n)
+    initial = WalkerState.from_position(6, "up", n)
+    static = sample_disorder(DisorderSpec(STATIC, 0.2, 1, 3), params, 0)
+    dynamic = sample_disorder(DisorderSpec(DYNAMIC, 0.2, 1, 4), params, 0, steps=steps)
+    for fields in (static, dynamic):
+        _assert_walks_equal(params, initial, steps, fields)
+
+
+def test_iterator_of_fields_walks_like_the_list():
+    n, steps = 31, 20
+    params = nontrivial(n)
+    fields = sample_disorder(DisorderSpec(DYNAMIC, 0.2, 1, 4), params, 0, steps=steps)
+    initial = default_initial_state(n)
+    listed = propagate(params, initial, steps, fields, derivative=True)
+    streamed = propagate(params, initial, steps, iter(fields + fields[:3]), derivative=True)
+    for (psi, dpsi), (ref, dref) in zip(streamed, listed, strict=True):
+        assert np.array_equal(psi, ref)
+        assert np.array_equal(dpsi, dref)
+
+
+def _batch_fields(kind, params, walks, steps):
+    if kind == "clean":
+        thetas = np.linspace(-0.9 * PI, 0.8 * PI, walks)
+        return [CoinField.from_params(replace(params, theta1=t)) for t in thetas]
+    spec = DisorderSpec(kind, 0.1 * PI, walks, 8)
+    return [sample_disorder(spec, params, r, steps) for r in range(walks)]
+
+
+@pytest.mark.parametrize("kind", ["clean", STATIC, DYNAMIC])
+@pytest.mark.parametrize("walks", [1, 3])
+def test_batched_walk_equals_serial_walks(kind, walks):
+    n, steps = 41, 30
+    params = nontrivial(n)
+    initial = default_initial_state(n)
+    serial = _batch_fields(kind, params, walks, steps)
+    if kind == DYNAMIC:
+        batched = [CoinField.stack(step) for step in zip(*serial)]
+    else:
+        batched = CoinField.stack(serial)
+    runs = [list(full_ring_walk(params, initial, steps, f)) for f in serial]
+    pairs = propagate(params, initial, steps, batched, derivative=True)
+    for t, (psi, dpsi) in enumerate(pairs):
+        assert psi.shape == (walks, n, 2)
+        for b, run in enumerate(runs):
+            assert np.array_equal(psi[b], run[t][0])
+            assert np.array_equal(dpsi[b], run[t][1])
+    series = defect_probability_series(params, initial, steps, batched)
+    for b, fields in enumerate(serial):
+        assert np.array_equal(series[:, b],
+                              defect_probability_series(params, initial, steps, fields))
 
 
 # --- probabilities ---------------------------------------------------------
