@@ -21,7 +21,7 @@ from .bayes import (
     simulate_trials,
 )
 from .disorder import DisorderSpec, EnsembleResult, ensemble_fisher, ensemble_msre, sample_disorder
-from .kernels import BACKEND, NUMBA_ENABLED
+from .kernels import BACKEND
 from .metrology import (
     FisherSeries,
     ScalingFit,
@@ -40,11 +40,8 @@ from .spectral import (
 from .topology import BlochDecomposition, PhasePoint, bloch_components, phase_diagram, winding_number
 from .walk import (
     CoinField,
-    DerivativePair,
     WalkerState,
     WalkParams,
-    apply_step,
-    apply_step_with_derivative,
     coin_matrix,
     coin_matrix_derivative,
     default_initial_state,
@@ -54,10 +51,8 @@ from .walk import (
 
 __all__ = [
     "BACKEND",
-    "NUMBA_ENABLED",
     "BlochDecomposition",
     "CoinField",
-    "DerivativePair",
     "DisorderSpec",
     "EnsembleResult",
     "EstimationConfig",
@@ -71,8 +66,6 @@ __all__ = [
     "SpectralDecomposition",
     "WalkParams",
     "WalkerState",
-    "apply_step",
-    "apply_step_with_derivative",
     "averaged_fisher",
     "bloch_components",
     "coin_matrix",

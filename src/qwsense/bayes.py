@@ -332,7 +332,7 @@ def estimation_curve(
     successes come from the first).  Data are drawn from the true walk
     (optionally disordered via ``data_coin_fields``); the likelihood uses
     the clean defect-only model unless a precomputed ``candidate_table``
-    says otherwise.
+    (one row per scheduled step, one column per grid point) says otherwise.
     """
     t_max = max(config.schedule)
     initial = default_initial_state(config.params.lattice_size)
@@ -341,6 +341,10 @@ def estimation_curve(
     if candidate_table is None:
         candidate_table = candidate_probability_table(
             config.params, candidates, config.schedule
+        )
+    if np.shape(candidate_table) != (len(config.schedule), config.grid_points):
+        raise ValueError(
+            "candidate_table must have one row per scheduled step and one column per grid point"
         )
     records = []
     grids = [] if keep_posteriors else None

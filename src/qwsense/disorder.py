@@ -141,35 +141,21 @@ def ensemble_msre(
     spec: DisorderSpec,
     config: "bayes.EstimationConfig",
     threads: int = 1,
-    likelihood: str = "matched",
 ) -> EnsembleResult:
     """Per-step mean and std of the estimation error over disorder realizations.
 
-    Measured data always come from the disordered walk.  With the default
-    ``matched`` likelihood the candidate grid runs on the same realized bulk
-    angles (the estimator models its own device, varying only the defect
-    angle), so the error tracks the disordered Fisher information.  The
-    ``clean`` alternative keeps the defect-only likelihood model; disorder
-    then enters as model mismatch whose bias floors the error at large t.
+    Measured data come from the disordered walk, and the candidate grid runs
+    on the same realized bulk angles (the estimator models its own device,
+    varying only the defect angle), so the error tracks the disordered
+    Fisher information.
     """
-    if likelihood not in ("matched", "clean"):
-        raise ValueError(f"likelihood must be 'matched' or 'clean', got {likelihood!r}")
     steps = max(config.schedule)
-    clean_table = None
-    if likelihood == "clean":
-        # realization-independent; compute once
-        clean_table = bayes.candidate_probability_table(
-            config.params, config.candidates(), config.schedule
-        )
 
     def one(index):
         fields = _realization_fields(spec, config.params, index, steps)
-        if clean_table is not None:
-            table = clean_table
-        else:
-            table = bayes.candidate_probability_table(
-                config.params, config.candidates(), config.schedule, coin_fields=fields
-            )
+        table = bayes.candidate_probability_table(
+            config.params, config.candidates(), config.schedule, coin_fields=fields
+        )
         curve = bayes.estimation_curve(
             config, data_coin_fields=fields, seed_prefix=(index,), candidate_table=table
         )

@@ -1,11 +1,8 @@
-"""Hot split-step kernel: a numba-compiled loop with a pure-numpy fallback.
+"""Hot split-step kernel: one vectorized numpy step body.
 
 The walk spends essentially all of its time applying one step of
-U = T_down R2 T_up R1 to a state vector or a stack of them.  There is one
-step body per backend, interchangeable:
-
-* a loop version compiled with ``numba.njit`` (default when numba imports),
-* a vectorized numpy version (fallback, and always available for testing).
+U = T_down R2 T_up R1 to a state vector or a stack of them; ``split_step``
+is that step, and every walk in the package runs through it.
 
 The joint step of a state and its theta02-derivative, ``split_step_pair``,
 is that step applied to psi and to dpsi, plus a two-entry correction at the
@@ -13,8 +10,7 @@ defect from differentiating the defect's layer-2 coin.  The correction reads
 the two layer-1 outputs that coin mixes (``defect_coin_inputs``); the
 batched candidate walk in ``bayes`` redoes the defect coin from the same two.
 
-Set the environment variable ``QWSENSE_NO_NUMBA=1`` before import to force
-the numpy path.  ``BACKEND`` records which one is active.
+``BACKEND`` names the step body, for run records.
 
 Layout contract: a state is a complex128 array of shape (N, 2) with the
 coin pair (up, down) contiguous per site; site index i maps to physical
@@ -30,30 +26,13 @@ zeros, which is how ``walk.propagate`` steps only a walk's light cone: the
 window is a view into the full-size buffers and may be non-contiguous.
 """
 
-import os
-
 import numpy as np
 
-
-def _env_disables_numba() -> bool:
-    return os.environ.get("QWSENSE_NO_NUMBA", "").strip().lower() not in ("", "0", "false", "no")
+BACKEND = "numpy"
 
 
-try:
-    if _env_disables_numba():
-        raise ImportError("numba disabled via QWSENSE_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    njit = None
-    NUMBA_ENABLED = False
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
-
-
-def split_step_numpy(amps, cos1, sin1, cos2, sin2, out):
-    """One split step, vectorized numpy path.
+def split_step(amps, cos1, sin1, cos2, sin2, out):
+    """One split step.
 
     amps/out: (N, 2) or (B, N, 2), complex128 or float64; cos*/sin*: (N,)
     half-angle tables shared by every walk, or (B, N), one row per walk.
@@ -70,47 +49,6 @@ def split_step_numpy(amps, cos1, sin1, cos2, sin2, out):
     out[..., :-1, 1] = mixed[..., 1:]
     out[..., -1, 1] = mixed[..., 0]
     return out
-
-
-def _loops_body(amps, cos1, sin1, cos2, sin2, out):
-    """Loop body on (B, N, 2) walks and (B, N) tables, or (1, N) shared ones."""
-    n = amps.shape[1]
-    phi_up = np.empty(n, amps.dtype)
-    phi_down = np.empty(n, amps.dtype)
-    for b in range(amps.shape[0]):
-        r = b if cos1.shape[0] > 1 else 0
-        a = amps[b]
-        o = out[b]
-        for i in range(n):
-            u = cos1[r, i] * a[i, 0] - sin1[r, i] * a[i, 1]
-            j = i + 1 if i + 1 < n else 0
-            phi_up[j] = u
-            phi_down[i] = sin1[r, i] * a[i, 0] + cos1[r, i] * a[i, 1]
-        for i in range(n):
-            j = i - 1 if i > 0 else n - 1
-            o[i, 0] = cos2[r, i] * phi_up[i] - sin2[r, i] * phi_down[i]
-            o[j, 1] = sin2[r, i] * phi_up[i] + cos2[r, i] * phi_down[i]
-    return out
-
-
-_loops = njit(cache=True)(_loops_body) if NUMBA_ENABLED else _loops_body
-
-
-def _split_step_loops(amps, cos1, sin1, cos2, sin2, out):
-    """One split step, loop path; same arguments as ``split_step_numpy``.
-
-    A single walk and shared tables gain a leading axis of length 1: views,
-    so the loop body writes straight into ``out``.
-    """
-    walks = amps[np.newaxis] if amps.ndim == 2 else amps
-    outs = out[np.newaxis] if out.ndim == 2 else out
-    tables = [t[np.newaxis] if t.ndim == 1 else t for t in (cos1, sin1, cos2, sin2)]
-    _loops(walks, *tables, outs)
-    return out
-
-
-split_step_loops = _split_step_loops
-split_step = split_step_loops if NUMBA_ENABLED else split_step_numpy
 
 
 def defect_coin_inputs(amps, cos1, sin1, defect):

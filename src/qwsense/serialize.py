@@ -27,11 +27,6 @@ def format_value(value) -> str:
     return str(value)
 
 
-def format_float(value) -> str:
-    """Full shortest round-trip representation, keeping a decimal point."""
-    return repr(float(value))
-
-
 def atomic_write_text(path, text: str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

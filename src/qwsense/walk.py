@@ -11,8 +11,7 @@ production path).
 ``propagate`` is the one loop over time steps: it streams the state (and,
 on request, its derivative) through two reused full-size buffers, so a run
 of any length holds O(N) memory.  ``evolve`` and the probability and Fisher
-series consume it; ``apply_step`` and ``apply_step_with_derivative`` are
-single-step wrappers over the same kernels.
+series consume it; a single step is ``propagate(params, state, 1, coins)``.
 
 Light-cone window: one step moves amplitude by at most one site, so after t
 steps the walk is zero outside the initial support widened by t sites per
@@ -33,7 +32,7 @@ import itertools
 import math
 import numbers
 from collections.abc import Sized
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,15 +92,12 @@ class WalkParams:
     theta2: float
     theta02: float
     lattice_size: int
-    boundary: str = "periodic"
 
     def __post_init__(self):
         object.__setattr__(self, "theta1", wrap_angle(self.theta1))
         object.__setattr__(self, "theta2", wrap_angle(self.theta2))
         object.__setattr__(self, "theta02", wrap_angle(self.theta02))
         object.__setattr__(self, "lattice_size", _check_lattice_size(self.lattice_size))
-        if self.boundary != "periodic":
-            raise ValueError(f"only periodic boundaries are supported, got {self.boundary!r}")
 
     @property
     def defect_index(self) -> int:
@@ -151,9 +147,6 @@ class WalkerState:
         if not 0 <= idx < self.lattice_size:
             raise ValueError(f"position {x} outside lattice of size {self.lattice_size}")
         return idx
-
-    def position_distribution(self) -> np.ndarray:
-        return (np.abs(self.grid()) ** 2).sum(axis=1)
 
 
 def default_initial_state(lattice_size: int) -> WalkerState:
@@ -206,28 +199,6 @@ class CoinField:
         return np.cos(h1), np.sin(h1), np.cos(h2), np.sin(h2)
 
 
-@dataclass(frozen=True)
-class DerivativePair:
-    """State and its exact derivative with respect to theta02 (unnormalized)."""
-
-    state: WalkerState
-    derivative: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        n = self.state.lattice_size
-        der = self.derivative
-        if der is None:
-            der = np.zeros(2 * n, dtype=np.complex128)
-        der = np.ascontiguousarray(der, dtype=np.complex128)
-        if der.shape != (2 * n,):
-            raise ValueError(f"derivative must have shape ({2 * n},), got {der.shape}")
-        object.__setattr__(self, "derivative", der)
-
-    @classmethod
-    def initial(cls, state: WalkerState) -> "DerivativePair":
-        return cls(state, None)
-
-
 def coin_matrix(theta: float) -> np.ndarray:
     """R(theta) = exp(-i theta sigma_y / 2), a real 2x2 rotation.
 
@@ -243,44 +214,6 @@ def coin_matrix_derivative(theta: float) -> np.ndarray:
     theta = _finite_scalar(theta)
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return 0.5 * np.array([[-s, -c], [c, -s]])
-
-
-def apply_step(state: WalkerState, coins: CoinField) -> WalkerState:
-    """Apply U = T_down R2 T_up R1 once; norm preserved, periodic wrap."""
-    n = state.lattice_size
-    if coins.lattice_size != n:
-        raise ValueError(
-            f"coin field length {coins.lattice_size} does not match lattice size {n}"
-        )
-    out = np.empty((n, 2), dtype=np.complex128)
-    c1, s1, c2, s2 = coins.half_angle_tables()
-    kernels.split_step(state.grid(), c1, s1, c2, s2, out)
-    return WalkerState(out.reshape(-1), n, state.origin_offset)
-
-
-def apply_step_with_derivative(
-    pair: DerivativePair, coins: CoinField, defect_site: int
-) -> DerivativePair:
-    """Propagate (psi, dpsi) one step: (U psi, U dpsi + (dU) psi).
-
-    dU differentiates the layer-2 coin at ``defect_site`` (physical position)
-    only; the result is exact to machine precision.
-    """
-    state = pair.state
-    n = state.lattice_size
-    if coins.lattice_size != n:
-        raise ValueError(
-            f"coin field length {coins.lattice_size} does not match lattice size {n}"
-        )
-    defect = state.index_of(defect_site)
-    out = np.empty((n, 2), dtype=np.complex128)
-    dout = np.empty((n, 2), dtype=np.complex128)
-    c1, s1, c2, s2 = coins.half_angle_tables()
-    kernels.split_step_pair(
-        state.grid(), pair.derivative.reshape(n, 2), c1, s1, c2, s2, defect, out, dout
-    )
-    new_state = WalkerState(out.reshape(-1), n, state.origin_offset)
-    return DerivativePair(new_state, dout.reshape(-1))
 
 
 def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=None,

@@ -135,7 +135,7 @@ def test_criterion_06_fisher_hierarchy(initial):
 
 
 def test_criterion_07_derivative_oracle():
-    from qwsense.walk import CoinField, DerivativePair, apply_step_with_derivative, evolve
+    from qwsense.walk import evolve, propagate
 
     h = 1e-6
     steps = 50
@@ -145,17 +145,15 @@ def test_criterion_07_derivative_oracle():
     for _ in range(10):
         theta1, theta2, theta02 = rng.uniform(-0.95 * PI, 0.95 * PI, size=3)
         params = WalkParams(theta1, theta2, theta02, n)
-        coins = CoinField.from_params(params)
-        pair = DerivativePair.initial(default_initial_state(n))
         plus = evolve(WalkParams(theta1, theta2, theta02 + h, n),
                       default_initial_state(n), steps)
         minus = evolve(WalkParams(theta1, theta2, theta02 - h, n),
                        default_initial_state(n), steps)
-        for t in range(1, steps + 1):
-            pair = apply_step_with_derivative(pair, coins, 0)
+        pairs = propagate(params, default_initial_state(n), steps, derivative=True)
+        for t, (_, dpsi) in enumerate(pairs):
             fd = (plus[t].amplitudes - minus[t].amplitudes) / (2 * h)
             scale = max(np.linalg.norm(fd), 1e-8)
-            worst = max(worst, np.linalg.norm(pair.derivative - fd) / scale)
+            worst = max(worst, np.linalg.norm(dpsi.reshape(-1) - fd) / scale)
     record(7, f"worst relative derivative error over 10 draws = {worst:.2e}", worst < 1e-6)
 
 

@@ -276,6 +276,19 @@ def test_estimation_curve_keeps_posteriors_on_request():
         assert abs(grid.weights.sum() - 1.0) < 1e-12
 
 
+def test_estimation_curve_checks_the_candidate_table_shape():
+    p = nontrivial(63)
+    config = EstimationConfig(p, PRIOR, (10, 20, 30), grid_points=51, trials=200,
+                              master_seed=3)
+    full = candidate_probability_table(p, config.candidates(), range(1, 31))
+    # the unsliced t = 1..30 table would pair step 10 with the row of t = 1
+    for table in (full, full[[9, 19, 29], :-1], full[9]):
+        with pytest.raises(ValueError, match="one row per scheduled step"):
+            estimation_curve(config, candidate_table=table)
+    sliced = estimation_curve(config, candidate_table=full[[9, 19, 29]])
+    assert sliced.records == estimation_curve(config).records
+
+
 def test_doubling_trials_halves_posterior_variance():
     p = nontrivial()
     t = 57

@@ -1,8 +1,4 @@
-"""Step kernels: backend equivalence, batching, and the composed pair step."""
-
-import os
-import subprocess
-import sys
+"""Step kernels: batching and the composed pair step."""
 
 import numpy as np
 import pytest
@@ -17,18 +13,6 @@ def _random_inputs(n, seed):
     a1 = rng.uniform(-np.pi, np.pi, size=n)
     a2 = rng.uniform(-np.pi, np.pi, size=n)
     return amps, np.cos(a1 / 2), np.sin(a1 / 2), np.cos(a2 / 2), np.sin(a2 / 2)
-
-
-@pytest.mark.parametrize("n", [3, 7, 64, 203])
-def test_step_backends_agree(n):
-    if not kernels.NUMBA_ENABLED:
-        pytest.skip("numba backend not active")
-    amps, c1, s1, c2, s2 = _random_inputs(n, n)
-    out_loops = np.empty_like(amps)
-    out_numpy = np.empty_like(amps)
-    kernels.split_step_loops(amps, c1, s1, c2, s2, out_loops)
-    kernels.split_step_numpy(amps, c1, s1, c2, s2, out_numpy)
-    np.testing.assert_allclose(out_loops, out_numpy, rtol=0, atol=1e-15)
 
 
 def reference_pair_step(amps, damps, cos1, sin1, cos2, sin2, defect, out, dout):
@@ -69,37 +53,18 @@ def test_pair_step_equals_reference_kernel(n):
         assert np.array_equal(dout, ref_dout)
 
 
-@pytest.mark.parametrize("kernel", [kernels.split_step_numpy, kernels.split_step_loops])
 @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
-def test_step_on_a_stack_equals_separate_walks(kernel, dtype):
+def test_step_on_a_stack_equals_separate_walks(dtype):
     n, walks = 7, 5
     rng = np.random.default_rng(11)
     _, c1, s1, c2, s2 = _random_inputs(n, 12)
     stack = rng.normal(size=(walks, n, 2)).astype(dtype)
     if dtype == np.complex128:
         stack += 1j * rng.normal(size=(walks, n, 2))
-    batched = kernel(stack, c1, s1, c2, s2, np.empty_like(stack))
+    batched = kernels.split_step(stack, c1, s1, c2, s2, np.empty_like(stack))
     for b in range(walks):
-        single = kernel(stack[b], c1, s1, c2, s2, np.empty_like(stack[b]))
+        single = kernels.split_step(stack[b], c1, s1, c2, s2, np.empty_like(stack[b]))
         assert np.array_equal(batched[b], single)
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, QWSENSE_NO_NUMBA="1")
-    code = "from qwsense import kernels; print(kernels.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_dispatch_matches_active_backend():
-    if kernels.NUMBA_ENABLED:
-        assert kernels.split_step is kernels.split_step_loops
-        assert kernels.BACKEND == "numba"
-    else:
-        assert kernels.split_step is kernels.split_step_numpy
-        assert kernels.BACKEND == "numpy"
 
 
 def _per_walk_tables(walks, n, seed):
@@ -114,20 +79,15 @@ def _complex_stack(walks, n, seed):
     return rng.normal(size=(walks, n, 2)) + 1j * rng.normal(size=(walks, n, 2))
 
 
-# _loops_body is the loop kernel's body, uncompiled even where numba is
-# installed: it takes (B, N, 2) walks and (B, N) tables directly
-@pytest.mark.parametrize(
-    "kernel", [kernels.split_step_numpy, kernels.split_step_loops, kernels._loops_body]
-)
 @pytest.mark.parametrize("walks", [1, 3])
-def test_step_with_per_walk_tables_equals_separate_walks(kernel, walks):
+def test_step_with_per_walk_tables_equals_separate_walks(walks):
     n = 9
     stack = _complex_stack(walks, n, 21)
     tables = _per_walk_tables(walks, n, 22)
-    batched = kernel(stack, *tables, np.empty_like(stack))
+    batched = kernels.split_step(stack, *tables, np.empty_like(stack))
     for b in range(walks):
         row = [t[b : b + 1] for t in tables]
-        single = kernel(stack[b : b + 1], *row, np.empty_like(stack[b : b + 1]))
+        single = kernels.split_step(stack[b : b + 1], *row, np.empty_like(stack[b : b + 1]))
         assert np.array_equal(batched[b], single[0])
 
 

@@ -20,11 +20,8 @@ from qwsense.disorder import DYNAMIC, STATIC, DisorderSpec, sample_disorder
 from qwsense.metrology import fisher_at_defect
 from qwsense.walk import (
     CoinField,
-    DerivativePair,
     WalkParams,
     WalkerState,
-    apply_step,
-    apply_step_with_derivative,
     coin_matrix,
     coin_matrix_derivative,
     default_initial_state,
@@ -90,6 +87,12 @@ def nontrivial(n):
     return WalkParams(0.9 * PI, 0.75 * PI, -0.55 * PI, n)
 
 
+def step_once(params, state, coins=None, derivative=False):
+    """The one-step walk: what ``propagate`` yields after its single step."""
+    *_, last = propagate(params, state, 1, coins, derivative)
+    return last
+
+
 # --- coin matrices -------------------------------------------------------
 
 
@@ -147,17 +150,17 @@ def test_coin_derivative_matches_finite_difference():
 def test_identity_coins_shift_down_left():
     params = WalkParams(0.0, 0.0, 0.0, 9)
     state = WalkerState.from_position(-1, "down", 9)
-    out = apply_step(state, CoinField.from_params(params))
+    psi = step_once(params, state, CoinField.from_params(params))
     expected = WalkerState.from_position(-2, "down", 9)
-    np.testing.assert_array_equal(out.amplitudes, expected.amplitudes)
+    np.testing.assert_array_equal(psi.reshape(-1), expected.amplitudes)
 
 
 def test_identity_coins_shift_up_right():
     params = WalkParams(0.0, 0.0, 0.0, 9)
     state = WalkerState.from_position(0, "up", 9)
-    out = apply_step(state, CoinField.from_params(params))
+    psi = step_once(params, state, CoinField.from_params(params))
     expected = WalkerState.from_position(1, "up", 9)
-    np.testing.assert_array_equal(out.amplitudes, expected.amplitudes)
+    np.testing.assert_array_equal(psi.reshape(-1), expected.amplitudes)
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -170,8 +173,8 @@ def test_dense_operator_equivalence(n):
         basis = np.zeros(2 * n, dtype=complex)
         basis[j] = 1.0
         state = WalkerState(basis, n, (n - 1) // 2)
-        out = apply_step(state, coins)
-        np.testing.assert_allclose(out.amplitudes, dense[:, j], atol=1e-12)
+        psi = step_once(params, state, coins)
+        np.testing.assert_allclose(psi.reshape(-1), dense[:, j], atol=1e-12)
 
 
 def test_dense_oracle_random_input():
@@ -181,9 +184,9 @@ def test_dense_oracle_random_input():
     coins = CoinField.from_params(params)
     dense = dense_step_operator(coins.angles1, coins.angles2)
     state = random_state(n, rng)
-    out = apply_step(state, coins)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
-    np.testing.assert_allclose(out.amplitudes, dense @ state.amplitudes, atol=1e-12)
+    psi = step_once(params, state, coins).reshape(-1)
+    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+    np.testing.assert_allclose(psi, dense @ state.amplitudes, atol=1e-12)
 
 
 def test_step_preserves_norm():
@@ -192,15 +195,15 @@ def test_step_preserves_norm():
         n = 2 * rng.integers(2, 30) + 1
         params = WalkParams(*rng.uniform(-PI, PI, size=3), n)
         state = random_state(n, rng)
-        out = apply_step(state, CoinField.from_params(params))
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+        psi = step_once(params, state, CoinField.from_params(params))
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
 
 def test_step_rejects_mismatched_field():
     state = default_initial_state(9)
     coins = CoinField.from_params(WalkParams(0.1, 0.2, 0.3, 11))
     with pytest.raises(ValueError):
-        apply_step(state, coins)
+        step_once(nontrivial(9), state, coins)
 
 
 # --- derivative propagation ----------------------------------------------
@@ -211,61 +214,46 @@ def test_initial_derivative_is_du_psi():
     params = nontrivial(n)
     coins = CoinField.from_params(params)
     state = default_initial_state(n)
-    pair = apply_step_with_derivative(DerivativePair.initial(state), coins, 0)
+    _, dpsi = step_once(params, state, coins, derivative=True)
     du = dense_step_derivative(coins.angles1, coins.angles2, params.defect_index)
-    np.testing.assert_allclose(pair.derivative, du @ state.amplitudes, atol=1e-14)
+    np.testing.assert_allclose(dpsi.reshape(-1), du @ state.amplitudes, atol=1e-14)
 
 
-def _propagate_pair(params, steps):
-    coins = CoinField.from_params(params)
-    pair = DerivativePair.initial(default_initial_state(params.lattice_size))
-    for _ in range(steps):
-        pair = apply_step_with_derivative(pair, coins, 0)
-    return pair
-
-
-def test_derivative_matches_finite_difference():
+@settings(max_examples=30, deadline=None)
+@given(
+    angles=st.tuples(*[st.floats(-0.95 * PI, 0.95 * PI)] * 3),
+    steps=st.integers(1, 50),
+    margin=st.integers(0, 5),
+)
+def test_derivative_matches_finite_difference(angles, steps, margin):
     h = 1e-6
-    steps = 50
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        theta1, theta2, theta02 = rng.uniform(-0.95 * PI, 0.95 * PI, size=3)
-        n = 2 * steps + 3
-        params = WalkParams(theta1, theta2, theta02, n)
-        pair = _propagate_pair(params, steps)
-        plus = evolve(WalkParams(theta1, theta2, theta02 + h, n),
-                      default_initial_state(n), steps)[-1]
-        minus = evolve(WalkParams(theta1, theta2, theta02 - h, n),
-                       default_initial_state(n), steps)[-1]
-        fd = (plus.amplitudes - minus.amplitudes) / (2 * h)
-        scale = max(np.linalg.norm(fd), 1e-8)
-        assert np.linalg.norm(pair.derivative - fd) / scale < 1e-6
+    n = 2 * steps + 3 + 2 * margin
+    params = WalkParams(*angles, n)
+    initial = default_initial_state(n)
+    *_, (_, dpsi) = propagate(params, initial, steps, derivative=True)
+    plus = evolve(replace(params, theta02=params.theta02 + h), initial, steps)[-1]
+    minus = evolve(replace(params, theta02=params.theta02 - h), initial, steps)[-1]
+    fd = (plus.amplitudes - minus.amplitudes) / (2 * h)
+    scale = max(np.linalg.norm(fd), 1e-8)
+    assert np.linalg.norm(dpsi.reshape(-1) - fd) / scale < 1e-6
 
 
 def test_derivative_zero_before_wavefront_arrives():
     n = 21
     params = nontrivial(n)
     coins = CoinField.from_params(params)
-    pair = DerivativePair.initial(WalkerState.from_position(-5, "down", n))
-    pair = apply_step_with_derivative(pair, coins, 0)
-    assert np.array_equal(pair.derivative, np.zeros(2 * n))
+    state = WalkerState.from_position(-5, "down", n)
+    _, dpsi = step_once(params, state, coins, derivative=True)
+    assert np.array_equal(dpsi.reshape(-1), np.zeros(2 * n))
 
 
 def test_derivative_tangent_to_unit_sphere():
     params = nontrivial(41)
     coins = CoinField.from_params(params)
-    pair = DerivativePair.initial(default_initial_state(41))
-    for _ in range(19):
-        pair = apply_step_with_derivative(pair, coins, 0)
-        overlap = np.vdot(pair.state.amplitudes, pair.derivative)
+    pairs = propagate(params, default_initial_state(41), 19, coins, derivative=True)
+    for psi, dpsi in pairs:
+        overlap = np.vdot(psi, dpsi)
         assert abs(overlap.real) < 1e-10
-
-
-def test_derivative_defect_site_out_of_range():
-    pair = DerivativePair.initial(default_initial_state(9))
-    coins = CoinField.from_params(nontrivial(9))
-    with pytest.raises(ValueError):
-        apply_step_with_derivative(pair, coins, 10)
 
 
 # --- evolution ------------------------------------------------------------
@@ -313,7 +301,8 @@ def test_defect_neutral_walk_is_bit_exact():
     series = evolve(params, default_initial_state(n), 12)
     state = default_initial_state(n)
     for expected in series[1:]:
-        state = apply_step(state, uniform)
+        psi = step_once(params, state, uniform)
+        state = WalkerState(psi.flatten(), n, state.origin_offset)
         assert np.array_equal(state.amplitudes, expected.amplitudes)
 
 
@@ -387,16 +376,24 @@ def test_streamed_series_reject_mismatched_inputs(series, inputs, message):
 
 
 def test_streamed_pair_equals_single_step_pairs():
-    params = nontrivial(31)
-    pair = DerivativePair.initial(default_initial_state(31))
+    # one pair step is (U psi, U dpsi + (dU) psi); U psi and (dU) psi are the
+    # one-step walk from psi with its derivative, U dpsi is the step kernel
+    n = 31
+    params = nontrivial(n)
     coins = CoinField.from_params(params)
-    for t, (psi, dpsi) in enumerate(
-        propagate(params, pair.state, 12, derivative=True)
+    tables = coins.half_angle_tables()
+    initial = default_initial_state(n)
+    psi, dpsi = initial.grid(), np.zeros((n, 2), dtype=np.complex128)
+    for t, (streamed, dstreamed) in enumerate(
+        propagate(params, initial, 12, derivative=True)
     ):
         if t:
-            pair = apply_step_with_derivative(pair, coins, 0)
-        assert np.array_equal(psi.reshape(-1), pair.state.amplitudes)
-        assert np.array_equal(dpsi.reshape(-1), pair.derivative)
+            state = WalkerState(psi.flatten(), n, initial.origin_offset)
+            stepped, du_psi = step_once(params, state, coins, derivative=True)
+            u_dpsi = kernels.split_step(dpsi, *tables, np.empty_like(dpsi))
+            psi, dpsi = stepped, u_dpsi + du_psi
+        assert np.array_equal(streamed, psi)
+        assert np.array_equal(dstreamed, dpsi)
 
 
 @settings(max_examples=25, deadline=None)
@@ -567,8 +564,6 @@ def test_params_wrap_and_validate():
         WalkParams(0.1, 0.2, 0.3, 1)  # too small
     with pytest.raises(ValueError):
         WalkParams(float("nan"), 0.2, 0.3, 9)
-    with pytest.raises(ValueError):
-        WalkParams(0.1, 0.2, 0.3, 9, boundary="open")
 
 
 @pytest.mark.parametrize("size", [203.7, 9.5, True, np.bool_(True), "9"])
