@@ -42,8 +42,6 @@ from .walk import (
     CoinField,
     WalkerState,
     WalkParams,
-    coin_matrix,
-    coin_matrix_derivative,
     default_initial_state,
     evolve,
     position_probability,
@@ -68,8 +66,6 @@ __all__ = [
     "WalkerState",
     "averaged_fisher",
     "bloch_components",
-    "coin_matrix",
-    "coin_matrix_derivative",
     "decompose_step_operator",
     "default_initial_state",
     "ensemble_fisher",

@@ -29,7 +29,7 @@ def _build_parser():
     run_p.add_argument("--config", required=True, help="path to the JSON config")
     run_p.add_argument("--out", help="output directory (overrides env and config)")
     run_p.add_argument("--seed", type=int, help="seed override")
-    run_p.add_argument("--threads", type=int, default=1, help="worker threads")
+    run_p.add_argument("--threads", type=int, default=1, help="threads for disorder msre ensembles")
 
     plot_p = sub.add_parser("plot", help="render an SVG view of a data CSV")
     plot_p.add_argument("--data", required=True, help="input CSV path")

@@ -126,6 +126,9 @@ def _grid_triple(check, section, name, triple):
     ):
         check.fail(f"{section}.{name}", f"expected [start, stop, count], got {triple!r}")
         return None
+    if not all(math.isfinite(v) for v in triple):
+        check.fail(f"{section}.{name}", f"entries must be finite, got {triple!r}")
+        return None
     start, stop, count = triple
     if count != int(count) or int(count) < 1:
         check.fail(f"{section}.{name}", "count must be a positive integer")
@@ -259,7 +262,10 @@ def validate_config(doc: dict, seed_override=None, out_override=None) -> Experim
                 check.fail("estimation.prior_over_pi", f"expected [lo, hi], got {prior!r}")
             else:
                 lo, hi = float(prior[0]), float(prior[1])
-                if not lo < hi:
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    check.fail("estimation.prior_over_pi", f"bounds must be finite, got {prior!r}")
+                    lo = hi = None
+                elif not lo < hi:
                     check.fail("estimation.prior_over_pi", "lo must be < hi")
                     lo = hi = None
             grid_points = check.number(section, "estimation.grid_points", default=201, minimum=11, integer=True)
@@ -270,7 +276,7 @@ def validate_config(doc: dict, seed_override=None, out_override=None) -> Experim
                 if (
                     not isinstance(schedule, list)
                     or not schedule
-                    or any(isinstance(t, bool) or not isinstance(t, (int, float)) or t != int(t) or not 1 <= t <= cfg.steps for t in schedule)
+                    or any(isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t) or t != int(t) or not 1 <= t <= cfg.steps for t in schedule)
                 ):
                     check.fail(
                         "estimation.schedule",

@@ -124,19 +124,11 @@ def _run_phase_diagram(cfg: ExperimentConfig, threads: int) -> Artifacts:
     t1s = cfg.phase_grid["theta1_over_pi"]
     t2s = cfg.phase_grid["theta2_over_pi"]
     n_k = cfg.phase_grid["n_k"]
-    grid = topology.phase_diagram(t1s * PI, t2s * PI, n_k, threads=threads)
+    grid = topology.phase_diagram(t1s * PI, t2s * PI, n_k)
     rows = []
     for i, row in enumerate(grid):
         for j, point in enumerate(row):
-            rows.append(
-                (
-                    float(t1s[i]),
-                    float(t2s[j]),
-                    point.winding if point.winding is not None else None,
-                    point.min_gap,
-                    point.status,
-                )
-            )
+            rows.append((float(t1s[i]), float(t2s[j]), point.winding, point.min_gap, point.status))
     art = Artifacts()
     art.csv["phase_diagram.csv"] = (
         ("theta1_over_pi", "theta2_over_pi", "winding", "min_gap", "status"),

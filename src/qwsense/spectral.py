@@ -46,18 +46,11 @@ class LocalizedState:
 
 
 def build_step_matrix(coins: CoinField) -> np.ndarray:
-    """Dense 2N x 2N matrix of the step operator, columns by kernel application."""
+    """Dense 2N x 2N matrix of the step operator: one kernel call on the basis stack."""
     n = coins.lattice_size
-    c1, s1, c2, s2 = coins.half_angle_tables()
-    mat = np.empty((2 * n, 2 * n), dtype=np.complex128)
-    basis = np.zeros((n, 2), dtype=np.complex128)
-    out = np.empty((n, 2), dtype=np.complex128)
-    for j in range(2 * n):
-        basis[j // 2, j % 2] = 1.0
-        kernels.split_step(basis, c1, s1, c2, s2, out)
-        mat[:, j] = out.reshape(-1)
-        basis[j // 2, j % 2] = 0.0
-    return mat
+    out = np.empty((2 * n, n, 2), dtype=np.complex128)
+    kernels.split_step(np.eye(2 * n).reshape(2 * n, n, 2), *coins.half_angle_tables(), out)
+    return out.reshape(2 * n, 2 * n).T
 
 
 def decompose_step_operator(

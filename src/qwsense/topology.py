@@ -6,6 +6,14 @@ E(k) = arccos(d0) in [0, pi] and Bloch vector n(k) = (dx, dy, dz)/sin E.
 The winding of n(k) about the fixed axis A = (cos(theta1/2), 0, sin(theta1/2))
 as k sweeps the Brillouin zone is the integer phase label; it is undefined at
 gap closings (sin E -> 0).
+
+The label has a closed form.  With c_i, s_i = cos, sin(theta_i / 2), d(k)
+is perpendicular to A at every k and, in that plane, traces a circle of
+radius |c2 s1| centred at distance |s2 c1| from the origin.  So the winding
+is sign(c2 s1) when |c2 s1| > |s2 c1| and 0 otherwise: the split-step phase
+diagram of Kitagawa, Rudner, Berg and Demler, Phys. Rev. A 82, 033429
+(2010).  ``phase_diagram`` uses it; ``winding_number`` integrates n(k) by
+quadrature and is the reference the closed form is tested against.
 """
 
 from dataclasses import dataclass
@@ -38,7 +46,7 @@ class PhasePoint:
     winding: int | None
     min_gap: float
     status: str
-    residual: float | None = None  # |pre-rounding winding - integer|
+    residual: float | None = None  # |pre-rounding winding - integer|; quadrature only
 
 
 def momentum_grid(n_k: int) -> np.ndarray:
@@ -99,21 +107,35 @@ def winding_number(theta1: float, theta2: float, n_k: int = DEFAULT_NK) -> Phase
     return PhasePoint(theta1, theta2, winding, min_gap, GAPPED, abs(raw - winding))
 
 
-def phase_diagram(
-    theta1_grid, theta2_grid, n_k: int = DEFAULT_NK, threads: int = 1
-) -> list[list[PhasePoint]]:
-    """winding_number on the product grid; rows follow theta1_grid."""
+def phase_diagram(theta1_grid, theta2_grid, n_k: int = DEFAULT_NK) -> list[list[PhasePoint]]:
+    """Phase labels on the product grid; rows follow theta1_grid.
+
+    The winding is the closed form of the module docstring; ``min_gap`` and
+    the status come from ``winding_number``'s operations on the same k grid,
+    so they equal its bit for bit.  Each theta1 row is one
+    (len(theta2_grid), n_k) block.  ``residual`` is left None.
+    """
+    if n_k < 64:
+        raise ValueError(f"n_k must be >= 64, got {n_k}")
     t1s = np.atleast_1d(np.asarray(theta1_grid, dtype=np.float64))
     t2s = np.atleast_1d(np.asarray(theta2_grid, dtype=np.float64))
     if t1s.size == 0 or t2s.size == 0:
         raise ValueError("phase diagram grids must be non-empty")
-
-    def row(t1):
-        return [winding_number(t1, t2, n_k) for t2 in t2s]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(row, t1s))
-    return [row(t1) for t1 in t1s]
+    if not (np.isfinite(t1s).all() and np.isfinite(t2s).all()):
+        raise ValueError("phase diagram angles must be finite")
+    cos_k = np.cos(momentum_grid(n_k))
+    c2, s2 = np.cos(t2s / 2.0), np.sin(t2s / 2.0)
+    grid = []
+    for t1 in t1s:
+        c1, s1 = np.cos(t1 / 2.0), np.sin(t1 / 2.0)
+        d0 = (c2 * c1)[:, None] * cos_k - (s2 * s1)[:, None]
+        gaps = np.sin(np.arccos(np.clip(d0, -1.0, 1.0))).min(axis=1)
+        radius = c2 * s1
+        windings = np.where(np.abs(radius) > np.abs(s2 * c1), np.sign(radius), 0.0)
+        grid.append([
+            PhasePoint(float(t1), float(t2), None, float(gap), GAPLESS)
+            if gap < GAP_TOLERANCE
+            else PhasePoint(float(t1), float(t2), int(winding), float(gap), GAPPED)
+            for t2, gap, winding in zip(t2s, gaps, windings)
+        ])
+    return grid

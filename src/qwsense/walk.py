@@ -199,23 +199,6 @@ class CoinField:
         return np.cos(h1), np.sin(h1), np.cos(h2), np.sin(h2)
 
 
-def coin_matrix(theta: float) -> np.ndarray:
-    """R(theta) = exp(-i theta sigma_y / 2), a real 2x2 rotation.
-
-    [[cos(theta/2), -sin(theta/2)], [sin(theta/2), cos(theta/2)]].
-    """
-    theta = _finite_scalar(theta)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]])
-
-
-def coin_matrix_derivative(theta: float) -> np.ndarray:
-    """dR/dtheta = (-i sigma_y / 2) R(theta); real like R itself."""
-    theta = _finite_scalar(theta)
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return 0.5 * np.array([[-s, -c], [c, -s]])
-
-
 def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=None,
               derivative: bool = False):
     """Stream psi_t for t = 0..steps, or (psi_t, dpsi_t) with ``derivative``.

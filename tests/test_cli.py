@@ -84,6 +84,24 @@ def test_validate_rejects_lattice_the_walk_would_wrap(tmp_path, capsys):
     assert cli.main(["validate", "--config", write_config(tmp_path, wraps)]) == 2
 
 
+def test_validate_rejects_non_finite_values(tmp_path, capsys):
+    # Python's json reads NaN and Infinity; each must be a violation (exit 2)
+    nan, inf = float("nan"), float("inf")
+    grid = {"theta1_over_pi": [nan, 1.0, 5], "theta2_over_pi": [-1.0, inf, 5], "n_k": 64}
+    docs = {
+        "phase_grid": {"experiment": "phase-diagram", "phase_grid": grid},
+        "surface": {"experiment": "fi-surface", "walk": WALK,
+                    "surface": {"theta1_over_pi": [-1.0, 1.0, inf], "steps": 5}},
+        "estimation.prior_over_pi": {"experiment": "bayes", "steps": 30, "walk": WALK,
+                                     "estimation": {"prior_over_pi": [-inf, 0.0]}},
+        "estimation.schedule": {"experiment": "bayes", "steps": 30, "walk": WALK,
+                                "estimation": {"prior_over_pi": [-1.0, 0.0], "schedule": [inf]}},
+    }
+    for field_name, doc in docs.items():
+        assert cli.main(["validate", "--config", write_config(tmp_path, doc)]) == 2, field_name
+        assert field_name in capsys.readouterr().err
+
+
 def test_validate_unknown_experiment(tmp_path, capsys):
     cfg = write_config(tmp_path, {"experiment": "teleport"})
     assert cli.main(["validate", "--config", cfg]) == 2

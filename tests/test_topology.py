@@ -1,9 +1,12 @@
 """Momentum-space decomposition and winding number quantization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwsense import spectral, topology
 from qwsense.topology import bloch_components, momentum_grid, phase_diagram, winding_number
@@ -60,6 +63,8 @@ def test_grid_too_small_rejected():
         bloch_components(0.1, 0.2, momentum_grid(4))
     with pytest.raises(ValueError):
         winding_number(0.1, 0.2, n_k=32)
+    with pytest.raises(ValueError):
+        phase_diagram([0.1], [0.2], n_k=32)
 
 
 # --- winding anchors -------------------------------------------------------
@@ -146,15 +151,41 @@ def test_phase_diagram_gapless_line_flagged():
     assert statuses == ["gapped", "gapless", "gapped"]
 
 
-def test_phase_diagram_threads_match_serial():
-    t1s = np.linspace(-0.9, 0.9, 4) * PI
-    t2s = np.linspace(-0.9, 0.9, 3) * PI
-    serial = phase_diagram(t1s, t2s, n_k=512)
-    threaded = phase_diagram(t1s, t2s, n_k=512, threads=4)
-    for row_a, row_b in zip(serial, threaded):
-        for a, b in zip(row_a, row_b):
-            assert (a.winding, a.status) == (b.winding, b.status)
-            assert a.min_gap == b.min_gap
+@settings(max_examples=25, deadline=None)
+@given(
+    theta1s=st.lists(st.floats(-PI, PI), min_size=1, max_size=3),
+    theta2s=st.lists(st.floats(-PI, PI), min_size=1, max_size=3),
+    n_k=st.sampled_from([64, 1024]),
+)
+def test_phase_diagram_matches_quadrature(theta1s, theta2s, n_k):
+    grid = phase_diagram(theta1s, theta2s, n_k=n_k)
+    for t1, row in zip(theta1s, grid):
+        for t2, point in zip(theta2s, row):
+            reference = winding_number(t1, t2, n_k)
+            assert point.status == reference.status
+            assert point.min_gap == reference.min_gap
+            if point.min_gap > 0.05:
+                # the quadrature rounds correctly only with a healthy gap
+                assert point.winding == reference.winding
+
+
+def test_phase_diagram_holds_one_row_at_a_time():
+    grid = np.linspace(-1.0, 1.0, 41) * PI
+    tracemalloc.start()
+    try:
+        phase_diagram(grid, grid, n_k=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole (41, 41, 1024) grid at once peaks at ~41 MB
+    assert peak < 4e6
+
+
+def test_phase_diagram_rejects_non_finite_angles():
+    with pytest.raises(ValueError, match="finite"):
+        phase_diagram([0.5, float("nan")], [0.5], n_k=512)
+    with pytest.raises(ValueError, match="finite"):
+        phase_diagram([0.5], [float("inf")], n_k=512)
 
 
 def test_empty_grid_rejected():

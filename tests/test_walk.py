@@ -1,4 +1,4 @@
-"""Walk core: coin algebra, one-step unitary, exact derivative propagation.
+"""Walk core: one-step unitary, exact derivative propagation.
 
 The oracles here are built independently of the production sweeps: a dense
 operator assembled from Kronecker products of shift and coin blocks, a
@@ -22,8 +22,6 @@ from qwsense.walk import (
     CoinField,
     WalkParams,
     WalkerState,
-    coin_matrix,
-    coin_matrix_derivative,
     default_initial_state,
     evolve,
     per_step_fields,
@@ -91,57 +89,6 @@ def step_once(params, state, coins=None, derivative=False):
     """The one-step walk: what ``propagate`` yields after its single step."""
     *_, last = propagate(params, state, 1, coins, derivative)
     return last
-
-
-# --- coin matrices -------------------------------------------------------
-
-
-def test_coin_matrix_identity():
-    assert np.array_equal(coin_matrix(0.0), np.eye(2))
-
-
-def test_coin_matrix_pi():
-    np.testing.assert_allclose(coin_matrix(PI), [[0, -1], [1, 0]], atol=1e-15)
-
-
-def test_coin_matrix_half_pi():
-    expected = np.array([[1, -1], [1, 1]]) / math.sqrt(2)
-    np.testing.assert_allclose(coin_matrix(PI / 2), expected, atol=1e-15)
-
-
-def test_coin_matrix_unitary():
-    rng = np.random.default_rng(1)
-    for theta in rng.uniform(-4 * PI, 4 * PI, size=25):
-        m = coin_matrix(theta)
-        assert np.abs(m.T @ m - np.eye(2)).max() < 1e-14
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "x", None])
-def test_coin_matrix_rejects_nonfinite(bad):
-    with pytest.raises(ValueError):
-        coin_matrix(bad)
-    with pytest.raises(ValueError):
-        coin_matrix_derivative(bad)
-
-
-def test_coin_derivative_at_zero():
-    np.testing.assert_allclose(
-        coin_matrix_derivative(0.0), 0.5 * np.array([[0, -1], [1, 0]]), atol=1e-15
-    )
-
-
-def test_coin_derivative_at_pi():
-    np.testing.assert_allclose(
-        coin_matrix_derivative(PI), 0.5 * np.array([[-1, 0], [0, -1]]), atol=1e-15
-    )
-
-
-def test_coin_derivative_matches_finite_difference():
-    h = 1e-6
-    rng = np.random.default_rng(2)
-    for theta in rng.uniform(-PI, PI, size=20):
-        fd = (coin_matrix(theta + h) - coin_matrix(theta - h)) / (2 * h)
-        assert np.abs(coin_matrix_derivative(theta) - fd).max() < 1e-9
 
 
 # --- one step ------------------------------------------------------------
@@ -553,6 +500,12 @@ def test_wrap_angle_keeps_both_boundary_angles():
     # endpoints stay representable.
     assert wrap_angle(PI) == PI
     assert wrap_angle(-PI) == -PI
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "x", None])
+def test_wrap_angle_rejects_nonfinite(bad):
+    with pytest.raises(ValueError):
+        wrap_angle(bad)
 
 
 def test_params_wrap_and_validate():
