@@ -30,13 +30,13 @@ RNG_NAME = "numpy-pcg64"  # np.random.default_rng's generator
 
 DEFAULT_GRID_POINTS = 201
 DEFAULT_TRIALS = 1000
+SCHEDULE_POINTS = 8  # blocks informative_schedule splits its step range into
 
 
 @dataclass
 class PosteriorGrid:
     candidates: np.ndarray
-    log_weights: np.ndarray
-    normalized: bool
+    log_weights: np.ndarray  # normalized: the weights sum to 1
 
     @property
     def weights(self) -> np.ndarray:
@@ -65,7 +65,6 @@ class EstimationRecord:
     trials: int
     successes: int
     msre: float
-    posterior_mean: float
     posterior_std: float
 
 
@@ -132,7 +131,8 @@ def candidate_probability_table(
     step, W = 2 t_max + 3 sites around the defect, or the whole ring when
     that is smaller; amplitudes outside the cone are exactly zero, so the
     window changes no bit of the table.  With ``coin_fields`` the candidate
-    walks run on those (possibly disordered) bulk angles.
+    walks run on those (possibly disordered) bulk angles; every field's
+    angles must have shape (lattice_size,).
     """
     schedule = [int(t) for t in schedule]
     t_max = max(schedule)
@@ -153,6 +153,11 @@ def candidate_probability_table(
     prev_field = None
     for t, field in enumerate(per_step_fields(params_template, t_max, coin_fields)):
         if field is not prev_field:
+            if field.angles1.shape != (params_template.lattice_size,):
+                raise ValueError(
+                    f"coin field angles must have shape ({params_template.lattice_size},),"
+                    f" got {field.angles1.shape}"
+                )
             c1, s1, c2, s2 = (table[window] for table in field.half_angle_tables())
             prev_field = field
         kernels.split_step(current, c1, s1, c2, s2, scratch)
@@ -170,7 +175,6 @@ def informative_schedule(
     prior_interval,
     t_min: int,
     t_max: int,
-    n_points: int = 8,
     grid_points: int = DEFAULT_GRID_POINTS,
     table: np.ndarray | None = None,
 ) -> tuple[int, ...]:
@@ -179,7 +183,7 @@ def informative_schedule(
     The defect-site probability responds to theta02 through a phase that
     winds with t, so at many step counts the response over the prior window
     is flat or folds back on itself and the posterior degenerates (flat or
-    multimodal).  This selector splits [t_min, t_max] into n_points blocks
+    multimodal).  This selector splits [t_min, t_max] into SCHEDULE_POINTS blocks
     and picks, per block, the step with the least fold ambiguity (monotone
     responses win outright), widest response span breaking ties.  It uses
     only the walk model over the prior, never measurement data, so it is
@@ -200,9 +204,9 @@ def informative_schedule(
         raise ValueError("table must have one row per step and one column per grid point")
     span = table.max(axis=1) - table.min(axis=1)
     penalty = np.array([_fold_ambiguity(col) for col in table])
-    edges = np.linspace(t_min, t_max + 1, n_points + 1)
+    edges = np.linspace(t_min, t_max + 1, SCHEDULE_POINTS + 1)
     schedule = []
-    for b in range(n_points):
+    for b in range(SCHEDULE_POINTS):
         block = [i for i, t in enumerate(steps) if edges[b] <= t < edges[b + 1]]
         if not block:
             continue
@@ -297,15 +301,13 @@ def posterior(
     if not np.isfinite(peak):
         raise ValueError("data impossible under every candidate; posterior undefined")
     log_norm = peak + np.log(np.exp(log_w - peak).sum())
-    return PosteriorGrid(candidates, log_w - log_norm, True)
+    return PosteriorGrid(candidates, log_w - log_norm)
 
 
 def msre(grid: PosteriorGrid, true_theta02: float) -> float:
     """(variance + squared bias) / theta02^2 under the posterior."""
     if true_theta02 == 0:
         raise ZeroDivisionError("relative error undefined for true_theta02 = 0")
-    if not grid.normalized:
-        raise ValueError("posterior grid must be normalized")
     return (grid.variance + (grid.mean - true_theta02) ** 2) / true_theta02**2
 
 
@@ -327,8 +329,8 @@ def estimation_curve(
 ) -> EstimationCurve:
     """Fresh M-trial experiments at each scheduled step; msre per record.
 
-    With ``repetitions`` > 1 the msre and the posterior summaries at each
-    step are means over that many independent experiments (the reported
+    With ``repetitions`` > 1 the msre and the posterior std at each step
+    are means over that many independent experiments (the reported
     successes come from the first).  Data are drawn from the true walk
     (optionally disordered via ``data_coin_fields``); the likelihood uses
     the clean defect-only model unless a precomputed ``candidate_table``
@@ -350,7 +352,7 @@ def estimation_curve(
     grids = [] if keep_posteriors else None
     for i, t in enumerate(config.schedule):
         p_t = min(max(p_true[t], 0.0), 1.0)
-        errors, means, stds = [], [], []
+        errors, stds = [], []
         first_m = None
         for rep in range(config.repetitions):
             rng = np.random.default_rng(record_seed(config, seed_prefix, rep, i))
@@ -364,13 +366,11 @@ def estimation_curve(
                 if grids is not None:
                     grids.append(grid)
             errors.append(msre(grid, config.params.theta02))
-            means.append(grid.mean)
             stds.append(grid.std)
         records.append(
             EstimationRecord(
                 step=t, trials=config.trials, successes=first_m,
                 msre=float(np.mean(errors)),
-                posterior_mean=float(np.mean(means)),
                 posterior_std=float(np.mean(stds)),
             )
         )

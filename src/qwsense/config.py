@@ -154,7 +154,7 @@ def _walk_params(check, doc, default_lattice, require_theta02=True):
         return None
 
 
-def validate_config(doc: dict, seed_override=None, out_override=None) -> ExperimentConfig:
+def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
     """Validate a parsed config document; raises ConfigError listing every violation."""
     check = _Check()
 
@@ -167,7 +167,7 @@ def validate_config(doc: dict, seed_override=None, out_override=None) -> Experim
     if seed_override is not None:
         seed = int(seed_override)
 
-    out_dir = out_override if out_override is not None else doc.get("out_dir")
+    out_dir = doc.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         check.fail("out_dir", f"expected a string path, got {out_dir!r}")
         out_dir = None

@@ -27,9 +27,6 @@ from .walk import CoinField, WalkParams, WalkerState
 STATIC = "static"
 DYNAMIC = "dynamic"
 
-OBSERVABLE_FI = "fi"
-OBSERVABLE_MSRE = "msre"
-
 DEFAULT_HALF_WIDTH = math.pi / 20.0
 DEFAULT_REALIZATIONS = 10
 
@@ -56,7 +53,6 @@ class EnsembleResult:
     mean: np.ndarray
     std: np.ndarray  # population standard deviation over realizations
     realizations: int
-    observable_kind: str
 
 
 def _realization_rng(spec: DisorderSpec, realization_index: int) -> np.random.Generator:
@@ -99,13 +95,6 @@ def _dynamic_fields(spec: DisorderSpec, base: WalkParams, rng: np.random.Generat
         yield CoinField(np.full(n, t1), a2)
 
 
-def _realization_fields(spec, base, index, steps):
-    if spec.half_width == 0.0:
-        # exact zero-width collapse: byte-identical to the clean run
-        return CoinField.from_params(base)
-    return sample_disorder(spec, base, index, steps)
-
-
 def _ensemble_fields(spec: DisorderSpec, base: WalkParams, steps: int):
     """Coin fields that walk every realization of ``spec`` as one batch."""
     if spec.half_width == 0.0:
@@ -133,7 +122,7 @@ def ensemble_fisher(
     per_realization = np.ascontiguousarray(fi.T)  # rows summed in realization order
     return EnsembleResult(
         np.arange(steps + 1), per_realization.mean(axis=0), per_realization.std(axis=0),
-        spec.n_realizations, OBSERVABLE_FI,
+        spec.n_realizations,
     )
 
 
@@ -147,12 +136,14 @@ def ensemble_msre(
     Measured data come from the disordered walk, and the candidate grid runs
     on the same realized bulk angles (the estimator models its own device,
     varying only the defect angle), so the error tracks the disordered
-    Fisher information.
+    Fisher information.  At zero width every draw is the clean angle
+    (uniform(a, a) returns a), so each realization's curve is the clean
+    curve of its own seed stream.
     """
     steps = max(config.schedule)
 
     def one(index):
-        fields = _realization_fields(spec, config.params, index, steps)
+        fields = sample_disorder(spec, config.params, index, steps)
         table = bayes.candidate_probability_table(
             config.params, config.candidates(), config.schedule, coin_fields=fields
         )
@@ -164,7 +155,7 @@ def ensemble_msre(
     values = np.stack(_map(one, range(spec.n_realizations), threads))
     return EnsembleResult(
         np.asarray(config.schedule), values.mean(axis=0), values.std(axis=0),
-        spec.n_realizations, OBSERVABLE_MSRE,
+        spec.n_realizations,
     )
 
 

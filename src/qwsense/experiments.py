@@ -54,7 +54,7 @@ def _fit_payload(fit):
 FI_HEADER = ("t", "value", "flagged")
 
 
-def _run_fi_scaling(cfg: ExperimentConfig, threads: int) -> Artifacts:
+def _run_fi_scaling(cfg: ExperimentConfig) -> Artifacts:
     params = cfg.walk
     series = metrology.fisher_at_defect(
         params, default_initial_state(params.lattice_size), cfg.steps
@@ -67,7 +67,7 @@ def _run_fi_scaling(cfg: ExperimentConfig, threads: int) -> Artifacts:
     return art
 
 
-def _run_gfi_qfi(cfg: ExperimentConfig, threads: int) -> Artifacts:
+def _run_gfi_qfi(cfg: ExperimentConfig) -> Artifacts:
     params = cfg.walk
     series = metrology.fisher_series(params, default_initial_state(params.lattice_size), cfg.steps)
     art = Artifacts()
@@ -81,7 +81,7 @@ def _run_gfi_qfi(cfg: ExperimentConfig, threads: int) -> Artifacts:
     return art
 
 
-def _run_avg_fi(cfg: ExperimentConfig, threads: int) -> Artifacts:
+def _run_avg_fi(cfg: ExperimentConfig) -> Artifacts:
     params = cfg.walk
     series = metrology.fisher_at_defect(
         params, default_initial_state(params.lattice_size), cfg.steps
@@ -96,7 +96,7 @@ def _run_avg_fi(cfg: ExperimentConfig, threads: int) -> Artifacts:
     return art
 
 
-def _run_fi_surface(cfg: ExperimentConfig, threads: int) -> Artifacts:
+def _run_fi_surface(cfg: ExperimentConfig) -> Artifacts:
     params = cfg.walk
     t1_over_pi = cfg.surface["theta1_over_pi"]
     steps = cfg.surface["steps"]
@@ -120,7 +120,7 @@ def _run_fi_surface(cfg: ExperimentConfig, threads: int) -> Artifacts:
     return art
 
 
-def _run_phase_diagram(cfg: ExperimentConfig, threads: int) -> Artifacts:
+def _run_phase_diagram(cfg: ExperimentConfig) -> Artifacts:
     t1s = cfg.phase_grid["theta1_over_pi"]
     t2s = cfg.phase_grid["theta2_over_pi"]
     n_k = cfg.phase_grid["n_k"]
@@ -138,13 +138,12 @@ def _run_phase_diagram(cfg: ExperimentConfig, threads: int) -> Artifacts:
     return art
 
 
-def _run_spectrum(cfg: ExperimentConfig, threads: int) -> Artifacts:
+def _run_spectrum(cfg: ExperimentConfig) -> Artifacts:
     params = cfg.walk
     decomp = spectral.decompose_step_operator(params)
-    states = spectral.find_localized_states(decomp, 0)
+    states = spectral.find_localized_states(decomp)
     localized_columns = {s.eigen_index for s in states}
-    profiles = decomp.site_profiles()
-    ipr = (profiles**2).sum(axis=0)
+    ipr = decomp.ipr
     order = np.argsort(decomp.quasi_energies, kind="stable")
     rows = []
     for idx, j in enumerate(order):
@@ -196,7 +195,7 @@ def _estimation_config(
     return est, table
 
 
-def _run_bayes(cfg: ExperimentConfig, threads: int) -> Artifacts:
+def _run_bayes(cfg: ExperimentConfig) -> Artifacts:
     est, table = _estimation_config(cfg)
     curve = bayes.estimation_curve(est, candidate_table=table, keep_posteriors=True)
     est_rows = [(r.step, r.trials, r.successes, r.msre) for r in curve.records]
@@ -226,7 +225,7 @@ def _run_disorder(cfg: ExperimentConfig, threads: int) -> Artifacts:
             spec, params, default_initial_state(params.lattice_size), cfg.steps
         )
         mean_series = metrology.FisherSeries(
-            result.steps, result.mean, metrology.DEFECT_SITE_FI, params, None
+            result.steps, result.mean, metrology.DEFECT_SITE_FI, None
         )
         try:
             art.json["fit.json"] = _fit_payload(
@@ -249,7 +248,6 @@ _DRIVERS = {
     "phase-diagram": _run_phase_diagram,
     "spectrum": _run_spectrum,
     "bayes": _run_bayes,
-    "disorder": _run_disorder,
     "avg-fi": _run_avg_fi,
     "gfi-qfi": _run_gfi_qfi,
 }
@@ -261,11 +259,15 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     Data CSVs are always written; JSON sidecars and SVG plots follow the
     config's format list.  SVGs are rendered from the already-written CSVs,
     never from in-memory data.  The manifest (with content hashes of every
-    emitted file) is written last.
+    emitted file) is written last.  ``threads`` reaches only the disorder
+    msre ensemble; every other experiment runs serially.
     """
     start = time.perf_counter()
     out_dir = Path(out_dir)
-    art = _DRIVERS[cfg.experiment](cfg, threads)
+    if cfg.experiment == "disorder":
+        art = _run_disorder(cfg, threads)
+    else:
+        art = _DRIVERS[cfg.experiment](cfg)
     emitted = []
     for name, (header, rows) in art.csv.items():
         serialize.write_csv(out_dir / name, header, rows)

@@ -49,7 +49,6 @@ class FisherSeries:
     steps: np.ndarray
     values: np.ndarray
     kind: str
-    params: WalkParams
     flagged: np.ndarray  # True where P0 was degenerate and FI pinned to 0
 
     def __post_init__(self):
@@ -156,7 +155,7 @@ def fisher_series(
 ) -> dict:
     """{kind: FisherSeries} for one walk, every requested measure from one pass."""
     return {
-        kind: FisherSeries(np.arange(steps + 1), values, kind, params, flagged)
+        kind: FisherSeries(np.arange(steps + 1), values, kind, flagged)
         for kind, (values, flagged) in information_values(
             params, initial, steps, kinds, coin_fields
         ).items()
@@ -208,7 +207,7 @@ def averaged_fisher(series: FisherSeries, window: int = 5, spacing: int = 5) -> 
             f"series too short for window={window}, spacing={spacing} averaging"
         )
     return FisherSeries(
-        np.asarray(centers), np.asarray(means), AVERAGED_FI, series.params, np.asarray(flags)
+        np.asarray(centers), np.asarray(means), AVERAGED_FI, np.asarray(flags)
     )
 
 

@@ -9,6 +9,7 @@ the domain-wall limit, so this matters.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import schur
@@ -31,9 +32,23 @@ class SpectralDecomposition:
     lattice_size: int
 
     def site_profiles(self) -> np.ndarray:
-        """(N, 2N) per-site occupation probability of each eigenvector."""
+        """(N, 2N) per-site occupation probability of each eigenvector.
+
+        Built on the first call and shared by later ones, so it is read-only.
+        """
+        return self._site_profiles
+
+    @cached_property
+    def _site_profiles(self) -> np.ndarray:
         n = self.lattice_size
-        return (np.abs(self.eigenvectors.reshape(n, 2, 2 * n)) ** 2).sum(axis=1)
+        profiles = (np.abs(self.eigenvectors.reshape(n, 2, 2 * n)) ** 2).sum(axis=1)
+        profiles.setflags(write=False)
+        return profiles
+
+    @cached_property
+    def ipr(self) -> np.ndarray:
+        """(2N,) inverse participation ratio, sum over sites of p^2, of each eigenvector."""
+        return (self._site_profiles**2).sum(axis=0)
 
 
 @dataclass
@@ -53,13 +68,11 @@ def build_step_matrix(coins: CoinField) -> np.ndarray:
     return out.reshape(2 * n, 2 * n).T
 
 
-def decompose_step_operator(
-    params: WalkParams, cap: int = DENSE_SOLVER_CAP
-) -> SpectralDecomposition:
-    """Full eigendecomposition of the step unitary with defect."""
+def decompose_step_operator(params: WalkParams) -> SpectralDecomposition:
+    """Full eigendecomposition of the step unitary with defect, N <= DENSE_SOLVER_CAP."""
     n = params.lattice_size
-    if n > cap:
-        raise CapacityError(f"lattice size {n} exceeds dense solver cap {cap}")
+    if n > DENSE_SOLVER_CAP:
+        raise CapacityError(f"lattice size {n} exceeds dense solver cap {DENSE_SOLVER_CAP}")
     mat = build_step_matrix(CoinField.from_params(params))
     t_mat, q_mat = schur(mat, output="complex")
     eigenvalues = np.diag(t_mat).copy()
@@ -85,7 +98,7 @@ def _flank_points(profile, start, stop, step):
     return pts
 
 
-def fit_localization_length(profile: np.ndarray, defect: int) -> float:
+def fit_localization_length(profile: np.ndarray) -> float:
     """Amplitude decay length of a localized profile, in sites.
 
     The localized core (the contiguous sites around the peak holding at
@@ -114,31 +127,23 @@ def fit_localization_length(profile: np.ndarray, defect: int) -> float:
     return float(-2.0 / slope)
 
 
-def find_localized_states(
-    decomp: SpectralDecomposition, defect_site: int, ipr_threshold: float | None = None
-) -> list[LocalizedState]:
-    """Eigenstates with IPR above threshold, sorted by |quasi-energy|.
+def find_localized_states(decomp: SpectralDecomposition) -> list[LocalizedState]:
+    """Eigenstates with IPR above 5/N, sorted by |quasi-energy|.
 
-    The default threshold 5/N separates the defect pair from extended bulk
-    states by well over an order of magnitude at the parameters of interest.
+    The threshold 5/N separates the defect pair from extended bulk states by
+    well over an order of magnitude at the parameters of interest.  The
+    states' profiles are read-only columns of ``decomp.site_profiles()``.
     """
-    n = decomp.lattice_size
-    offset = (n - 1) // 2
-    defect = defect_site + offset
-    if not 0 <= defect < n:
-        raise ValueError(f"defect position {defect_site} outside lattice of size {n}")
-    if ipr_threshold is None:
-        ipr_threshold = 5.0 / n
     profiles = decomp.site_profiles()
-    ipr = (profiles**2).sum(axis=0)
+    ipr = decomp.ipr
     found = []
-    for j in np.where(ipr > ipr_threshold)[0]:
+    for j in np.where(ipr > 5.0 / decomp.lattice_size)[0]:
         profile = profiles[:, j]
         found.append(
             LocalizedState(
                 quasi_energy=float(decomp.quasi_energies[j]),
                 profile=profile,
-                localization_length=fit_localization_length(profile, defect),
+                localization_length=fit_localization_length(profile),
                 ipr=float(ipr[j]),
                 eigen_index=int(j),
             )

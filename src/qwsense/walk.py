@@ -109,12 +109,12 @@ class WalkerState:
     """Complex amplitudes over the (position, coin) basis.
 
     ``amplitudes`` has length 2N with the coin pair (up, down) contiguous per
-    site; site index i corresponds to physical position i - origin_offset.
+    site; site index i corresponds to physical position i - origin_offset,
+    which puts x = 0 at the defect site.
     """
 
     amplitudes: np.ndarray
     lattice_size: int
-    origin_offset: int
 
     def __post_init__(self):
         n = _check_lattice_size(self.lattice_size)
@@ -126,17 +126,20 @@ class WalkerState:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
+    @property
+    def origin_offset(self) -> int:
+        return (self.lattice_size - 1) // 2
+
     @classmethod
     def from_position(cls, x: int, coin, lattice_size: int) -> "WalkerState":
         """Basis state |x, coin> with the defect-centered index convention."""
         n = _check_lattice_size(lattice_size)
-        offset = (n - 1) // 2
-        idx = x + offset
+        idx = x + (n - 1) // 2
         if not 0 <= idx < n:
             raise ValueError(f"position {x} outside lattice of size {n}")
         amps = np.zeros(2 * n, dtype=np.complex128)
         amps[2 * idx + _COIN_LABELS[coin]] = 1.0
-        return cls(amps, n, offset)
+        return cls(amps, n)
 
     def grid(self) -> np.ndarray:
         """Amplitudes viewed as (N, 2)."""
@@ -272,10 +275,7 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
 def evolve(params: WalkParams, initial: WalkerState, steps: int) -> list[WalkerState]:
     """States after 0..steps applications of the params-defined step."""
     n = params.lattice_size
-    return [
-        WalkerState(psi.flatten(), n, initial.origin_offset)
-        for psi in propagate(params, initial, steps)
-    ]
+    return [WalkerState(psi.flatten(), n) for psi in propagate(params, initial, steps)]
 
 
 def position_probability(state: WalkerState, x: int) -> float:

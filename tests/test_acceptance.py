@@ -103,17 +103,13 @@ def test_criterion_04_mirror_fi_symmetry(fi_nontrivial, initial):
 def test_criterion_05_localized_pair_and_domain_wall():
     soft_params = WalkParams(0.9 * PI, 0.75 * PI, -0.55 * PI, 101)
     wall_params = WalkParams(0.9 * PI, 0.75 * PI, -PI, 101)
-    soft = spectral.find_localized_states(
-        spectral.decompose_step_operator(soft_params), 0
-    )
-    wall = spectral.find_localized_states(
-        spectral.decompose_step_operator(wall_params), 0
-    )
+    soft = spectral.find_localized_states(spectral.decompose_step_operator(soft_params))
+    wall = spectral.find_localized_states(spectral.decompose_step_operator(wall_params))
     pair_ok = len(soft) == 2 and abs(soft[0].quasi_energy + soft[1].quasi_energy) < 1e-8
 
     def pair_length(states):
         avg = np.mean([s.profile for s in states], axis=0)
-        return spectral.fit_localization_length(avg, soft_params.defect_index)
+        return spectral.fit_localization_length(avg)
 
     tighter = len(wall) == 2 and pair_length(wall) < pair_length(soft)
     record(
@@ -206,7 +202,7 @@ def test_criterion_10_disorder_robustness(initial):
         r_nt = disorder.ensemble_fisher(spec, NONTRIVIAL, initial, STEPS)
         r_tr = disorder.ensemble_fisher(spec, TRIVIAL, initial, STEPS)
         mean_series = metrology.FisherSeries(
-            r_nt.steps, r_nt.mean, metrology.DEFECT_SITE_FI, NONTRIVIAL, None
+            r_nt.steps, r_nt.mean, metrology.DEFECT_SITE_FI, None
         )
         fit = metrology.fit_scaling(mean_series, mode="peaks_only")
         rel_nt = disorder.relative_std(r_nt, 10, STEPS)

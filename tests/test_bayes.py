@@ -198,6 +198,27 @@ def test_batched_table_equals_serial_walks_for_drawn_angles(theta1, theta2, cand
     assert np.array_equal(batched, serial_table(p, candidates, schedule))
 
 
+def _wider(params, steps):
+    return CoinField.from_params(replace(params, lattice_size=params.lattice_size + 2))
+
+
+def _narrower_from_step_3(params, steps):
+    wrong = CoinField.from_params(replace(params, lattice_size=params.lattice_size - 2))
+    return [CoinField.from_params(params)] * 2 + [wrong] * (steps - 2)
+
+
+def _batched(params, steps):
+    return CoinField.stack([CoinField.from_params(params)] * 2)
+
+
+@pytest.mark.parametrize("fields", [_wider, _narrower_from_step_3, _batched])
+def test_candidate_table_rejects_fields_it_cannot_walk(fields):
+    # the window slice used to cut a mis-sized field at the wrong sites
+    p = nontrivial(203)
+    with pytest.raises(ValueError, match=r"coin field angles must have shape \(203,\)"):
+        candidate_probability_table(p, np.linspace(*PRIOR, 11), [10, 40], fields(p, 40))
+
+
 def test_informative_schedule_reuses_a_given_table():
     p = nontrivial(63)
     candidates = np.linspace(*PRIOR, 51)

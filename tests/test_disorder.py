@@ -184,8 +184,7 @@ def test_nontrivial_ensemble_keeps_heisenberg_scaling(kind):
     n = 2 * steps + 3
     spec = DisorderSpec(kind=kind, half_width=W, n_realizations=10, master_seed=11)
     result = ensemble_fisher(spec, nontrivial(n), default_initial_state(n), steps)
-    mean_series = FisherSeries(result.steps, result.mean, "defect_site_fi",
-                               nontrivial(n), None)
+    mean_series = FisherSeries(result.steps, result.mean, "defect_site_fi", None)
     # fit through the oscillation peaks, as the underlying growth law is read
     # off the envelope; dynamic disorder damps the troughs at early times
     fit = fit_scaling(mean_series, mode="peaks_only")
@@ -217,6 +216,21 @@ def test_ensemble_msre_zero_width_matches_clean_curves():
     ])
     np.testing.assert_allclose(result.mean, curves.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(result.std, curves.std(axis=0), rtol=1e-9, atol=1e-18)
+
+
+@pytest.mark.parametrize("kind", [STATIC, DYNAMIC])
+def test_zero_width_msre_ensemble_is_the_clean_curves(kind):
+    n = 63
+    config = EstimationConfig(nontrivial(n), (-0.556 * PI, -0.544 * PI), (10, 15, 20, 25, 30),
+                              grid_points=21, trials=200, master_seed=4)
+    spec = DisorderSpec(kind=kind, half_width=0.0, n_realizations=3, master_seed=4)
+    result = ensemble_msre(spec, config)
+    curves = np.array([
+        [r.msre for r in estimation_curve(config, seed_prefix=(idx,)).records]
+        for idx in range(3)
+    ])
+    assert np.array_equal(result.mean, curves.mean(axis=0))
+    assert np.array_equal(result.std, curves.std(axis=0))
 
 
 # static disorder preserves the Heisenberg slope; dynamic disorder softens it

@@ -339,8 +339,7 @@ def test_trivial_case_peaks_sit_above_the_bulk_fit():
 
 def constant_series(value, steps=30):
     return FisherSeries(
-        np.arange(steps + 1), np.full(steps + 1, value), "defect_site_fi",
-        params(*NONTRIVIAL, 9), None,
+        np.arange(steps + 1), np.full(steps + 1, value), "defect_site_fi", None,
     )
 
 
@@ -361,8 +360,7 @@ def test_averaging_constant_series():
 
 def test_averaging_window_arithmetic():
     steps = np.arange(0, 21)
-    series = FisherSeries(steps, steps.astype(float), "defect_site_fi",
-                          params(*NONTRIVIAL, 9), None)
+    series = FisherSeries(steps, steps.astype(float), "defect_site_fi", None)
     avg = averaged_fisher(series, window=5, spacing=5)
     # first admissible start is t=0: mean of FI at {0,5,10,15,20} = 10
     assert avg.steps[0] == pytest.approx(10.0)
@@ -424,7 +422,7 @@ def test_fit_excludes_flagged_and_zero_values():
     values = steps.astype(float) ** 2
     flagged = np.zeros(21, dtype=bool)
     flagged[:3] = True
-    series = FisherSeries(steps, values, "defect_site_fi", params(*NONTRIVIAL, 9), flagged)
+    series = FisherSeries(steps, values, "defect_site_fi", flagged)
     fit = fit_scaling(series, window=(0, 20))
     assert fit.exponent == pytest.approx(2.0, abs=1e-10)
     assert fit.n_points == 18  # 21 minus three flagged (t=0 also zero-valued)

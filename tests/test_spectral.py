@@ -22,10 +22,10 @@ def paper_params(theta02, n=101):
     return WalkParams(BULK[0], BULK[1], theta02, n)
 
 
-def pair_profile_length(states, defect_index):
+def pair_profile_length(states):
     """Decay length of the summed pair profile (stable under degeneracy)."""
     avg = np.mean([s.profile for s in states], axis=0)
-    return fit_localization_length(avg, defect_index)
+    return fit_localization_length(avg)
 
 
 def test_decomposition_invariants_with_defect():
@@ -62,7 +62,7 @@ def test_zero_coins_give_pure_shift_spectrum():
 
 def test_capacity_cap_enforced():
     with pytest.raises(CapacityError):
-        decompose_step_operator(paper_params(-0.55 * PI, n=101), cap=51)
+        decompose_step_operator(paper_params(-0.55 * PI, n=513))
 
 
 def test_profiles_normalized_and_ipr_bounded():
@@ -75,6 +75,17 @@ def test_profiles_normalized_and_ipr_bounded():
     assert (ipr <= 1.0 + 1e-12).all()
 
 
+def test_profiles_and_ipr_are_built_once_and_read_only():
+    decomp = decompose_step_operator(paper_params(-0.55 * PI, n=21))
+    profiles = decomp.site_profiles()
+    assert decomp.site_profiles() is profiles
+    assert np.array_equal(decomp.ipr, (profiles**2).sum(axis=0))
+    with pytest.raises(ValueError):
+        profiles[0, 0] = 0.0
+    states = find_localized_states(decomp)
+    assert states and all(np.shares_memory(s.profile, profiles) for s in states)
+
+
 # --- localized states -------------------------------------------------------
 
 
@@ -82,13 +93,13 @@ def test_no_defect_no_localized_states():
     t1, t2 = BULK
     params = WalkParams(t1, t2, t2, 101)
     decomp = decompose_step_operator(params)
-    assert find_localized_states(decomp, 0) == []
+    assert find_localized_states(decomp) == []
 
 
 def test_defect_binds_exactly_two_states():
     params = paper_params(-0.55 * PI)
     decomp = decompose_step_operator(params)
-    states = find_localized_states(decomp, 0)
+    states = find_localized_states(decomp)
     assert len(states) == 2
     e_a, e_b = (s.quasi_energy for s in states)
     assert abs(e_a + e_b) < 1e-8  # equal magnitude, opposite signs
@@ -101,25 +112,17 @@ def test_defect_binds_exactly_two_states():
 
 
 def test_domain_wall_localizes_tighter():
-    defect_idx = 50
-    soft = find_localized_states(decompose_step_operator(paper_params(-0.55 * PI)), 0)
-    wall = find_localized_states(decompose_step_operator(paper_params(-PI)), 0)
+    soft = find_localized_states(decompose_step_operator(paper_params(-0.55 * PI)))
+    wall = find_localized_states(decompose_step_operator(paper_params(-PI)))
     assert len(wall) == 2
-    assert pair_profile_length(wall, defect_idx) < pair_profile_length(soft, defect_idx)
+    assert pair_profile_length(wall) < pair_profile_length(soft)
 
 
 def test_localization_tightens_with_defect_strength():
-    defect_idx = 50
     lengths = []
     for theta02 in (-0.4 * PI, -0.55 * PI, -0.7 * PI, -0.9 * PI, -PI):
-        states = find_localized_states(decompose_step_operator(paper_params(theta02)), 0)
+        states = find_localized_states(decompose_step_operator(paper_params(theta02)))
         assert len(states) == 2
-        lengths.append(pair_profile_length(states, defect_idx))
+        lengths.append(pair_profile_length(states))
     for tighter, looser in zip(lengths[1:], lengths[:-1]):
         assert tighter <= looser + 1e-9
-
-
-def test_defect_site_out_of_range():
-    decomp = decompose_step_operator(paper_params(-0.55 * PI, n=9))
-    with pytest.raises(ValueError):
-        find_localized_states(decomp, 20)

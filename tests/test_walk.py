@@ -78,7 +78,7 @@ def dense_step_derivative(angles1, angles2, defect_idx):
 def random_state(n, rng):
     amps = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
     amps /= np.linalg.norm(amps)
-    return WalkerState(amps, n, (n - 1) // 2)
+    return WalkerState(amps, n)
 
 
 def nontrivial(n):
@@ -119,7 +119,7 @@ def test_dense_operator_equivalence(n):
     for j in range(2 * n):
         basis = np.zeros(2 * n, dtype=complex)
         basis[j] = 1.0
-        state = WalkerState(basis, n, (n - 1) // 2)
+        state = WalkerState(basis, n)
         psi = step_once(params, state, coins)
         np.testing.assert_allclose(psi.reshape(-1), dense[:, j], atol=1e-12)
 
@@ -249,7 +249,7 @@ def test_defect_neutral_walk_is_bit_exact():
     state = default_initial_state(n)
     for expected in series[1:]:
         psi = step_once(params, state, uniform)
-        state = WalkerState(psi.flatten(), n, state.origin_offset)
+        state = WalkerState(psi.flatten(), n)
         assert np.array_equal(state.amplitudes, expected.amplitudes)
 
 
@@ -335,7 +335,7 @@ def test_streamed_pair_equals_single_step_pairs():
         propagate(params, initial, 12, derivative=True)
     ):
         if t:
-            state = WalkerState(psi.flatten(), n, initial.origin_offset)
+            state = WalkerState(psi.flatten(), n)
             stepped, du_psi = step_once(params, state, coins, derivative=True)
             u_dpsi = kernels.split_step(dpsi, *tables, np.empty_like(dpsi))
             psi, dpsi = stepped, u_dpsi + du_psi
@@ -398,7 +398,7 @@ def lattice_states(draw):
         amps = math.cos(angle) * state.amplitudes
         amps += math.sin(angle) * np.exp(1j * phase) * WalkerState.from_position(
             *second, n).amplitudes
-        state = WalkerState(amps, n, offset)
+        state = WalkerState(amps, n)
     return state
 
 
@@ -532,8 +532,8 @@ def test_params_accept_integral_lattice_size_of_any_type():
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        WalkerState(np.ones(18), 9, 4)  # unnormalized
+        WalkerState(np.ones(18), 9)  # unnormalized
     with pytest.raises(ValueError):
-        WalkerState(np.zeros(17), 9, 4)  # wrong length
+        WalkerState(np.zeros(17), 9)  # wrong length
     with pytest.raises(ValueError):
         WalkerState.from_position(6, "down", 9)  # off lattice
