@@ -136,6 +136,13 @@ def _grid_triple(check, section, name, triple):
     return np.linspace(float(start), float(stop), int(count))
 
 
+def _holds_angle(lo, hi, angle):
+    """Whether [lo, hi] holds ``angle`` modulo 2 (units of pi), up to rounding."""
+    slack = 1e-12  # an angle on an edge may round to just outside it
+    offset = (angle - lo) % 2.0  # lo + offset is the first image of angle from lo up
+    return offset <= hi - lo + slack or offset >= 2.0 - slack
+
+
 def _walk_params(check, doc, default_lattice, require_theta02=True):
     walk = doc.get("walk")
     if not isinstance(walk, dict):
@@ -268,6 +275,14 @@ def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
                 elif not lo < hi:
                     check.fail("estimation.prior_over_pi", "lo must be < hi")
                     lo = hi = None
+                elif cfg.walk is not None:
+                    t02 = float(doc["walk"]["theta02_over_pi"])
+                    if not _holds_angle(lo, hi, t02):
+                        # the posterior would pile up at the grid edge, silently
+                        check.fail(
+                            "estimation.prior_over_pi",
+                            f"[{lo}, {hi}] leaves out walk.theta02_over_pi = {t02} (modulo 2)",
+                        )
             grid_points = check.number(section, "estimation.grid_points", default=201, minimum=11, integer=True)
             trials = check.number(section, "estimation.trials", default=1000, minimum=1, integer=True)
             repetitions = check.number(section, "estimation.repetitions", default=1, minimum=1, integer=True)

@@ -9,10 +9,11 @@ numpy's SeedSequence spawn keys, so realizations are order-independent.
 
 ``ensemble_fisher`` walks all R realizations as one batch through
 ``walk.propagate``: static disorder as one (R, N) coin field, dynamic
-disorder as one (R, N) field per step, row r holding realization r's angles
-of that step, drawn as the walk reaches the step (so the run holds O(R N)
-angles, not O(R T N)).  Each row's FI equals that realization's own serial
-walk bit for bit, and the mean and std reduce the rows in realization order.
+disorder as one (R, N) field per step, row r holding realization r's angle
+pair of that step, drawn from its stream as the walk reaches the step (so
+the run holds O(R N) angles, not O(R T N)).  Each row's FI equals that
+realization's own serial walk bit for bit, and the mean and std reduce the
+rows in realization order.
 """
 
 import itertools
@@ -85,14 +86,27 @@ def sample_disorder(spec: DisorderSpec, base: WalkParams, realization_index: int
 
 def _dynamic_fields(spec: DisorderSpec, base: WalkParams, rng: np.random.Generator):
     """One dynamic realization's per-step fields, drawn a step at a time, endlessly."""
-    n = base.lattice_size
-    w = spec.half_width
     while True:
-        t1 = rng.uniform(base.theta1 - w, base.theta1 + w)
-        t2 = rng.uniform(base.theta2 - w, base.theta2 + w)
-        a2 = np.full(n, t2)
-        a2[base.defect_index] = base.theta02
-        yield CoinField(np.full(n, t1), a2)
+        yield _uniform_field(base, *_draw_step(spec, base, rng))
+
+
+def _draw_step(spec: DisorderSpec, base: WalkParams, rng: np.random.Generator):
+    """One dynamic step's (theta1, theta2) from one realization's stream."""
+    w = spec.half_width
+    t1 = rng.uniform(base.theta1 - w, base.theta1 + w)
+    t2 = rng.uniform(base.theta2 - w, base.theta2 + w)
+    return t1, t2
+
+
+def _uniform_field(base: WalkParams, theta1, theta2) -> CoinField:
+    """Every site at (theta1, theta2) but the defect's theta02; (B,) angles give B rows."""
+    shape = np.shape(theta1) + (base.lattice_size,)
+    a1 = np.empty(shape)
+    a2 = np.empty(shape)
+    a1[...] = np.asarray(theta1)[..., np.newaxis]
+    a2[...] = np.asarray(theta2)[..., np.newaxis]
+    a2[..., base.defect_index] = base.theta02
+    return CoinField(a1, a2)
 
 
 def _ensemble_fields(spec: DisorderSpec, base: WalkParams, steps: int):
@@ -103,8 +117,12 @@ def _ensemble_fields(spec: DisorderSpec, base: WalkParams, steps: int):
     realizations = range(spec.n_realizations)
     if spec.kind == STATIC:
         return CoinField.stack([sample_disorder(spec, base, r) for r in realizations])
-    streams = [_dynamic_fields(spec, base, _realization_rng(spec, r)) for r in realizations]
-    return (CoinField.stack([next(s) for s in streams]) for _ in range(steps))
+    # each realization's stream draws its steps in the order sample_disorder does
+    rngs = [_realization_rng(spec, r) for r in realizations]
+    return (
+        _uniform_field(base, *np.array([_draw_step(spec, base, rng) for rng in rngs]).T)
+        for _ in range(steps)
+    )
 
 
 def ensemble_fisher(

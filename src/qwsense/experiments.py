@@ -6,6 +6,7 @@ last) so that identical configs reproduce byte-identical data files.
 """
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -17,6 +18,9 @@ from .config import ExperimentConfig
 from .walk import CoinField, default_initial_state
 
 PI = math.pi
+
+# the dense spectrum's bits depend on the BLAS thread count these set
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -259,8 +263,9 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     Data CSVs are always written; JSON sidecars and SVG plots follow the
     config's format list.  SVGs are rendered from the already-written CSVs,
     never from in-memory data.  The manifest (with content hashes of every
-    emitted file) is written last.  ``threads`` reaches only the disorder
-    msre ensemble; every other experiment runs serially.
+    emitted file) is written last; it also records the BLAS thread settings
+    found in the environment (None where unset).  ``threads`` reaches only
+    the disorder msre ensemble; every other experiment runs serially.
     """
     start = time.perf_counter()
     out_dir = Path(out_dir)
@@ -288,6 +293,7 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
         "config": cfg.raw,
         "effective_seed": cfg.seed,
         "rng": {"generator": bayes.RNG_NAME, "seed": cfg.seed},
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         "duration_seconds": time.perf_counter() - start,
         "schemas": {name: list(header) for name, (header, _) in art.csv.items()},
         "files": [

@@ -12,13 +12,17 @@ batched candidate walk in ``bayes`` redoes the defect coin from the same two.
 
 ``BACKEND`` names the step body, for run records.
 
-Layout contract: a state is a complex128 array of shape (N, 2) with the
-coin pair (up, down) contiguous per site; site index i maps to physical
+Layout contract: a state is a float64 or complex128 array of shape (N, 2)
+with the coin pair (up, down) contiguous per site (``walk.propagate`` steps
+float64 for a real start state, complex128 otherwise, and the candidate
+walks in ``bayes`` are float64); site index i maps to physical
 position x = i - (N - 1) // 2.  Coin tables are the per-site half-angle
 cosines/sines of the two coin layers.  The kernels also take a batch of B
 walks, shape (B, N, 2), with either one (N,) table set shared by every walk
 or (B, N) tables, one row per walk; tables are always indexed on their last
-axis.  Every coin and shift is real, so a real (float64) stack stays real.
+axis.  Every coin and shift is real, so a real (float64) stack stays real,
+and its values are the real parts of the same complex stack's, bit for bit
+(up to the sign of zero).
 
 The ring is periodic, so a kernel call on a contiguous window of rows wraps
 within the window.  That is exact when the window's first and last rows hold

@@ -16,9 +16,15 @@ They obey FI <= GFI <= QFI pointwise.  ``information_values`` computes any
 set of them in one pass over one walk, or over a batch of B walks when the
 coin fields carry (B, N) angles (a disorder ensemble, a theta1 sweep); the
 observers reduce over the last axes only, so each walk's values are those
-of its own serial pass.  They read the full-size buffers ``propagate``
-yields, so a reduction's summation order does not depend on the light-cone
-window.  ``fisher_at_defect``, ``global_fisher`` and ``quantum_fisher`` are
+of its own serial pass.  GFI and QFI compute their per-site products on
+``walk.light_cone``'s window only, where the state and derivative can be
+non-zero, and scatter them into full-size rows that are zero elsewhere; each
+sum then runs over the whole row, so its pairwise partition, and with it
+every bit, does not depend on the window.  The buffers are real for the real
+start state (``walk`` module docstring); the products are then the real
+parts of the complex ones, and QFI's overlap <dpsi|psi> is still summed as a
+complex row, whose pairwise partition differs from a real row's.
+``fisher_at_defect``, ``global_fisher`` and ``quantum_fisher`` are
 single-walk, single-measure wrappers.  Power-law growth FI ~ t^b is
 extracted by least squares in log-log coordinates; b = 2 is the Heisenberg
 limit, b = 1 the shot-noise limit.
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import WalkParams, WalkerState, propagate
+from .walk import WalkParams, WalkerState, light_cone, propagate
 
 P_FLOOR = 1e-12
 
@@ -75,15 +81,18 @@ class ScalingFit:
 
 
 def pair_trajectory(params: WalkParams, initial: WalkerState, steps: int, coin_fields, observe):
-    """Stacked ``observe(psi_t, dpsi_t)`` for t = 0..steps over one streamed walk.
+    """Stacked ``observe(psi_t, dpsi_t, rows_t)`` for t = 0..steps over one streamed walk.
 
     ``observe`` gets the (N, 2) state and theta02-derivative buffers of each
-    step; they are reused, so it must return a reduction, not the buffers.
+    step, which are zero outside the light-cone rows ``rows_t``; they are
+    reused, so it must return a reduction, not the buffers.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     pairs = propagate(params, initial, steps, coin_fields, derivative=True)
-    return np.array([observe(psi, dpsi) for psi, dpsi in pairs])
+    return np.array([
+        observe(psi, dpsi, rows) for (psi, dpsi), rows in zip(pairs, light_cone(params, initial))
+    ])
 
 
 def binary_fisher(p0, dp0):
@@ -116,25 +125,43 @@ def information_values(
     if unknown:
         raise ValueError(f"unknown information measures {sorted(unknown)}; expected {MEASURES}")
     defect = params.defect_index
+    n = params.lattice_size
+    full_rows = {}  # the zeroed full-size rows the windowed products scatter into
 
-    def observe(psi, dpsi):
+    def row_sum(key, cells, products, cell_count, dtype=np.float64):
+        """Sum of a full row of ``cell_count`` cells: ``products`` at ``cells``, zero elsewhere.
+
+        Windows only widen, so a row's cells outside today's window are
+        still the zeros it was made with.
+        """
+        row = full_rows.get(key)
+        if row is None:
+            row = full_rows[key] = np.zeros(products.shape[:-1] + (cell_count,), dtype)
+        row[..., cells] = products
+        return row.sum(axis=-1)
+
+    def observe(psi, dpsi, rows):
         terms = []
         if DEFECT_SITE_FI in kinds:
             here, dhere = psi[..., defect, :], dpsi[..., defect, :]
             terms.append((np.abs(here) ** 2).sum(axis=-1))
             terms.append(2.0 * np.real(np.conj(here) * dhere).sum(axis=-1))
+        psi, dpsi = psi[..., rows, :], dpsi[..., rows, :]
         if GLOBAL_FI in kinds:
             probs = (np.abs(psi) ** 2).sum(axis=-1)
             dprobs = 2.0 * np.real(np.conj(psi) * dpsi).sum(axis=-1)
             usable = probs >= P_FLOOR
-            terms.append(
-                np.where(usable, dprobs**2 / np.where(usable, probs, 1.0), 0.0).sum(axis=-1)
-            )
+            terms.append(row_sum(
+                GLOBAL_FI, rows,
+                np.where(usable, dprobs**2 / np.where(usable, probs, 1.0), 0.0), n,
+            ))
         if QUANTUM_FI in kinds:
             flat = psi.reshape(psi.shape[:-2] + (-1,))
             dflat = dpsi.reshape(flat.shape)
-            overlap = (np.conj(dflat) * flat).sum(axis=-1)
-            terms.append(4.0 * ((np.abs(dflat) ** 2).sum(axis=-1) - np.abs(overlap) ** 2))
+            cells = slice(2 * rows.start, 2 * rows.stop)
+            norm = row_sum("norm", cells, np.abs(dflat) ** 2, 2 * n)
+            overlap = row_sum("overlap", cells, np.conj(dflat) * flat, 2 * n, np.complex128)
+            terms.append(4.0 * (norm - np.abs(overlap) ** 2))
         return terms
 
     terms = iter(pair_trajectory(params, initial, steps, coin_fields, observe).swapaxes(0, 1))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import schur
 
 from . import kernels
 from .errors import CapacityError, NumericalError
@@ -73,6 +72,9 @@ def decompose_step_operator(params: WalkParams) -> SpectralDecomposition:
     n = params.lattice_size
     if n > DENSE_SOLVER_CAP:
         raise CapacityError(f"lattice size {n} exceeds dense solver cap {DENSE_SOLVER_CAP}")
+    # imported on first use: importing scipy takes longer than most runs that factor nothing
+    from scipy.linalg import schur
+
     mat = build_step_matrix(CoinField.from_params(params))
     t_mat, q_mat = schur(mat, output="complex")
     eigenvalues = np.diag(t_mat).copy()

@@ -15,12 +15,18 @@ series consume it; a single step is ``propagate(params, state, 1, coins)``.
 
 Light-cone window: one step moves amplitude by at most one site, so after t
 steps the walk is zero outside the initial support widened by t sites per
-side.  ``propagate`` steps only that window plus one zero row per side (the
-kernel's periodic wrap then reads zeros, as the ring does), widening it a
-site per side per step until it no longer fits in the ring; rows outside
-the window are never written and stay exact zeros.  The yielded buffers
-equal the full-ring walk's bit for bit (up to the sign of zero), so every
-reduction over them reads the same numbers.
+side.  ``light_cone`` gives, for each t, that support and the defect plus
+one zero row per side, widened a site per side per step until it no longer
+fits in the ring (then the whole ring).  ``propagate`` takes step t on
+window t (the kernel's periodic wrap then reads zeros, as the ring does),
+so rows outside the window are never written and stay exact zeros; the
+Fisher observers reduce on the same windows.  The yielded buffers equal the
+full-ring walk's bit for bit (up to the sign of zero).
+
+Buffer dtype: every coin and shift is real, so a start state with no
+imaginary part stays real.  ``propagate`` then steps float64 buffers, whose
+values are the real parts of the complex walk's, bit for bit; a complex
+start steps complex128.  ``evolve`` and ``WalkerState`` stay complex.
 
 Batch axis: a CoinField with (B, N) angles describes B walks, one per row.
 ``propagate`` walks all B from the same initial state at once, through
@@ -207,7 +213,9 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
     """Stream psi_t for t = 0..steps, or (psi_t, dpsi_t) with ``derivative``.
 
     Yields full-size buffers that the next step overwrites: read them, copy
-    what must outlive the iteration, never write to them.  ``coin_fields``
+    what must outlive the iteration, never write to them.  They are float64
+    when ``initial`` has no imaginary part, complex128 otherwise (module
+    docstring), and zero outside ``light_cone``'s window t.  ``coin_fields``
     is None (the clean walk of ``params``), one CoinField for every step,
     or per-step fields as in ``per_step_fields``; an iterator of them is
     read a step at a time, so a run need not hold all its fields.  Fields
@@ -230,22 +238,20 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
     head = next(fields) if steps else None
     batch = head.angles1.shape[:-1] if steps else ()
     defect = params.defect_index
-    # the window at step t is rows [first - t, stop + t): the initial support
-    # and the defect, plus one zero row per side
-    occupied = np.flatnonzero(initial.grid().any(axis=1))
-    first = min(occupied[0], defect) - 1
-    stop = max(occupied[-1], defect) + 2
+    grid = initial.grid()
+    real = not grid.imag.any()
     # ping-pong buffers must not alias the caller's state, and start all zero:
     # a windowed step leaves the rows outside its window as they are
-    current = np.zeros(batch + (n, 2), dtype=np.complex128)
-    current[...] = initial.grid()
+    current = np.zeros(batch + (n, 2), dtype=np.float64 if real else np.complex128)
+    current[...] = grid.real if real else grid
     scratch = np.zeros_like(current)
     dcurrent = np.zeros_like(current) if derivative else None
     dscratch = np.zeros_like(current) if derivative else None
     yield (current, dcurrent) if derivative else current
     prev_field = None
     tables = None
-    for t, field in enumerate(itertools.chain([head], fields) if steps else ()):
+    for rows, field in zip(light_cone(params, initial),
+                           itertools.chain([head], fields) if steps else ()):
         if field is not prev_field:
             if field.lattice_size != n:
                 raise ValueError(
@@ -258,8 +264,6 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
                 )
             tables = field.half_angle_tables()
             prev_field = field
-        lo, hi = first - t, stop + t
-        rows = slice(lo, hi) if lo >= 0 and hi <= n else slice(0, n)
         window = [table[..., rows] for table in tables]
         psi, out = current[..., rows, :], scratch[..., rows, :]
         if derivative:
@@ -270,6 +274,24 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
             kernels.split_step(psi, *window, out)
         current, scratch = scratch, current
         yield (current, dcurrent) if derivative else current
+
+
+def light_cone(params: WalkParams, initial: WalkerState):
+    """Rows of the light-cone window t, for t = 0, 1, ...: one slice each, endlessly.
+
+    Window t holds the support of psi_t and dpsi_t from ``initial``: the
+    initial support and the defect, widened by t sites plus one zero row per
+    side.  It also holds psi_{t+1}, so ``propagate`` takes step t on it.  A
+    window that no longer fits in the ring is the whole ring, slice(0, N).
+    """
+    n = params.lattice_size
+    defect = params.defect_index
+    occupied = np.flatnonzero(initial.grid().any(axis=1))
+    first = min(occupied[0], defect) - 1
+    stop = max(occupied[-1], defect) + 2
+    for t in itertools.count():
+        lo, hi = first - t, stop + t
+        yield slice(lo, hi) if lo >= 0 and hi <= n else slice(0, n)
 
 
 def evolve(params: WalkParams, initial: WalkerState, steps: int) -> list[WalkerState]:

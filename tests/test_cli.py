@@ -40,17 +40,47 @@ def test_validate_accepts_good_config(tmp_path, capsys):
     assert "config ok" in capsys.readouterr().out
 
 
-def test_module_entry_point_runs_the_cli():
-    repo = Path(__file__).resolve().parents[1]
+REPO = Path(__file__).resolve().parents[1]
+FI_SCALING_PRESET = str(REPO / "configs" / "fi_scaling_nontrivial.json")
+
+
+def run_python(*args):
+    """A fresh interpreter that imports this qwsense, run to completion."""
     package_root = str(Path(qwsense.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "qwsense", "validate",
-         "--config", str(repo / "configs" / "fi_scaling_nontrivial.json")],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-    )
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+
+
+def test_module_entry_point_runs_the_cli():
+    done = run_python("-m", "qwsense", "validate", "--config", FI_SCALING_PRESET)
     assert done.returncode == 0, done.stderr
     assert "config ok" in done.stdout
+
+
+SCIPY_PROBE = """
+import runpy, sys
+def scipy_loaded():
+    return any(name.partition(".")[0] == "scipy" for name in sys.modules)
+import qwsense
+print("import", scipy_loaded())
+sys.argv = ["qwsense", "validate", "--config", sys.argv[1]]
+try:
+    runpy.run_module("qwsense", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    print("exit", done.code)
+print("validate", scipy_loaded())
+"""
+
+
+def test_cold_start_leaves_scipy_unimported():
+    # only the dense spectrum factors a matrix; every other run skips scipy's import
+    done = run_python("-c", SCIPY_PROBE, FI_SCALING_PRESET)
+    assert done.returncode == 0, done.stderr
+    first, checked, *last = done.stdout.splitlines()
+    assert first == "import False"
+    assert checked.startswith("config ok")
+    assert last == ["exit 0", "validate False"]
 
 
 def test_validate_reports_every_violation(tmp_path, capsys):
@@ -100,6 +130,27 @@ def test_validate_rejects_non_finite_values(tmp_path, capsys):
     for field_name, doc in docs.items():
         assert cli.main(["validate", "--config", write_config(tmp_path, doc)]) == 2, field_name
         assert field_name in capsys.readouterr().err
+
+
+def test_validate_rejects_prior_that_leaves_out_theta02(tmp_path, capsys):
+    def bayes(theta02, prior, experiment="bayes"):
+        doc = {"experiment": experiment, "steps": 30,
+               "walk": {**WALK, "theta02_over_pi": theta02},
+               "estimation": {"prior_over_pi": prior}}
+        if experiment == "disorder":
+            doc["disorder"] = {"kind": "static", "observable": "msre"}
+        return cli.main(["validate", "--config", write_config(tmp_path, doc)])
+
+    assert bayes(-0.55, [-0.5, -0.4]) == 2
+    assert "estimation.prior_over_pi" in capsys.readouterr().err
+    assert bayes(-0.55, [-0.7, -0.56], "disorder") == 2
+    assert "estimation.prior_over_pi" in capsys.readouterr().err
+    # inside, on either edge, and across +-pi (angles hold modulo 2 pi)
+    for theta02, prior in ((-0.55, [-0.556, -0.544]), (-0.556, [-0.556, -0.544]),
+                           (-0.544, [-0.556, -0.544]), (-0.98, [0.95, 1.05]),
+                           (1.0, [-1.02, -0.98]), (0.99, [-1.05, -0.95])):
+        assert bayes(theta02, prior) == 0, (theta02, prior)
+    assert bayes(-0.9, [0.95, 1.05]) == 2
 
 
 def test_validate_unknown_experiment(tmp_path, capsys):
@@ -355,6 +406,20 @@ def test_manifest_lists_each_file_with_hash(tmp_path):
     for entry in payload["files"]:
         assert len(entry["sha256"]) == 64
         assert (out / entry["name"]).exists()
+
+
+def test_manifest_records_blas_thread_settings(tmp_path, monkeypatch):
+    # spectrum.csv bits depend on the BLAS thread count, so runs must tell it apart
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = write_config(tmp_path, {"experiment": "fi-scaling", "steps": 20, "walk": WALK})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "manifest.json").read_text())
+    assert payload["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None,
+    }
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

@@ -29,7 +29,13 @@ from qwsense.metrology import (
     power_law_fit,
     quantum_fisher,
 )
-from qwsense.walk import CoinField, WalkParams, default_initial_state, per_step_fields
+from qwsense.walk import (
+    CoinField,
+    WalkerState,
+    WalkParams,
+    default_initial_state,
+    per_step_fields,
+)
 
 PI = math.pi
 
@@ -146,10 +152,9 @@ def test_fi_matches_probability_finite_differences():
 
 
 def stored_trajectory(params, initial, steps, coin_fields=None):
-    """Reference: every state and derivative kept as (T+1, N, 2) arrays."""
-    n = params.lattice_size
+    """Reference: the complex128 walk on the whole ring, kept as (T+1, [B,] N, 2) arrays."""
     fields = per_step_fields(params, steps, coin_fields)
-    states = np.zeros((steps + 1, n, 2), dtype=np.complex128)
+    states = np.zeros((steps + 1,) + fields[0].angles1.shape + (2,), dtype=np.complex128)
     dstates = np.zeros_like(states)
     states[0] = initial.grid()
     for t, field in enumerate(fields):
@@ -160,25 +165,28 @@ def stored_trajectory(params, initial, steps, coin_fields=None):
     return states, dstates
 
 
+def full_ring_observe(psi, dpsi, defect):
+    """Reference: P0, dP0, GFI and QFI of complex (..., N, 2) pairs, reduced over the ring."""
+    here, dhere = psi[..., defect, :], dpsi[..., defect, :]
+    p0 = (np.abs(here) ** 2).sum(axis=-1)
+    dp0 = 2.0 * np.real(np.conj(here) * dhere).sum(axis=-1)
+    probs = (np.abs(psi) ** 2).sum(axis=-1)
+    dprobs = 2.0 * np.real(np.conj(psi) * dpsi).sum(axis=-1)
+    usable = probs >= P_FLOOR
+    gfi = np.where(usable, dprobs**2 / np.where(usable, probs, 1.0), 0.0).sum(axis=-1)
+    flat = psi.reshape(psi.shape[:-2] + (-1,))
+    dflat = dpsi.reshape(flat.shape)
+    overlap = (np.conj(dflat) * flat).sum(axis=-1)
+    qfi = 4.0 * ((np.abs(dflat) ** 2).sum(axis=-1) - np.abs(overlap) ** 2)
+    return p0, dp0, gfi, qfi
+
+
 def stored_fisher_values(params, initial, steps, coin_fields=None):
     """FI, GFI and QFI reduced from the stored trajectory in whole-array passes."""
     states, dstates = stored_trajectory(params, initial, steps, coin_fields)
-    defect = params.defect_index
-    p0 = (np.abs(states[:, defect, :]) ** 2).sum(axis=1)
-    dp0 = 2.0 * np.real(np.conj(states[:, defect, :]) * dstates[:, defect, :]).sum(axis=1)
+    p0, dp0, gfi, qfi = full_ring_observe(states, dstates, params.defect_index)
     fi, _ = binary_fisher(p0, dp0)
-
-    probs = (np.abs(states) ** 2).sum(axis=2)
-    dprobs = 2.0 * np.real(np.conj(states) * dstates).sum(axis=2)
-    contrib = np.where(probs >= P_FLOOR, dprobs**2 / np.where(probs >= P_FLOOR, probs, 1.0), 0.0)
-    gfi = contrib.sum(axis=1)
-
-    flat = states.reshape(states.shape[0], -1)
-    dflat = dstates.reshape(dstates.shape[0], -1)
-    dd = (np.abs(dflat) ** 2).sum(axis=1)
-    overlap = (np.conj(dflat) * flat).sum(axis=1)
-    qfi = np.maximum(4.0 * (dd - np.abs(overlap) ** 2), 0.0)
-    return fi, gfi, qfi
+    return fi, gfi, np.maximum(qfi, 0.0)
 
 
 def _static(p, steps):
@@ -218,6 +226,34 @@ def test_one_pass_measures_equal_separate_series(disorder):
     assert np.array_equal(one_pass[DEFECT_SITE_FI].values, fi)
     assert np.array_equal(one_pass[GLOBAL_FI].values, gfi)
     assert np.array_equal(one_pass[QUANTUM_FI].values, qfi)
+
+
+def _batched(p, steps):
+    spec = DisorderSpec(DYNAMIC, 0.1 * PI, 3, 6)
+    return [CoinField.stack(step)
+            for step in zip(*(sample_disorder(spec, p, r, steps) for r in range(3)))]
+
+
+def _phased_start(n):
+    amps = default_initial_state(n).amplitudes
+    amps = amps + np.exp(0.3j) * WalkerState.from_position(2, "up", n).amplitudes
+    return WalkerState(amps / math.sqrt(2.0), n)
+
+
+@pytest.mark.parametrize("start", [default_initial_state, _phased_start])
+@pytest.mark.parametrize("disorder", [None, _static, _dynamic, _batched])
+@pytest.mark.parametrize("n", [83, 25])  # 25 sites: the window is the whole ring within 12 steps
+def test_windowed_measures_equal_full_ring_complex_reduction(start, disorder, n):
+    steps = 40
+    p, init = params(*NONTRIVIAL, n), start(n)
+    fields = disorder(p, steps) if disorder else None
+    states, dstates = stored_trajectory(p, init, steps, fields)
+    p0, dp0, gfi, qfi = full_ring_observe(states, dstates, p.defect_index)
+    measures = information_values(p, init, steps, MEASURES, fields)
+    assert np.array_equal(measures[DEFECT_SITE_FI][0], binary_fisher(p0, dp0)[0])
+    assert np.array_equal(measures[DEFECT_SITE_FI][1], binary_fisher(p0, dp0)[1])
+    assert np.array_equal(measures[GLOBAL_FI][0], gfi)
+    assert np.array_equal(measures[QUANTUM_FI][0], np.maximum(qfi, 0.0))
 
 
 def test_information_values_reject_unknown_measures():

@@ -424,6 +424,33 @@ def test_windowed_walk_equals_full_ring_walk_under_disorder():
         _assert_walks_equal(params, initial, steps, fields)
 
 
+def superposition(n):
+    """A start state with a complex amplitude: (|-1, down> + i |1, up>) / sqrt(2)."""
+    amps = default_initial_state(n).amplitudes
+    amps = amps + 1j * WalkerState.from_position(1, "up", n).amplitudes
+    return WalkerState(amps / math.sqrt(2.0), n)
+
+
+@pytest.mark.parametrize("start, dtype", [("real", np.float64), ("complex", np.complex128)])
+@pytest.mark.parametrize("n", [51, 15])  # 15 sites: the cone covers the ring and the walk wraps
+def test_real_start_steps_real_buffers(start, dtype, n):
+    params = nontrivial(n)
+    initial = default_initial_state(n) if start == "real" else superposition(n)
+    steps = 24
+    reference = list(full_ring_walk(params, initial, steps))
+    for derivative in (True, False):
+        walk = propagate(params, initial, steps, derivative=derivative)
+        for got, (ref, dref) in zip(walk, reference, strict=True):
+            psi, dpsi = got if derivative else (got, None)
+            assert psi.dtype == dtype
+            assert np.array_equal(psi, ref)
+            if derivative:
+                assert dpsi.dtype == dtype
+                assert np.array_equal(dpsi, dref)
+    # evolve keeps complex states whatever the buffers
+    assert all(s.amplitudes.dtype == np.complex128 for s in evolve(params, initial, 3))
+
+
 def test_iterator_of_fields_walks_like_the_list():
     n, steps = 31, 20
     params = nontrivial(n)
