@@ -18,7 +18,6 @@ from .bayes import (
     informative_schedule,
     msre,
     posterior,
-    simulate_trials,
 )
 from .disorder import DisorderSpec, EnsembleResult, ensemble_fisher, ensemble_msre, sample_disorder
 from .kernels import BACKEND
@@ -83,6 +82,5 @@ __all__ = [
     "posterior",
     "quantum_fisher",
     "sample_disorder",
-    "simulate_trials",
     "winding_number",
 ]

@@ -2,12 +2,15 @@
 
 An experiment at step count t repeats the walk M times and records how often
 the walker is detected at the defect; the count is binomial in the true
-arrival probability P0(t).  The posterior over a uniform grid of candidate
-theta02 values multiplies the binomial likelihood (computed from the clean
-defect-only walk model) by the flat prior and normalizes in log space.
-The mean squared relative error (posterior variance plus squared bias,
-normalized by theta02^2) is the figure of merit and should fall as t^-2 at
-the Heisenberg limit.
+arrival probability P0(t).  Every estimate reads one candidate table,
+P0(t; theta02) over the scheduled steps and a uniform grid of candidate
+theta02 values, built once by ``candidate_probability_table``;
+``informative_schedule``, ``posterior`` and ``estimation_curve`` take that
+table as input and never walk.  The posterior multiplies the binomial
+likelihood by the flat prior and normalizes in log space.  The mean squared
+relative error (posterior variance plus squared bias, normalized by
+theta02^2) is the figure of merit and should fall as t^-2 at the Heisenberg
+limit.
 """
 
 import math
@@ -170,41 +173,29 @@ def candidate_probability_table(
     return probs[schedule]
 
 
-def informative_schedule(
-    params_template: WalkParams,
-    prior_interval,
-    t_min: int,
-    t_max: int,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    table: np.ndarray | None = None,
-) -> tuple[int, ...]:
+def informative_schedule(table: np.ndarray, t_min: int) -> tuple[int, ...]:
     """Measurement times at which a single-shot experiment identifies theta02.
 
-    The defect-site probability responds to theta02 through a phase that
-    winds with t, so at many step counts the response over the prior window
-    is flat or folds back on itself and the posterior degenerates (flat or
-    multimodal).  This selector splits [t_min, t_max] into SCHEDULE_POINTS blocks
-    and picks, per block, the step with the least fold ambiguity (monotone
-    responses win outright), widest response span breaking ties.  It uses
-    only the walk model over the prior, never measurement data, so it is
-    ordinary Bayesian experiment design.  ``table`` may carry the precomputed
-    candidate_probability_table over t_min..t_max and the prior grid to skip
-    the walks.
+    ``table`` is candidate_probability_table over the prior grid and the
+    steps t_min, t_min + 1, ..., one row per step, at least two rows.  The
+    defect-site probability responds to theta02 through a phase that winds
+    with t, so at many step counts the response over the prior window is flat
+    or folds back on itself and the posterior degenerates (flat or
+    multimodal).  This selector splits the table's steps into
+    SCHEDULE_POINTS blocks and picks, per block, the step with the least fold
+    ambiguity (monotone responses win outright), widest response span
+    breaking ties.  It uses only the walk model over the prior, never
+    measurement data, so it is ordinary Bayesian experiment design.
     """
-    lo, hi = prior_interval
-    if not lo < hi:
-        raise ValueError(f"prior interval must satisfy lo < hi, got ({lo}, {hi})")
-    if not 1 <= t_min < t_max:
-        raise ValueError(f"need 1 <= t_min < t_max, got ({t_min}, {t_max})")
-    steps = list(range(t_min, t_max + 1))
-    if table is None:
-        candidates = np.linspace(lo, hi, grid_points)
-        table = candidate_probability_table(params_template, candidates, steps)
-    if table.shape != (len(steps), grid_points):
-        raise ValueError("table must have one row per step and one column per grid point")
+    if t_min < 1 or np.ndim(table) != 2 or len(table) < 2:
+        raise ValueError(
+            f"need t_min >= 1 and a 2-D table of at least two step rows, got t_min={t_min}"
+            f" and shape {np.shape(table)}"
+        )
+    steps = list(range(t_min, t_min + len(table)))
     span = table.max(axis=1) - table.min(axis=1)
     penalty = np.array([_fold_ambiguity(col) for col in table])
-    edges = np.linspace(t_min, t_max + 1, SCHEDULE_POINTS + 1)
+    edges = np.linspace(t_min, steps[-1] + 1, SCHEDULE_POINTS + 1)
     schedule = []
     for b in range(SCHEDULE_POINTS):
         block = [i for i, t in enumerate(steps) if edges[b] <= t < edges[b + 1]]
@@ -238,18 +229,6 @@ def _fold_ambiguity(col):
     return max(0.0, float(shared / full))
 
 
-def simulate_trials(
-    params: WalkParams, t: int, trials: int, rng_seed, coin_fields=None
-) -> int:
-    """Draw the defect-site click count: Binomial(trials, P0(t)), seeded."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    initial = default_initial_state(params.lattice_size)
-    p0 = defect_probability_series(params, initial, t, coin_fields)[t]
-    rng = np.random.default_rng(rng_seed)
-    return int(rng.binomial(trials, min(max(p0, 0.0), 1.0)))
-
-
 def _log_likelihood(probs: np.ndarray, successes: int, trials: int) -> np.ndarray:
     """Binomial log-likelihood per candidate; impossible candidates get -inf.
 
@@ -269,33 +248,21 @@ def _log_likelihood(probs: np.ndarray, successes: int, trials: int) -> np.ndarra
 
 
 def posterior(
-    prior_interval,
-    grid_points: int,
-    t: int,
-    trials: int,
-    successes: int,
-    params_template: WalkParams,
-    probabilities: np.ndarray | None = None,
+    candidates: np.ndarray, probabilities: np.ndarray, trials: int, successes: int
 ) -> PosteriorGrid:
     """Grid posterior over candidate theta02 values after one experiment.
 
-    ``probabilities`` may carry precomputed P0(t; candidate) values (from
-    candidate_probability_table) to skip the walks.  ``trials`` = 0 is
-    allowed and returns the flat prior.
+    ``probabilities`` holds P0(t; candidate) for each candidate, one row of
+    candidate_probability_table.  ``trials`` = 0 is allowed and returns the
+    flat prior.
     """
-    lo, hi = prior_interval
-    if not lo < hi:
-        raise ValueError(f"prior interval must satisfy lo < hi, got ({lo}, {hi})")
-    if grid_points < 11:
-        raise ValueError(f"grid_points must be >= 11, got {grid_points}")
+    if len(candidates) < 11:
+        raise ValueError(f"need at least 11 candidates, got {len(candidates)}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside 0..{trials}")
-    candidates = np.linspace(lo, hi, grid_points)
-    if probabilities is None:
-        probabilities = candidate_probability_table(params_template, candidates, [t])[0]
     probabilities = np.asarray(probabilities, dtype=np.float64)
-    if probabilities.shape != candidates.shape:
-        raise ValueError("probabilities length must match grid_points")
+    if probabilities.shape != np.shape(candidates):
+        raise ValueError("probabilities must hold one value per candidate")
     log_w = _log_likelihood(probabilities, successes, trials)  # + constant log-prior
     peak = log_w.max()
     if not np.isfinite(peak):
@@ -322,9 +289,9 @@ def record_seed(
 
 def estimation_curve(
     config: EstimationConfig,
+    candidate_table: np.ndarray,
     data_coin_fields=None,
     seed_prefix: tuple = (),
-    candidate_table: np.ndarray | None = None,
     keep_posteriors: bool = False,
 ) -> EstimationCurve:
     """Fresh M-trial experiments at each scheduled step; msre per record.
@@ -332,18 +299,15 @@ def estimation_curve(
     With ``repetitions`` > 1 the msre and the posterior std at each step
     are means over that many independent experiments (the reported
     successes come from the first).  Data are drawn from the true walk
-    (optionally disordered via ``data_coin_fields``); the likelihood uses
-    the clean defect-only model unless a precomputed ``candidate_table``
-    (one row per scheduled step, one column per grid point) says otherwise.
+    (optionally disordered via ``data_coin_fields``); the likelihood reads
+    ``candidate_table``, candidate_probability_table over the config's grid
+    and schedule (one row per scheduled step, one column per grid point),
+    built on whatever model the caller estimates with.
     """
     t_max = max(config.schedule)
     initial = default_initial_state(config.params.lattice_size)
     p_true = defect_probability_series(config.params, initial, t_max, data_coin_fields)
     candidates = config.candidates()
-    if candidate_table is None:
-        candidate_table = candidate_probability_table(
-            config.params, candidates, config.schedule
-        )
     if np.shape(candidate_table) != (len(config.schedule), config.grid_points):
         raise ValueError(
             "candidate_table must have one row per scheduled step and one column per grid point"
@@ -357,10 +321,7 @@ def estimation_curve(
         for rep in range(config.repetitions):
             rng = np.random.default_rng(record_seed(config, seed_prefix, rep, i))
             m = int(rng.binomial(config.trials, p_t))
-            grid = posterior(
-                config.prior_interval, config.grid_points, t, config.trials, m,
-                config.params, probabilities=candidate_table[i],
-            )
+            grid = posterior(candidates, candidate_table[i], config.trials, m)
             if rep == 0:
                 first_m = m
                 if grids is not None:

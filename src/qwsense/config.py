@@ -162,7 +162,13 @@ def _walk_params(check, doc, default_lattice, require_theta02=True):
 
 
 def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
-    """Validate a parsed config document; raises ConfigError listing every violation."""
+    """Validate a parsed config document; raises ConfigError listing every violation.
+
+    ``seed_override`` obeys the rule for ``seed``.  An fi-scaling fit window
+    must cover at least 5 of the steps 1..steps; that is necessary, not
+    sufficient: flagged or non-positive values, and ``peaks_only``, can still
+    leave the run's fit fewer than 5 points.
+    """
     check = _Check()
 
     experiment = doc.get("experiment")
@@ -172,7 +178,7 @@ def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
 
     seed = check.number(doc, "seed", default=0, minimum=0, integer=True)
     if seed_override is not None:
-        seed = int(seed_override)
+        seed = check.number({"seed": seed_override}, "seed", minimum=0, integer=True)
 
     out_dir = doc.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -207,6 +213,13 @@ def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
     t_max = check.number(fit, "fit.t_max", default=float(cfg.steps))
     if t_min is not None and t_max is not None:
         cfg.fit_window = (t_min, t_max)
+        covered = math.floor(min(t_max, cfg.steps)) - math.ceil(t_min) + 1
+        if experiment == "fi-scaling" and covered < 5:
+            check.fail(
+                "fit",
+                f"window [{t_min}, {t_max}] covers {max(covered, 0)} of the steps "
+                f"1..{cfg.steps}; the fit needs at least 5",
+            )
 
     if experiment == "phase-diagram":
         section = doc.get("phase_grid")
@@ -300,6 +313,11 @@ def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
                     schedule = None
                 else:
                     schedule = tuple(int(t) for t in schedule)
+            elif cfg.steps < 2:
+                # the model-selected schedule picks from steps t_min < t_max <= steps
+                check.fail(
+                    "steps", f"a run without estimation.schedule needs steps >= 2, got {cfg.steps}"
+                )
             if cfg.walk is not None and lo is not None and None not in (grid_points, trials, repetitions):
                 cfg.estimation = EstimationSettings(
                     prior_over_pi=(lo, hi),

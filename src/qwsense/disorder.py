@@ -16,7 +16,6 @@ realization's own serial walk bit for bit, and the mean and std reduce the
 rows in realization order.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,13 +80,7 @@ def sample_disorder(spec: DisorderSpec, base: WalkParams, realization_index: int
         return CoinField(a1, a2)
     if steps is None or steps < 1:
         raise ValueError("dynamic disorder requires a positive step count")
-    return list(itertools.islice(_dynamic_fields(spec, base, rng), steps))
-
-
-def _dynamic_fields(spec: DisorderSpec, base: WalkParams, rng: np.random.Generator):
-    """One dynamic realization's per-step fields, drawn a step at a time, endlessly."""
-    while True:
-        yield _uniform_field(base, *_draw_step(spec, base, rng))
+    return [_uniform_field(base, *_draw_step(spec, base, rng)) for _ in range(steps)]
 
 
 def _draw_step(spec: DisorderSpec, base: WalkParams, rng: np.random.Generator):
@@ -166,7 +159,7 @@ def ensemble_msre(
             config.params, config.candidates(), config.schedule, coin_fields=fields
         )
         curve = bayes.estimation_curve(
-            config, data_coin_fields=fields, seed_prefix=(index,), candidate_table=table
+            config, table, data_coin_fields=fields, seed_prefix=(index,)
         )
         return np.array([record.msre for record in curve.records])
 

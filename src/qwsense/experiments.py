@@ -169,24 +169,27 @@ def _run_spectrum(cfg: ExperimentConfig) -> Artifacts:
 def _estimation_config(
     cfg: ExperimentConfig,
 ) -> tuple[bayes.EstimationConfig, np.ndarray | None]:
-    """The estimation config and, for a model-selected schedule, its clean
-    candidate table (one row per scheduled step); None for a given schedule."""
+    """The estimation config and, for a bayes run, its clean candidate table
+    (one row per scheduled step); None for a disorder msre run, which walks
+    one table per realization."""
     settings = cfg.estimation
     lo, hi = settings.prior_over_pi
     prior = (lo * PI, hi * PI)
+    candidates = np.linspace(*prior, settings.grid_points)
     schedule = settings.schedule
     table = None
     if schedule is None:
         t_min = 20 if cfg.steps > 40 else max(1, cfg.steps // 5)
-        # the selector scores every step in t_min..steps; the estimation
-        # likelihood reuses the scheduled rows instead of walking again
-        table = bayes.candidate_probability_table(
-            cfg.walk, np.linspace(*prior, settings.grid_points), range(t_min, cfg.steps + 1)
+        # the selector scores every step in t_min..steps; the bayes likelihood
+        # reads the scheduled rows instead of walking again
+        selection = bayes.candidate_probability_table(
+            cfg.walk, candidates, range(t_min, cfg.steps + 1)
         )
-        schedule = bayes.informative_schedule(
-            cfg.walk, prior, t_min, cfg.steps, grid_points=settings.grid_points, table=table
-        )
-        table = table[[t - t_min for t in schedule]]
+        schedule = bayes.informative_schedule(selection, t_min)
+        if cfg.experiment == "bayes":
+            table = selection[[t - t_min for t in schedule]]
+    elif cfg.experiment == "bayes":
+        table = bayes.candidate_probability_table(cfg.walk, candidates, schedule)
     est = bayes.EstimationConfig(
         params=cfg.walk,
         prior_interval=prior,
@@ -201,7 +204,7 @@ def _estimation_config(
 
 def _run_bayes(cfg: ExperimentConfig) -> Artifacts:
     est, table = _estimation_config(cfg)
-    curve = bayes.estimation_curve(est, candidate_table=table, keep_posteriors=True)
+    curve = bayes.estimation_curve(est, table, keep_posteriors=True)
     est_rows = [(r.step, r.trials, r.successes, r.msre) for r in curve.records]
     post_rows = []
     for record, grid in zip(curve.records, curve.posteriors):

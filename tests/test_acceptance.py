@@ -154,12 +154,17 @@ def test_criterion_07_derivative_oracle():
 
 
 def test_criterion_08_bayesian_convergence():
-    schedule = bayes.informative_schedule(NONTRIVIAL, PRIOR, 20, STEPS)
+    candidates = np.linspace(*PRIOR, 201)
+    schedule = bayes.informative_schedule(
+        bayes.candidate_probability_table(NONTRIVIAL, candidates, range(20, STEPS + 1)), 20
+    )
     config = bayes.EstimationConfig(
         NONTRIVIAL, PRIOR, schedule, grid_points=201, trials=1000,
         master_seed=1, repetitions=100,
     )
-    curve = bayes.estimation_curve(config)
+    curve = bayes.estimation_curve(
+        config, bayes.candidate_probability_table(NONTRIVIAL, candidates, schedule)
+    )
     sigma_first = curve.records[0].posterior_std
     sigma_last = curve.records[-1].posterior_std
     slope = curve.fit.exponent
@@ -181,7 +186,7 @@ def test_criterion_09_cramer_rao_consistency(fi_nontrivial, initial):
     for rep in range(100):
         rng = np.random.default_rng(np.random.SeedSequence(123, spawn_key=(rep,)))
         m = int(rng.binomial(trials, p_true))
-        grid = bayes.posterior(PRIOR, 201, t, trials, m, NONTRIVIAL, probabilities=table)
+        grid = bayes.posterior(candidates, table, trials, m)
         errors.append(bayes.msre(grid, NONTRIVIAL.theta02))
     mean_msre = float(np.mean(errors))
     bound = (1.0 - 0.15) / (trials * fi_t * NONTRIVIAL.theta02**2)

@@ -17,7 +17,6 @@ from qwsense.bayes import (
     informative_schedule,
     msre,
     posterior,
-    simulate_trials,
 )
 from qwsense.disorder import DisorderSpec, sample_disorder
 from qwsense.walk import (
@@ -38,6 +37,11 @@ def nontrivial(n=203):
     return WalkParams(0.9 * PI, 0.75 * PI, -0.55 * PI, n)
 
 
+def clean_table(config):
+    """The clean candidate table over ``config``'s grid and schedule."""
+    return candidate_probability_table(config.params, config.candidates(), config.schedule)
+
+
 def test_probability_series_matches_evolve():
     p = nontrivial(43)
     init = default_initial_state(43)
@@ -56,22 +60,10 @@ def test_probability_series_leaves_initial_state_intact():
     np.testing.assert_array_equal(init.amplitudes, before)
 
 
-def test_simulate_trials_deterministic():
-    p = nontrivial(63)
-    a = simulate_trials(p, 25, 1000, rng_seed=99)
-    b = simulate_trials(p, 25, 1000, rng_seed=99)
-    assert a == b
-    assert 0 <= a <= 1000
-
-
-def test_simulate_trials_with_zero_probability_gives_zero():
-    # at t = 0 the walker sits at x = -1, so the defect-site count is surely 0
-    p = nontrivial(63)
-    assert simulate_trials(p, 0, 500, rng_seed=0) == 0
-
-
 def test_posterior_uniform_without_data():
-    grid = posterior(PRIOR, 51, t=10, trials=0, successes=0, params_template=nontrivial(43))
+    candidates = np.linspace(*PRIOR, 51)
+    table = candidate_probability_table(nontrivial(43), candidates, [10])[0]
+    grid = posterior(candidates, table, trials=0, successes=0)
     np.testing.assert_allclose(grid.weights, 1.0 / 51, atol=1e-15)
     assert abs(grid.weights.sum() - 1.0) < 1e-12
     lo, hi = PRIOR
@@ -80,7 +72,9 @@ def test_posterior_uniform_without_data():
 
 def test_posterior_weights_normalized():
     p = nontrivial()
-    grid = posterior(PRIOR, 101, t=48, trials=1000, successes=700, params_template=p)
+    candidates = np.linspace(*PRIOR, 101)
+    table = candidate_probability_table(p, candidates, [48])[0]
+    grid = posterior(candidates, table, trials=1000, successes=700)
     assert abs(grid.weights.sum() - 1.0) < 1e-12
 
 
@@ -90,15 +84,14 @@ def test_posterior_mode_matches_direct_likelihood_comparison():
     candidates = np.linspace(*PRIOR, 11)
     table = candidate_probability_table(p, candidates, [t])[0]
     successes = int(round(trials * table[5]))  # data exactly matching the middle
-    grid = posterior(PRIOR, 11, t, trials, successes, p, probabilities=table)
+    grid = posterior(candidates, table, trials, successes)
     direct = stats.binom.logpmf(successes, trials, table)
     assert int(np.argmax(grid.log_weights)) == int(np.argmax(direct)) == 5
 
 
 def test_posterior_impossible_candidate_gets_zero_weight():
     probs = np.array([0.0, 0.2, 0.5, 0.7, 0.9, 0.3, 0.4, 0.6, 0.8, 0.1, 0.25])
-    grid = posterior((0.0, 1.0), 11, t=5, trials=10, successes=3,
-                     params_template=nontrivial(43), probabilities=probs)
+    grid = posterior(np.linspace(0.0, 1.0, 11), probs, trials=10, successes=3)
     assert grid.weights[0] == 0.0
     assert np.isneginf(grid.log_weights[0])
     assert abs(grid.weights.sum() - 1.0) < 1e-12
@@ -107,8 +100,7 @@ def test_posterior_impossible_candidate_gets_zero_weight():
 def test_posterior_rejects_impossible_dataset():
     probs = np.zeros(11)
     with pytest.raises(ValueError):
-        posterior((0.0, 1.0), 11, t=5, trials=10, successes=3,
-                  params_template=nontrivial(43), probabilities=probs)
+        posterior(np.linspace(0.0, 1.0, 11), probs, trials=10, successes=3)
 
 
 def test_posterior_log_domain_stable_for_huge_trials():
@@ -117,7 +109,7 @@ def test_posterior_log_domain_stable_for_huge_trials():
     candidates = np.linspace(*PRIOR, 51)
     table = candidate_probability_table(p, candidates, [t])[0]
     m = int(round(1_000_000 * table[25]))
-    grid = posterior(PRIOR, 51, t, 1_000_000, m, p, probabilities=table)
+    grid = posterior(candidates, table, 1_000_000, m)
     assert np.isfinite(grid.weights).all()
     assert abs(grid.weights.sum() - 1.0) < 1e-12
     assert np.isfinite(grid.mean) and np.isfinite(grid.variance)
@@ -125,12 +117,16 @@ def test_posterior_log_domain_stable_for_huge_trials():
 
 def test_posterior_validates_arguments():
     p = nontrivial(43)
+    candidates = np.linspace(*PRIOR, 51)
+    table = candidate_probability_table(p, candidates, [10])[0]
     with pytest.raises(ValueError):
-        posterior((0.2, 0.1), 51, 10, 10, 5, p)  # lo >= hi
+        EstimationConfig(p, (0.2, 0.1), (10,))  # lo >= hi: the config owns the prior window
     with pytest.raises(ValueError):
-        posterior(PRIOR, 5, 10, 10, 5, p)  # grid too coarse
+        posterior(candidates[:5], table[:5], 10, 5)  # grid too coarse
     with pytest.raises(ValueError):
-        posterior(PRIOR, 51, 10, 10, 50, p)  # successes > trials
+        posterior(candidates, table, 10, 50)  # successes > trials
+    with pytest.raises(ValueError):
+        posterior(candidates, table[:-1], 10, 5)  # one probability short
 
 
 # --- batched candidate table ----------------------------------------------------
@@ -219,21 +215,25 @@ def test_candidate_table_rejects_fields_it_cannot_walk(fields):
         candidate_probability_table(p, np.linspace(*PRIOR, 11), [10, 40], fields(p, 40))
 
 
-def test_informative_schedule_reuses_a_given_table():
+def test_informative_schedule_rejects_tables_it_cannot_read():
     p = nontrivial(63)
-    candidates = np.linspace(*PRIOR, 51)
-    table = candidate_probability_table(p, candidates, range(6, 31))
-    reused = informative_schedule(p, PRIOR, 6, 30, grid_points=51, table=table)
-    assert reused == informative_schedule(p, PRIOR, 6, 30, grid_points=51)
-    with pytest.raises(ValueError):
-        informative_schedule(p, PRIOR, 6, 30, grid_points=51, table=table[1:])
+    table = candidate_probability_table(p, np.linspace(*PRIOR, 51), range(6, 31))
+    for bad, t_min in ((table[:1], 6), (table[0], 6), (table, 0)):
+        with pytest.raises(ValueError, match="at least two step rows"):
+            informative_schedule(bad, t_min)
+    # rows are steps t_min, t_min + 1, ...: the same rows read from a later
+    # t_min select the same rows, shifted
+    shifted = informative_schedule(table, 16)
+    assert shifted == tuple(t + 10 for t in informative_schedule(table, 6))
 
 
 # --- msre ---------------------------------------------------------------------
 
 
 def test_msre_concentrated_posterior_is_zero():
-    grid = posterior(PRIOR, 51, t=1, trials=0, successes=0, params_template=nontrivial(43))
+    candidates = np.linspace(*PRIOR, 51)
+    table = candidate_probability_table(nontrivial(43), candidates, [1])[0]
+    grid = posterior(candidates, table, trials=0, successes=0)
     true = grid.candidates[25]
     log_w = np.full(51, -np.inf)
     log_w[25] = 0.0
@@ -243,8 +243,9 @@ def test_msre_concentrated_posterior_is_zero():
 
 def test_msre_uniform_posterior_matches_uniform_variance():
     grid_points = 201
-    grid = posterior(PRIOR, grid_points, t=1, trials=0, successes=0,
-                     params_template=nontrivial(43))
+    candidates = np.linspace(*PRIOR, grid_points)
+    table = candidate_probability_table(nontrivial(43), candidates, [1])[0]
+    grid = posterior(candidates, table, trials=0, successes=0)
     lo, hi = PRIOR
     true = (lo + hi) / 2.0
     # discrete uniform variance on G equidistant points
@@ -256,8 +257,9 @@ def test_msre_uniform_posterior_matches_uniform_variance():
 
 
 def test_msre_rejects_zero_true_value():
-    grid = posterior((-0.1, 0.1), 51, t=1, trials=0, successes=0,
-                     params_template=nontrivial(43))
+    candidates = np.linspace(-0.1, 0.1, 51)
+    table = candidate_probability_table(nontrivial(43), candidates, [1])[0]
+    grid = posterior(candidates, table, trials=0, successes=0)
     with pytest.raises(ZeroDivisionError):
         msre(grid, 0.0)
 
@@ -267,8 +269,9 @@ def test_msre_rejects_zero_true_value():
 
 def test_informative_schedule_is_deterministic_and_ordered():
     p = nontrivial()
-    a = informative_schedule(p, PRIOR, 20, 100)
-    b = informative_schedule(p, PRIOR, 20, 100)
+    candidates = np.linspace(*PRIOR, 201)
+    a = informative_schedule(candidate_probability_table(p, candidates, range(20, 101)), 20)
+    b = informative_schedule(candidate_probability_table(p, candidates, range(20, 101)), 20)
     assert a == b
     assert list(a) == sorted(a)
     assert 20 <= a[0] and a[-1] <= 100
@@ -277,11 +280,13 @@ def test_informative_schedule_is_deterministic_and_ordered():
 
 def test_estimation_curve_reproducible_and_converging():
     p = nontrivial()
-    schedule = informative_schedule(p, PRIOR, 20, 100)
+    schedule = informative_schedule(
+        candidate_probability_table(p, np.linspace(*PRIOR, 201), range(20, 101)), 20
+    )
     config = EstimationConfig(p, PRIOR, schedule, grid_points=201, trials=1000,
                               master_seed=1, repetitions=3)
-    curve = estimation_curve(config)
-    again = estimation_curve(config)
+    curve = estimation_curve(config, clean_table(config))
+    again = estimation_curve(config, clean_table(config))
     assert [r.msre for r in curve.records] == [r.msre for r in again.records]
     assert curve.records[-1].posterior_std < curve.records[0].posterior_std
     assert curve.fit.exponent < -1.0  # error falls steeply with steps
@@ -291,7 +296,7 @@ def test_estimation_curve_keeps_posteriors_on_request():
     p = nontrivial(83)
     config = EstimationConfig(p, PRIOR, (20, 30, 40), grid_points=51, trials=200,
                               master_seed=3)
-    curve = estimation_curve(config, keep_posteriors=True)
+    curve = estimation_curve(config, clean_table(config), keep_posteriors=True)
     assert len(curve.posteriors) == 3
     for grid in curve.posteriors:
         assert abs(grid.weights.sum() - 1.0) < 1e-12
@@ -307,7 +312,7 @@ def test_estimation_curve_checks_the_candidate_table_shape():
         with pytest.raises(ValueError, match="one row per scheduled step"):
             estimation_curve(config, candidate_table=table)
     sliced = estimation_curve(config, candidate_table=full[[9, 19, 29]])
-    assert sliced.records == estimation_curve(config).records
+    assert sliced.records == estimation_curve(config, clean_table(config)).records
 
 
 def test_doubling_trials_halves_posterior_variance():
@@ -322,8 +327,8 @@ def test_doubling_trials_halves_posterior_variance():
         rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(rep,)))
         m1 = int(rng.binomial(1000, p_true))
         m2 = int(rng.binomial(2000, p_true))
-        g1 = posterior(PRIOR, 201, t, 1000, m1, p, probabilities=table)
-        g2 = posterior(PRIOR, 201, t, 2000, m2, p, probabilities=table)
+        g1 = posterior(candidates, table, 1000, m1)
+        g2 = posterior(candidates, table, 2000, m2)
         v_small.append(g1.variance)
         v_big.append(g2.variance)
     ratio = np.mean(v_small) / np.mean(v_big)
@@ -343,7 +348,7 @@ def test_mode_consistency_at_large_trials():
     for rep in range(100):
         rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(rep,)))
         m = int(rng.binomial(trials, p_true))
-        grid = posterior(PRIOR, 21, t, trials, m, p, probabilities=table)
+        grid = posterior(candidates, table, trials, m)
         hits += int(np.argmax(grid.log_weights)) == true_idx
     assert hits >= 95
 
@@ -352,6 +357,6 @@ def test_records_at_different_steps_use_independent_seeds():
     p = nontrivial(123)
     config = EstimationConfig(p, PRIOR, (30, 30), grid_points=51, trials=500,
                               master_seed=7)
-    curve = estimation_curve(config)
+    curve = estimation_curve(config, clean_table(config))
     # same step scheduled twice draws distinct data (independent experiments)
     assert curve.records[0].successes != curve.records[1].successes

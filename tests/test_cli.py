@@ -7,14 +7,26 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qwsense
 from qwsense import cli
-from qwsense.bayes import EstimationConfig, estimation_curve, informative_schedule
+from qwsense.bayes import (
+    EstimationConfig,
+    candidate_probability_table,
+    estimation_curve,
+    informative_schedule,
+)
+from qwsense.config import validate_config
+from qwsense.errors import ConfigError
 from qwsense.walk import WalkParams
 
 PI = math.pi
 
 WALK = {"theta1_over_pi": 0.9, "theta2_over_pi": 0.75, "theta02_over_pi": -0.55}
+
+PRESETS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -151,6 +163,74 @@ def test_validate_rejects_prior_that_leaves_out_theta02(tmp_path, capsys):
                            (1.0, [-1.02, -0.98]), (0.99, [-1.05, -0.95])):
         assert bayes(theta02, prior) == 0, (theta02, prior)
     assert bayes(-0.9, [0.95, 1.05]) == 2
+
+
+@pytest.mark.parametrize("preset", PRESETS, ids=lambda path: path.name)
+def test_every_preset_validates(preset):
+    assert cli.main(["validate", "--config", str(preset)]) == 0
+
+
+def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
+    fi = {"experiment": "fi-scaling", "steps": 30, "walk": WALK}
+    msre = {"experiment": "disorder", "steps": 30, "walk": WALK,
+            "disorder": {"kind": "static", "observable": "msre"},
+            "estimation": {"prior_over_pi": [-0.556, -0.544], "grid_points": 11, "trials": 10}}
+    for doc, seed in ((fi, "-5"), (msre, "-1")):
+        out = tmp_path / "out"
+        args = ["run", "--config", write_config(tmp_path, doc), "--out", str(out), "--seed", seed]
+        assert cli.main(args) == 2
+        assert f"seed: must be >= 0, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+    with pytest.raises(ConfigError, match="seed: expected an integer"):
+        validate_config(fi, seed_override=1.5)
+    assert validate_config(fi, seed_override=0).seed == 0
+
+
+def test_validate_rejects_a_selected_schedule_without_two_steps(tmp_path, capsys):
+    # the model-selected schedule picks from steps t_min < t_max <= steps
+    def estimation(experiment, steps, schedule=None, command="validate"):
+        section = {"prior_over_pi": [-0.556, -0.544], "grid_points": 11, "trials": 10}
+        if schedule is not None:
+            section["schedule"] = schedule
+        doc = {"experiment": experiment, "steps": steps, "walk": WALK, "estimation": section}
+        if experiment == "disorder":
+            doc["disorder"] = {"kind": "static", "observable": "msre", "n_realizations": 2}
+        args = [command, "--config", write_config(tmp_path, doc)]
+        if command == "run":
+            args += ["--out", str(tmp_path / f"out-{experiment}-{steps}")]
+        return cli.main(args)
+
+    for experiment in ("bayes", "disorder"):
+        assert estimation(experiment, 1) == 2
+        assert "steps: a run without estimation.schedule needs steps >= 2" in capsys.readouterr().err
+        assert estimation(experiment, 1, [1]) == 0
+        assert estimation(experiment, 2) == 0
+        assert estimation(experiment, 2, command="run") == 0
+
+
+def test_validate_rejects_a_fit_window_with_fewer_than_five_steps(tmp_path, capsys):
+    def fi(steps, fit=None, experiment="fi-scaling", command="validate"):
+        doc = {"experiment": experiment, "steps": steps, "walk": WALK}
+        if fit is not None:
+            doc["fit"] = fit
+        if experiment == "disorder":
+            doc["disorder"] = {"kind": "static", "n_realizations": 2}
+        args = [command, "--config", write_config(tmp_path, doc)]
+        if command == "run":
+            args += ["--out", str(tmp_path / f"out-{steps}")]
+        return cli.main(args)
+
+    # default fit.t_min is 10 and fit.t_max is steps
+    for steps, fit in ((8, None), (13, None), (30, {"t_min": 20, "t_max": 10}),
+                       (30, {"t_min": 10.5, "t_max": 14.5})):
+        assert fi(steps, fit) == 2, (steps, fit)
+        assert "fit: window" in capsys.readouterr().err
+    for steps, fit in ((14, None), (30, {"t_min": 10, "t_max": 14}),
+                       (30, {"t_min": 26, "t_max": 100})):
+        assert fi(steps, fit) == 0, (steps, fit)
+        assert fi(steps, fit, command="run") == 0, (steps, fit)
+    # the disorder FI fit is optional: a short run still writes its ensemble
+    assert fi(8, experiment="disorder") == 0
 
 
 def test_validate_unknown_experiment(tmp_path, capsys):
@@ -387,9 +467,11 @@ def test_bayes_with_selected_schedule_matches_the_library_path(tmp_path):
     _, rows = read_csv(out / "estimation.csv")
     params = WalkParams(0.9 * PI, 0.75 * PI, -0.55 * PI, 63)
     prior = (-0.556 * PI, -0.544 * PI)
-    schedule = informative_schedule(params, prior, 6, 30, grid_points=21)
+    candidates = np.linspace(*prior, 21)
+    schedule = informative_schedule(candidate_probability_table(params, candidates, range(6, 31)), 6)
     config = EstimationConfig(params, prior, schedule, grid_points=21, trials=200, master_seed=5)
-    expected = [(r.step, r.successes, r.msre) for r in estimation_curve(config).records]
+    table = candidate_probability_table(params, candidates, schedule)
+    expected = [(r.step, r.successes, r.msre) for r in estimation_curve(config, table).records]
     assert [(int(t), int(m), float(e)) for t, _, m, e in rows] == expected
 
 

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwsense.bayes import EstimationConfig, estimation_curve, informative_schedule
+from qwsense.bayes import (
+    EstimationConfig,
+    candidate_probability_table,
+    estimation_curve,
+    informative_schedule,
+)
 from qwsense.disorder import (
     DYNAMIC,
     STATIC,
@@ -209,9 +214,10 @@ def test_ensemble_msre_zero_width_matches_clean_curves():
                               grid_points=51, trials=300, master_seed=9)
     spec = DisorderSpec(kind="static", half_width=0.0, n_realizations=2, master_seed=9)
     result = ensemble_msre(spec, config)
+    clean = candidate_probability_table(base, config.candidates(), config.schedule)
     # each realization must reproduce the clean run with its own seed stream
     curves = np.array([
-        [r.msre for r in estimation_curve(config, seed_prefix=(idx,)).records]
+        [r.msre for r in estimation_curve(config, clean, seed_prefix=(idx,)).records]
         for idx in range(2)
     ])
     np.testing.assert_allclose(result.mean, curves.mean(axis=0), rtol=1e-12)
@@ -225,8 +231,9 @@ def test_zero_width_msre_ensemble_is_the_clean_curves(kind):
                               grid_points=21, trials=200, master_seed=4)
     spec = DisorderSpec(kind=kind, half_width=0.0, n_realizations=3, master_seed=4)
     result = ensemble_msre(spec, config)
+    clean = candidate_probability_table(config.params, config.candidates(), config.schedule)
     curves = np.array([
-        [r.msre for r in estimation_curve(config, seed_prefix=(idx,)).records]
+        [r.msre for r in estimation_curve(config, clean, seed_prefix=(idx,)).records]
         for idx in range(3)
     ])
     assert np.array_equal(result.mean, curves.mean(axis=0))
@@ -241,7 +248,8 @@ def test_ensemble_msre_nontrivial_scaling_under_disorder(kind, band):
     base = nontrivial(203)
     # schedule within the horizon where the prior window stays unambiguous
     # for the disordered realizations (the response folds beyond t ~ 80)
-    schedule = informative_schedule(base, (-0.556 * PI, -0.544 * PI), 20, 80)
+    candidates = np.linspace(-0.556 * PI, -0.544 * PI, 201)
+    schedule = informative_schedule(candidate_probability_table(base, candidates, range(20, 81)), 20)
     config = EstimationConfig(base, (-0.556 * PI, -0.544 * PI), schedule,
                               grid_points=201, trials=1000, master_seed=7,
                               repetitions=15)
@@ -255,7 +263,8 @@ def test_ensemble_msre_nontrivial_scaling_under_disorder(kind, band):
 def test_trivial_msre_exceeds_nontrivial_at_final_step():
     base_nt = nontrivial(203)
     base_tr = trivial(203)
-    schedule = informative_schedule(base_nt, (-0.556 * PI, -0.544 * PI), 20, 80)
+    candidates = np.linspace(-0.556 * PI, -0.544 * PI, 201)
+    schedule = informative_schedule(candidate_probability_table(base_nt, candidates, range(20, 81)), 20)
     spec = DisorderSpec(kind="static", half_width=W, n_realizations=10, master_seed=7)
     results = {}
     for name, base in (("nt", base_nt), ("tr", base_tr)):
