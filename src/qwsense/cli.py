@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 
+from . import plotting
 from .config import load_config, validate_config
 from .errors import CapacityError, ConfigError, NumericalError, PlotSchemaError
 
@@ -33,9 +34,7 @@ def _build_parser():
 
     plot_p = sub.add_parser("plot", help="render an SVG view of a data CSV")
     plot_p.add_argument("--data", required=True, help="input CSV path")
-    plot_p.add_argument(
-        "--kind", required=True, choices=("scaling", "heatmap", "band", "posterior")
-    )
+    plot_p.add_argument("--kind", required=True, choices=plotting.PLOT_KINDS)
     plot_p.add_argument("--out", required=True, help="output SVG path")
 
     val_p = sub.add_parser("validate", help="check a config without running it")
@@ -72,8 +71,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    from . import plotting
-
     path = plotting.render_plot(args.data, args.kind, args.out)
     print(f"wrote {path}")
     return EXIT_OK

@@ -1,8 +1,9 @@
 """Experiment configuration: one JSON document per run, angles in units of pi.
 
-A config names one experiment and the parameter sections it needs; every
-referenced value is validated against the preconditions of the module that
-will consume it before any computation starts, and all violations are
+A config names one experiment and the parameter sections it needs; each
+section has one reader.  Every referenced value is validated against the
+preconditions of the module that will consume it before any computation
+starts, a name that no rule reads is a violation, and all violations are
 reported together.  Angles are written as multiples of pi (0.9 means 0.9*pi)
 to match how the parameter points are usually quoted.
 """
@@ -35,16 +36,26 @@ FORMATS = ("csv", "json", "svg")
 DEFAULT_STEPS = 100
 SPECTRUM_LATTICE = 101
 
-_DYNAMICS = {"fi-scaling", "fi-surface", "bayes", "disorder", "avg-fi", "gfi-qfi"}
+# the names the rules of each section read; any other name in a section read is a violation
+_SECTIONS = {
+    "fit": ("mode", "t_min", "t_max"),
+    "walk": ("theta1_over_pi", "theta2_over_pi", "theta02_over_pi", "lattice_size"),
+    "phase_grid": ("theta1_over_pi", "theta2_over_pi", "n_k"),
+    "surface": ("theta1_over_pi", "steps"),
+    "estimation": ("prior_over_pi", "grid_points", "trials", "repetitions", "schedule"),
+    "disorder": ("kind", "observable", "half_width_over_pi", "n_realizations"),
+    "averaging": ("window", "spacing"),
+}
+_TOP_LEVEL = ("experiment", "seed", "out_dir", "formats", "steps", *_SECTIONS)
 
 
 @dataclass
 class EstimationSettings:
     prior_over_pi: tuple[float, float]
-    grid_points: int = 201
-    trials: int = 1000
-    schedule: tuple[int, ...] | None = None  # None -> informative schedule at run time
-    repetitions: int = 1
+    grid_points: int
+    trials: int
+    schedule: tuple[int, ...] | None  # None -> informative schedule at run time
+    repetitions: int
 
 
 @dataclass
@@ -67,13 +78,31 @@ class ExperimentConfig:
 
 
 class _Check:
-    """Collects violations so a bad config reports every problem at once."""
+    """Collects violations so a bad config reports every problem at once.
+
+    After a violation, what a reader returns is never used: the config is rejected.
+    """
 
     def __init__(self):
         self.violations = []
 
     def fail(self, field_name, message):
         self.violations.append(f"{field_name}: {message}")
+
+    def known(self, doc, names, prefix=""):
+        for name in doc:
+            if name not in names:
+                self.fail(f"{prefix}{name}", f"unknown name; expected one of {', '.join(names)}")
+
+    def section(self, doc, name, required=False):
+        """The object ``doc[name]``, None after a violation; an absent optional
+        section reads as {}."""
+        value = doc.get(name, None if required else {})
+        if not isinstance(value, dict):
+            self.fail(name, "must be an object" if name in doc else "required section")
+            return None
+        self.known(value, _SECTIONS[name], f"{name}.")
+        return value
 
     def number(self, doc, field_name, default=None, minimum=None, integer=False):
         value = doc.get(field_name.split(".")[-1], default)
@@ -95,9 +124,23 @@ class _Check:
             return default
         return int(value) if integer else float(value)
 
-    def raise_if_failed(self):
-        if self.violations:
-            raise ConfigError(self.violations)
+    def numbers(self, doc, field_name, shape, length=None, integer=False, low=None, high=None):
+        """A tuple of finite numbers, None after a violation: ``length`` of
+        them, or at least one; with ``integer``, whole numbers in [low, high].
+        ``shape`` describes the expected list in the violation."""
+        value = doc.get(field_name.split(".")[-1])
+        if (
+            not isinstance(value, (list, tuple))
+            or (len(value) != length if length else not value)
+            or not all(
+                not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+                and (not integer or (v == int(v) and low <= v <= high))
+                for v in value
+            )
+        ):
+            self.fail(field_name, f"expected {shape}, got {value!r}")
+            return None
+        return tuple(int(v) if integer else float(v) for v in value)
 
 
 def load_config(path) -> dict:
@@ -115,25 +158,16 @@ def load_config(path) -> dict:
     return doc
 
 
-def _grid_triple(check, section, name, triple):
+def _grid(check, section, field_name):
+    """A [start, stop, count] entry as ``count`` evenly spaced values."""
+    triple = check.numbers(section, field_name, "[start, stop, count] of finite numbers", length=3)
     if triple is None:
-        check.fail(f"{section}.{name}", "required [start, stop, count] triple")
-        return None
-    if (
-        not isinstance(triple, (list, tuple))
-        or len(triple) != 3
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in triple)
-    ):
-        check.fail(f"{section}.{name}", f"expected [start, stop, count], got {triple!r}")
-        return None
-    if not all(math.isfinite(v) for v in triple):
-        check.fail(f"{section}.{name}", f"entries must be finite, got {triple!r}")
         return None
     start, stop, count = triple
-    if count != int(count) or int(count) < 1:
-        check.fail(f"{section}.{name}", "count must be a positive integer")
+    if count != int(count) or count < 1:
+        check.fail(field_name, f"count must be a positive integer, got {count!r}")
         return None
-    return np.linspace(float(start), float(stop), int(count))
+    return np.linspace(start, stop, int(count))
 
 
 def _holds_angle(lo, hi, angle):
@@ -143,16 +177,49 @@ def _holds_angle(lo, hi, angle):
     return offset <= hi - lo + slack or offset >= 2.0 - slack
 
 
-def _walk_params(check, doc, default_lattice, require_theta02=True):
-    walk = doc.get("walk")
-    if not isinstance(walk, dict):
-        check.fail("walk", "required section")
+def _read_run(check, doc, experiment, seed_override):
+    seed = check.number(doc, "seed", default=0, minimum=0, integer=True)
+    if seed_override is not None:
+        seed = check.number({"seed": seed_override}, "seed", minimum=0, integer=True)
+    out_dir = doc.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        check.fail("out_dir", f"expected a string path, got {out_dir!r}")
+    formats = doc.get("formats", list(FORMATS))
+    if not isinstance(formats, list) or any(f not in FORMATS for f in formats):
+        check.fail("formats", f"must be a subset of {list(FORMATS)}, got {formats!r}")
+        formats = list(FORMATS)
+    steps = check.number(doc, "steps", default=DEFAULT_STEPS, minimum=1, integer=True)
+    return ExperimentConfig(experiment, seed, out_dir, tuple(formats), doc, steps)
+
+
+def _read_fit(check, doc, cfg):
+    section = check.section(doc, "fit")
+    if section is None:
+        return
+    cfg.fit_mode = section.get("mode", "all_points")
+    if cfg.fit_mode not in ("all_points", "peaks_only"):
+        check.fail("fit.mode", f"must be all_points or peaks_only, got {cfg.fit_mode!r}")
+    t_min = check.number(section, "fit.t_min", default=10.0, minimum=1)
+    t_max = check.number(section, "fit.t_max", default=float(cfg.steps))
+    cfg.fit_window = (t_min, t_max)
+    covered = math.floor(min(t_max, cfg.steps)) - math.ceil(t_min) + 1
+    if cfg.experiment == "fi-scaling" and covered < 5:
+        check.fail(
+            "fit",
+            f"window [{t_min}, {t_max}] covers {max(covered, 0)} of the steps "
+            f"1..{cfg.steps}; the fit needs at least 5",
+        )
+
+
+def _read_walk(check, doc, default_lattice):
+    section = check.section(doc, "walk", required=True)
+    if section is None:
         return None
-    t1 = check.number(walk, "walk.theta1_over_pi")
-    t2 = check.number(walk, "walk.theta2_over_pi")
-    t02 = check.number(walk, "walk.theta02_over_pi", default=t2 if not require_theta02 else None)
-    lattice = check.number(walk, "walk.lattice_size", default=default_lattice, minimum=3, integer=True)
-    if None in (t1, t2, t02, lattice):
+    t1 = check.number(section, "walk.theta1_over_pi")
+    t2 = check.number(section, "walk.theta2_over_pi")
+    t02 = check.number(section, "walk.theta02_over_pi")
+    lattice = check.number(section, "walk.lattice_size", default=default_lattice, minimum=3, integer=True)
+    if None in (t1, t2, t02):
         return None
     try:
         return WalkParams(t1 * math.pi, t2 * math.pi, t02 * math.pi, lattice)
@@ -161,206 +228,135 @@ def _walk_params(check, doc, default_lattice, require_theta02=True):
         return None
 
 
+def _read_phase_grid(check, doc):
+    section = check.section(doc, "phase_grid", required=True)
+    if section is None:
+        return None
+    t1 = _grid(check, section, "phase_grid.theta1_over_pi")
+    t2 = _grid(check, section, "phase_grid.theta2_over_pi")
+    n_k = check.number(section, "phase_grid.n_k", default=2048, minimum=64, integer=True)
+    return {"theta1_over_pi": t1, "theta2_over_pi": t2, "n_k": n_k}
+
+
+def _read_surface(check, doc):
+    section = check.section(doc, "surface", required=True)
+    if section is None:
+        return None
+    t1 = _grid(check, section, "surface.theta1_over_pi")
+    steps = check.number(section, "surface.steps", default=60, minimum=1, integer=True)
+    return {"theta1_over_pi": t1, "steps": steps}
+
+
+def _read_dynamics(check, doc, cfg):
+    """The walk of a run that propagates, and the surface of an fi-surface
+    run; the ring must hold the light cone of the steps the run propagates."""
+    cfg.walk = _read_walk(check, doc, dynamics_lattice_size(cfg.steps))
+    propagated = cfg.steps
+    if cfg.experiment == "fi-surface":
+        cfg.surface = _read_surface(check, doc)
+        propagated = cfg.surface["steps"] if cfg.surface is not None else None
+    if cfg.walk is None or propagated is None:
+        return
+    if cfg.walk.lattice_size < dynamics_lattice_size(propagated):
+        check.fail(
+            "walk.lattice_size",
+            f"{cfg.walk.lattice_size} sites let a {propagated}-step walk wrap the ring; "
+            f"need >= {dynamics_lattice_size(propagated)}",
+        )
+
+
+def _read_disorder(check, doc, cfg):
+    section = check.section(doc, "disorder", required=True)
+    if section is None:
+        return
+    kind = section.get("kind")
+    cfg.disorder_observable = observable = section.get("observable", "fi")
+    half_width = check.number(section, "disorder.half_width_over_pi", default=0.05, minimum=0.0)
+    n_real = check.number(section, "disorder.n_realizations", default=10, minimum=1, integer=True)
+    if observable not in ("fi", "msre"):
+        check.fail("disorder.observable", f"must be fi or msre, got {observable!r}")
+    if kind not in ("static", "dynamic"):
+        check.fail("disorder.kind", f"must be static or dynamic, got {kind!r}")
+    else:
+        cfg.disorder_spec = DisorderSpec(kind, half_width * math.pi, n_real, master_seed=cfg.seed)
+
+
+def _read_estimation(check, doc, cfg):
+    section = check.section(doc, "estimation", required=True)
+    if section is None:
+        return None
+    prior = check.numbers(section, "estimation.prior_over_pi", "[lo, hi] of finite numbers", 2)
+    if prior is not None and not prior[0] < prior[1]:
+        check.fail("estimation.prior_over_pi", "lo must be < hi")
+    elif prior is not None and cfg.walk is not None:
+        t02 = float(doc["walk"]["theta02_over_pi"])
+        if not _holds_angle(*prior, t02):
+            # the posterior would pile up at the grid edge, silently
+            check.fail(
+                "estimation.prior_over_pi",
+                f"[{prior[0]}, {prior[1]}] leaves out walk.theta02_over_pi = {t02} (modulo 2)",
+            )
+    grid_points = check.number(section, "estimation.grid_points", default=201, minimum=11, integer=True)
+    trials = check.number(section, "estimation.trials", default=1000, minimum=1, integer=True)
+    repetitions = check.number(section, "estimation.repetitions", default=1, minimum=1, integer=True)
+    schedule = None
+    if section.get("schedule") is not None:
+        schedule = check.numbers(
+            section, "estimation.schedule", f"a non-empty list of steps in 1..{cfg.steps}",
+            integer=True, low=1, high=cfg.steps,
+        )
+    elif cfg.steps < 2:
+        # the model-selected schedule picks from steps t_min < t_max <= steps
+        check.fail("steps", f"a run without estimation.schedule needs steps >= 2, got {cfg.steps}")
+    return EstimationSettings(prior, grid_points, trials, schedule, repetitions)
+
+
+def _read_averaging(check, doc, steps):
+    section = check.section(doc, "averaging")
+    if section is None:
+        return None
+    window = check.number(section, "averaging.window", default=5, minimum=1, integer=True)
+    spacing = check.number(section, "averaging.spacing", default=5, minimum=1, integer=True)
+    span = (window - 1) * spacing
+    if span >= steps:
+        check.fail("averaging", f"window span {span} does not fit in {steps} steps")
+    return window, spacing
+
+
 def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
     """Validate a parsed config document; raises ConfigError listing every violation.
 
     ``seed_override`` obeys the rule for ``seed``.  An fi-scaling fit window
     must cover at least 5 of the steps 1..steps; that is necessary, not
     sufficient: flagged or non-positive values, and ``peaks_only``, can still
-    leave the run's fit fewer than 5 points.
+    leave the run's fit fewer than 5 points.  A section that the experiment
+    does not read is not checked.
     """
-    check = _Check()
-
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENTS:
-        check.fail("experiment", f"must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}")
-        check.raise_if_failed()
-
-    seed = check.number(doc, "seed", default=0, minimum=0, integer=True)
-    if seed_override is not None:
-        seed = check.number({"seed": seed_override}, "seed", minimum=0, integer=True)
-
-    out_dir = doc.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        check.fail("out_dir", f"expected a string path, got {out_dir!r}")
-        out_dir = None
-
-    formats = doc.get("formats", list(FORMATS))
-    if not isinstance(formats, list) or any(f not in FORMATS for f in formats):
-        check.fail("formats", f"must be a subset of {list(FORMATS)}, got {formats!r}")
-        formats = list(FORMATS)
-
-    steps = check.number(doc, "steps", default=DEFAULT_STEPS, minimum=1, integer=True)
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        seed=seed or 0,
-        out_dir=out_dir,
-        formats=tuple(formats),
-        raw=doc,
-        steps=steps or DEFAULT_STEPS,
-    )
-
-    fit = doc.get("fit", {})
-    if not isinstance(fit, dict):
-        check.fail("fit", "must be an object")
-        fit = {}
-    mode = fit.get("mode", "all_points")
-    if mode not in ("all_points", "peaks_only"):
-        check.fail("fit.mode", f"must be all_points or peaks_only, got {mode!r}")
-        mode = "all_points"
-    cfg.fit_mode = mode
-    t_min = check.number(fit, "fit.t_min", default=10.0, minimum=1)
-    t_max = check.number(fit, "fit.t_max", default=float(cfg.steps))
-    if t_min is not None and t_max is not None:
-        cfg.fit_window = (t_min, t_max)
-        covered = math.floor(min(t_max, cfg.steps)) - math.ceil(t_min) + 1
-        if experiment == "fi-scaling" and covered < 5:
-            check.fail(
-                "fit",
-                f"window [{t_min}, {t_max}] covers {max(covered, 0)} of the steps "
-                f"1..{cfg.steps}; the fit needs at least 5",
-            )
-
+        expected = ", ".join(EXPERIMENTS)
+        raise ConfigError([f"experiment: must be one of {expected}; got {experiment!r}"])
+    check = _Check()
+    check.known(doc, _TOP_LEVEL)
+    cfg = _read_run(check, doc, experiment, seed_override)
+    _read_fit(check, doc, cfg)
     if experiment == "phase-diagram":
-        section = doc.get("phase_grid")
-        if not isinstance(section, dict):
-            check.fail("phase_grid", "required section")
-        else:
-            t1 = _grid_triple(check, "phase_grid", "theta1_over_pi", section.get("theta1_over_pi"))
-            t2 = _grid_triple(check, "phase_grid", "theta2_over_pi", section.get("theta2_over_pi"))
-            n_k = check.number(section, "phase_grid.n_k", default=2048, minimum=64, integer=True)
-            if t1 is not None and t2 is not None and n_k is not None:
-                cfg.phase_grid = {"theta1_over_pi": t1, "theta2_over_pi": t2, "n_k": n_k}
+        cfg.phase_grid = _read_phase_grid(check, doc)
     elif experiment == "spectrum":
-        params = _walk_params(check, doc, SPECTRUM_LATTICE)
-        if params is not None and params.lattice_size > DENSE_SOLVER_CAP:
+        cfg.walk = _read_walk(check, doc, SPECTRUM_LATTICE)
+        if cfg.walk is not None and cfg.walk.lattice_size > DENSE_SOLVER_CAP:
             check.fail(
                 "walk.lattice_size",
                 f"must be <= dense solver cap {DENSE_SOLVER_CAP} for spectrum runs",
             )
-        cfg.walk = params
     else:
-        cfg.walk = _walk_params(check, doc, dynamics_lattice_size(cfg.steps))
-
-    if experiment == "fi-surface":
-        section = doc.get("surface")
-        if not isinstance(section, dict):
-            check.fail("surface", "required section")
-        else:
-            t1 = _grid_triple(check, "surface", "theta1_over_pi", section.get("theta1_over_pi"))
-            s_steps = check.number(section, "surface.steps", default=60, minimum=1, integer=True)
-            if t1 is not None and s_steps is not None:
-                cfg.surface = {"theta1_over_pi": t1, "steps": s_steps}
-
-    if experiment in _DYNAMICS and cfg.walk is not None:
-        # the ring must hold the light cone of the steps the run propagates
-        propagated = cfg.steps
-        if experiment == "fi-surface":
-            propagated = cfg.surface["steps"] if cfg.surface is not None else None
-        if propagated is not None and cfg.walk.lattice_size < dynamics_lattice_size(propagated):
-            check.fail(
-                "walk.lattice_size",
-                f"{cfg.walk.lattice_size} sites let a {propagated}-step walk wrap the ring; "
-                f"need >= {dynamics_lattice_size(propagated)}",
-            )
-
-    disorder_doc = doc.get("disorder") if isinstance(doc.get("disorder"), dict) else {}
-    if experiment == "bayes" or (
-        experiment == "disorder" and disorder_doc.get("observable") == "msre"
-    ):
-        section = doc.get("estimation")
-        if not isinstance(section, dict):
-            check.fail("estimation", "required section for Bayesian runs")
-        else:
-            prior = section.get("prior_over_pi")
-            lo = hi = None
-            if (
-                not isinstance(prior, (list, tuple))
-                or len(prior) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in prior)
-            ):
-                check.fail("estimation.prior_over_pi", f"expected [lo, hi], got {prior!r}")
-            else:
-                lo, hi = float(prior[0]), float(prior[1])
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    check.fail("estimation.prior_over_pi", f"bounds must be finite, got {prior!r}")
-                    lo = hi = None
-                elif not lo < hi:
-                    check.fail("estimation.prior_over_pi", "lo must be < hi")
-                    lo = hi = None
-                elif cfg.walk is not None:
-                    t02 = float(doc["walk"]["theta02_over_pi"])
-                    if not _holds_angle(lo, hi, t02):
-                        # the posterior would pile up at the grid edge, silently
-                        check.fail(
-                            "estimation.prior_over_pi",
-                            f"[{lo}, {hi}] leaves out walk.theta02_over_pi = {t02} (modulo 2)",
-                        )
-            grid_points = check.number(section, "estimation.grid_points", default=201, minimum=11, integer=True)
-            trials = check.number(section, "estimation.trials", default=1000, minimum=1, integer=True)
-            repetitions = check.number(section, "estimation.repetitions", default=1, minimum=1, integer=True)
-            schedule = section.get("schedule")
-            if schedule is not None:
-                if (
-                    not isinstance(schedule, list)
-                    or not schedule
-                    or any(isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t) or t != int(t) or not 1 <= t <= cfg.steps for t in schedule)
-                ):
-                    check.fail(
-                        "estimation.schedule",
-                        f"expected non-empty list of steps in 1..{cfg.steps}, got {schedule!r}",
-                    )
-                    schedule = None
-                else:
-                    schedule = tuple(int(t) for t in schedule)
-            elif cfg.steps < 2:
-                # the model-selected schedule picks from steps t_min < t_max <= steps
-                check.fail(
-                    "steps", f"a run without estimation.schedule needs steps >= 2, got {cfg.steps}"
-                )
-            if cfg.walk is not None and lo is not None and None not in (grid_points, trials, repetitions):
-                cfg.estimation = EstimationSettings(
-                    prior_over_pi=(lo, hi),
-                    grid_points=grid_points,
-                    trials=trials,
-                    schedule=schedule,
-                    repetitions=repetitions,
-                )
-
+        _read_dynamics(check, doc, cfg)
     if experiment == "disorder":
-        section = doc.get("disorder")
-        if not isinstance(section, dict):
-            check.fail("disorder", "required section")
-        else:
-            kind = section.get("kind")
-            observable = section.get("observable", "fi")
-            half_width = check.number(section, "disorder.half_width_over_pi", default=0.05, minimum=0.0)
-            n_real = check.number(section, "disorder.n_realizations", default=10, minimum=1, integer=True)
-            if observable not in ("fi", "msre"):
-                check.fail("disorder.observable", f"must be fi or msre, got {observable!r}")
-            if kind not in ("static", "dynamic"):
-                check.fail("disorder.kind", f"must be static or dynamic, got {kind!r}")
-            elif half_width is not None and n_real is not None:
-                cfg.disorder_spec = DisorderSpec(
-                    kind=kind,
-                    half_width=half_width * math.pi,
-                    n_realizations=n_real,
-                    master_seed=cfg.seed,
-                )
-                cfg.disorder_observable = observable if observable in ("fi", "msre") else "fi"
-
+        _read_disorder(check, doc, cfg)
+    if experiment == "bayes" or cfg.disorder_observable == "msre":
+        cfg.estimation = _read_estimation(check, doc, cfg)
     if experiment == "avg-fi":
-        section = doc.get("averaging", {})
-        if not isinstance(section, dict):
-            check.fail("averaging", "must be an object")
-            section = {}
-        window = check.number(section, "averaging.window", default=5, minimum=1, integer=True)
-        spacing = check.number(section, "averaging.spacing", default=5, minimum=1, integer=True)
-        if window is not None and spacing is not None:
-            cfg.averaging = (window, spacing)
-            span = (window - 1) * spacing
-            if span >= cfg.steps:
-                check.fail("averaging", f"window span {span} does not fit in {cfg.steps} steps")
-
-    check.raise_if_failed()
+        cfg.averaging = _read_averaging(check, doc, cfg.steps) or cfg.averaging
+    if check.violations:
+        raise ConfigError(check.violations)
     return cfg

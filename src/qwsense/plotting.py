@@ -2,13 +2,17 @@
 
 Four kinds: ``scaling`` (log-log series with a power-law guide line),
 ``heatmap`` (phase diagram or FI surface), ``band`` (ensemble mean with a
-+/- std ribbon), ``posterior`` (one curve per step count).  The output is a
-deterministic text document: re-rendering from the same CSV reproduces the
-SVG byte for byte.
++/- std ribbon), ``posterior`` (one curve per step count).  The CSV is read
+once into columns.  A cell that places a mark must be a finite number (a
+``winding`` blank or an integer), or PlotSchemaError names its file, column
+and line; value cells that are not positive and finite are dropped from log
+axes or drawn in the sentinel colour.  The output is a deterministic text
+document: re-rendering from the same CSV reproduces the SVG byte for byte.
 """
 
 import csv
 import math
+from bisect import bisect_left
 from pathlib import Path
 
 from .errors import PlotSchemaError
@@ -21,78 +25,105 @@ SENTINEL = "#9a9a9a"  # gapless / flagged cells
 PALETTE = ("#b4232d", "#2959aa", "#2d8a4d", "#b07c1f", "#7b3fa0", "#4a9ba6",
            "#d06b34", "#5d6b1f", "#a03f68", "#3f51a0")
 WINDING_COLORS = {-1: "#2959aa", 0: "#f5f2ea", 1: "#b4232d"}
+VIRIDIS = (
+    (0.267, 0.005, 0.329), (0.283, 0.141, 0.458), (0.254, 0.265, 0.530),
+    (0.207, 0.372, 0.553), (0.164, 0.471, 0.558), (0.128, 0.567, 0.551),
+    (0.135, 0.659, 0.518), (0.267, 0.749, 0.441), (0.478, 0.821, 0.318),
+    (0.741, 0.873, 0.150), (0.993, 0.906, 0.144),
+)
+
+_AXES_BOX = (f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_R - MARGIN_L}" '
+             f'height="{HEIGHT - MARGIN_B - MARGIN_T}" fill="none" stroke="black"/>')
+_NO_DATA = (f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
+            'fill="#777777">no data</text>')
 
 
-def _read_rows(path):
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise PlotSchemaError(f"{path}: empty file, expected a CSV header row")
-        return list(reader.fieldnames), list(reader)
+class _Table:
+    """A CSV read once into columns of cell text, with each row's line number."""
 
+    def __init__(self, path, kind):
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise PlotSchemaError(f"{path}: empty file, expected a CSV header row")
+            rows, self.lines = [], []
+            for row in reader:
+                if row:  # a blank line holds no row; a short row reads blank cells
+                    rows.append(row + [""] * (len(header) - len(row)))
+                    self.lines.append(reader.line_num)
+        self.path, self.kind, self.name = path, kind, Path(path).name
+        self.columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
 
-def _need(fields, columns, kind, path):
-    for column in columns:
-        if column not in fields:
-            raise PlotSchemaError(f"{path}: missing column '{column}' for kind '{kind}'")
+    def text(self, column):
+        if column not in self.columns:
+            raise PlotSchemaError(f"{self.path}: missing column '{column}' for kind '{self.kind}'")
+        return self.columns[column]
 
+    def numbers(self, column, finite=False):
+        """The column as floats, a blank cell read as nan; with ``finite``, every cell finite."""
+        values = []
+        for i, cell in enumerate(self.text(column)):
+            try:
+                values.append(float(cell) if cell else math.nan)
+            except ValueError:
+                raise self.error(column, i, "a number") from None
+        if finite:
+            self.finite(column, values)
+        return values
 
-def _f(text):
-    return float(text) if text not in ("", None) else math.nan
+    def finite(self, column, values, rows=None, integer=False):
+        """Raise unless ``values`` is finite (and whole) in ``rows``, every row by default."""
+        for i in range(len(values)) if rows is None else rows:
+            if not math.isfinite(values[i]) or (integer and values[i] != int(values[i])):
+                raise self.error(column, i, "a finite integer" if integer else "a finite number")
 
-
-class _Canvas:
-    def __init__(self, x_label, y_label, title):
-        self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-            f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="monospace" font-size="13">',
-            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-            f'<text x="{WIDTH / 2:.1f}" y="18" text-anchor="middle">{title}</text>',
-            f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle">{x_label}</text>',
-            f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {HEIGHT / 2:.1f})">{y_label}</text>',
-        ]
-
-    def axes_box(self):
-        x0, y0 = MARGIN_L, HEIGHT - MARGIN_B
-        x1, y1 = WIDTH - MARGIN_R, MARGIN_T
-        self.parts.append(
-            f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
-            'fill="none" stroke="black"/>'
+    def error(self, column, row, expected):
+        return PlotSchemaError(
+            f"{self.path}: column '{column}' line {self.lines[row]}: "
+            f"expected {expected}, got {self.columns[column][row]!r}"
         )
 
-    def add(self, fragment):
-        self.parts.append(fragment)
 
-    def no_data(self):
-        self.parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
-            'fill="#777777">no data</text>'
-        )
+def _page(x_label, y_label, title):
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="monospace" font-size="13">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="18" text-anchor="middle">{title}</text>',
+        f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle">{x_label}</text>',
+        f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {HEIGHT / 2:.1f})">{y_label}</text>',
+    ]
 
-    def document(self):
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+
+def _document(parts):
+    return "\n".join(parts + ["</svg>"]) + "\n"
+
+
+def _no_data(parts):
+    return _document(parts + [_AXES_BOX, _NO_DATA])
 
 
 class _Scale:
-    """Maps data coordinates to the plot box, optionally log10 on each axis."""
+    """Maps data coordinates to the plot box, optionally log10 on both axes."""
 
-    def __init__(self, x_range, y_range, x_log=False, y_log=False):
-        self.x_log, self.y_log = x_log, y_log
-        self.x0, self.x1 = [math.log10(v) for v in x_range] if x_log else x_range
-        self.y0, self.y1 = [math.log10(v) for v in y_range] if y_log else y_range
+    def __init__(self, x_range, y_range, log=False):
+        self.log = log
+        self.x0, self.x1 = [math.log10(v) for v in x_range] if log else x_range
+        self.y0, self.y1 = [math.log10(v) for v in y_range] if log else y_range
         if self.x1 == self.x0:
             self.x1 = self.x0 + 1.0
         if self.y1 == self.y0:
             self.y1 = self.y0 + 1.0
 
     def x(self, v):
-        v = math.log10(v) if self.x_log else v
+        v = math.log10(v) if self.log else v
         frac = (v - self.x0) / (self.x1 - self.x0)
         return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
 
     def y(self, v):
-        v = math.log10(v) if self.y_log else v
+        v = math.log10(v) if self.log else v
         frac = (v - self.y0) / (self.y1 - self.y0)
         return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
 
@@ -131,69 +162,62 @@ def _tick_label(value):
     return f"{value:.6g}"
 
 
-def _draw_ticks(canvas, scale, x_ticks, y_ticks):
+def _draw_ticks(parts, scale, x_ticks, y_ticks):
     y_base = HEIGHT - MARGIN_B
     for tick in x_ticks:
         px = scale.x(tick)
-        canvas.add(f'<line x1="{px:.2f}" y1="{y_base}" x2="{px:.2f}" y2="{y_base + 5}" stroke="black"/>')
-        canvas.add(f'<text x="{px:.2f}" y="{y_base + 20}" text-anchor="middle">{_tick_label(tick)}</text>')
+        parts.append(f'<line x1="{px:.2f}" y1="{y_base}" x2="{px:.2f}" y2="{y_base + 5}" stroke="black"/>')
+        parts.append(f'<text x="{px:.2f}" y="{y_base + 20}" text-anchor="middle">{_tick_label(tick)}</text>')
     for tick in y_ticks:
         py = scale.y(tick)
-        canvas.add(f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
-        canvas.add(f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end">{_tick_label(tick)}</text>')
+        parts.append(f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
+        parts.append(f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end">{_tick_label(tick)}</text>')
+
+
+def _coords(points):
+    return " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
 
 
 def _polyline(points, color, width=1.5, dash=None):
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
     extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="{width}"{extra}/>'
+    return f'<polyline points="{_coords(points)}" fill="none" stroke="{color}" stroke-width="{width}"{extra}/>'
 
 
-def _render_scaling(fields, rows, path):
-    value_col = next((c for c in ("value", "mean", "msre") if c in fields), None)
-    if value_col is None:
-        raise PlotSchemaError(f"{path}: missing column 'value' for kind 'scaling'")
-    _need(fields, ("t",), "scaling", path)
-    pts = [(_f(r["t"]), _f(r[value_col])) for r in rows]
-    pts = [(t, v) for t, v in pts if t > 0 and v > 0 and math.isfinite(v)]
-    canvas = _Canvas("t (steps)", value_col, Path(path).name)
+def _render_scaling(table):
+    value_col = next((c for c in ("value", "mean", "msre") if c in table.columns), "value")
+    values = table.numbers(value_col)
+    ts = table.numbers("t")
+    rows = [i for i, v in enumerate(values) if v > 0 and math.isfinite(v)]  # on the log axis
+    table.finite("t", ts, rows)
+    pts = sorted((ts[i], values[i]) for i in rows if ts[i] > 0)
+    parts = _page("t (steps)", value_col, table.name)
     if not pts:
-        canvas.axes_box()
-        canvas.no_data()
-        return canvas.document()
-    pts.sort()
-    ts = [p[0] for p in pts]
-    vs = [p[1] for p in pts]
-    scale = _Scale((min(ts), max(ts)), (min(vs), max(vs)), x_log=True, y_log=True)
-    canvas.axes_box()
-    _draw_ticks(canvas, scale, _log_ticks(min(ts), max(ts)), _log_ticks(min(vs), max(vs)))
+        return _no_data(parts)
+    ts, vs = zip(*pts)
+    scale = _Scale((min(ts), max(ts)), (min(vs), max(vs)), log=True)
+    parts.append(_AXES_BOX)
+    _draw_ticks(parts, scale, _log_ticks(min(ts), max(ts)), _log_ticks(min(vs), max(vs)))
     # power-law guide anchored at the last point; +2 for growth, -2 for decay
     exponent = 2.0 if vs[-1] >= vs[0] else -2.0
     t_ref, v_ref = ts[-1], vs[-1]
     guide = [(scale.x(t), scale.y(v_ref * (t / t_ref) ** exponent)) for t in ts]
-    canvas.add(_polyline(guide, "black", 1.0, dash="6 4"))
-    canvas.add(_polyline([(scale.x(t), scale.y(v)) for t, v in pts], PALETTE[0]))
-    for t, v in pts:
-        canvas.add(f'<circle cx="{scale.x(t):.2f}" cy="{scale.y(v):.2f}" r="2.5" fill="{PALETTE[0]}"/>')
-    canvas.add(
+    parts.append(_polyline(guide, "black", 1.0, dash="6 4"))
+    marks = [(scale.x(t), scale.y(v)) for t, v in pts]
+    parts.append(_polyline(marks, PALETTE[0]))
+    for x, y in marks:
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{PALETTE[0]}"/>')
+    parts.append(
         f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16}" text-anchor="end">'
         f'guide: t^{exponent:+.0f}</text>'
     )
-    return canvas.document()
+    return _document(parts)
 
 
 def _viridis(frac):
-    stops = (
-        (0.267, 0.005, 0.329), (0.283, 0.141, 0.458), (0.254, 0.265, 0.530),
-        (0.207, 0.372, 0.553), (0.164, 0.471, 0.558), (0.128, 0.567, 0.551),
-        (0.135, 0.659, 0.518), (0.267, 0.749, 0.441), (0.478, 0.821, 0.318),
-        (0.741, 0.873, 0.150), (0.993, 0.906, 0.144),
-    )
-    frac = min(max(frac, 0.0), 1.0)
-    pos = frac * (len(stops) - 1)
-    i = min(int(pos), len(stops) - 2)
+    pos = frac * (len(VIRIDIS) - 1)
+    i = min(int(pos), len(VIRIDIS) - 2)
     w = pos - i
-    rgb = [stops[i][c] * (1 - w) + stops[i + 1][c] * w for c in range(3)]
+    rgb = [VIRIDIS[i][c] * (1 - w) + VIRIDIS[i + 1][c] * w for c in range(3)]
     return "#" + "".join(f"{int(round(255 * v)):02x}" for v in rgb)
 
 
@@ -208,111 +232,95 @@ def _cell_edges(values):
     return edges
 
 
-def _render_heatmap(fields, rows, path):
-    if "winding" in fields:
-        _need(fields, ("theta1_over_pi", "theta2_over_pi", "winding", "status"), "heatmap", path)
-        x_col, y_col = "theta2_over_pi", "theta1_over_pi"
-
-        def color(row):
-            if row["status"] == "gapless" or row["winding"] == "":
-                return SENTINEL
-            return WINDING_COLORS.get(int(float(row["winding"])), SENTINEL)
-
-        title = "winding number"
+def _render_heatmap(table):
+    ys = table.numbers("theta1_over_pi", finite=True)
+    if "winding" in table.columns:
+        x_col, title = "theta2_over_pi", "winding number"
+        xs = table.numbers(x_col, finite=True)
+        cells, windings = table.text("winding"), table.numbers("winding")
+        status = table.text("status")
+        table.finite("winding", windings, [i for i, cell in enumerate(cells) if cell], integer=True)
+        colors = (
+            SENTINEL if s == "gapless" or not cell else WINDING_COLORS.get(int(w), SENTINEL)
+            for s, cell, w in zip(status, cells, windings)
+        )
     else:
-        _need(fields, ("theta1_over_pi", "t", "value"), "heatmap", path)
-        x_col, y_col = "t", "theta1_over_pi"
-        finite = [
-            math.log10(_f(r["value"])) for r in rows
-            if _f(r["value"]) > 0 and math.isfinite(_f(r["value"]))
-        ]
+        x_col, title = "t", "log10 value"
+        xs = table.numbers(x_col, finite=True)
+        logs = [math.log10(v) if v > 0 and math.isfinite(v) else None for v in table.numbers("value")]
+        finite = [v for v in logs if v is not None]
         lo = min(finite) if finite else 0.0
         hi = max(finite) if finite else 1.0
-
-        def color(row):
-            v = _f(row["value"])
-            if not (v > 0 and math.isfinite(v)):
-                return SENTINEL
-            return _viridis((math.log10(v) - lo) / (hi - lo) if hi > lo else 0.5)
-
-        title = "log10 value"
-    canvas = _Canvas(x_col, y_col, f"{Path(path).name} ({title})")
-    if not rows:
-        canvas.axes_box()
-        canvas.no_data()
-        return canvas.document()
-    xs = sorted({_f(r[x_col]) for r in rows})
-    ys = sorted({_f(r[y_col]) for r in rows})
-    x_edges, y_edges = _cell_edges(xs), _cell_edges(ys)
-    scale = _Scale((x_edges[0], x_edges[-1]), (y_edges[0], y_edges[-1]))
-    x_pos = {v: i for i, v in enumerate(xs)}
-    y_pos = {v: i for i, v in enumerate(ys)}
-    for row in rows:
-        i = x_pos[_f(row[x_col])]
-        j = y_pos[_f(row[y_col])]
-        px0, px1 = scale.x(x_edges[i]), scale.x(x_edges[i + 1])
-        py0, py1 = scale.y(y_edges[j]), scale.y(y_edges[j + 1])
-        canvas.add(
-            f'<rect x="{px0:.2f}" y="{py1:.2f}" width="{px1 - px0:.2f}" '
-            f'height="{py0 - py1:.2f}" fill="{color(row)}"/>'
+        colors = (
+            SENTINEL if v is None else _viridis((v - lo) / (hi - lo) if hi > lo else 0.5)
+            for v in logs
         )
-    canvas.axes_box()
-    _draw_ticks(canvas, scale, _nice_ticks(x_edges[0], x_edges[-1]), _nice_ticks(y_edges[0], y_edges[-1]))
-    return canvas.document()
+    parts = _page(x_col, "theta1_over_pi", f"{table.name} ({title})")
+    if not xs:
+        return _no_data(parts)
+    x_cells, y_cells = sorted(set(xs)), sorted(set(ys))
+    x_edges, y_edges = _cell_edges(x_cells), _cell_edges(y_cells)
+    scale = _Scale((x_edges[0], x_edges[-1]), (y_edges[0], y_edges[-1]))
+    px = [scale.x(e) for e in x_edges]
+    py = [scale.y(e) for e in y_edges]
+    for x, y, color in zip(xs, ys, colors):
+        i, j = bisect_left(x_cells, x), bisect_left(y_cells, y)
+        parts.append(
+            f'<rect x="{px[i]:.2f}" y="{py[j + 1]:.2f}" width="{px[i + 1] - px[i]:.2f}" '
+            f'height="{py[j] - py[j + 1]:.2f}" fill="{color}"/>'
+        )
+    parts.append(_AXES_BOX)
+    _draw_ticks(parts, scale, _nice_ticks(x_edges[0], x_edges[-1]), _nice_ticks(y_edges[0], y_edges[-1]))
+    return _document(parts)
 
 
-def _render_band(fields, rows, path):
-    _need(fields, ("t", "mean", "std"), "band", path)
-    pts = [(_f(r["t"]), _f(r["mean"]), _f(r["std"])) for r in rows]
-    pts = [p for p in pts if p[0] > 0 and p[1] > 0 and math.isfinite(p[1])]
-    canvas = _Canvas("t (steps)", "mean +/- std", Path(path).name)
+def _render_band(table):
+    ts, means, stds = (table.numbers(c) for c in ("t", "mean", "std"))
+    rows = [i for i, m in enumerate(means) if m > 0 and math.isfinite(m)]  # on the log axis
+    table.finite("t", ts, rows)
+    rows = [i for i in rows if ts[i] > 0]
+    table.finite("std", stds, rows)
+    pts = sorted((ts[i], means[i], stds[i]) for i in rows)
+    parts = _page("t (steps)", "mean +/- std", table.name)
     if not pts:
-        canvas.axes_box()
-        canvas.no_data()
-        return canvas.document()
-    pts.sort()
+        return _no_data(parts)
     floor = min(p[1] for p in pts) / 10.0
     uppers = [m + s for _, m, s in pts]
     lowers = [max(m - s, floor) for _, m, s in pts]
-    scale = _Scale(
-        (pts[0][0], pts[-1][0]), (min(lowers), max(uppers)), x_log=True, y_log=True
-    )
-    band = [(scale.x(t), scale.y(u)) for (t, _, _), u in zip(pts, uppers)]
-    band += [(scale.x(t), scale.y(l)) for (t, _, _), l in reversed(list(zip(pts, lowers)))]
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in band)
-    canvas.add(f'<polygon points="{coords}" fill="#e8b4b8" stroke="none"/>')
-    canvas.add(_polyline([(scale.x(t), scale.y(m)) for t, m, _ in pts], PALETTE[0]))
-    canvas.axes_box()
-    _draw_ticks(
-        canvas, scale, _log_ticks(pts[0][0], pts[-1][0]), _log_ticks(min(lowers), max(uppers))
-    )
-    return canvas.document()
+    scale = _Scale((pts[0][0], pts[-1][0]), (min(lowers), max(uppers)), log=True)
+    px = [scale.x(t) for t, _, _ in pts]
+    band = [(x, scale.y(u)) for x, u in zip(px, uppers)]
+    band += [(x, scale.y(low)) for x, low in reversed(list(zip(px, lowers)))]
+    parts.append(f'<polygon points="{_coords(band)}" fill="#e8b4b8" stroke="none"/>')
+    parts.append(_polyline([(x, scale.y(m)) for x, (_, m, _) in zip(px, pts)], PALETTE[0]))
+    parts.append(_AXES_BOX)
+    x_ticks, y_ticks = _log_ticks(pts[0][0], pts[-1][0]), _log_ticks(min(lowers), max(uppers))
+    _draw_ticks(parts, scale, x_ticks, y_ticks)
+    return _document(parts)
 
 
-def _render_posterior(fields, rows, path):
-    _need(fields, ("t", "theta02_over_pi", "weight"), "posterior", path)
-    canvas = _Canvas("theta02 / pi", "posterior weight", Path(path).name)
-    if not rows:
-        canvas.axes_box()
-        canvas.no_data()
-        return canvas.document()
+def _render_posterior(table):
+    labels, steps = table.text("t"), table.numbers("t", finite=True)
+    xs = table.numbers("theta02_over_pi", finite=True)
+    ws = table.numbers("weight", finite=True)
+    parts = _page("theta02 / pi", "posterior weight", table.name)
+    if not xs:
+        return _no_data(parts)
     groups = {}
-    for row in rows:
-        groups.setdefault(row["t"], []).append((_f(row["theta02_over_pi"]), _f(row["weight"])))
-    xs = [x for pts in groups.values() for x, _ in pts]
-    ws = [w for pts in groups.values() for _, w in pts]
+    for label, step, x, w in zip(labels, steps, xs, ws):
+        groups.setdefault(label, (step, []))[1].append((x, w))
     scale = _Scale((min(xs), max(xs)), (0.0, max(max(ws), 1e-300)))
-    canvas.axes_box()
-    _draw_ticks(canvas, scale, _nice_ticks(min(xs), max(xs)), _nice_ticks(0.0, max(ws)))
-    for i, (t, pts) in enumerate(sorted(groups.items(), key=lambda kv: float(kv[0]))):
+    parts.append(_AXES_BOX)
+    _draw_ticks(parts, scale, _nice_ticks(min(xs), max(xs)), _nice_ticks(0.0, max(ws)))
+    for i, (label, (_, pts)) in enumerate(sorted(groups.items(), key=lambda kv: kv[1][0])):
         color = PALETTE[i % len(PALETTE)]
         pts.sort()
-        canvas.add(_polyline([(scale.x(x), scale.y(w)) for x, w in pts], color))
-        canvas.add(
+        parts.append(_polyline([(scale.x(x), scale.y(w)) for x, w in pts], color))
+        parts.append(
             f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16 + 14 * i}" '
-            f'text-anchor="end" fill="{color}">t={t}</text>'
+            f'text-anchor="end" fill="{color}">t={label}</text>'
         )
-    return canvas.document()
+    return _document(parts)
 
 
 _RENDERERS = {
@@ -329,6 +337,4 @@ def render_plot(data_path, kind: str, out_path) -> Path:
     """Render one CSV data file to a standalone SVG document."""
     if kind not in _RENDERERS:
         raise PlotSchemaError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    fields, rows = _read_rows(data_path)
-    document = _RENDERERS[kind](fields, rows, data_path)
-    return atomic_write_text(out_path, document)
+    return atomic_write_text(out_path, _RENDERERS[kind](_Table(data_path, kind)))
