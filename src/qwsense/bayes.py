@@ -14,7 +14,7 @@ limit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .walk import (
     WalkerState,
     default_initial_state,
     dynamics_lattice_size,
+    light_cone,
     per_step_fields,
     propagate,
     wrap_angle,
@@ -113,11 +114,13 @@ def defect_probability_series(
     """P0(t) for t = 0..steps (state-only propagation, no derivative).
 
     Shape (steps + 1,), or (steps + 1, B) for coin fields with (B, N) angles.
+    Only the defect row is read, so the walk runs on the causal diamond
+    (``walk`` module docstring).
     """
     defect = params.defect_index
     return np.array([
         (np.abs(psi[..., defect, :]) ** 2).sum(axis=-1)
-        for psi in propagate(params, initial, steps, coin_fields)
+        for psi in propagate(params, initial, steps, coin_fields, defect_only=True)
     ])
 
 
@@ -130,12 +133,14 @@ def candidate_probability_table(
     is the expensive part of estimation and is reused across trials and
     experiments.  The candidates share the field's coin tables and differ
     only in the layer-2 coin at the defect, which is redone per candidate
-    after each step.  The stack covers the light cone of the last scheduled
-    step, W = 2 t_max + 3 sites around the defect, or the whole ring when
-    that is smaller; amplitudes outside the cone are exactly zero, so the
-    window changes no bit of the table.  With ``coin_fields`` the candidate
-    walks run on those (possibly disordered) bulk angles; every field's
-    angles must have shape (lattice_size,).
+    after each step.  The stack holds the W = 2 t_max + 3 sites around the
+    defect that the last scheduled step's light cone can reach, or the whole
+    ring when that is smaller, and each step runs on the causal diamond of
+    that W-site geometry (``walk.light_cone`` with horizon t_max): only the
+    sites that can still reach the defect by t_max.  The defect row is exact
+    at every step, so neither cut changes a bit of the table.  With
+    ``coin_fields`` the candidate walks run on those (possibly disordered)
+    bulk angles; every field's angles must have shape (lattice_size,).
     """
     schedule = [int(t) for t in schedule]
     t_max = max(schedule)
@@ -143,18 +148,22 @@ def candidate_probability_table(
     start = params_template.defect_index - (width - 1) // 2
     window = slice(start, start + width)
     defect = (width - 1) // 2
-    initial = default_initial_state(width).grid()
+    state = default_initial_state(width)
+    cone = light_cone(replace(params_template, lattice_size=width), state, t_max)
+    initial = state.grid()
     # real coins and shifts keep the real start state real: float64 reproduces
     # the complex walk's bits
     assert not initial.imag.any()
     current = np.repeat(initial.real[np.newaxis], len(candidates), axis=0)
-    scratch = np.empty_like(current)
+    # the forward windows widen into rows no step has written: they must be zero
+    scratch = np.zeros_like(current)
     half = 0.5 * np.array([wrap_angle(theta) for theta in candidates])
     c02, s02 = np.cos(half), np.sin(half)
     probs = np.empty((t_max + 1, len(candidates)))
     probs[0] = (current[:, defect] ** 2).sum(axis=-1)
     prev_field = None
-    for t, field in enumerate(per_step_fields(params_template, t_max, coin_fields)):
+    fields = per_step_fields(params_template, t_max, coin_fields)
+    for t, (rows, field) in enumerate(zip(cone, fields)):
         if field is not prev_field:
             if field.angles1.shape != (params_template.lattice_size,):
                 raise ValueError(
@@ -163,7 +172,8 @@ def candidate_probability_table(
                 )
             c1, s1, c2, s2 = (table[window] for table in field.half_angle_tables())
             prev_field = field
-        kernels.split_step(current, c1, s1, c2, s2, scratch)
+        kernels.split_step(current[:, rows], c1[rows], s1[rows], c2[rows], s2[rows],
+                           scratch[:, rows])
         # layer 2 at the defect again, with each candidate's angle
         fu, fd = kernels.defect_coin_inputs(current, c1, s1, defect)
         scratch[:, defect, 0] = c02 * fu - s02 * fd

@@ -329,8 +329,9 @@ def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
     ``seed_override`` obeys the rule for ``seed``.  An fi-scaling fit window
     must cover at least 5 of the steps 1..steps; that is necessary, not
     sufficient: flagged or non-positive values, and ``peaks_only``, can still
-    leave the run's fit fewer than 5 points.  A section that the experiment
-    does not read is not checked.
+    leave the run's fit fewer than 5 points.  ``fit`` is read only by the
+    experiments that fit, and is a violation anywhere else; any other section
+    that the experiment does not read is not checked.
     """
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -339,7 +340,6 @@ def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
     check = _Check()
     check.known(doc, _TOP_LEVEL)
     cfg = _read_run(check, doc, experiment, seed_override)
-    _read_fit(check, doc, cfg)
     if experiment == "phase-diagram":
         cfg.phase_grid = _read_phase_grid(check, doc)
     elif experiment == "spectrum":
@@ -353,6 +353,12 @@ def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
         _read_dynamics(check, doc, cfg)
     if experiment == "disorder":
         _read_disorder(check, doc, cfg)
+    if experiment == "fi-scaling" or experiment == "disorder" and cfg.disorder_observable == "fi":
+        _read_fit(check, doc, cfg)
+    elif "fit" in doc:
+        # an experiment that never fits would ignore the section
+        check.fail("fit", "read only by fi-scaling and by disorder with observable fi; "
+                          "this run never fits")
     if experiment == "bayes" or cfg.disorder_observable == "msre":
         cfg.estimation = _read_estimation(check, doc, cfg)
     if experiment == "avg-fi":

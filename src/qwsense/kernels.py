@@ -25,9 +25,14 @@ and its values are the real parts of the same complex stack's, bit for bit
 (up to the sign of zero).
 
 The ring is periodic, so a kernel call on a contiguous window of rows wraps
-within the window.  That is exact when the window's first and last rows hold
-zeros, which is how ``walk.propagate`` steps only a walk's light cone: the
-window is a view into the full-size buffers and may be non-contiguous.
+within the window: output row i reads input rows i - 1..i + 1, and only the
+up component of the first row and the down component of the last row read
+across the wrap.  The step is therefore exact on the window when its first
+and last rows hold zeros, which is how ``walk.propagate`` steps a walk's
+forward light cone.  When they do not, only those two output cells are
+wrong; a next window one row narrower per side drops them, which is how
+``walk.light_cone``'s causal diamond keeps the defect row exact.  The window
+is a view into the full-size buffers and may be non-contiguous.
 """
 
 import numpy as np

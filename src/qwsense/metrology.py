@@ -20,10 +20,14 @@ of its own serial pass.  GFI and QFI compute their per-site products on
 ``walk.light_cone``'s window only, where the state and derivative can be
 non-zero, and scatter them into full-size rows that are zero elsewhere; each
 sum then runs over the whole row, so its pairwise partition, and with it
-every bit, does not depend on the window.  The buffers are real for the real
-start state (``walk`` module docstring); the products are then the real
-parts of the complex ones, and QFI's overlap <dpsi|psi> is still summed as a
-complex row, whose pairwise partition differs from a real row's.
+every bit, does not depend on the window.  A pass that asks for the
+defect-site FI alone reads only the defect row, so it walks the causal
+diamond of ``walk.light_cone`` (the sites that can still reach the defect
+by the last step) instead of the whole forward cone.  The buffers are real
+for the real start state (``walk`` module docstring); the products are then
+the real parts of the complex ones, and QFI's overlap <dpsi|psi> is still
+summed as a complex row, whose pairwise partition differs from a real
+row's.
 ``fisher_at_defect``, ``global_fisher`` and ``quantum_fisher`` are
 single-walk, single-measure wrappers.  Power-law growth FI ~ t^b is
 extracted by least squares in log-log coordinates; b = 2 is the Heisenberg
@@ -80,19 +84,22 @@ class ScalingFit:
         return self.prefactor * np.asarray(t, dtype=np.float64) ** self.exponent
 
 
-def pair_trajectory(params: WalkParams, initial: WalkerState, steps: int, coin_fields, observe):
+def pair_trajectory(params: WalkParams, initial: WalkerState, steps: int, coin_fields, observe,
+                    defect_only: bool = False):
     """Stacked ``observe(psi_t, dpsi_t, rows_t)`` for t = 0..steps over one streamed walk.
 
     ``observe`` gets the (N, 2) state and theta02-derivative buffers of each
     step, which are zero outside the light-cone rows ``rows_t``; they are
-    reused, so it must return a reduction, not the buffers.
+    reused, so it must return a reduction, not the buffers.  With
+    ``defect_only`` the walk runs on the causal diamond (``walk`` module
+    docstring) and ``observe`` may read the defect row only.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    pairs = propagate(params, initial, steps, coin_fields, derivative=True)
-    return np.array([
-        observe(psi, dpsi, rows) for (psi, dpsi), rows in zip(pairs, light_cone(params, initial))
-    ])
+    pairs = propagate(params, initial, steps, coin_fields, derivative=True,
+                      defect_only=defect_only)
+    cone = light_cone(params, initial, steps if defect_only else None)
+    return np.array([observe(psi, dpsi, rows) for (psi, dpsi), rows in zip(pairs, cone)])
 
 
 def binary_fisher(p0, dp0):
@@ -164,7 +171,11 @@ def information_values(
             terms.append(4.0 * (norm - np.abs(overlap) ** 2))
         return terms
 
-    terms = iter(pair_trajectory(params, initial, steps, coin_fields, observe).swapaxes(0, 1))
+    # the defect-site FI alone reads one row: walk only the sites that reach it
+    defect_only = set(kinds) == {DEFECT_SITE_FI}
+    terms = iter(
+        pair_trajectory(params, initial, steps, coin_fields, observe, defect_only).swapaxes(0, 1)
+    )
     measures = {}
     if DEFECT_SITE_FI in kinds:
         measures[DEFECT_SITE_FI] = binary_fisher(next(terms), next(terms))

@@ -23,6 +23,19 @@ so rows outside the window are never written and stay exact zeros; the
 Fisher observers reduce on the same windows.  The yielded buffers equal the
 full-ring walk's bit for bit (up to the sign of zero).
 
+Causal diamond: a series that reads only the defect row up to a horizon H
+needs, at step t, only the rows within H - t of the defect (row i of
+psi_{t+1} reads rows i - 1..i + 1 of psi_t).  With a horizon, ``light_cone``
+switches from the forward window to that backward window,
+slice(d - (H - t) - 1, d + (H - t) + 2), once the forward one no longer fits
+inside it.  A backward window's edge rows hold non-zero amplitudes, so the
+kernel's periodic wrap writes wrong values into two cells: the up component
+of its first row and the down component of its last row.  The next window
+is one row narrower per side and drops exactly those rows, so every row a
+later step reads is exact, and so is the defect row at every t <= H.  Rows
+outside the window keep stale values: ``propagate(..., defect_only=True)``
+walks the diamond, and only the defect row of its buffers is meaningful.
+
 Buffer dtype: every coin and shift is real, so a start state with no
 imaginary part stays real.  ``propagate`` then steps float64 buffers, whose
 values are the real parts of the complex walk's, bit for bit; a complex
@@ -209,7 +222,7 @@ class CoinField:
 
 
 def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=None,
-              derivative: bool = False):
+              derivative: bool = False, defect_only: bool = False):
     """Stream psi_t for t = 0..steps, or (psi_t, dpsi_t) with ``derivative``.
 
     Yields full-size buffers that the next step overwrites: read them, copy
@@ -223,9 +236,11 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
     are (B, N, 2); every field of a run has the same shape.  dpsi is the
     exact derivative with respect to the layer-2 angle at
     ``params.defect_index``, starting from zero.  Each step runs on the
-    light-cone window of the module docstring.  The step count and the
-    initial state are checked when iteration starts, each field before its
-    first step.
+    light-cone window of the module docstring; with ``defect_only`` it runs
+    on the causal diamond of ``light_cone(params, initial, steps)`` instead,
+    and only the defect row of the buffers is meaningful.  The step count
+    and the initial state are checked when iteration starts, each field
+    before its first step.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -250,7 +265,7 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
     yield (current, dcurrent) if derivative else current
     prev_field = None
     tables = None
-    for rows, field in zip(light_cone(params, initial),
+    for rows, field in zip(light_cone(params, initial, steps if defect_only else None),
                            itertools.chain([head], fields) if steps else ()):
         if field is not prev_field:
             if field.lattice_size != n:
@@ -276,22 +291,35 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
         yield (current, dcurrent) if derivative else current
 
 
-def light_cone(params: WalkParams, initial: WalkerState):
-    """Rows of the light-cone window t, for t = 0, 1, ...: one slice each, endlessly.
+def light_cone(params: WalkParams, initial: WalkerState, horizon: int | None = None):
+    """Rows of window t: one slice each, for t = 0, 1, ... endlessly, or t = 0..horizon.
 
     Window t holds the support of psi_t and dpsi_t from ``initial``: the
     initial support and the defect, widened by t sites plus one zero row per
-    side.  It also holds psi_{t+1}, so ``propagate`` takes step t on it.  A
-    window that no longer fits in the ring is the whole ring, slice(0, N).
+    side.  It also holds psi_{t+1}, so ``propagate`` takes step t on it.
+    With a ``horizon`` H, window t is that forward window while it fits
+    inside the backward window slice(d - (H - t) - 1, d + (H - t) + 2)
+    around the defect d, and the backward window after that (the causal
+    diamond of the module docstring).  A window of either kind that does not
+    fit in the ring is the whole ring, slice(0, N).
     """
     n = params.lattice_size
     defect = params.defect_index
     occupied = np.flatnonzero(initial.grid().any(axis=1))
     first = min(occupied[0], defect) - 1
     stop = max(occupied[-1], defect) + 2
-    for t in itertools.count():
-        lo, hi = first - t, stop + t
-        yield slice(lo, hi) if lo >= 0 and hi <= n else slice(0, n)
+    for t in itertools.count() if horizon is None else range(horizon + 1):
+        rows = _on_ring(first - t, stop + t, n)
+        if horizon is not None:
+            reach = horizon - t
+            backward = _on_ring(defect - reach - 1, defect + reach + 2, n)
+            if rows.start < backward.start or rows.stop > backward.stop:
+                rows = backward
+        yield rows
+
+
+def _on_ring(lo, hi, n):
+    return slice(lo, hi) if lo >= 0 and hi <= n else slice(0, n)
 
 
 def evolve(params: WalkParams, initial: WalkerState, steps: int) -> list[WalkerState]:

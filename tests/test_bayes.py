@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from qwsense import kernels
 from qwsense.bayes import (
     EstimationConfig,
     candidate_probability_table,
@@ -132,8 +133,21 @@ def test_posterior_validates_arguments():
 # --- batched candidate table ----------------------------------------------------
 
 
+def full_ring_defect_probabilities(params, initial, fields):
+    """P0(t) of one complex walk stepped on the whole ring into fresh arrays, no window."""
+    defect = params.defect_index
+    psi = initial.grid()
+    probs = [(np.abs(psi[defect]) ** 2).sum()]
+    for field in fields:
+        out = np.empty_like(psi)
+        kernels.split_step(psi, *field.half_angle_tables(), out)
+        psi = out
+        probs.append((np.abs(psi[defect]) ** 2).sum())
+    return np.array(probs)
+
+
 def serial_table(params, candidates, schedule, coin_fields=None):
-    """Reference: one complex full-ring defect_probability_series walk per candidate."""
+    """Reference: one complex full-ring walk per candidate."""
     t_max = max(schedule)
     initial = default_initial_state(params.lattice_size)
     fields = per_step_fields(params, t_max, coin_fields)
@@ -147,7 +161,7 @@ def serial_table(params, candidates, schedule, coin_fields=None):
                 angles2[p.defect_index] = p.theta02
                 rewritten[id(f)] = CoinField(f.angles1, angles2)
         own = [rewritten[id(f)] for f in fields]
-        columns.append(defect_probability_series(p, initial, t_max, own)[list(schedule)])
+        columns.append(full_ring_defect_probabilities(p, initial, own)[list(schedule)])
     return np.stack(columns, axis=1)
 
 
@@ -192,6 +206,22 @@ def test_batched_table_equals_serial_walks_for_drawn_angles(theta1, theta2, cand
     schedule = [1, t_max]
     batched = candidate_probability_table(p, np.array(candidates), schedule)
     assert np.array_equal(batched, serial_table(p, candidates, schedule))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    half=st.integers(1, 20),
+    angles=st.tuples(st.floats(-PI, PI), st.floats(-PI, PI)),
+    candidates=st.lists(st.floats(-3 * PI, 3 * PI), min_size=1, max_size=5),
+    schedule=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+    fields=st.sampled_from([None, _static, _dynamic]),
+)
+def test_table_equals_full_ring_walks_on_any_lattice(half, angles, candidates, schedule, fields):
+    # 3..41 sites, often fewer than 2 t_max + 3: the candidate walks wrap the ring
+    p = WalkParams(*angles, 0.0, 2 * half + 1)
+    coin_fields = fields(p, max(schedule)) if fields else None
+    table = candidate_probability_table(p, np.array(candidates), schedule, coin_fields)
+    assert np.array_equal(table, serial_table(p, candidates, schedule, coin_fields))
 
 
 def _wider(params, steps):

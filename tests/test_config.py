@@ -65,6 +65,13 @@ RULES = [
     ("fit.t_min", with_(FI, fit={"t_min": 0}), "fit.t_min:"),
     ("fit.t_max", with_(FI, fit={"t_max": "end"}), "fit.t_max:"),
     ("fit-window-coverage", with_(FI, fit={"t_min": 28}), "fit:"),
+    # only fi-scaling and disorder-FI runs fit; elsewhere fit was silently ignored
+    ("fit-on-gfi-qfi", with_(FI, experiment="gfi-qfi", fit={"t_min": 30, "mode": "peaks_only"}),
+     "fit: read only"),
+    ("fit-on-bayes", with_(BAYES, fit={"mode": "peaks_only"}), "fit: read only"),
+    ("fit-on-msre", with_(DISORDER, disorder__observable="msre", estimation=ESTIMATION, fit={}),
+     "fit: read only"),
+    ("fit-on-phase-diagram", with_(PHASE, fit={"t_min": 10}), "fit: read only"),
     ("walk-missing", without(FI, "walk"), "walk:"),
     ("walk.theta1-missing", without(FI, "walk", "theta1_over_pi"), "walk.theta1_over_pi:"),
     ("walk.theta2-not-a-number", with_(FI, walk__theta2_over_pi="x"), "walk.theta2_over_pi:"),

@@ -34,6 +34,7 @@ from qwsense.walk import (
     WalkerState,
     WalkParams,
     default_initial_state,
+    dynamics_lattice_size,
     per_step_fields,
 )
 
@@ -359,6 +360,25 @@ def test_information_hierarchy_at_drawn_angles(angles, steps, margin):
     # the tolerance of perfbench/checks.py: a <= b + 1e-9 |b| + 1e-12
     assert (fi <= gfi + 1e-9 * np.abs(gfi) + 1e-12).all()
     assert (gfi <= qfi + 1e-9 * np.abs(qfi) + 1e-12).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    theta1=st.one_of(st.floats(-PI, PI), st.sampled_from([-PI, PI])),
+    others=st.tuples(st.floats(-PI, PI), st.floats(-PI, PI)),
+    steps=st.integers(1, 40),
+)
+def test_qfi_obeys_the_heisenberg_bound(theta1, others, steps):
+    # theta02 enters each step once, through exp(-i theta02 sigma_y / 2) at the
+    # defect: a generator of spectral range 1, so QFI(t) <= (1 * t)^2
+    n = dynamics_lattice_size(steps)
+    qfi = quantum_fisher(WalkParams(theta1, *others, n), default_initial_state(n), steps).values
+    ratio = qfi[1:] / np.arange(1, steps + 1) ** 2
+    assert qfi[0] == 0.0
+    assert (ratio <= 1.0 + 1e-9).all()
+    if abs(theta1) == PI:
+        # at theta1 = +-pi the walk saturates the bound at every step
+        np.testing.assert_allclose(ratio, 1.0, rtol=1e-9)
 
 
 def test_trivial_case_peaks_sit_above_the_bulk_fit():

@@ -6,6 +6,7 @@ momentum-space reconstruction through the FFT, and central finite
 differences for every derivative claim.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from qwsense.walk import (
     WalkerState,
     default_initial_state,
     evolve,
+    light_cone,
     per_step_fields,
     position_probability,
     propagate,
@@ -422,6 +424,67 @@ def test_windowed_walk_equals_full_ring_walk_under_disorder():
     dynamic = sample_disorder(DisorderSpec(DYNAMIC, 0.2, 1, 4), params, 0, steps=steps)
     for fields in (static, dynamic):
         _assert_walks_equal(params, initial, steps, fields)
+
+
+@st.composite
+def drawn_fields(draw, n, steps):
+    """None (the clean walk), or random fields: one for every step or one per
+    step, each (N,) or (B, N)."""
+    kind = draw(st.sampled_from(["clean", "static", "dynamic"]))
+    if kind == "clean":
+        return None
+    shape = (n,) if draw(st.booleans()) else (draw(st.integers(1, 3)), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def field():
+        return CoinField(rng.uniform(-PI, PI, shape), rng.uniform(-PI, PI, shape))
+
+    return field() if kind == "static" else [field() for _ in range(steps)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(initial=lattice_states(), angles=st.tuples(*[st.floats(-PI, PI)] * 3),
+       steps=st.integers(1, 40), data=st.data())
+def test_diamond_walk_keeps_the_full_ring_walks_defect_row(initial, angles, steps, data):
+    # supports anywhere on rings of 3..31 sites, so the cone often wraps
+    n = initial.lattice_size
+    params = WalkParams(*angles, n)
+    fields = data.draw(drawn_fields(n, steps))
+    defect = params.defect_index
+    reference = list(full_ring_walk(params, initial, steps, fields))
+    pairs = propagate(params, initial, steps, fields, derivative=True, defect_only=True)
+    for (psi, dpsi), (ref, dref) in zip(pairs, reference, strict=True):
+        assert np.array_equal(psi[..., defect, :], ref[..., defect, :])
+        assert np.array_equal(dpsi[..., defect, :], dref[..., defect, :])
+    states = propagate(params, initial, steps, fields, defect_only=True)
+    for psi, (ref, _) in zip(states, reference, strict=True):
+        assert np.array_equal(psi[..., defect, :], ref[..., defect, :])
+
+
+@settings(max_examples=60, deadline=None)
+@given(initial=lattice_states(), horizon=st.integers(0, 40))
+def test_light_cone_horizon_narrows_one_row_per_side_once_backward_bound(initial, horizon):
+    n = initial.lattice_size
+    params = WalkParams(0.0, 0.0, 0.0, n)
+    defect = params.defect_index
+    windows = list(light_cone(params, initial, horizon))
+    forward = list(itertools.islice(light_cone(params, initial), horizon + 1))
+    assert len(windows) == horizon + 1
+    backward_bound = [rows != ahead for rows, ahead in zip(windows, forward)]
+    # forward windows while they fit inside the backward ones, backward ones after
+    assert backward_bound == sorted(backward_bound)
+    for t, rows in enumerate(windows):
+        reach = horizon - t
+        if backward_bound[t]:
+            assert rows == slice(defect - reach - 1, defect + reach + 2)
+            assert 0 <= rows.start and rows.stop <= n
+            if t < horizon:
+                assert windows[t + 1] == slice(rows.start + 1, rows.stop - 1)
+        else:  # inside the backward window, or that one spills off the ring
+            lo, hi = defect - reach - 1, defect + reach + 2
+            assert lo <= rows.start and rows.stop <= hi or lo < 0 or hi > n
+        assert rows.start < defect < rows.stop - 1
+    assert windows[-1] == slice(defect - 1, defect + 2)
 
 
 def superposition(n):
