@@ -11,6 +11,14 @@ likelihood by the flat prior and normalizes in log space.  The mean squared
 relative error (posterior variance plus squared bias, normalized by
 theta02^2) is the figure of merit and should fall as t^-2 at the Heisenberg
 limit.
+
+``estimation_curve`` draws a scheduled step's R click counts, one seed
+stream per repetition, and computes their R posteriors as one (R, C) array
+over the C candidates: the table row's clip and logs once, then each row's
+max, log-sum-exp, weights, mean and variance, every reduction over the last
+axis.  Row r holds the bits of ``posterior`` on click count r alone, which
+is the R = 1 case of the same computation.  Each repetition's msre and std
+stay scalar Python arithmetic, whose x ** 2 is libm pow, not numpy's x * x.
 """
 
 import math
@@ -105,6 +113,9 @@ class EstimationConfig:
 class EstimationCurve:
     records: list[EstimationRecord]
     fit: metrology.ScalingFit | None  # slope of log msre vs log t; None below 5 records
+    # largest posterior weight in the grid's first and last cells together,
+    # over every step and repetition: near 1 when the prior window cuts the mass
+    edge_mass: float
     posteriors: list[PosteriorGrid] | None = None
 
 
@@ -239,22 +250,31 @@ def _fold_ambiguity(col):
     return max(0.0, float(shared / full))
 
 
-def _log_likelihood(probs: np.ndarray, successes: int, trials: int) -> np.ndarray:
-    """Binomial log-likelihood per candidate; impossible candidates get -inf.
+def _log_posteriors(probabilities: np.ndarray, trials: int, successes: np.ndarray) -> np.ndarray:
+    """Normalized log posterior weights, shape (R, C): one row per click count.
 
-    The binomial coefficient is constant across candidates and omitted.
+    ``probabilities`` is one table row, P0(t; candidate) for the C candidates;
+    ``successes`` holds R click counts out of ``trials`` each.  The binomial
+    log-likelihood times the flat prior, with the coefficient (constant
+    across candidates) omitted; a candidate that cannot produce the data
+    gets -inf.  The clip and logs run once for all R rows; each row's max,
+    log-sum-exp and normalization reduce over the last axis, so a row holds
+    the bits of its own R = 1 posterior.
     """
-    probs = np.clip(probs, 0.0, 1.0)
-    fails = trials - successes
+    probs = np.clip(probabilities, 0.0, 1.0)
+    clicks = successes[:, np.newaxis]
+    fails = trials - clicks
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), -np.inf)
         log_q = np.where(probs < 1.0, np.log1p(-np.where(probs < 1.0, probs, 0.0)), -np.inf)
-    out = np.zeros_like(probs)
-    if successes > 0:
-        out = out + successes * log_p
-    if fails > 0:
-        out = out + fails * log_q
-    return out
+        # a term with a zero count is skipped: 0 * -inf must not become nan
+        log_w = (0.0 + np.where(clicks > 0, clicks * log_p, 0.0)
+                 + np.where(fails > 0, fails * log_q, 0.0))
+    peak = log_w.max(axis=-1, keepdims=True)
+    if not np.isfinite(peak).all():
+        raise ValueError("data impossible under every candidate; posterior undefined")
+    log_norm = peak + np.log(np.exp(log_w - peak).sum(axis=-1, keepdims=True))
+    return log_w - log_norm
 
 
 def posterior(
@@ -264,7 +284,8 @@ def posterior(
 
     ``probabilities`` holds P0(t; candidate) for each candidate, one row of
     candidate_probability_table.  ``trials`` = 0 is allowed and returns the
-    flat prior.
+    flat prior.  This is the R = 1 case of the batched posterior that
+    ``estimation_curve`` computes for all repetitions of a step at once.
     """
     if len(candidates) < 11:
         raise ValueError(f"need at least 11 candidates, got {len(candidates)}")
@@ -273,19 +294,20 @@ def posterior(
     probabilities = np.asarray(probabilities, dtype=np.float64)
     if probabilities.shape != np.shape(candidates):
         raise ValueError("probabilities must hold one value per candidate")
-    log_w = _log_likelihood(probabilities, successes, trials)  # + constant log-prior
-    peak = log_w.max()
-    if not np.isfinite(peak):
-        raise ValueError("data impossible under every candidate; posterior undefined")
-    log_norm = peak + np.log(np.exp(log_w - peak).sum())
-    return PosteriorGrid(candidates, log_w - log_norm)
+    log_w = _log_posteriors(probabilities, trials, np.array([successes]))
+    return PosteriorGrid(candidates, log_w[0])
 
 
 def msre(grid: PosteriorGrid, true_theta02: float) -> float:
     """(variance + squared bias) / theta02^2 under the posterior."""
+    return _relative_error(grid.variance, grid.mean, true_theta02)
+
+
+def _relative_error(variance: float, mean: float, true_theta02: float) -> float:
+    # Python floats: x ** 2 is libm pow here, where numpy would square
     if true_theta02 == 0:
         raise ZeroDivisionError("relative error undefined for true_theta02 = 0")
-    return (grid.variance + (grid.mean - true_theta02) ** 2) / true_theta02**2
+    return (variance + (mean - true_theta02) ** 2) / true_theta02**2
 
 
 def record_seed(
@@ -322,25 +344,32 @@ def estimation_curve(
         raise ValueError(
             "candidate_table must have one row per scheduled step and one column per grid point"
         )
+    candidate_table = np.asarray(candidate_table, dtype=np.float64)
     records = []
     grids = [] if keep_posteriors else None
+    edge_mass = 0.0
     for i, t in enumerate(config.schedule):
         p_t = min(max(p_true[t], 0.0), 1.0)
-        errors, stds = [], []
-        first_m = None
-        for rep in range(config.repetitions):
-            rng = np.random.default_rng(record_seed(config, seed_prefix, rep, i))
-            m = int(rng.binomial(config.trials, p_t))
-            grid = posterior(candidates, candidate_table[i], config.trials, m)
-            if rep == 0:
-                first_m = m
-                if grids is not None:
-                    grids.append(grid)
-            errors.append(msre(grid, config.params.theta02))
-            stds.append(grid.std)
+        successes = np.array([
+            np.random.default_rng(record_seed(config, seed_prefix, rep, i)).binomial(
+                config.trials, p_t)
+            for rep in range(config.repetitions)
+        ])
+        log_w = _log_posteriors(candidate_table[i], config.trials, successes)
+        weights = np.exp(log_w)
+        means = (weights * candidates).sum(axis=-1, keepdims=True)
+        variances = (weights * (candidates - means) ** 2).sum(axis=-1)
+        edge_mass = max(edge_mass, float((weights[:, 0] + weights[:, -1]).max()))
+        if grids is not None:
+            grids.append(PosteriorGrid(candidates, log_w[0]))
+        errors = [
+            _relative_error(float(var), float(mean), config.params.theta02)
+            for var, mean in zip(variances, means[:, 0])
+        ]
+        stds = [math.sqrt(var) for var in variances]
         records.append(
             EstimationRecord(
-                step=t, trials=config.trials, successes=first_m,
+                step=t, trials=config.trials, successes=int(successes[0]),
                 msre=float(np.mean(errors)),
                 posterior_std=float(np.mean(stds)),
             )
@@ -352,4 +381,4 @@ def estimation_curve(
         )
     except ValueError:
         fit = None  # fewer than 5 usable records
-    return EstimationCurve(records, fit, grids)
+    return EstimationCurve(records, fit, edge_mass, grids)

@@ -285,6 +285,9 @@ def _read_estimation(check, doc, cfg):
     section = check.section(doc, "estimation", required=True)
     if section is None:
         return None
+    if cfg.walk is not None and cfg.walk.theta02 == 0:
+        # the msre is relative to theta02: the run would walk, then divide by zero
+        check.fail("walk.theta02_over_pi", "must not be 0 (modulo 2) for an estimation run")
     prior = check.numbers(section, "estimation.prior_over_pi", "[lo, hi] of finite numbers", 2)
     if prior is not None and not prior[0] < prior[1]:
         check.fail("estimation.prior_over_pi", "lo must be < hi")

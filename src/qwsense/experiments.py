@@ -28,6 +28,7 @@ class Artifacts:
     csv: dict = field(default_factory=dict)  # name -> (header, rows)
     json: dict = field(default_factory=dict)  # name -> payload
     plots: list = field(default_factory=list)  # (csv name, plot kind)
+    health: dict = field(default_factory=dict)  # manifest-only numbers, in no digest
 
 
 @dataclass
@@ -217,6 +218,7 @@ def _run_bayes(cfg: ExperimentConfig) -> Artifacts:
         art.json["fit.json"] = _fit_payload(curve.fit)
     art.plots.append(("posterior.csv", "posterior"))
     art.plots.append(("estimation.csv", "scaling"))
+    art.health["posterior_edge_mass"] = curve.edge_mass
     return art
 
 
@@ -267,8 +269,11 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     config's format list.  SVGs are rendered from the already-written CSVs,
     never from in-memory data.  The manifest (with content hashes of every
     emitted file) is written last; it also records the BLAS thread settings
-    found in the environment (None where unset).  ``threads`` reaches only
-    the disorder msre ensemble; every other experiment runs serially.
+    found in the environment (None where unset) and the run's ``health``
+    numbers: for a bayes run, ``posterior_edge_mass``, the largest posterior
+    weight in the prior grid's two edge cells together over every step and
+    repetition.  ``threads`` reaches only the disorder msre ensemble; every
+    other experiment runs serially.
     """
     start = time.perf_counter()
     out_dir = Path(out_dir)
@@ -298,6 +303,7 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
         "rng": {"generator": bayes.RNG_NAME, "seed": cfg.seed},
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         "duration_seconds": time.perf_counter() - start,
+        "health": art.health,
         "schemas": {name: list(header) for name, (header, _) in art.csv.items()},
         "files": [
             {"name": name, "sha256": serialize.sha256_path(out_dir / name)}

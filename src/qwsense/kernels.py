@@ -30,9 +30,12 @@ up component of the first row and the down component of the last row read
 across the wrap.  The step is therefore exact on the window when its first
 and last rows hold zeros, which is how ``walk.propagate`` steps a walk's
 forward light cone.  When they do not, only those two output cells are
-wrong; a next window one row narrower per side drops them, which is how
-``walk.light_cone``'s causal diamond keeps the defect row exact.  The window
-is a view into the full-size buffers and may be non-contiguous.
+wrong, and every other output cell reads only rows of the window.
+``walk.light_cone``'s causal diamond relies on this: its window at step t
+is the rows within H - t of the defect, so the next window is one row
+narrower per side, drops the two wrong cells, and holds only exact values;
+the step into the horizon H runs on the three rows around the defect.  The
+window is a view into the full-size buffers and may be non-contiguous.
 """
 
 import numpy as np

@@ -19,12 +19,16 @@ def format_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if value.is_integer() and abs(value) < 1e16:
-            return str(int(value))
-        return repr(value)
+        return _format_float(value)
     if value is None:
         return ""
     return str(value)
+
+
+def _format_float(value: float) -> str:
+    if value.is_integer() and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
 
 
 def atomic_write_text(path, text: str) -> Path:
@@ -42,10 +46,24 @@ def atomic_write_text(path, text: str) -> Path:
     return path
 
 
+# formatters for a column of one plain type (not bool, not a subclass)
+_COLUMN_FORMATTERS = {float: _format_float, int: str}
+
+
 def write_csv(path, header, rows) -> Path:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    """Write ``rows`` under ``header``, formatting one column at a time.
+
+    A column of plain Python floats, or of plain ints, goes through that
+    type's formatter alone; any other column goes through ``format_value``
+    cell by cell.  Either way each cell gets the bytes ``format_value``
+    gives it.
+    """
+    columns = []
+    for column in zip(*rows, strict=True):
+        kinds = set(map(type, column))
+        only = kinds.pop() if len(kinds) == 1 else None
+        columns.append(map(_COLUMN_FORMATTERS.get(only, format_value), column))
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     return atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -26,15 +26,18 @@ full-ring walk's bit for bit (up to the sign of zero).
 Causal diamond: a series that reads only the defect row up to a horizon H
 needs, at step t, only the rows within H - t of the defect (row i of
 psi_{t+1} reads rows i - 1..i + 1 of psi_t).  With a horizon, ``light_cone``
-switches from the forward window to that backward window,
-slice(d - (H - t) - 1, d + (H - t) + 2), once the forward one no longer fits
+switches from the forward window to exactly those rows, the backward window
+slice(d - (H - t), d + (H - t) + 1), once the forward one no longer fits
 inside it.  A backward window's edge rows hold non-zero amplitudes, so the
 kernel's periodic wrap writes wrong values into two cells: the up component
 of its first row and the down component of its last row.  The next window
-is one row narrower per side and drops exactly those rows, so every row a
-later step reads is exact, and so is the defect row at every t <= H.  Rows
-outside the window keep stale values: ``propagate(..., defect_only=True)``
-walks the diamond, and only the defect row of its buffers is meaningful.
+is one row narrower per side and drops exactly those rows, and its rows
+read only rows of the window before, which were exact; so every row a later
+step reads is exact, and so is the defect row at every t <= H.  The step
+into psi_H runs on the three rows around the defect, and the window at
+t = H is the defect row alone.  Rows outside the window keep stale values:
+``propagate(..., defect_only=True)`` walks the diamond, and only the defect
+row of its buffers is meaningful.
 
 Buffer dtype: every coin and shift is real, so a start state with no
 imaginary part stays real.  ``propagate`` then steps float64 buffers, whose
@@ -298,10 +301,11 @@ def light_cone(params: WalkParams, initial: WalkerState, horizon: int | None = N
     initial support and the defect, widened by t sites plus one zero row per
     side.  It also holds psi_{t+1}, so ``propagate`` takes step t on it.
     With a ``horizon`` H, window t is that forward window while it fits
-    inside the backward window slice(d - (H - t) - 1, d + (H - t) + 2)
-    around the defect d, and the backward window after that (the causal
-    diamond of the module docstring).  A window of either kind that does not
-    fit in the ring is the whole ring, slice(0, N).
+    inside the backward window slice(d - (H - t), d + (H - t) + 1) around
+    the defect d, and the backward window after that (the causal diamond of
+    the module docstring); the last one, at t = H, is the defect row alone.
+    A window of either kind that does not fit in the ring is the whole ring,
+    slice(0, N).
     """
     n = params.lattice_size
     defect = params.defect_index
@@ -312,7 +316,7 @@ def light_cone(params: WalkParams, initial: WalkerState, horizon: int | None = N
         rows = _on_ring(first - t, stop + t, n)
         if horizon is not None:
             reach = horizon - t
-            backward = _on_ring(defect - reach - 1, defect + reach + 2, n)
+            backward = _on_ring(defect - reach, defect + reach + 1, n)
             if rows.start < backward.start or rows.stop > backward.stop:
                 rows = backward
         yield rows

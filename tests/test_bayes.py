@@ -1,6 +1,7 @@
 """Grid-posterior estimation of the defect angle from binomial click counts."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from qwsense.bayes import (
     informative_schedule,
     msre,
     posterior,
+    record_seed,
 )
 from qwsense.disorder import DisorderSpec, sample_disorder
 from qwsense.walk import (
@@ -381,6 +383,99 @@ def test_mode_consistency_at_large_trials():
         grid = posterior(candidates, table, trials, m)
         hits += int(np.argmax(grid.log_weights)) == true_idx
     assert hits >= 95
+
+
+def one_posterior_log_weights(probs, trials, successes):
+    """Reference: one experiment's normalized log posterior, on one (C,) row."""
+    probs = np.clip(probs, 0.0, 1.0)
+    out = np.zeros_like(probs)
+    with np.errstate(divide="ignore"):
+        if successes > 0:
+            out = out + successes * np.log(probs)
+        if trials - successes > 0:
+            out = out + (trials - successes) * np.log1p(-probs)
+    peak = out.max()
+    if not np.isfinite(peak):
+        raise ValueError("data impossible under every candidate; posterior undefined")
+    return out - (peak + np.log(np.exp(out - peak).sum()))
+
+
+def serial_curve(config, table, data_coin_fields=None, seed_prefix=()):
+    """Reference: one posterior per repetition, through ``posterior``, ``msre`` and ``std``.
+
+    Each posterior is also checked against ``one_posterior_log_weights``.
+    Returns (step, successes, msre, posterior_std) per record and the
+    repetition-0 posteriors.
+    """
+    initial = default_initial_state(config.params.lattice_size)
+    p_true = defect_probability_series(config.params, initial, max(config.schedule),
+                                       data_coin_fields)
+    records, grids = [], []
+    for i, t in enumerate(config.schedule):
+        p_t = min(max(p_true[t], 0.0), 1.0)
+        errors, stds = [], []
+        for rep in range(config.repetitions):
+            rng = np.random.default_rng(record_seed(config, seed_prefix, rep, i))
+            m = int(rng.binomial(config.trials, p_t))
+            expected = one_posterior_log_weights(table[i], config.trials, m)  # may raise
+            try:
+                grid = posterior(config.candidates(), table[i], config.trials, m)
+            except ValueError as err:
+                pytest.fail(f"posterior rejected possible data: {err}")
+            assert np.array_equal(grid.log_weights, expected)
+            if rep == 0:
+                first_m = m
+                grids.append(grid)
+            errors.append(msre(grid, config.params.theta02))
+            stds.append(grid.std)
+        records.append((t, first_m, float(np.mean(errors)), float(np.mean(stds))))
+    return records, grids
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    repetitions=st.integers(1, 12),
+    grid_points=st.integers(11, 61),
+    trials=st.sampled_from([1, 2, 7, 1000]),
+    theta02=st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+    schedule=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+    disorder=st.sampled_from([None, "static", "dynamic"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_batched_curve_equals_serial_posteriors(repetitions, grid_points, trials, theta02,
+                                                schedule, disorder, seed, data):
+    t_max = max(schedule)
+    params = WalkParams(0.9 * PI, 0.75 * PI, theta02, 2 * t_max + 3)
+    config = EstimationConfig(params, (theta02 - 0.1, theta02 + 0.1), schedule,
+                              grid_points=grid_points, trials=trials, master_seed=seed,
+                              repetitions=repetitions)
+    # probabilities with exact 0s and 1s; a row of all 0s or all 1s makes
+    # most data impossible
+    cells = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    table = np.array(data.draw(st.lists(
+        st.lists(cells, min_size=grid_points, max_size=grid_points),
+        min_size=len(schedule), max_size=len(schedule),
+    )))
+    constant = data.draw(st.sampled_from([None, None, None, 0.0, 1.0]))
+    if constant is not None:
+        table[data.draw(st.integers(0, len(schedule) - 1))] = constant
+    fields = None
+    if disorder is not None:
+        spec = DisorderSpec(disorder, 0.1 * PI, 1, seed)
+        fields = sample_disorder(spec, params, 0, t_max)
+    try:
+        expected, grids = serial_curve(config, table, fields, seed_prefix=(3,))
+    except ValueError as err:  # data impossible under every candidate
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            estimation_curve(config, table, fields, seed_prefix=(3,))
+        return
+    curve = estimation_curve(config, table, fields, seed_prefix=(3,), keep_posteriors=True)
+    got = [(r.step, r.successes, r.msre, r.posterior_std) for r in curve.records]
+    assert got == expected
+    for kept, reference in zip(curve.posteriors, grids, strict=True):
+        assert np.array_equal(kept.candidates, reference.candidates)
+        assert np.array_equal(kept.log_weights, reference.log_weights)
 
 
 def test_records_at_different_steps_use_independent_seeds():

@@ -458,6 +458,21 @@ def test_posterior_schema_and_weights(tmp_path):
     assert len(rows) == 3
 
 
+def test_manifest_reports_posterior_mass_at_the_prior_edge(tmp_path):
+    # a window with theta02 = -0.55 in its first cell piles posterior mass
+    # there; the centred window's edges hold only the tails of early, wide posteriors
+    def edge_mass(prior):
+        doc = {"experiment": "bayes", "steps": 40, "walk": WALK,
+               "estimation": {"prior_over_pi": prior, "grid_points": 21, "trials": 200,
+                              "repetitions": 3, "schedule": [20, 30, 40]}}
+        out = tmp_path / str(prior)
+        assert cli.main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())["health"]["posterior_edge_mass"]
+
+    centred, edge = edge_mass([-0.556, -0.544]), edge_mass([-0.5502, -0.5382])
+    assert 0.0 < 2 * centred < edge <= 1.0
+
+
 def test_bayes_with_selected_schedule_matches_the_library_path(tmp_path):
     # the run reuses the selector's candidate table for the likelihood
     estimation = {"prior_over_pi": [-0.556, -0.544], "grid_points": 21, "trials": 200}

@@ -115,6 +115,14 @@ RULES = [
     ("estimation.schedule-fraction", with_(BAYES, estimation__schedule=[10.5]),
      "estimation.schedule:"),
     ("selected-schedule-steps", with_(BAYES, steps=1), "steps:"),
+    # the relative error divides by theta02: the run used to walk, then crash
+    ("theta02-zero-bayes", with_(BAYES, walk__theta02_over_pi=0.0,
+                                 estimation__prior_over_pi=[-0.01, 0.01]),
+     "walk.theta02_over_pi:"),
+    ("theta02-zero-msre", with_(DISORDER, disorder__observable="msre",
+                                walk={**WALK, "theta02_over_pi": 2.0},
+                                estimation={**ESTIMATION, "prior_over_pi": [-0.01, 0.01]}),
+     "walk.theta02_over_pi:"),
     ("disorder-missing", without(DISORDER, "disorder"), "disorder:"),
     ("disorder.kind", with_(DISORDER, disorder__kind="frozen"), "disorder.kind:"),
     ("disorder.observable", with_(DISORDER, disorder__observable="qfi"),
