@@ -164,6 +164,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> Artifacts:
         }
         for s in states
     ]
+    art.health["schur_residual_max"] = float(decomp.residuals.max())
     return art
 
 
@@ -272,8 +273,9 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     found in the environment (None where unset) and the run's ``health``
     numbers: for a bayes run, ``posterior_edge_mass``, the largest posterior
     weight in the prior grid's two edge cells together over every step and
-    repetition.  ``threads`` reaches only the disorder msre ensemble; every
-    other experiment runs serially.
+    repetition; for a spectrum run, ``schur_residual_max``, the largest
+    ``||U v - lambda v||`` over the eigenvectors.  ``threads`` reaches only
+    the disorder msre ensemble; every other experiment runs serially.
     """
     start = time.perf_counter()
     out_dir = Path(out_dir)

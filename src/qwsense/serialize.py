@@ -12,14 +12,17 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
+    """One CSV cell; a numpy scalar gets the bytes of its Python equivalent."""
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _format_float(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _format_float(float(value))
     if value is None:
         return ""
     return str(value)

@@ -6,10 +6,27 @@ orthonormal by construction), which sidesteps the non-orthogonality that a
 generic non-Hermitian eigensolver produces inside degenerate clusters.  The
 defect states of interest here sit at exactly degenerate quasi-energies in
 the domain-wall limit, so this matters.
+
+The factorization is LAPACK's ``zgees`` (complex Schur form, eigenvalues
+unsorted), called through scipy's own f2py wrapper
+``scipy.linalg._flapack.zgees`` with the arguments ``scipy.linalg.schur(a,
+output="complex")`` passes it, so ``T``, ``Q`` and every data bit are the
+ones ``schur`` gives.  On the first spectrum call the wrapper is loaded
+straight from its extension file in scipy's ``linalg`` directory (~3 ms),
+unless ``scipy.linalg`` is already imported, in which case its wrapper is
+used.  Importing the ``scipy.linalg`` package instead costs 0.23-0.27 s of
+a fresh interpreter on top of numpy (under ``-X importtime``), more than the
+rest of a spectrum run's start-up: scipy's array-API layer does
+``from numpy import *``, which imports ``numpy.f2py``, ``numpy.testing``,
+``numpy.ma`` and ``numpy.random``.
+The bits still depend on the BLAS thread count; pin it (say
+``OPENBLAS_NUM_THREADS=1``) to compare spectra across runs.
 """
 
+import os
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -67,16 +84,59 @@ def build_step_matrix(coins: CoinField) -> np.ndarray:
     return out.reshape(2 * n, 2 * n).T
 
 
+@cache
+def _zgees():
+    """scipy's f2py wrapper of LAPACK ``zgees``, without running ``scipy/linalg/__init__``."""
+    if "scipy.linalg" in sys.modules:
+        return sys.modules["scipy.linalg._flapack"].zgees
+    import importlib.util
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+
+    scipy_spec = importlib.util.find_spec("scipy")  # locates the package, runs none of it
+    spec = None
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        linalg_dir = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+        finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        from scipy.linalg import _flapack
+
+        return _flapack.zgees
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    # an extension with single-phase init registers itself under its dotted
+    # name; drop that entry so that a later ``import scipy.linalg`` loads its
+    # package as usual (and gets the same wrapper objects)
+    if sys.modules.get(spec.name) is flapack:
+        del sys.modules[spec.name]
+    return flapack.zgees
+
+
+def complex_schur(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, Q) with mat = Q T Q^H, bit for bit ``scipy.linalg.schur(mat, output="complex")``.
+
+    ``mat`` must be a square complex128 matrix.  A non-finite entry raises
+    ``ValueError``; a LAPACK failure raises ``NumericalError``.
+    """
+    zgees = _zgees()
+    a = np.asarray_chkfinite(mat)
+    # the workspace query, read the way schur reads it; with sort_t=0 LAPACK
+    # never calls the eigenvalue selector
+    lwork = zgees(lambda w: None, a, lwork=-1)[-2][0].real.astype(np.int_)
+    result = zgees(lambda w: None, a, lwork=lwork, overwrite_a=False, sort_t=0)
+    info = result[-1]
+    if info != 0:
+        raise NumericalError(f"complex Schur factorization failed: LAPACK zgees info = {info}")
+    return result[0], result[-3]
+
+
 def decompose_step_operator(params: WalkParams) -> SpectralDecomposition:
     """Full eigendecomposition of the step unitary with defect, N <= DENSE_SOLVER_CAP."""
     n = params.lattice_size
     if n > DENSE_SOLVER_CAP:
         raise CapacityError(f"lattice size {n} exceeds dense solver cap {DENSE_SOLVER_CAP}")
-    # imported on first use: importing scipy takes longer than most runs that factor nothing
-    from scipy.linalg import schur
-
     mat = build_step_matrix(CoinField.from_params(params))
-    t_mat, q_mat = schur(mat, output="complex")
+    t_mat, q_mat = complex_schur(mat)
     eigenvalues = np.diag(t_mat).copy()
     residuals = np.linalg.norm(mat @ q_mat - q_mat * eigenvalues[None, :], axis=0)
     worst = float(residuals.max())

@@ -20,6 +20,7 @@ from qwsense.bayes import (
 )
 from qwsense.config import validate_config
 from qwsense.errors import ConfigError
+from qwsense.spectral import RESIDUAL_TOL, decompose_step_operator
 from qwsense.walk import WalkParams
 
 PI = math.pi
@@ -93,6 +94,37 @@ def test_cold_start_leaves_scipy_unimported():
     assert first == "import False"
     assert checked.startswith("config ok")
     assert last == ["exit 0", "validate False"]
+
+
+COLD_RUN_PROBE = """
+import runpy, sys
+sys.argv = ["qwsense", "run", "--config", sys.argv[1], "--out", sys.argv[2]]
+try:
+    runpy.run_module("qwsense", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    print("exit", done.code)
+print("scipy", any(name.partition(".")[0] == "scipy" for name in sys.modules))
+print("scipy.linalg", "scipy.linalg" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [
+        ("fi_scaling_nontrivial", ["scipy False", "scipy.linalg False"]),
+        ("spectrum_defect", ["scipy.linalg False"]),
+    ],
+)
+def test_cold_run_never_imports_scipy_linalg(tmp_path, preset, expected):
+    # a spectrum run loads LAPACK's zgees wrapper without importing the
+    # scipy.linalg package; a run that factors nothing imports no scipy at all
+    config = str(REPO / "configs" / f"{preset}.json")
+    done = run_python("-c", COLD_RUN_PROBE, config, str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert "exit 0" in lines
+    for line in expected:
+        assert line in lines
 
 
 def test_validate_reports_every_violation(tmp_path, capsys):
@@ -370,6 +402,17 @@ def test_spectrum_schema_and_localized_states(tmp_path):
     states = json.loads((out / "localized_states.json").read_text())
     assert len(states) == 2
     assert states[0]["localization_length"] > 0
+
+
+def test_manifest_reports_the_schur_residual(tmp_path):
+    walk = {**WALK, "theta02_over_pi": -1.0, "lattice_size": 41}
+    cfg = write_config(tmp_path, {"experiment": "spectrum", "walk": walk})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    health = json.loads((out / "manifest.json").read_text())["health"]
+    decomp = decompose_step_operator(WalkParams(0.9 * PI, 0.75 * PI, -PI, 41))
+    assert health == {"schur_residual_max": float(decomp.residuals.max())}
+    assert 0.0 < health["schur_residual_max"] < RESIDUAL_TOL
 
 
 def test_gfi_qfi_emits_three_series(tmp_path):

@@ -1,5 +1,6 @@
 """CSV writing: column-wise formatting gives every cell format_value's bytes."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,32 @@ def test_columns_keep_each_cells_bytes(tmp_path_factory, data, width, height):
     path = write_csv(tmp_path_factory.mktemp("csv") / "out.csv", header, rows)
     expected = [",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]
     assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
+# (numpy scalar, its Python equivalent): a column of one kind writes its
+# Python twin through that type's column formatter, a mixed one cell by cell
+NUMPY_KINDS = [
+    FLOATS.map(lambda v: (np.float64(v), v)),
+    st.floats(width=32).map(lambda v: (np.float32(v), v)),
+    st.integers(-(2**63), 2**63 - 1).map(lambda v: (np.int64(v), v)),
+    st.integers(0, 255).map(lambda v: (np.uint8(v), v)),
+    st.booleans().map(lambda v: (np.bool_(v), v)),
+]
+NUMPY_COLUMNS = st.sampled_from([*NUMPY_KINDS, st.one_of(NUMPY_KINDS)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), width=st.integers(1, 4), height=st.integers(0, 6))
+def test_numpy_scalars_format_like_their_python_values(tmp_path_factory, data, width, height):
+    kinds = [data.draw(NUMPY_COLUMNS) for _ in range(width)]
+    pairs = [[data.draw(kind) for kind in kinds] for _ in range(height)]
+    for numpy_value, python_value in (pair for row in pairs for pair in row):
+        assert format_value(numpy_value) == format_value(python_value)
+    header = [f"c{i}" for i in range(width)]
+    folder = tmp_path_factory.mktemp("csv")
+    as_numpy = write_csv(folder / "numpy.csv", header, [[n for n, _ in row] for row in pairs])
+    as_python = write_csv(folder / "python.csv", header, [[v for _, v in row] for row in pairs])
+    assert as_numpy.read_bytes() == as_python.read_bytes()
 
 
 def test_rows_of_different_lengths_are_rejected(tmp_path):

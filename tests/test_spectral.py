@@ -1,17 +1,28 @@
 """Spectral decomposition of the step operator and defect-bound states."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qwsense.errors import CapacityError
+import qwsense
+from qwsense import spectral
+from qwsense.errors import CapacityError, NumericalError
 from qwsense.spectral import (
+    build_step_matrix,
+    complex_schur,
     decompose_step_operator,
     find_localized_states,
     fit_localization_length,
 )
-from qwsense.walk import WalkParams
+from qwsense.walk import CoinField, WalkParams
 
 PI = math.pi
 
@@ -84,6 +95,92 @@ def test_profiles_and_ipr_are_built_once_and_read_only():
         profiles[0, 0] = 0.0
     states = find_localized_states(decomp)
     assert states and all(np.shares_memory(s.profile, profiles) for s in states)
+
+
+# --- the direct zgees call against scipy.linalg.schur ---------------------
+
+
+def assert_schur_matches_oracle(mat):
+    t_mat, q_mat = complex_schur(mat)
+    t_ref, q_ref = scipy.linalg.schur(mat, output="complex")
+    assert np.array_equal(t_mat, t_ref)
+    assert np.array_equal(q_mat, q_ref)
+
+
+ANGLES = st.floats(-PI, PI, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 20).map(lambda k: 2 * k + 1),
+    theta1=ANGLES,
+    theta2=ANGLES,
+    theta02=ANGLES | st.just(-PI),  # -pi: the domain wall
+)
+def test_direct_schur_is_bit_identical_to_scipy(n, theta1, theta2, theta02):
+    assert_schur_matches_oracle(
+        build_step_matrix(CoinField.from_params(WalkParams(theta1, theta2, theta02, n)))
+    )
+
+
+def test_direct_schur_is_bit_identical_to_scipy_at_n301():
+    coins = CoinField.from_params(paper_params(-0.55 * PI, 301))
+    assert_schur_matches_oracle(build_step_matrix(coins))
+
+
+def test_direct_schur_rejects_non_finite_entries():
+    mat = np.eye(4, dtype=np.complex128)
+    mat[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        complex_schur(mat)
+
+
+def test_direct_schur_reports_a_lapack_failure(monkeypatch):
+    def failing_zgees(select, a, lwork, overwrite_a=False, sort_t=0):
+        # the workspace query succeeds; the factorization's QR iteration does not
+        return a, 0, np.diag(a), a, np.ones(1, dtype=complex), 0 if lwork == -1 else 3
+
+    monkeypatch.setattr(spectral, "_zgees", lambda: failing_zgees)
+    with pytest.raises(NumericalError, match="info = 3"):
+        complex_schur(np.eye(4, dtype=np.complex128))
+
+
+IMPORT_ORDER_PROBE = """
+import math, sys
+import numpy as np
+from qwsense import spectral
+from qwsense.walk import CoinField, WalkParams
+
+mat = spectral.build_step_matrix(
+    CoinField.from_params(WalkParams(0.9 * math.pi, 0.75 * math.pi, -math.pi, 41)))
+if sys.argv[1] == "direct-first":
+    t_mat, q_mat = spectral.complex_schur(mat)
+    print("scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules)
+    import scipy.linalg
+else:
+    import scipy.linalg
+    t_mat, q_mat = spectral.complex_schur(mat)
+    print(spectral._zgees() is sys.modules["scipy.linalg._flapack"].zgees)
+t_ref, q_ref = scipy.linalg.schur(mat, output="complex")
+print(np.array_equal(t_mat, t_ref), np.array_equal(q_mat, q_ref))
+print(scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"])
+"""
+
+
+@pytest.mark.parametrize(
+    "order, first",
+    [("direct-first", "False False"), ("scipy-first", "True")],
+)
+def test_direct_wrapper_in_either_import_order(order, first):
+    # direct first: the wrapper loads without scipy.linalg and leaves no
+    # module of that package behind, so a later import of scipy.linalg
+    # loads it whole; scipy first: the wrapper is the one scipy.linalg loaded
+    package_root = str(Path(qwsense.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", IMPORT_ORDER_PROBE, order],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [first, "True True", "True"]
 
 
 # --- localized states -------------------------------------------------------
