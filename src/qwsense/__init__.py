@@ -37,14 +37,7 @@ from .spectral import (
     find_localized_states,
 )
 from .topology import BlochDecomposition, PhasePoint, bloch_components, phase_diagram, winding_number
-from .walk import (
-    CoinField,
-    WalkerState,
-    WalkParams,
-    default_initial_state,
-    evolve,
-    position_probability,
-)
+from .walk import CoinField, WalkerState, WalkParams, default_initial_state
 
 __all__ = [
     "BACKEND",
@@ -70,7 +63,6 @@ __all__ = [
     "ensemble_fisher",
     "ensemble_msre",
     "estimation_curve",
-    "evolve",
     "find_localized_states",
     "fisher_at_defect",
     "fit_scaling",
@@ -78,7 +70,6 @@ __all__ = [
     "informative_schedule",
     "msre",
     "phase_diagram",
-    "position_probability",
     "posterior",
     "quantum_fisher",
     "sample_disorder",

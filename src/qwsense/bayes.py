@@ -66,10 +66,6 @@ class PosteriorGrid:
     def std(self) -> float:
         return math.sqrt(self.variance)
 
-    @property
-    def mode(self) -> float:
-        return float(self.candidates[int(np.argmax(self.log_weights))])
-
 
 @dataclass
 class EstimationRecord:

@@ -12,7 +12,7 @@ import sys
 
 from . import plotting
 from .config import load_config, validate_config
-from .errors import CapacityError, ConfigError, NumericalError, PlotSchemaError
+from .errors import ConfigError, NumericalError
 
 OUT_DIR_ENV = "QWSENSE_OUT_DIR"
 
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"  {violation}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (PlotSchemaError, CapacityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

@@ -31,8 +31,6 @@ EXPERIMENTS = (
     "gfi-qfi",
 )
 
-FORMATS = ("csv", "json", "svg")
-
 DEFAULT_STEPS = 100
 SPECTRUM_LATTICE = 101
 
@@ -46,7 +44,7 @@ _SECTIONS = {
     "disorder": ("kind", "observable", "half_width_over_pi", "n_realizations"),
     "averaging": ("window", "spacing"),
 }
-_TOP_LEVEL = ("experiment", "seed", "out_dir", "formats", "steps", *_SECTIONS)
+_TOP_LEVEL = ("experiment", "seed", "out_dir", "steps", *_SECTIONS)
 
 
 @dataclass
@@ -63,7 +61,6 @@ class ExperimentConfig:
     experiment: str
     seed: int
     out_dir: str | None
-    formats: tuple[str, ...]
     raw: dict
     steps: int = DEFAULT_STEPS
     walk: WalkParams | None = None
@@ -184,12 +181,8 @@ def _read_run(check, doc, experiment, seed_override):
     out_dir = doc.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         check.fail("out_dir", f"expected a string path, got {out_dir!r}")
-    formats = doc.get("formats", list(FORMATS))
-    if not isinstance(formats, list) or any(f not in FORMATS for f in formats):
-        check.fail("formats", f"must be a subset of {list(FORMATS)}, got {formats!r}")
-        formats = list(FORMATS)
     steps = check.number(doc, "steps", default=DEFAULT_STEPS, minimum=1, integer=True)
-    return ExperimentConfig(experiment, seed, out_dir, tuple(formats), doc, steps)
+    return ExperimentConfig(experiment, seed, out_dir, doc, steps)
 
 
 def _read_fit(check, doc, cfg):
@@ -249,12 +242,13 @@ def _read_surface(check, doc):
 
 def _read_dynamics(check, doc, cfg):
     """The walk of a run that propagates, and the surface of an fi-surface
-    run; the ring must hold the light cone of the steps the run propagates."""
-    cfg.walk = _read_walk(check, doc, dynamics_lattice_size(cfg.steps))
+    run; the ring must hold the light cone of the steps the run propagates,
+    and by default holds exactly that."""
     propagated = cfg.steps
     if cfg.experiment == "fi-surface":
         cfg.surface = _read_surface(check, doc)
         propagated = cfg.surface["steps"] if cfg.surface is not None else None
+    cfg.walk = _read_walk(check, doc, dynamics_lattice_size(propagated or cfg.steps))
     if cfg.walk is None or propagated is None:
         return
     if cfg.walk.lattice_size < dynamics_lattice_size(propagated):

@@ -177,11 +177,3 @@ def _map(fn, items, threads):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
-
-
-def relative_std(result: EnsembleResult, t_min: float, t_max: float) -> float:
-    """Mean of std/mean over the window, a disorder-fluctuation summary."""
-    sel = (result.steps >= t_min) & (result.steps <= t_max) & (result.mean > 0)
-    if not sel.any():
-        raise ValueError("no usable points in window for relative std")
-    return float((result.std[sel] / result.mean[sel]).mean())

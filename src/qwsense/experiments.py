@@ -234,9 +234,7 @@ def _run_disorder(cfg: ExperimentConfig, threads: int) -> Artifacts:
         result = disorder.ensemble_fisher(
             spec, params, default_initial_state(params.lattice_size), cfg.steps
         )
-        mean_series = metrology.FisherSeries(
-            result.steps, result.mean, metrology.DEFECT_SITE_FI, None
-        )
+        mean_series = metrology.FisherSeries(result.steps, result.mean, None)
         try:
             art.json["fit.json"] = _fit_payload(
                 metrology.fit_scaling(mean_series, mode=cfg.fit_mode, window=cfg.fit_window)
@@ -266,9 +264,9 @@ _DRIVERS = {
 def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     """Execute the configured experiment and write its artifacts.
 
-    Data CSVs are always written; JSON sidecars and SVG plots follow the
-    config's format list.  SVGs are rendered from the already-written CSVs,
-    never from in-memory data.  The manifest (with content hashes of every
+    Every run writes its data CSVs, then its JSON sidecars, then its SVG
+    plots.  SVGs are rendered from the already-written CSVs, never from
+    in-memory data.  The manifest (with content hashes of every
     emitted file) is written last; it also records the BLAS thread settings
     found in the environment (None where unset) and the run's ``health``
     numbers: for a bayes run, ``posterior_edge_mass``, the largest posterior
@@ -287,15 +285,13 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     for name, (header, rows) in art.csv.items():
         serialize.write_csv(out_dir / name, header, rows)
         emitted.append(name)
-    if "json" in cfg.formats:
-        for name, payload in art.json.items():
-            serialize.write_json(out_dir / name, payload)
-            emitted.append(name)
-    if "svg" in cfg.formats:
-        for csv_name, kind in art.plots:
-            svg_name = Path(csv_name).stem + ".svg"
-            plotting.render_plot(out_dir / csv_name, kind, out_dir / svg_name)
-            emitted.append(svg_name)
+    for name, payload in art.json.items():
+        serialize.write_json(out_dir / name, payload)
+        emitted.append(name)
+    for csv_name, kind in art.plots:
+        svg_name = Path(csv_name).stem + ".svg"
+        plotting.render_plot(out_dir / csv_name, kind, out_dir / svg_name)
+        emitted.append(svg_name)
     payload = {
         "artifact": "qwsense",
         "version": __version__,

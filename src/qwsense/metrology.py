@@ -46,7 +46,6 @@ DEFECT_SITE_FI = "defect_site_fi"
 GLOBAL_FI = "global_fi"
 QUANTUM_FI = "quantum_fi"
 MEASURES = (DEFECT_SITE_FI, GLOBAL_FI, QUANTUM_FI)  # what one walk's pass computes
-AVERAGED_FI = "averaged_fi"
 
 ALL_POINTS = "all_points"
 PEAKS_ONLY = "peaks_only"
@@ -58,7 +57,6 @@ DEFAULT_FIT_T_MIN = 10
 class FisherSeries:
     steps: np.ndarray
     values: np.ndarray
-    kind: str
     flagged: np.ndarray  # True where P0 was degenerate and FI pinned to 0
 
     def __post_init__(self):
@@ -193,7 +191,7 @@ def fisher_series(
 ) -> dict:
     """{kind: FisherSeries} for one walk, every requested measure from one pass."""
     return {
-        kind: FisherSeries(np.arange(steps + 1), values, kind, flagged)
+        kind: FisherSeries(np.arange(steps + 1), values, flagged)
         for kind, (values, flagged) in information_values(
             params, initial, steps, kinds, coin_fields
         ).items()
@@ -244,9 +242,7 @@ def averaged_fisher(series: FisherSeries, window: int = 5, spacing: int = 5) -> 
         raise ValueError(
             f"series too short for window={window}, spacing={spacing} averaging"
         )
-    return FisherSeries(
-        np.asarray(centers), np.asarray(means), AVERAGED_FI, np.asarray(flags)
-    )
+    return FisherSeries(np.asarray(centers), np.asarray(means), np.asarray(flags))
 
 
 def power_law_fit(steps, values, window=None, mode: str = ALL_POINTS) -> ScalingFit:

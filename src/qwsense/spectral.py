@@ -47,15 +47,12 @@ class SpectralDecomposition:
     residuals: np.ndarray  # ||U v - lambda v|| per column
     lattice_size: int
 
+    @cached_property
     def site_profiles(self) -> np.ndarray:
         """(N, 2N) per-site occupation probability of each eigenvector.
 
-        Built on the first call and shared by later ones, so it is read-only.
+        Built on the first read and shared by later ones, so it is read-only.
         """
-        return self._site_profiles
-
-    @cached_property
-    def _site_profiles(self) -> np.ndarray:
         n = self.lattice_size
         profiles = (np.abs(self.eigenvectors.reshape(n, 2, 2 * n)) ** 2).sum(axis=1)
         profiles.setflags(write=False)
@@ -64,7 +61,7 @@ class SpectralDecomposition:
     @cached_property
     def ipr(self) -> np.ndarray:
         """(2N,) inverse participation ratio, sum over sites of p^2, of each eigenvector."""
-        return (self._site_profiles**2).sum(axis=0)
+        return (self.site_profiles**2).sum(axis=0)
 
 
 @dataclass
@@ -194,9 +191,9 @@ def find_localized_states(decomp: SpectralDecomposition) -> list[LocalizedState]
 
     The threshold 5/N separates the defect pair from extended bulk states by
     well over an order of magnitude at the parameters of interest.  The
-    states' profiles are read-only columns of ``decomp.site_profiles()``.
+    states' profiles are read-only columns of ``decomp.site_profiles``.
     """
-    profiles = decomp.site_profiles()
+    profiles = decomp.site_profiles
     ipr = decomp.ipr
     found = []
     for j in np.where(ipr > 5.0 / decomp.lattice_size)[0]:

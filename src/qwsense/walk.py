@@ -10,8 +10,8 @@ production path).
 
 ``propagate`` is the one loop over time steps: it streams the state (and,
 on request, its derivative) through two reused full-size buffers, so a run
-of any length holds O(N) memory.  ``evolve`` and the probability and Fisher
-series consume it; a single step is ``propagate(params, state, 1, coins)``.
+of any length holds O(N) memory.  The probability and Fisher series consume
+it; a single step is ``propagate(params, state, 1, coins)``.
 
 Light-cone window: one step moves amplitude by at most one site, so after t
 steps the walk is zero outside the initial support widened by t sites per
@@ -42,7 +42,7 @@ row of its buffers is meaningful.
 Buffer dtype: every coin and shift is real, so a start state with no
 imaginary part stays real.  ``propagate`` then steps float64 buffers, whose
 values are the real parts of the complex walk's, bit for bit; a complex
-start steps complex128.  ``evolve`` and ``WalkerState`` stay complex.
+start steps complex128.  ``WalkerState`` stays complex.
 
 Batch axis: a CoinField with (B, N) angles describes B walks, one per row.
 ``propagate`` walks all B from the same initial state at once, through
@@ -131,7 +131,7 @@ class WalkerState:
     """Complex amplitudes over the (position, coin) basis.
 
     ``amplitudes`` has length 2N with the coin pair (up, down) contiguous per
-    site; site index i corresponds to physical position i - origin_offset,
+    site; site index i corresponds to physical position i - (N - 1) // 2,
     which puts x = 0 at the defect site.
     """
 
@@ -148,10 +148,6 @@ class WalkerState:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def origin_offset(self) -> int:
-        return (self.lattice_size - 1) // 2
-
     @classmethod
     def from_position(cls, x: int, coin, lattice_size: int) -> "WalkerState":
         """Basis state |x, coin> with the defect-centered index convention."""
@@ -166,12 +162,6 @@ class WalkerState:
     def grid(self) -> np.ndarray:
         """Amplitudes viewed as (N, 2)."""
         return self.amplitudes.reshape(self.lattice_size, 2)
-
-    def index_of(self, x: int) -> int:
-        idx = x + self.origin_offset
-        if not 0 <= idx < self.lattice_size:
-            raise ValueError(f"position {x} outside lattice of size {self.lattice_size}")
-        return idx
 
 
 def default_initial_state(lattice_size: int) -> WalkerState:
@@ -324,19 +314,6 @@ def light_cone(params: WalkParams, initial: WalkerState, horizon: int | None = N
 
 def _on_ring(lo, hi, n):
     return slice(lo, hi) if lo >= 0 and hi <= n else slice(0, n)
-
-
-def evolve(params: WalkParams, initial: WalkerState, steps: int) -> list[WalkerState]:
-    """States after 0..steps applications of the params-defined step."""
-    n = params.lattice_size
-    return [WalkerState(psi.flatten(), n) for psi in propagate(params, initial, steps)]
-
-
-def position_probability(state: WalkerState, x: int) -> float:
-    """|<x,up|psi>|^2 + |<x,down|psi>|^2."""
-    idx = state.index_of(x)
-    pair = state.grid()[idx]
-    return float(np.abs(pair[0]) ** 2 + np.abs(pair[1]) ** 2)
 
 
 def dynamics_lattice_size(steps: int) -> int:

@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from test_disorder import relative_std
 
 from qwsense import bayes, disorder, metrology, spectral, topology
-from qwsense.walk import WalkParams, default_initial_state
+from qwsense.walk import WalkParams, default_initial_state, propagate
 
 PI = math.pi
 
@@ -131,8 +132,6 @@ def test_criterion_06_fisher_hierarchy(initial):
 
 
 def test_criterion_07_derivative_oracle():
-    from qwsense.walk import evolve, propagate
-
     h = 1e-6
     steps = 50
     n = 2 * steps + 3
@@ -141,13 +140,14 @@ def test_criterion_07_derivative_oracle():
     for _ in range(10):
         theta1, theta2, theta02 = rng.uniform(-0.95 * PI, 0.95 * PI, size=3)
         params = WalkParams(theta1, theta2, theta02, n)
-        plus = evolve(WalkParams(theta1, theta2, theta02 + h, n),
-                      default_initial_state(n), steps)
-        minus = evolve(WalkParams(theta1, theta2, theta02 - h, n),
-                       default_initial_state(n), steps)
+        plus, minus = (
+            [psi.copy() for psi in propagate(WalkParams(theta1, theta2, angle, n),
+                                             default_initial_state(n), steps)]
+            for angle in (theta02 + h, theta02 - h)
+        )
         pairs = propagate(params, default_initial_state(n), steps, derivative=True)
         for t, (_, dpsi) in enumerate(pairs):
-            fd = (plus[t].amplitudes - minus[t].amplitudes) / (2 * h)
+            fd = (plus[t] - minus[t]).reshape(-1) / (2 * h)
             scale = max(np.linalg.norm(fd), 1e-8)
             worst = max(worst, np.linalg.norm(dpsi.reshape(-1) - fd) / scale)
     record(7, f"worst relative derivative error over 10 draws = {worst:.2e}", worst < 1e-6)
@@ -206,12 +206,10 @@ def test_criterion_10_disorder_robustness(initial):
         )
         r_nt = disorder.ensemble_fisher(spec, NONTRIVIAL, initial, STEPS)
         r_tr = disorder.ensemble_fisher(spec, TRIVIAL, initial, STEPS)
-        mean_series = metrology.FisherSeries(
-            r_nt.steps, r_nt.mean, metrology.DEFECT_SITE_FI, None
-        )
+        mean_series = metrology.FisherSeries(r_nt.steps, r_nt.mean, None)
         fit = metrology.fit_scaling(mean_series, mode="peaks_only")
-        rel_nt = disorder.relative_std(r_nt, 10, STEPS)
-        rel_tr = disorder.relative_std(r_tr, 10, STEPS)
+        rel_nt = relative_std(r_nt, 10, STEPS)
+        rel_tr = relative_std(r_tr, 10, STEPS)
         ok = ok and 1.8 <= fit.exponent <= 2.2 and rel_tr > rel_nt
         summary.append(f"{kind}: b={fit.exponent:.2f}, rel std {rel_tr:.2f}>{rel_nt:.2f}")
     record(10, "; ".join(summary), ok)

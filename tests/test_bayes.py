@@ -26,9 +26,8 @@ from qwsense.walk import (
     CoinField,
     WalkParams,
     default_initial_state,
-    evolve,
     per_step_fields,
-    position_probability,
+    propagate,
 )
 
 PI = math.pi
@@ -49,8 +48,7 @@ def test_probability_series_matches_evolve():
     p = nontrivial(43)
     init = default_initial_state(43)
     series = defect_probability_series(p, init, 20)
-    states = evolve(p, init, 20)
-    expected = [position_probability(s, 0) for s in states]
+    expected = [(np.abs(psi[p.defect_index]) ** 2).sum() for psi in propagate(p, init, 20)]
     np.testing.assert_allclose(series, expected, atol=1e-14)
 
 

@@ -156,6 +156,12 @@ def test_validate_rejects_lattice_the_walk_would_wrap(tmp_path, capsys):
     assert cli.main(["validate", "--config", write_config(tmp_path, fits)]) == 0
     wraps = {"experiment": "fi-surface", "walk": small, "surface": {**surface, "steps": 10}}
     assert cli.main(["validate", "--config", write_config(tmp_path, wraps)]) == 2
+    # and sizes its default lattice from surface.steps: 303 sites, not 2 * 100 + 3
+    unsized = {"experiment": "fi-surface",
+               "walk": {"theta1_over_pi": 0.9, "theta2_over_pi": 0.75, "theta02_over_pi": -0.99},
+               "surface": {"theta1_over_pi": [-1, 1, 5], "steps": 150}}
+    assert cli.main(["validate", "--config", write_config(tmp_path, unsized)]) == 0
+    assert validate_config(unsized).walk.lattice_size == 303
 
 
 def test_validate_rejects_non_finite_values(tmp_path, capsys):

@@ -56,8 +56,8 @@ RULES = [
     ("seed-negative", with_(FI, seed=-1), "seed:"),
     ("seed-fraction", with_(FI, seed=1.5), "seed:"),
     ("out_dir", with_(FI, out_dir=7), "out_dir:"),
-    ("formats-unknown", with_(FI, formats=["png"]), "formats:"),
-    ("formats-not-a-list", with_(FI, formats="csv"), "formats:"),
+    # every run writes all its files: no rule reads a format list
+    ("formats-unknown", with_(FI, formats=["csv"]), "formats: unknown name"),
     ("steps-zero", with_(FI, steps=0), "steps:"),
     ("steps-fraction", with_(FI, steps=2.5), "steps:"),
     ("fit-not-an-object", with_(FI, fit=[1]), "fit:"),

@@ -220,7 +220,6 @@ def test_one_pass_measures_equal_separate_series(disorder):
     for kind, separate in ((DEFECT_SITE_FI, fisher_at_defect), (GLOBAL_FI, global_fisher),
                            (QUANTUM_FI, quantum_fisher)):
         series = separate(p, init, steps, fields)
-        assert one_pass[kind].kind == kind
         assert np.array_equal(one_pass[kind].values, series.values)
         assert np.array_equal(one_pass[kind].flagged, series.flagged)
     fi, gfi, qfi = stored_fisher_values(p, init, steps, fields)
@@ -302,7 +301,7 @@ def fi_surface_rows(params, t1_over_pi, steps):
 
 def test_batched_fi_surface_equals_per_theta1_walks(tmp_path):
     doc = {
-        "experiment": "fi-surface", "formats": ["csv"],
+        "experiment": "fi-surface",
         "walk": {"theta1_over_pi": 0.9, "theta2_over_pi": 0.75, "theta02_over_pi": -0.97,
                  "lattice_size": 45},
         # FI is even in theta1: an asymmetric grid tells the walks apart
@@ -317,7 +316,7 @@ def test_batched_fi_surface_equals_per_theta1_walks(tmp_path):
 
 
 def test_gfi_qfi_run_writes_each_separate_series(tmp_path):
-    doc = {"experiment": "gfi-qfi", "steps": 30, "formats": ["csv"],
+    doc = {"experiment": "gfi-qfi", "steps": 30,
            "walk": {"theta1_over_pi": 0.9, "theta2_over_pi": 0.75, "theta02_over_pi": -0.55}}
     cfg = validate_config(doc)
     experiments.run(cfg, tmp_path / "run")
@@ -394,9 +393,7 @@ def test_trivial_case_peaks_sit_above_the_bulk_fit():
 
 
 def constant_series(value, steps=30):
-    return FisherSeries(
-        np.arange(steps + 1), np.full(steps + 1, value), "defect_site_fi", None,
-    )
+    return FisherSeries(np.arange(steps + 1), np.full(steps + 1, value), None)
 
 
 def test_averaging_window_one_is_identity():
@@ -416,7 +413,7 @@ def test_averaging_constant_series():
 
 def test_averaging_window_arithmetic():
     steps = np.arange(0, 21)
-    series = FisherSeries(steps, steps.astype(float), "defect_site_fi", None)
+    series = FisherSeries(steps, steps.astype(float), None)
     avg = averaged_fisher(series, window=5, spacing=5)
     # first admissible start is t=0: mean of FI at {0,5,10,15,20} = 10
     assert avg.steps[0] == pytest.approx(10.0)
@@ -478,7 +475,7 @@ def test_fit_excludes_flagged_and_zero_values():
     values = steps.astype(float) ** 2
     flagged = np.zeros(21, dtype=bool)
     flagged[:3] = True
-    series = FisherSeries(steps, values, "defect_site_fi", flagged)
+    series = FisherSeries(steps, values, flagged)
     fit = fit_scaling(series, window=(0, 20))
     assert fit.exponent == pytest.approx(2.0, abs=1e-10)
     assert fit.n_points == 18  # 21 minus three flagged (t=0 also zero-valued)

@@ -1,10 +1,13 @@
-"""The package's export list names only what the package defines, and every
-function in the package reads each parameter it accepts."""
+"""The package's export list names only what the package defines and uses,
+and every function in the package reads each parameter it accepts."""
 
 import ast
 from pathlib import Path
 
 import qwsense
+
+PACKAGE = Path(qwsense.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_every_exported_name_resolves():
@@ -14,6 +17,31 @@ def test_every_exported_name_resolves():
 
 def test_export_list_has_no_duplicates():
     assert len(qwsense.__all__) == len(set(qwsense.__all__))
+
+
+def _referenced_names(path, strings=False):
+    """Every name the module loads or reads as an attribute; with ``strings``,
+    also each dotted part of its string constants (perfbench's trace targets)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_every_exported_name_is_used_outside_the_export_list():
+    # an export that only tests call is surface no run reads
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            used |= _referenced_names(path)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used |= _referenced_names(path, strings=True)
+    assert sorted(set(qwsense.__all__) - used) == []
 
 
 def _unread_parameters(path):
@@ -40,6 +68,5 @@ def _unread_parameters(path):
 
 
 def test_every_parameter_is_read():
-    package = Path(qwsense.__file__).parent
-    unread = [hit for path in sorted(package.glob("*.py")) for hit in _unread_parameters(path)]
+    unread = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _unread_parameters(path)]
     assert unread == []

@@ -79,7 +79,7 @@ def test_capacity_cap_enforced():
 def test_profiles_normalized_and_ipr_bounded():
     params = paper_params(-0.55 * PI)
     decomp = decompose_step_operator(params)
-    profiles = decomp.site_profiles()
+    profiles = decomp.site_profiles
     np.testing.assert_allclose(profiles.sum(axis=0), 1.0, atol=1e-10)
     ipr = (profiles**2).sum(axis=0)
     assert (ipr >= 1.0 / params.lattice_size - 1e-12).all()
@@ -88,8 +88,8 @@ def test_profiles_normalized_and_ipr_bounded():
 
 def test_profiles_and_ipr_are_built_once_and_read_only():
     decomp = decompose_step_operator(paper_params(-0.55 * PI, n=21))
-    profiles = decomp.site_profiles()
-    assert decomp.site_profiles() is profiles
+    profiles = decomp.site_profiles
+    assert decomp.site_profiles is profiles
     assert np.array_equal(decomp.ipr, (profiles**2).sum(axis=0))
     with pytest.raises(ValueError):
         profiles[0, 0] = 0.0

@@ -24,10 +24,8 @@ from qwsense.walk import (
     WalkParams,
     WalkerState,
     default_initial_state,
-    evolve,
     light_cone,
     per_step_fields,
-    position_probability,
     propagate,
     wrap_angle,
 )
@@ -180,9 +178,9 @@ def test_derivative_matches_finite_difference(angles, steps, margin):
     params = WalkParams(*angles, n)
     initial = default_initial_state(n)
     *_, (_, dpsi) = propagate(params, initial, steps, derivative=True)
-    plus = evolve(replace(params, theta02=params.theta02 + h), initial, steps)[-1]
-    minus = evolve(replace(params, theta02=params.theta02 - h), initial, steps)[-1]
-    fd = (plus.amplitudes - minus.amplitudes) / (2 * h)
+    *_, plus = propagate(replace(params, theta02=params.theta02 + h), initial, steps)
+    *_, minus = propagate(replace(params, theta02=params.theta02 - h), initial, steps)
+    fd = (plus - minus).reshape(-1) / (2 * h)
     scale = max(np.linalg.norm(fd), 1e-8)
     assert np.linalg.norm(dpsi.reshape(-1) - fd) / scale < 1e-6
 
@@ -210,9 +208,9 @@ def test_derivative_tangent_to_unit_sphere():
 
 def test_evolve_zero_steps():
     state = default_initial_state(9)
-    series = evolve(nontrivial(9), state, 0)
+    series = [psi.copy() for psi in propagate(nontrivial(9), state, 0)]
     assert len(series) == 1
-    assert np.array_equal(series[0].amplitudes, state.amplitudes)
+    assert np.array_equal(series[0].reshape(-1), state.amplitudes)
 
 
 def momentum_evolve(state, theta1, theta2, steps):
@@ -238,21 +236,21 @@ def test_evolve_momentum_space_oracle(theta1, theta2, n=32, steps=17):
     n = n + 1  # odd lattice
     params = WalkParams(theta1, theta2, theta2, n)  # no defect
     state = default_initial_state(n)
-    series = evolve(params, state, steps)
+    *_, last = propagate(params, state, steps)
     expected = momentum_evolve(state, theta1, theta2, steps)
-    np.testing.assert_allclose(series[-1].amplitudes, expected, atol=1e-10)
+    np.testing.assert_allclose(last.reshape(-1), expected, atol=1e-10)
 
 
 def test_defect_neutral_walk_is_bit_exact():
     n = 31
     params = WalkParams(0.9 * PI, 0.75 * PI, 0.75 * PI, n)  # theta02 == theta2
     uniform = CoinField(np.full(n, params.theta1), np.full(n, params.theta2))
-    series = evolve(params, default_initial_state(n), 12)
+    series = [psi.copy() for psi in propagate(params, default_initial_state(n), 12)]
     state = default_initial_state(n)
     for expected in series[1:]:
         psi = step_once(params, state, uniform)
         state = WalkerState(psi.flatten(), n)
-        assert np.array_equal(state.amplitudes, expected.amplitudes)
+        assert np.array_equal(state.amplitudes, expected.reshape(-1))
 
 
 def test_light_cone_support_is_exactly_zero():
@@ -263,9 +261,9 @@ def test_light_cone_support_is_exactly_zero():
         steps = int(rng.integers(1, 12))
         params = WalkParams(*rng.uniform(-PI, PI, size=3), n)
         state = WalkerState.from_position(x0, "down", n)
-        final = evolve(params, state, steps)[-1]
-        grid = np.abs(final.grid())
-        offset = final.origin_offset
+        *_, final = propagate(params, state, steps)
+        grid = np.abs(final)
+        offset = (n - 1) // 2
         for x in range(-offset, offset + 1):
             if abs(x - x0) > steps:
                 assert grid[x + offset].max() == 0.0
@@ -273,7 +271,7 @@ def test_light_cone_support_is_exactly_zero():
 
 def test_evolve_negative_steps_rejected():
     with pytest.raises(ValueError):
-        evolve(nontrivial(9), default_initial_state(9), -1)
+        next(propagate(nontrivial(9), default_initial_state(9), -1))
 
 
 # --- streaming propagation -------------------------------------------------
@@ -511,8 +509,6 @@ def test_real_start_steps_real_buffers(start, dtype, n):
             if derivative:
                 assert dpsi.dtype == dtype
                 assert np.array_equal(dpsi, dref)
-    # evolve keeps complex states whatever the buffers
-    assert all(s.amplitudes.dtype == np.complex128 for s in evolve(params, initial, 3))
 
 
 def test_iterator_of_fields_walks_like_the_list():
@@ -557,24 +553,6 @@ def test_batched_walk_equals_serial_walks(kind, walks):
     for b, fields in enumerate(serial):
         assert np.array_equal(series[:, b],
                               defect_probability_series(params, initial, steps, fields))
-
-
-# --- probabilities ---------------------------------------------------------
-
-
-def test_position_probability_basics():
-    state = default_initial_state(9)
-    assert position_probability(state, 0) == 0.0
-    assert position_probability(state, -1) == 1.0
-    with pytest.raises(ValueError):
-        position_probability(state, 5)
-
-
-def test_position_probability_completeness():
-    rng = np.random.default_rng(7)
-    state = random_state(21, rng)
-    total = sum(position_probability(state, x) for x in range(-10, 11))
-    assert abs(total - 1.0) < 1e-12
 
 
 # --- parameter and state validation ---------------------------------------
