@@ -35,6 +35,7 @@ from .walk import (
     light_cone,
     per_step_fields,
     propagate,
+    site_probability,
     wrap_angle,
 )
 
@@ -126,7 +127,7 @@ def defect_probability_series(
     """
     defect = params.defect_index
     return np.array([
-        (np.abs(psi[..., defect, :]) ** 2).sum(axis=-1)
+        site_probability(psi[..., defect, :])
         for psi in propagate(params, initial, steps, coin_fields, defect_only=True)
     ])
 
@@ -167,7 +168,7 @@ def candidate_probability_table(
     half = 0.5 * np.array([wrap_angle(theta) for theta in candidates])
     c02, s02 = np.cos(half), np.sin(half)
     probs = np.empty((t_max + 1, len(candidates)))
-    probs[0] = (current[:, defect] ** 2).sum(axis=-1)
+    probs[0] = site_probability(current[:, defect])
     prev_field = None
     fields = per_step_fields(params_template, t_max, coin_fields)
     for t, (rows, field) in enumerate(zip(cone, fields)):
@@ -186,7 +187,7 @@ def candidate_probability_table(
         scratch[:, defect, 0] = c02 * fu - s02 * fd
         scratch[:, defect - 1, 1] = s02 * fu + c02 * fd
         current, scratch = scratch, current
-        probs[t + 1] = (current[:, defect] ** 2).sum(axis=-1)
+        probs[t + 1] = site_probability(current[:, defect])
     return probs[schedule]
 
 

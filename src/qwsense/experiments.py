@@ -265,10 +265,13 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     """Execute the configured experiment and write its artifacts.
 
     Every run writes its data CSVs, then its JSON sidecars, then its SVG
-    plots.  SVGs are rendered from the already-written CSVs, never from
-    in-memory data.  The manifest (with content hashes of every
+    plots.  Each SVG is rendered from the rows its CSV was written from,
+    read as the CSV gives them back, so it equals ``qwsense plot`` on that
+    CSV byte for byte.  The manifest (with content hashes of every
     emitted file) is written last; it also records the BLAS thread settings
-    found in the environment (None where unset) and the run's ``health``
+    found in the environment (None where unset), the seconds the run spent
+    in each of its four parts (``timings``: ``compute``, ``csv``, ``json``,
+    ``svg``) and the run's ``health``
     numbers: for a bayes run, ``posterior_edge_mass``, the largest posterior
     weight in the prior grid's two edge cells together over every step and
     repetition; for a spectrum run, ``schur_residual_max``, the largest
@@ -281,17 +284,23 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
         art = _run_disorder(cfg, threads)
     else:
         art = _DRIVERS[cfg.experiment](cfg)
+    marks = [start, time.perf_counter()]
     emitted = []
     for name, (header, rows) in art.csv.items():
         serialize.write_csv(out_dir / name, header, rows)
         emitted.append(name)
+    marks.append(time.perf_counter())
     for name, payload in art.json.items():
         serialize.write_json(out_dir / name, payload)
         emitted.append(name)
+    marks.append(time.perf_counter())
     for csv_name, kind in art.plots:
         svg_name = Path(csv_name).stem + ".svg"
-        plotting.render_plot(out_dir / csv_name, kind, out_dir / svg_name)
+        plotting.render_plot(out_dir / csv_name, kind, out_dir / svg_name, art.csv[csv_name])
         emitted.append(svg_name)
+    marks.append(time.perf_counter())
+    timings = {part: end - begin
+               for part, begin, end in zip(("compute", "csv", "json", "svg"), marks, marks[1:])}
     payload = {
         "artifact": "qwsense",
         "version": __version__,
@@ -301,6 +310,7 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
         "rng": {"generator": bayes.RNG_NAME, "seed": cfg.seed},
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         "duration_seconds": time.perf_counter() - start,
+        "timings": timings,
         "health": art.health,
         "schemas": {name: list(header) for name, (header, _) in art.csv.items()},
         "files": [

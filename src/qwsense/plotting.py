@@ -1,22 +1,29 @@
-"""Standalone SVG views of already-written CSV data; no computation here.
+"""Standalone SVG views of CSV data; no computation here.
 
 Four kinds: ``scaling`` (log-log series with a power-law guide line),
 ``heatmap`` (phase diagram or FI surface), ``band`` (ensemble mean with a
-+/- std ribbon), ``posterior`` (one curve per step count).  The CSV is read
-once into columns.  A cell that places a mark must be a finite number (a
-``winding`` blank or an integer), or PlotSchemaError names its file, column
-and line; value cells that are not positive and finite are dropped from log
-axes or drawn in the sentinel colour.  The output is a deterministic text
-document: re-rendering from the same CSV reproduces the SVG byte for byte.
++/- std ribbon), ``posterior`` (one curve per step count).  A plot reads
+its CSV's columns once: from the file (``qwsense plot``), or, in a run,
+from the ``(header, rows)`` the run has just written to that file.  Either
+way each cell reads as the file gives it back: a float as the float its
+shortest text parses to (so -0.0 reads 0.0), ``None`` as a blank cell
+(nan), a bool as 1 or 0; errors name the same line numbers.  So a run's
+SVG equals ``qwsense plot`` on its CSV, byte for byte.  A cell that places
+a mark must be a finite number (a ``winding`` blank or an integer), or
+PlotSchemaError names its file, column and line; value cells that are not
+positive and finite are dropped from log axes or drawn in the sentinel
+colour.  The output is a deterministic text document: re-rendering from
+the same data reproduces the SVG byte for byte.
 """
 
 import csv
 import math
-from bisect import bisect_left
 from pathlib import Path
 
+import numpy as np
+
 from .errors import PlotSchemaError
-from .serialize import atomic_write_text
+from .serialize import atomic_write_text, format_value
 
 WIDTH, HEIGHT = 720, 520
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 24, 28, 56
@@ -38,42 +45,75 @@ _NO_DATA = (f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT / 2:.1f}" text-anchor="middle
             'fill="#777777">no data</text>')
 
 
-class _Table:
-    """A CSV read once into columns of cell text, with each row's line number."""
+def _text_number(cell):
+    return float(cell) if cell else math.nan
 
-    def __init__(self, path, kind):
+
+def _value_number(value):
+    """The float that ``value``'s CSV cell parses back to."""
+    if value is None or isinstance(value, str):
+        return _text_number(value)
+    return float(value) + 0.0  # the CSV writes -0.0 as "0"
+
+
+class _Table:
+    """A CSV's columns, from its file or from the rows written to it, with each row's line."""
+
+    def __init__(self, path, kind, columns, lines, number, cell_text=None):
+        self.path, self.kind, self.name = path, kind, Path(path).name
+        self.columns, self.lines = columns, lines
+        self._number, self._cell_text = number, cell_text
+
+    @classmethod
+    def read(cls, path, kind):
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
                 raise PlotSchemaError(f"{path}: empty file, expected a CSV header row")
-            rows, self.lines = [], []
+            rows, lines = [], []
             for row in reader:
                 if row:  # a blank line holds no row; a short row reads blank cells
                     rows.append(row + [""] * (len(header) - len(row)))
-                    self.lines.append(reader.line_num)
-        self.path, self.kind, self.name = path, kind, Path(path).name
-        self.columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+                    lines.append(reader.line_num)
+        return cls(path, kind, _columns(header, rows), lines, _text_number)
 
-    def text(self, column):
+    @classmethod
+    def from_rows(cls, path, kind, header, rows):
+        """The table ``serialize.write_csv(path, header, rows)`` writes, without reading it."""
+        return cls(path, kind, _columns(header, rows), range(2, len(rows) + 2), _value_number,
+                   format_value)
+
+    def _column(self, column):
         if column not in self.columns:
             raise PlotSchemaError(f"{self.path}: missing column '{column}' for kind '{self.kind}'")
         return self.columns[column]
 
+    def text(self, column):
+        """The column's cells as the CSV's text."""
+        cells = self._column(column)
+        return cells if self._cell_text is None else tuple(map(self._cell_text, cells))
+
     def numbers(self, column, finite=False):
         """The column as floats, a blank cell read as nan; with ``finite``, every cell finite."""
-        values = []
-        for i, cell in enumerate(self.text(column)):
-            try:
-                values.append(float(cell) if cell else math.nan)
-            except ValueError:
-                raise self.error(column, i, "a number") from None
+        cells = self._column(column)
+        if set(map(type, cells)) <= {float}:  # rows in memory: read as _value_number reads each
+            values = [cell + 0.0 for cell in cells]
+        else:
+            values = []
+            for i, cell in enumerate(cells):
+                try:
+                    values.append(self._number(cell))
+                except (TypeError, ValueError):
+                    raise self.error(column, i, "a number") from None
         if finite:
             self.finite(column, values)
         return values
 
     def finite(self, column, values, rows=None, integer=False):
         """Raise unless ``values`` is finite (and whole) in ``rows``, every row by default."""
+        if rows is None and not integer and all(map(math.isfinite, values)):
+            return
         for i in range(len(values)) if rows is None else rows:
             if not math.isfinite(values[i]) or (integer and values[i] != int(values[i])):
                 raise self.error(column, i, "a finite integer" if integer else "a finite number")
@@ -81,8 +121,12 @@ class _Table:
     def error(self, column, row, expected):
         return PlotSchemaError(
             f"{self.path}: column '{column}' line {self.lines[row]}: "
-            f"expected {expected}, got {self.columns[column][row]!r}"
+            f"expected {expected}, got {self.text(column)[row]!r}"
         )
+
+
+def _columns(header, rows):
+    return dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
 
 
 def _page(x_label, y_label, title):
@@ -117,15 +161,22 @@ class _Scale:
         if self.y1 == self.y0:
             self.y1 = self.y0 + 1.0
 
+    def _axis(self, values):
+        return map(math.log10, values) if self.log else values
+
+    def xs(self, values):
+        x0, span, width = self.x0, self.x1 - self.x0, WIDTH - MARGIN_L - MARGIN_R
+        return [MARGIN_L + (v - x0) / span * width for v in self._axis(values)]
+
+    def ys(self, values):
+        y0, span, height = self.y0, self.y1 - self.y0, HEIGHT - MARGIN_T - MARGIN_B
+        return [HEIGHT - MARGIN_B - (v - y0) / span * height for v in self._axis(values)]
+
     def x(self, v):
-        v = math.log10(v) if self.log else v
-        frac = (v - self.x0) / (self.x1 - self.x0)
-        return MARGIN_L + frac * (WIDTH - MARGIN_L - MARGIN_R)
+        return self.xs((v,))[0]
 
     def y(self, v):
-        v = math.log10(v) if self.log else v
-        frac = (v - self.y0) / (self.y1 - self.y0)
-        return HEIGHT - MARGIN_B - frac * (HEIGHT - MARGIN_T - MARGIN_B)
+        return self.ys((v,))[0]
 
 
 def _nice_ticks(lo, hi, target=5):
@@ -142,6 +193,8 @@ def _nice_ticks(lo, hi, target=5):
     value = first
     while value <= hi + step * 1e-9:
         ticks.append(round(value, 12))
+        if value + step == value:  # a step below the float spacing moves no further
+            break
         value += step
     return ticks
 
@@ -178,9 +231,14 @@ def _coords(points):
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
 
 
-def _polyline(points, color, width=1.5, dash=None):
+def _joined(xs, ys):
+    """``_coords`` of points whose coordinates are already formatted."""
+    return " ".join(f"{x},{y}" for x, y in zip(xs, ys))
+
+
+def _polyline(coords, color, width=1.5, dash=None):
     extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return f'<polyline points="{_coords(points)}" fill="none" stroke="{color}" stroke-width="{width}"{extra}/>'
+    return f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="{width}"{extra}/>'
 
 
 def _render_scaling(table):
@@ -200,12 +258,14 @@ def _render_scaling(table):
     # power-law guide anchored at the last point; +2 for growth, -2 for decay
     exponent = 2.0 if vs[-1] >= vs[0] else -2.0
     t_ref, v_ref = ts[-1], vs[-1]
-    guide = [(scale.x(t), scale.y(v_ref * (t / t_ref) ** exponent)) for t in ts]
-    parts.append(_polyline(guide, "black", 1.0, dash="6 4"))
-    marks = [(scale.x(t), scale.y(v)) for t, v in pts]
-    parts.append(_polyline(marks, PALETTE[0]))
-    for x, y in marks:
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="{PALETTE[0]}"/>')
+    # each coordinate is formatted once: the guide, the line and the circles share it
+    px = [f"{x:.2f}" for x in scale.xs(ts)]
+    guide = [f"{y:.2f}" for y in scale.ys([v_ref * (t / t_ref) ** exponent for t in ts])]
+    py = [f"{y:.2f}" for y in scale.ys(vs)]
+    parts.append(_polyline(_joined(px, guide), "black", 1.0, dash="6 4"))
+    parts.append(_polyline(_joined(px, py), PALETTE[0]))
+    parts.extend(f'<circle cx="{x}" cy="{y}" r="2.5" fill="{PALETTE[0]}"/>'
+                 for x, y in zip(px, py))
     parts.append(
         f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16}" text-anchor="end">'
         f'guide: t^{exponent:+.0f}</text>'
@@ -213,12 +273,18 @@ def _render_scaling(table):
     return _document(parts)
 
 
-def _viridis(frac):
-    pos = frac * (len(VIRIDIS) - 1)
-    i = min(int(pos), len(VIRIDIS) - 2)
-    w = pos - i
-    rgb = [VIRIDIS[i][c] * (1 - w) + VIRIDIS[i + 1][c] * w for c in range(3)]
-    return "#" + "".join(f"{int(round(255 * v)):02x}" for v in rgb)
+_HEX = tuple(f"{level:02x}" for level in range(256))
+
+
+def _viridis(fracs):
+    """The colour of each fraction in [0, 1], by the scalar formula's IEEE operations."""
+    pos = np.asarray(fracs, dtype=np.float64) * (len(VIRIDIS) - 1)
+    i = np.minimum(pos.astype(np.intp), len(VIRIDIS) - 2)  # int() of a fraction >= 0
+    w = (pos - i)[:, np.newaxis]
+    stops = np.array(VIRIDIS)
+    rgb = stops[i] * (1 - w) + stops[i + 1] * w
+    levels = np.rint(255 * rgb).astype(np.intp)  # round() ties to even, as np.rint does
+    return ["#" + _HEX[r] + _HEX[g] + _HEX[b] for r, g, b in levels.tolist()]
 
 
 def _cell_edges(values):
@@ -251,10 +317,8 @@ def _render_heatmap(table):
         finite = [v for v in logs if v is not None]
         lo = min(finite) if finite else 0.0
         hi = max(finite) if finite else 1.0
-        colors = (
-            SENTINEL if v is None else _viridis((v - lo) / (hi - lo) if hi > lo else 0.5)
-            for v in logs
-        )
+        shades = iter(_viridis([(v - lo) / (hi - lo) if hi > lo else 0.5 for v in finite]))
+        colors = (SENTINEL if v is None else next(shades) for v in logs)
     parts = _page(x_col, "theta1_over_pi", f"{table.name} ({title})")
     if not xs:
         return _no_data(parts)
@@ -263,12 +327,14 @@ def _render_heatmap(table):
     scale = _Scale((x_edges[0], x_edges[-1]), (y_edges[0], y_edges[-1]))
     px = [scale.x(e) for e in x_edges]
     py = [scale.y(e) for e in y_edges]
+    # each distinct coordinate's attributes are formatted once, not once per cell
+    columns = {x: (f'x="{px[i]:.2f}"', f'width="{px[i + 1] - px[i]:.2f}"')
+               for i, x in enumerate(x_cells)}
+    rows = {y: (f'y="{py[j + 1]:.2f}"', f'height="{py[j] - py[j + 1]:.2f}"')
+            for j, y in enumerate(y_cells)}
     for x, y, color in zip(xs, ys, colors):
-        i, j = bisect_left(x_cells, x), bisect_left(y_cells, y)
-        parts.append(
-            f'<rect x="{px[i]:.2f}" y="{py[j + 1]:.2f}" width="{px[i + 1] - px[i]:.2f}" '
-            f'height="{py[j] - py[j + 1]:.2f}" fill="{color}"/>'
-        )
+        (x_attr, width), (y_attr, height) = columns[x], rows[y]
+        parts.append(f'<rect {x_attr} {y_attr} {width} {height} fill="{color}"/>')
     parts.append(_AXES_BOX)
     _draw_ticks(parts, scale, _nice_ticks(x_edges[0], x_edges[-1]), _nice_ticks(y_edges[0], y_edges[-1]))
     return _document(parts)
@@ -292,7 +358,8 @@ def _render_band(table):
     band = [(x, scale.y(u)) for x, u in zip(px, uppers)]
     band += [(x, scale.y(low)) for x, low in reversed(list(zip(px, lowers)))]
     parts.append(f'<polygon points="{_coords(band)}" fill="#e8b4b8" stroke="none"/>')
-    parts.append(_polyline([(x, scale.y(m)) for x, (_, m, _) in zip(px, pts)], PALETTE[0]))
+    means = [(x, scale.y(m)) for x, (_, m, _) in zip(px, pts)]
+    parts.append(_polyline(_coords(means), PALETTE[0]))
     parts.append(_AXES_BOX)
     x_ticks, y_ticks = _log_ticks(pts[0][0], pts[-1][0]), _log_ticks(min(lowers), max(uppers))
     _draw_ticks(parts, scale, x_ticks, y_ticks)
@@ -315,7 +382,7 @@ def _render_posterior(table):
     for i, (label, (_, pts)) in enumerate(sorted(groups.items(), key=lambda kv: kv[1][0])):
         color = PALETTE[i % len(PALETTE)]
         pts.sort()
-        parts.append(_polyline([(scale.x(x), scale.y(w)) for x, w in pts], color))
+        parts.append(_polyline(_coords([(scale.x(x), scale.y(w)) for x, w in pts]), color))
         parts.append(
             f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16 + 14 * i}" '
             f'text-anchor="end" fill="{color}">t={label}</text>'
@@ -333,8 +400,17 @@ _RENDERERS = {
 PLOT_KINDS = tuple(_RENDERERS)
 
 
-def render_plot(data_path, kind: str, out_path) -> Path:
-    """Render one CSV data file to a standalone SVG document."""
+def render_plot(data_path, kind: str, out_path, written=None) -> Path:
+    """Render one CSV data file to a standalone SVG document.
+
+    ``written`` is the ``(header, rows)`` that ``serialize.write_csv`` wrote
+    to ``data_path``; given, the plot reads those rows instead of the file,
+    with the same bytes as a result.
+    """
     if kind not in _RENDERERS:
         raise PlotSchemaError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    return atomic_write_text(out_path, _RENDERERS[kind](_Table(data_path, kind)))
+    if written is None:
+        table = _Table.read(data_path, kind)
+    else:
+        table = _Table.from_rows(data_path, kind, *written)
+    return atomic_write_text(out_path, _RENDERERS[kind](table))

@@ -164,6 +164,23 @@ class WalkerState:
         return self.amplitudes.reshape(self.lattice_size, 2)
 
 
+def coin_total(values):
+    """``values.sum(axis=-1)`` over a length-2 coin axis, as one addition.
+
+    numpy reduces a length-2 axis as ``values[..., 0] + values[..., 1]``, so
+    the bits are the reduction's; the addition skips its per-call set-up,
+    which dominates at these sizes.  The operands stay arrays, so a single
+    site's terms are the elementwise ones (a numpy scalar's ``** 2`` calls
+    ``pow`` and may round differently).
+    """
+    return values[..., 0] + values[..., 1]
+
+
+def site_probability(psi):
+    """|psi_up|^2 + |psi_down|^2 at each site of (..., 2) coin components."""
+    return coin_total(np.abs(psi) ** 2)
+
+
 def default_initial_state(lattice_size: int) -> WalkerState:
     """|-1, down>, the initial state used throughout."""
     return WalkerState.from_position(-1, DOWN, lattice_size)

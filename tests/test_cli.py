@@ -554,6 +554,17 @@ def test_manifest_lists_each_file_with_hash(tmp_path):
         assert (out / entry["name"]).exists()
 
 
+def test_manifest_times_each_part_of_the_run(tmp_path):
+    cfg = write_config(tmp_path, {"experiment": "gfi-qfi", "steps": 30, "walk": WALK})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "manifest.json").read_text())
+    timings = payload["timings"]
+    assert list(timings) == ["compute", "csv", "json", "svg"]
+    assert all(seconds >= 0.0 for seconds in timings.values())
+    assert sum(timings.values()) <= payload["duration_seconds"]
+
+
 def test_manifest_records_blas_thread_settings(tmp_path, monkeypatch):
     # spectrum.csv bits depend on the BLAS thread count, so runs must tell it apart
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

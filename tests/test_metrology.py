@@ -26,6 +26,7 @@ from qwsense.metrology import (
     fit_scaling,
     global_fisher,
     information_values,
+    pair_trajectory,
     power_law_fit,
     quantum_fisher,
 )
@@ -254,6 +255,72 @@ def test_windowed_measures_equal_full_ring_complex_reduction(start, disorder, n)
     assert np.array_equal(measures[DEFECT_SITE_FI][1], binary_fisher(p0, dp0)[1])
     assert np.array_equal(measures[GLOBAL_FI][0], gfi)
     assert np.array_equal(measures[QUANTUM_FI][0], np.maximum(qfi, 0.0))
+
+
+def axis_sum_information_values(params, initial, steps, coin_fields=None):
+    """Reference: FI, GFI and QFI from the observer that summed each site's two
+    coin terms with ``sum(axis=-1)``, otherwise as ``information_values``."""
+    defect, n = params.defect_index, params.lattice_size
+    full_rows = {}
+
+    def row_sum(key, cells, products, cell_count, dtype=np.float64):
+        row = full_rows.get(key)
+        if row is None:
+            row = full_rows[key] = np.zeros(products.shape[:-1] + (cell_count,), dtype)
+        row[..., cells] = products
+        return row.sum(axis=-1)
+
+    def observe(psi, dpsi, rows):
+        here, dhere = psi[..., defect, :], dpsi[..., defect, :]
+        p0 = (np.abs(here) ** 2).sum(axis=-1)
+        dp0 = 2.0 * np.real(np.conj(here) * dhere).sum(axis=-1)
+        psi, dpsi = psi[..., rows, :], dpsi[..., rows, :]
+        probs = (np.abs(psi) ** 2).sum(axis=-1)
+        dprobs = 2.0 * np.real(np.conj(psi) * dpsi).sum(axis=-1)
+        usable = probs >= P_FLOOR
+        gfi = row_sum("gfi", rows, np.where(usable, dprobs**2 / np.where(usable, probs, 1.0), 0.0),
+                      n)
+        flat = psi.reshape(psi.shape[:-2] + (-1,))
+        dflat = dpsi.reshape(flat.shape)
+        cells = slice(2 * rows.start, 2 * rows.stop)
+        norm = row_sum("norm", cells, np.abs(dflat) ** 2, 2 * n)
+        overlap = row_sum("overlap", cells, np.conj(dflat) * flat, 2 * n, np.complex128)
+        return p0, dp0, gfi, 4.0 * (norm - np.abs(overlap) ** 2)
+
+    p0, dp0, gfi, qfi = pair_trajectory(params, initial, steps, coin_fields, observe).swapaxes(0, 1)
+    return binary_fisher(p0, dp0)[0], gfi, np.maximum(qfi, 0.0)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                                          np.signbit(b))
+
+
+def _static_batch(p, steps):
+    return CoinField.stack([sample_disorder(DisorderSpec(STATIC, 0.1 * PI, 3, 8), p, r)
+                            for r in range(3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    angles=st.tuples(*[st.floats(-PI, PI)] * 3),
+    steps=st.integers(1, 60),
+    margin=st.integers(0, 4),
+    start=st.sampled_from([default_initial_state, _phased_start]),
+    fields=st.sampled_from([None, _static, _dynamic, _static_batch, _batched]),
+)
+def test_two_term_site_sums_equal_the_axis_sum_observer(angles, steps, margin, start, fields):
+    n = 2 * steps + 3 + 2 * margin
+    p, init = WalkParams(*angles, n), start(n)
+    fields = fields(p, steps) if fields else None
+    fi, gfi, qfi = axis_sum_information_values(p, init, steps, fields)
+    measures = information_values(p, init, steps, MEASURES, fields)
+    assert same_bits(measures[DEFECT_SITE_FI][0], fi)
+    assert same_bits(measures[GLOBAL_FI][0], gfi)
+    assert same_bits(measures[QUANTUM_FI][0], qfi)
+    # the defect-site FI alone walks the causal diamond
+    alone = information_values(p, init, steps, (DEFECT_SITE_FI,), fields)
+    assert same_bits(alone[DEFECT_SITE_FI][0], fi)
 
 
 def test_information_values_reject_unknown_measures():

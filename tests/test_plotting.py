@@ -1,10 +1,17 @@
-"""SVG rendering: pinned bytes for every plot kind, and cells that cannot place a mark."""
+"""SVG rendering: pinned bytes for every plot kind, in-memory rows against their CSV, and
+cells that cannot place a mark."""
 
 import hashlib
+import math
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qwsense import cli
+from qwsense import cli, plotting, serialize
+from qwsense.errors import PlotSchemaError
 
 SCALING_GROWTH = (  # t = 0 and a blank value are dropped from the log axes
     "t,value,flagged\n" + "".join(f"{t},{t * t * 0.37},0\n" for t in range(0, 31)) + "31,,1\n"
@@ -116,3 +123,100 @@ def test_value_cells_off_the_log_axis_are_still_dropped(tmp_path):
     rc, out = plot(tmp_path, "band", "t,mean,std,n_realizations\n1,2.0,0.5,10\n2,nan,,10\n")
     assert rc == 0
     assert "nan" not in out.read_text()
+
+
+def test_ticks_stop_where_the_step_is_below_the_float_spacing(tmp_path):
+    # floats near 1e16 are 2 apart, so the tick step 1.0 adds nothing: the
+    # tick loop never ended.  A subprocess keeps a regression from hanging the suite.
+    data = tmp_path / "data.csv"
+    data.write_text("t,theta02_over_pi,weight\n10,1e16,0.5\n10,10000000000000004,0.25\n")
+    out = tmp_path / "plot.svg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwsense", "plot", "--data", str(data), "--kind", "posterior",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '<text x="80.00" y="484" text-anchor="middle">1e16</text>' in out.read_text()
+
+
+def scalar_viridis(frac):
+    """Reference: one cell's colour by the per-cell formula."""
+    stops = plotting.VIRIDIS
+    pos = frac * (len(stops) - 1)
+    i = min(int(pos), len(stops) - 2)
+    w = pos - i
+    rgb = [stops[i][c] * (1 - w) + stops[i + 1][c] * w for c in range(3)]
+    return "#" + "".join(f"{int(round(255 * v)):02x}" for v in rgb)
+
+
+@settings(max_examples=50, deadline=None)
+@given(fracs=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([k / 10 for k in range(11)])),
+                      max_size=40))
+def test_viridis_matches_the_per_cell_formula(fracs):
+    assert plotting._viridis(fracs) == [scalar_viridis(frac) for frac in fracs]
+
+
+# --- in-memory rows read as their CSV reads ------------------------------------
+
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, -1e-300, 0.1, 3.0]
+# a value cell: any float, a special one, an int, a bool or None (a blank cell)
+VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL),
+    st.integers(-5, 100), st.booleans(), st.none(),
+)
+# a mark coordinate: a few distinct grid values, so the heatmap cells repeat
+COORDS = st.one_of(
+    st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2, True, 1e-300]),
+    st.sampled_from([math.nan, math.inf, -math.inf, None]),
+)
+WINDINGS = st.one_of(st.none(), st.sampled_from([-1, 0, 1, 1.0, -0.0, 0.5, True, math.nan]))
+STATUS = st.sampled_from(["gapped", "gapless"])
+
+TABLES = {
+    "scaling": (("t", "value", "flagged"), (COORDS, VALUES, st.booleans())),
+    "scaling-msre": (("t", "M", "m", "msre"), (COORDS, st.integers(1, 9), st.integers(0, 9),
+                                               VALUES)),
+    "heatmap-winding": (("theta1_over_pi", "theta2_over_pi", "winding", "min_gap", "status"),
+                        (COORDS, COORDS, WINDINGS, VALUES, STATUS)),
+    "heatmap-value": (("theta1_over_pi", "t", "value", "flagged"),
+                      (COORDS, COORDS, VALUES, st.booleans())),
+    "band": (("t", "mean", "std", "n_realizations"), (COORDS, VALUES, VALUES, st.integers(1, 9))),
+    "posterior": (("t", "theta02_over_pi", "weight"),
+                  (st.sampled_from([6, 20, 100, True]), COORDS, VALUES)),
+}
+
+
+def render(*args):
+    """The SVG text, or the error the renderer raised."""
+    try:
+        return plotting.render_plot(*args).read_text()
+    except (ArithmeticError, ValueError) as exc:  # PlotSchemaError is a ValueError
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("table", TABLES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rows_in_memory_render_as_their_csv(tmp_path_factory, table, data):
+    header, cells = TABLES[table]
+    rows = data.draw(st.lists(st.tuples(*cells), max_size=24))
+    kind = table.split("-")[0]
+    work = tmp_path_factory.mktemp(table)
+    path = serialize.write_csv(work / "data.csv", header, rows)
+    from_file = render(path, kind, work / "file.svg")
+    assert render(path, kind, work / "memory.svg", (header, rows)) == from_file
+
+
+def test_a_non_finite_mark_reads_the_same_error_in_memory(tmp_path):
+    header = ("t", "theta02_over_pi", "weight")
+    rows = [(10, -0.55, 0.5), (10, math.inf, 0.5), (10, None, 0.5)]
+    path = serialize.write_csv(tmp_path / "posterior.csv", header, rows)
+    errors = []
+    for written in (None, (header, rows)):
+        with pytest.raises(PlotSchemaError) as caught:
+            plotting.render_plot(path, "posterior", tmp_path / "plot.svg", written)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+    assert errors[0].endswith(
+        "column 'theta02_over_pi' line 3: expected a finite number, got 'inf'")
