@@ -30,10 +30,10 @@ from . import kernels, metrology
 from .walk import (
     WalkParams,
     WalkerState,
+    coin_tables,
     default_initial_state,
     dynamics_lattice_size,
     light_cone,
-    per_step_fields,
     propagate,
     site_probability,
     wrap_angle,
@@ -148,10 +148,13 @@ def candidate_probability_table(
     sites that can still reach the defect by t_max.  The defect row is exact
     at every step, so neither cut changes a bit of the table.  With
     ``coin_fields`` the candidate walks run on those (possibly disordered)
-    bulk angles; every field's angles must have shape (lattice_size,).
+    bulk angles, in any form ``walk.coin_tables`` accepts with batch shape ().
     """
     schedule = [int(t) for t in schedule]
     t_max = max(schedule)
+    batch, step_tables = coin_tables(params_template, t_max, coin_fields)
+    if batch:
+        raise ValueError(f"candidate walks take (N,) coin fields: batch must be (), got {batch}")
     width = min(params_template.lattice_size, dynamics_lattice_size(t_max))
     start = params_template.defect_index - (width - 1) // 2
     window = slice(start, start + width)
@@ -169,17 +172,8 @@ def candidate_probability_table(
     c02, s02 = np.cos(half), np.sin(half)
     probs = np.empty((t_max + 1, len(candidates)))
     probs[0] = site_probability(current[:, defect])
-    prev_field = None
-    fields = per_step_fields(params_template, t_max, coin_fields)
-    for t, (rows, field) in enumerate(zip(cone, fields)):
-        if field is not prev_field:
-            if field.angles1.shape != (params_template.lattice_size,):
-                raise ValueError(
-                    f"coin field angles must have shape ({params_template.lattice_size},),"
-                    f" got {field.angles1.shape}"
-                )
-            c1, s1, c2, s2 = (table[window] for table in field.half_angle_tables())
-            prev_field = field
+    for t, (rows, tables) in enumerate(zip(cone, step_tables)):
+        c1, s1, c2, s2 = (table[window] for table in tables)
         kernels.split_step(current[:, rows], c1[rows], s1[rows], c2[rows], s2[rows],
                            scratch[:, rows])
         # layer 2 at the defect again, with each candidate's angle

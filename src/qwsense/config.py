@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .disorder import DisorderSpec
+from . import bayes, metrology, topology
+from .disorder import DEFAULT_REALIZATIONS, DisorderSpec
 from .errors import ConfigError
 from .spectral import DENSE_SOLVER_CAP
 from .walk import WalkParams, dynamics_lattice_size
@@ -65,7 +66,7 @@ class ExperimentConfig:
     steps: int = DEFAULT_STEPS
     walk: WalkParams | None = None
     fit_window: tuple[float, float] | None = None
-    fit_mode: str = "all_points"
+    fit_mode: str = metrology.ALL_POINTS
     phase_grid: dict | None = None  # theta1/theta2 over-pi arrays + n_k
     surface: dict | None = None  # theta1 over-pi array + steps
     estimation: EstimationSettings | None = None
@@ -189,10 +190,10 @@ def _read_fit(check, doc, cfg):
     section = check.section(doc, "fit")
     if section is None:
         return
-    cfg.fit_mode = section.get("mode", "all_points")
-    if cfg.fit_mode not in ("all_points", "peaks_only"):
+    cfg.fit_mode = section.get("mode", metrology.ALL_POINTS)
+    if cfg.fit_mode not in (metrology.ALL_POINTS, metrology.PEAKS_ONLY):
         check.fail("fit.mode", f"must be all_points or peaks_only, got {cfg.fit_mode!r}")
-    t_min = check.number(section, "fit.t_min", default=10.0, minimum=1)
+    t_min = check.number(section, "fit.t_min", default=metrology.DEFAULT_FIT_T_MIN, minimum=1)
     t_max = check.number(section, "fit.t_max", default=float(cfg.steps))
     cfg.fit_window = (t_min, t_max)
     covered = math.floor(min(t_max, cfg.steps)) - math.ceil(t_min) + 1
@@ -227,7 +228,7 @@ def _read_phase_grid(check, doc):
         return None
     t1 = _grid(check, section, "phase_grid.theta1_over_pi")
     t2 = _grid(check, section, "phase_grid.theta2_over_pi")
-    n_k = check.number(section, "phase_grid.n_k", default=2048, minimum=64, integer=True)
+    n_k = check.number(section, "phase_grid.n_k", default=topology.DEFAULT_NK, minimum=64, integer=True)
     return {"theta1_over_pi": t1, "theta2_over_pi": t2, "n_k": n_k}
 
 
@@ -266,7 +267,8 @@ def _read_disorder(check, doc, cfg):
     kind = section.get("kind")
     cfg.disorder_observable = observable = section.get("observable", "fi")
     half_width = check.number(section, "disorder.half_width_over_pi", default=0.05, minimum=0.0)
-    n_real = check.number(section, "disorder.n_realizations", default=10, minimum=1, integer=True)
+    n_real = check.number(section, "disorder.n_realizations", default=DEFAULT_REALIZATIONS,
+                          minimum=1, integer=True)
     if observable not in ("fi", "msre"):
         check.fail("disorder.observable", f"must be fi or msre, got {observable!r}")
     if kind not in ("static", "dynamic"):
@@ -293,8 +295,10 @@ def _read_estimation(check, doc, cfg):
                 "estimation.prior_over_pi",
                 f"[{prior[0]}, {prior[1]}] leaves out walk.theta02_over_pi = {t02} (modulo 2)",
             )
-    grid_points = check.number(section, "estimation.grid_points", default=201, minimum=11, integer=True)
-    trials = check.number(section, "estimation.trials", default=1000, minimum=1, integer=True)
+    grid_points = check.number(section, "estimation.grid_points",
+                               default=bayes.DEFAULT_GRID_POINTS, minimum=11, integer=True)
+    trials = check.number(section, "estimation.trials", default=bayes.DEFAULT_TRIALS, minimum=1,
+                          integer=True)
     repetitions = check.number(section, "estimation.repetitions", default=1, minimum=1, integer=True)
     schedule = None
     if section.get("schedule") is not None:

@@ -176,31 +176,26 @@ def _estimation_config(
     one table per realization."""
     settings = cfg.estimation
     lo, hi = settings.prior_over_pi
-    prior = (lo * PI, hi * PI)
-    candidates = np.linspace(*prior, settings.grid_points)
-    schedule = settings.schedule
-    table = None
-    if schedule is None:
-        t_min = 20 if cfg.steps > 40 else max(1, cfg.steps // 5)
-        # the selector scores every step in t_min..steps; the bayes likelihood
-        # reads the scheduled rows instead of walking again
-        selection = bayes.candidate_probability_table(
-            cfg.walk, candidates, range(t_min, cfg.steps + 1)
-        )
-        schedule = bayes.informative_schedule(selection, t_min)
-        if cfg.experiment == "bayes":
-            table = selection[[t - t_min for t in schedule]]
-    elif cfg.experiment == "bayes":
-        table = bayes.candidate_probability_table(cfg.walk, candidates, schedule)
+    t_min = 20 if cfg.steps > 40 else max(1, cfg.steps // 5)
     est = bayes.EstimationConfig(
         params=cfg.walk,
-        prior_interval=prior,
-        schedule=schedule,
+        prior_interval=(lo * PI, hi * PI),
+        # without a schedule, the selector scores every step in t_min..steps
+        schedule=settings.schedule or range(t_min, cfg.steps + 1),
         grid_points=settings.grid_points,
         trials=settings.trials,
         master_seed=cfg.seed,
         repetitions=settings.repetitions,
     )
+    table = None
+    if settings.schedule is None:
+        # the bayes likelihood reads the scheduled rows instead of walking again
+        selection = bayes.candidate_probability_table(cfg.walk, est.candidates(), est.schedule)
+        est = replace(est, schedule=bayes.informative_schedule(selection, t_min))
+        if cfg.experiment == "bayes":
+            table = selection[[t - t_min for t in est.schedule]]
+    elif cfg.experiment == "bayes":
+        table = bayes.candidate_probability_table(cfg.walk, est.candidates(), est.schedule)
     return est, table
 
 

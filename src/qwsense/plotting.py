@@ -9,11 +9,11 @@ way each cell reads as the file gives it back: a float as the float its
 shortest text parses to (so -0.0 reads 0.0), ``None`` as a blank cell
 (nan), a bool as 1 or 0; errors name the same line numbers.  So a run's
 SVG equals ``qwsense plot`` on its CSV, byte for byte.  A cell that places
-a mark must be a finite number (a ``winding`` blank or an integer), or
-PlotSchemaError names its file, column and line; value cells that are not
-positive and finite are dropped from log axes or drawn in the sentinel
-colour.  The output is a deterministic text document: re-rendering from
-the same data reproduces the SVG byte for byte.
+a mark must be a finite number (a ``winding`` blank or an integer), below
+AXIS_LIMIT on a linear axis, or PlotSchemaError names its file, column and
+line; value cells that are not positive and finite are dropped from log axes
+or drawn in the sentinel colour.  The output is a deterministic text document:
+re-rendering from the same data reproduces the SVG byte for byte.
 """
 
 import csv
@@ -29,6 +29,7 @@ WIDTH, HEIGHT = 720, 520
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 24, 28, 56
 
 SENTINEL = "#9a9a9a"  # gapless / flagged cells
+AXIS_LIMIT = 1e300  # keeps a linear axis's spans, cell edges and tick steps finite
 PALETTE = ("#b4232d", "#2959aa", "#2d8a4d", "#b07c1f", "#7b3fa0", "#4a9ba6",
            "#d06b34", "#5d6b1f", "#a03f68", "#3f51a0")
 WINDING_COLORS = {-1: "#2959aa", 0: "#f5f2ea", 1: "#b4232d"}
@@ -107,16 +108,19 @@ class _Table:
                 except (TypeError, ValueError):
                     raise self.error(column, i, "a number") from None
         if finite:
-            self.finite(column, values)
+            self.finite(column, values, limit=AXIS_LIMIT)
         return values
 
-    def finite(self, column, values, rows=None, integer=False):
-        """Raise unless ``values`` is finite (and whole) in ``rows``, every row by default."""
-        if rows is None and not integer and all(map(math.isfinite, values)):
+    def finite(self, column, values, rows=None, integer=False, limit=math.inf):
+        """Raise unless ``values`` is finite (and whole) and below ``limit`` in
+        magnitude in ``rows``, every row by default."""
+        if rows is None and not integer and all(map(limit.__gt__, map(abs, values))):
             return
         for i in range(len(values)) if rows is None else rows:
             if not math.isfinite(values[i]) or (integer and values[i] != int(values[i])):
                 raise self.error(column, i, "a finite integer" if integer else "a finite number")
+            if abs(values[i]) >= limit:
+                raise self.error(column, i, f"a number of magnitude below {limit:g}")
 
     def error(self, column, row, expected):
         return PlotSchemaError(
@@ -156,10 +160,11 @@ class _Scale:
         self.log = log
         self.x0, self.x1 = [math.log10(v) for v in x_range] if log else x_range
         self.y0, self.y1 = [math.log10(v) for v in y_range] if log else y_range
+        # an empty range gets a width of 1, or of the spacing where 1 is below it
         if self.x1 == self.x0:
-            self.x1 = self.x0 + 1.0
+            self.x1 = self.x0 + max(1.0, abs(self.x0) * 2.0**-52)
         if self.y1 == self.y0:
-            self.y1 = self.y0 + 1.0
+            self.y1 = self.y0 + max(1.0, abs(self.y0) * 2.0**-52)
 
     def _axis(self, values):
         return map(math.log10, values) if self.log else values
@@ -180,9 +185,9 @@ class _Scale:
 
 
 def _nice_ticks(lo, hi, target=5):
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        return [lo]
     raw = (hi - lo) / target
+    if not 1e-300 <= raw < math.inf:  # an empty or non-finite range, or a subnormal step
+        return [lo]
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 5, 10):
         if raw <= mult * mag:
@@ -200,8 +205,8 @@ def _nice_ticks(lo, hi, target=5):
 
 
 def _log_ticks(lo, hi):
-    lo_d = math.floor(math.log10(lo))
-    hi_d = math.ceil(math.log10(hi))
+    lo_d = max(math.floor(math.log10(lo)), -307)  # 10.0**d is a normal float
+    hi_d = min(math.ceil(math.log10(hi)), 308)
     return [10.0**d for d in range(lo_d, hi_d + 1) if lo <= 10.0**d <= hi]
 
 
@@ -210,7 +215,8 @@ def _tick_label(value):
         return "0"
     if abs(value) >= 1e4 or abs(value) < 1e-3:
         exp = math.floor(math.log10(abs(value)))
-        mant = value / 10**exp
+        # 10**exp is subnormal or 0 below 1e-307: scale such a value up first
+        mant = value / 10**exp if exp > -308 else value * 1e300 / 10**(exp + 300)
         return f"{mant:.3g}e{exp}"
     return f"{value:.6g}"
 
@@ -260,9 +266,12 @@ def _render_scaling(table):
     t_ref, v_ref = ts[-1], vs[-1]
     # each coordinate is formatted once: the guide, the line and the circles share it
     px = [f"{x:.2f}" for x in scale.xs(ts)]
-    guide = [f"{y:.2f}" for y in scale.ys([v_ref * (t / t_ref) ** exponent for t in ts])]
+    # the points where the guide stays a positive float; t <= t_ref, so r <= 1
+    guide = [(x, g) for x, t in zip(px, ts)
+             if (r := t / t_ref) > 1e-150 and 0 < (g := v_ref * r**exponent) < math.inf]
+    gy = [f"{y:.2f}" for y in scale.ys([g for _, g in guide])]
     py = [f"{y:.2f}" for y in scale.ys(vs)]
-    parts.append(_polyline(_joined(px, guide), "black", 1.0, dash="6 4"))
+    parts.append(_polyline(_joined([x for x, _ in guide], gy), "black", 1.0, dash="6 4"))
     parts.append(_polyline(_joined(px, py), PALETTE[0]))
     parts.extend(f'<circle cx="{x}" cy="{y}" r="2.5" fill="{PALETTE[0]}"/>'
                  for x, y in zip(px, py))
@@ -346,12 +355,15 @@ def _render_band(table):
     table.finite("t", ts, rows)
     rows = [i for i in rows if ts[i] > 0]
     table.finite("std", stds, rows)
+    for i in rows:
+        if stds[i] < 0:
+            raise table.error("std", i, "a number >= 0")
     pts = sorted((ts[i], means[i], stds[i]) for i in rows)
     parts = _page("t (steps)", "mean +/- std", table.name)
     if not pts:
         return _no_data(parts)
-    floor = min(p[1] for p in pts) / 10.0
-    uppers = [m + s for _, m, s in pts]
+    floor = min(p[1] for p in pts) / 10.0 or 5e-324  # a tenth of a subnormal may be 0
+    uppers = [min(m + s, 1e308) for _, m, s in pts]  # m + s may overflow
     lowers = [max(m - s, floor) for _, m, s in pts]
     scale = _Scale((pts[0][0], pts[-1][0]), (min(lowers), max(uppers)), log=True)
     px = [scale.x(t) for t, _, _ in pts]

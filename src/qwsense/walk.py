@@ -44,6 +44,12 @@ imaginary part stays real.  ``propagate`` then steps float64 buffers, whose
 values are the real parts of the complex walk's, bit for bit; a complex
 start steps complex128.  ``WalkerState`` stays complex.
 
+Coin fields: a run takes None (the clean walk of its params), one CoinField
+for every step, or per-step fields as a list or an iterator, read a step at
+a time.  ``coin_tables`` turns each form into the steps' half-angle tables,
+once per field; ``propagate`` and the candidate walks of ``bayes`` step
+from it.
+
 Batch axis: a CoinField with (B, N) angles describes B walks, one per row.
 ``propagate`` walks all B from the same initial state at once, through
 (B, N, 2) buffers and (B, N) coin tables, each walk bit-identical to its own
@@ -53,7 +59,6 @@ serial walk; disorder ensembles and parameter sweeps use this.
 import itertools
 import math
 import numbers
-from collections.abc import Sized
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,12 +244,9 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
     what must outlive the iteration, never write to them.  They are float64
     when ``initial`` has no imaginary part, complex128 otherwise (module
     docstring), and zero outside ``light_cone``'s window t.  ``coin_fields``
-    is None (the clean walk of ``params``), one CoinField for every step,
-    or per-step fields as in ``per_step_fields``; an iterator of them is
-    read a step at a time, so a run need not hold all its fields.  Fields
-    with (B, N) angles walk B walks from ``initial`` at once and the buffers
-    are (B, N, 2); every field of a run has the same shape.  dpsi is the
-    exact derivative with respect to the layer-2 angle at
+    takes any form ``coin_tables`` accepts; fields with (B, N) angles walk B
+    walks from ``initial`` at once and the buffers are (B, N, 2).  dpsi is
+    the exact derivative with respect to the layer-2 angle at
     ``params.defect_index``, starting from zero.  Each step runs on the
     light-cone window of the module docstring; with ``defect_only`` it runs
     on the causal diamond of ``light_cone(params, initial, steps)`` instead,
@@ -259,9 +261,7 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
         raise ValueError(
             f"initial state lattice size {initial.lattice_size} does not match params ({n})"
         )
-    fields = iter(per_step_fields(params, steps, coin_fields))
-    head = next(fields) if steps else None
-    batch = head.angles1.shape[:-1] if steps else ()
+    batch, step_tables = coin_tables(params, steps, coin_fields)
     defect = params.defect_index
     grid = initial.grid()
     real = not grid.imag.any()
@@ -273,22 +273,8 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
     dcurrent = np.zeros_like(current) if derivative else None
     dscratch = np.zeros_like(current) if derivative else None
     yield (current, dcurrent) if derivative else current
-    prev_field = None
-    tables = None
-    for rows, field in zip(light_cone(params, initial, steps if defect_only else None),
-                           itertools.chain([head], fields) if steps else ()):
-        if field is not prev_field:
-            if field.lattice_size != n:
-                raise ValueError(
-                    f"coin field length {field.lattice_size} does not match lattice size {n}"
-                )
-            if field.angles1.shape[:-1] != batch:
-                raise ValueError(
-                    f"coin fields of one run must share one batch shape, got "
-                    f"{field.angles1.shape[:-1]} and {batch}"
-                )
-            tables = field.half_angle_tables()
-            prev_field = field
+    for rows, tables in zip(light_cone(params, initial, steps if defect_only else None),
+                            step_tables):
         window = [table[..., rows] for table in tables]
         psi, out = current[..., rows, :], scratch[..., rows, :]
         if derivative:
@@ -299,6 +285,40 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
             kernels.split_step(psi, *window, out)
         current, scratch = scratch, current
         yield (current, dcurrent) if derivative else current
+
+
+def coin_tables(params: WalkParams, steps: int, coin_fields=None):
+    """A run's batch shape and an iterator over its ``steps`` steps' half-angle tables.
+
+    ``coin_fields`` takes the forms of the module docstring.  Consecutive
+    steps that share a field share its tables.  The batch shape is the first
+    field's, () for no steps.  Each field is checked before its first step.
+    """
+    if coin_fields is None:
+        coin_fields = CoinField.from_params(params)
+    if isinstance(coin_fields, CoinField):
+        coin_fields = itertools.repeat(coin_fields, steps)
+    fields = itertools.islice(coin_fields, steps)
+    head = list(itertools.islice(fields, 1))
+    batch = head[0].angles1.shape[:-1] if head else ()
+    return batch, _step_tables(itertools.chain(head, fields), params.lattice_size, batch, steps)
+
+
+def _step_tables(fields, n, batch, steps):
+    count, field = 0, None
+    for count, step_field in enumerate(fields, 1):
+        if step_field is not field:
+            field = step_field
+            if field.lattice_size != n:
+                raise ValueError(f"coin field length {field.lattice_size} does not match "
+                                 f"lattice size {n}")
+            if field.angles1.shape[:-1] != batch:
+                raise ValueError(f"coin fields of one run must share one batch shape, got "
+                                 f"{field.angles1.shape[:-1]} and {batch}")
+            tables = field.half_angle_tables()
+        yield tables
+    if count < steps:
+        raise ValueError(f"need {steps} per-step coin fields, got {count}")
 
 
 def light_cone(params: WalkParams, initial: WalkerState, horizon: int | None = None):
@@ -336,30 +356,3 @@ def _on_ring(lo, hi, n):
 def dynamics_lattice_size(steps: int) -> int:
     """Default wrap-free lattice for a steps-long run: 2*steps + 3 (odd)."""
     return 2 * max(int(steps), 0) + 3
-
-
-def per_step_fields(params: WalkParams, steps: int, coin_fields=None):
-    """Normalize a clean/static/per-step coin-field argument to per-step fields.
-
-    Returns a list of ``steps`` fields, except for an unsized iterable (an
-    iterator), which is read lazily: its first ``steps`` fields, and a
-    ValueError where it runs out before.
-    """
-    if coin_fields is None:
-        return [CoinField.from_params(params)] * steps
-    if isinstance(coin_fields, CoinField):
-        return [coin_fields] * steps
-    if not isinstance(coin_fields, Sized):
-        return _lazy_fields(coin_fields, steps)
-    fields = list(coin_fields)
-    if len(fields) < steps:
-        raise ValueError(f"need {steps} per-step coin fields, got {len(fields)}")
-    return fields[:steps]
-
-
-def _lazy_fields(coin_fields, steps):
-    count = 0
-    for count, field in enumerate(itertools.islice(coin_fields, steps), 1):
-        yield field
-    if count < steps:
-        raise ValueError(f"need {steps} per-step coin fields, got {count}")

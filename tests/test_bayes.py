@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from test_walk import step_fields
 
 from qwsense import kernels
 from qwsense.bayes import (
@@ -26,7 +27,6 @@ from qwsense.walk import (
     CoinField,
     WalkParams,
     default_initial_state,
-    per_step_fields,
     propagate,
 )
 
@@ -150,7 +150,7 @@ def serial_table(params, candidates, schedule, coin_fields=None):
     """Reference: one complex full-ring walk per candidate."""
     t_max = max(schedule)
     initial = default_initial_state(params.lattice_size)
-    fields = per_step_fields(params, t_max, coin_fields)
+    fields = step_fields(params, t_max, coin_fields)
     columns = []
     for theta in candidates:
         p = replace(params, theta02=float(theta))  # WalkParams wraps the angle
@@ -224,6 +224,28 @@ def test_table_equals_full_ring_walks_on_any_lattice(half, angles, candidates, s
     assert np.array_equal(table, serial_table(p, candidates, schedule, coin_fields))
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    theta1=st.sampled_from([0.9 * PI, 0.05 * PI]),  # nontrivial and trivial phase
+    theta02=st.floats(-PI, PI),
+    steps=st.integers(1, 25),
+    wraps=st.booleans(),
+    margin=st.integers(0, 10),
+    fields=st.sampled_from([None, _static, _dynamic]),
+)
+def test_candidate_walk_at_the_true_angle_is_the_defect_walk(
+    theta1, theta02, steps, wraps, margin, fields
+):
+    # both walkers step one coin-table stream: the candidate column at the
+    # true angle is P0(t) of the defect walk, whether or not the ring wraps
+    n = max(3, 2 * steps + 1 - 2 * margin) if wraps else 2 * steps + 3 + 2 * margin
+    p = WalkParams(theta1, 0.75 * PI, theta02, n)
+    coin_fields = fields(p, steps) if fields else None
+    table = candidate_probability_table(p, [p.theta02], range(steps + 1), coin_fields)
+    series = defect_probability_series(p, default_initial_state(n), steps, coin_fields)
+    assert np.array_equal(table[:, 0], series)
+
+
 def _wider(params, steps):
     return CoinField.from_params(replace(params, lattice_size=params.lattice_size + 2))
 
@@ -237,11 +259,16 @@ def _batched(params, steps):
     return CoinField.stack([CoinField.from_params(params)] * 2)
 
 
-@pytest.mark.parametrize("fields", [_wider, _narrower_from_step_3, _batched])
-def test_candidate_table_rejects_fields_it_cannot_walk(fields):
+@pytest.mark.parametrize("fields, message", [
+    pytest.param(_wider, "coin field length 205 does not match lattice size 203", id="_wider"),
+    pytest.param(_narrower_from_step_3, "coin field length 201 does not match lattice size 203",
+                 id="_narrower_from_step_3"),
+    pytest.param(_batched, r"batch must be \(\), got \(2,\)", id="_batched"),
+])
+def test_candidate_table_rejects_fields_it_cannot_walk(fields, message):
     # the window slice used to cut a mis-sized field at the wrong sites
     p = nontrivial(203)
-    with pytest.raises(ValueError, match=r"coin field angles must have shape \(203,\)"):
+    with pytest.raises(ValueError, match=message):
         candidate_probability_table(p, np.linspace(*PRIOR, 11), [10, 40], fields(p, 40))
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from qwsense import cli
+from qwsense.config import validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -184,6 +185,20 @@ def test_a_section_the_experiment_does_not_read_is_not_checked(tmp_path):
     assert validate(tmp_path, with_(FI, estimation=unread, disorder=unread, surface=unread,
                                     phase_grid=unread, averaging=unread)) == 0
     assert validate(tmp_path, with_(PHASE, walk=unread)) == 0
+
+
+def test_omitted_names_read_the_defaults_they_always_read():
+    # config reads its defaults from the library constants; a value or a type
+    # that moved would move a data file (fit.json writes t_min as 10.0)
+    fi = validate_config(FI)
+    assert (fi.fit_mode, repr(fi.fit_window)) == ("all_points", "(10.0, 30.0)")
+    grid = {name: GRID[name] for name in ("theta1_over_pi", "theta2_over_pi")}
+    phase = validate_config({**PHASE, "phase_grid": grid})
+    assert repr(phase.phase_grid["n_k"]) == "2048"
+    disorder = validate_config({**DISORDER, "disorder": {"kind": "static"}})
+    assert repr(disorder.disorder_spec.n_realizations) == "10"
+    bayes = validate_config({**BAYES, "estimation": {"prior_over_pi": [-0.556, -0.544]}})
+    assert repr((bayes.estimation.grid_points, bayes.estimation.trials)) == "(201, 1000)"
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_walk import step_fields
 
 from qwsense import bayes, experiments, kernels, serialize
 from qwsense.config import validate_config
@@ -36,7 +37,6 @@ from qwsense.walk import (
     WalkParams,
     default_initial_state,
     dynamics_lattice_size,
-    per_step_fields,
 )
 
 PI = math.pi
@@ -155,7 +155,7 @@ def test_fi_matches_probability_finite_differences():
 
 def stored_trajectory(params, initial, steps, coin_fields=None):
     """Reference: the complex128 walk on the whole ring, kept as (T+1, [B,] N, 2) arrays."""
-    fields = per_step_fields(params, steps, coin_fields)
+    fields = step_fields(params, steps, coin_fields)
     states = np.zeros((steps + 1,) + fields[0].angles1.shape + (2,), dtype=np.complex128)
     dstates = np.zeros_like(states)
     states[0] = initial.grid()

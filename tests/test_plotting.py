@@ -97,6 +97,8 @@ BAD_CELLS = [
      "t,theta02_over_pi,weight\n10,-0.55,\n", "column 'weight' line 2"),
     ("band-blank-std", "band",
      "t,mean,std,n_realizations\n1,2.0,0.5,10\n2,4.0,,10\n", "column 'std' line 3"),
+    ("band-negative-std", "band",
+     "t,mean,std,n_realizations\n1,2.0,0.5,10\n2,4.0,-5.0,10\n", "column 'std' line 3"),
     ("band-blank-t", "band",
      "t,mean,std,n_realizations\n1,2.0,0.5,10\n\n,4.0,0.5,10\n", "column 't' line 4"),
     ("scaling-nan-t", "scaling",
@@ -140,6 +142,47 @@ def test_ticks_stop_where_the_step_is_below_the_float_spacing(tmp_path):
     assert '<text x="80.00" y="484" text-anchor="middle">1e16</text>' in out.read_text()
 
 
+FLOAT_EDGES = [
+    # (id, kind, csv text, None where the table draws, else the column and line the error names)
+    ("scaling-subnormal-value", "scaling", "t,value,flagged\n1,5e-324,0\n2,1.0,0\n", None),
+    ("scaling-value-near-max", "scaling",
+     "t,value,flagged\n1,1.0,0\n2,1e308,0\n3,1.7e308,0\n", None),
+    ("scaling-guide-underflows", "scaling", "t,value,flagged\n1e-300,1.0,0\n0.5,2.0,0\n", None),
+    ("heatmap-coordinate-near-max", "heatmap",
+     "theta1_over_pi,t,value,flagged\n0.5,1,2.0,0\n1.7e308,2,3.0,0\n",
+     "column 'theta1_over_pi' line 3"),
+    ("band-upper-overflows", "band",
+     "t,mean,std,n_realizations\n1,1.7e308,1.7e308,10\n2,1e-323,0,10\n", None),
+    ("posterior-subnormal-weight", "posterior",
+     "t,theta02_over_pi,weight\n10,-0.55,5e-324\n10,-0.54,0\n", None),
+]
+
+
+@pytest.mark.parametrize("kind, text, where", [case[1:] for case in FLOAT_EDGES],
+                         ids=[case[0] for case in FLOAT_EDGES])
+def test_finite_values_at_the_ends_of_the_float_range_draw_or_are_named(
+    tmp_path, kind, text, where
+):
+    # each of these exited 1 with a traceback, or 2 with a bare "math domain error"
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    out = tmp_path / "plot.svg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwsense", "plot", "--data", str(data), "--kind", kind,
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    if where is None:
+        assert proc.returncode == 0, proc.stderr
+        svg = out.read_text()
+        assert "nan" not in svg and "inf" not in svg
+    else:
+        assert proc.returncode == 2
+        assert f"{data}: {where}: expected a number of magnitude below 1e+300" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
 def scalar_viridis(frac):
     """Reference: one cell's colour by the per-cell formula."""
     stops = plotting.VIRIDIS
@@ -167,7 +210,7 @@ VALUES = st.one_of(
 )
 # a mark coordinate: a few distinct grid values, so the heatmap cells repeat
 COORDS = st.one_of(
-    st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2, True, 1e-300]),
+    st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2, True, 1e-300, 5e-324, 1e300, -1.7e308]),
     st.sampled_from([math.nan, math.inf, -math.inf, None]),
 )
 WINDINGS = st.one_of(st.none(), st.sampled_from([-1, 0, 1, 1.0, -0.0, 0.5, True, math.nan]))
@@ -188,10 +231,10 @@ TABLES = {
 
 
 def render(*args):
-    """The SVG text, or the error the renderer raised."""
+    """The SVG text, or the PlotSchemaError the renderer raised: no other error."""
     try:
         return plotting.render_plot(*args).read_text()
-    except (ArithmeticError, ValueError) as exc:  # PlotSchemaError is a ValueError
+    except PlotSchemaError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 

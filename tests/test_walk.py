@@ -25,7 +25,6 @@ from qwsense.walk import (
     WalkerState,
     default_initial_state,
     light_cone,
-    per_step_fields,
     propagate,
     wrap_angle,
 )
@@ -357,9 +356,18 @@ def test_propagation_stays_unitary_and_tangent(angles, steps, margin):
         assert abs(np.vdot(psi, dpsi).real) <= 1e-12
 
 
+def step_fields(params, steps, coin_fields=None):
+    """Reference: the list of ``steps`` fields a clean, static or per-step run walks."""
+    if coin_fields is None:
+        coin_fields = CoinField.from_params(params)
+    if isinstance(coin_fields, CoinField):
+        return [coin_fields] * steps
+    return list(coin_fields)[:steps]
+
+
 def full_ring_walk(params, initial, steps, coin_fields=None):
     """Reference: every step on the whole ring into fresh arrays, no window."""
-    fields = per_step_fields(params, steps, coin_fields)
+    fields = step_fields(params, steps, coin_fields)
     psi = np.zeros(fields[0].angles1.shape + (2,), dtype=np.complex128)
     psi[...] = initial.grid()
     dpsi = np.zeros_like(psi)
