@@ -5,10 +5,12 @@ U = T_down R2 T_up R1 to a state vector or a stack of them; ``split_step``
 is that step, and every walk in the package runs through it.
 
 The joint step of a state and its theta02-derivative, ``split_step_pair``,
-is that step applied to psi and to dpsi, plus a two-entry correction at the
-defect from differentiating the defect's layer-2 coin.  The correction reads
-the two layer-1 outputs that coin mixes (``defect_coin_inputs``); the
-batched candidate walk in ``bayes`` redoes the defect coin from the same two.
+is one ``split_step`` call on psi and dpsi stacked as one buffer, plus a
+two-entry correction at the defect from differentiating the defect's
+layer-2 coin.  The correction reads the two layer-1 outputs that coin mixes;
+for one walk it indexes them with plain integers, so it is scalar arithmetic
+and not a dozen ufunc calls on 0-d arrays.  The batched candidate walk in
+``bayes`` redoes the defect coin from the same two (``defect_coin_inputs``).
 
 ``BACKEND`` names the step body, for run records.
 
@@ -20,9 +22,11 @@ position x = i - (N - 1) // 2.  Coin tables are the per-site half-angle
 cosines/sines of the two coin layers.  The kernels also take a batch of B
 walks, shape (B, N, 2), with either one (N,) table set shared by every walk
 or (B, N) tables, one row per walk; tables are always indexed on their last
-axis.  Every coin and shift is real, so a real (float64) stack stays real,
-and its values are the real parts of the same complex stack's, bit for bit
-(up to the sign of zero).
+axis.  The pair kernel's stacked buffer puts psi at [0] and dpsi at [1] of a
+leading axis of length 2: (2, N, 2) for one walk, (2, B, N, 2) for a batch.
+Every coin and shift is real, so a real (float64) stack stays real, and its
+values are the real parts of the same complex stack's, bit for bit (up to
+the sign of zero).
 
 The ring is periodic, so a kernel call on a contiguous window of rows wraps
 within the window: output row i reads input rows i - 1..i + 1, and only the
@@ -76,19 +80,25 @@ def defect_coin_inputs(amps, cos1, sin1, defect):
     return fu, fd
 
 
-def split_step_pair(amps, damps, cos1, sin1, cos2, sin2, defect, out, dout):
-    """Joint step of (psi, dpsi/dtheta02); exact product rule.
+def split_step_pair(pair, cos1, sin1, cos2, sin2, defect, out):
+    """Joint step of (psi, dpsi/dtheta02) stacked as ``pair``; exact product rule.
 
-    The derivative picks up U dpsi plus the defect term T_down (dR) phi where
-    phi = T_up R1 psi and dR = dR/dtheta(theta02) acts at ``defect`` only, so
-    only two entries of U dpsi are corrected.  Shapes as in ``split_step``;
-    ``defect`` indexes the site axis of every walk.
+    pair/out: (2, N, 2) or (2, B, N, 2), psi at [0] and dpsi at [1]; one
+    ``split_step`` call steps both.  The derivative picks up U dpsi plus the
+    defect term T_down (dR) phi where phi = T_up R1 psi and dR =
+    dR/dtheta(theta02) acts at ``defect`` only, so only two entries of U dpsi
+    are corrected.  Tables as in ``split_step``; ``defect`` indexes the site
+    axis of every walk.
     """
-    split_step(amps, cos1, sin1, cos2, sin2, out)
-    split_step(damps, cos1, sin1, cos2, sin2, dout)
-    c02 = cos2[..., defect]
-    s02 = sin2[..., defect]
-    fu, fd = defect_coin_inputs(amps, cos1, sin1, defect)
-    dout[..., defect, 0] += -0.5 * s02 * fu - 0.5 * c02 * fd
-    dout[..., defect - 1, 1] += 0.5 * c02 * fu - 0.5 * s02 * fd
-    return out, dout
+    split_step(pair, cos1, sin1, cos2, sin2, out)
+    psi, dout = pair[0], out[1]
+    # one walk indexes with plain integers, which read numpy scalars, not 0-d arrays
+    walks = () if psi.ndim == 2 else (Ellipsis,)
+    left, here = walks + (defect - 1,), walks + (defect,)
+    c02 = cos2[here]
+    s02 = sin2[here]
+    fu = cos1[left] * psi[left + (0,)] - sin1[left] * psi[left + (1,)]
+    fd = sin1[here] * psi[here + (0,)] + cos1[here] * psi[here + (1,)]
+    dout[here + (0,)] += -0.5 * s02 * fu - 0.5 * c02 * fd
+    dout[left + (1,)] += 0.5 * c02 * fu - 0.5 * s02 * fd
+    return out

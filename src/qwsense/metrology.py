@@ -1,9 +1,12 @@
 """Fisher information of the defect measurement and its scaling in time.
 
 Three information measures are computed from the exactly propagated
-(state, derivative) pair, each reduced to one number per step as the walk
-streams through ``walk.propagate``; no trajectory is stored, so a series
-of any length holds O(N) memory besides its T + 1 values:
+(state, derivative) pair as the walk streams through ``walk.propagate``;
+no trajectory is stored, so a series of any length holds O(N) memory
+besides O(T) values.  GFI and QFI are reduced to one number per step; the
+defect-site FI keeps each step's psi and dpsi defect rows, four numbers per
+walk, and reduces all steps at once after the walk (elementwise, so with
+the bits of a per-step reduction):
 
 * defect-site FI:  (dP0/dtheta02)^2 / [P0 (1 - P0)] from the binary
   "walker at the defect?" measurement,
@@ -88,20 +91,21 @@ class ScalingFit:
 
 def pair_trajectory(params: WalkParams, initial: WalkerState, steps: int, coin_fields, observe,
                     defect_only: bool = False):
-    """Stacked ``observe(psi_t, dpsi_t, rows_t)`` for t = 0..steps over one streamed walk.
+    """Stacked ``observe(t, psi_t, dpsi_t, rows_t)`` for t = 0..steps over one streamed walk.
 
     ``observe`` gets the (N, 2) state and theta02-derivative buffers of each
     step, which are zero outside the light-cone rows ``rows_t``; they are
-    reused, so it must return a reduction, not the buffers.  With
-    ``defect_only`` the walk runs on the causal diamond (``walk`` module
-    docstring) and ``observe`` may read the defect row only.
+    reused, so it must return a reduction or copy what it keeps, not the
+    buffers.  With ``defect_only`` the walk runs on the causal diamond
+    (``walk`` module docstring) and ``observe`` may read the defect row only.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     pairs = propagate(params, initial, steps, coin_fields, derivative=True,
                       defect_only=defect_only)
     cone = light_cone(params, initial, steps if defect_only else None)
-    return np.array([observe(psi, dpsi, rows) for (psi, dpsi), rows in zip(pairs, cone)])
+    return np.array([observe(t, psi, dpsi, rows)
+                     for t, ((psi, dpsi), rows) in enumerate(zip(pairs, cone))])
 
 
 def binary_fisher(p0, dp0):
@@ -154,10 +158,16 @@ def information_values(
         row[..., cells] = products
         return row.sum(axis=-1)
 
-    def observe(psi, dpsi, rows):
-        terms = []
+    at_defect = None  # psi's and dpsi's defect rows at each step: (steps + 1, 2) + batch + (2,)
+
+    def observe(t, psi, dpsi, rows):
+        nonlocal at_defect
         if DEFECT_SITE_FI in kinds:
-            terms.extend(_probability_pair(psi[..., defect, :], dpsi[..., defect, :]))
+            if t == 0:
+                at_defect = np.empty((steps + 1, 2) + psi[..., defect, :].shape, psi.dtype)
+            at_defect[t, 0] = psi[..., defect, :]
+            at_defect[t, 1] = dpsi[..., defect, :]
+        terms = []
         psi, dpsi = psi[..., rows, :], dpsi[..., rows, :]
         if GLOBAL_FI in kinds:
             probs, dprobs = _probability_pair(psi, dpsi)
@@ -182,7 +192,9 @@ def information_values(
     )
     measures = {}
     if DEFECT_SITE_FI in kinds:
-        measures[DEFECT_SITE_FI] = binary_fisher(next(terms), next(terms))
+        # every step's P0 and dP0 at once: the same elementwise operations as per step
+        measures[DEFECT_SITE_FI] = binary_fisher(*_probability_pair(at_defect[:, 0],
+                                                                    at_defect[:, 1]))
     if GLOBAL_FI in kinds:
         gfi = next(terms)
         measures[GLOBAL_FI] = gfi, np.zeros(gfi.shape, dtype=bool)

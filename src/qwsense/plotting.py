@@ -30,6 +30,7 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 24, 28, 56
 
 SENTINEL = "#9a9a9a"  # gapless / flagged cells
 AXIS_LIMIT = 1e300  # keeps a linear axis's spans, cell edges and tick steps finite
+MAX_LOG_TICKS = 9  # the most decades any preset or benchmark plot labels
 PALETTE = ("#b4232d", "#2959aa", "#2d8a4d", "#b07c1f", "#7b3fa0", "#4a9ba6",
            "#d06b34", "#5d6b1f", "#a03f68", "#3f51a0")
 WINDING_COLORS = {-1: "#2959aa", 0: "#f5f2ea", 1: "#b4232d"}
@@ -188,7 +189,8 @@ def _nice_ticks(lo, hi, target=5):
     raw = (hi - lo) / target
     if not 1e-300 <= raw < math.inf:  # an empty or non-finite range, or a subnormal step
         return [lo]
-    mag = 10 ** math.floor(math.log10(raw))
+    exp = math.floor(math.log10(raw))
+    mag = 10 ** exp
     for mult in (1, 2, 5, 10):
         if raw <= mult * mag:
             step = mult * mag
@@ -197,7 +199,9 @@ def _nice_ticks(lo, hi, target=5):
     ticks = []
     value = first
     while value <= hi + step * 1e-9:
-        ticks.append(round(value, 12))
+        # a tick is a whole multiple of step: rounding a thousandth of its decade
+        # below it drops the sum's rounding error and keeps every tick distinct
+        ticks.append(round(value, 3 - exp))
         if value + step == value:  # a step below the float spacing moves no further
             break
         value += step
@@ -205,9 +209,13 @@ def _nice_ticks(lo, hi, target=5):
 
 
 def _log_ticks(lo, hi):
+    """A tick on each decade in [lo, hi], or on every k-th decade so that at most
+    MAX_LOG_TICKS are labelled."""
     lo_d = max(math.floor(math.log10(lo)), -307)  # 10.0**d is a normal float
     hi_d = min(math.ceil(math.log10(hi)), 308)
-    return [10.0**d for d in range(lo_d, hi_d + 1) if lo <= 10.0**d <= hi]
+    decades = [d for d in range(lo_d, hi_d + 1) if lo <= 10.0**d <= hi]
+    stride = -(-len(decades) // MAX_LOG_TICKS)
+    return [10.0**d for d in decades if d % stride == 0]
 
 
 def _tick_label(value):

@@ -10,8 +10,11 @@ production path).
 
 ``propagate`` is the one loop over time steps: it streams the state (and,
 on request, its derivative) through two reused full-size buffers, so a run
-of any length holds O(N) memory.  The probability and Fisher series consume
-it; a single step is ``propagate(params, state, 1, coins)``.
+of any length holds O(N) memory.  With the derivative, each buffer stacks
+psi and dpsi as (2,) + batch + (N, 2), so one ``kernels.split_step_pair``
+call steps both, and the yielded (psi, dpsi) are its two halves.  The
+probability and Fisher series consume it; a single step is
+``propagate(params, state, 1, coins)``.
 
 Light-cone window: one step moves amplitude by at most one site, so after t
 steps the walk is zero outside the initial support widened by t sites per
@@ -241,9 +244,11 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
     """Stream psi_t for t = 0..steps, or (psi_t, dpsi_t) with ``derivative``.
 
     Yields full-size buffers that the next step overwrites: read them, copy
-    what must outlive the iteration, never write to them.  They are float64
-    when ``initial`` has no imaginary part, complex128 otherwise (module
-    docstring), and zero outside ``light_cone``'s window t.  ``coin_fields``
+    what must outlive the iteration, never write to them.  With
+    ``derivative``, psi and dpsi are the views [0] and [1] of one stacked
+    (2,) + batch + (N, 2) buffer, which ``kernels.split_step_pair`` steps.
+    They are float64 when ``initial`` has no imaginary part, complex128
+    otherwise (module docstring), and zero outside ``light_cone``'s window t.  ``coin_fields``
     takes any form ``coin_tables`` accepts; fields with (B, N) angles walk B
     walks from ``initial`` at once and the buffers are (B, N, 2).  dpsi is
     the exact derivative with respect to the layer-2 angle at
@@ -267,24 +272,21 @@ def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=
     real = not grid.imag.any()
     # ping-pong buffers must not alias the caller's state, and start all zero:
     # a windowed step leaves the rows outside its window as they are
-    current = np.zeros(batch + (n, 2), dtype=np.float64 if real else np.complex128)
-    current[...] = grid.real if real else grid
+    current = np.zeros(((2,) if derivative else ()) + batch + (n, 2),
+                       dtype=np.float64 if real else np.complex128)
+    (current[0] if derivative else current)[...] = grid.real if real else grid
     scratch = np.zeros_like(current)
-    dcurrent = np.zeros_like(current) if derivative else None
-    dscratch = np.zeros_like(current) if derivative else None
-    yield (current, dcurrent) if derivative else current
+    yield (current[0], current[1]) if derivative else current
     for rows, tables in zip(light_cone(params, initial, steps if defect_only else None),
                             step_tables):
         window = [table[..., rows] for table in tables]
-        psi, out = current[..., rows, :], scratch[..., rows, :]
+        source, out = current[..., rows, :], scratch[..., rows, :]
         if derivative:
-            kernels.split_step_pair(psi, dcurrent[..., rows, :], *window, defect - rows.start,
-                                    out, dscratch[..., rows, :])
-            dcurrent, dscratch = dscratch, dcurrent
+            kernels.split_step_pair(source, *window, defect - rows.start, out)
         else:
-            kernels.split_step(psi, *window, out)
+            kernels.split_step(source, *window, out)
         current, scratch = scratch, current
-        yield (current, dcurrent) if derivative else current
+        yield (current[0], current[1]) if derivative else current
 
 
 def coin_tables(params: WalkParams, steps: int, coin_fields=None):

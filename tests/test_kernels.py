@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwsense import kernels
 
@@ -39,18 +41,67 @@ def reference_pair_step(amps, damps, cos1, sin1, cos2, sin2, defect, out, dout):
     return out, dout
 
 
+def separate_pair_step(amps, damps, cos1, sin1, cos2, sin2, defect, out, dout):
+    """Reference: psi and dpsi stepped by separate ``split_step`` calls, then the
+    defect term from ``defect_coin_inputs`` added with 0-d array arithmetic."""
+    kernels.split_step(amps, cos1, sin1, cos2, sin2, out)
+    kernels.split_step(damps, cos1, sin1, cos2, sin2, dout)
+    c02 = cos2[..., defect]
+    s02 = sin2[..., defect]
+    fu, fd = kernels.defect_coin_inputs(amps, cos1, sin1, defect)
+    dout[..., defect, 0] += -0.5 * s02 * fu - 0.5 * c02 * fd
+    dout[..., defect - 1, 1] += 0.5 * c02 * fu - 0.5 * s02 * fd
+    return out, dout
+
+
+def stacked_pair_step(amps, damps, cos1, sin1, cos2, sin2, defect):
+    """``split_step_pair`` on psi and dpsi stacked into one buffer; (out, dout) views."""
+    out = kernels.split_step_pair(np.stack((amps, damps)), cos1, sin1, cos2, sin2, defect,
+                                  np.empty((2,) + amps.shape, amps.dtype))
+    return out[0], out[1]
+
+
 @pytest.mark.parametrize("n", [3, 7, 64, 203])
 def test_pair_step_equals_reference_kernel(n):
     rng = np.random.default_rng(n + 1)
     amps, c1, s1, c2, s2 = _random_inputs(n, n)
     damps = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     for defect in sorted({0, 1, (n - 1) // 2, n - 1}):
-        out, dout = np.empty_like(amps), np.empty_like(amps)
         ref_out, ref_dout = np.empty_like(amps), np.empty_like(amps)
-        kernels.split_step_pair(amps, damps, c1, s1, c2, s2, defect, out, dout)
+        out, dout = stacked_pair_step(amps, damps, c1, s1, c2, s2, defect)
         reference_pair_step(amps, damps, c1, s1, c2, s2, defect, ref_out, ref_dout)
         assert np.array_equal(out, ref_out)
         assert np.array_equal(dout, ref_dout)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float64, np.complex128]),
+    n=st.integers(1, 40).map(lambda k: 2 * k + 1),
+    tables=st.sampled_from(["single", "shared", "per_walk"]),
+    walks=st.integers(1, 3),
+    defect=st.sampled_from(["first", "second", "centre", "last"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_pair_step_equals_separate_pair_step(dtype, n, tables, walks, defect, seed):
+    # "single": one (N, 2) walk; "shared": B walks on one (N,) table set;
+    # "per_walk": B walks on (B, N) tables
+    rng = np.random.default_rng(seed)
+    batch = () if tables == "single" else (walks,)
+    stack = rng.normal(size=(2,) + batch + (n, 2))
+    if dtype == np.complex128:
+        stack = stack + 1j * rng.normal(size=stack.shape)
+    amps, damps = stack
+    angles = rng.uniform(-np.pi, np.pi, size=(2,) + (batch if tables == "per_walk" else ()) + (n,))
+    c1, c2 = np.cos(angles / 2)
+    s1, s2 = np.sin(angles / 2)
+    defect = {"first": 0, "second": 1, "centre": (n - 1) // 2, "last": n - 1}[defect]
+    ref_out, ref_dout = np.empty_like(amps), np.empty_like(amps)
+    separate_pair_step(amps, damps, c1, s1, c2, s2, defect, ref_out, ref_dout)
+    out, dout = stacked_pair_step(amps, damps, c1, s1, c2, s2, defect)
+    assert out.dtype == dout.dtype == dtype
+    assert out.shape == ref_out.shape and out.tobytes() == ref_out.tobytes()
+    assert dout.shape == ref_dout.shape and dout.tobytes() == ref_dout.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
@@ -101,8 +152,7 @@ def test_pair_step_on_a_stack_equals_separate_walks(walks, per_walk):
     else:
         tables = _random_inputs(n, 34)[1:]
     for defect in (0, 1, n // 2, n - 1):
-        out, dout = np.empty_like(stack), np.empty_like(stack)
-        kernels.split_step_pair(stack, dstack, *tables, defect, out, dout)
+        out, dout = stacked_pair_step(stack, dstack, *tables, defect)
         for b in range(walks):
             row = [t[b] for t in tables] if per_walk else tables
             ref_out, ref_dout = np.empty((n, 2), complex), np.empty((n, 2), complex)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernels import separate_pair_step
 from test_walk import step_fields
 
-from qwsense import bayes, experiments, kernels, serialize
+from qwsense import bayes, experiments, serialize
 from qwsense.config import validate_config
 from qwsense.disorder import DYNAMIC, STATIC, DisorderSpec, sample_disorder
 from qwsense.metrology import (
@@ -20,6 +21,7 @@ from qwsense.metrology import (
     P_FLOOR,
     QUANTUM_FI,
     FisherSeries,
+    _probability_pair,
     averaged_fisher,
     binary_fisher,
     fisher_at_defect,
@@ -160,10 +162,8 @@ def stored_trajectory(params, initial, steps, coin_fields=None):
     dstates = np.zeros_like(states)
     states[0] = initial.grid()
     for t, field in enumerate(fields):
-        kernels.split_step_pair(
-            states[t], dstates[t], *field.half_angle_tables(), params.defect_index,
-            states[t + 1], dstates[t + 1],
-        )
+        separate_pair_step(states[t], dstates[t], *field.half_angle_tables(),
+                           params.defect_index, states[t + 1], dstates[t + 1])
     return states, dstates
 
 
@@ -270,7 +270,7 @@ def axis_sum_information_values(params, initial, steps, coin_fields=None):
         row[..., cells] = products
         return row.sum(axis=-1)
 
-    def observe(psi, dpsi, rows):
+    def observe(t, psi, dpsi, rows):
         here, dhere = psi[..., defect, :], dpsi[..., defect, :]
         p0 = (np.abs(here) ** 2).sum(axis=-1)
         dp0 = 2.0 * np.real(np.conj(here) * dhere).sum(axis=-1)
@@ -321,6 +321,38 @@ def test_two_term_site_sums_equal_the_axis_sum_observer(angles, steps, margin, s
     # the defect-site FI alone walks the causal diamond
     alone = information_values(p, init, steps, (DEFECT_SITE_FI,), fields)
     assert same_bits(alone[DEFECT_SITE_FI][0], fi)
+
+
+def per_step_defect_fisher(params, initial, steps, coin_fields=None):
+    """Reference: P0 and dP0 reduced from the defect row at every step of the walk,
+    then ``binary_fisher`` on the stacked series."""
+    defect = params.defect_index
+
+    def observe(t, psi, dpsi, rows):
+        return _probability_pair(psi[..., defect, :], dpsi[..., defect, :])
+
+    p0, dp0 = pair_trajectory(params, initial, steps, coin_fields, observe).swapaxes(0, 1)
+    return binary_fisher(p0, dp0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    angles=st.tuples(*[st.floats(-PI, PI)] * 3),
+    steps=st.integers(1, 40),
+    margin=st.integers(0, 4),
+    start=st.sampled_from([default_initial_state, _phased_start]),
+    fields=st.sampled_from([None, _static_batch, _batched]),
+    kinds=st.sampled_from([(DEFECT_SITE_FI,), MEASURES]),
+)
+def test_defect_rows_reduced_after_the_walk_equal_the_per_step_reduction(
+        angles, steps, margin, start, fields, kinds):
+    n = 2 * steps + 3 + 2 * margin
+    p, init = WalkParams(*angles, n), start(n)
+    fields = fields(p, steps) if fields else None
+    values, flagged = per_step_defect_fisher(p, init, steps, fields)
+    got, got_flagged = information_values(p, init, steps, kinds, fields)[DEFECT_SITE_FI]
+    assert same_bits(got, values)
+    assert got_flagged.shape == flagged.shape and np.array_equal(got_flagged, flagged)
 
 
 def test_information_values_reject_unknown_measures():

@@ -183,6 +183,24 @@ def test_finite_values_at_the_ends_of_the_float_range_draw_or_are_named(
         assert not out.exists()
 
 
+@pytest.mark.parametrize("lo, hi", [(1e-14, 2e-14), (1.0, 1.0 + 1e-13)])
+def test_ticks_of_a_span_far_below_one_are_distinct(lo, hi):
+    # rounding to 12 decimals made every tick 0.0 or 1.0
+    ticks = plotting._nice_ticks(lo, hi)
+    assert len(ticks) >= 2 and len(set(ticks)) == len(ticks)
+    assert all(lo <= tick <= hi for tick in ticks)
+
+
+def test_a_log_axis_over_every_decade_labels_a_stride_of_them(tmp_path):
+    text = next(case[2] for case in FLOAT_EDGES if case[0] == "scaling-subnormal-value")
+    rc, out = plot(tmp_path, "scaling", text)
+    assert rc == 0
+    # the value labels stand left of the y axis: one on each of 308 decades, before
+    labels = out.read_text().count(f'<text x="{plotting.MARGIN_L - 8}" ')
+    assert 2 <= labels <= plotting.MAX_LOG_TICKS
+    assert plotting._log_ticks(5e-324, 1.0)[-1] == 1.0
+
+
 def scalar_viridis(frac):
     """Reference: one cell's colour by the per-cell formula."""
     stops = plotting.VIRIDIS

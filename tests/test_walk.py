@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernels import separate_pair_step
 
 from qwsense import kernels
 from qwsense.bayes import defect_probability_series
@@ -374,8 +375,7 @@ def full_ring_walk(params, initial, steps, coin_fields=None):
     yield psi, dpsi
     for field in fields:
         out, dout = np.empty_like(psi), np.empty_like(psi)
-        kernels.split_step_pair(psi, dpsi, *field.half_angle_tables(), params.defect_index,
-                                out, dout)
+        separate_pair_step(psi, dpsi, *field.half_angle_tables(), params.defect_index, out, dout)
         psi, dpsi = out, dout
         yield psi, dpsi
 
