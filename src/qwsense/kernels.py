@@ -7,10 +7,10 @@ is that step, and every walk in the package runs through it.
 The joint step of a state and its theta02-derivative, ``split_step_pair``,
 is one ``split_step`` call on psi and dpsi stacked as one buffer, plus a
 two-entry correction at the defect from differentiating the defect's
-layer-2 coin.  The correction reads the two layer-1 outputs that coin mixes;
-for one walk it indexes them with plain integers, so it is scalar arithmetic
-and not a dozen ufunc calls on 0-d arrays.  The batched candidate walk in
-``bayes`` redoes the defect coin from the same two (``defect_coin_inputs``).
+layer-2 coin.  The correction reads the two layer-1 outputs that coin mixes
+(``defect_coin_inputs``); for one walk it indexes them with plain integers,
+so it is scalar arithmetic and not a dozen ufunc calls on 0-d arrays.  The
+batched candidate walk in ``bayes`` redoes the defect coin from the same two.
 
 ``BACKEND`` names the step body, for run records.
 
@@ -72,11 +72,13 @@ def defect_coin_inputs(amps, cos1, sin1, defect):
 
     fu is the up amplitude shifted in from ``defect - 1`` (periodic), fd the
     defect's own down amplitude; amps: (..., N, 2), one pair per walk, with
-    (N,) or (..., N) tables.
+    (N,) or (..., N) tables.  One walk, (N, 2), is indexed with plain
+    integers, which read numpy scalars and not 0-d arrays.
     """
-    left, here = amps[..., defect - 1, :], amps[..., defect, :]
-    fu = cos1[..., defect - 1] * left[..., 0] - sin1[..., defect - 1] * left[..., 1]
-    fd = sin1[..., defect] * here[..., 0] + cos1[..., defect] * here[..., 1]
+    walks = () if amps.ndim == 2 else (Ellipsis,)
+    left, here = walks + (defect - 1,), walks + (defect,)
+    fu = cos1[left] * amps[left + (0,)] - sin1[left] * amps[left + (1,)]
+    fd = sin1[here] * amps[here + (0,)] + cos1[here] * amps[here + (1,)]
     return fu, fd
 
 
@@ -92,13 +94,11 @@ def split_step_pair(pair, cos1, sin1, cos2, sin2, defect, out):
     """
     split_step(pair, cos1, sin1, cos2, sin2, out)
     psi, dout = pair[0], out[1]
-    # one walk indexes with plain integers, which read numpy scalars, not 0-d arrays
+    fu, fd = defect_coin_inputs(psi, cos1, sin1, defect)
     walks = () if psi.ndim == 2 else (Ellipsis,)
     left, here = walks + (defect - 1,), walks + (defect,)
     c02 = cos2[here]
     s02 = sin2[here]
-    fu = cos1[left] * psi[left + (0,)] - sin1[left] * psi[left + (1,)]
-    fd = sin1[here] * psi[here + (0,)] + cos1[here] * psi[here + (1,)]
     dout[here + (0,)] += -0.5 * s02 * fu - 0.5 * c02 * fd
     dout[left + (1,)] += 0.5 * c02 * fu - 0.5 * s02 * fd
     return out

@@ -91,7 +91,7 @@ class ScalingFit:
 
 def pair_trajectory(params: WalkParams, initial: WalkerState, steps: int, coin_fields, observe,
                     defect_only: bool = False):
-    """Stacked ``observe(t, psi_t, dpsi_t, rows_t)`` for t = 0..steps over one streamed walk.
+    """Stacked ``observe(psi_t, dpsi_t, rows_t)`` for t = 0..steps over one streamed walk.
 
     ``observe`` gets the (N, 2) state and theta02-derivative buffers of each
     step, which are zero outside the light-cone rows ``rows_t``; they are
@@ -104,8 +104,7 @@ def pair_trajectory(params: WalkParams, initial: WalkerState, steps: int, coin_f
     pairs = propagate(params, initial, steps, coin_fields, derivative=True,
                       defect_only=defect_only)
     cone = light_cone(params, initial, steps if defect_only else None)
-    return np.array([observe(t, psi, dpsi, rows)
-                     for t, ((psi, dpsi), rows) in enumerate(zip(pairs, cone))])
+    return np.array([observe(psi, dpsi, rows) for (psi, dpsi), rows in zip(pairs, cone)])
 
 
 def binary_fisher(p0, dp0):
@@ -158,15 +157,11 @@ def information_values(
         row[..., cells] = products
         return row.sum(axis=-1)
 
-    at_defect = None  # psi's and dpsi's defect rows at each step: (steps + 1, 2) + batch + (2,)
+    at_defect = []  # each step's psi and dpsi defect rows, (2,) + batch + (2,)
 
-    def observe(t, psi, dpsi, rows):
-        nonlocal at_defect
+    def observe(psi, dpsi, rows):
         if DEFECT_SITE_FI in kinds:
-            if t == 0:
-                at_defect = np.empty((steps + 1, 2) + psi[..., defect, :].shape, psi.dtype)
-            at_defect[t, 0] = psi[..., defect, :]
-            at_defect[t, 1] = dpsi[..., defect, :]
+            at_defect.append(np.array((psi[..., defect, :], dpsi[..., defect, :])))
         terms = []
         psi, dpsi = psi[..., rows, :], dpsi[..., rows, :]
         if GLOBAL_FI in kinds:
@@ -193,8 +188,8 @@ def information_values(
     measures = {}
     if DEFECT_SITE_FI in kinds:
         # every step's P0 and dP0 at once: the same elementwise operations as per step
-        measures[DEFECT_SITE_FI] = binary_fisher(*_probability_pair(at_defect[:, 0],
-                                                                    at_defect[:, 1]))
+        psi_rows, dpsi_rows = np.array(at_defect).swapaxes(0, 1)
+        measures[DEFECT_SITE_FI] = binary_fisher(*_probability_pair(psi_rows, dpsi_rows))
     if GLOBAL_FI in kinds:
         gfi = next(terms)
         measures[GLOBAL_FI] = gfi, np.zeros(gfi.shape, dtype=bool)

@@ -43,12 +43,14 @@ def reference_pair_step(amps, damps, cos1, sin1, cos2, sin2, defect, out, dout):
 
 def separate_pair_step(amps, damps, cos1, sin1, cos2, sin2, defect, out, dout):
     """Reference: psi and dpsi stepped by separate ``split_step`` calls, then the
-    defect term from ``defect_coin_inputs`` added with 0-d array arithmetic."""
+    defect term read and added with 0-d array arithmetic (``...`` indexing)."""
     kernels.split_step(amps, cos1, sin1, cos2, sin2, out)
     kernels.split_step(damps, cos1, sin1, cos2, sin2, dout)
     c02 = cos2[..., defect]
     s02 = sin2[..., defect]
-    fu, fd = kernels.defect_coin_inputs(amps, cos1, sin1, defect)
+    left, here = amps[..., defect - 1, :], amps[..., defect, :]
+    fu = cos1[..., defect - 1] * left[..., 0] - sin1[..., defect - 1] * left[..., 1]
+    fd = sin1[..., defect] * here[..., 0] + cos1[..., defect] * here[..., 1]
     dout[..., defect, 0] += -0.5 * s02 * fu - 0.5 * c02 * fd
     dout[..., defect - 1, 1] += 0.5 * c02 * fu - 0.5 * s02 * fd
     return out, dout

@@ -270,7 +270,7 @@ def axis_sum_information_values(params, initial, steps, coin_fields=None):
         row[..., cells] = products
         return row.sum(axis=-1)
 
-    def observe(t, psi, dpsi, rows):
+    def observe(psi, dpsi, rows):
         here, dhere = psi[..., defect, :], dpsi[..., defect, :]
         p0 = (np.abs(here) ** 2).sum(axis=-1)
         dp0 = 2.0 * np.real(np.conj(here) * dhere).sum(axis=-1)
@@ -328,7 +328,7 @@ def per_step_defect_fisher(params, initial, steps, coin_fields=None):
     then ``binary_fisher`` on the stacked series."""
     defect = params.defect_index
 
-    def observe(t, psi, dpsi, rows):
+    def observe(psi, dpsi, rows):
         return _probability_pair(psi[..., defect, :], dpsi[..., defect, :])
 
     p0, dp0 = pair_trajectory(params, initial, steps, coin_fields, observe).swapaxes(0, 1)
