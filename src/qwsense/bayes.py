@@ -12,6 +12,14 @@ relative error (posterior variance plus squared bias, normalized by
 theta02^2) is the figure of merit and should fall as t^-2 at the Heisenberg
 limit.
 
+The candidate table steps all C candidate walks as one real (C, W, 2)
+stack, which is a view of a (W, 2, C) array: the candidate axis is
+innermost in memory.  The coin tables are shared by every candidate, so
+each elementwise pass of the step kernel then runs one contiguous loop over
+the C candidates with each (W,) table entry as a scalar, where the
+(C, W, 2) memory order would run W-long loops at a 16-byte stride.  The
+arithmetic is the same in either order, so the table's bits are too.
+
 ``estimation_curve`` draws a scheduled step's R click counts, one seed
 stream per repetition, and computes their R posteriors as one (R, C) array
 over the C candidates: the table row's clip and logs once, then each row's
@@ -139,16 +147,20 @@ def candidate_probability_table(
 
     All candidate walks step together as one real (C, W, 2) stack; this table
     is the expensive part of estimation and is reused across trials and
-    experiments.  The candidates share the field's coin tables and differ
-    only in the layer-2 coin at the defect, which is redone per candidate
-    after each step.  The stack holds the W = 2 t_max + 3 sites around the
-    defect that the last scheduled step's light cone can reach, or the whole
-    ring when that is smaller, and each step runs on the causal diamond of
-    that W-site geometry (``walk.light_cone`` with horizon t_max): only the
-    sites that can still reach the defect by t_max.  The defect row is exact
-    at every step, so neither cut changes a bit of the table.  With
-    ``coin_fields`` the candidate walks run on those (possibly disordered)
-    bulk angles, in any form ``walk.coin_tables`` accepts with batch shape ().
+    experiments.  The stack and its scratch buffer are (W, 2, C) arrays
+    stepped through their (C, W, 2) views, so every kernel pass runs
+    contiguously over the candidates with each coin-table entry broadcast
+    as a scalar (module docstring).  The candidates share the field's coin
+    tables and differ only in the layer-2 coin at the defect, which is
+    redone per candidate after each step.  The stack holds the
+    W = 2 t_max + 3 sites around the defect that the last scheduled step's
+    light cone can reach, or the whole ring when that is smaller, and each
+    step runs on the causal diamond of that W-site geometry
+    (``walk.light_cone`` with horizon t_max): only the sites that can still
+    reach the defect by t_max.  The defect row is exact at every step, so
+    neither cut changes a bit of the table.  With ``coin_fields`` the
+    candidate walks run on those (possibly disordered) bulk angles, in any
+    form ``walk.coin_tables`` accepts with batch shape ().
     """
     schedule = [int(t) for t in schedule]
     t_max = max(schedule)
@@ -165,9 +177,11 @@ def candidate_probability_table(
     # real coins and shifts keep the real start state real: float64 reproduces
     # the complex walk's bits
     assert not initial.imag.any()
-    current = np.repeat(initial.real[np.newaxis], len(candidates), axis=0)
+    # (width, 2, C) in memory, stepped through its (C, width, 2) view
+    current = np.repeat(initial.real[..., np.newaxis], len(candidates), axis=-1)
     # the forward windows widen into rows no step has written: they must be zero
     scratch = np.zeros_like(current)
+    current, scratch = current.transpose(2, 0, 1), scratch.transpose(2, 0, 1)
     half = 0.5 * np.array([wrap_angle(theta) for theta in candidates])
     c02, s02 = np.cos(half), np.sin(half)
     probs = np.empty((t_max + 1, len(candidates)))
@@ -206,7 +220,7 @@ def informative_schedule(table: np.ndarray, t_min: int) -> tuple[int, ...]:
         )
     steps = list(range(t_min, t_min + len(table)))
     span = table.max(axis=1) - table.min(axis=1)
-    penalty = np.array([_fold_ambiguity(col) for col in table])
+    penalty = np.array([fold_ambiguity(col) for col in table])
     edges = np.linspace(t_min, steps[-1] + 1, SCHEDULE_POINTS + 1)
     schedule = []
     for b in range(SCHEDULE_POINTS):
@@ -218,7 +232,7 @@ def informative_schedule(table: np.ndarray, t_min: int) -> tuple[int, ...]:
     return tuple(dict.fromkeys(schedule))
 
 
-def _fold_ambiguity(col):
+def fold_ambiguity(col):
     """Fraction of the response range shared by both flanks of a fold.
 
     0 for a monotone response (injective over the window); for a single fold

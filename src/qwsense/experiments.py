@@ -9,6 +9,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -205,8 +206,8 @@ def _run_bayes(cfg: ExperimentConfig) -> Artifacts:
     est_rows = [(r.step, r.trials, r.successes, r.msre) for r in curve.records]
     post_rows = []
     for record, grid in zip(curve.records, curve.posteriors):
-        for cand, weight in zip(grid.candidates, grid.weights):
-            post_rows.append((record.step, float(cand) / PI, float(weight)))
+        thetas = (grid.candidates / PI).tolist()
+        post_rows.extend(zip(repeat(record.step), thetas, grid.weights.tolist()))
     art = Artifacts()
     art.csv["estimation.csv"] = (("t", "M", "m", "msre"), est_rows)
     art.csv["posterior.csv"] = (("t", "theta02_over_pi", "weight"), post_rows)
@@ -215,6 +216,10 @@ def _run_bayes(cfg: ExperimentConfig) -> Artifacts:
     art.plots.append(("posterior.csv", "posterior"))
     art.plots.append(("estimation.csv", "scaling"))
     art.health["posterior_edge_mass"] = curve.edge_mass
+    lo, hi = est.prior_interval
+    spacing = (hi - lo) / (est.grid_points - 1)
+    art.health["posterior_min_std_cells"] = min(r.posterior_std for r in curve.records) / spacing
+    art.health["schedule_fold_ambiguity_max"] = max(map(bayes.fold_ambiguity, table))
     return art
 
 
@@ -269,8 +274,12 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     ``svg``) and the run's ``health``
     numbers: for a bayes run, ``posterior_edge_mass``, the largest posterior
     weight in the prior grid's two edge cells together over every step and
-    repetition; for a spectrum run, ``schur_residual_max``, the largest
-    ``||U v - lambda v||`` over the eigenvectors.  ``threads`` reaches only
+    repetition, ``posterior_min_std_cells``, the smallest record
+    ``posterior_std`` in units of the grid spacing, and
+    ``schedule_fold_ambiguity_max``, the largest ``bayes.fold_ambiguity`` of
+    the candidate table's scheduled rows; for a spectrum run,
+    ``schur_residual_max``, the largest ``||U v - lambda v||`` over the
+    eigenvectors.  ``threads`` reaches only
     the disorder msre ensemble; every other experiment runs serially.
     """
     start = time.perf_counter()

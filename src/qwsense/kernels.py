@@ -15,15 +15,21 @@ batched candidate walk in ``bayes`` redoes the defect coin from the same two.
 ``BACKEND`` names the step body, for run records.
 
 Layout contract: a state is a float64 or complex128 array of shape (N, 2)
-with the coin pair (up, down) contiguous per site (``walk.propagate`` steps
+with the coin pair (up, down) on the last axis (``walk.propagate`` steps
 float64 for a real start state, complex128 otherwise, and the candidate
 walks in ``bayes`` are float64); site index i maps to physical
 position x = i - (N - 1) // 2.  Coin tables are the per-site half-angle
 cosines/sines of the two coin layers.  The kernels also take a batch of B
 walks, shape (B, N, 2), with either one (N,) table set shared by every walk
 or (B, N) tables, one row per walk; tables are always indexed on their last
-axis.  The pair kernel's stacked buffer puts psi at [0] and dpsi at [1] of a
-leading axis of length 2: (2, N, 2) for one walk, (2, B, N, 2) for a batch.
+axis.  A state or batch may be a view with any strides: every pass is an
+elementwise ufunc or a slice copy, and numpy runs its inner loop along
+whichever axis is contiguous in memory, with the same values in any layout.
+``walk.propagate`` steps C-ordered buffers; the candidate stack in ``bayes``
+is the (B, N, 2) view of a (N, 2, B) array, so each pass runs contiguously
+over the B walks with one table entry as a scalar.  The pair kernel's
+stacked buffer puts psi at [0] and dpsi at [1] of a leading axis of length
+2: (2, N, 2) for one walk, (2, B, N, 2) for a batch.
 Every coin and shift is real, so a real (float64) stack stays real, and its
 values are the real parts of the same complex stack's, bit for bit (up to
 the sign of zero).

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PlotSchemaError
-from .serialize import atomic_write_text, format_value
+from .serialize import atomic_write_text, format_column
 
 WIDTH, HEIGHT = 720, 520
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 24, 28, 56
@@ -61,10 +61,10 @@ def _value_number(value):
 class _Table:
     """A CSV's columns, from its file or from the rows written to it, with each row's line."""
 
-    def __init__(self, path, kind, columns, lines, number, cell_text=None):
+    def __init__(self, path, kind, columns, lines, number, column_text=None):
         self.path, self.kind, self.name = path, kind, Path(path).name
         self.columns, self.lines = columns, lines
-        self._number, self._cell_text = number, cell_text
+        self._number, self._column_text = number, column_text
 
     @classmethod
     def read(cls, path, kind):
@@ -84,7 +84,7 @@ class _Table:
     def from_rows(cls, path, kind, header, rows):
         """The table ``serialize.write_csv(path, header, rows)`` writes, without reading it."""
         return cls(path, kind, _columns(header, rows), range(2, len(rows) + 2), _value_number,
-                   format_value)
+                   format_column)
 
     def _column(self, column):
         if column not in self.columns:
@@ -94,12 +94,12 @@ class _Table:
     def text(self, column):
         """The column's cells as the CSV's text."""
         cells = self._column(column)
-        return cells if self._cell_text is None else tuple(map(self._cell_text, cells))
+        return cells if self._column_text is None else self._column_text(cells)
 
     def numbers(self, column, finite=False):
         """The column as floats, a blank cell read as nan; with ``finite``, every cell finite."""
         cells = self._column(column)
-        if set(map(type, cells)) <= {float}:  # rows in memory: read as _value_number reads each
+        if set(map(type, cells)) <= {float, int}:  # rows in memory, read as _value_number reads
             values = [cell + 0.0 for cell in cells]
         else:
             values = []
@@ -218,27 +218,44 @@ def _log_ticks(lo, hi):
     return [10.0**d for d in decades if d % stride == 0]
 
 
-def _tick_label(value):
+def _tick_labels(ticks):
+    """Each tick's label: ``_tick_label``'s default digits where they tell
+    neighbouring ticks apart, else the fewest more significant digits that
+    do (a narrow linear axis, whose step sits past the sixth digit)."""
+    for extra in range(18):  # 17 significant digits tell any two floats apart
+        labels = [_tick_label(tick, extra) for tick in ticks]
+        if all(map(str.__ne__, labels, labels[1:])):
+            break
+    return labels
+
+
+def _tick_label(value, extra=0):
+    """``value`` to 6 significant digits, or to a 3-digit mantissa and a
+    decimal exponent away from 1e-3..1e4; each with ``extra`` more digits."""
     if value == 0:
         return "0"
-    if abs(value) >= 1e4 or abs(value) < 1e-3:
-        exp = math.floor(math.log10(abs(value)))
-        # 10**exp is subnormal or 0 below 1e-307: scale such a value up first
-        mant = value / 10**exp if exp > -308 else value * 1e300 / 10**(exp + 300)
-        return f"{mant:.3g}e{exp}"
-    return f"{value:.6g}"
+    if 1e-3 <= abs(value) < 1e4:
+        return f"{value:.{6 + extra}g}"
+    if extra:
+        # the value's own decimal digits: dividing by 10**exp would round
+        mant, exp = f"{value:.{2 + extra}e}".split("e")
+        return f"{mant.rstrip('0').rstrip('.')}e{int(exp)}"
+    exp = math.floor(math.log10(abs(value)))
+    # 10**exp is subnormal or 0 below 1e-307: scale such a value up first
+    mant = value / 10**exp if exp > -308 else value * 1e300 / 10**(exp + 300)
+    return f"{mant:.3g}e{exp}"
 
 
 def _draw_ticks(parts, scale, x_ticks, y_ticks):
     y_base = HEIGHT - MARGIN_B
-    for tick in x_ticks:
+    for tick, label in zip(x_ticks, _tick_labels(x_ticks)):
         px = scale.x(tick)
         parts.append(f'<line x1="{px:.2f}" y1="{y_base}" x2="{px:.2f}" y2="{y_base + 5}" stroke="black"/>')
-        parts.append(f'<text x="{px:.2f}" y="{y_base + 20}" text-anchor="middle">{_tick_label(tick)}</text>')
-    for tick in y_ticks:
+        parts.append(f'<text x="{px:.2f}" y="{y_base + 20}" text-anchor="middle">{label}</text>')
+    for tick, label in zip(y_ticks, _tick_labels(y_ticks)):
         py = scale.y(tick)
         parts.append(f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
-        parts.append(f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end">{_tick_label(tick)}</text>')
+        parts.append(f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end">{label}</text>')
 
 
 def _coords(points):
@@ -402,7 +419,8 @@ def _render_posterior(table):
     for i, (label, (_, pts)) in enumerate(sorted(groups.items(), key=lambda kv: kv[1][0])):
         color = PALETTE[i % len(PALETTE)]
         pts.sort()
-        parts.append(_polyline(_coords([(scale.x(x), scale.y(w)) for x, w in pts]), color))
+        px, py = scale.xs([x for x, _ in pts]), scale.ys([w for _, w in pts])
+        parts.append(_polyline(_coords(zip(px, py)), color))
         parts.append(
             f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16 + 14 * i}" '
             f'text-anchor="end" fill="{color}">t={label}</text>'

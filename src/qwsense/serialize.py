@@ -49,23 +49,36 @@ def atomic_write_text(path, text: str) -> Path:
     return path
 
 
-# formatters for a column of one plain type (not bool, not a subclass)
-_COLUMN_FORMATTERS = {float: _format_float, int: str}
+# formatters for a column of one plain type (not a subclass)
+_COLUMN_FORMATTERS = {float: _format_float, int: str, bool: format_value}
+
+
+def format_column(column) -> list[str]:
+    """``format_value`` of each cell, formatting each distinct value once where it can.
+
+    A column of plain Python floats, of plain ints or of bools goes through
+    that type's formatter: once per distinct value when the column's first
+    value comes back (a grid coordinate, a step, a flag), since equal values
+    of one such type format alike (0.0 and -0.0 both give "0"), and cell by
+    cell otherwise, where all values are likely distinct and hashing them
+    would cost more than it saves.  A column that mixes types, or holds any
+    other type, goes through ``format_value`` cell by cell, since equal
+    values of different types can format differently (1e16 and 10**16).
+    """
+    kinds = set(map(type, column))
+    formatter = _COLUMN_FORMATTERS.get(kinds.pop()) if len(kinds) == 1 else None
+    if formatter is None:
+        return list(map(format_value, column))
+    if column.count(column[0]) == 1:
+        return list(map(formatter, column))
+    distinct = dict.fromkeys(column)
+    return list(map(dict(zip(distinct, map(formatter, distinct))).__getitem__, column))
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write ``rows`` under ``header``, formatting one column at a time.
-
-    A column of plain Python floats, or of plain ints, goes through that
-    type's formatter alone; any other column goes through ``format_value``
-    cell by cell.  Either way each cell gets the bytes ``format_value``
-    gives it.
-    """
-    columns = []
-    for column in zip(*rows, strict=True):
-        kinds = set(map(type, column))
-        only = kinds.pop() if len(kinds) == 1 else None
-        columns.append(map(_COLUMN_FORMATTERS.get(only, format_value), column))
+    """Write ``rows`` under ``header``, formatting one column at a time
+    (``format_column``): each cell gets the bytes ``format_value`` gives it."""
+    columns = [format_column(column) for column in zip(*rows, strict=True)]
     lines = [",".join(header), *map(",".join, zip(*columns))]
     return atomic_write_text(path, "\n".join(lines) + "\n")
 

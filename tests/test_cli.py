@@ -16,6 +16,7 @@ from qwsense.bayes import (
     EstimationConfig,
     candidate_probability_table,
     estimation_curve,
+    fold_ambiguity,
     informative_schedule,
 )
 from qwsense.config import validate_config
@@ -520,6 +521,26 @@ def test_manifest_reports_posterior_mass_at_the_prior_edge(tmp_path):
 
     centred, edge = edge_mass([-0.556, -0.544]), edge_mass([-0.5502, -0.5382])
     assert 0.0 < 2 * centred < edge <= 1.0
+
+
+def test_manifest_reports_posterior_resolution_and_schedule_ambiguity(tmp_path):
+    estimation = {"prior_over_pi": [-0.556, -0.544], "grid_points": 21, "trials": 200,
+                  "repetitions": 2, "schedule": [20, 30, 40]}
+    doc = {"experiment": "bayes", "steps": 40, "seed": 3, "walk": WALK, "estimation": estimation}
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    health = json.loads((out / "manifest.json").read_text())["health"]
+    params = WalkParams(0.9 * PI, 0.75 * PI, -0.55 * PI, 83)
+    prior = (-0.556 * PI, -0.544 * PI)
+    config = EstimationConfig(params, prior, (20, 30, 40), grid_points=21, trials=200,
+                              master_seed=3, repetitions=2)
+    table = candidate_probability_table(params, config.candidates(), config.schedule)
+    records = estimation_curve(config, table).records
+    spacing = (prior[1] - prior[0]) / 20
+    assert health["posterior_min_std_cells"] == min(r.posterior_std for r in records) / spacing
+    assert health["posterior_min_std_cells"] > 0
+    assert health["schedule_fold_ambiguity_max"] == max(fold_ambiguity(row) for row in table)
+    assert 0.0 <= health["schedule_fold_ambiguity_max"] <= 1.0
 
 
 def test_bayes_with_selected_schedule_matches_the_library_path(tmp_path):

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwsense import cli, plotting, serialize
@@ -37,6 +37,10 @@ POSTERIOR = "t,theta02_over_pi,weight\n" + "".join(
     f"{t},{-0.556 + 0.0012 * i},{(1 + i) * (11 - i) / (100 * t)}\n"
     for t in (20, 6, 100) for i in range(11)
 )
+POSTERIOR_RESPELLED_STEP = "t,theta02_over_pi,weight\n" + "".join(
+    f"{t},{-0.556 + 0.0012 * i},{(1 + i) * (11 - i) / (100 * len(t))}\n"
+    for t in ("20", "20.0") for i in range(11)
+)
 
 # sha256 of each rendered SVG, recorded from the renderer that parsed every cell per row
 PINNED = {
@@ -52,6 +56,8 @@ PINNED = {
              "14acce92ece6336ad0125d28687260f27d772aa3c27aad8a0dff41a15522c107"),
     "posterior": ("posterior", POSTERIOR,
                   "5172fa95672a8bc47040abe81083bcaa50ebf86c170b2fefb06da48e4104bf85"),
+    "posterior-respelled-step": ("posterior", POSTERIOR_RESPELLED_STEP,
+                                 "d41d61e08120ad9af08d0fa7bb4d3d8ef0a88342ec0cc94284914a03ababa0ff"),
     "empty-scaling": ("scaling", "t,value,flagged\n",
                       "6b631b9a86da68d980bb993a95644d6c76a1cc9fa1b9967dce3a8b038f23d039"),
     "empty-heatmap": ("heatmap", "theta1_over_pi,t,value,flagged\n",
@@ -76,6 +82,15 @@ def test_svg_bytes_are_pinned(tmp_path, name):
     rc, out = plot(tmp_path, kind, text)
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_posterior_curves_group_by_cell_text(tmp_path):
+    # "20" and "20.0" name the same step, but the file spells them apart
+    rc, out = plot(tmp_path, "posterior", POSTERIOR_RESPELLED_STEP)
+    assert rc == 0
+    svg = out.read_text()
+    assert svg.count("<polyline") == 2
+    assert ">t=20</text>" in svg and ">t=20.0</text>" in svg
 
 
 BAD_CELLS = [
@@ -189,6 +204,34 @@ def test_ticks_of_a_span_far_below_one_are_distinct(lo, hi):
     ticks = plotting._nice_ticks(lo, hi)
     assert len(ticks) >= 2 and len(set(ticks)) == len(ticks)
     assert all(lo <= tick <= hi for tick in ticks)
+
+
+# six significant digits labelled every tick of the first two axes "2544.74" or "1"
+@pytest.mark.parametrize("lo, hi, labels", [
+    (2544.740221747166, 2544.7451700861284,
+     ["2544.741", "2544.742", "2544.743", "2544.744", "2544.745"]),
+    (1.0, 1.0 + 1e-13, ["1", "1.00000000000002", "1.00000000000004", "1.00000000000006",
+                        "1.00000000000008", "1.0000000000001"]),
+    (25447.40, 25447.45, ["2.54474e4", "2.544741e4", "2.544742e4", "2.544743e4",
+                          "2.544744e4", "2.544745e4"]),
+    # labels that six digits already tell apart keep their text
+    (0.0, 1.0, ["0", "0.2", "0.4", "0.6", "0.8", "1"]),
+    (-0.556, -0.544, ["-0.555", "-0.55", "-0.545"]),
+])
+def test_tick_labels_carry_the_digits_their_step_needs(lo, hi, labels):
+    assert plotting._tick_labels(plotting._nice_ticks(lo, hi)) == labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(-1e299, 1e299), width=st.floats(1e-17, 1.0))
+def test_neighbouring_tick_labels_differ(lo, width):
+    hi = lo + max(abs(lo), 1e-300) * width
+    assume(hi > lo)
+    ticks = plotting._nice_ticks(lo, hi)
+    # on a huge axis, _nice_ticks can return int ticks that round to one float
+    assume(len(set(map(float, ticks))) == len(ticks))
+    labels = plotting._tick_labels(ticks)
+    assert all(a != b for a, b in zip(labels, labels[1:]))
 
 
 def test_a_log_axis_over_every_decade_labels_a_stride_of_them(tmp_path):

@@ -1,5 +1,7 @@
 """CSV writing: column-wise formatting gives every cell format_value's bytes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +14,24 @@ FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
 )
 CELLS = st.one_of(FLOATS, st.integers(-(10**20), 10**20), st.booleans(), st.none(),
                   st.text("abc_-", max_size=3))
+# few values, so cells repeat: a column of one type formats each distinct value
+# once, and equal values of different types (1, 1.0, True; 1e16 and 10**16)
+# must keep their own bytes.  float("nan") and float("-0.0") are new objects.
+REPEATS = [
+    st.sampled_from([0.0, -0.0, 1.0, 9999999999999998.0, 1e16, -1e16, 2e16, math.inf,
+                     -math.inf, math.nan, 0.1]) | st.builds(float, st.sampled_from(["nan", "-0.0"])),
+    st.sampled_from([0, 1, -7, 10**16, 10**20]),
+    st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, 10**16, 1e16, math.nan, None,
+                     np.float64(1.0), np.float64(-0.0), np.int64(1), np.bool_(True), "1"]),
+    st.sampled_from([np.float64(0.5), np.float64(-0.0), np.float64(1e16), np.float64(3.0)]),
+]
 # a column of one kind takes its type's formatter; a mixed one, format_value
-COLUMNS = st.sampled_from([FLOATS, st.integers(-(10**20), 10**20), st.booleans(), CELLS])
+COLUMNS = st.sampled_from([FLOATS, st.integers(-(10**20), 10**20), st.booleans(), CELLS,
+                           *REPEATS])
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), width=st.integers(1, 5), height=st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.integers(1, 5), height=st.integers(0, 12))
 def test_columns_keep_each_cells_bytes(tmp_path_factory, data, width, height):
     kinds = [data.draw(COLUMNS) for _ in range(width)]
     rows = [tuple(data.draw(kind) for kind in kinds) for _ in range(height)]
