@@ -37,24 +37,17 @@ SPECTRUM_LATTICE = 101
 
 # the names the rules of each section read; any other name in a section read is a violation
 _SECTIONS = {
-    "fit": ("mode", "t_min", "t_max"),
+    "fit": ("mode",),
     "walk": ("theta1_over_pi", "theta2_over_pi", "theta02_over_pi", "lattice_size"),
     "phase_grid": ("theta1_over_pi", "theta2_over_pi", "n_k"),
     "surface": ("theta1_over_pi", "steps"),
-    "estimation": ("prior_over_pi", "grid_points", "trials", "repetitions", "schedule"),
+    "estimation": ("prior_over_pi", "grid_points", "trials", "repetitions"),
     "disorder": ("kind", "observable", "half_width_over_pi", "n_realizations"),
     "averaging": ("window", "spacing"),
 }
 _TOP_LEVEL = ("experiment", "seed", "out_dir", "steps", *_SECTIONS)
-
-
-@dataclass
-class EstimationSettings:
-    prior_over_pi: tuple[float, float]
-    grid_points: int
-    trials: int
-    schedule: tuple[int, ...] | None  # None -> informative schedule at run time
-    repetitions: int
+# the experiments that read no top-level steps (fi-surface reads surface.steps)
+_STEPLESS = ("fi-surface", "phase-diagram", "spectrum")
 
 
 @dataclass
@@ -65,11 +58,11 @@ class ExperimentConfig:
     raw: dict
     steps: int = DEFAULT_STEPS
     walk: WalkParams | None = None
-    fit_window: tuple[float, float] | None = None
     fit_mode: str = metrology.ALL_POINTS
     phase_grid: dict | None = None  # theta1/theta2 over-pi arrays + n_k
     surface: dict | None = None  # theta1 over-pi array + steps
-    estimation: EstimationSettings | None = None
+    # the schedule is every step the informative selector scores at run time
+    estimation: bayes.EstimationConfig | None = None
     disorder_spec: DisorderSpec | None = None
     disorder_observable: str = "fi"
     averaging: tuple[int, int] = (5, 5)
@@ -122,23 +115,21 @@ class _Check:
             return default
         return int(value) if integer else float(value)
 
-    def numbers(self, doc, field_name, shape, length=None, integer=False, low=None, high=None):
-        """A tuple of finite numbers, None after a violation: ``length`` of
-        them, or at least one; with ``integer``, whole numbers in [low, high].
+    def numbers(self, doc, field_name, shape, length):
+        """A tuple of ``length`` finite numbers, None after a violation.
         ``shape`` describes the expected list in the violation."""
         value = doc.get(field_name.split(".")[-1])
         if (
             not isinstance(value, (list, tuple))
-            or (len(value) != length if length else not value)
+            or len(value) != length
             or not all(
                 not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
-                and (not integer or (v == int(v) and low <= v <= high))
                 for v in value
             )
         ):
             self.fail(field_name, f"expected {shape}, got {value!r}")
             return None
-        return tuple(int(v) if integer else float(v) for v in value)
+        return tuple(float(v) for v in value)
 
 
 def load_config(path) -> dict:
@@ -158,7 +149,7 @@ def load_config(path) -> dict:
 
 def _grid(check, section, field_name):
     """A [start, stop, count] entry as ``count`` evenly spaced values."""
-    triple = check.numbers(section, field_name, "[start, stop, count] of finite numbers", length=3)
+    triple = check.numbers(section, field_name, "[start, stop, count] of finite numbers", 3)
     if triple is None:
         return None
     start, stop, count = triple
@@ -183,6 +174,9 @@ def _read_run(check, doc, experiment, seed_override):
     if out_dir is not None and not isinstance(out_dir, str):
         check.fail("out_dir", f"expected a string path, got {out_dir!r}")
     steps = check.number(doc, "steps", default=DEFAULT_STEPS, minimum=1, integer=True)
+    if experiment in _STEPLESS and "steps" in doc:
+        # the run would ignore the value, as it did any misspelt name
+        check.fail("steps", f"not read by {experiment} runs")
     return ExperimentConfig(experiment, seed, out_dir, doc, steps)
 
 
@@ -193,14 +187,12 @@ def _read_fit(check, doc, cfg):
     cfg.fit_mode = section.get("mode", metrology.ALL_POINTS)
     if cfg.fit_mode not in (metrology.ALL_POINTS, metrology.PEAKS_ONLY):
         check.fail("fit.mode", f"must be all_points or peaks_only, got {cfg.fit_mode!r}")
-    t_min = check.number(section, "fit.t_min", default=metrology.DEFAULT_FIT_T_MIN, minimum=1)
-    t_max = check.number(section, "fit.t_max", default=float(cfg.steps))
-    cfg.fit_window = (t_min, t_max)
-    covered = math.floor(min(t_max, cfg.steps)) - math.ceil(t_min) + 1
+    t_min = metrology.DEFAULT_FIT_T_MIN
+    covered = cfg.steps - t_min + 1
     if cfg.experiment == "fi-scaling" and covered < 5:
         check.fail(
             "fit",
-            f"window [{t_min}, {t_max}] covers {max(covered, 0)} of the steps "
+            f"window [{t_min}, {cfg.steps}] covers {max(covered, 0)} of the steps "
             f"1..{cfg.steps}; the fit needs at least 5",
         )
 
@@ -278,6 +270,9 @@ def _read_disorder(check, doc, cfg):
 
 
 def _read_estimation(check, doc, cfg):
+    """The estimation config, None after a violation; its schedule is the
+    steps t_min..steps that the informative selector scores."""
+    violations = len(check.violations)
     section = check.section(doc, "estimation", required=True)
     if section is None:
         return None
@@ -300,16 +295,16 @@ def _read_estimation(check, doc, cfg):
     trials = check.number(section, "estimation.trials", default=bayes.DEFAULT_TRIALS, minimum=1,
                           integer=True)
     repetitions = check.number(section, "estimation.repetitions", default=1, minimum=1, integer=True)
-    schedule = None
-    if section.get("schedule") is not None:
-        schedule = check.numbers(
-            section, "estimation.schedule", f"a non-empty list of steps in 1..{cfg.steps}",
-            integer=True, low=1, high=cfg.steps,
-        )
-    elif cfg.steps < 2:
-        # the model-selected schedule picks from steps t_min < t_max <= steps
-        check.fail("steps", f"a run without estimation.schedule needs steps >= 2, got {cfg.steps}")
-    return EstimationSettings(prior, grid_points, trials, schedule, repetitions)
+    if cfg.steps < 2:
+        # the informative selector picks from at least two steps t_min < t_max <= steps
+        check.fail("steps", f"an estimation run needs steps >= 2, got {cfg.steps}")
+    if len(check.violations) > violations or cfg.walk is None:
+        return None
+    t_min = 20 if cfg.steps > 40 else max(1, cfg.steps // 5)
+    return bayes.EstimationConfig(
+        cfg.walk, (prior[0] * math.pi, prior[1] * math.pi), range(t_min, cfg.steps + 1),
+        grid_points, trials, master_seed=cfg.seed, repetitions=repetitions,
+    )
 
 
 def _read_averaging(check, doc, steps):
@@ -327,12 +322,17 @@ def _read_averaging(check, doc, steps):
 def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
     """Validate a parsed config document; raises ConfigError listing every violation.
 
-    ``seed_override`` obeys the rule for ``seed``.  An fi-scaling fit window
-    must cover at least 5 of the steps 1..steps; that is necessary, not
-    sufficient: flagged or non-positive values, and ``peaks_only``, can still
-    leave the run's fit fewer than 5 points.  ``fit`` is read only by the
-    experiments that fit, and is a violation anywhere else; any other section
-    that the experiment does not read is not checked.
+    ``seed_override`` obeys the rule for ``seed``.  A fit runs over the steps
+    ``metrology.DEFAULT_FIT_T_MIN``..steps, and an fi-scaling window must
+    cover at least 5 of them; that is necessary, not sufficient: flagged or
+    non-positive values, and ``peaks_only``, can still leave the run's fit
+    fewer than 5 points.  ``fit`` is read only by the experiments that fit,
+    and top-level ``steps`` by none of fi-surface (which reads
+    ``surface.steps``), phase-diagram and spectrum; either is a violation
+    where it is not read.  Any other section that the experiment does
+    not read is not checked.  An estimation run's ``estimation`` is a
+    ``bayes.EstimationConfig`` whose schedule is every step the informative
+    selector scores.
     """
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENTS:

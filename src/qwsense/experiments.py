@@ -65,7 +65,7 @@ def _run_fi_scaling(cfg: ExperimentConfig) -> Artifacts:
     series = metrology.fisher_at_defect(
         params, default_initial_state(params.lattice_size), cfg.steps
     )
-    fit = metrology.fit_scaling(series, mode=cfg.fit_mode, window=cfg.fit_window)
+    fit = metrology.fit_scaling(series, mode=cfg.fit_mode)
     art = Artifacts()
     art.csv["fi_series.csv"] = (FI_HEADER, _fi_series_rows(series))
     art.json["fit.json"] = _fit_payload(fit)
@@ -171,33 +171,17 @@ def _run_spectrum(cfg: ExperimentConfig) -> Artifacts:
 
 def _estimation_config(
     cfg: ExperimentConfig,
-) -> tuple[bayes.EstimationConfig, np.ndarray | None]:
-    """The estimation config and, for a bayes run, its clean candidate table
-    (one row per scheduled step); None for a disorder msre run, which walks
-    one table per realization."""
-    settings = cfg.estimation
-    lo, hi = settings.prior_over_pi
-    t_min = 20 if cfg.steps > 40 else max(1, cfg.steps // 5)
-    est = bayes.EstimationConfig(
-        params=cfg.walk,
-        prior_interval=(lo * PI, hi * PI),
-        # without a schedule, the selector scores every step in t_min..steps
-        schedule=settings.schedule or range(t_min, cfg.steps + 1),
-        grid_points=settings.grid_points,
-        trials=settings.trials,
-        master_seed=cfg.seed,
-        repetitions=settings.repetitions,
-    )
-    table = None
-    if settings.schedule is None:
-        # the bayes likelihood reads the scheduled rows instead of walking again
-        selection = bayes.candidate_probability_table(cfg.walk, est.candidates(), est.schedule)
-        est = replace(est, schedule=bayes.informative_schedule(selection, t_min))
-        if cfg.experiment == "bayes":
-            table = selection[[t - t_min for t in est.schedule]]
-    elif cfg.experiment == "bayes":
-        table = bayes.candidate_probability_table(cfg.walk, est.candidates(), est.schedule)
-    return est, table
+) -> tuple[bayes.EstimationConfig, np.ndarray]:
+    """The estimation config with the informative schedule the selector picks
+    from ``cfg.estimation``'s steps t_min..steps on one clean candidate table,
+    and that table's scheduled rows: a bayes run's likelihood reads them
+    instead of walking again (a disorder msre run walks one table per
+    realization)."""
+    est = cfg.estimation
+    t_min = est.schedule[0]
+    selection = bayes.candidate_probability_table(cfg.walk, est.candidates(), est.schedule)
+    est = replace(est, schedule=bayes.informative_schedule(selection, t_min))
+    return est, selection[[t - t_min for t in est.schedule]]
 
 
 def _run_bayes(cfg: ExperimentConfig) -> Artifacts:
@@ -237,7 +221,7 @@ def _run_disorder(cfg: ExperimentConfig, threads: int) -> Artifacts:
         mean_series = metrology.FisherSeries(result.steps, result.mean, None)
         try:
             art.json["fit.json"] = _fit_payload(
-                metrology.fit_scaling(mean_series, mode=cfg.fit_mode, window=cfg.fit_window)
+                metrology.fit_scaling(mean_series, mode=cfg.fit_mode)
             )
         except ValueError:
             pass  # short runs may not leave 5 usable points; the csv still stands

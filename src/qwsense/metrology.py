@@ -288,7 +288,9 @@ def power_law_fit(steps, values, window=None, mode: str = ALL_POINTS) -> Scaling
     )
 
 
-def fit_scaling(series: FisherSeries, mode: str = ALL_POINTS, window=None) -> ScalingFit:
-    """Power-law fit of a Fisher series; flagged/zero points are excluded."""
+def fit_scaling(series: FisherSeries, mode: str = ALL_POINTS) -> ScalingFit:
+    """Power-law fit of a Fisher series over the steps DEFAULT_FIT_T_MIN..its
+    last; flagged/zero points are excluded."""
     keep = ~series.flagged
+    window = (DEFAULT_FIT_T_MIN, float(series.steps[-1]))
     return power_law_fit(series.steps[keep], series.values[keep], window, mode)

@@ -190,7 +190,7 @@ def _nice_ticks(lo, hi, target=5):
     if not 1e-300 <= raw < math.inf:  # an empty or non-finite range, or a subnormal step
         return [lo]
     exp = math.floor(math.log10(raw))
-    mag = 10 ** exp
+    mag = 10.0**exp
     for mult in (1, 2, 5, 10):
         if raw <= mult * mag:
             step = mult * mag

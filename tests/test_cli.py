@@ -227,10 +227,8 @@ def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
 
 def test_validate_rejects_a_selected_schedule_without_two_steps(tmp_path, capsys):
     # the model-selected schedule picks from steps t_min < t_max <= steps
-    def estimation(experiment, steps, schedule=None, command="validate"):
+    def estimation(experiment, steps, command="validate"):
         section = {"prior_over_pi": [-0.556, -0.544], "grid_points": 11, "trials": 10}
-        if schedule is not None:
-            section["schedule"] = schedule
         doc = {"experiment": experiment, "steps": steps, "walk": WALK, "estimation": section}
         if experiment == "disorder":
             doc["disorder"] = {"kind": "static", "observable": "msre", "n_realizations": 2}
@@ -241,8 +239,7 @@ def test_validate_rejects_a_selected_schedule_without_two_steps(tmp_path, capsys
 
     for experiment in ("bayes", "disorder"):
         assert estimation(experiment, 1) == 2
-        assert "steps: a run without estimation.schedule needs steps >= 2" in capsys.readouterr().err
-        assert estimation(experiment, 1, [1]) == 0
+        assert "steps: an estimation run needs steps >= 2" in capsys.readouterr().err
         assert estimation(experiment, 2) == 0
         assert estimation(experiment, 2, command="run") == 0
 
@@ -259,13 +256,11 @@ def test_validate_rejects_a_fit_window_with_fewer_than_five_steps(tmp_path, caps
             args += ["--out", str(tmp_path / f"out-{steps}")]
         return cli.main(args)
 
-    # default fit.t_min is 10 and fit.t_max is steps
-    for steps, fit in ((8, None), (13, None), (30, {"t_min": 20, "t_max": 10}),
-                       (30, {"t_min": 10.5, "t_max": 14.5})):
-        assert fi(steps, fit) == 2, (steps, fit)
+    # the fit window is the steps 10..steps
+    for steps in (8, 13):
+        assert fi(steps) == 2, steps
         assert "fit: window" in capsys.readouterr().err
-    for steps, fit in ((14, None), (30, {"t_min": 10, "t_max": 14}),
-                       (30, {"t_min": 26, "t_max": 100})):
+    for steps, fit in ((14, None), (14, {"mode": "all_points"})):
         assert fi(steps, fit) == 0, (steps, fit)
         assert fi(steps, fit, command="run") == 0, (steps, fit)
     # the disorder FI fit is optional: a short run still writes its ensemble
@@ -353,7 +348,6 @@ def test_rerun_reproduces_identical_hashes(tmp_path):
                 "prior_over_pi": [-0.556, -0.544],
                 "grid_points": 61,
                 "trials": 400,
-                "schedule": [20, 30, 40, 50],
             },
         },
     )
@@ -490,22 +484,24 @@ def test_posterior_schema_and_weights(tmp_path):
             "steps": 40,
             "walk": WALK,
             "estimation": {"prior_over_pi": [-0.556, -0.544], "grid_points": 21,
-                            "trials": 200, "schedule": [20, 30, 40]},
+                            "trials": 200},
         },
     )
     out = tmp_path / "out"
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "estimation.csv")
+    assert header == ["t", "M", "m", "msre"]
+    scheduled = [row[0] for row in rows]
+    assert len(scheduled) >= 2
     header, rows = read_csv(out / "posterior.csv")
     assert header == ["t", "theta02_over_pi", "weight"]
-    assert len(rows) == 3 * 21
+    assert len(rows) == len(scheduled) * 21
     by_t = {}
     for row in rows:
         by_t.setdefault(row[0], []).append(float(row[2]))
+    assert list(by_t) == scheduled
     for weights in by_t.values():
         assert abs(sum(weights) - 1.0) < 1e-12
-    header, rows = read_csv(out / "estimation.csv")
-    assert header == ["t", "M", "m", "msre"]
-    assert len(rows) == 3
 
 
 def test_manifest_reports_posterior_mass_at_the_prior_edge(tmp_path):
@@ -514,7 +510,7 @@ def test_manifest_reports_posterior_mass_at_the_prior_edge(tmp_path):
     def edge_mass(prior):
         doc = {"experiment": "bayes", "steps": 40, "walk": WALK,
                "estimation": {"prior_over_pi": prior, "grid_points": 21, "trials": 200,
-                              "repetitions": 3, "schedule": [20, 30, 40]}}
+                              "repetitions": 3}}
         out = tmp_path / str(prior)
         assert cli.main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
         return json.loads((out / "manifest.json").read_text())["health"]["posterior_edge_mass"]
@@ -525,14 +521,16 @@ def test_manifest_reports_posterior_mass_at_the_prior_edge(tmp_path):
 
 def test_manifest_reports_posterior_resolution_and_schedule_ambiguity(tmp_path):
     estimation = {"prior_over_pi": [-0.556, -0.544], "grid_points": 21, "trials": 200,
-                  "repetitions": 2, "schedule": [20, 30, 40]}
+                  "repetitions": 2}
     doc = {"experiment": "bayes", "steps": 40, "seed": 3, "walk": WALK, "estimation": estimation}
     out = tmp_path / "out"
     assert cli.main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
     health = json.loads((out / "manifest.json").read_text())["health"]
     params = WalkParams(0.9 * PI, 0.75 * PI, -0.55 * PI, 83)
     prior = (-0.556 * PI, -0.544 * PI)
-    config = EstimationConfig(params, prior, (20, 30, 40), grid_points=21, trials=200,
+    candidates = np.linspace(*prior, 21)
+    schedule = informative_schedule(candidate_probability_table(params, candidates, range(8, 41)), 8)
+    config = EstimationConfig(params, prior, schedule, grid_points=21, trials=200,
                               master_seed=3, repetitions=2)
     table = candidate_probability_table(params, config.candidates(), config.schedule)
     records = estimation_curve(config, table).records

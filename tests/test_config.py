@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from qwsense import cli
-from qwsense.config import validate_config
+from qwsense.config import _SECTIONS, _TOP_LEVEL, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -61,11 +61,16 @@ RULES = [
     ("formats-unknown", with_(FI, formats=["csv"]), "formats: unknown name"),
     ("steps-zero", with_(FI, steps=0), "steps:"),
     ("steps-fraction", with_(FI, steps=2.5), "steps:"),
+    # these runs ignored a top-level steps; fi-surface reads surface.steps
+    ("steps-on-spectrum", with_(SPECTRUM, steps=500), "steps: not read by spectrum"),
+    ("steps-on-phase-diagram", with_(PHASE, steps=500), "steps: not read by phase-diagram"),
+    ("steps-on-fi-surface", with_(SURFACE, steps=500), "steps: not read by fi-surface"),
     ("fit-not-an-object", with_(FI, fit=[1]), "fit:"),
     ("fit.mode", with_(FI, fit={"mode": "best"}), "fit.mode:"),
-    ("fit.t_min", with_(FI, fit={"t_min": 0}), "fit.t_min:"),
-    ("fit.t_max", with_(FI, fit={"t_max": "end"}), "fit.t_max:"),
-    ("fit-window-coverage", with_(FI, fit={"t_min": 28}), "fit:"),
+    # every fit runs over the steps 10..steps: a window is not an input
+    ("fit.t_min", with_(FI, fit={"t_min": 0}), "fit.t_min: unknown name"),
+    ("fit.t_max", with_(FI, fit={"t_max": "end"}), "fit.t_max: unknown name"),
+    ("fit-window-coverage", with_(FI, steps=13), "fit:"),
     # only fi-scaling and disorder-FI runs fit; elsewhere fit was silently ignored
     ("fit-on-gfi-qfi", with_(FI, experiment="gfi-qfi", fit={"t_min": 30, "mode": "peaks_only"}),
      "fit: read only"),
@@ -109,12 +114,13 @@ RULES = [
     ("estimation.trials", with_(BAYES, estimation__trials=0), "estimation.trials:"),
     ("estimation.repetitions", with_(BAYES, estimation__repetitions=0),
      "estimation.repetitions:"),
+    # the informative selector picks every schedule: a schedule is not an input
     ("estimation.schedule-empty", with_(BAYES, estimation__schedule=[]),
-     "estimation.schedule:"),
+     "estimation.schedule: unknown name"),
     ("estimation.schedule-past-steps", with_(BAYES, estimation__schedule=[10, 31]),
-     "estimation.schedule:"),
+     "estimation.schedule: unknown name"),
     ("estimation.schedule-fraction", with_(BAYES, estimation__schedule=[10.5]),
-     "estimation.schedule:"),
+     "estimation.schedule: unknown name"),
     ("selected-schedule-steps", with_(BAYES, steps=1), "steps:"),
     # the relative error divides by theta02: the run used to walk, then crash
     ("theta02-zero-bayes", with_(BAYES, walk__theta02_over_pi=0.0,
@@ -189,9 +195,9 @@ def test_a_section_the_experiment_does_not_read_is_not_checked(tmp_path):
 
 def test_omitted_names_read_the_defaults_they_always_read():
     # config reads its defaults from the library constants; a value or a type
-    # that moved would move a data file (fit.json writes t_min as 10.0)
+    # that moved would move a data file
     fi = validate_config(FI)
-    assert (fi.fit_mode, repr(fi.fit_window)) == ("all_points", "(10.0, 30.0)")
+    assert fi.fit_mode == "all_points"
     grid = {name: GRID[name] for name in ("theta1_over_pi", "theta2_over_pi")}
     phase = validate_config({**PHASE, "phase_grid": grid})
     assert repr(phase.phase_grid["n_k"]) == "2048"
@@ -206,3 +212,21 @@ def test_every_benchmark_job_validates(tmp_path, workload):
     jobs = job_list(workload, 0)
     for job in jobs + warmup_jobs(jobs):
         assert validate(tmp_path, job.doc) == 0, job.id
+
+
+def test_every_accepted_name_is_set_by_a_preset_or_a_benchmark_job():
+    # a name that no caller sets keeps a code path that no run takes; out_dir
+    # is a deployment path
+    docs = [json.loads(path.read_text()) for path in sorted((ROOT / "configs").glob("*.json"))]
+    for workload in WORKLOADS:
+        jobs = job_list(workload, 0)
+        docs += [job.doc for job in jobs + warmup_jobs(jobs)]
+    set_names = set()
+    for doc in docs:
+        for name, value in doc.items():
+            set_names.add(name)
+            if isinstance(value, dict):
+                set_names.update(f"{name}.{key}" for key in value)
+    accepted = {name for name in _TOP_LEVEL if name != "out_dir"}
+    accepted |= {f"{section}.{name}" for section, names in _SECTIONS.items() for name in names}
+    assert sorted(accepted - set_names) == []

@@ -206,6 +206,15 @@ def test_ticks_of_a_span_far_below_one_are_distinct(lo, hi):
     assert all(lo <= tick <= hi for tick in ticks)
 
 
+def test_ticks_of_a_huge_axis_are_distinct_floats():
+    # int ticks (a step of 10**149) used to collapse: five ticks, two floats
+    lo, hi = -2.7811093648039228e+165, -2.7811093648039223e+165
+    ticks = plotting._nice_ticks(lo, hi)
+    assert all(type(tick) is float for tick in ticks)
+    assert ticks == sorted(set(ticks))
+    assert all(lo <= tick <= hi for tick in ticks)
+
+
 # six significant digits labelled every tick of the first two axes "2544.74" or "1"
 @pytest.mark.parametrize("lo, hi, labels", [
     (2544.740221747166, 2544.7451700861284,
@@ -228,8 +237,7 @@ def test_neighbouring_tick_labels_differ(lo, width):
     hi = lo + max(abs(lo), 1e-300) * width
     assume(hi > lo)
     ticks = plotting._nice_ticks(lo, hi)
-    # on a huge axis, _nice_ticks can return int ticks that round to one float
-    assume(len(set(map(float, ticks))) == len(ticks))
+    assert len(set(map(float, ticks))) == len(ticks)
     labels = plotting._tick_labels(ticks)
     assert all(a != b for a, b in zip(labels, labels[1:]))
 
