@@ -37,7 +37,7 @@ from .spectral import (
     find_localized_states,
 )
 from .topology import BlochDecomposition, PhasePoint, bloch_components, phase_diagram, winding_number
-from .walk import CoinField, WalkerState, WalkParams, default_initial_state
+from .walk import CoinField, WalkParams
 
 __all__ = [
     "BACKEND",
@@ -55,11 +55,9 @@ __all__ = [
     "ScalingFit",
     "SpectralDecomposition",
     "WalkParams",
-    "WalkerState",
     "averaged_fisher",
     "bloch_components",
     "decompose_step_operator",
-    "default_initial_state",
     "ensemble_fisher",
     "ensemble_msre",
     "estimation_curve",

@@ -12,13 +12,14 @@ relative error (posterior variance plus squared bias, normalized by
 theta02^2) is the figure of merit and should fall as t^-2 at the Heisenberg
 limit.
 
-The candidate table steps all C candidate walks as one real (C, W, 2)
-stack, which is a view of a (W, 2, C) array: the candidate axis is
-innermost in memory.  The coin tables are shared by every candidate, so
-each elementwise pass of the step kernel then runs one contiguous loop over
-the C candidates with each (W,) table entry as a scalar, where the
-(C, W, 2) memory order would run W-long loops at a 16-byte stride.  The
-arithmetic is the same in either order, so the table's bits are too.
+The candidate table steps all C candidate walks from the walk's one start,
+|-1, down> (``walk.write_start``), as one real (C, W, 2) stack, which is a
+view of a (W, 2, C) array: the candidate axis is innermost in memory.  The
+coin tables are shared by every candidate, so each elementwise pass of the
+step kernel then runs one contiguous loop over the C candidates with each
+(W,) table entry as a scalar, where the (C, W, 2) memory order would run
+W-long loops at a 16-byte stride.  The arithmetic is the same in either
+order, so the table's bits are too.
 
 ``estimation_curve`` draws a scheduled step's R click counts, one seed
 stream per repetition, and computes their R posteriors as one (R, C) array
@@ -37,14 +38,13 @@ import numpy as np
 from . import kernels, metrology
 from .walk import (
     WalkParams,
-    WalkerState,
     coin_tables,
-    default_initial_state,
     dynamics_lattice_size,
     light_cone,
     propagate,
     site_probability,
     wrap_angle,
+    write_start,
 )
 
 RNG_NAME = "numpy-pcg64"  # np.random.default_rng's generator
@@ -124,9 +124,7 @@ class EstimationCurve:
     posteriors: list[PosteriorGrid] | None = None
 
 
-def defect_probability_series(
-    params: WalkParams, initial: WalkerState, steps: int, coin_fields=None
-) -> np.ndarray:
+def defect_probability_series(params: WalkParams, steps: int, coin_fields=None) -> np.ndarray:
     """P0(t) for t = 0..steps (state-only propagation, no derivative).
 
     Shape (steps + 1,), or (steps + 1, B) for coin fields with (B, N) angles.
@@ -136,7 +134,7 @@ def defect_probability_series(
     defect = params.defect_index
     return np.array([
         site_probability(psi[..., defect, :])
-        for psi in propagate(params, initial, steps, coin_fields, defect_only=True)
+        for psi in propagate(params, steps, coin_fields, defect_only=True)
     ])
 
 
@@ -145,12 +143,12 @@ def candidate_probability_table(
 ) -> np.ndarray:
     """P0(t; candidate) for every scheduled t, shape (len(schedule), n_candidates).
 
-    All candidate walks step together as one real (C, W, 2) stack; this table
-    is the expensive part of estimation and is reused across trials and
-    experiments.  The stack and its scratch buffer are (W, 2, C) arrays
-    stepped through their (C, W, 2) views, so every kernel pass runs
-    contiguously over the candidates with each coin-table entry broadcast
-    as a scalar (module docstring).  The candidates share the field's coin
+    All candidate walks step together from the start as one real (C, W, 2)
+    stack; this table is the expensive part of estimation and is reused
+    across trials and experiments.  The stack and its scratch buffer are
+    (W, 2, C) arrays stepped through their (C, W, 2) views, so every kernel
+    pass runs contiguously over the candidates with each coin-table entry
+    broadcast as a scalar (module docstring).  The candidates share the field's coin
     tables and differ only in the layer-2 coin at the defect, which is
     redone per candidate after each step.  The stack holds the
     W = 2 t_max + 3 sites around the defect that the last scheduled step's
@@ -171,17 +169,12 @@ def candidate_probability_table(
     start = params_template.defect_index - (width - 1) // 2
     window = slice(start, start + width)
     defect = (width - 1) // 2
-    state = default_initial_state(width)
-    cone = light_cone(replace(params_template, lattice_size=width), state, t_max)
-    initial = state.grid()
-    # real coins and shifts keep the real start state real: float64 reproduces
-    # the complex walk's bits
-    assert not initial.imag.any()
-    # (width, 2, C) in memory, stepped through its (C, width, 2) view
-    current = np.repeat(initial.real[..., np.newaxis], len(candidates), axis=-1)
-    # the forward windows widen into rows no step has written: they must be zero
-    scratch = np.zeros_like(current)
-    current, scratch = current.transpose(2, 0, 1), scratch.transpose(2, 0, 1)
+    cone = light_cone(replace(params_template, lattice_size=width), t_max)
+    # (width, 2, C) in memory, stepped through its (C, width, 2) view; the
+    # forward windows widen into rows no step has written: they must be zero
+    current, scratch = (np.zeros((width, 2, len(candidates))).transpose(2, 0, 1)
+                        for _ in range(2))
+    write_start(current, defect)
     half = 0.5 * np.array([wrap_angle(theta) for theta in candidates])
     c02, s02 = np.cos(half), np.sin(half)
     probs = np.empty((t_max + 1, len(candidates)))
@@ -342,8 +335,7 @@ def estimation_curve(
     built on whatever model the caller estimates with.
     """
     t_max = max(config.schedule)
-    initial = default_initial_state(config.params.lattice_size)
-    p_true = defect_probability_series(config.params, initial, t_max, data_coin_fields)
+    p_true = defect_probability_series(config.params, t_max, data_coin_fields)
     candidates = config.candidates()
     if np.shape(candidate_table) != (len(config.schedule), config.grid_points):
         raise ValueError(

@@ -55,10 +55,12 @@ def _resolve_out_dir(args_out, cfg):
 
 def _cmd_run(args) -> int:
     cfg = validate_config(load_config(args.config), seed_override=args.seed)
+    if args.threads < 1:
+        raise ConfigError([f"--threads: must be >= 1, got {args.threads}"])
     out_dir = _resolve_out_dir(args.out, cfg)
     from . import experiments
 
-    manifest = experiments.run(cfg, out_dir, threads=max(1, args.threads))
+    manifest = experiments.run(cfg, out_dir, threads=args.threads)
     print(f"wrote {len(manifest.payload['files'])} files to {out_dir}")
     print(f"manifest: {manifest.path}")
     return EXIT_OK

@@ -181,20 +181,18 @@ def _read_run(check, doc, experiment, seed_override):
 
 
 def _read_fit(check, doc, cfg):
+    # the window is the steps t_min..steps, so steps is the one value that sets its size
+    least = metrology.DEFAULT_FIT_T_MIN + 4
+    if cfg.experiment == "fi-scaling" and cfg.steps < least:
+        check.fail("steps", f"an fi-scaling run needs steps >= {least}: its fit window "
+                            f"{metrology.DEFAULT_FIT_T_MIN}..steps must cover at least 5 "
+                            f"steps, got {cfg.steps}")
     section = check.section(doc, "fit")
     if section is None:
         return
     cfg.fit_mode = section.get("mode", metrology.ALL_POINTS)
     if cfg.fit_mode not in (metrology.ALL_POINTS, metrology.PEAKS_ONLY):
         check.fail("fit.mode", f"must be all_points or peaks_only, got {cfg.fit_mode!r}")
-    t_min = metrology.DEFAULT_FIT_T_MIN
-    covered = cfg.steps - t_min + 1
-    if cfg.experiment == "fi-scaling" and covered < 5:
-        check.fail(
-            "fit",
-            f"window [{t_min}, {cfg.steps}] covers {max(covered, 0)} of the steps "
-            f"1..{cfg.steps}; the fit needs at least 5",
-        )
 
 
 def _read_walk(check, doc, default_lattice):
@@ -323,8 +321,8 @@ def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
     """Validate a parsed config document; raises ConfigError listing every violation.
 
     ``seed_override`` obeys the rule for ``seed``.  A fit runs over the steps
-    ``metrology.DEFAULT_FIT_T_MIN``..steps, and an fi-scaling window must
-    cover at least 5 of them; that is necessary, not sufficient: flagged or
+    ``metrology.DEFAULT_FIT_T_MIN``..steps, and an fi-scaling run's steps must
+    leave at least 5 of them; that is necessary, not sufficient: flagged or
     non-positive values, and ``peaks_only``, can still leave the run's fit
     fewer than 5 points.  ``fit`` is read only by the experiments that fit,
     and top-level ``steps`` by none of fi-surface (which reads

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bayes, metrology
-from .walk import CoinField, WalkParams, WalkerState
+from .walk import CoinField, WalkParams
 
 STATIC = "static"
 DYNAMIC = "dynamic"
@@ -118,9 +118,7 @@ def _ensemble_fields(spec: DisorderSpec, base: WalkParams, steps: int):
     )
 
 
-def ensemble_fisher(
-    spec: DisorderSpec, base: WalkParams, initial: WalkerState, steps: int
-) -> EnsembleResult:
+def ensemble_fisher(spec: DisorderSpec, base: WalkParams, steps: int) -> EnsembleResult:
     """Per-step mean and std of the defect-site FI over disorder realizations.
 
     At zero width every realization is the clean walk, so the mean is the
@@ -128,7 +126,7 @@ def ensemble_fisher(
     """
     fields = _ensemble_fields(spec, base, steps)
     fi, _ = metrology.information_values(
-        base, initial, steps, (metrology.DEFECT_SITE_FI,), fields
+        base, steps, (metrology.DEFECT_SITE_FI,), fields
     )[metrology.DEFECT_SITE_FI]
     per_realization = np.ascontiguousarray(fi.T)  # rows summed in realization order
     return EnsembleResult(

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, bayes, disorder, metrology, plotting, serialize, spectral, topology
 from .config import ExperimentConfig
-from .walk import CoinField, default_initial_state
+from .walk import CoinField
 
 PI = math.pi
 
@@ -61,10 +61,7 @@ FI_HEADER = ("t", "value", "flagged")
 
 
 def _run_fi_scaling(cfg: ExperimentConfig) -> Artifacts:
-    params = cfg.walk
-    series = metrology.fisher_at_defect(
-        params, default_initial_state(params.lattice_size), cfg.steps
-    )
+    series = metrology.fisher_at_defect(cfg.walk, cfg.steps)
     fit = metrology.fit_scaling(series, mode=cfg.fit_mode)
     art = Artifacts()
     art.csv["fi_series.csv"] = (FI_HEADER, _fi_series_rows(series))
@@ -74,8 +71,7 @@ def _run_fi_scaling(cfg: ExperimentConfig) -> Artifacts:
 
 
 def _run_gfi_qfi(cfg: ExperimentConfig) -> Artifacts:
-    params = cfg.walk
-    series = metrology.fisher_series(params, default_initial_state(params.lattice_size), cfg.steps)
+    series = metrology.fisher_series(cfg.walk, cfg.steps)
     art = Artifacts()
     for name, kind in (
         ("fi_series.csv", metrology.DEFECT_SITE_FI),
@@ -88,10 +84,7 @@ def _run_gfi_qfi(cfg: ExperimentConfig) -> Artifacts:
 
 
 def _run_avg_fi(cfg: ExperimentConfig) -> Artifacts:
-    params = cfg.walk
-    series = metrology.fisher_at_defect(
-        params, default_initial_state(params.lattice_size), cfg.steps
-    )
+    series = metrology.fisher_at_defect(cfg.walk, cfg.steps)
     window, spacing = cfg.averaging
     averaged = metrology.averaged_fisher(series, window, spacing)
     art = Artifacts()
@@ -112,8 +105,7 @@ def _run_fi_surface(cfg: ExperimentConfig) -> Artifacts:
         CoinField.from_params(replace(params, theta1=float(t1) * PI)) for t1 in t1_over_pi
     ])
     values, flagged = metrology.information_values(
-        params, default_initial_state(params.lattice_size), steps,
-        (metrology.DEFECT_SITE_FI,), fields,
+        params, steps, (metrology.DEFECT_SITE_FI,), fields
     )[metrology.DEFECT_SITE_FI]
     rows = [
         (float(t1), float(t), float(v), bool(f))
@@ -214,10 +206,7 @@ def _run_disorder(cfg: ExperimentConfig, threads: int) -> Artifacts:
         est, _ = _estimation_config(cfg)
         result = disorder.ensemble_msre(spec, est, threads=threads)
     else:
-        params = cfg.walk
-        result = disorder.ensemble_fisher(
-            spec, params, default_initial_state(params.lattice_size), cfg.steps
-        )
+        result = disorder.ensemble_fisher(spec, cfg.walk, cfg.steps)
         mean_series = metrology.FisherSeries(result.steps, result.mean, None)
         try:
             art.json["fit.json"] = _fit_payload(

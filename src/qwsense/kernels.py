@@ -15,14 +15,14 @@ batched candidate walk in ``bayes`` redoes the defect coin from the same two.
 ``BACKEND`` names the step body, for run records.
 
 Layout contract: a state is a float64 or complex128 array of shape (N, 2)
-with the coin pair (up, down) on the last axis (``walk.propagate`` steps
-float64 for a real start state, complex128 otherwise, and the candidate
-walks in ``bayes`` are float64); site index i maps to physical
-position x = i - (N - 1) // 2.  Coin tables are the per-site half-angle
-cosines/sines of the two coin layers.  The kernels also take a batch of B
-walks, shape (B, N, 2), with either one (N,) table set shared by every walk
-or (B, N) tables, one row per walk; tables are always indexed on their last
-axis.  A state or batch may be a view with any strides: every pass is an
+with the coin pair (up, down) on the last axis; site index i maps to
+physical position x = i - (N - 1) // 2.  The walks of ``walk.propagate``
+and the candidate walks in ``bayes`` all start at the real |-1, down> and
+step float64; ``spectral.build_step_matrix`` steps complex128 basis
+columns.  Coin tables are the per-site half-angle cosines/sines of the two
+coin layers.  The kernels also take a batch of B walks, shape (B, N, 2),
+with either one (N,) table set shared by every walk or (B, N) tables, one
+row per walk; tables are always indexed on their last axis.  A state or batch may be a view with any strides: every pass is an
 elementwise ufunc or a slice copy, and numpy runs its inner loop along
 whichever axis is contiguous in memory, with the same values in any layout.
 ``walk.propagate`` steps C-ordered buffers; the candidate stack in ``bayes``

@@ -1,7 +1,8 @@
 """Fisher information of the defect measurement and its scaling in time.
 
 Three information measures are computed from the exactly propagated
-(state, derivative) pair as the walk streams through ``walk.propagate``;
+(state, derivative) pair as the walk streams through ``walk.propagate``
+from its one start, |-1, down>;
 no trajectory is stored, so a series of any length holds O(N) memory
 besides O(T) values.  GFI and QFI are reduced to one number per step; the
 defect-site FI keeps each step's psi and dpsi defect rows, four numbers per
@@ -27,14 +28,13 @@ every bit, does not depend on the window.  A pass that asks for the
 defect-site FI alone reads only the defect row, so it walks the causal
 diamond of ``walk.light_cone`` (the sites that can still reach the defect
 by the last step) instead of the whole forward cone.  The buffers are real
-for the real start state (``walk`` module docstring); the products are then
-the real parts of the complex ones, and QFI's overlap <dpsi|psi> is still
-summed as a complex row, whose pairwise partition differs from a real
-row's.  A site's P and dP add its two coin terms with one addition
-(``walk.coin_total``), not a ``sum(axis=-1)`` over the length-2 coin
-axis: numpy reduces that axis with the same addition, so the bits are
-equal, but the reduction costs several times the addition on a 2003-site
-window.
+(``walk`` module docstring); the products are then the real parts of the
+complex ones, and QFI's overlap <dpsi|psi> is still summed as a complex
+row, whose pairwise partition differs from a real row's.  A site's P and
+dP add its two coin terms with one addition (``walk.coin_total``), not a
+``sum(axis=-1)`` over the length-2 coin axis: numpy reduces that axis with
+the same addition, so the bits are equal, but the reduction costs several
+times the addition on a 2003-site window.
 ``fisher_at_defect``, ``global_fisher`` and ``quantum_fisher`` are
 single-walk, single-measure wrappers.  Power-law growth FI ~ t^b is
 extracted by least squares in log-log coordinates; b = 2 is the Heisenberg
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import WalkParams, WalkerState, coin_total, light_cone, propagate, site_probability
+from .walk import WalkParams, coin_total, light_cone, propagate, site_probability
 
 P_FLOOR = 1e-12
 
@@ -89,7 +89,7 @@ class ScalingFit:
         return self.prefactor * np.asarray(t, dtype=np.float64) ** self.exponent
 
 
-def pair_trajectory(params: WalkParams, initial: WalkerState, steps: int, coin_fields, observe,
+def pair_trajectory(params: WalkParams, steps: int, coin_fields, observe,
                     defect_only: bool = False):
     """Stacked ``observe(psi_t, dpsi_t, rows_t)`` for t = 0..steps over one streamed walk.
 
@@ -101,9 +101,8 @@ def pair_trajectory(params: WalkParams, initial: WalkerState, steps: int, coin_f
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    pairs = propagate(params, initial, steps, coin_fields, derivative=True,
-                      defect_only=defect_only)
-    cone = light_cone(params, initial, steps if defect_only else None)
+    pairs = propagate(params, steps, coin_fields, derivative=True, defect_only=defect_only)
+    cone = light_cone(params, steps if defect_only else None)
     return np.array([observe(psi, dpsi, rows) for (psi, dpsi), rows in zip(pairs, cone)])
 
 
@@ -127,9 +126,7 @@ def _probability_pair(psi, dpsi):
     return site_probability(psi), 2.0 * coin_total(np.real(np.conj(psi) * dpsi))
 
 
-def information_values(
-    params: WalkParams, initial: WalkerState, steps: int, kinds=MEASURES, coin_fields=None
-) -> dict:
+def information_values(params: WalkParams, steps: int, kinds=MEASURES, coin_fields=None) -> dict:
     """{kind: (values, flagged)} for each requested measure, from one streamed walk.
 
     Both arrays have shape (steps + 1,), or (steps + 1, B) when the coin
@@ -183,7 +180,7 @@ def information_values(
     # the defect-site FI alone reads one row: walk only the sites that reach it
     defect_only = set(kinds) == {DEFECT_SITE_FI}
     terms = iter(
-        pair_trajectory(params, initial, steps, coin_fields, observe, defect_only).swapaxes(0, 1)
+        pair_trajectory(params, steps, coin_fields, observe, defect_only).swapaxes(0, 1)
     )
     measures = {}
     if DEFECT_SITE_FI in kinds:
@@ -199,37 +196,29 @@ def information_values(
     return measures
 
 
-def fisher_series(
-    params: WalkParams, initial: WalkerState, steps: int, kinds=MEASURES, coin_fields=None
-) -> dict:
+def fisher_series(params: WalkParams, steps: int, kinds=MEASURES, coin_fields=None) -> dict:
     """{kind: FisherSeries} for one walk, every requested measure from one pass."""
     return {
         kind: FisherSeries(np.arange(steps + 1), values, flagged)
         for kind, (values, flagged) in information_values(
-            params, initial, steps, kinds, coin_fields
+            params, steps, kinds, coin_fields
         ).items()
     }
 
 
-def fisher_at_defect(
-    params: WalkParams, initial: WalkerState, steps: int, coin_fields=None
-) -> FisherSeries:
+def fisher_at_defect(params: WalkParams, steps: int, coin_fields=None) -> FisherSeries:
     """FI(t) of the defect-site measurement for t = 0..steps; degenerate points flagged."""
-    return fisher_series(params, initial, steps, (DEFECT_SITE_FI,), coin_fields)[DEFECT_SITE_FI]
+    return fisher_series(params, steps, (DEFECT_SITE_FI,), coin_fields)[DEFECT_SITE_FI]
 
 
-def global_fisher(
-    params: WalkParams, initial: WalkerState, steps: int, coin_fields=None
-) -> FisherSeries:
+def global_fisher(params: WalkParams, steps: int, coin_fields=None) -> FisherSeries:
     """GFI(t) over the full position distribution, skipping P_i below floor."""
-    return fisher_series(params, initial, steps, (GLOBAL_FI,), coin_fields)[GLOBAL_FI]
+    return fisher_series(params, steps, (GLOBAL_FI,), coin_fields)[GLOBAL_FI]
 
 
-def quantum_fisher(
-    params: WalkParams, initial: WalkerState, steps: int, coin_fields=None
-) -> FisherSeries:
+def quantum_fisher(params: WalkParams, steps: int, coin_fields=None) -> FisherSeries:
     """QFI(t) = 4(<dpsi|dpsi> - |<dpsi|psi>|^2) from the exact derivative."""
-    return fisher_series(params, initial, steps, (QUANTUM_FI,), coin_fields)[QUANTUM_FI]
+    return fisher_series(params, steps, (QUANTUM_FI,), coin_fields)[QUANTUM_FI]
 
 
 def averaged_fisher(series: FisherSeries, window: int = 5, spacing: int = 5) -> FisherSeries:
@@ -258,8 +247,12 @@ def averaged_fisher(series: FisherSeries, window: int = 5, spacing: int = 5) -> 
     return FisherSeries(np.asarray(centers), np.asarray(means), np.asarray(flags))
 
 
-def power_law_fit(steps, values, window=None, mode: str = ALL_POINTS) -> ScalingFit:
-    """Least-squares line on (log t, log v); returns exponent/prefactor/r^2."""
+def power_law_fit(steps, values, window, mode: str = ALL_POINTS) -> ScalingFit:
+    """Least-squares line on (log t, log v) over the steps in ``window`` = (t_min, t_max).
+
+    Returns exponent/prefactor/r^2; ``window`` is checked after ``peaks_only``
+    keeps the interior maxima.
+    """
     steps = np.asarray(steps, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if mode == PEAKS_ONLY:
@@ -269,8 +262,6 @@ def power_law_fit(steps, values, window=None, mode: str = ALL_POINTS) -> Scaling
         steps, values = steps[interior], values[interior]
     elif mode != ALL_POINTS:
         raise ValueError(f"unknown fit mode {mode!r}")
-    if window is None:
-        window = (DEFAULT_FIT_T_MIN, float(steps.max()) if steps.size else DEFAULT_FIT_T_MIN)
     usable = (steps >= window[0]) & (steps <= window[1]) & (steps > 0) & (values > 0)
     steps, values = steps[usable], values[usable]
     if steps.size < 5:

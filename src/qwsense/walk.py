@@ -1,4 +1,4 @@
-"""Split-step quantum walk core: state, parameters, coin fields, propagation.
+"""Split-step quantum walk core: parameters, coin fields, the start, propagation.
 
 One step is U = T_down R2 T_up R1 on a periodic 1D lattice of N sites (N odd)
 with a two-level coin.  The second coin layer carries a defect angle theta02
@@ -8,23 +8,27 @@ derivative of the evolved state with respect to theta02, which is propagated
 jointly with the state by the product rule (no finite differences on the
 production path).
 
+Every walk starts at |-1, down>, one site left of the defect with its coin
+down; ``write_start`` is the one place that writes it, for ``propagate``
+and for the candidate walks of ``bayes``.
+
 ``propagate`` is the one loop over time steps: it streams the state (and,
 on request, its derivative) through two reused full-size buffers, so a run
 of any length holds O(N) memory.  With the derivative, each buffer stacks
 psi and dpsi as (2,) + batch + (N, 2), so one ``kernels.split_step_pair``
 call steps both, and the yielded (psi, dpsi) are its two halves.  The
-probability and Fisher series consume it; a single step is
-``propagate(params, state, 1, coins)``.
+probability and Fisher series consume it.
 
 Light-cone window: one step moves amplitude by at most one site, so after t
-steps the walk is zero outside the initial support widened by t sites per
-side.  ``light_cone`` gives, for each t, that support and the defect plus
-one zero row per side, widened a site per side per step until it no longer
-fits in the ring (then the whole ring).  ``propagate`` takes step t on
-window t (the kernel's periodic wrap then reads zeros, as the ring does),
-so rows outside the window are never written and stay exact zeros; the
-Fisher observers reduce on the same windows.  The yielded buffers equal the
-full-ring walk's bit for bit (up to the sign of zero).
+steps the walk is zero outside the start site widened by t sites per side.
+``light_cone`` gives, for each t, the start site and the defect widened by
+t sites plus one zero row per side, slice(d - 2 - t, d + 2 + t) around the
+defect d, until it no longer fits in the ring (then the whole ring).
+``propagate`` takes step t on window t (the kernel's periodic wrap then
+reads zeros, as the ring does), so rows outside the window are never
+written and stay exact zeros; the Fisher observers reduce on the same
+windows.  The yielded buffers equal the full-ring walk's bit for bit (up to
+the sign of zero).
 
 Causal diamond: a series that reads only the defect row up to a horizon H
 needs, at step t, only the rows within H - t of the defect (row i of
@@ -42,10 +46,9 @@ t = H is the defect row alone.  Rows outside the window keep stale values:
 ``propagate(..., defect_only=True)`` walks the diamond, and only the defect
 row of its buffers is meaningful.
 
-Buffer dtype: every coin and shift is real, so a start state with no
-imaginary part stays real.  ``propagate`` then steps float64 buffers, whose
-values are the real parts of the complex walk's, bit for bit; a complex
-start steps complex128.  ``WalkerState`` stays complex.
+Buffer dtype: the start and every coin and shift are real, so the walk
+stays real.  ``propagate`` steps float64 buffers, whose values are the real
+parts of the complex walk's, bit for bit (up to the sign of zero).
 
 Coin fields: a run takes None (the clean walk of its params), one CoinField
 for every step, or per-step fields as a list or an iterator, read a step at
@@ -54,9 +57,9 @@ once per field; ``propagate`` and the candidate walks of ``bayes`` step
 from it.
 
 Batch axis: a CoinField with (B, N) angles describes B walks, one per row.
-``propagate`` walks all B from the same initial state at once, through
-(B, N, 2) buffers and (B, N) coin tables, each walk bit-identical to its own
-serial walk; disorder ensembles and parameter sweeps use this.
+``propagate`` walks all B from the start at once, through (B, N, 2) buffers
+and (B, N) coin tables, each walk bit-identical to its own serial walk;
+disorder ensembles and parameter sweeps use this.
 """
 
 import itertools
@@ -68,11 +71,7 @@ import numpy as np
 
 from . import kernels
 
-NORM_TOL = 1e-12
-
-UP = 0
-DOWN = 1
-_COIN_LABELS = {"up": UP, "down": DOWN, UP: UP, DOWN: DOWN}
+DOWN = 1  # index of the down component on a state's coin axis
 
 
 def _finite_scalar(theta) -> float:
@@ -134,44 +133,6 @@ class WalkParams:
         return (self.lattice_size - 1) // 2
 
 
-@dataclass(frozen=True)
-class WalkerState:
-    """Complex amplitudes over the (position, coin) basis.
-
-    ``amplitudes`` has length 2N with the coin pair (up, down) contiguous per
-    site; site index i corresponds to physical position i - (N - 1) // 2,
-    which puts x = 0 at the defect site.
-    """
-
-    amplitudes: np.ndarray
-    lattice_size: int
-
-    def __post_init__(self):
-        n = _check_lattice_size(self.lattice_size)
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2 * n,):
-            raise ValueError(f"amplitudes must have shape ({2 * n},), got {amps.shape}")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def from_position(cls, x: int, coin, lattice_size: int) -> "WalkerState":
-        """Basis state |x, coin> with the defect-centered index convention."""
-        n = _check_lattice_size(lattice_size)
-        idx = x + (n - 1) // 2
-        if not 0 <= idx < n:
-            raise ValueError(f"position {x} outside lattice of size {n}")
-        amps = np.zeros(2 * n, dtype=np.complex128)
-        amps[2 * idx + _COIN_LABELS[coin]] = 1.0
-        return cls(amps, n)
-
-    def grid(self) -> np.ndarray:
-        """Amplitudes viewed as (N, 2)."""
-        return self.amplitudes.reshape(self.lattice_size, 2)
-
-
 def coin_total(values):
     """``values.sum(axis=-1)`` over a length-2 coin axis, as one addition.
 
@@ -189,9 +150,13 @@ def site_probability(psi):
     return coin_total(np.abs(psi) ** 2)
 
 
-def default_initial_state(lattice_size: int) -> WalkerState:
-    """|-1, down>, the initial state used throughout."""
-    return WalkerState.from_position(-1, DOWN, lattice_size)
+def write_start(walks, defect: int):
+    """Write the start |-1, down> into zeroed (..., N, 2) buffers: one unit amplitude per walk.
+
+    Physical position x is site index i - (N - 1) // 2, so x = -1 is the row
+    left of the ``defect`` row.
+    """
+    walks[..., defect - 1, DOWN] = 1.0
 
 
 @dataclass(frozen=True)
@@ -239,46 +204,36 @@ class CoinField:
         return np.cos(h1), np.sin(h1), np.cos(h2), np.sin(h2)
 
 
-def propagate(params: WalkParams, initial: WalkerState, steps: int, coin_fields=None,
-              derivative: bool = False, defect_only: bool = False):
+def propagate(params: WalkParams, steps: int, coin_fields=None, derivative: bool = False,
+              defect_only: bool = False):
     """Stream psi_t for t = 0..steps, or (psi_t, dpsi_t) with ``derivative``.
 
     Yields full-size buffers that the next step overwrites: read them, copy
     what must outlive the iteration, never write to them.  With
     ``derivative``, psi and dpsi are the views [0] and [1] of one stacked
     (2,) + batch + (N, 2) buffer, which ``kernels.split_step_pair`` steps.
-    They are float64 when ``initial`` has no imaginary part, complex128
-    otherwise (module docstring), and zero outside ``light_cone``'s window t.  ``coin_fields``
-    takes any form ``coin_tables`` accepts; fields with (B, N) angles walk B
-    walks from ``initial`` at once and the buffers are (B, N, 2).  dpsi is
-    the exact derivative with respect to the layer-2 angle at
-    ``params.defect_index``, starting from zero.  Each step runs on the
-    light-cone window of the module docstring; with ``defect_only`` it runs
-    on the causal diamond of ``light_cone(params, initial, steps)`` instead,
-    and only the defect row of the buffers is meaningful.  The step count
-    and the initial state are checked when iteration starts, each field
-    before its first step.
+    They are float64 (module docstring) and zero outside ``light_cone``'s
+    window t.  psi_0 is the start.  ``coin_fields`` takes any form
+    ``coin_tables`` accepts; fields with (B, N) angles walk B walks from the
+    start at once and the buffers are (B, N, 2).  dpsi is the exact
+    derivative with respect to the layer-2 angle at ``params.defect_index``,
+    starting from zero.  Each step runs on the light-cone window of the
+    module docstring; with ``defect_only`` it runs on the causal diamond of
+    ``light_cone(params, steps)`` instead, and only the defect row of the
+    buffers is meaningful.  The step count is checked when iteration
+    starts, each field before its first step.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    n = params.lattice_size
-    if initial.lattice_size != n:
-        raise ValueError(
-            f"initial state lattice size {initial.lattice_size} does not match params ({n})"
-        )
     batch, step_tables = coin_tables(params, steps, coin_fields)
     defect = params.defect_index
-    grid = initial.grid()
-    real = not grid.imag.any()
-    # ping-pong buffers must not alias the caller's state, and start all zero:
-    # a windowed step leaves the rows outside its window as they are
-    current = np.zeros(((2,) if derivative else ()) + batch + (n, 2),
-                       dtype=np.float64 if real else np.complex128)
-    (current[0] if derivative else current)[...] = grid.real if real else grid
+    # ping-pong buffers start all zero: a windowed step leaves the rows
+    # outside its window as they are
+    current = np.zeros(((2,) if derivative else ()) + batch + (params.lattice_size, 2))
+    write_start(current[0] if derivative else current, defect)
     scratch = np.zeros_like(current)
     yield (current[0], current[1]) if derivative else current
-    for rows, tables in zip(light_cone(params, initial, steps if defect_only else None),
-                            step_tables):
+    for rows, tables in zip(light_cone(params, steps if defect_only else None), step_tables):
         window = [table[..., rows] for table in tables]
         source, out = current[..., rows, :], scratch[..., rows, :]
         if derivative:
@@ -323,12 +278,13 @@ def _step_tables(fields, n, batch, steps):
         raise ValueError(f"need {steps} per-step coin fields, got {count}")
 
 
-def light_cone(params: WalkParams, initial: WalkerState, horizon: int | None = None):
+def light_cone(params: WalkParams, horizon: int | None = None):
     """Rows of window t: one slice each, for t = 0, 1, ... endlessly, or t = 0..horizon.
 
-    Window t holds the support of psi_t and dpsi_t from ``initial``: the
-    initial support and the defect, widened by t sites plus one zero row per
-    side.  It also holds psi_{t+1}, so ``propagate`` takes step t on it.
+    Window t holds the support of psi_t and dpsi_t: the start row and the
+    defect, widened by t sites plus one zero row per side, which is
+    slice(d - 2 - t, d + 2 + t) around the defect d.  It also holds
+    psi_{t+1}, so ``propagate`` takes step t on it.
     With a ``horizon`` H, window t is that forward window while it fits
     inside the backward window slice(d - (H - t), d + (H - t) + 1) around
     the defect d, and the backward window after that (the causal diamond of
@@ -338,11 +294,8 @@ def light_cone(params: WalkParams, initial: WalkerState, horizon: int | None = N
     """
     n = params.lattice_size
     defect = params.defect_index
-    occupied = np.flatnonzero(initial.grid().any(axis=1))
-    first = min(occupied[0], defect) - 1
-    stop = max(occupied[-1], defect) + 2
     for t in itertools.count() if horizon is None else range(horizon + 1):
-        rows = _on_ring(first - t, stop + t, n)
+        rows = _on_ring(defect - 2 - t, defect + 2 + t, n)
         if horizon is not None:
             reach = horizon - t
             backward = _on_ring(defect - reach, defect + reach + 1, n)

@@ -14,7 +14,7 @@ import pytest
 from test_disorder import relative_std
 
 from qwsense import bayes, disorder, metrology, spectral, topology
-from qwsense.walk import WalkParams, default_initial_state, propagate
+from qwsense.walk import WalkParams, propagate
 
 PI = math.pi
 
@@ -32,18 +32,13 @@ def record(number, description, ok):
 
 
 @pytest.fixture(scope="module")
-def initial():
-    return default_initial_state(N)
+def fi_nontrivial():
+    return metrology.fisher_at_defect(NONTRIVIAL, STEPS)
 
 
 @pytest.fixture(scope="module")
-def fi_nontrivial(initial):
-    return metrology.fisher_at_defect(NONTRIVIAL, initial, STEPS)
-
-
-@pytest.fixture(scope="module")
-def fi_trivial(initial):
-    return metrology.fisher_at_defect(TRIVIAL, initial, STEPS)
+def fi_trivial():
+    return metrology.fisher_at_defect(TRIVIAL, STEPS)
 
 
 def test_criterion_01_heisenberg_scaling(fi_nontrivial):
@@ -88,11 +83,11 @@ def test_criterion_03_phase_diagram_pins():
     )
 
 
-def test_criterion_04_mirror_fi_symmetry(fi_nontrivial, initial):
+def test_criterion_04_mirror_fi_symmetry(fi_nontrivial):
     mirror_theta1 = -0.9 * PI  # located along the theta2 = 0.75 pi cut
     mirror_point = topology.winding_number(mirror_theta1, 0.75 * PI)
     mirror_params = WalkParams(mirror_theta1, 0.75 * PI, -0.55 * PI, N)
-    fi_mirror = metrology.fisher_at_defect(mirror_params, initial, STEPS)
+    fi_mirror = metrology.fisher_at_defect(mirror_params, STEPS)
     gap = np.abs(fi_mirror.values - fi_nontrivial.values).max()
     record(
         4,
@@ -121,12 +116,12 @@ def test_criterion_05_localized_pair_and_domain_wall():
     )
 
 
-def test_criterion_06_fisher_hierarchy(initial):
+def test_criterion_06_fisher_hierarchy():
     ok = True
     for params in (NONTRIVIAL, TRIVIAL):
-        fi = metrology.fisher_at_defect(params, initial, STEPS).values
-        gfi = metrology.global_fisher(params, initial, STEPS).values
-        qfi = metrology.quantum_fisher(params, initial, STEPS).values
+        fi = metrology.fisher_at_defect(params, STEPS).values
+        gfi = metrology.global_fisher(params, STEPS).values
+        qfi = metrology.quantum_fisher(params, STEPS).values
         ok = ok and (fi <= gfi + 1e-9).all() and (gfi <= qfi + 1e-9).all()
     record(6, "FI <= GFI <= QFI + 1e-9 pointwise for both parameter sets", ok)
 
@@ -141,11 +136,10 @@ def test_criterion_07_derivative_oracle():
         theta1, theta2, theta02 = rng.uniform(-0.95 * PI, 0.95 * PI, size=3)
         params = WalkParams(theta1, theta2, theta02, n)
         plus, minus = (
-            [psi.copy() for psi in propagate(WalkParams(theta1, theta2, angle, n),
-                                             default_initial_state(n), steps)]
+            [psi.copy() for psi in propagate(WalkParams(theta1, theta2, angle, n), steps)]
             for angle in (theta02 + h, theta02 - h)
         )
-        pairs = propagate(params, default_initial_state(n), steps, derivative=True)
+        pairs = propagate(params, steps, derivative=True)
         for t, (_, dpsi) in enumerate(pairs):
             fd = (plus[t] - minus[t]).reshape(-1) / (2 * h)
             scale = max(np.linalg.norm(fd), 1e-8)
@@ -176,12 +170,12 @@ def test_criterion_08_bayesian_convergence():
     )
 
 
-def test_criterion_09_cramer_rao_consistency(fi_nontrivial, initial):
+def test_criterion_09_cramer_rao_consistency(fi_nontrivial):
     t, trials = 50, 1000
     fi_t = fi_nontrivial.values[t]
     candidates = np.linspace(*PRIOR, 201)
     table = bayes.candidate_probability_table(NONTRIVIAL, candidates, [t])[0]
-    p_true = bayes.defect_probability_series(NONTRIVIAL, initial, t)[t]
+    p_true = bayes.defect_probability_series(NONTRIVIAL, t)[t]
     errors = []
     for rep in range(100):
         rng = np.random.default_rng(np.random.SeedSequence(123, spawn_key=(rep,)))
@@ -197,15 +191,15 @@ def test_criterion_09_cramer_rao_consistency(fi_nontrivial, initial):
     )
 
 
-def test_criterion_10_disorder_robustness(initial):
+def test_criterion_10_disorder_robustness():
     ok = True
     summary = []
     for kind in ("static", "dynamic"):
         spec = disorder.DisorderSpec(
             kind=kind, half_width=PI / 20, n_realizations=10, master_seed=11
         )
-        r_nt = disorder.ensemble_fisher(spec, NONTRIVIAL, initial, STEPS)
-        r_tr = disorder.ensemble_fisher(spec, TRIVIAL, initial, STEPS)
+        r_nt = disorder.ensemble_fisher(spec, NONTRIVIAL, STEPS)
+        r_tr = disorder.ensemble_fisher(spec, TRIVIAL, STEPS)
         mean_series = metrology.FisherSeries(r_nt.steps, r_nt.mean, None)
         fit = metrology.fit_scaling(mean_series, mode="peaks_only")
         rel_nt = relative_std(r_nt, 10, STEPS)

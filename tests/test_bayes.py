@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from test_walk import step_fields
+from test_walk import start_grid, step_fields
 
 from qwsense import kernels
 from qwsense.bayes import (
@@ -23,12 +23,7 @@ from qwsense.bayes import (
     record_seed,
 )
 from qwsense.disorder import DisorderSpec, sample_disorder
-from qwsense.walk import (
-    CoinField,
-    WalkParams,
-    default_initial_state,
-    propagate,
-)
+from qwsense.walk import CoinField, WalkParams, propagate
 
 PI = math.pi
 
@@ -46,19 +41,19 @@ def clean_table(config):
 
 def test_probability_series_matches_evolve():
     p = nontrivial(43)
-    init = default_initial_state(43)
-    series = defect_probability_series(p, init, 20)
-    expected = [(np.abs(psi[p.defect_index]) ** 2).sum() for psi in propagate(p, init, 20)]
+    series = defect_probability_series(p, 20)
+    expected = [(np.abs(psi[p.defect_index]) ** 2).sum() for psi in propagate(p, 20)]
     np.testing.assert_allclose(series, expected, atol=1e-14)
 
 
-def test_probability_series_leaves_initial_state_intact():
+def test_probability_series_starts_every_call_afresh():
+    # each call writes the start into buffers of its own: no walk leaks into the next
     p = nontrivial(43)
-    init = default_initial_state(43)
-    before = init.amplitudes.copy()
-    defect_probability_series(p, init, 20)
-    defect_probability_series(p, init, 20)
-    np.testing.assert_array_equal(init.amplitudes, before)
+    first = defect_probability_series(p, 20)
+    other = defect_probability_series(replace(p, theta02=0.3), 20)
+    assert np.array_equal(defect_probability_series(p, 20), first)
+    assert first[0] == other[0] == 0.0
+    assert not np.array_equal(first, other)
 
 
 def test_posterior_uniform_without_data():
@@ -133,10 +128,11 @@ def test_posterior_validates_arguments():
 # --- batched candidate table ----------------------------------------------------
 
 
-def full_ring_defect_probabilities(params, initial, fields):
-    """P0(t) of one complex walk stepped on the whole ring into fresh arrays, no window."""
+def full_ring_defect_probabilities(params, fields):
+    """P0(t) of one complex walk from the start, stepped on the whole ring into
+    fresh arrays, no window."""
     defect = params.defect_index
-    psi = initial.grid()
+    psi = start_grid(params.lattice_size)
     probs = [(np.abs(psi[defect]) ** 2).sum()]
     for field in fields:
         out = np.empty_like(psi)
@@ -149,7 +145,6 @@ def full_ring_defect_probabilities(params, initial, fields):
 def serial_table(params, candidates, schedule, coin_fields=None):
     """Reference: one complex full-ring walk per candidate."""
     t_max = max(schedule)
-    initial = default_initial_state(params.lattice_size)
     fields = step_fields(params, t_max, coin_fields)
     columns = []
     for theta in candidates:
@@ -161,7 +156,7 @@ def serial_table(params, candidates, schedule, coin_fields=None):
                 angles2[p.defect_index] = p.theta02
                 rewritten[id(f)] = CoinField(f.angles1, angles2)
         own = [rewritten[id(f)] for f in fields]
-        columns.append(full_ring_defect_probabilities(p, initial, own)[list(schedule)])
+        columns.append(full_ring_defect_probabilities(p, own)[list(schedule)])
     return np.stack(columns, axis=1)
 
 
@@ -242,7 +237,7 @@ def test_candidate_walk_at_the_true_angle_is_the_defect_walk(
     p = WalkParams(theta1, 0.75 * PI, theta02, n)
     coin_fields = fields(p, steps) if fields else None
     table = candidate_probability_table(p, [p.theta02], range(steps + 1), coin_fields)
-    series = defect_probability_series(p, default_initial_state(n), steps, coin_fields)
+    series = defect_probability_series(p, steps, coin_fields)
     assert np.array_equal(table[:, 0], series)
 
 
@@ -377,7 +372,7 @@ def test_doubling_trials_halves_posterior_variance():
     t = 57
     candidates = np.linspace(*PRIOR, 201)
     table = candidate_probability_table(p, candidates, [t])[0]
-    p_true = defect_probability_series(p, default_initial_state(203), t)[t]
+    p_true = defect_probability_series(p, t)[t]
     ratios = []
     v_small, v_big = [], []
     for rep in range(60):
@@ -399,7 +394,7 @@ def test_mode_consistency_at_large_trials():
     t, trials = 50, 10_000
     candidates = np.linspace(*PRIOR, 21)
     table = candidate_probability_table(p, candidates, [t])[0]
-    p_true = defect_probability_series(p, default_initial_state(203), t)[t]
+    p_true = defect_probability_series(p, t)[t]
     true_idx = int(np.argmin(np.abs(candidates - p.theta02)))
     hits = 0
     for rep in range(100):
@@ -432,9 +427,7 @@ def serial_curve(config, table, data_coin_fields=None, seed_prefix=()):
     Returns (step, successes, msre, posterior_std) per record and the
     repetition-0 posteriors.
     """
-    initial = default_initial_state(config.params.lattice_size)
-    p_true = defect_probability_series(config.params, initial, max(config.schedule),
-                                       data_coin_fields)
+    p_true = defect_probability_series(config.params, max(config.schedule), data_coin_fields)
     records, grids = [], []
     for i, t in enumerate(config.schedule):
         p_t = min(max(p_true[t], 0.0), 1.0)

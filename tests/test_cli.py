@@ -175,12 +175,26 @@ def test_validate_rejects_non_finite_values(tmp_path, capsys):
                     "surface": {"theta1_over_pi": [-1.0, 1.0, inf], "steps": 5}},
         "estimation.prior_over_pi": {"experiment": "bayes", "steps": 30, "walk": WALK,
                                      "estimation": {"prior_over_pi": [-inf, 0.0]}},
-        "estimation.schedule": {"experiment": "bayes", "steps": 30, "walk": WALK,
-                                "estimation": {"prior_over_pi": [-1.0, 0.0], "schedule": [inf]}},
     }
-    for field_name, doc in docs.items():
+    # a single number that a live rule reads
+    numbers = {
+        "steps": {"experiment": "fi-scaling", "steps": inf, "walk": WALK},
+        "walk.theta02_over_pi": {"experiment": "fi-scaling", "steps": 30,
+                                 "walk": {**WALK, "theta02_over_pi": nan}},
+        "estimation.trials": {"experiment": "bayes", "steps": 30, "walk": WALK,
+                              "estimation": {"prior_over_pi": [-1.0, 0.0], "trials": inf}},
+        "disorder.half_width_over_pi": {"experiment": "disorder", "steps": 30, "walk": WALK,
+                                        "disorder": {"kind": "static",
+                                                     "half_width_over_pi": -inf}},
+        "averaging.window": {"experiment": "avg-fi", "steps": 30, "walk": WALK,
+                             "averaging": {"window": nan}},
+    }
+    for field_name, doc in {**docs, **numbers}.items():
         assert cli.main(["validate", "--config", write_config(tmp_path, doc)]) == 2, field_name
-        assert field_name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert field_name in err
+        if field_name in numbers:
+            assert f"  {field_name}: must be finite" in err
 
 
 def test_validate_rejects_prior_that_leaves_out_theta02(tmp_path, capsys):
@@ -256,10 +270,14 @@ def test_validate_rejects_a_fit_window_with_fewer_than_five_steps(tmp_path, caps
             args += ["--out", str(tmp_path / f"out-{steps}")]
         return cli.main(args)
 
-    # the fit window is the steps 10..steps
-    for steps in (8, 13):
-        assert fi(steps) == 2, steps
-        assert "fit: window" in capsys.readouterr().err
+    # the fit window is the steps 10..steps: steps sets its size, with or
+    # without a fit section
+    for steps, fit in ((8, None), (13, None), (13, {"mode": "peaks_only"})):
+        assert fi(steps, fit) == 2, (steps, fit)
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            f"  steps: an fi-scaling run needs steps >= 14: its fit window 10..steps must "
+            f"cover at least 5 steps, got {steps}"
+        ]
     for steps, fit in ((14, None), (14, {"mode": "all_points"})):
         assert fi(steps, fit) == 0, (steps, fit)
         assert fi(steps, fit, command="run") == 0, (steps, fit)
@@ -604,6 +622,15 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(env_dir))
     assert cli.main(["run", "--config", cfg]) == 0
     assert (env_dir / "fi_series.csv").exists()
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_run_rejects_fewer_than_one_thread(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, {"experiment": "fi-scaling", "steps": 20, "walk": WALK})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out), "--threads", str(threads)]) == 2
+    assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_io_failure_exit_code(tmp_path):

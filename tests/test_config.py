@@ -70,7 +70,7 @@ RULES = [
     # every fit runs over the steps 10..steps: a window is not an input
     ("fit.t_min", with_(FI, fit={"t_min": 0}), "fit.t_min: unknown name"),
     ("fit.t_max", with_(FI, fit={"t_max": "end"}), "fit.t_max: unknown name"),
-    ("fit-window-coverage", with_(FI, steps=13), "fit:"),
+    ("fit-window-coverage", with_(FI, steps=13), "steps: an fi-scaling run needs steps >= 14"),
     # only fi-scaling and disorder-FI runs fit; elsewhere fit was silently ignored
     ("fit-on-gfi-qfi", with_(FI, experiment="gfi-qfi", fit={"t_min": 30, "mode": "peaks_only"}),
      "fit: read only"),

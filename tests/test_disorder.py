@@ -23,7 +23,7 @@ from qwsense.disorder import (
     sample_disorder,
 )
 from qwsense.metrology import FisherSeries, fisher_at_defect, fit_scaling, power_law_fit
-from qwsense.walk import WalkParams, default_initial_state
+from qwsense.walk import WalkParams
 
 PI = math.pi
 
@@ -114,10 +114,9 @@ def test_static_angles_are_uniform_on_the_interval():
 
 def test_zero_width_ensemble_collapses_to_clean_run():
     base = nontrivial(63)
-    init = default_initial_state(63)
     spec = DisorderSpec(kind="static", half_width=0.0, n_realizations=1, master_seed=1)
-    result = ensemble_fisher(spec, base, init, 30)
-    clean = fisher_at_defect(base, init, 30)
+    result = ensemble_fisher(spec, base, 30)
+    clean = fisher_at_defect(base, 30)
     np.testing.assert_array_equal(result.mean, clean.values)
     np.testing.assert_array_equal(result.std, np.zeros(31))
 
@@ -130,18 +129,18 @@ def test_zero_width_ensemble_collapses_to_clean_run():
 )
 def test_zero_width_ensemble_is_the_clean_run(kind, realizations, steps):
     n = 2 * steps + 3
-    base, init = nontrivial(n), default_initial_state(n)
+    base = nontrivial(n)
     spec = DisorderSpec(kind=kind, half_width=0.0, n_realizations=realizations, master_seed=2)
-    result = ensemble_fisher(spec, base, init, steps)
-    assert np.array_equal(result.mean, fisher_at_defect(base, init, steps).values)
+    result = ensemble_fisher(spec, base, steps)
+    assert np.array_equal(result.mean, fisher_at_defect(base, steps).values)
     assert np.array_equal(result.std, np.zeros(steps + 1))
     assert result.realizations == realizations
 
 
-def serial_ensemble_fisher(spec, base, initial, steps):
+def serial_ensemble_fisher(spec, base, steps):
     """Reference: one walk per realization, stacked in realization order."""
     values = np.stack([
-        fisher_at_defect(base, initial, steps,
+        fisher_at_defect(base, steps,
                          coin_fields=sample_disorder(spec, base, index, steps)).values
         for index in range(spec.n_realizations)
     ])
@@ -150,11 +149,10 @@ def serial_ensemble_fisher(spec, base, initial, steps):
 
 def test_ensemble_reproducible_and_batch_invariant():
     base = nontrivial(63)
-    init = default_initial_state(63)
     spec = DisorderSpec(kind="dynamic", half_width=W, n_realizations=4, master_seed=11)
-    a = ensemble_fisher(spec, base, init, 25)
-    b = ensemble_fisher(spec, base, init, 25)
-    mean, std = serial_ensemble_fisher(spec, base, init, 25)
+    a = ensemble_fisher(spec, base, 25)
+    b = ensemble_fisher(spec, base, 25)
+    mean, std = serial_ensemble_fisher(spec, base, 25)
     np.testing.assert_array_equal(a.mean, b.mean)
     np.testing.assert_array_equal(a.mean, mean)
     np.testing.assert_array_equal(a.std, std)
@@ -167,7 +165,7 @@ def test_dynamic_ensemble_draws_its_fields_step_by_step():
     spec = DisorderSpec(kind="dynamic", half_width=W, n_realizations=10, master_seed=3)
     tracemalloc.start()
     try:
-        ensemble_fisher(spec, nontrivial(n), default_initial_state(n), steps)
+        ensemble_fisher(spec, nontrivial(n), steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -182,10 +180,10 @@ def test_dynamic_ensemble_draws_its_fields_step_by_step():
 def test_batched_ensemble_equals_serial_realizations(kind, realizations):
     steps = 40
     n = 2 * steps + 3
-    base, init = nontrivial(n), default_initial_state(n)
+    base = nontrivial(n)
     spec = DisorderSpec(kind=kind, half_width=W, n_realizations=realizations, master_seed=13)
-    result = ensemble_fisher(spec, base, init, steps)
-    mean, std = serial_ensemble_fisher(spec, base, init, steps)
+    result = ensemble_fisher(spec, base, steps)
+    mean, std = serial_ensemble_fisher(spec, base, steps)
     assert np.array_equal(result.mean, mean)
     assert np.array_equal(result.std, std)
 
@@ -195,7 +193,7 @@ def test_nontrivial_ensemble_keeps_heisenberg_scaling(kind):
     steps = 100
     n = 2 * steps + 3
     spec = DisorderSpec(kind=kind, half_width=W, n_realizations=10, master_seed=11)
-    result = ensemble_fisher(spec, nontrivial(n), default_initial_state(n), steps)
+    result = ensemble_fisher(spec, nontrivial(n), steps)
     mean_series = FisherSeries(result.steps, result.mean, None)
     # fit through the oscillation peaks, as the underlying growth law is read
     # off the envelope; dynamic disorder damps the troughs at early times
@@ -207,10 +205,9 @@ def test_nontrivial_ensemble_keeps_heisenberg_scaling(kind):
 def test_trivial_phase_fluctuates_more(kind):
     steps = 60
     n = 2 * steps + 3
-    init = default_initial_state(n)
     spec = DisorderSpec(kind=kind, half_width=W, n_realizations=10, master_seed=11)
-    r_nt = ensemble_fisher(spec, nontrivial(n), init, steps)
-    r_tr = ensemble_fisher(spec, trivial(n), init, steps)
+    r_nt = ensemble_fisher(spec, nontrivial(n), steps)
+    r_tr = ensemble_fisher(spec, trivial(n), steps)
     assert relative_std(r_tr, 10, steps) > relative_std(r_nt, 10, steps)
 
 

@@ -161,3 +161,24 @@ def test_pair_step_on_a_stack_equals_separate_walks(walks, per_walk):
             reference_pair_step(stack[b], dstack[b], *row, defect, ref_out, ref_dout)
             assert np.array_equal(out[b], ref_out)
             assert np.array_equal(dout[b], ref_dout)
+
+
+@pytest.mark.parametrize("kernel", ["split_step", "split_step_pair"])
+@pytest.mark.parametrize("tables", ["single", "shared", "per_walk"])
+def test_real_stack_steps_to_the_real_parts_of_the_complex_stack(kernel, tables):
+    # every coin and shift is real, so the imaginary parts never reach the real
+    # ones: a float64 stack's step is the real part of the complex stack's
+    n, walks = 13, 3
+    rng = np.random.default_rng(41)
+    batch = () if tables == "single" else (walks,)
+    shape = ((2,) if kernel == "split_step_pair" else ()) + batch + (n, 2)
+    real = rng.normal(size=shape)
+    full = real + 1j * rng.normal(size=shape)
+    angles = rng.uniform(-np.pi, np.pi, size=(2,) + (batch if tables == "per_walk" else ()) + (n,))
+    args = (np.cos(angles[0] / 2), np.sin(angles[0] / 2), np.cos(angles[1] / 2),
+            np.sin(angles[1] / 2)) + ((n // 2,) if kernel == "split_step_pair" else ())
+    step = getattr(kernels, kernel)
+    out = step(real, *args, np.empty_like(real))
+    assert out.dtype == np.float64
+    assert np.array_equal(out, step(full, *args, np.empty_like(full)).real)
+

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernels import separate_pair_step
-from test_walk import step_fields
+from test_walk import start_grid, step_fields
 
 from qwsense import bayes, experiments, serialize
 from qwsense.config import validate_config
@@ -33,13 +33,7 @@ from qwsense.metrology import (
     power_law_fit,
     quantum_fisher,
 )
-from qwsense.walk import (
-    CoinField,
-    WalkerState,
-    WalkParams,
-    default_initial_state,
-    dynamics_lattice_size,
-)
+from qwsense.walk import CoinField, WalkParams, dynamics_lattice_size
 
 PI = math.pi
 
@@ -52,10 +46,9 @@ def params(theta1, theta2, n):
     return WalkParams(theta1, theta2, DEFECT, n)
 
 
-def series_pair(theta1, theta2, steps):
-    n = 2 * steps + 3
-    p = params(theta1, theta2, n)
-    return p, default_initial_state(n)
+def series_params(theta1, theta2, steps):
+    """The walk at (theta1, theta2) on a ring the steps-long walk does not wrap."""
+    return params(theta1, theta2, 2 * steps + 3)
 
 
 def test_binary_fisher_arithmetic():
@@ -71,21 +64,17 @@ def test_binary_fisher_degenerate_flags():
 
 
 def test_fi_zero_and_flagged_before_arrival():
-    from qwsense.walk import WalkerState
-
-    n = 23
-    p = params(*NONTRIVIAL, n)
-    far = WalkerState.from_position(-5, "down", n)
-    fi = fisher_at_defect(p, far, 10)
-    # light cone: nothing reaches the defect before t = 4
-    assert fi.flagged[:4].all()
-    np.testing.assert_array_equal(fi.values[:4], 0.0)
-    assert fi.values[5:].max() > 0.0
+    # the walk starts one site left of the defect: P0(0) = 0, and the first
+    # step brings amplitude onto it
+    fi = fisher_at_defect(params(*NONTRIVIAL, 23), 10)
+    assert fi.flagged[0] and fi.values[0] == 0.0
+    assert not fi.flagged[1:].any()
+    assert (fi.values[1:] > 0.0).any()
 
 
 def test_fi_heisenberg_scaling_nontrivial():
-    p, init = series_pair(*NONTRIVIAL, steps=100)
-    fit = fit_scaling(fisher_at_defect(p, init, 100))
+    p = series_params(*NONTRIVIAL, steps=100)
+    fit = fit_scaling(fisher_at_defect(p, 100))
     assert 1.8 <= fit.exponent <= 2.2
 
 
@@ -97,34 +86,33 @@ def test_defect_neutral_point_keeps_parametric_sensitivity():
     steps = 10
     h = 1e-6
     p = WalkParams(*NONTRIVIAL, NONTRIVIAL[1], n)
-    init = default_initial_state(n)
-    gfi = global_fisher(p, init, steps)
+    gfi = global_fisher(p, steps)
     assert gfi.values[0] == 0.0
     assert gfi.values[steps] > 0.0
     plus = bayes.defect_probability_series(
-        WalkParams(p.theta1, p.theta2, p.theta02 + h, n), init, steps
+        WalkParams(p.theta1, p.theta2, p.theta02 + h, n), steps
     )
     minus = bayes.defect_probability_series(
-        WalkParams(p.theta1, p.theta2, p.theta02 - h, n), init, steps
+        WalkParams(p.theta1, p.theta2, p.theta02 - h, n), steps
     )
     assert abs(plus[steps] - minus[steps]) / (2 * h) > 1e-3
 
 
 @pytest.mark.parametrize("point", [NONTRIVIAL, TRIVIAL])
 def test_information_hierarchy(point):
-    p, init = series_pair(*point, steps=60)
-    fi = fisher_at_defect(p, init, 60).values
-    gfi = global_fisher(p, init, 60).values
-    qfi = quantum_fisher(p, init, 60).values
+    p = series_params(*point, steps=60)
+    fi = fisher_at_defect(p, 60).values
+    gfi = global_fisher(p, 60).values
+    qfi = quantum_fisher(p, 60).values
     assert (fi <= gfi + 1e-9).all()
     assert (gfi <= qfi + 1e-9).all()
 
 
 def test_qfi_starts_at_zero_and_trivial_stays_below():
-    p_nt, init = series_pair(*NONTRIVIAL, steps=60)
-    p_tr, _ = series_pair(*TRIVIAL, steps=60)
-    qfi_nt = quantum_fisher(p_nt, init, 60).values
-    qfi_tr = quantum_fisher(p_tr, init, 60).values
+    p_nt = series_params(*NONTRIVIAL, steps=60)
+    p_tr = series_params(*TRIVIAL, steps=60)
+    qfi_nt = quantum_fisher(p_nt, 60).values
+    qfi_tr = quantum_fisher(p_tr, 60).values
     assert qfi_nt[0] == 0.0 and qfi_tr[0] == 0.0
     sel = np.arange(20, 61)
     assert (qfi_tr[sel] < qfi_nt[sel]).all()
@@ -135,15 +123,14 @@ def test_fi_matches_probability_finite_differences():
     n = 2 * steps + 3
     h = 1e-6
     p = params(*NONTRIVIAL, n)
-    init = default_initial_state(n)
-    fi = fisher_at_defect(p, init, steps)
+    fi = fisher_at_defect(p, steps)
     plus = bayes.defect_probability_series(
-        WalkParams(p.theta1, p.theta2, p.theta02 + h, n), init, steps
+        WalkParams(p.theta1, p.theta2, p.theta02 + h, n), steps
     )
     minus = bayes.defect_probability_series(
-        WalkParams(p.theta1, p.theta2, p.theta02 - h, n), init, steps
+        WalkParams(p.theta1, p.theta2, p.theta02 - h, n), steps
     )
-    base = bayes.defect_probability_series(p, init, steps)
+    base = bayes.defect_probability_series(p, steps)
     dp0 = (plus - minus) / (2 * h)
     expected, flags = binary_fisher(base, dp0)
     for t in range(steps + 1):
@@ -155,12 +142,13 @@ def test_fi_matches_probability_finite_differences():
 # --- streamed series against a stored trajectory ---------------------------
 
 
-def stored_trajectory(params, initial, steps, coin_fields=None):
-    """Reference: the complex128 walk on the whole ring, kept as (T+1, [B,] N, 2) arrays."""
+def stored_trajectory(params, steps, coin_fields=None):
+    """Reference: the complex128 walk from the start on the whole ring, kept as
+    (T+1, [B,] N, 2) arrays."""
     fields = step_fields(params, steps, coin_fields)
     states = np.zeros((steps + 1,) + fields[0].angles1.shape + (2,), dtype=np.complex128)
     dstates = np.zeros_like(states)
-    states[0] = initial.grid()
+    states[0] = start_grid(params.lattice_size)
     for t, field in enumerate(fields):
         separate_pair_step(states[t], dstates[t], *field.half_angle_tables(),
                            params.defect_index, states[t + 1], dstates[t + 1])
@@ -183,9 +171,9 @@ def full_ring_observe(psi, dpsi, defect):
     return p0, dp0, gfi, qfi
 
 
-def stored_fisher_values(params, initial, steps, coin_fields=None):
+def stored_fisher_values(params, steps, coin_fields=None):
     """FI, GFI and QFI reduced from the stored trajectory in whole-array passes."""
-    states, dstates = stored_trajectory(params, initial, steps, coin_fields)
+    states, dstates = stored_trajectory(params, steps, coin_fields)
     p0, dp0, gfi, qfi = full_ring_observe(states, dstates, params.defect_index)
     fi, _ = binary_fisher(p0, dp0)
     return fi, gfi, np.maximum(qfi, 0.0)
@@ -204,26 +192,26 @@ def _dynamic(p, steps):
 ])
 def test_streamed_fisher_equals_stored_trajectory(point, disorder):
     steps = 60
-    p, init = series_pair(*point, steps)
+    p = series_params(*point, steps)
     fields = disorder(p, steps) if disorder else None
-    fi, gfi, qfi = stored_fisher_values(p, init, steps, fields)
-    assert np.array_equal(fisher_at_defect(p, init, steps, fields).values, fi)
-    assert np.array_equal(global_fisher(p, init, steps, fields).values, gfi)
-    assert np.array_equal(quantum_fisher(p, init, steps, fields).values, qfi)
+    fi, gfi, qfi = stored_fisher_values(p, steps, fields)
+    assert np.array_equal(fisher_at_defect(p, steps, fields).values, fi)
+    assert np.array_equal(global_fisher(p, steps, fields).values, gfi)
+    assert np.array_equal(quantum_fisher(p, steps, fields).values, qfi)
 
 
 @pytest.mark.parametrize("disorder", [None, _static, _dynamic])
 def test_one_pass_measures_equal_separate_series(disorder):
     steps = 60
-    p, init = series_pair(*NONTRIVIAL, steps)
+    p = series_params(*NONTRIVIAL, steps)
     fields = disorder(p, steps) if disorder else None
-    one_pass = fisher_series(p, init, steps, MEASURES, fields)
+    one_pass = fisher_series(p, steps, MEASURES, fields)
     for kind, separate in ((DEFECT_SITE_FI, fisher_at_defect), (GLOBAL_FI, global_fisher),
                            (QUANTUM_FI, quantum_fisher)):
-        series = separate(p, init, steps, fields)
+        series = separate(p, steps, fields)
         assert np.array_equal(one_pass[kind].values, series.values)
         assert np.array_equal(one_pass[kind].flagged, series.flagged)
-    fi, gfi, qfi = stored_fisher_values(p, init, steps, fields)
+    fi, gfi, qfi = stored_fisher_values(p, steps, fields)
     assert np.array_equal(one_pass[DEFECT_SITE_FI].values, fi)
     assert np.array_equal(one_pass[GLOBAL_FI].values, gfi)
     assert np.array_equal(one_pass[QUANTUM_FI].values, qfi)
@@ -235,29 +223,27 @@ def _batched(p, steps):
             for step in zip(*(sample_disorder(spec, p, r, steps) for r in range(3)))]
 
 
-def _phased_start(n):
-    amps = default_initial_state(n).amplitudes
-    amps = amps + np.exp(0.3j) * WalkerState.from_position(2, "up", n).amplitudes
-    return WalkerState(amps / math.sqrt(2.0), n)
-
-
-@pytest.mark.parametrize("start", [default_initial_state, _phased_start])
+# the defect-site FI alone walks the causal diamond, not the forward cone
+@pytest.mark.parametrize("kinds", [MEASURES, (DEFECT_SITE_FI,)],
+                         ids=["all_measures", "defect_site_fi_alone"])
 @pytest.mark.parametrize("disorder", [None, _static, _dynamic, _batched])
 @pytest.mark.parametrize("n", [83, 25])  # 25 sites: the window is the whole ring within 12 steps
-def test_windowed_measures_equal_full_ring_complex_reduction(start, disorder, n):
+def test_windowed_measures_equal_full_ring_complex_reduction(kinds, disorder, n):
     steps = 40
-    p, init = params(*NONTRIVIAL, n), start(n)
+    p = params(*NONTRIVIAL, n)
     fields = disorder(p, steps) if disorder else None
-    states, dstates = stored_trajectory(p, init, steps, fields)
+    states, dstates = stored_trajectory(p, steps, fields)
     p0, dp0, gfi, qfi = full_ring_observe(states, dstates, p.defect_index)
-    measures = information_values(p, init, steps, MEASURES, fields)
+    measures = information_values(p, steps, kinds, fields)
+    assert list(measures) == list(kinds)
     assert np.array_equal(measures[DEFECT_SITE_FI][0], binary_fisher(p0, dp0)[0])
     assert np.array_equal(measures[DEFECT_SITE_FI][1], binary_fisher(p0, dp0)[1])
-    assert np.array_equal(measures[GLOBAL_FI][0], gfi)
-    assert np.array_equal(measures[QUANTUM_FI][0], np.maximum(qfi, 0.0))
+    if kinds == MEASURES:
+        assert np.array_equal(measures[GLOBAL_FI][0], gfi)
+        assert np.array_equal(measures[QUANTUM_FI][0], np.maximum(qfi, 0.0))
 
 
-def axis_sum_information_values(params, initial, steps, coin_fields=None):
+def axis_sum_information_values(params, steps, coin_fields=None):
     """Reference: FI, GFI and QFI from the observer that summed each site's two
     coin terms with ``sum(axis=-1)``, otherwise as ``information_values``."""
     defect, n = params.defect_index, params.lattice_size
@@ -287,7 +273,7 @@ def axis_sum_information_values(params, initial, steps, coin_fields=None):
         overlap = row_sum("overlap", cells, np.conj(dflat) * flat, 2 * n, np.complex128)
         return p0, dp0, gfi, 4.0 * (norm - np.abs(overlap) ** 2)
 
-    p0, dp0, gfi, qfi = pair_trajectory(params, initial, steps, coin_fields, observe).swapaxes(0, 1)
+    p0, dp0, gfi, qfi = pair_trajectory(params, steps, coin_fields, observe).swapaxes(0, 1)
     return binary_fisher(p0, dp0)[0], gfi, np.maximum(qfi, 0.0)
 
 
@@ -306,24 +292,23 @@ def _static_batch(p, steps):
     angles=st.tuples(*[st.floats(-PI, PI)] * 3),
     steps=st.integers(1, 60),
     margin=st.integers(0, 4),
-    start=st.sampled_from([default_initial_state, _phased_start]),
     fields=st.sampled_from([None, _static, _dynamic, _static_batch, _batched]),
 )
-def test_two_term_site_sums_equal_the_axis_sum_observer(angles, steps, margin, start, fields):
+def test_two_term_site_sums_equal_the_axis_sum_observer(angles, steps, margin, fields):
     n = 2 * steps + 3 + 2 * margin
-    p, init = WalkParams(*angles, n), start(n)
+    p = WalkParams(*angles, n)
     fields = fields(p, steps) if fields else None
-    fi, gfi, qfi = axis_sum_information_values(p, init, steps, fields)
-    measures = information_values(p, init, steps, MEASURES, fields)
+    fi, gfi, qfi = axis_sum_information_values(p, steps, fields)
+    measures = information_values(p, steps, MEASURES, fields)
     assert same_bits(measures[DEFECT_SITE_FI][0], fi)
     assert same_bits(measures[GLOBAL_FI][0], gfi)
     assert same_bits(measures[QUANTUM_FI][0], qfi)
     # the defect-site FI alone walks the causal diamond
-    alone = information_values(p, init, steps, (DEFECT_SITE_FI,), fields)
+    alone = information_values(p, steps, (DEFECT_SITE_FI,), fields)
     assert same_bits(alone[DEFECT_SITE_FI][0], fi)
 
 
-def per_step_defect_fisher(params, initial, steps, coin_fields=None):
+def per_step_defect_fisher(params, steps, coin_fields=None):
     """Reference: P0 and dP0 reduced from the defect row at every step of the walk,
     then ``binary_fisher`` on the stacked series."""
     defect = params.defect_index
@@ -331,7 +316,7 @@ def per_step_defect_fisher(params, initial, steps, coin_fields=None):
     def observe(psi, dpsi, rows):
         return _probability_pair(psi[..., defect, :], dpsi[..., defect, :])
 
-    p0, dp0 = pair_trajectory(params, initial, steps, coin_fields, observe).swapaxes(0, 1)
+    p0, dp0 = pair_trajectory(params, steps, coin_fields, observe).swapaxes(0, 1)
     return binary_fisher(p0, dp0)
 
 
@@ -340,32 +325,31 @@ def per_step_defect_fisher(params, initial, steps, coin_fields=None):
     angles=st.tuples(*[st.floats(-PI, PI)] * 3),
     steps=st.integers(1, 40),
     margin=st.integers(0, 4),
-    start=st.sampled_from([default_initial_state, _phased_start]),
     fields=st.sampled_from([None, _static_batch, _batched]),
     kinds=st.sampled_from([(DEFECT_SITE_FI,), MEASURES]),
 )
 def test_defect_rows_reduced_after_the_walk_equal_the_per_step_reduction(
-        angles, steps, margin, start, fields, kinds):
+        angles, steps, margin, fields, kinds):
     n = 2 * steps + 3 + 2 * margin
-    p, init = WalkParams(*angles, n), start(n)
+    p = WalkParams(*angles, n)
     fields = fields(p, steps) if fields else None
-    values, flagged = per_step_defect_fisher(p, init, steps, fields)
-    got, got_flagged = information_values(p, init, steps, kinds, fields)[DEFECT_SITE_FI]
+    values, flagged = per_step_defect_fisher(p, steps, fields)
+    got, got_flagged = information_values(p, steps, kinds, fields)[DEFECT_SITE_FI]
     assert same_bits(got, values)
     assert got_flagged.shape == flagged.shape and np.array_equal(got_flagged, flagged)
 
 
 def test_information_values_reject_unknown_measures():
-    p, init = series_pair(*NONTRIVIAL, 5)
+    p = series_params(*NONTRIVIAL, 5)
     with pytest.raises(ValueError, match="unknown information measures"):
-        information_values(p, init, 5, ("averaged_fi",))
+        information_values(p, 5, ("averaged_fi",))
 
 
 @pytest.mark.parametrize("walks", [1, 3])
 @pytest.mark.parametrize("kind", ["clean", STATIC, DYNAMIC])
 def test_batched_measures_equal_serial_walks(walks, kind):
     steps = 40
-    p, init = series_pair(*NONTRIVIAL, steps)
+    p = series_params(*NONTRIVIAL, steps)
     if kind == "clean":
         serial = [CoinField.from_params(replace(p, theta1=t))
                   for t in np.linspace(0.2 * PI, 0.9 * PI, walks)]
@@ -376,9 +360,9 @@ def test_batched_measures_equal_serial_walks(walks, kind):
         batched = [CoinField.stack(step) for step in zip(*serial)]
     else:
         batched = CoinField.stack(serial)
-    measures = information_values(p, init, steps, MEASURES, batched)
+    measures = information_values(p, steps, MEASURES, batched)
     for b, fields in enumerate(serial):
-        for kind, (values, flagged) in information_values(p, init, steps, MEASURES,
+        for kind, (values, flagged) in information_values(p, steps, MEASURES,
                                                           fields).items():
             assert measures[kind][0].shape == (steps + 1, walks)
             assert np.array_equal(measures[kind][0][:, b], values)
@@ -387,10 +371,9 @@ def test_batched_measures_equal_serial_walks(walks, kind):
 
 def fi_surface_rows(params, t1_over_pi, steps):
     """Reference: one walk per theta1, rows appended theta1 by theta1."""
-    initial = default_initial_state(params.lattice_size)
     rows = []
     for t1 in t1_over_pi:
-        series = fisher_at_defect(replace(params, theta1=float(t1) * PI), initial, steps)
+        series = fisher_at_defect(replace(params, theta1=float(t1) * PI), steps)
         rows.extend(
             (float(t1), float(t), float(v), bool(f))
             for t, v, f in zip(series.steps, series.values, series.flagged)
@@ -419,10 +402,9 @@ def test_gfi_qfi_run_writes_each_separate_series(tmp_path):
            "walk": {"theta1_over_pi": 0.9, "theta2_over_pi": 0.75, "theta02_over_pi": -0.55}}
     cfg = validate_config(doc)
     experiments.run(cfg, tmp_path / "run")
-    init = default_initial_state(cfg.walk.lattice_size)
     for name, separate in (("fi_series.csv", fisher_at_defect), ("gfi_series.csv", global_fisher),
                            ("qfi_series.csv", quantum_fisher)):
-        series = separate(cfg.walk, init, 30)
+        series = separate(cfg.walk, 30)
         rows = [(float(t), float(v), bool(f))
                 for t, v, f in zip(series.steps, series.values, series.flagged)]
         serialize.write_csv(tmp_path / name, experiments.FI_HEADER, rows)
@@ -431,10 +413,10 @@ def test_gfi_qfi_run_writes_each_separate_series(tmp_path):
 
 def test_long_fisher_series_streams_in_small_memory():
     steps = 2000
-    p, init = series_pair(*NONTRIVIAL, steps)
+    p = series_params(*NONTRIVIAL, steps)
     tracemalloc.start()
     try:
-        fisher_at_defect(p, init, steps)
+        fisher_at_defect(p, steps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -451,10 +433,9 @@ def test_long_fisher_series_streams_in_small_memory():
 def test_information_hierarchy_at_drawn_angles(angles, steps, margin):
     n = 2 * steps + 3 + 2 * margin
     p = WalkParams(*angles, n)
-    init = default_initial_state(n)
-    fi = fisher_at_defect(p, init, steps).values
-    gfi = global_fisher(p, init, steps).values
-    qfi = quantum_fisher(p, init, steps).values
+    fi = fisher_at_defect(p, steps).values
+    gfi = global_fisher(p, steps).values
+    qfi = quantum_fisher(p, steps).values
     # the tolerance of perfbench/checks.py: a <= b + 1e-9 |b| + 1e-12
     assert (fi <= gfi + 1e-9 * np.abs(gfi) + 1e-12).all()
     assert (gfi <= qfi + 1e-9 * np.abs(qfi) + 1e-12).all()
@@ -467,7 +448,7 @@ def test_information_hierarchy_below_the_gfi_floor():
     # a point test_information_hierarchy_at_drawn_angles can draw: the site GFI
     # drops (P = 5.8e-13, dP = 6.4e-7) carries 0.708, and FI 2.0e-12 > GFI 5.8e-13
     p = WalkParams(2.0, 0.0, 1.8145e-06, 5)
-    series = fisher_series(p, default_initial_state(5), 1)
+    series = fisher_series(p, 1)
     fi, gfi = series[DEFECT_SITE_FI].values, series[GLOBAL_FI].values
     assert (fi <= gfi + 1e-9 * np.abs(gfi) + 1e-12).all()
 
@@ -482,7 +463,7 @@ def test_qfi_obeys_the_heisenberg_bound(theta1, others, steps):
     # theta02 enters each step once, through exp(-i theta02 sigma_y / 2) at the
     # defect: a generator of spectral range 1, so QFI(t) <= (1 * t)^2
     n = dynamics_lattice_size(steps)
-    qfi = quantum_fisher(WalkParams(theta1, *others, n), default_initial_state(n), steps).values
+    qfi = quantum_fisher(WalkParams(theta1, *others, n), steps).values
     ratio = qfi[1:] / np.arange(1, steps + 1) ** 2
     assert qfi[0] == 0.0
     assert (ratio <= 1.0 + 1e-9).all()
@@ -492,8 +473,8 @@ def test_qfi_obeys_the_heisenberg_bound(theta1, others, steps):
 
 
 def test_trivial_case_peaks_sit_above_the_bulk_fit():
-    p, init = series_pair(*TRIVIAL, steps=100)
-    series = fisher_at_defect(p, init, 100)
+    p = series_params(*TRIVIAL, steps=100)
+    series = fisher_at_defect(p, 100)
     fit_all = fit_scaling(series, mode="all_points")
     fit_peaks = fit_scaling(series, mode="peaks_only")
     t_mid = math.sqrt(10 * 100)
@@ -508,8 +489,8 @@ def constant_series(value, steps=30):
 
 
 def test_averaging_window_one_is_identity():
-    p, init = series_pair(*NONTRIVIAL, steps=30)
-    series = fisher_at_defect(p, init, 30)
+    p = series_params(*NONTRIVIAL, steps=30)
+    series = fisher_at_defect(p, 30)
     avg = averaged_fisher(series, window=1, spacing=5)
     np.testing.assert_array_equal(avg.steps, series.steps)
     np.testing.assert_array_equal(avg.values, series.values)
@@ -538,8 +519,8 @@ def test_averaging_rejects_short_series():
 
 
 def test_averaging_fills_fi_drops():
-    p, init = series_pair(*NONTRIVIAL, steps=100)
-    series = fisher_at_defect(p, init, 100)
+    p = series_params(*NONTRIVIAL, steps=100)
+    series = fisher_at_defect(p, 100)
     avg = averaged_fisher(series, window=5, spacing=5)
     centers = avg.steps[avg.steps >= 10]
     lookup = dict(zip(series.steps.tolist(), series.values.tolist()))
@@ -595,6 +576,16 @@ def test_fit_excludes_flagged_and_zero_values():
     assert fit.n_points == 17  # 21 in the window minus three flagged and one zero-valued
 
 
+def test_peaks_only_fit_window_ends_at_the_last_step():
+    # the window is the steps 10..last whatever the mode: the last peak
+    # (t = 28) does not end it, and fit.json's t_max keeps its value
+    steps = np.arange(0, 31)
+    values = steps**2 * (1.0 + 0.5 * (-1.0) ** steps)
+    fit = fit_scaling(FisherSeries(steps, values, None), mode="peaks_only")
+    assert repr(fit.fit_window) == "(10.0, 30.0)"
+    assert fit.n_points == 10  # the peaks in the window are the even steps 10..28
+
+
 def test_fit_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        power_law_fit(np.arange(10), np.arange(10, dtype=float), mode="median")
+        power_law_fit(np.arange(10), np.arange(10, dtype=float), window=(1, 9), mode="median")

@@ -3,7 +3,10 @@
 The oracles here are built independently of the production sweeps: a dense
 operator assembled from Kronecker products of shift and coin blocks, a
 momentum-space reconstruction through the FFT, and central finite
-differences for every derivative claim.
+differences for every derivative claim.  Properties of one step on any
+state are checked on the step kernels with arbitrary stacks; every walk
+starts at |-1, down>, and the walk tests draw angles, sizes, horizons and
+coin fields around that one start.
 """
 
 import itertools
@@ -20,15 +23,7 @@ from qwsense import kernels
 from qwsense.bayes import defect_probability_series
 from qwsense.disorder import DYNAMIC, STATIC, DisorderSpec, sample_disorder
 from qwsense.metrology import fisher_at_defect
-from qwsense.walk import (
-    CoinField,
-    WalkParams,
-    WalkerState,
-    default_initial_state,
-    light_cone,
-    propagate,
-    wrap_angle,
-)
+from qwsense.walk import CoinField, WalkParams, light_cone, propagate, wrap_angle
 
 PI = math.pi
 
@@ -75,39 +70,45 @@ def dense_step_derivative(angles1, angles2, defect_idx):
     return t_down @ dc2 @ t_up @ c1
 
 
-def random_state(n, rng):
-    amps = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
-    amps /= np.linalg.norm(amps)
-    return WalkerState(amps, n)
+def start_grid(n):
+    """Reference: the complex (N, 2) start |-1, down>, from physical position x = -1."""
+    grid = np.zeros((n, 2), dtype=np.complex128)
+    grid[-1 + (n - 1) // 2, 1] = 1.0
+    return grid
+
+
+def random_stack(shape, rng, dtype=np.complex128):
+    """Arbitrary amplitudes of the given (..., N, 2) shape, not normalized."""
+    amps = rng.normal(size=shape)
+    if dtype == np.complex128:
+        amps = amps + 1j * rng.normal(size=shape)
+    return amps
+
+
+def kernel_step(amps, coins):
+    """One ``kernels.split_step`` of an arbitrary (..., N, 2) stack on ``coins``."""
+    return kernels.split_step(amps, *coins.half_angle_tables(), np.empty_like(amps))
 
 
 def nontrivial(n):
     return WalkParams(0.9 * PI, 0.75 * PI, -0.55 * PI, n)
 
 
-def step_once(params, state, coins=None, derivative=False):
-    """The one-step walk: what ``propagate`` yields after its single step."""
-    *_, last = propagate(params, state, 1, coins, derivative)
-    return last
-
-
-# --- one step ------------------------------------------------------------
+# --- one step: the kernels on arbitrary stacks -----------------------------
 
 
 def test_identity_coins_shift_down_left():
-    params = WalkParams(0.0, 0.0, 0.0, 9)
-    state = WalkerState.from_position(-1, "down", 9)
-    psi = step_once(params, state, CoinField.from_params(params))
-    expected = WalkerState.from_position(-2, "down", 9)
-    np.testing.assert_array_equal(psi.reshape(-1), expected.amplitudes)
+    rng = np.random.default_rng(1)
+    amps = random_stack((3, 9, 2), rng)
+    out = kernel_step(amps, CoinField.from_params(WalkParams(0.0, 0.0, 0.0, 9)))
+    np.testing.assert_array_equal(out[..., 1], np.roll(amps[..., 1], -1, axis=-1))
 
 
 def test_identity_coins_shift_up_right():
-    params = WalkParams(0.0, 0.0, 0.0, 9)
-    state = WalkerState.from_position(0, "up", 9)
-    psi = step_once(params, state, CoinField.from_params(params))
-    expected = WalkerState.from_position(1, "up", 9)
-    np.testing.assert_array_equal(psi.reshape(-1), expected.amplitudes)
+    rng = np.random.default_rng(2)
+    amps = random_stack((3, 9, 2), rng)
+    out = kernel_step(amps, CoinField.from_params(WalkParams(0.0, 0.0, 0.0, 9)))
+    np.testing.assert_array_equal(out[..., 0], np.roll(amps[..., 0], 1, axis=-1))
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -115,13 +116,11 @@ def test_dense_operator_equivalence(n):
     params = WalkParams(0.9 * PI, 0.75 * PI, -0.55 * PI, n)
     coins = CoinField.from_params(params)
     dense = dense_step_operator(coins.angles1, coins.angles2)
-    # elementwise: apply the step to every basis vector
-    for j in range(2 * n):
-        basis = np.zeros(2 * n, dtype=complex)
-        basis[j] = 1.0
-        state = WalkerState(basis, n)
-        psi = step_once(params, state, coins)
-        np.testing.assert_allclose(psi.reshape(-1), dense[:, j], atol=1e-12)
+    # elementwise: step every basis vector, as one stack of 2N walks
+    for dtype in (np.float64, np.complex128):
+        basis = np.eye(2 * n, dtype=dtype).reshape(2 * n, n, 2)
+        columns = kernel_step(basis, coins).reshape(2 * n, 2 * n)
+        np.testing.assert_allclose(columns.T, dense, atol=1e-12)
 
 
 def test_dense_oracle_random_input():
@@ -130,27 +129,29 @@ def test_dense_oracle_random_input():
     params = WalkParams(1.1, -0.7, 2.4, n)
     coins = CoinField.from_params(params)
     dense = dense_step_operator(coins.angles1, coins.angles2)
-    state = random_state(n, rng)
-    psi = step_once(params, state, coins).reshape(-1)
-    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
-    np.testing.assert_allclose(psi, dense @ state.amplitudes, atol=1e-12)
+    amps = random_stack((4, n, 2), rng)
+    amps /= np.linalg.norm(amps.reshape(4, -1), axis=-1)[:, np.newaxis, np.newaxis]
+    out = kernel_step(amps, coins).reshape(4, -1)
+    np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(out, amps.reshape(4, -1) @ dense.T, atol=1e-12)
 
 
 def test_step_preserves_norm():
     rng = np.random.default_rng(4)
     for _ in range(10):
         n = 2 * rng.integers(2, 30) + 1
-        params = WalkParams(*rng.uniform(-PI, PI, size=3), n)
-        state = random_state(n, rng)
-        psi = step_once(params, state, CoinField.from_params(params))
-        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+        coins = CoinField(rng.uniform(-PI, PI, size=(3, n)), rng.uniform(-PI, PI, size=(3, n)))
+        for dtype in (np.float64, np.complex128):
+            amps = random_stack((3, n, 2), rng, dtype)
+            out = kernel_step(amps, coins)
+            np.testing.assert_allclose(np.linalg.norm(out.reshape(3, -1), axis=-1),
+                                       np.linalg.norm(amps.reshape(3, -1), axis=-1), rtol=1e-12)
 
 
 def test_step_rejects_mismatched_field():
-    state = default_initial_state(9)
     coins = CoinField.from_params(WalkParams(0.1, 0.2, 0.3, 11))
     with pytest.raises(ValueError):
-        step_once(nontrivial(9), state, coins)
+        list(propagate(nontrivial(9), 1, coins))
 
 
 # --- derivative propagation ----------------------------------------------
@@ -160,10 +161,9 @@ def test_initial_derivative_is_du_psi():
     n = 9
     params = nontrivial(n)
     coins = CoinField.from_params(params)
-    state = default_initial_state(n)
-    _, dpsi = step_once(params, state, coins, derivative=True)
+    *_, (_, dpsi) = propagate(params, 1, coins, derivative=True)
     du = dense_step_derivative(coins.angles1, coins.angles2, params.defect_index)
-    np.testing.assert_allclose(dpsi.reshape(-1), du @ state.amplitudes, atol=1e-14)
+    np.testing.assert_allclose(dpsi.reshape(-1), du @ start_grid(n).reshape(-1), atol=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
@@ -176,29 +176,33 @@ def test_derivative_matches_finite_difference(angles, steps, margin):
     h = 1e-6
     n = 2 * steps + 3 + 2 * margin
     params = WalkParams(*angles, n)
-    initial = default_initial_state(n)
-    *_, (_, dpsi) = propagate(params, initial, steps, derivative=True)
-    *_, plus = propagate(replace(params, theta02=params.theta02 + h), initial, steps)
-    *_, minus = propagate(replace(params, theta02=params.theta02 - h), initial, steps)
+    *_, (_, dpsi) = propagate(params, steps, derivative=True)
+    *_, plus = propagate(replace(params, theta02=params.theta02 + h), steps)
+    *_, minus = propagate(replace(params, theta02=params.theta02 - h), steps)
     fd = (plus - minus).reshape(-1) / (2 * h)
     scale = max(np.linalg.norm(fd), 1e-8)
     assert np.linalg.norm(dpsi.reshape(-1) - fd) / scale < 1e-6
 
 
 def test_derivative_zero_before_wavefront_arrives():
-    n = 21
-    params = nontrivial(n)
-    coins = CoinField.from_params(params)
-    state = WalkerState.from_position(-5, "down", n)
-    _, dpsi = step_once(params, state, coins, derivative=True)
-    assert np.array_equal(dpsi.reshape(-1), np.zeros(2 * n))
+    # the defect coin reads rows defect - 1 and defect: while psi is zero
+    # there, a pair step leaves a zero derivative zero
+    rng = np.random.default_rng(5)
+    n, defect = 21, 10
+    for dtype in (np.float64, np.complex128):
+        psi = random_stack((3, n, 2), rng, dtype)
+        psi[:, defect - 1 : defect + 1] = 0.0
+        pair = np.stack((psi, np.zeros_like(psi)))
+        out = kernels.split_step_pair(pair, *CoinField.from_params(nontrivial(n))
+                                      .half_angle_tables(), defect, np.empty_like(pair))
+        assert np.array_equal(out[1], np.zeros_like(psi))
+        assert out[0].any()
 
 
 def test_derivative_tangent_to_unit_sphere():
     params = nontrivial(41)
     coins = CoinField.from_params(params)
-    pairs = propagate(params, default_initial_state(41), 19, coins, derivative=True)
-    for psi, dpsi in pairs:
+    for psi, dpsi in propagate(params, 19, coins, derivative=True):
         overlap = np.vdot(psi, dpsi)
         assert abs(overlap.real) < 1e-10
 
@@ -207,15 +211,17 @@ def test_derivative_tangent_to_unit_sphere():
 
 
 def test_evolve_zero_steps():
-    state = default_initial_state(9)
-    series = [psi.copy() for psi in propagate(nontrivial(9), state, 0)]
+    series = [psi.copy() for psi in propagate(nontrivial(9), 0)]
     assert len(series) == 1
-    assert np.array_equal(series[0].reshape(-1), state.amplitudes)
+    assert series[0].dtype == np.float64
+    assert np.array_equal(series[0], start_grid(9))
+    (psi, dpsi), = propagate(nontrivial(9), 0, derivative=True)
+    assert np.array_equal(psi, start_grid(9))
+    assert not dpsi.any()
 
 
-def momentum_evolve(state, theta1, theta2, steps):
+def momentum_evolve(grid, theta1, theta2, steps):
     """FFT to momentum blocks, advance each band's phase, transform back."""
-    grid = state.grid()
     n = grid.shape[0]
     ft = np.fft.fft(grid, axis=0)
     k = 2 * PI * np.arange(n) / n
@@ -235,9 +241,8 @@ def momentum_evolve(state, theta1, theta2, steps):
 def test_evolve_momentum_space_oracle(theta1, theta2, n=32, steps=17):
     n = n + 1  # odd lattice
     params = WalkParams(theta1, theta2, theta2, n)  # no defect
-    state = default_initial_state(n)
-    *_, last = propagate(params, state, steps)
-    expected = momentum_evolve(state, theta1, theta2, steps)
+    *_, last = propagate(params, steps)
+    expected = momentum_evolve(start_grid(n), theta1, theta2, steps)
     np.testing.assert_allclose(last.reshape(-1), expected, atol=1e-10)
 
 
@@ -245,71 +250,61 @@ def test_defect_neutral_walk_is_bit_exact():
     n = 31
     params = WalkParams(0.9 * PI, 0.75 * PI, 0.75 * PI, n)  # theta02 == theta2
     uniform = CoinField(np.full(n, params.theta1), np.full(n, params.theta2))
-    series = [psi.copy() for psi in propagate(params, default_initial_state(n), 12)]
-    state = default_initial_state(n)
-    for expected in series[1:]:
-        psi = step_once(params, state, uniform)
-        state = WalkerState(psi.flatten(), n)
-        assert np.array_equal(state.amplitudes, expected.reshape(-1))
+    psi = start_grid(n)
+    for expected in itertools.islice(propagate(params, 12), 1, None):
+        psi = kernel_step(psi, uniform)
+        assert np.array_equal(psi, expected)
 
 
 def test_light_cone_support_is_exactly_zero():
+    # the walk starts at x = -1 and moves at most one site per step
     rng = np.random.default_rng(6)
     n = 61
+    offset = (n - 1) // 2
     for _ in range(5):
-        x0 = int(rng.integers(-10, 11))
         steps = int(rng.integers(1, 12))
         params = WalkParams(*rng.uniform(-PI, PI, size=3), n)
-        state = WalkerState.from_position(x0, "down", n)
-        *_, final = propagate(params, state, steps)
-        grid = np.abs(final)
-        offset = (n - 1) // 2
+        *_, (final, dfinal) = propagate(params, steps, derivative=True)
         for x in range(-offset, offset + 1):
-            if abs(x - x0) > steps:
-                assert grid[x + offset].max() == 0.0
+            if abs(x + 1) > steps:
+                assert not final[x + offset].any()
+                assert not dfinal[x + offset].any()
 
 
 def test_evolve_negative_steps_rejected():
     with pytest.raises(ValueError):
-        next(propagate(nontrivial(9), default_initial_state(9), -1))
+        next(propagate(nontrivial(9), -1))
 
 
 # --- streaming propagation -------------------------------------------------
 
 
 def _bad_steps(params):
-    return default_initial_state(params.lattice_size), -1, None
-
-
-def _bad_initial(params):
-    return default_initial_state(params.lattice_size + 2), 5, None
+    return -1, None
 
 
 def _bad_field(params):
     fields = [CoinField.from_params(params)] * 4
     fields.append(CoinField.from_params(nontrivial(params.lattice_size + 2)))
-    return default_initial_state(params.lattice_size), 5, fields
+    return 5, fields
 
 
 def _bad_first_field(params):
-    fields = [CoinField.from_params(nontrivial(params.lattice_size + 2))] * 5
-    return default_initial_state(params.lattice_size), 5, fields
+    return 5, [CoinField.from_params(nontrivial(params.lattice_size + 2))] * 5
 
 
 def _mixed_batch(params):
     clean = CoinField.from_params(params)
-    fields = [CoinField.stack([clean, clean])] * 4 + [clean]
-    return default_initial_state(params.lattice_size), 5, fields
+    return 5, [CoinField.stack([clean, clean])] * 4 + [clean]
 
 
 def _short_iterator(params):
-    return default_initial_state(params.lattice_size), 5, iter([CoinField.from_params(params)] * 4)
+    return 5, iter([CoinField.from_params(params)] * 4)
 
 
 @pytest.mark.parametrize("series", [defect_probability_series, fisher_at_defect])
 @pytest.mark.parametrize("inputs, message", [
     (_bad_steps, "steps must be"),
-    (_bad_initial, "initial state lattice size"),
     (_bad_field, "coin field length"),
     (_bad_first_field, "coin field length"),
     (_mixed_batch, "share one batch shape"),
@@ -317,26 +312,23 @@ def _short_iterator(params):
 ])
 def test_streamed_series_reject_mismatched_inputs(series, inputs, message):
     params = nontrivial(13)
-    initial, steps, fields = inputs(params)
+    steps, fields = inputs(params)
     with pytest.raises(ValueError, match=message):
-        series(params, initial, steps, fields)
+        series(params, steps, fields)
 
 
 def test_streamed_pair_equals_single_step_pairs():
-    # one pair step is (U psi, U dpsi + (dU) psi); U psi and (dU) psi are the
-    # one-step walk from psi with its derivative, U dpsi is the step kernel
+    # one pair step is (U psi, U dpsi + (dU) psi); the pair kernel on
+    # (psi, 0) gives U psi and (dU) psi, the step kernel U dpsi
     n = 31
     params = nontrivial(n)
-    coins = CoinField.from_params(params)
-    tables = coins.half_angle_tables()
-    initial = default_initial_state(n)
-    psi, dpsi = initial.grid(), np.zeros((n, 2), dtype=np.complex128)
-    for t, (streamed, dstreamed) in enumerate(
-        propagate(params, initial, 12, derivative=True)
-    ):
+    tables = CoinField.from_params(params).half_angle_tables()
+    psi, dpsi = start_grid(n), np.zeros((n, 2), dtype=np.complex128)
+    for t, (streamed, dstreamed) in enumerate(propagate(params, 12, derivative=True)):
         if t:
-            state = WalkerState(psi.flatten(), n)
-            stepped, du_psi = step_once(params, state, coins, derivative=True)
+            pair = np.stack((psi, np.zeros_like(psi)))
+            stepped, du_psi = kernels.split_step_pair(pair, *tables, params.defect_index,
+                                                      np.empty_like(pair))
             u_dpsi = kernels.split_step(dpsi, *tables, np.empty_like(dpsi))
             psi, dpsi = stepped, u_dpsi + du_psi
         assert np.array_equal(streamed, psi)
@@ -352,7 +344,7 @@ def test_streamed_pair_equals_single_step_pairs():
 def test_propagation_stays_unitary_and_tangent(angles, steps, margin):
     n = 2 * steps + 3 + 2 * margin
     params = WalkParams(*angles, n)
-    for psi, dpsi in propagate(params, default_initial_state(n), steps, derivative=True):
+    for psi, dpsi in propagate(params, steps, derivative=True):
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
         assert abs(np.vdot(psi, dpsi).real) <= 1e-12
 
@@ -366,11 +358,13 @@ def step_fields(params, steps, coin_fields=None):
     return list(coin_fields)[:steps]
 
 
-def full_ring_walk(params, initial, steps, coin_fields=None):
-    """Reference: every step on the whole ring into fresh arrays, no window."""
+def full_ring_walk(params, steps, coin_fields=None):
+    """Reference: the complex walk from the start, every step on the whole ring
+    into fresh arrays, no window."""
     fields = step_fields(params, steps, coin_fields)
-    psi = np.zeros(fields[0].angles1.shape + (2,), dtype=np.complex128)
-    psi[...] = initial.grid()
+    batch = fields[0].angles1.shape[:-1] if fields else ()
+    psi = np.zeros(batch + (params.lattice_size, 2), dtype=np.complex128)
+    psi[...] = start_grid(params.lattice_size)
     dpsi = np.zeros_like(psi)
     yield psi, dpsi
     for field in fields:
@@ -380,56 +374,15 @@ def full_ring_walk(params, initial, steps, coin_fields=None):
         yield psi, dpsi
 
 
-def _assert_walks_equal(params, initial, steps, coin_fields=None):
-    reference = list(full_ring_walk(params, initial, steps, coin_fields))
-    pairs = propagate(params, initial, steps, coin_fields, derivative=True)
+def _assert_walks_equal(params, steps, coin_fields=None):
+    reference = list(full_ring_walk(params, steps, coin_fields))
+    pairs = propagate(params, steps, coin_fields, derivative=True)
     for (psi, dpsi), (ref, dref) in zip(pairs, reference, strict=True):
         assert np.array_equal(psi, ref)
         assert np.array_equal(dpsi, dref)
-    states = propagate(params, initial, steps, coin_fields)
+    states = propagate(params, steps, coin_fields)
     for psi, (ref, _) in zip(states, reference, strict=True):
         assert np.array_equal(psi, ref)
-
-
-@st.composite
-def lattice_states(draw):
-    """A basis state at any site, or a superposition of two sites."""
-    n = 2 * draw(st.integers(1, 15)) + 1
-    offset = (n - 1) // 2
-    sites = st.tuples(st.integers(-offset, offset), st.sampled_from(["up", "down"]))
-    first = draw(sites)
-    state = WalkerState.from_position(*first, n)
-    if draw(st.booleans()):
-        second = draw(sites.filter(lambda site: site[0] != first[0]))
-        angle = draw(st.floats(0.1, 1.4))
-        phase = draw(st.floats(-PI, PI))
-        amps = math.cos(angle) * state.amplitudes
-        amps += math.sin(angle) * np.exp(1j * phase) * WalkerState.from_position(
-            *second, n).amplitudes
-        state = WalkerState(amps, n)
-    return state
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    initial=lattice_states(),
-    angles=st.tuples(*[st.floats(-PI, PI)] * 3),
-    extra=st.integers(0, 40),
-)
-def test_windowed_walk_equals_full_ring_walk(initial, angles, extra):
-    # up to 40 steps past a ring-covering cone, so the walk wraps around
-    n = initial.lattice_size
-    _assert_walks_equal(WalkParams(*angles, n), initial, n // 2 + extra)
-
-
-def test_windowed_walk_equals_full_ring_walk_under_disorder():
-    n, steps = 31, 40
-    params = nontrivial(n)
-    initial = WalkerState.from_position(6, "up", n)
-    static = sample_disorder(DisorderSpec(STATIC, 0.2, 1, 3), params, 0)
-    dynamic = sample_disorder(DisorderSpec(DYNAMIC, 0.2, 1, 4), params, 0, steps=steps)
-    for fields in (static, dynamic):
-        _assert_walks_equal(params, initial, steps, fields)
 
 
 @st.composite
@@ -448,34 +401,59 @@ def drawn_fields(draw, n, steps):
     return field() if kind == "static" else [field() for _ in range(steps)]
 
 
+# rings of 3..31 sites
+SIZES = st.integers(1, 15).map(lambda k: 2 * k + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=SIZES, angles=st.tuples(*[st.floats(-PI, PI)] * 3), extra=st.integers(0, 40),
+       data=st.data())
+def test_windowed_walk_equals_full_ring_walk(n, angles, extra, data):
+    # up to 40 steps past a ring-covering cone, so the walk wraps around
+    steps = n // 2 + extra
+    fields = data.draw(drawn_fields(n, steps))
+    _assert_walks_equal(WalkParams(*angles, n), steps, fields)
+
+
+def test_windowed_walk_equals_full_ring_walk_under_disorder():
+    n, steps = 31, 40
+    params = nontrivial(n)
+    static = sample_disorder(DisorderSpec(STATIC, 0.2, 1, 3), params, 0)
+    dynamic = sample_disorder(DisorderSpec(DYNAMIC, 0.2, 1, 4), params, 0, steps=steps)
+    for fields in (static, dynamic):
+        _assert_walks_equal(params, steps, fields)
+
+
 @settings(max_examples=60, deadline=None)
-@given(initial=lattice_states(), angles=st.tuples(*[st.floats(-PI, PI)] * 3),
-       steps=st.integers(1, 40), data=st.data())
-def test_diamond_walk_keeps_the_full_ring_walks_defect_row(initial, angles, steps, data):
-    # supports anywhere on rings of 3..31 sites, so the cone often wraps
-    n = initial.lattice_size
+@given(n=SIZES, angles=st.tuples(*[st.floats(-PI, PI)] * 3), steps=st.integers(1, 40),
+       data=st.data())
+def test_diamond_walk_keeps_the_full_ring_walks_defect_row(n, angles, steps, data):
+    # the cone often wraps these rings
     params = WalkParams(*angles, n)
     fields = data.draw(drawn_fields(n, steps))
     defect = params.defect_index
-    reference = list(full_ring_walk(params, initial, steps, fields))
-    pairs = propagate(params, initial, steps, fields, derivative=True, defect_only=True)
+    reference = list(full_ring_walk(params, steps, fields))
+    pairs = propagate(params, steps, fields, derivative=True, defect_only=True)
     for (psi, dpsi), (ref, dref) in zip(pairs, reference, strict=True):
         assert np.array_equal(psi[..., defect, :], ref[..., defect, :])
         assert np.array_equal(dpsi[..., defect, :], dref[..., defect, :])
-    states = propagate(params, initial, steps, fields, defect_only=True)
+    states = propagate(params, steps, fields, defect_only=True)
     for psi, (ref, _) in zip(states, reference, strict=True):
         assert np.array_equal(psi[..., defect, :], ref[..., defect, :])
 
 
 @settings(max_examples=60, deadline=None)
-@given(initial=lattice_states(), horizon=st.integers(0, 40))
-def test_light_cone_horizon_narrows_one_row_per_side_once_backward_bound(initial, horizon):
-    n = initial.lattice_size
+@given(n=SIZES, horizon=st.integers(0, 40))
+def test_light_cone_horizon_narrows_one_row_per_side_once_backward_bound(n, horizon):
     params = WalkParams(0.0, 0.0, 0.0, n)
     defect = params.defect_index
-    windows = list(light_cone(params, initial, horizon))
-    forward = list(itertools.islice(light_cone(params, initial), horizon + 1))
+    windows = list(light_cone(params, horizon))
+    forward = list(itertools.islice(light_cone(params), horizon + 1))
     assert len(windows) == horizon + 1
+    # the forward window: the start row and the defect, widened by t and one zero row per side
+    for t, rows in enumerate(forward):
+        lo, hi = defect - 2 - t, defect + 2 + t
+        assert rows == (slice(lo, hi) if lo >= 0 and hi <= n else slice(0, n))
     backward_bound = [rows != ahead for rows, ahead in zip(windows, forward)]
     # forward windows while they fit inside the backward ones, backward ones after
     assert backward_bound == sorted(backward_bound)
@@ -494,22 +472,14 @@ def test_light_cone_horizon_narrows_one_row_per_side_once_backward_bound(initial
     assert windows[-1] == slice(defect, defect + 1)
 
 
-def superposition(n):
-    """A start state with a complex amplitude: (|-1, down> + i |1, up>) / sqrt(2)."""
-    amps = default_initial_state(n).amplitudes
-    amps = amps + 1j * WalkerState.from_position(1, "up", n).amplitudes
-    return WalkerState(amps / math.sqrt(2.0), n)
-
-
-@pytest.mark.parametrize("start, dtype", [("real", np.float64), ("complex", np.complex128)])
+@pytest.mark.parametrize("start, dtype", [("real", np.float64)])
 @pytest.mark.parametrize("n", [51, 15])  # 15 sites: the cone covers the ring and the walk wraps
 def test_real_start_steps_real_buffers(start, dtype, n):
     params = nontrivial(n)
-    initial = default_initial_state(n) if start == "real" else superposition(n)
     steps = 24
-    reference = list(full_ring_walk(params, initial, steps))
+    reference = list(full_ring_walk(params, steps))
     for derivative in (True, False):
-        walk = propagate(params, initial, steps, derivative=derivative)
+        walk = propagate(params, steps, derivative=derivative)
         for got, (ref, dref) in zip(walk, reference, strict=True):
             psi, dpsi = got if derivative else (got, None)
             assert psi.dtype == dtype
@@ -519,13 +489,25 @@ def test_real_start_steps_real_buffers(start, dtype, n):
                 assert np.array_equal(dpsi, dref)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=SIZES, angles=st.tuples(*[st.floats(-PI, PI)] * 3), steps=st.integers(0, 40),
+       data=st.data())
+def test_drawn_walks_step_real_buffers(n, angles, steps, data):
+    # the start and every coin and shift are real: every mode steps float64
+    params = WalkParams(*angles, n)
+    fields = data.draw(drawn_fields(n, steps))
+    for derivative, defect_only in itertools.product((False, True), repeat=2):
+        for got in propagate(params, steps, fields, derivative, defect_only):
+            for buffer in got if derivative else (got,):
+                assert buffer.dtype == np.float64
+
+
 def test_iterator_of_fields_walks_like_the_list():
     n, steps = 31, 20
     params = nontrivial(n)
     fields = sample_disorder(DisorderSpec(DYNAMIC, 0.2, 1, 4), params, 0, steps=steps)
-    initial = default_initial_state(n)
-    listed = propagate(params, initial, steps, fields, derivative=True)
-    streamed = propagate(params, initial, steps, iter(fields + fields[:3]), derivative=True)
+    listed = propagate(params, steps, fields, derivative=True)
+    streamed = propagate(params, steps, iter(fields + fields[:3]), derivative=True)
     for (psi, dpsi), (ref, dref) in zip(streamed, listed, strict=True):
         assert np.array_equal(psi, ref)
         assert np.array_equal(dpsi, dref)
@@ -544,26 +526,24 @@ def _batch_fields(kind, params, walks, steps):
 def test_batched_walk_equals_serial_walks(kind, walks):
     n, steps = 41, 30
     params = nontrivial(n)
-    initial = default_initial_state(n)
     serial = _batch_fields(kind, params, walks, steps)
     if kind == DYNAMIC:
         batched = [CoinField.stack(step) for step in zip(*serial)]
     else:
         batched = CoinField.stack(serial)
-    runs = [list(full_ring_walk(params, initial, steps, f)) for f in serial]
-    pairs = propagate(params, initial, steps, batched, derivative=True)
+    runs = [list(full_ring_walk(params, steps, f)) for f in serial]
+    pairs = propagate(params, steps, batched, derivative=True)
     for t, (psi, dpsi) in enumerate(pairs):
         assert psi.shape == (walks, n, 2)
         for b, run in enumerate(runs):
             assert np.array_equal(psi[b], run[t][0])
             assert np.array_equal(dpsi[b], run[t][1])
-    series = defect_probability_series(params, initial, steps, batched)
+    series = defect_probability_series(params, steps, batched)
     for b, fields in enumerate(serial):
-        assert np.array_equal(series[:, b],
-                              defect_probability_series(params, initial, steps, fields))
+        assert np.array_equal(series[:, b], defect_probability_series(params, steps, fields))
 
 
-# --- parameter and state validation ---------------------------------------
+# --- parameter validation ---------------------------------------
 
 
 def test_wrap_angle_reduces_out_of_range():
@@ -605,12 +585,3 @@ def test_params_reject_non_integral_lattice_size(size):
 def test_params_accept_integral_lattice_size_of_any_type():
     for size in (9, 9.0, np.int64(9), np.float64(9.0)):
         assert WalkParams(0.1, 0.2, 0.3, size).lattice_size == 9
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        WalkerState(np.ones(18), 9)  # unnormalized
-    with pytest.raises(ValueError):
-        WalkerState(np.zeros(17), 9)  # wrong length
-    with pytest.raises(ValueError):
-        WalkerState.from_position(6, "down", 9)  # off lattice
