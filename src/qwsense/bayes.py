@@ -121,7 +121,7 @@ class EstimationCurve:
     # largest posterior weight in the grid's first and last cells together,
     # over every step and repetition: near 1 when the prior window cuts the mass
     edge_mass: float
-    posteriors: list[PosteriorGrid] | None = None
+    weights: np.ndarray  # (len(schedule), grid_points): each step's first-repetition posterior
 
 
 def defect_probability_series(params: WalkParams, steps: int, coin_fields=None) -> np.ndarray:
@@ -322,7 +322,6 @@ def estimation_curve(
     candidate_table: np.ndarray,
     data_coin_fields=None,
     seed_prefix: tuple = (),
-    keep_posteriors: bool = False,
 ) -> EstimationCurve:
     """Fresh M-trial experiments at each scheduled step; msre per record.
 
@@ -332,7 +331,9 @@ def estimation_curve(
     (optionally disordered via ``data_coin_fields``); the likelihood reads
     ``candidate_table``, candidate_probability_table over the config's grid
     and schedule (one row per scheduled step, one column per grid point),
-    built on whatever model the caller estimates with.
+    built on whatever model the caller estimates with.  The curve's
+    ``weights`` row i holds step i's first-repetition posterior weights,
+    those of ``posterior`` on that repetition's click count.
     """
     t_max = max(config.schedule)
     p_true = defect_probability_series(config.params, t_max, data_coin_fields)
@@ -343,7 +344,7 @@ def estimation_curve(
         )
     candidate_table = np.asarray(candidate_table, dtype=np.float64)
     records = []
-    grids = [] if keep_posteriors else None
+    first_weights = np.empty(np.shape(candidate_table))
     edge_mass = 0.0
     for i, t in enumerate(config.schedule):
         p_t = min(max(p_true[t], 0.0), 1.0)
@@ -357,8 +358,7 @@ def estimation_curve(
         means = (weights * candidates).sum(axis=-1, keepdims=True)
         variances = (weights * (candidates - means) ** 2).sum(axis=-1)
         edge_mass = max(edge_mass, float((weights[:, 0] + weights[:, -1]).max()))
-        if grids is not None:
-            grids.append(PosteriorGrid(candidates, log_w[0]))
+        first_weights[i] = weights[0]
         errors = [
             _relative_error(float(var), float(mean), config.params.theta02)
             for var, mean in zip(variances, means[:, 0])
@@ -378,4 +378,4 @@ def estimation_curve(
         )
     except ValueError:
         fit = None  # fewer than 5 usable records
-    return EstimationCurve(records, fit, edge_mass, grids)
+    return EstimationCurve(records, fit, edge_mass, first_weights)

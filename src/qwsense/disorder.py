@@ -8,7 +8,7 @@ are deterministic functions of (master_seed, realization_index) through
 numpy's SeedSequence spawn keys, so realizations are order-independent.
 
 ``ensemble_fisher`` walks all R realizations as one batch through
-``walk.propagate``: static disorder as one (R, N) coin field, dynamic
+``metrology.fisher_at_defect``: static disorder as one (R, N) coin field, dynamic
 disorder as one (R, N) field per step, row r holding realization r's angle
 pair of that step, drawn from its stream as the walk reaches the step (so
 the run holds O(R N) angles, not O(R T N)).  Each row's FI equals that
@@ -124,10 +124,7 @@ def ensemble_fisher(spec: DisorderSpec, base: WalkParams, steps: int) -> Ensembl
     At zero width every realization is the clean walk, so the mean is the
     clean FI exactly and the std is zero.
     """
-    fields = _ensemble_fields(spec, base, steps)
-    fi, _ = metrology.information_values(
-        base, steps, (metrology.DEFECT_SITE_FI,), fields
-    )[metrology.DEFECT_SITE_FI]
+    fi = metrology.fisher_at_defect(base, steps, _ensemble_fields(spec, base, steps)).values
     per_realization = np.ascontiguousarray(fi.T)  # rows summed in realization order
     return EnsembleResult(
         np.arange(steps + 1), per_realization.mean(axis=0), per_realization.std(axis=0),

@@ -71,7 +71,7 @@ def _run_fi_scaling(cfg: ExperimentConfig) -> Artifacts:
 
 
 def _run_gfi_qfi(cfg: ExperimentConfig) -> Artifacts:
-    series = metrology.fisher_series(cfg.walk, cfg.steps)
+    series = metrology.information_values(cfg.walk, cfg.steps)
     art = Artifacts()
     for name, kind in (
         ("fi_series.csv", metrology.DEFECT_SITE_FI),
@@ -104,12 +104,10 @@ def _run_fi_surface(cfg: ExperimentConfig) -> Artifacts:
     fields = CoinField.stack([
         CoinField.from_params(replace(params, theta1=float(t1) * PI)) for t1 in t1_over_pi
     ])
-    values, flagged = metrology.information_values(
-        params, steps, (metrology.DEFECT_SITE_FI,), fields
-    )[metrology.DEFECT_SITE_FI]
+    series = metrology.fisher_at_defect(params, steps, fields)
     rows = [
         (float(t1), float(t), float(v), bool(f))
-        for t1, walk_values, walk_flagged in zip(t1_over_pi, values.T, flagged.T)
+        for t1, walk_values, walk_flagged in zip(t1_over_pi, series.values.T, series.flagged.T)
         for t, v, f in zip(range(steps + 1), walk_values, walk_flagged)
     ]
     art = Artifacts()
@@ -178,12 +176,12 @@ def _estimation_config(
 
 def _run_bayes(cfg: ExperimentConfig) -> Artifacts:
     est, table = _estimation_config(cfg)
-    curve = bayes.estimation_curve(est, table, keep_posteriors=True)
+    curve = bayes.estimation_curve(est, table)
     est_rows = [(r.step, r.trials, r.successes, r.msre) for r in curve.records]
+    thetas = (est.candidates() / PI).tolist()
     post_rows = []
-    for record, grid in zip(curve.records, curve.posteriors):
-        thetas = (grid.candidates / PI).tolist()
-        post_rows.extend(zip(repeat(record.step), thetas, grid.weights.tolist()))
+    for record, weights in zip(curve.records, curve.weights.tolist()):
+        post_rows.extend(zip(repeat(record.step), thetas, weights))
     art = Artifacts()
     art.csv["estimation.csv"] = (("t", "M", "m", "msre"), est_rows)
     art.csv["posterior.csv"] = (("t", "theta02_over_pi", "weight"), post_rows)

@@ -2,12 +2,11 @@
 
 Three information measures are computed from the exactly propagated
 (state, derivative) pair as the walk streams through ``walk.propagate``
-from its one start, |-1, down>;
-no trajectory is stored, so a series of any length holds O(N) memory
-besides O(T) values.  GFI and QFI are reduced to one number per step; the
-defect-site FI keeps each step's psi and dpsi defect rows, four numbers per
-walk, and reduces all steps at once after the walk (elementwise, so with
-the bits of a per-step reduction):
+from its one start, |-1, down>; no trajectory is stored, so a series of
+any length holds O(N) memory besides O(T) values.  GFI and QFI are reduced
+to one number per step; the defect-site FI keeps each step's psi and dpsi
+defect rows, four numbers per walk, and reduces all steps at once after
+the walk (elementwise, so with the bits of a per-step reduction):
 
 * defect-site FI:  (dP0/dtheta02)^2 / [P0 (1 - P0)] from the binary
   "walker at the defect?" measurement,
@@ -16,29 +15,28 @@ the bits of a per-step reduction):
 * quantum FI:      4 (<dpsi|dpsi> - |<dpsi|psi>|^2), the measurement
   optimum for the pure state.
 
-They obey FI <= GFI <= QFI pointwise.  ``information_values`` computes any
-set of them in one pass over one walk, or over a batch of B walks when the
-coin fields carry (B, N) angles (a disorder ensemble, a theta1 sweep); the
-observers reduce over the last axes only, so each walk's values are those
-of its own serial pass.  GFI and QFI compute their per-site products on
-``walk.light_cone``'s window only, where the state and derivative can be
-non-zero, and scatter them into full-size rows that are zero elsewhere; each
-sum then runs over the whole row, so its pairwise partition, and with it
-every bit, does not depend on the window.  A pass that asks for the
-defect-site FI alone reads only the defect row, so it walks the causal
-diamond of ``walk.light_cone`` (the sites that can still reach the defect
-by the last step) instead of the whole forward cone.  The buffers are real
-(``walk`` module docstring); the products are then the real parts of the
-complex ones, and QFI's overlap <dpsi|psi> is still summed as a complex
-row, whose pairwise partition differs from a real row's.  A site's P and
-dP add its two coin terms with one addition (``walk.coin_total``), not a
-``sum(axis=-1)`` over the length-2 coin axis: numpy reduces that axis with
-the same addition, so the bits are equal, but the reduction costs several
-times the addition on a 2003-site window.
-``fisher_at_defect``, ``global_fisher`` and ``quantum_fisher`` are
-single-walk, single-measure wrappers.  Power-law growth FI ~ t^b is
-extracted by least squares in log-log coordinates; b = 2 is the Heisenberg
-limit, b = 1 the shot-noise limit.
+They obey FI <= GFI <= QFI pointwise.  Each of the paper's two passes is
+one function returning ``FisherSeries``, for one walk or, when the coin
+fields carry (B, N) angles (a disorder ensemble, a theta1 sweep), for B
+walks at once, each with the values of its own serial pass.
+``fisher_at_defect`` gives the defect-site FI, the t^2 signal; it reads
+only the defect row, so it walks the causal diamond of ``walk.light_cone``
+(the sites that can still reach the defect by the last step).
+``information_values`` gives all three measures from one pass over the
+forward cone, for the hierarchy; ``global_fisher`` and ``quantum_fisher``
+pick their series from it.  GFI and QFI compute their per-site products on
+the light-cone window only and scatter them into full-size rows that are
+zero elsewhere; each sum then runs over the whole row, so its pairwise
+partition, and with it every bit, does not depend on the window.  The
+buffers are real (``walk`` module docstring); the products are then the
+real parts of the complex ones, and QFI's overlap <dpsi|psi> is still
+summed as a complex row, whose pairwise partition differs from a real
+row's.  A site's P and dP add its two coin terms with one addition
+(``walk.coin_total``), not a ``sum(axis=-1)`` over the length-2 coin axis:
+numpy reduces that axis with the same addition, so the bits are equal, but
+the reduction costs several times the addition on a 2003-site window.
+Power-law growth FI ~ t^b is extracted by least squares in log-log
+coordinates; b = 2 is the Heisenberg limit, b = 1 the shot-noise limit.
 """
 
 from dataclasses import dataclass
@@ -52,7 +50,6 @@ P_FLOOR = 1e-12
 DEFECT_SITE_FI = "defect_site_fi"
 GLOBAL_FI = "global_fi"
 QUANTUM_FI = "quantum_fi"
-MEASURES = (DEFECT_SITE_FI, GLOBAL_FI, QUANTUM_FI)  # what one walk's pass computes
 
 ALL_POINTS = "all_points"
 PEAKS_ONLY = "peaks_only"
@@ -62,8 +59,8 @@ DEFAULT_FIT_T_MIN = 10
 
 @dataclass
 class FisherSeries:
-    steps: np.ndarray
-    values: np.ndarray
+    steps: np.ndarray  # (T,)
+    values: np.ndarray  # (T,), or (T, B) for a batch of B walks
     flagged: np.ndarray  # True where P0 was degenerate and FI pinned to 0
 
     def __post_init__(self):
@@ -72,8 +69,8 @@ class FisherSeries:
         if self.flagged is None:
             self.flagged = np.zeros(self.values.shape, dtype=bool)
         self.flagged = np.asarray(self.flagged, dtype=bool)
-        if not (self.steps.shape == self.values.shape == self.flagged.shape):
-            raise ValueError("steps, values and flagged must have matching shapes")
+        if self.steps.shape != self.values.shape[:1] or self.flagged.shape != self.values.shape:
+            raise ValueError("values and flagged must match in shape, with one row per step")
 
 
 @dataclass
@@ -126,18 +123,31 @@ def _probability_pair(psi, dpsi):
     return site_probability(psi), 2.0 * coin_total(np.real(np.conj(psi) * dpsi))
 
 
-def information_values(params: WalkParams, steps: int, kinds=MEASURES, coin_fields=None) -> dict:
-    """{kind: (values, flagged)} for each requested measure, from one streamed walk.
+def _defect_site_fi(steps, defect_rows):
+    """The FI series from every step's psi and dpsi defect rows, (2,) + batch + (2,) each."""
+    psi_rows, dpsi_rows = np.asarray(defect_rows).swapaxes(0, 1)
+    values, flagged = binary_fisher(*_probability_pair(psi_rows, dpsi_rows))
+    return FisherSeries(np.arange(steps + 1), values, flagged)
 
-    Both arrays have shape (steps + 1,), or (steps + 1, B) when the coin
-    fields carry (B, N) angles.  Only the defect-site FI flags points: where
-    P0 is within P_FLOOR of 0 or 1 the binary measurement carries no
-    information and the quotient is singular, so the value is 0 and flagged.
-    GFI skips sites whose probability is below P_FLOOR.
+
+def fisher_at_defect(params: WalkParams, steps: int, coin_fields=None) -> FisherSeries:
+    """FI(t) of the defect-site measurement for t = 0..steps, on the causal diamond.
+
+    Values and flags are (steps + 1,), or (steps + 1, B) for (B, N) coin
+    fields.  Where P0 is within P_FLOOR of 0 or 1 the quotient is singular
+    and the measurement uninformative: the value is 0 and flagged.
     """
-    unknown = set(kinds) - set(MEASURES)
-    if unknown:
-        raise ValueError(f"unknown information measures {sorted(unknown)}; expected {MEASURES}")
+    defect = params.defect_index
+    rows = pair_trajectory(params, steps, coin_fields, lambda psi, dpsi, _: np.array(
+        (psi[..., defect, :], dpsi[..., defect, :])), defect_only=True)
+    return _defect_site_fi(steps, rows)
+
+
+def information_values(params: WalkParams, steps: int, coin_fields=None) -> dict:
+    """{kind: FisherSeries} for FI, GFI and QFI from one streamed walk.
+
+    Shaped and flagged as ``fisher_at_defect``; GFI skips sites with P below P_FLOOR.
+    """
     defect = params.defect_index
     n = params.lattice_size
     full_rows = {}  # the zeroed full-size rows the windowed products scatter into
@@ -154,97 +164,61 @@ def information_values(params: WalkParams, steps: int, kinds=MEASURES, coin_fiel
         row[..., cells] = products
         return row.sum(axis=-1)
 
-    at_defect = []  # each step's psi and dpsi defect rows, (2,) + batch + (2,)
+    at_defect = []
 
     def observe(psi, dpsi, rows):
-        if DEFECT_SITE_FI in kinds:
-            at_defect.append(np.array((psi[..., defect, :], dpsi[..., defect, :])))
-        terms = []
+        at_defect.append(np.array((psi[..., defect, :], dpsi[..., defect, :])))
         psi, dpsi = psi[..., rows, :], dpsi[..., rows, :]
-        if GLOBAL_FI in kinds:
-            probs, dprobs = _probability_pair(psi, dpsi)
-            usable = probs >= P_FLOOR
-            terms.append(row_sum(
-                GLOBAL_FI, rows,
-                np.where(usable, dprobs**2 / np.where(usable, probs, 1.0), 0.0), n,
-            ))
-        if QUANTUM_FI in kinds:
-            flat = psi.reshape(psi.shape[:-2] + (-1,))
-            dflat = dpsi.reshape(flat.shape)
-            cells = slice(2 * rows.start, 2 * rows.stop)
-            norm = row_sum("norm", cells, np.abs(dflat) ** 2, 2 * n)
-            overlap = row_sum("overlap", cells, np.conj(dflat) * flat, 2 * n, np.complex128)
-            terms.append(4.0 * (norm - np.abs(overlap) ** 2))
-        return terms
+        probs, dprobs = _probability_pair(psi, dpsi)
+        usable = probs >= P_FLOOR
+        gfi = row_sum(GLOBAL_FI, rows,
+                      np.where(usable, dprobs**2 / np.where(usable, probs, 1.0), 0.0), n)
+        flat = psi.reshape(psi.shape[:-2] + (-1,))
+        dflat = dpsi.reshape(flat.shape)
+        cells = slice(2 * rows.start, 2 * rows.stop)
+        norm = row_sum("norm", cells, np.abs(dflat) ** 2, 2 * n)
+        overlap = row_sum("overlap", cells, np.conj(dflat) * flat, 2 * n, np.complex128)
+        return gfi, 4.0 * (norm - np.abs(overlap) ** 2)
 
-    # the defect-site FI alone reads one row: walk only the sites that reach it
-    defect_only = set(kinds) == {DEFECT_SITE_FI}
-    terms = iter(
-        pair_trajectory(params, steps, coin_fields, observe, defect_only).swapaxes(0, 1)
-    )
-    measures = {}
-    if DEFECT_SITE_FI in kinds:
-        # every step's P0 and dP0 at once: the same elementwise operations as per step
-        psi_rows, dpsi_rows = np.array(at_defect).swapaxes(0, 1)
-        measures[DEFECT_SITE_FI] = binary_fisher(*_probability_pair(psi_rows, dpsi_rows))
-    if GLOBAL_FI in kinds:
-        gfi = next(terms)
-        measures[GLOBAL_FI] = gfi, np.zeros(gfi.shape, dtype=bool)
-    if QUANTUM_FI in kinds:
-        qfi = next(terms)
-        measures[QUANTUM_FI] = np.maximum(qfi, 0.0), np.zeros(qfi.shape, dtype=bool)
-    return measures
-
-
-def fisher_series(params: WalkParams, steps: int, kinds=MEASURES, coin_fields=None) -> dict:
-    """{kind: FisherSeries} for one walk, every requested measure from one pass."""
+    gfi, qfi = pair_trajectory(params, steps, coin_fields, observe).swapaxes(0, 1)
     return {
-        kind: FisherSeries(np.arange(steps + 1), values, flagged)
-        for kind, (values, flagged) in information_values(
-            params, steps, kinds, coin_fields
-        ).items()
+        DEFECT_SITE_FI: _defect_site_fi(steps, at_defect),
+        GLOBAL_FI: FisherSeries(np.arange(steps + 1), gfi, None),
+        QUANTUM_FI: FisherSeries(np.arange(steps + 1), np.maximum(qfi, 0.0), None),
     }
-
-
-def fisher_at_defect(params: WalkParams, steps: int, coin_fields=None) -> FisherSeries:
-    """FI(t) of the defect-site measurement for t = 0..steps; degenerate points flagged."""
-    return fisher_series(params, steps, (DEFECT_SITE_FI,), coin_fields)[DEFECT_SITE_FI]
 
 
 def global_fisher(params: WalkParams, steps: int, coin_fields=None) -> FisherSeries:
     """GFI(t) over the full position distribution, skipping P_i below floor."""
-    return fisher_series(params, steps, (GLOBAL_FI,), coin_fields)[GLOBAL_FI]
+    return information_values(params, steps, coin_fields)[GLOBAL_FI]
 
 
 def quantum_fisher(params: WalkParams, steps: int, coin_fields=None) -> FisherSeries:
     """QFI(t) = 4(<dpsi|dpsi> - |<dpsi|psi>|^2) from the exact derivative."""
-    return fisher_series(params, steps, (QUANTUM_FI,), coin_fields)[QUANTUM_FI]
+    return information_values(params, steps, coin_fields)[QUANTUM_FI]
 
 
 def averaged_fisher(series: FisherSeries, window: int = 5, spacing: int = 5) -> FisherSeries:
     """Multi-time average: mean of FI at `window` times spaced by `spacing`.
 
     Each output point sits at the mean of its constituent times; every start
-    step whose full window lies inside the series contributes.
+    step whose full window lies inside the series contributes.  The series'
+    steps must be consecutive, so a window is read by position.
     """
     if window < 1 or spacing < 1:
         raise ValueError("window and spacing must be >= 1")
-    index_of = {int(t): i for i, t in enumerate(series.steps)}
+    if (np.diff(series.steps) != 1).any():
+        raise ValueError("averaging needs a series of consecutive steps")
     span = (window - 1) * spacing
-    centers, means, flags = [], [], []
-    for t in series.steps:
-        t = int(t)
-        idx = [index_of.get(t + j * spacing) for j in range(window)]
-        if any(i is None for i in idx):
-            continue
-        centers.append(t + span / 2.0)
-        means.append(series.values[idx].mean())
-        flags.append(bool(series.flagged[idx].all()))
-    if not centers:
-        raise ValueError(
-            f"series too short for window={window}, spacing={spacing} averaging"
-        )
-    return FisherSeries(np.asarray(centers), np.asarray(means), np.asarray(flags))
+    starts = len(series.steps) - span
+    if starts < 1:
+        raise ValueError(f"series too short for window={window}, spacing={spacing} averaging")
+    windows = np.arange(starts)[:, np.newaxis] + spacing * np.arange(window)
+    return FisherSeries(
+        series.steps[:starts] + span / 2.0,
+        series.values[windows].mean(axis=1),
+        series.flagged[windows].all(axis=1),
+    )
 
 
 def power_law_fit(steps, values, window, mode: str = ALL_POINTS) -> ScalingFit:

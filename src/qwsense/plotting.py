@@ -410,17 +410,19 @@ def _render_posterior(table):
     parts = _page("theta02 / pi", "posterior weight", table.name)
     if not xs:
         return _no_data(parts)
-    groups = {}
-    for label, step, x, w in zip(labels, steps, xs, ws):
-        groups.setdefault(label, (step, []))[1].append((x, w))
+    groups = {}  # each curve's row indices, by its t label
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
     scale = _Scale((min(xs), max(xs)), (0.0, max(max(ws), 1e-300)))
     parts.append(_AXES_BOX)
     _draw_ticks(parts, scale, _nice_ticks(min(xs), max(xs)), _nice_ticks(0.0, max(ws)))
-    for i, (label, (_, pts)) in enumerate(sorted(groups.items(), key=lambda kv: kv[1][0])):
+    px = {x: f"{scale.x(x):.2f}" for x in set(xs)}  # the curves share x: format each once
+    for i, (label, rows) in enumerate(sorted(groups.items(), key=lambda kv: steps[kv[1][0]])):
         color = PALETTE[i % len(PALETTE)]
-        pts.sort()
-        px, py = scale.xs([x for x, _ in pts]), scale.ys([w for _, w in pts])
-        parts.append(_polyline(_coords(zip(px, py)), color))
+        rows.sort(key=lambda r: (xs[r], ws[r]))
+        py = scale.ys([ws[r] for r in rows])
+        parts.append(_polyline(" ".join([f"{px[xs[r]]},{y:.2f}" for r, y in zip(rows, py)]),
+                               color))
         parts.append(
             f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16 + 14 * i}" '
             f'text-anchor="end" fill="{color}">t={label}</text>'

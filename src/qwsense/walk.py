@@ -249,16 +249,19 @@ def coin_tables(params: WalkParams, steps: int, coin_fields=None):
 
     ``coin_fields`` takes the forms of the module docstring.  Consecutive
     steps that share a field share its tables.  The batch shape is the first
-    field's, () for no steps.  Each field is checked before its first step.
+    field's (a lone field's at zero steps too), () for no per-step fields.
+    Each field is checked before its first step.
     """
     if coin_fields is None:
         coin_fields = CoinField.from_params(params)
     if isinstance(coin_fields, CoinField):
-        coin_fields = itertools.repeat(coin_fields, steps)
-    fields = itertools.islice(coin_fields, steps)
-    head = list(itertools.islice(fields, 1))
+        head, fields = [coin_fields], itertools.repeat(coin_fields, steps)
+    else:
+        fields = itertools.islice(coin_fields, steps)
+        head = list(itertools.islice(fields, 1))
+        fields = itertools.chain(head, fields)
     batch = head[0].angles1.shape[:-1] if head else ()
-    return batch, _step_tables(itertools.chain(head, fields), params.lattice_size, batch, steps)
+    return batch, _step_tables(fields, params.lattice_size, batch, steps)
 
 
 def _step_tables(fields, n, batch, steps):

@@ -344,14 +344,13 @@ def test_estimation_curve_reproducible_and_converging():
     assert curve.fit.exponent < -1.0  # error falls steeply with steps
 
 
-def test_estimation_curve_keeps_posteriors_on_request():
+def test_estimation_curve_keeps_each_steps_posterior_weights():
     p = nontrivial(83)
     config = EstimationConfig(p, PRIOR, (20, 30, 40), grid_points=51, trials=200,
                               master_seed=3)
-    curve = estimation_curve(config, clean_table(config), keep_posteriors=True)
-    assert len(curve.posteriors) == 3
-    for grid in curve.posteriors:
-        assert abs(grid.weights.sum() - 1.0) < 1e-12
+    curve = estimation_curve(config, clean_table(config))
+    assert curve.weights.shape == (3, 51)
+    assert np.abs(curve.weights.sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_estimation_curve_checks_the_candidate_table_shape():
@@ -488,12 +487,12 @@ def test_batched_curve_equals_serial_posteriors(repetitions, grid_points, trials
         with pytest.raises(ValueError, match=re.escape(str(err))):
             estimation_curve(config, table, fields, seed_prefix=(3,))
         return
-    curve = estimation_curve(config, table, fields, seed_prefix=(3,), keep_posteriors=True)
+    curve = estimation_curve(config, table, fields, seed_prefix=(3,))
     got = [(r.step, r.successes, r.msre, r.posterior_std) for r in curve.records]
     assert got == expected
-    for kept, reference in zip(curve.posteriors, grids, strict=True):
-        assert np.array_equal(kept.candidates, reference.candidates)
-        assert np.array_equal(kept.log_weights, reference.log_weights)
+    assert curve.weights.shape == (len(schedule), grid_points)
+    for kept, reference in zip(curve.weights, grids, strict=True):
+        assert np.array_equal(kept, reference.weights)
 
 
 def test_records_at_different_steps_use_independent_seeds():

@@ -17,7 +17,6 @@ from qwsense.disorder import DYNAMIC, STATIC, DisorderSpec, sample_disorder
 from qwsense.metrology import (
     DEFECT_SITE_FI,
     GLOBAL_FI,
-    MEASURES,
     P_FLOOR,
     QUANTUM_FI,
     FisherSeries,
@@ -25,7 +24,6 @@ from qwsense.metrology import (
     averaged_fisher,
     binary_fisher,
     fisher_at_defect,
-    fisher_series,
     fit_scaling,
     global_fisher,
     information_values,
@@ -205,7 +203,7 @@ def test_one_pass_measures_equal_separate_series(disorder):
     steps = 60
     p = series_params(*NONTRIVIAL, steps)
     fields = disorder(p, steps) if disorder else None
-    one_pass = fisher_series(p, steps, MEASURES, fields)
+    one_pass = information_values(p, steps, fields)
     for kind, separate in ((DEFECT_SITE_FI, fisher_at_defect), (GLOBAL_FI, global_fisher),
                            (QUANTUM_FI, quantum_fisher)):
         series = separate(p, steps, fields)
@@ -223,24 +221,25 @@ def _batched(p, steps):
             for step in zip(*(sample_disorder(spec, p, r, steps) for r in range(3)))]
 
 
-# the defect-site FI alone walks the causal diamond, not the forward cone
-@pytest.mark.parametrize("kinds", [MEASURES, (DEFECT_SITE_FI,)],
-                         ids=["all_measures", "defect_site_fi_alone"])
+@pytest.mark.parametrize("alone", [False, True], ids=["all_measures", "defect_site_fi_alone"])
 @pytest.mark.parametrize("disorder", [None, _static, _dynamic, _batched])
 @pytest.mark.parametrize("n", [83, 25])  # 25 sites: the window is the whole ring within 12 steps
-def test_windowed_measures_equal_full_ring_complex_reduction(kinds, disorder, n):
+def test_windowed_measures_equal_full_ring_complex_reduction(alone, disorder, n):
     steps = 40
     p = params(*NONTRIVIAL, n)
     fields = disorder(p, steps) if disorder else None
     states, dstates = stored_trajectory(p, steps, fields)
     p0, dp0, gfi, qfi = full_ring_observe(states, dstates, p.defect_index)
-    measures = information_values(p, steps, kinds, fields)
-    assert list(measures) == list(kinds)
-    assert np.array_equal(measures[DEFECT_SITE_FI][0], binary_fisher(p0, dp0)[0])
-    assert np.array_equal(measures[DEFECT_SITE_FI][1], binary_fisher(p0, dp0)[1])
-    if kinds == MEASURES:
-        assert np.array_equal(measures[GLOBAL_FI][0], gfi)
-        assert np.array_equal(measures[QUANTUM_FI][0], np.maximum(qfi, 0.0))
+    if alone:
+        fi = fisher_at_defect(p, steps, fields)
+    else:
+        measures = information_values(p, steps, fields)
+        assert list(measures) == [DEFECT_SITE_FI, GLOBAL_FI, QUANTUM_FI]
+        assert np.array_equal(measures[GLOBAL_FI].values, gfi)
+        assert np.array_equal(measures[QUANTUM_FI].values, np.maximum(qfi, 0.0))
+        fi = measures[DEFECT_SITE_FI]
+    assert np.array_equal(fi.values, binary_fisher(p0, dp0)[0])
+    assert np.array_equal(fi.flagged, binary_fisher(p0, dp0)[1])
 
 
 def axis_sum_information_values(params, steps, coin_fields=None):
@@ -299,13 +298,12 @@ def test_two_term_site_sums_equal_the_axis_sum_observer(angles, steps, margin, f
     p = WalkParams(*angles, n)
     fields = fields(p, steps) if fields else None
     fi, gfi, qfi = axis_sum_information_values(p, steps, fields)
-    measures = information_values(p, steps, MEASURES, fields)
-    assert same_bits(measures[DEFECT_SITE_FI][0], fi)
-    assert same_bits(measures[GLOBAL_FI][0], gfi)
-    assert same_bits(measures[QUANTUM_FI][0], qfi)
+    measures = information_values(p, steps, fields)
+    assert same_bits(measures[DEFECT_SITE_FI].values, fi)
+    assert same_bits(measures[GLOBAL_FI].values, gfi)
+    assert same_bits(measures[QUANTUM_FI].values, qfi)
     # the defect-site FI alone walks the causal diamond
-    alone = information_values(p, steps, (DEFECT_SITE_FI,), fields)
-    assert same_bits(alone[DEFECT_SITE_FI][0], fi)
+    assert same_bits(fisher_at_defect(p, steps, fields).values, fi)
 
 
 def per_step_defect_fisher(params, steps, coin_fields=None):
@@ -320,29 +318,31 @@ def per_step_defect_fisher(params, steps, coin_fields=None):
     return binary_fisher(p0, dp0)
 
 
+def defect_fi(params, steps, coin_fields, alone):
+    """The defect-site FI from its own pass (``alone``, on the causal diamond)
+    or from the all-measures pass over the forward cone."""
+    if alone:
+        return fisher_at_defect(params, steps, coin_fields)
+    return information_values(params, steps, coin_fields)[DEFECT_SITE_FI]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     angles=st.tuples(*[st.floats(-PI, PI)] * 3),
     steps=st.integers(1, 40),
     margin=st.integers(0, 4),
     fields=st.sampled_from([None, _static_batch, _batched]),
-    kinds=st.sampled_from([(DEFECT_SITE_FI,), MEASURES]),
+    alone=st.booleans(),
 )
 def test_defect_rows_reduced_after_the_walk_equal_the_per_step_reduction(
-        angles, steps, margin, fields, kinds):
+        angles, steps, margin, fields, alone):
     n = 2 * steps + 3 + 2 * margin
     p = WalkParams(*angles, n)
     fields = fields(p, steps) if fields else None
     values, flagged = per_step_defect_fisher(p, steps, fields)
-    got, got_flagged = information_values(p, steps, kinds, fields)[DEFECT_SITE_FI]
-    assert same_bits(got, values)
-    assert got_flagged.shape == flagged.shape and np.array_equal(got_flagged, flagged)
-
-
-def test_information_values_reject_unknown_measures():
-    p = series_params(*NONTRIVIAL, 5)
-    with pytest.raises(ValueError, match="unknown information measures"):
-        information_values(p, 5, ("averaged_fi",))
+    got = defect_fi(p, steps, fields, alone)
+    assert same_bits(got.values, values)
+    assert got.flagged.shape == flagged.shape and np.array_equal(got.flagged, flagged)
 
 
 @pytest.mark.parametrize("walks", [1, 3])
@@ -360,13 +360,17 @@ def test_batched_measures_equal_serial_walks(walks, kind):
         batched = [CoinField.stack(step) for step in zip(*serial)]
     else:
         batched = CoinField.stack(serial)
-    measures = information_values(p, steps, MEASURES, batched)
+    # both passes; "alone" is the defect-site FI's own pass
+    measures = dict(information_values(p, steps, batched),
+                    alone=fisher_at_defect(p, steps, batched))
     for b, fields in enumerate(serial):
-        for kind, (values, flagged) in information_values(p, steps, MEASURES,
-                                                          fields).items():
-            assert measures[kind][0].shape == (steps + 1, walks)
-            assert np.array_equal(measures[kind][0][:, b], values)
-            assert np.array_equal(measures[kind][1][:, b], flagged)
+        for kind, series in dict(information_values(p, steps, fields),
+                                 alone=fisher_at_defect(p, steps, fields)).items():
+            got = measures[kind]
+            assert got.steps.shape == (steps + 1,)
+            assert got.values.shape == got.flagged.shape == (steps + 1, walks)
+            assert np.array_equal(got.values[:, b], series.values)
+            assert np.array_equal(got.flagged[:, b], series.flagged)
 
 
 def fi_surface_rows(params, t1_over_pi, steps):
@@ -448,7 +452,7 @@ def test_information_hierarchy_below_the_gfi_floor():
     # a point test_information_hierarchy_at_drawn_angles can draw: the site GFI
     # drops (P = 5.8e-13, dP = 6.4e-7) carries 0.708, and FI 2.0e-12 > GFI 5.8e-13
     p = WalkParams(2.0, 0.0, 1.8145e-06, 5)
-    series = fisher_series(p, 1)
+    series = information_values(p, 1)
     fi, gfi = series[DEFECT_SITE_FI].values, series[GLOBAL_FI].values
     assert (fi <= gfi + 1e-9 * np.abs(gfi) + 1e-12).all()
 
@@ -518,6 +522,36 @@ def test_averaging_rejects_short_series():
         averaged_fisher(constant_series(1.0, steps=10), window=5, spacing=5)
 
 
+def test_averaging_rejects_steps_that_are_not_consecutive():
+    series = FisherSeries(np.arange(0, 60, 2), np.ones(30), None)
+    with pytest.raises(ValueError, match="consecutive steps"):
+        averaged_fisher(series, window=2, spacing=1)
+
+
+def step_lookup_average(series, window, spacing):
+    """Reference: each start step's window looked up by step, averaged one by one."""
+    index_of = {int(t): i for i, t in enumerate(series.steps)}
+    span = (window - 1) * spacing
+    centers, means, flags = [], [], []
+    for t in series.steps:
+        idx = [index_of.get(int(t) + j * spacing) for j in range(window)]
+        if None not in idx:
+            centers.append(int(t) + span / 2.0)
+            means.append(series.values[idx].mean())
+            flags.append(bool(series.flagged[idx].all()))
+    return np.asarray(centers), np.asarray(means), np.asarray(flags)
+
+
+@pytest.mark.parametrize("window, spacing", [(5, 5), (1, 5), (3, 7), (7, 2)])
+@pytest.mark.parametrize("point", [NONTRIVIAL, TRIVIAL])
+def test_averaging_by_position_equals_the_step_lookup(point, window, spacing):
+    series = fisher_at_defect(series_params(*point, steps=100), 100)
+    avg = averaged_fisher(series, window, spacing)
+    centers, means, flags = step_lookup_average(series, window, spacing)
+    assert same_bits(avg.steps, centers) and same_bits(avg.values, means)
+    assert np.array_equal(avg.flagged, flags)
+
+
 def test_averaging_fills_fi_drops():
     p = series_params(*NONTRIVIAL, steps=100)
     series = fisher_at_defect(p, 100)
@@ -531,6 +565,14 @@ def test_averaging_fills_fi_drops():
 
 
 # --- power-law fitting -------------------------------------------------------
+
+
+def test_fisher_series_takes_one_row_per_step():
+    assert FisherSeries(np.arange(4), np.zeros((4, 3)), None).flagged.shape == (4, 3)
+    for values, flagged in ((np.zeros(3), None), (np.zeros((3, 4)), None),
+                            (np.zeros(4), np.zeros(3, dtype=bool))):
+        with pytest.raises(ValueError, match="one row per step"):
+            FisherSeries(np.arange(4), values, flagged)
 
 
 def test_fit_exact_quadratic():

@@ -1,13 +1,16 @@
 """The package's export list names only what the package defines and uses,
-and every function in the package reads each parameter it accepts."""
+every function in the package reads each parameter it accepts, and the
+README's library example runs."""
 
 import ast
+import re
 from pathlib import Path
 
 import qwsense
 
 PACKAGE = Path(qwsense.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -70,3 +73,13 @@ def _unread_parameters(path):
 def test_every_parameter_is_read():
     unread = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _unread_parameters(path)]
     assert unread == []
+
+
+def test_readme_python_blocks_run(capsys):
+    # an API change that leaves the README's quick start stale fails here
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    winding, exponent = capsys.readouterr().out.split()
+    assert winding == "1" and abs(float(exponent) - 2.0) < 0.2

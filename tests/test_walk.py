@@ -541,6 +541,9 @@ def test_batched_walk_equals_serial_walks(kind, walks):
     series = defect_probability_series(params, steps, batched)
     for b, fields in enumerate(serial):
         assert np.array_equal(series[:, b], defect_probability_series(params, steps, fields))
+    if kind != DYNAMIC:  # a lone field keeps its batch axis when no step runs
+        assert next(propagate(params, 0, batched)).shape == (walks, n, 2)
+        assert np.array_equal(defect_probability_series(params, 0, batched), series[:1])
 
 
 # --- parameter validation ---------------------------------------
