@@ -16,7 +16,6 @@ from .bayes import (
     PosteriorGrid,
     estimation_curve,
     informative_schedule,
-    msre,
     posterior,
 )
 from .disorder import DisorderSpec, EnsembleResult, ensemble_fisher, ensemble_msre, sample_disorder
@@ -66,7 +65,6 @@ __all__ = [
     "fit_scaling",
     "global_fisher",
     "informative_schedule",
-    "msre",
     "phase_diagram",
     "posterior",
     "quantum_fisher",

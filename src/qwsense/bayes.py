@@ -296,11 +296,6 @@ def posterior(
     return PosteriorGrid(candidates, log_w[0])
 
 
-def msre(grid: PosteriorGrid, true_theta02: float) -> float:
-    """(variance + squared bias) / theta02^2 under the posterior."""
-    return _relative_error(grid.variance, grid.mean, true_theta02)
-
-
 def _relative_error(variance: float, mean: float, true_theta02: float) -> float:
     # Python floats: x ** 2 is libm pow here, where numpy would square
     if true_theta02 == 0:

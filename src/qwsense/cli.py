@@ -1,4 +1,4 @@
-"""Command-line front end: run experiments, validate configs, render plots.
+"""Command-line front end: run experiments, validate configs, plot a CSV as its header selects.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O
 failure.  The output directory resolves as --out flag, then the
@@ -32,9 +32,8 @@ def _build_parser():
     run_p.add_argument("--seed", type=int, help="seed override")
     run_p.add_argument("--threads", type=int, default=1, help="threads for disorder msre ensembles")
 
-    plot_p = sub.add_parser("plot", help="render an SVG view of a data CSV")
+    plot_p = sub.add_parser("plot", help="render the SVG view a data CSV's header selects")
     plot_p.add_argument("--data", required=True, help="input CSV path")
-    plot_p.add_argument("--kind", required=True, choices=plotting.PLOT_KINDS)
     plot_p.add_argument("--out", required=True, help="output SVG path")
 
     val_p = sub.add_parser("validate", help="check a config without running it")
@@ -73,8 +72,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    path = plotting.render_plot(args.data, args.kind, args.out)
-    print(f"wrote {path}")
+    print(f"wrote {plotting.render_plot(args.data, args.out)}")
     return EXIT_OK
 
 

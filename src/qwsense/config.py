@@ -3,9 +3,10 @@
 A config names one experiment and the parameter sections it needs; each
 section has one reader.  Every referenced value is validated against the
 preconditions of the module that will consume it before any computation
-starts, a name that no rule reads is a violation, and all violations are
-reported together.  Angles are written as multiples of pi (0.9 means 0.9*pi)
-to match how the parameter points are usually quoted.
+starts, a name that no rule reads, or that no reader of the experiment
+reads, is a violation, and all violations are reported together.  Angles
+are written as multiples of pi (0.9 means 0.9*pi) to match how the
+parameter points are usually quoted.
 """
 
 import json
@@ -46,8 +47,6 @@ _SECTIONS = {
     "averaging": ("window", "spacing"),
 }
 _TOP_LEVEL = ("experiment", "seed", "out_dir", "steps", *_SECTIONS)
-# the experiments that read no top-level steps (fi-surface reads surface.steps)
-_STEPLESS = ("fi-surface", "phase-diagram", "spectrum")
 
 
 @dataclass
@@ -76,6 +75,7 @@ class _Check:
 
     def __init__(self):
         self.violations = []
+        self.read = {"experiment", "out_dir"}  # top-level names read: every run reads these two
 
     def fail(self, field_name, message):
         self.violations.append(f"{field_name}: {message}")
@@ -88,6 +88,7 @@ class _Check:
     def section(self, doc, name, required=False):
         """The object ``doc[name]``, None after a violation; an absent optional
         section reads as {}."""
+        self.read.add(name)
         value = doc.get(name, None if required else {})
         if not isinstance(value, dict):
             self.fail(name, "must be an object" if name in doc else "required section")
@@ -96,6 +97,7 @@ class _Check:
         return value
 
     def number(self, doc, field_name, default=None, minimum=None, integer=False):
+        self.read.add(field_name.split(".")[0])
         value = doc.get(field_name.split(".")[-1], default)
         if value is None:
             if default is None:
@@ -132,6 +134,15 @@ class _Check:
         return tuple(float(v) for v in value)
 
 
+def _object(pairs):
+    """A JSON object's dict; a repeated name is rejected, not read as its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        repeated = next(name for i, (name, _) in enumerate(pairs) if name in dict(pairs[:i]))
+        raise ConfigError([f"config: name {repeated!r} is repeated in one JSON object"])
+    return doc
+
+
 def load_config(path) -> dict:
     path = Path(path)
     try:
@@ -139,7 +150,7 @@ def load_config(path) -> dict:
     except OSError as exc:
         raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config: invalid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):
@@ -173,11 +184,7 @@ def _read_run(check, doc, experiment, seed_override):
     out_dir = doc.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         check.fail("out_dir", f"expected a string path, got {out_dir!r}")
-    steps = check.number(doc, "steps", default=DEFAULT_STEPS, minimum=1, integer=True)
-    if experiment in _STEPLESS and "steps" in doc:
-        # the run would ignore the value, as it did any misspelt name
-        check.fail("steps", f"not read by {experiment} runs")
-    return ExperimentConfig(experiment, seed, out_dir, doc, steps)
+    return ExperimentConfig(experiment, seed, out_dir, doc)
 
 
 def _read_fit(check, doc, cfg):
@@ -232,13 +239,15 @@ def _read_surface(check, doc):
 
 
 def _read_dynamics(check, doc, cfg):
-    """The walk of a run that propagates, and the surface of an fi-surface
-    run; the ring must hold the light cone of the steps the run propagates,
-    and by default holds exactly that."""
-    propagated = cfg.steps
+    """The walk of a run that propagates, and its steps: top-level ``steps``,
+    or an fi-surface run's surface; the ring must hold the light cone of the
+    steps the run propagates, and by default holds exactly that."""
     if cfg.experiment == "fi-surface":
         cfg.surface = _read_surface(check, doc)
         propagated = cfg.surface["steps"] if cfg.surface is not None else None
+    else:
+        cfg.steps = propagated = check.number(doc, "steps", default=DEFAULT_STEPS, minimum=1,
+                                              integer=True)
     cfg.walk = _read_walk(check, doc, dynamics_lattice_size(propagated or cfg.steps))
     if cfg.walk is None or propagated is None:
         return
@@ -324,13 +333,12 @@ def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
     ``metrology.DEFAULT_FIT_T_MIN``..steps, and an fi-scaling run's steps must
     leave at least 5 of them; that is necessary, not sufficient: flagged or
     non-positive values, and ``peaks_only``, can still leave the run's fit
-    fewer than 5 points.  ``fit`` is read only by the experiments that fit,
-    and top-level ``steps`` by none of fi-surface (which reads
-    ``surface.steps``), phase-diagram and spectrum; either is a violation
-    where it is not read.  Any other section that the experiment does
-    not read is not checked.  An estimation run's ``estimation`` is a
-    ``bayes.EstimationConfig`` whose schedule is every step the informative
-    selector scores.
+    fewer than 5 points.  A top-level name that no reader of the experiment
+    reads is a violation and is not checked further: ``fit`` is read only by
+    the runs that fit, and top-level ``steps`` only by the runs that
+    propagate it (fi-surface reads ``surface.steps``).  An estimation run's
+    ``estimation`` is a ``bayes.EstimationConfig`` whose schedule is every
+    step the informative selector scores.
     """
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -354,14 +362,14 @@ def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
         _read_disorder(check, doc, cfg)
     if experiment == "fi-scaling" or experiment == "disorder" and cfg.disorder_observable == "fi":
         _read_fit(check, doc, cfg)
-    elif "fit" in doc:
-        # an experiment that never fits would ignore the section
-        check.fail("fit", "read only by fi-scaling and by disorder with observable fi; "
-                          "this run never fits")
     if experiment == "bayes" or cfg.disorder_observable == "msre":
         cfg.estimation = _read_estimation(check, doc, cfg)
     if experiment == "avg-fi":
         cfg.averaging = _read_averaging(check, doc, cfg.steps) or cfg.averaging
+    observable = f" with observable {cfg.disorder_observable}" if experiment == "disorder" else ""
+    for name in doc:
+        if name in _TOP_LEVEL and name not in check.read:  # the run would ignore it
+            check.fail(name, f"not read by {experiment} runs{observable}")
     if check.violations:
         raise ConfigError(check.violations)
     return cfg

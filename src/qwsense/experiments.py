@@ -28,7 +28,7 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 class Artifacts:
     csv: dict = field(default_factory=dict)  # name -> (header, rows)
     json: dict = field(default_factory=dict)  # name -> payload
-    plots: list = field(default_factory=list)  # (csv name, plot kind)
+    plots: list = field(default_factory=list)  # csv names, each drawn as its header selects
     health: dict = field(default_factory=dict)  # manifest-only numbers, in no digest
 
 
@@ -66,7 +66,7 @@ def _run_fi_scaling(cfg: ExperimentConfig) -> Artifacts:
     art = Artifacts()
     art.csv["fi_series.csv"] = (FI_HEADER, _fi_series_rows(series))
     art.json["fit.json"] = _fit_payload(fit)
-    art.plots.append(("fi_series.csv", "scaling"))
+    art.plots.append("fi_series.csv")
     return art
 
 
@@ -79,7 +79,7 @@ def _run_gfi_qfi(cfg: ExperimentConfig) -> Artifacts:
         ("qfi_series.csv", metrology.QUANTUM_FI),
     ):
         art.csv[name] = (FI_HEADER, _fi_series_rows(series[kind]))
-        art.plots.append((name, "scaling"))
+        art.plots.append(name)
     return art
 
 
@@ -91,7 +91,7 @@ def _run_avg_fi(cfg: ExperimentConfig) -> Artifacts:
     art.csv["fi_series.csv"] = (FI_HEADER, _fi_series_rows(series))
     art.csv["avg_fi_series.csv"] = (FI_HEADER, _fi_series_rows(averaged))
     art.json["averaging.json"] = {"window": window, "spacing": spacing}
-    art.plots.append(("avg_fi_series.csv", "scaling"))
+    art.plots.append("avg_fi_series.csv")
     return art
 
 
@@ -112,7 +112,7 @@ def _run_fi_surface(cfg: ExperimentConfig) -> Artifacts:
     ]
     art = Artifacts()
     art.csv["fi_surface.csv"] = (("theta1_over_pi", "t", "value", "flagged"), rows)
-    art.plots.append(("fi_surface.csv", "heatmap"))
+    art.plots.append("fi_surface.csv")
     return art
 
 
@@ -130,7 +130,7 @@ def _run_phase_diagram(cfg: ExperimentConfig) -> Artifacts:
         ("theta1_over_pi", "theta2_over_pi", "winding", "min_gap", "status"),
         rows,
     )
-    art.plots.append(("phase_diagram.csv", "heatmap"))
+    art.plots.append("phase_diagram.csv")
     return art
 
 
@@ -187,8 +187,7 @@ def _run_bayes(cfg: ExperimentConfig) -> Artifacts:
     art.csv["posterior.csv"] = (("t", "theta02_over_pi", "weight"), post_rows)
     if curve.fit is not None:
         art.json["fit.json"] = _fit_payload(curve.fit)
-    art.plots.append(("posterior.csv", "posterior"))
-    art.plots.append(("estimation.csv", "scaling"))
+    art.plots += ["posterior.csv", "estimation.csv"]
     art.health["posterior_edge_mass"] = curve.edge_mass
     lo, hi = est.prior_interval
     spacing = (hi - lo) / (est.grid_points - 1)
@@ -217,7 +216,7 @@ def _run_disorder(cfg: ExperimentConfig, threads: int) -> Artifacts:
         for t, m, s in zip(result.steps, result.mean, result.std)
     ]
     art.csv["ensemble.csv"] = (("t", "mean", "std", "n_realizations"), rows)
-    art.plots.append(("ensemble.csv", "band"))
+    art.plots.append("ensemble.csv")
     return art
 
 
@@ -269,9 +268,9 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
         serialize.write_json(out_dir / name, payload)
         emitted.append(name)
     marks.append(time.perf_counter())
-    for csv_name, kind in art.plots:
+    for csv_name in art.plots:
         svg_name = Path(csv_name).stem + ".svg"
-        plotting.render_plot(out_dir / csv_name, kind, out_dir / svg_name, art.csv[csv_name])
+        plotting.render_plot(out_dir / csv_name, out_dir / svg_name, art.csv[csv_name])
         emitted.append(svg_name)
     marks.append(time.perf_counter())
     timings = {part: end - begin

@@ -82,9 +82,6 @@ class ScalingFit:
     mode: str
     n_points: int
 
-    def value_at(self, t) -> float:
-        return self.prefactor * np.asarray(t, dtype=np.float64) ** self.exponent
-
 
 def pair_trajectory(params: WalkParams, steps: int, coin_fields, observe,
                     defect_only: bool = False):

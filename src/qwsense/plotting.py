@@ -1,8 +1,9 @@
 """Standalone SVG views of CSV data; no computation here.
 
-Four kinds: ``scaling`` (log-log series with a power-law guide line),
-``heatmap`` (phase diagram or FI surface), ``band`` (ensemble mean with a
-+/- std ribbon), ``posterior`` (one curve per step count).  A plot reads
+The CSV header picks the plot: a ``theta02_over_pi`` column a posterior
+(one curve per step count), ``theta1_over_pi`` a heatmap (phase diagram or
+FI surface), ``std`` a band (ensemble mean with a +/- std ribbon), ``value``
+or ``msre`` a scaling plot (log-log, with a power-law guide line).  A plot reads
 its CSV's columns once: from the file (``qwsense plot``), or, in a run,
 from the ``(header, rows)`` the run has just written to that file.  Either
 way each cell reads as the file gives it back: a float as the float its
@@ -61,13 +62,17 @@ def _value_number(value):
 class _Table:
     """A CSV's columns, from its file or from the rows written to it, with each row's line."""
 
-    def __init__(self, path, kind, columns, lines, number, column_text=None):
-        self.path, self.kind, self.name = path, kind, Path(path).name
-        self.columns, self.lines = columns, lines
+    def __init__(self, path, header, rows, lines, number, column_text=None):
+        repeated = next((column for i, column in enumerate(header) if column in header[:i]), None)
+        if repeated is not None:
+            raise PlotSchemaError(f"{path}: the header repeats column '{repeated}'")
+        self.path, self.name = path, Path(path).name
+        self.columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+        self.lines = lines
         self._number, self._column_text = number, column_text
 
     @classmethod
-    def read(cls, path, kind):
+    def read(cls, path):
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
@@ -78,17 +83,16 @@ class _Table:
                 if row:  # a blank line holds no row; a short row reads blank cells
                     rows.append(row + [""] * (len(header) - len(row)))
                     lines.append(reader.line_num)
-        return cls(path, kind, _columns(header, rows), lines, _text_number)
+        return cls(path, header, rows, lines, _text_number)
 
     @classmethod
-    def from_rows(cls, path, kind, header, rows):
+    def from_rows(cls, path, header, rows):
         """The table ``serialize.write_csv(path, header, rows)`` writes, without reading it."""
-        return cls(path, kind, _columns(header, rows), range(2, len(rows) + 2), _value_number,
-                   format_column)
+        return cls(path, header, rows, range(2, len(rows) + 2), _value_number, format_column)
 
     def _column(self, column):
         if column not in self.columns:
-            raise PlotSchemaError(f"{self.path}: missing column '{column}' for kind '{self.kind}'")
+            raise PlotSchemaError(f"{self.path}: missing column '{column}'")
         return self.columns[column]
 
     def text(self, column):
@@ -128,10 +132,6 @@ class _Table:
             f"{self.path}: column '{column}' line {self.lines[row]}: "
             f"expected {expected}, got {self.text(column)[row]!r}"
         )
-
-
-def _columns(header, rows):
-    return dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
 
 
 def _page(x_label, y_label, title):
@@ -273,7 +273,7 @@ def _polyline(coords, color, width=1.5, dash=None):
 
 
 def _render_scaling(table):
-    value_col = next((c for c in ("value", "mean", "msre") if c in table.columns), "value")
+    value_col = "value" if "value" in table.columns else "msre"
     values = table.numbers(value_col)
     ts = table.numbers("t")
     rows = [i for i, v in enumerate(values) if v > 0 and math.isfinite(v)]  # on the log axis
@@ -430,27 +430,22 @@ def _render_posterior(table):
     return _document(parts)
 
 
-_RENDERERS = {
-    "scaling": _render_scaling,
-    "heatmap": _render_heatmap,
-    "band": _render_band,
-    "posterior": _render_posterior,
-}
-
-PLOT_KINDS = tuple(_RENDERERS)
+# the column that picks each renderer, in order: fi_surface.csv's theta1_over_pi outranks value
+_RENDERERS = {"theta02_over_pi": _render_posterior, "theta1_over_pi": _render_heatmap,
+              "std": _render_band, "value": _render_scaling, "msre": _render_scaling}
 
 
-def render_plot(data_path, kind: str, out_path, written=None) -> Path:
-    """Render one CSV data file to a standalone SVG document.
+def render_plot(data_path, out_path, written=None) -> Path:
+    """Render one CSV data file to the standalone SVG document its header selects.
 
     ``written`` is the ``(header, rows)`` that ``serialize.write_csv`` wrote
     to ``data_path``; given, the plot reads those rows instead of the file,
-    with the same bytes as a result.
+    with the same bytes as a result.  A header that selects no plot, or that
+    repeats a column, raises PlotSchemaError.
     """
-    if kind not in _RENDERERS:
-        raise PlotSchemaError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    if written is None:
-        table = _Table.read(data_path, kind)
-    else:
-        table = _Table.from_rows(data_path, kind, *written)
-    return atomic_write_text(out_path, _RENDERERS[kind](table))
+    table = _Table.read(data_path) if written is None else _Table.from_rows(data_path, *written)
+    for column, render in _RENDERERS.items():
+        if column in table.columns:
+            return atomic_write_text(out_path, render(table))
+    raise PlotSchemaError(f"{data_path}: no plot for header {','.join(table.columns)}; "
+                          f"expected a column of {', '.join(_RENDERERS)}")

@@ -55,7 +55,8 @@ def test_criterion_02_trivial_phase_suppression(fi_nontrivial, fi_trivial):
     fit_all = metrology.fit_scaling(fi_trivial, mode="all_points")
     fit_peaks = metrology.fit_scaling(fi_trivial, mode="peaks_only")
     t_mid = math.sqrt(10 * STEPS)
-    under_peaks = fit_all.value_at(t_mid) < fit_peaks.value_at(t_mid)
+    under_peaks = (fit_all.prefactor * t_mid**fit_all.exponent
+                   < fit_peaks.prefactor * t_mid**fit_peaks.exponent)
     record(
         2,
         f"trivial FI(60) = {fi_trivial.values[60]:.1f} < {fi_nontrivial.values[60]:.1f}"
@@ -181,7 +182,7 @@ def test_criterion_09_cramer_rao_consistency(fi_nontrivial):
         rng = np.random.default_rng(np.random.SeedSequence(123, spawn_key=(rep,)))
         m = int(rng.binomial(trials, p_true))
         grid = bayes.posterior(candidates, table, trials, m)
-        errors.append(bayes.msre(grid, NONTRIVIAL.theta02))
+        errors.append(bayes._relative_error(grid.variance, grid.mean, NONTRIVIAL.theta02))
     mean_msre = float(np.mean(errors))
     bound = (1.0 - 0.15) / (trials * fi_t * NONTRIVIAL.theta02**2)
     record(

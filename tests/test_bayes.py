@@ -14,11 +14,11 @@ from test_walk import start_grid, step_fields
 from qwsense import kernels
 from qwsense.bayes import (
     EstimationConfig,
+    _relative_error,
     candidate_probability_table,
     defect_probability_series,
     estimation_curve,
     informative_schedule,
-    msre,
     posterior,
     record_seed,
 )
@@ -290,7 +290,7 @@ def test_msre_concentrated_posterior_is_zero():
     log_w = np.full(51, -np.inf)
     log_w[25] = 0.0
     grid.log_weights = log_w
-    assert msre(grid, true) == pytest.approx(0.0, abs=1e-30)
+    assert _relative_error(grid.variance, grid.mean, true) == pytest.approx(0.0, abs=1e-30)
 
 
 def test_msre_uniform_posterior_matches_uniform_variance():
@@ -303,9 +303,10 @@ def test_msre_uniform_posterior_matches_uniform_variance():
     # discrete uniform variance on G equidistant points
     spacing = (hi - lo) / (grid_points - 1)
     expected = spacing**2 * (grid_points**2 - 1) / 12.0 / true**2
-    assert msre(grid, true) == pytest.approx(expected, rel=1e-12)
+    assert _relative_error(grid.variance, grid.mean, true) == pytest.approx(expected, rel=1e-12)
     # converges to the continuum (hi-lo)^2/12 value at this resolution
-    assert msre(grid, true) == pytest.approx((hi - lo) ** 2 / 12.0 / true**2, rel=2e-2)
+    continuum = (hi - lo) ** 2 / 12.0 / true**2
+    assert _relative_error(grid.variance, grid.mean, true) == pytest.approx(continuum, rel=2e-2)
 
 
 def test_msre_rejects_zero_true_value():
@@ -313,7 +314,7 @@ def test_msre_rejects_zero_true_value():
     table = candidate_probability_table(nontrivial(43), candidates, [1])[0]
     grid = posterior(candidates, table, trials=0, successes=0)
     with pytest.raises(ZeroDivisionError):
-        msre(grid, 0.0)
+        _relative_error(grid.variance, grid.mean, 0.0)
 
 
 # --- schedules and curves -------------------------------------------------------
@@ -443,7 +444,7 @@ def serial_curve(config, table, data_coin_fields=None, seed_prefix=()):
             if rep == 0:
                 first_m = m
                 grids.append(grid)
-            errors.append(msre(grid, config.params.theta02))
+            errors.append(_relative_error(grid.variance, grid.mean, config.params.theta02))
             stds.append(grid.std)
         records.append((t, first_m, float(np.mean(errors)), float(np.mean(stds))))
     return records, grids

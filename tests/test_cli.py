@@ -391,19 +391,43 @@ def test_seed_override_changes_outputs(tmp_path):
     )
 
 
+GRID = {"theta1_over_pi": [-1.0, 1.0, 3], "theta2_over_pi": [-1.0, 1.0, 3], "n_k": 64}
+ESTIMATION = {"prior_over_pi": [-0.556, -0.544], "grid_points": 11, "trials": 10}
+# one small run per experiment kind, and the SVGs it draws
+SMALL_RUNS = [
+    ({"experiment": "fi-scaling", "steps": 20, "walk": WALK}, ["fi_series.svg"]),
+    ({"experiment": "avg-fi", "steps": 20, "walk": WALK,
+      "averaging": {"window": 3, "spacing": 2}}, ["avg_fi_series.svg"]),
+    ({"experiment": "gfi-qfi", "steps": 20, "walk": WALK},
+     ["fi_series.svg", "gfi_series.svg", "qfi_series.svg"]),
+    ({"experiment": "fi-surface", "walk": WALK,
+      "surface": {"theta1_over_pi": [-0.95, 0.95, 3], "steps": 12}}, ["fi_surface.svg"]),
+    ({"experiment": "phase-diagram", "phase_grid": GRID}, ["phase_diagram.svg"]),
+    ({"experiment": "bayes", "steps": 20, "walk": WALK, "estimation": ESTIMATION},
+     ["estimation.svg", "posterior.svg"]),
+    ({"experiment": "disorder", "steps": 20, "walk": WALK,
+      "disorder": {"kind": "static", "n_realizations": 2}}, ["ensemble.svg"]),
+    ({"experiment": "disorder", "steps": 20, "walk": WALK,
+      "disorder": {"kind": "dynamic", "n_realizations": 2}}, ["ensemble.svg"]),
+    ({"experiment": "disorder", "steps": 20, "walk": WALK, "estimation": ESTIMATION,
+      "disorder": {"kind": "static", "observable": "msre", "n_realizations": 2}},
+     ["ensemble.svg"]),
+    ({"experiment": "spectrum", "walk": {**WALK, "lattice_size": 11}}, []),
+]
+
+
 def test_svg_rerender_is_byte_identical(tmp_path):
-    cfg = write_config(
-        tmp_path, {"experiment": "fi-scaling", "steps": 40, "walk": WALK}
-    )
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
-    original = (out / "fi_series.svg").read_bytes()
-    (out / "fi_series.svg").unlink()
-    assert cli.main([
-        "plot", "--data", str(out / "fi_series.csv"), "--kind", "scaling",
-        "--out", str(out / "fi_series.svg"),
-    ]) == 0
-    assert (out / "fi_series.svg").read_bytes() == original
+    # each run draws the SVGs it always drew, and qwsense plot, which reads
+    # the plot from the CSV's header, redraws each byte for byte
+    replot = tmp_path / "replot.svg"
+    for i, (doc, svgs) in enumerate(SMALL_RUNS):
+        out = tmp_path / f"out{i}"
+        assert cli.main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.glob("*.svg")) == svgs, doc
+        for svg in svgs:
+            data = str((out / svg).with_suffix(".csv"))
+            assert cli.main(["plot", "--data", data, "--out", str(replot)]) == 0
+            assert replot.read_bytes() == (out / svg).read_bytes(), (doc, svg)
 
 
 def test_spectrum_schema_and_localized_states(tmp_path):
@@ -642,19 +666,17 @@ def test_io_failure_exit_code(tmp_path):
 
 def test_plot_missing_column_names_it(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n1,2\n")
-    rc = cli.main(["plot", "--data", str(bad), "--kind", "band",
-                   "--out", str(tmp_path / "x.svg")])
+    bad.write_text("mean,std,n_realizations\n1,2,3\n")  # std picks the band plot, which reads t
+    rc = cli.main(["plot", "--data", str(bad), "--out", str(tmp_path / "x.svg")])
     assert rc == 2
-    assert "missing column 't'" in capsys.readouterr().err
+    assert f"{bad}: missing column 't'" in capsys.readouterr().err
 
 
 def test_plot_empty_data_produces_no_data_annotation(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("t,value,flagged\n")
     out = tmp_path / "empty.svg"
-    assert cli.main(["plot", "--data", str(empty), "--kind", "scaling",
-                     "--out", str(out)]) == 0
+    assert cli.main(["plot", "--data", str(empty), "--out", str(out)]) == 0
     text = out.read_text()
     assert text.startswith("<svg")
     assert "no data" in text
@@ -669,8 +691,7 @@ def test_plot_heatmap_marks_gapless_with_sentinel(tmp_path):
         "0.8,0.75,1,0.1,gapped\n"
     )
     out = tmp_path / "pd.svg"
-    assert cli.main(["plot", "--data", str(data), "--kind", "heatmap",
-                     "--out", str(out)]) == 0
+    assert cli.main(["plot", "--data", str(data), "--out", str(out)]) == 0
     from qwsense.plotting import SENTINEL
 
     assert SENTINEL in out.read_text()
@@ -681,6 +702,5 @@ def test_scaling_plot_includes_guide_line(tmp_path):
     lines = ["t,value,flagged"] + [f"{t},{float(t * t)},0" for t in range(1, 30)]
     data.write_text("\n".join(lines) + "\n")
     out = tmp_path / "fi.svg"
-    assert cli.main(["plot", "--data", str(data), "--kind", "scaling",
-                     "--out", str(out)]) == 0
+    assert cli.main(["plot", "--data", str(data), "--out", str(out)]) == 0
     assert "guide: t^+2" in out.read_text()

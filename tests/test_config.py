@@ -9,6 +9,7 @@ import pytest
 
 from qwsense import cli
 from qwsense.config import _SECTIONS, _TOP_LEVEL, validate_config
+from qwsense.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -73,11 +74,12 @@ RULES = [
     ("fit-window-coverage", with_(FI, steps=13), "steps: an fi-scaling run needs steps >= 14"),
     # only fi-scaling and disorder-FI runs fit; elsewhere fit was silently ignored
     ("fit-on-gfi-qfi", with_(FI, experiment="gfi-qfi", fit={"t_min": 30, "mode": "peaks_only"}),
-     "fit: read only"),
-    ("fit-on-bayes", with_(BAYES, fit={"mode": "peaks_only"}), "fit: read only"),
+     "fit: not read by gfi-qfi runs"),
+    ("fit-on-bayes", with_(BAYES, fit={"mode": "peaks_only"}), "fit: not read by bayes runs"),
     ("fit-on-msre", with_(DISORDER, disorder__observable="msre", estimation=ESTIMATION, fit={}),
-     "fit: read only"),
-    ("fit-on-phase-diagram", with_(PHASE, fit={"t_min": 10}), "fit: read only"),
+     "fit: not read by disorder runs with observable msre"),
+    ("fit-on-phase-diagram", with_(PHASE, fit={"t_min": 10}),
+     "fit: not read by phase-diagram runs"),
     ("walk-missing", without(FI, "walk"), "walk:"),
     ("walk.theta1-missing", without(FI, "walk", "theta1_over_pi"), "walk.theta1_over_pi:"),
     ("walk.theta2-not-a-number", with_(FI, walk__theta2_over_pi="x"), "walk.theta2_over_pi:"),
@@ -186,11 +188,55 @@ def test_unknown_names_are_rejected_together(tmp_path, capsys):
         assert f"\n  {name}: unknown name" in capsys.readouterr().err
 
 
-def test_a_section_the_experiment_does_not_read_is_not_checked(tmp_path):
-    unread = {"anything": 1}
-    assert validate(tmp_path, with_(FI, estimation=unread, disorder=unread, surface=unread,
-                                    phase_grid=unread, averaging=unread)) == 0
-    assert validate(tmp_path, with_(PHASE, walk=unread)) == 0
+# each base document's run, and the top-level names its readers read besides
+# experiment, seed and out_dir, which every run reads
+READS = [
+    ("fi-scaling", FI, ("steps", "walk", "fit")),
+    ("fi-surface", SURFACE, ("walk", "surface")),
+    ("phase-diagram", PHASE, ("phase_grid",)),
+    ("spectrum", SPECTRUM, ("walk",)),
+    ("bayes", BAYES, ("steps", "walk", "estimation")),
+    ("disorder-fi", DISORDER, ("steps", "walk", "disorder", "fit")),
+    ("disorder-msre", with_(DISORDER, disorder__observable="msre", estimation=ESTIMATION),
+     ("steps", "walk", "disorder", "estimation")),
+    ("avg-fi", AVERAGING, ("steps", "walk", "averaging")),
+    ("gfi-qfi", with_(FI, experiment="gfi-qfi"), ("steps", "walk")),
+]
+# (id, document with one name its run does not read, the one violation it must report);
+# a section's value is malformed: the run would not have checked it either
+UNREAD = [
+    (f"{run}-{name}", {**doc, name: "x" if name == "steps" else {"theta1_over_pi": "x"}},
+     f"{name}: not read by {doc['experiment']} runs"
+     + (f" with observable {doc['disorder']['observable']}" if "disorder" in reads else ""))
+    for run, doc, reads in READS
+    for name in ("steps", *_SECTIONS)
+    if name not in reads
+]
+
+
+@pytest.mark.parametrize("doc, violation", [case[1:] for case in UNREAD],
+                         ids=[case[0] for case in UNREAD])
+def test_a_name_the_experiment_does_not_read_is_a_violation(doc, violation):
+    # a section the run did not read was never checked: a walk with theta1 "x"
+    # validated on a phase diagram, and averaging on an fi-scaling run
+    with pytest.raises(ConfigError) as caught:
+        validate_config(doc)
+    assert caught.value.violations == [violation]
+
+
+def test_a_repeated_name_is_rejected_at_any_depth(tmp_path, capsys):
+    # the last value won: this validated and ran 100 steps at the second angle
+    text = ('{"experiment": "fi-scaling", "steps": 20, "steps": 100,\n'
+            ' "walk": {"theta1_over_pi": 0.9, "theta2_over_pi": 0.75,\n'
+            '          "theta02_over_pi": -0.55, "theta02_over_pi": -0.5}}')
+    path = tmp_path / "config.json"
+    # an object is read before the object that holds it
+    for text, name in ((text, "theta02_over_pi"), (text.replace(', "theta02_over_pi": -0.5', ""),
+                                                     "steps")):
+        path.write_text(text)
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"\n  config: name '{name}' is repeated in one JSON object\n")
 
 
 def test_omitted_names_read_the_defaults_they_always_read():
@@ -209,9 +255,10 @@ def test_omitted_names_read_the_defaults_they_always_read():
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_every_benchmark_job_validates(tmp_path, workload):
-    jobs = job_list(workload, 0)
-    for job in jobs + warmup_jobs(jobs):
-        assert validate(tmp_path, job.doc) == 0, job.id
+    for seed in (0, 5):
+        jobs = job_list(workload, seed)
+        for job in jobs + warmup_jobs(jobs):
+            assert validate(tmp_path, job.doc) == 0, (seed, job.id)
 
 
 def test_every_accepted_name_is_set_by_a_preset_or_a_benchmark_job():

@@ -482,7 +482,8 @@ def test_trivial_case_peaks_sit_above_the_bulk_fit():
     fit_all = fit_scaling(series, mode="all_points")
     fit_peaks = fit_scaling(series, mode="peaks_only")
     t_mid = math.sqrt(10 * 100)
-    assert fit_all.value_at(t_mid) < fit_peaks.value_at(t_mid)
+    assert (fit_all.prefactor * t_mid**fit_all.exponent
+            < fit_peaks.prefactor * t_mid**fit_peaks.exponent)
 
 
 # --- multi-time averaging ----------------------------------------------------

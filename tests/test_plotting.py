@@ -1,8 +1,9 @@
-"""SVG rendering: pinned bytes for every plot kind, in-memory rows against their CSV, and
-cells that cannot place a mark."""
+"""SVG rendering: the plot each header picks, pinned bytes for every plot, in-memory rows
+against their CSV, and cells that cannot place a mark."""
 
 import hashlib
 import math
+import re
 import subprocess
 import sys
 
@@ -44,89 +45,125 @@ POSTERIOR_RESPELLED_STEP = "t,theta02_over_pi,weight\n" + "".join(
 
 # sha256 of each rendered SVG, recorded from the renderer that parsed every cell per row
 PINNED = {
-    "scaling-growth": ("scaling", SCALING_GROWTH,
+    "scaling-growth": (SCALING_GROWTH,
                        "b5099d01ef54d03fcaf98e2ccd56a3af57d5fe5c96f545d2abe85490b13c0f5c"),
-    "scaling-decay": ("scaling", SCALING_DECAY,
+    "scaling-decay": (SCALING_DECAY,
                       "7779d3f8ac4fdc614663ff9c94d7c5216181169a5b4d12d86ecf24953b83c418"),
-    "heatmap-winding": ("heatmap", HEATMAP_WINDING,
+    "heatmap-winding": (HEATMAP_WINDING,
                         "b5ba39c5aa30ac355e80b5fb6997c94f771c85efdac651378fca73e833a0ac00"),
-    "heatmap-value": ("heatmap", HEATMAP_VALUE,
+    "heatmap-value": (HEATMAP_VALUE,
                       "4e04e8bde7d53ef679a30b97ea89fe3dd8aa45b643a464483edd55ed5fda3257"),
-    "band": ("band", BAND,
+    "band": (BAND,
              "14acce92ece6336ad0125d28687260f27d772aa3c27aad8a0dff41a15522c107"),
-    "posterior": ("posterior", POSTERIOR,
+    "posterior": (POSTERIOR,
                   "5172fa95672a8bc47040abe81083bcaa50ebf86c170b2fefb06da48e4104bf85"),
-    "posterior-respelled-step": ("posterior", POSTERIOR_RESPELLED_STEP,
+    "posterior-respelled-step": (POSTERIOR_RESPELLED_STEP,
                                  "d41d61e08120ad9af08d0fa7bb4d3d8ef0a88342ec0cc94284914a03ababa0ff"),
-    "empty-scaling": ("scaling", "t,value,flagged\n",
+    "empty-scaling": ("t,value,flagged\n",
                       "6b631b9a86da68d980bb993a95644d6c76a1cc9fa1b9967dce3a8b038f23d039"),
-    "empty-heatmap": ("heatmap", "theta1_over_pi,t,value,flagged\n",
+    "empty-heatmap": ("theta1_over_pi,t,value,flagged\n",
                       "3fe1b9a9fdd0c731290da56bcb730eade7a98475759824604240d0c736c646eb"),
-    "empty-band": ("band", "t,mean,std,n_realizations\n",
+    "empty-band": ("t,mean,std,n_realizations\n",
                    "f52a668888001f2b1d3c88d1ae3073654e43405837a088dc44e7d929ba16a4df"),
-    "empty-posterior": ("posterior", "t,theta02_over_pi,weight\n",
+    "empty-posterior": ("t,theta02_over_pi,weight\n",
                         "73d3eb762185dba5f79e2b399139cf78e70f7834d4ec168c40fae69ea43234b4"),
 }
 
 
-def plot(tmp_path, kind, text):
+def plot(tmp_path, text):
     data = tmp_path / "data.csv"
     data.write_text(text)
     out = tmp_path / "plot.svg"
-    return cli.main(["plot", "--data", str(data), "--kind", kind, "--out", str(out)]), out
+    return cli.main(["plot", "--data", str(data), "--out", str(out)]), out
 
 
 @pytest.mark.parametrize("name", PINNED)
 def test_svg_bytes_are_pinned(tmp_path, name):
-    kind, text, digest = PINNED[name]
-    rc, out = plot(tmp_path, kind, text)
+    text, digest = PINNED[name]
+    rc, out = plot(tmp_path, text)
     assert rc == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_posterior_curves_group_by_cell_text(tmp_path):
     # "20" and "20.0" name the same step, but the file spells them apart
-    rc, out = plot(tmp_path, "posterior", POSTERIOR_RESPELLED_STEP)
+    rc, out = plot(tmp_path, POSTERIOR_RESPELLED_STEP)
     assert rc == 0
     svg = out.read_text()
     assert svg.count("<polyline") == 2
     assert ">t=20</text>" in svg and ">t=20.0</text>" in svg
 
 
+# (header, the plot's y-axis label, which names the plot the header picks)
+HEADERS = [
+    ("t,theta02_over_pi,weight", "posterior weight"),
+    ("theta1_over_pi,theta2_over_pi,winding,min_gap,status", "theta1_over_pi"),
+    ("theta1_over_pi,t,value,flagged", "theta1_over_pi"),  # theta1_over_pi outranks value
+    ("t,mean,std,n_realizations", "mean +/- std"),
+    ("t,value,flagged", "value"),
+    ("t,M,m,msre", "msre"),
+]
+
+
+@pytest.mark.parametrize("header, y_label", HEADERS, ids=[h.replace(",", "-") for h, _ in HEADERS])
+def test_the_header_picks_the_plot(tmp_path, header, y_label):
+    rc, out = plot(tmp_path, header + "\n")
+    assert rc == 0
+    assert f'rotate(-90 16 {plotting.HEIGHT / 2:.1f})">{y_label}</text>' in out.read_text()
+
+
+@pytest.mark.parametrize("header, error", [
+    # a spectrum run writes no SVG: its header picks no plot
+    ("index,quasi_energy,ipr,is_localized", "no plot for header index,quasi_energy,ipr,"),
+    # the last column used to win, unseen
+    ("t,value,value", "the header repeats column 'value'"),
+    ("t,mean,std,std,n_realizations", "the header repeats column 'std'"),
+], ids=["spectrum", "repeated-value", "repeated-std"])
+def test_a_header_that_picks_no_plot_or_repeats_a_column_is_named(tmp_path, capsys,
+                                                                   header, error):
+    rc, out = plot(tmp_path, header + "\n1,2,3,4,5\n")
+    assert rc == 2
+    assert f"{tmp_path / 'data.csv'}: {error}" in capsys.readouterr().err
+    assert not out.exists()
+    columns = header.split(",")
+    with pytest.raises(PlotSchemaError, match=re.escape(error)):  # so do rows in memory
+        plotting.render_plot(tmp_path / "data.csv", out, (columns, [tuple(range(len(columns)))]))
+
+
 BAD_CELLS = [
-    # (id, kind, csv text, the column and line the error must name)
-    ("heatmap-blank-theta1", "heatmap",
+    # (id, csv text, the column and line the error must name)
+    ("heatmap-blank-theta1",
      "theta1_over_pi,theta2_over_pi,winding,min_gap,status\n"
      "0.7,0.75,0,0.1,gapped\n,0.75,1,0.1,gapped\n", "column 'theta1_over_pi' line 3"),
-    ("heatmap-nan-winding", "heatmap",
+    ("heatmap-nan-winding",
      "theta1_over_pi,theta2_over_pi,winding,min_gap,status\n"
      "0.7,0.75,nan,0.1,gapped\n", "column 'winding' line 2"),
-    ("heatmap-fractional-winding", "heatmap",
+    ("heatmap-fractional-winding",
      "theta1_over_pi,theta2_over_pi,winding,min_gap,status\n"
      "0.7,0.75,0,0.1,gapped\n0.8,0.75,0.5,0.1,gapped\n", "column 'winding' line 3"),
-    ("heatmap-infinite-t", "heatmap",
+    ("heatmap-infinite-t",
      "theta1_over_pi,t,value,flagged\n0.5,1,2.0,0\n0.5,inf,3.0,0\n", "column 't' line 3"),
-    ("posterior-nan-theta02", "posterior",
+    ("posterior-nan-theta02",
      "t,theta02_over_pi,weight\n10,-0.55,0.5\n10,nan,0.5\n", "column 'theta02_over_pi' line 3"),
-    ("posterior-blank-weight", "posterior",
+    ("posterior-blank-weight",
      "t,theta02_over_pi,weight\n10,-0.55,\n", "column 'weight' line 2"),
-    ("band-blank-std", "band",
+    ("band-blank-std",
      "t,mean,std,n_realizations\n1,2.0,0.5,10\n2,4.0,,10\n", "column 'std' line 3"),
-    ("band-negative-std", "band",
+    ("band-negative-std",
      "t,mean,std,n_realizations\n1,2.0,0.5,10\n2,4.0,-5.0,10\n", "column 'std' line 3"),
-    ("band-blank-t", "band",
+    ("band-blank-t",
      "t,mean,std,n_realizations\n1,2.0,0.5,10\n\n,4.0,0.5,10\n", "column 't' line 4"),
-    ("scaling-nan-t", "scaling",
+    ("scaling-nan-t",
      "t,value,flagged\n1,1.0,0\nnan,4.0,0\n", "column 't' line 3"),
-    ("scaling-text-value", "scaling",
+    ("scaling-text-value",
      "t,value,flagged\n1,1.0,0\n2,big,0\n", "column 'value' line 3"),
 ]
 
 
-@pytest.mark.parametrize("kind, text, where", [case[1:] for case in BAD_CELLS],
+@pytest.mark.parametrize("text, where", [case[1:] for case in BAD_CELLS],
                          ids=[case[0] for case in BAD_CELLS])
-def test_a_cell_that_cannot_place_its_mark_is_named(tmp_path, capsys, kind, text, where):
-    rc, out = plot(tmp_path, kind, text)
+def test_a_cell_that_cannot_place_its_mark_is_named(tmp_path, capsys, text, where):
+    rc, out = plot(tmp_path, text)
     assert rc == 2
     assert where in capsys.readouterr().err
     assert not out.exists()
@@ -134,10 +171,10 @@ def test_a_cell_that_cannot_place_its_mark_is_named(tmp_path, capsys, kind, text
 
 def test_value_cells_off_the_log_axis_are_still_dropped(tmp_path):
     # a blank or non-positive value places no mark, so its row's t is not read
-    rc, out = plot(tmp_path, "scaling", "t,value,flagged\n1,1.0,0\n,,1\n3,-1.0,0\n4,16.0,0\n")
+    rc, out = plot(tmp_path, "t,value,flagged\n1,1.0,0\n,,1\n3,-1.0,0\n4,16.0,0\n")
     assert rc == 0
     assert out.read_text().count("<circle") == 2
-    rc, out = plot(tmp_path, "band", "t,mean,std,n_realizations\n1,2.0,0.5,10\n2,nan,,10\n")
+    rc, out = plot(tmp_path, "t,mean,std,n_realizations\n1,2.0,0.5,10\n2,nan,,10\n")
     assert rc == 0
     assert "nan" not in out.read_text()
 
@@ -149,8 +186,7 @@ def test_ticks_stop_where_the_step_is_below_the_float_spacing(tmp_path):
     data.write_text("t,theta02_over_pi,weight\n10,1e16,0.5\n10,10000000000000004,0.25\n")
     out = tmp_path / "plot.svg"
     proc = subprocess.run(
-        [sys.executable, "-m", "qwsense", "plot", "--data", str(data), "--kind", "posterior",
-         "--out", str(out)],
+        [sys.executable, "-m", "qwsense", "plot", "--data", str(data), "--out", str(out)],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -158,33 +194,30 @@ def test_ticks_stop_where_the_step_is_below_the_float_spacing(tmp_path):
 
 
 FLOAT_EDGES = [
-    # (id, kind, csv text, None where the table draws, else the column and line the error names)
-    ("scaling-subnormal-value", "scaling", "t,value,flagged\n1,5e-324,0\n2,1.0,0\n", None),
-    ("scaling-value-near-max", "scaling",
+    # (id, csv text, None where the table draws, else the column and line the error names)
+    ("scaling-subnormal-value", "t,value,flagged\n1,5e-324,0\n2,1.0,0\n", None),
+    ("scaling-value-near-max",
      "t,value,flagged\n1,1.0,0\n2,1e308,0\n3,1.7e308,0\n", None),
-    ("scaling-guide-underflows", "scaling", "t,value,flagged\n1e-300,1.0,0\n0.5,2.0,0\n", None),
-    ("heatmap-coordinate-near-max", "heatmap",
+    ("scaling-guide-underflows", "t,value,flagged\n1e-300,1.0,0\n0.5,2.0,0\n", None),
+    ("heatmap-coordinate-near-max",
      "theta1_over_pi,t,value,flagged\n0.5,1,2.0,0\n1.7e308,2,3.0,0\n",
      "column 'theta1_over_pi' line 3"),
-    ("band-upper-overflows", "band",
+    ("band-upper-overflows",
      "t,mean,std,n_realizations\n1,1.7e308,1.7e308,10\n2,1e-323,0,10\n", None),
-    ("posterior-subnormal-weight", "posterior",
+    ("posterior-subnormal-weight",
      "t,theta02_over_pi,weight\n10,-0.55,5e-324\n10,-0.54,0\n", None),
 ]
 
 
-@pytest.mark.parametrize("kind, text, where", [case[1:] for case in FLOAT_EDGES],
+@pytest.mark.parametrize("text, where", [case[1:] for case in FLOAT_EDGES],
                          ids=[case[0] for case in FLOAT_EDGES])
-def test_finite_values_at_the_ends_of_the_float_range_draw_or_are_named(
-    tmp_path, kind, text, where
-):
+def test_finite_values_at_the_ends_of_the_float_range_draw_or_are_named(tmp_path, text, where):
     # each of these exited 1 with a traceback, or 2 with a bare "math domain error"
     data = tmp_path / "data.csv"
     data.write_text(text)
     out = tmp_path / "plot.svg"
     proc = subprocess.run(
-        [sys.executable, "-m", "qwsense", "plot", "--data", str(data), "--kind", kind,
-         "--out", str(out)],
+        [sys.executable, "-m", "qwsense", "plot", "--data", str(data), "--out", str(out)],
         capture_output=True, text=True, timeout=60,
     )
     if where is None:
@@ -243,8 +276,8 @@ def test_neighbouring_tick_labels_differ(lo, width):
 
 
 def test_a_log_axis_over_every_decade_labels_a_stride_of_them(tmp_path):
-    text = next(case[2] for case in FLOAT_EDGES if case[0] == "scaling-subnormal-value")
-    rc, out = plot(tmp_path, "scaling", text)
+    text = next(case[1] for case in FLOAT_EDGES if case[0] == "scaling-subnormal-value")
+    rc, out = plot(tmp_path, text)
     assert rc == 0
     # the value labels stand left of the y axis: one on each of 308 decades, before
     labels = out.read_text().count(f'<text x="{plotting.MARGIN_L - 8}" ')
@@ -294,7 +327,7 @@ TABLES = {
     "heatmap-value": (("theta1_over_pi", "t", "value", "flagged"),
                       (COORDS, COORDS, VALUES, st.booleans())),
     "band": (("t", "mean", "std", "n_realizations"), (COORDS, VALUES, VALUES, st.integers(1, 9))),
-    "posterior": (("t", "theta02_over_pi", "weight"),
+             "posterior": (("t", "theta02_over_pi", "weight"),
                   (st.sampled_from([6, 20, 100, True]), COORDS, VALUES)),
 }
 
@@ -313,11 +346,10 @@ def render(*args):
 def test_rows_in_memory_render_as_their_csv(tmp_path_factory, table, data):
     header, cells = TABLES[table]
     rows = data.draw(st.lists(st.tuples(*cells), max_size=24))
-    kind = table.split("-")[0]
     work = tmp_path_factory.mktemp(table)
     path = serialize.write_csv(work / "data.csv", header, rows)
-    from_file = render(path, kind, work / "file.svg")
-    assert render(path, kind, work / "memory.svg", (header, rows)) == from_file
+    from_file = render(path, work / "file.svg")
+    assert render(path, work / "memory.svg", (header, rows)) == from_file
 
 
 def test_a_non_finite_mark_reads_the_same_error_in_memory(tmp_path):
@@ -327,7 +359,7 @@ def test_a_non_finite_mark_reads_the_same_error_in_memory(tmp_path):
     errors = []
     for written in (None, (header, rows)):
         with pytest.raises(PlotSchemaError) as caught:
-            plotting.render_plot(path, "posterior", tmp_path / "plot.svg", written)
+            plotting.render_plot(path, tmp_path / "plot.svg", written)
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
     assert errors[0].endswith(
