@@ -15,11 +15,12 @@ limit.
 The candidate table steps all C candidate walks from the walk's one start,
 |-1, down> (``walk.write_start``), as one real (C, W, 2) stack, which is a
 view of a (W, 2, C) array: the candidate axis is innermost in memory.  The
-coin tables are shared by every candidate, so each elementwise pass of the
+bulk coins are shared by every candidate, so each elementwise pass of the
 step kernel then runs one contiguous loop over the C candidates with each
-(W,) table entry as a scalar, where the (C, W, 2) memory order would run
-W-long loops at a 16-byte stride.  The arithmetic is the same in either
-order, so the table's bits are too.
+coin as a scalar, where the (C, W, 2) memory order would run W-long loops
+at a 16-byte stride.  The arithmetic is the same in either order, so the
+table's bits are too.  The candidates differ only in the defect coin, which
+``kernels.defect_coin`` applies with one entry per candidate.
 
 ``estimation_curve`` draws a scheduled step's R click counts, one seed
 stream per repetition, and computes their R posteriors as one (R, C) array
@@ -40,9 +41,11 @@ from .walk import (
     WalkParams,
     coin_tables,
     dynamics_lattice_size,
+    half_angle,
     light_cone,
     propagate,
     site_probability,
+    tables_on,
     wrap_angle,
     write_start,
 )
@@ -127,7 +130,7 @@ class EstimationCurve:
 def defect_probability_series(params: WalkParams, steps: int, coin_fields=None) -> np.ndarray:
     """P0(t) for t = 0..steps (state-only propagation, no derivative).
 
-    Shape (steps + 1,), or (steps + 1, B) for coin fields with (B, N) angles.
+    Shape (steps + 1,), or (steps + 1, B) for coin fields of B walks.
     Only the defect row is read, so the walk runs on the causal diamond
     (``walk`` module docstring).
     """
@@ -147,10 +150,10 @@ def candidate_probability_table(
     stack; this table is the expensive part of estimation and is reused
     across trials and experiments.  The stack and its scratch buffer are
     (W, 2, C) arrays stepped through their (C, W, 2) views, so every kernel
-    pass runs contiguously over the candidates with each coin-table entry
-    broadcast as a scalar (module docstring).  The candidates share the field's coin
-    tables and differ only in the layer-2 coin at the defect, which is
-    redone per candidate after each step.  The stack holds the
+    pass runs contiguously over the candidates with each coin broadcast as a
+    scalar (module docstring).  The candidates share the field's bulk coin
+    tables and differ only in the defect coin: ``kernels.defect_coin`` takes
+    one (C,) cosine and sine entry per candidate.  The stack holds the
     W = 2 t_max + 3 sites around the defect that the last scheduled step's
     light cone can reach, or the whole ring when that is smaller, and each
     step runs on the causal diamond of that W-site geometry
@@ -167,7 +170,6 @@ def candidate_probability_table(
         raise ValueError(f"candidate walks take (N,) coin fields: batch must be (), got {batch}")
     width = min(params_template.lattice_size, dynamics_lattice_size(t_max))
     start = params_template.defect_index - (width - 1) // 2
-    window = slice(start, start + width)
     defect = (width - 1) // 2
     cone = light_cone(replace(params_template, lattice_size=width), t_max)
     # (width, 2, C) in memory, stepped through its (C, width, 2) view; the
@@ -175,18 +177,14 @@ def candidate_probability_table(
     current, scratch = (np.zeros((width, 2, len(candidates))).transpose(2, 0, 1)
                         for _ in range(2))
     write_start(current, defect)
-    half = 0.5 * np.array([wrap_angle(theta) for theta in candidates])
-    c02, s02 = np.cos(half), np.sin(half)
+    cos02, sin02 = half_angle([wrap_angle(theta) for theta in candidates])
     probs = np.empty((t_max + 1, len(candidates)))
     probs[0] = site_probability(current[:, defect])
     for t, (rows, tables) in enumerate(zip(cone, step_tables)):
-        c1, s1, c2, s2 = (table[window] for table in tables)
-        kernels.split_step(current[:, rows], c1[rows], s1[rows], c2[rows], s2[rows],
-                           scratch[:, rows])
-        # layer 2 at the defect again, with each candidate's angle
-        fu, fd = kernels.defect_coin_inputs(current, c1, s1, defect)
-        scratch[:, defect, 0] = c02 * fu - s02 * fd
-        scratch[:, defect - 1, 1] = s02 * fu + c02 * fd
+        c1, s1, c2, s2 = tables_on(tables, slice(start + rows.start, start + rows.stop))
+        source, out = current[:, rows], scratch[:, rows]
+        kernels.split_step(source, c1, s1, c2, s2, out)
+        kernels.defect_coin(source, c1, s1, defect - rows.start, cos02, sin02, out)
         current, scratch = scratch, current
         probs[t + 1] = site_probability(current[:, defect])
     return probs[schedule]

@@ -30,7 +30,8 @@ def _build_parser():
     run_p.add_argument("--config", required=True, help="path to the JSON config")
     run_p.add_argument("--out", help="output directory (overrides env and config)")
     run_p.add_argument("--seed", type=int, help="seed override")
-    run_p.add_argument("--threads", type=int, default=1, help="threads for disorder msre ensembles")
+    run_p.add_argument("--threads", type=int, default=1,
+                       help="threads for a disorder msre ensemble; other runs accept only 1")
 
     plot_p = sub.add_parser("plot", help="render the SVG view a data CSV's header selects")
     plot_p.add_argument("--data", required=True, help="input CSV path")
@@ -56,6 +57,10 @@ def _cmd_run(args) -> int:
     cfg = validate_config(load_config(args.config), seed_override=args.seed)
     if args.threads < 1:
         raise ConfigError([f"--threads: must be >= 1, got {args.threads}"])
+    reads_threads = cfg.experiment == "disorder" and cfg.disorder_observable == "msre"
+    if args.threads > 1 and not reads_threads:
+        raise ConfigError([f"--threads: only a disorder msre run reads it, got {args.threads} "
+                           f"for a {cfg.experiment} run"])
     out_dir = _resolve_out_dir(args.out, cfg)
     from . import experiments
 

@@ -3,15 +3,18 @@
 Static disorder draws every site's two coin angles independently and
 uniformly from [theta_i - w, theta_i + w], fixed for the whole run; dynamic
 disorder redraws one (theta1, theta2) pair per step, shared by all sites.
-The defect entry theta02 is never disordered: it is the estimand.  All draws
+The defect's layer-2 coin theta02 is never disordered: it is the estimand,
+the walk's own, and in no coin field (``walk.CoinField``).  All draws
 are deterministic functions of (master_seed, realization_index) through
 numpy's SeedSequence spawn keys, so realizations are order-independent.
 
 ``ensemble_fisher`` walks all R realizations as one batch through
-``metrology.fisher_at_defect``: static disorder as one (R, N) coin field, dynamic
-disorder as one (R, N) field per step, row r holding realization r's angle
-pair of that step, drawn from its stream as the walk reaches the step (so
-the run holds O(R N) angles, not O(R T N)).  Each row's FI equals that
+``metrology.fisher_at_defect``: static disorder as one (R, N) coin field,
+dynamic disorder as one (R, 1) field per step, row r holding realization
+r's angle pair of that step, drawn from its stream as the walk reaches the
+step (so the run holds O(R N) angles, not O(R T N), and a step costs 4 R
+cos/sin, not 4 R N).  A lone realization's dynamic step is a uniform field
+of shape ().  Each row's FI equals that
 realization's own serial walk bit for bit, and the mean and std reduce the
 rows in realization order.
 """
@@ -63,8 +66,8 @@ def _realization_rng(spec: DisorderSpec, realization_index: int) -> np.random.Ge
 def sample_disorder(spec: DisorderSpec, base: WalkParams, realization_index: int, steps=None):
     """Disordered coin field(s) for one realization.
 
-    Static returns a single CoinField; dynamic returns a list of per-step
-    CoinFields and requires ``steps``.
+    Static returns a single (N,) CoinField; dynamic returns a list of
+    per-step uniform CoinFields, shape (), and requires ``steps``.
     """
     if not 0 <= realization_index < spec.n_realizations:
         raise ValueError(
@@ -76,11 +79,10 @@ def sample_disorder(spec: DisorderSpec, base: WalkParams, realization_index: int
     if spec.kind == STATIC:
         a1 = rng.uniform(base.theta1 - w, base.theta1 + w, size=n)
         a2 = rng.uniform(base.theta2 - w, base.theta2 + w, size=n)
-        a2[base.defect_index] = base.theta02
         return CoinField(a1, a2)
     if steps is None or steps < 1:
         raise ValueError("dynamic disorder requires a positive step count")
-    return [_uniform_field(base, *_draw_step(spec, base, rng)) for _ in range(steps)]
+    return [CoinField(*_draw_step(spec, base, rng)) for _ in range(steps)]
 
 
 def _draw_step(spec: DisorderSpec, base: WalkParams, rng: np.random.Generator):
@@ -89,17 +91,6 @@ def _draw_step(spec: DisorderSpec, base: WalkParams, rng: np.random.Generator):
     t1 = rng.uniform(base.theta1 - w, base.theta1 + w)
     t2 = rng.uniform(base.theta2 - w, base.theta2 + w)
     return t1, t2
-
-
-def _uniform_field(base: WalkParams, theta1, theta2) -> CoinField:
-    """Every site at (theta1, theta2) but the defect's theta02; (B,) angles give B rows."""
-    shape = np.shape(theta1) + (base.lattice_size,)
-    a1 = np.empty(shape)
-    a2 = np.empty(shape)
-    a1[...] = np.asarray(theta1)[..., np.newaxis]
-    a2[...] = np.asarray(theta2)[..., np.newaxis]
-    a2[..., base.defect_index] = base.theta02
-    return CoinField(a1, a2)
 
 
 def _ensemble_fields(spec: DisorderSpec, base: WalkParams, steps: int):
@@ -113,7 +104,7 @@ def _ensemble_fields(spec: DisorderSpec, base: WalkParams, steps: int):
     # each realization's stream draws its steps in the order sample_disorder does
     rngs = [_realization_rng(spec, r) for r in realizations]
     return (
-        _uniform_field(base, *np.array([_draw_step(spec, base, rng) for rng in rngs]).T)
+        CoinField(*np.array([_draw_step(spec, base, rng) for rng in rngs]).T[..., np.newaxis])
         for _ in range(steps)
     )
 

@@ -80,6 +80,10 @@ def _run_gfi_qfi(cfg: ExperimentConfig) -> Artifacts:
     ):
         art.csv[name] = (FI_HEADER, _fi_series_rows(series[kind]))
         art.plots.append(name)
+    qfi = series[metrology.QUANTUM_FI]
+    per_t2 = qfi.values[1:] / qfi.steps[1:] ** 2
+    art.health["qfi_over_t2_max"] = float(per_t2.max())
+    art.health["qfi_over_t2_final"] = float(per_t2[-1])
     return art
 
 
@@ -99,7 +103,7 @@ def _run_fi_surface(cfg: ExperimentConfig) -> Artifacts:
     params = cfg.walk
     t1_over_pi = cfg.surface["theta1_over_pi"]
     steps = cfg.surface["steps"]
-    # every theta1 walks as one row of a (B, N) batch; the batch buffers are
+    # every theta1 walks as one row of a (B, 1) batch; the batch buffers are
     # gone before the rows are built
     fields = CoinField.stack([
         CoinField.from_params(replace(params, theta1=float(t1) * PI)) for t1 in t1_over_pi
@@ -249,7 +253,9 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     ``schedule_fold_ambiguity_max``, the largest ``bayes.fold_ambiguity`` of
     the candidate table's scheduled rows; for a spectrum run,
     ``schur_residual_max``, the largest ``||U v - lambda v||`` over the
-    eigenvectors.  ``threads`` reaches only
+    eigenvectors; for a gfi-qfi run, ``qfi_over_t2_max`` and
+    ``qfi_over_t2_final``, the largest and the last QFI(t) / t^2 over
+    t >= 1, which the Heisenberg limit bounds by 1.  ``threads`` reaches only
     the disorder msre ensemble; every other experiment runs serially.
     """
     start = time.perf_counter()

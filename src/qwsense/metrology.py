@@ -17,7 +17,7 @@ the walk (elementwise, so with the bits of a per-step reduction):
 
 They obey FI <= GFI <= QFI pointwise.  Each of the paper's two passes is
 one function returning ``FisherSeries``, for one walk or, when the coin
-fields carry (B, N) angles (a disorder ensemble, a theta1 sweep), for B
+fields describe B walks (a disorder ensemble, a theta1 sweep), for B
 walks at once, each with the values of its own serial pass.
 ``fisher_at_defect`` gives the defect-site FI, the t^2 signal; it reads
 only the defect row, so it walks the causal diamond of ``walk.light_cone``
@@ -28,10 +28,13 @@ pick their series from it.  GFI and QFI compute their per-site products on
 the light-cone window only and scatter them into full-size rows that are
 zero elsewhere; each sum then runs over the whole row, so its pairwise
 partition, and with it every bit, does not depend on the window.  The
-buffers are real (``walk`` module docstring); the products are then the
-real parts of the complex ones, and QFI's overlap <dpsi|psi> is still
-summed as a complex row, whose pairwise partition differs from a real
-row's.  A site's P and dP add its two coin terms with one addition
+buffers are real (``walk`` module docstring), so the products are built
+from them as real products, with the complex walk's real parts bit for
+bit: P from psi * psi (which is |psi|^2 on float64), one psi * dpsi for
+both dP and QFI's overlap <dpsi|psi>, and <dpsi|dpsi> from dpsi * dpsi.
+The overlap is still summed as a complex row, written into its real part,
+since a complex row's pairwise partition differs from a real row's.  A
+site's P and dP add its two coin terms with one addition
 (``walk.coin_total``), not a ``sum(axis=-1)`` over the length-2 coin axis:
 numpy reduces that axis with the same addition, so the bits are equal, but
 the reduction costs several times the addition on a 2003-site window.
@@ -130,7 +133,7 @@ def _defect_site_fi(steps, defect_rows):
 def fisher_at_defect(params: WalkParams, steps: int, coin_fields=None) -> FisherSeries:
     """FI(t) of the defect-site measurement for t = 0..steps, on the causal diamond.
 
-    Values and flags are (steps + 1,), or (steps + 1, B) for (B, N) coin
+    Values and flags are (steps + 1,), or (steps + 1, B) for B-walk coin
     fields.  Where P0 is within P_FLOOR of 0 or 1 the quotient is singular
     and the measurement uninformative: the value is 0 and flagged.
     """
@@ -152,13 +155,14 @@ def information_values(params: WalkParams, steps: int, coin_fields=None) -> dict
     def row_sum(key, cells, products, cell_count, dtype=np.float64):
         """Sum of a full row of ``cell_count`` cells: ``products`` at ``cells``, zero elsewhere.
 
-        Windows only widen, so a row's cells outside today's window are
-        still the zeros it was made with.
+        The products go into the row's real part; windows only widen, so a
+        row's cells outside today's window are still the zeros it was made
+        with.
         """
         row = full_rows.get(key)
         if row is None:
             row = full_rows[key] = np.zeros(products.shape[:-1] + (cell_count,), dtype)
-        row[..., cells] = products
+        row.real[..., cells] = products
         return row.sum(axis=-1)
 
     at_defect = []
@@ -166,15 +170,15 @@ def information_values(params: WalkParams, steps: int, coin_fields=None) -> dict
     def observe(psi, dpsi, rows):
         at_defect.append(np.array((psi[..., defect, :], dpsi[..., defect, :])))
         psi, dpsi = psi[..., rows, :], dpsi[..., rows, :]
-        probs, dprobs = _probability_pair(psi, dpsi)
+        cross = psi * dpsi
+        probs, dprobs = coin_total(psi * psi), 2.0 * coin_total(cross)
         usable = probs >= P_FLOOR
         gfi = row_sum(GLOBAL_FI, rows,
                       np.where(usable, dprobs**2 / np.where(usable, probs, 1.0), 0.0), n)
-        flat = psi.reshape(psi.shape[:-2] + (-1,))
-        dflat = dpsi.reshape(flat.shape)
         cells = slice(2 * rows.start, 2 * rows.stop)
-        norm = row_sum("norm", cells, np.abs(dflat) ** 2, 2 * n)
-        overlap = row_sum("overlap", cells, np.conj(dflat) * flat, 2 * n, np.complex128)
+        flat_shape = cross.shape[:-2] + (-1,)
+        norm = row_sum("norm", cells, (dpsi * dpsi).reshape(flat_shape), 2 * n)
+        overlap = row_sum("overlap", cells, cross.reshape(flat_shape), 2 * n, np.complex128)
         return gfi, 4.0 * (norm - np.abs(overlap) ** 2)
 
     gfi, qfi = pair_trajectory(params, steps, coin_fields, observe).swapaxes(0, 1)

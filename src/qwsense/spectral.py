@@ -32,7 +32,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CapacityError, NumericalError
-from .walk import CoinField, WalkParams
+from .walk import CoinField, WalkParams, half_angle
 
 DENSE_SOLVER_CAP = 512
 RESIDUAL_TOL = 1e-10
@@ -73,11 +73,18 @@ class LocalizedState:
     eigen_index: int  # column in the parent decomposition
 
 
-def build_step_matrix(coins: CoinField) -> np.ndarray:
-    """Dense 2N x 2N matrix of the step operator: one kernel call on the basis stack."""
-    n = coins.lattice_size
+def build_step_matrix(params: WalkParams) -> np.ndarray:
+    """Dense 2N x 2N matrix of the step operator: one step of the basis stack.
+
+    The 2N basis columns step as one batch on the clean bulk coins, and
+    ``kernels.defect_coin`` applies theta02 at the defect.
+    """
+    n = params.lattice_size
+    basis = np.eye(2 * n).reshape(2 * n, n, 2)
     out = np.empty((2 * n, n, 2), dtype=np.complex128)
-    kernels.split_step(np.eye(2 * n).reshape(2 * n, n, 2), *coins.half_angle_tables(), out)
+    cos1, sin1, cos2, sin2 = CoinField.from_params(params).half_angle_tables()
+    kernels.split_step(basis, cos1, sin1, cos2, sin2, out)
+    kernels.defect_coin(basis, cos1, sin1, params.defect_index, *half_angle(params.theta02), out)
     return out.reshape(2 * n, 2 * n).T
 
 
@@ -132,7 +139,7 @@ def decompose_step_operator(params: WalkParams) -> SpectralDecomposition:
     n = params.lattice_size
     if n > DENSE_SOLVER_CAP:
         raise CapacityError(f"lattice size {n} exceeds dense solver cap {DENSE_SOLVER_CAP}")
-    mat = build_step_matrix(CoinField.from_params(params))
+    mat = build_step_matrix(params)
     t_mat, q_mat = complex_schur(mat)
     eigenvalues = np.diag(t_mat).copy()
     residuals = np.linalg.norm(mat @ q_mat - q_mat * eigenvalues[None, :], axis=0)

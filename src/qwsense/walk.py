@@ -52,14 +52,20 @@ parts of the complex walk's, bit for bit (up to the sign of zero).
 
 Coin fields: a run takes None (the clean walk of its params), one CoinField
 for every step, or per-step fields as a list or an iterator, read a step at
-a time.  ``coin_tables`` turns each form into the steps' half-angle tables,
-once per field; ``propagate`` and the candidate walks of ``bayes`` step
-from it.
+a time.  A field holds the bulk coins in the shape they vary (``CoinField``);
+the defect coin is params.theta02, in no field.  ``coin_tables`` turns each
+form into the steps' half-angle tables, once per field, and they broadcast
+against the site axis (``kernels`` layout contract), so a uniform field
+costs 4 cos/sin per walk, not 4 N.  ``propagate`` and the candidate walks
+of ``bayes`` step from it, slice a table to the step's window only when it
+has a site axis (``tables_on``), and apply the defect coin with
+``kernels.defect_coin``.
 
-Batch axis: a CoinField with (B, N) angles describes B walks, one per row.
-``propagate`` walks all B from the start at once, through (B, N, 2) buffers
-and (B, N) coin tables, each walk bit-identical to its own serial walk;
-disorder ensembles and parameter sweeps use this.
+Batch axis: a CoinField with (B, 1) or (B, N) angles describes B walks, one
+per row.  ``propagate`` walks all B from the start at once, through
+(B, N, 2) buffers and (B, 1) or (B, N) coin tables, each walk
+bit-identical to its own serial walk; disorder ensembles and parameter
+sweeps use this.
 """
 
 import itertools
@@ -159,22 +165,37 @@ def write_start(walks, defect: int):
     walks[..., defect - 1, DOWN] = 1.0
 
 
+def half_angle(theta):
+    """(cos, sin) of theta / 2 by numpy's ufuncs: floats for a scalar angle, arrays for an array.
+
+    numpy's float64 ``cos``/``sin`` give an angle the same bits alone as
+    inside a table, so a scalar coin steps as its per-site table would.
+    """
+    half = 0.5 * np.asarray(theta, dtype=np.float64)
+    cos, sin = np.cos(half), np.sin(half)
+    return (float(cos), float(sin)) if half.ndim == 0 else (cos, sin)
+
+
 @dataclass(frozen=True)
 class CoinField:
-    """Per-site angles of the two coin layers (layer 2 carries the defect).
+    """Bulk angles of the two coin layers, broadcast against the site axis.
 
-    Angles of shape (N,) describe one walk; (B, N) describe B walks, one per
-    row, that ``propagate`` steps as one batch.
+    Angles of shape () give one walk the same coin at every site; (B, 1)
+    give B walks one coin each; (N,) and (B, N) give one or B walks one coin
+    per site.  ``propagate`` steps the B walks of a batch as one.  The
+    defect's layer-2 coin is the walk's theta02 and is in no field: a
+    per-site field's layer-2 angle at the defect is never read.
     """
 
     angles1: np.ndarray
     angles2: np.ndarray
 
     def __post_init__(self):
-        a1 = np.ascontiguousarray(self.angles1, dtype=np.float64)
-        a2 = np.ascontiguousarray(self.angles2, dtype=np.float64)
-        if a1.ndim not in (1, 2) or a1.shape != a2.shape:
-            raise ValueError("coin layers must be arrays of equal shape, (N,) or (B, N)")
+        a1 = np.asarray(self.angles1, dtype=np.float64)
+        a2 = np.asarray(self.angles2, dtype=np.float64)
+        if a1.ndim > 2 or a1.shape != a2.shape:
+            raise ValueError("coin layers must be arrays of equal shape: (), (N,), (B, 1) "
+                             "or (B, N)")
         if not (np.isfinite(a1).all() and np.isfinite(a2).all()):
             raise ValueError("coin angles must be finite")
         object.__setattr__(self, "angles1", a1)
@@ -182,26 +203,30 @@ class CoinField:
 
     @classmethod
     def from_params(cls, params: WalkParams) -> "CoinField":
-        n = params.lattice_size
-        a1 = np.full(n, params.theta1)
-        a2 = np.full(n, params.theta2)
-        a2[params.defect_index] = params.theta02
-        return cls(a1, a2)
+        """The clean walk's bulk coins: one (theta1, theta2) for every site."""
+        return cls(params.theta1, params.theta2)
 
     @classmethod
     def stack(cls, fields) -> "CoinField":
-        """One (B, N) field from B single-walk (N,) fields, in order."""
-        return cls(np.stack([f.angles1 for f in fields]), np.stack([f.angles2 for f in fields]))
+        """One (B, 1) or (B, N) field from B single-walk fields, in order."""
+        return cls(np.stack([np.atleast_1d(f.angles1) for f in fields]),
+                   np.stack([np.atleast_1d(f.angles2) for f in fields]))
 
     @property
-    def lattice_size(self) -> int:
+    def batch(self) -> tuple:
+        """The shape of the walks the field describes: () for one walk."""
+        return self.angles1.shape[:-1]
+
+    @property
+    def sites(self):
+        """The length of the site axis of a per-site field; None for a uniform one."""
+        if self.angles1.ndim == 0 or self.angles1.shape[-1] == 1:
+            return None
         return self.angles1.shape[-1]
 
     def half_angle_tables(self):
-        """cos/sin tables consumed by the step kernels."""
-        h1 = 0.5 * self.angles1
-        h2 = 0.5 * self.angles2
-        return np.cos(h1), np.sin(h1), np.cos(h2), np.sin(h2)
+        """cos/sin tables consumed by the step kernels, shaped as the angles (floats for ())."""
+        return half_angle(self.angles1) + half_angle(self.angles2)
 
 
 def propagate(params: WalkParams, steps: int, coin_fields=None, derivative: bool = False,
@@ -214,8 +239,9 @@ def propagate(params: WalkParams, steps: int, coin_fields=None, derivative: bool
     (2,) + batch + (N, 2) buffer, which ``kernels.split_step_pair`` steps.
     They are float64 (module docstring) and zero outside ``light_cone``'s
     window t.  psi_0 is the start.  ``coin_fields`` takes any form
-    ``coin_tables`` accepts; fields with (B, N) angles walk B walks from the
-    start at once and the buffers are (B, N, 2).  dpsi is the exact
+    ``coin_tables`` accepts; fields with (B, 1) or (B, N) angles walk B walks
+    from the start at once and the buffers are (B, N, 2).  Every walk's
+    defect coin is ``params.theta02``.  dpsi is the exact
     derivative with respect to the layer-2 angle at ``params.defect_index``,
     starting from zero.  Each step runs on the light-cone window of the
     module docstring; with ``defect_only`` it runs on the causal diamond of
@@ -227,6 +253,7 @@ def propagate(params: WalkParams, steps: int, coin_fields=None, derivative: bool
         raise ValueError(f"steps must be >= 0, got {steps}")
     batch, step_tables = coin_tables(params, steps, coin_fields)
     defect = params.defect_index
+    cos02, sin02 = half_angle(params.theta02)
     # ping-pong buffers start all zero: a windowed step leaves the rows
     # outside its window as they are
     current = np.zeros(((2,) if derivative else ()) + batch + (params.lattice_size, 2))
@@ -234,14 +261,23 @@ def propagate(params: WalkParams, steps: int, coin_fields=None, derivative: bool
     scratch = np.zeros_like(current)
     yield (current[0], current[1]) if derivative else current
     for rows, tables in zip(light_cone(params, steps if defect_only else None), step_tables):
-        window = [table[..., rows] for table in tables]
+        c1, s1, c2, s2 = tables_on(tables, rows)
         source, out = current[..., rows, :], scratch[..., rows, :]
+        row = defect - rows.start
         if derivative:
-            kernels.split_step_pair(source, *window, defect - rows.start, out)
+            kernels.split_step_pair(source, c1, s1, c2, s2, row, cos02, sin02, out)
         else:
-            kernels.split_step(source, *window, out)
+            kernels.split_step(source, c1, s1, c2, s2, out)
+            kernels.defect_coin(source, c1, s1, row, cos02, sin02, out)
         current, scratch = scratch, current
         yield (current[0], current[1]) if derivative else current
+
+
+def tables_on(tables, rows):
+    """A step's coin tables on the window ``rows``: only a per-site table is sliced."""
+    if isinstance(tables[0], float) or tables[0].shape[-1] == 1:
+        return tables
+    return tuple(table[..., rows] for table in tables)
 
 
 def coin_tables(params: WalkParams, steps: int, coin_fields=None):
@@ -250,7 +286,8 @@ def coin_tables(params: WalkParams, steps: int, coin_fields=None):
     ``coin_fields`` takes the forms of the module docstring.  Consecutive
     steps that share a field share its tables.  The batch shape is the first
     field's (a lone field's at zero steps too), () for no per-step fields.
-    Each field is checked before its first step.
+    Each field is checked before its first step: a per-site field must have
+    N sites, and every field the first field's batch shape.
     """
     if coin_fields is None:
         coin_fields = CoinField.from_params(params)
@@ -260,7 +297,7 @@ def coin_tables(params: WalkParams, steps: int, coin_fields=None):
         fields = itertools.islice(coin_fields, steps)
         head = list(itertools.islice(fields, 1))
         fields = itertools.chain(head, fields)
-    batch = head[0].angles1.shape[:-1] if head else ()
+    batch = head[0].batch if head else ()
     return batch, _step_tables(fields, params.lattice_size, batch, steps)
 
 
@@ -269,12 +306,12 @@ def _step_tables(fields, n, batch, steps):
     for count, step_field in enumerate(fields, 1):
         if step_field is not field:
             field = step_field
-            if field.lattice_size != n:
-                raise ValueError(f"coin field length {field.lattice_size} does not match "
+            if field.sites not in (None, n):
+                raise ValueError(f"coin field length {field.sites} does not match "
                                  f"lattice size {n}")
-            if field.angles1.shape[:-1] != batch:
+            if field.batch != batch:
                 raise ValueError(f"coin fields of one run must share one batch shape, got "
-                                 f"{field.angles1.shape[:-1]} and {batch}")
+                                 f"{field.batch} and {batch}")
             tables = field.half_angle_tables()
         yield tables
     if count < steps:

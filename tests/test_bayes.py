@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from test_kernels import full_angles, full_tables
 from test_walk import start_grid, step_fields
 
 from qwsense import kernels
@@ -136,7 +137,7 @@ def full_ring_defect_probabilities(params, fields):
     probs = [(np.abs(psi[defect]) ** 2).sum()]
     for field in fields:
         out = np.empty_like(psi)
-        kernels.split_step(psi, *field.half_angle_tables(), out)
+        kernels.split_step(psi, *full_tables(params, field), out)
         psi = out
         probs.append((np.abs(psi[defect]) ** 2).sum())
     return np.array(probs)
@@ -144,19 +145,11 @@ def full_ring_defect_probabilities(params, fields):
 
 def serial_table(params, candidates, schedule, coin_fields=None):
     """Reference: one complex full-ring walk per candidate."""
-    t_max = max(schedule)
-    fields = step_fields(params, t_max, coin_fields)
+    fields = step_fields(params, max(schedule), coin_fields)
     columns = []
     for theta in candidates:
         p = replace(params, theta02=float(theta))  # WalkParams wraps the angle
-        rewritten = {}
-        for f in fields:
-            if id(f) not in rewritten:
-                angles2 = f.angles2.copy()
-                angles2[p.defect_index] = p.theta02
-                rewritten[id(f)] = CoinField(f.angles1, angles2)
-        own = [rewritten[id(f)] for f in fields]
-        columns.append(full_ring_defect_probabilities(p, own)[list(schedule)])
+        columns.append(full_ring_defect_probabilities(p, fields)[list(schedule)])
     return np.stack(columns, axis=1)
 
 
@@ -242,11 +235,11 @@ def test_candidate_walk_at_the_true_angle_is_the_defect_walk(
 
 
 def _wider(params, steps):
-    return CoinField.from_params(replace(params, lattice_size=params.lattice_size + 2))
+    return CoinField(*full_angles(replace(params, lattice_size=params.lattice_size + 2)))
 
 
 def _narrower_from_step_3(params, steps):
-    wrong = CoinField.from_params(replace(params, lattice_size=params.lattice_size - 2))
+    wrong = CoinField(*full_angles(replace(params, lattice_size=params.lattice_size - 2)))
     return [CoinField.from_params(params)] * 2 + [wrong] * (steps - 2)
 
 

@@ -468,6 +468,28 @@ def test_gfi_qfi_emits_three_series(tmp_path):
         assert len(rows) == 26
 
 
+def test_manifest_reports_the_heisenberg_ratio(tmp_path):
+    # theta02's generator has spectral range 1, so QFI(t) <= t^2.  At the paper's
+    # point (theta2 = 0.3 pi, theta02 = 0.2 pi, T = 200) the nontrivial walk
+    # (theta1 = 0.9 pi) ends at a third of the limit and the trivial one
+    # (0.05 pi) at a thousandth: values measured here, pinned to 1e-3 relative
+    health = {}
+    for theta1, final in ((0.9, 0.35963), (0.05, 8.6506e-4)):
+        walk = {"theta1_over_pi": theta1, "theta2_over_pi": 0.3, "theta02_over_pi": 0.2}
+        cfg = write_config(tmp_path, {"experiment": "gfi-qfi", "steps": 200, "walk": walk})
+        out = tmp_path / f"out-{theta1}"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        health[theta1] = json.loads((out / "manifest.json").read_text())["health"]
+        qfi = np.array([float(row[1]) for row in read_csv(out / "qfi_series.csv")[1]])
+        per_t2 = qfi[1:] / np.arange(1, 201) ** 2
+        assert health[theta1] == {"qfi_over_t2_max": per_t2.max(),
+                                  "qfi_over_t2_final": per_t2[-1]}
+        assert per_t2[-1] <= per_t2.max() <= 1.0 + 1e-9
+        assert per_t2[-1] == pytest.approx(final, rel=1e-3)
+    for key in ("qfi_over_t2_max", "qfi_over_t2_final"):
+        assert health[0.9][key] > health[0.05][key]
+
+
 def test_avg_fi_emits_base_and_averaged(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -655,6 +677,47 @@ def test_run_rejects_fewer_than_one_thread(tmp_path, capsys, threads):
     assert cli.main(["run", "--config", cfg, "--out", str(out), "--threads", str(threads)]) == 2
     assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
     assert not out.exists()
+
+
+THREADS_DOCS = {
+    "fi-scaling": {"experiment": "fi-scaling", "steps": 20, "walk": WALK},
+    "fi-surface": {"experiment": "fi-surface", "walk": WALK,
+                   "surface": {"theta1_over_pi": [-1.0, 1.0, 3], "steps": 12}},
+    "phase-diagram": {"experiment": "phase-diagram",
+                      "phase_grid": {"theta1_over_pi": [-1.0, 1.0, 3],
+                                     "theta2_over_pi": [-1.0, 1.0, 3], "n_k": 64}},
+    "spectrum": {"experiment": "spectrum", "walk": {**WALK, "lattice_size": 11}},
+    "bayes": {"experiment": "bayes", "steps": 30, "walk": WALK,
+              "estimation": {"prior_over_pi": [-0.556, -0.544], "grid_points": 11,
+                             "trials": 10}},
+    "avg-fi": {"experiment": "avg-fi", "steps": 30, "walk": WALK,
+               "averaging": {"window": 3, "spacing": 2}},
+    "gfi-qfi": {"experiment": "gfi-qfi", "steps": 20, "walk": WALK},
+    "disorder-fi": {"experiment": "disorder", "steps": 30, "walk": WALK,
+                    "disorder": {"kind": "static", "observable": "fi", "n_realizations": 2}},
+    "disorder-msre": {"experiment": "disorder", "steps": 30, "walk": WALK,
+                      "disorder": {"kind": "static", "observable": "msre",
+                                   "n_realizations": 2},
+                      "estimation": {"prior_over_pi": [-0.556, -0.544], "grid_points": 11,
+                                     "trials": 10}},
+}
+
+
+@pytest.mark.parametrize("kind", list(THREADS_DOCS))
+def test_run_rejects_threads_where_the_run_does_not_read_them(tmp_path, capsys, kind):
+    # only a disorder msre ensemble spreads its realizations over threads
+    cfg = write_config(tmp_path, THREADS_DOCS[kind])
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", cfg, "--out", str(out), "--threads", "2"])
+    if kind == "disorder-msre":
+        assert code == 0
+        assert (out / "ensemble.csv").exists()
+    else:
+        assert code == 2
+        experiment = THREADS_DOCS[kind]["experiment"]
+        assert (f"--threads: only a disorder msre run reads it, got 2 for a {experiment} run"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_io_failure_exit_code(tmp_path):

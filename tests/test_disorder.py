@@ -18,12 +18,13 @@ from qwsense.disorder import (
     DYNAMIC,
     STATIC,
     DisorderSpec,
+    _ensemble_fields,
     ensemble_fisher,
     ensemble_msre,
     sample_disorder,
 )
 from qwsense.metrology import FisherSeries, fisher_at_defect, fit_scaling, power_law_fit
-from qwsense.walk import WalkParams
+from qwsense.walk import CoinField, WalkParams, coin_tables
 
 PI = math.pi
 
@@ -62,11 +63,15 @@ def test_static_sampling_contracts():
     again = sample_disorder(spec, base, 2)
     np.testing.assert_array_equal(field.angles1, again.angles1)
     np.testing.assert_array_equal(field.angles2, again.angles2)
+    assert field.angles1.shape == field.angles2.shape == (41,)
     assert (np.abs(field.angles1 - base.theta1) <= W).all()
-    mask = np.arange(41) != base.defect_index
-    assert (np.abs(field.angles2[mask] - base.theta2) <= W).all()
-    # the estimand is never disordered
-    assert field.angles2[base.defect_index] == base.theta02
+    assert (np.abs(field.angles2 - base.theta2) <= W).all()
+    # the estimand is never disordered: the walk's theta02 is the defect coin,
+    # whatever the field holds at the defect
+    moved = field.angles2.copy()
+    moved[base.defect_index] += 1.0
+    assert np.array_equal(fisher_at_defect(base, 20, field).values,
+                          fisher_at_defect(base, 20, CoinField(field.angles1, moved)).values)
     other = sample_disorder(spec, base, 3)
     assert not np.array_equal(field.angles1, other.angles1)
 
@@ -77,14 +82,25 @@ def test_dynamic_sampling_contracts():
     fields = sample_disorder(spec, base, 0, steps=7)
     assert len(fields) == 7
     for field in fields:
-        # one draw per layer per step, shared by every site
-        assert np.unique(field.angles1).size == 1
-        mask = np.arange(21) != base.defect_index
-        assert np.unique(field.angles2[mask]).size == 1
-        assert field.angles2[base.defect_index] == base.theta02
-        assert abs(field.angles1[0] - base.theta1) <= W
-    angles_per_step = [f.angles1[0] for f in fields]
+        # one draw per layer per step, shared by every site: a uniform field
+        assert field.angles1.shape == field.angles2.shape == ()
+        assert abs(field.angles1 - base.theta1) <= W
+        assert abs(field.angles2 - base.theta2) <= W
+        assert all(type(table) is float for table in field.half_angle_tables())
+    angles_per_step = [float(f.angles1) for f in fields]
     assert np.unique(angles_per_step).size == 7
+
+
+@pytest.mark.parametrize("kind, sites", [(DYNAMIC, 1), (STATIC, 21)])
+def test_ensemble_tables_hold_a_site_axis_only_under_static_disorder(kind, sites):
+    # a dynamic step holds one angle pair per realization, so its tables are
+    # (R, 1) columns: 4 R cos/sin per step, not 4 R N; static tables are per site
+    base = nontrivial(21)
+    spec = DisorderSpec(kind=kind, half_width=W, n_realizations=4, master_seed=5)
+    batch, step_tables = coin_tables(base, 6, _ensemble_fields(spec, base, 6))
+    assert batch == (4,)
+    for tables in step_tables:
+        assert [table.shape for table in tables] == [(4, sites)] * 4
 
 
 def test_dynamic_requires_steps():

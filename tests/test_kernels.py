@@ -1,4 +1,10 @@
-"""Step kernels: batching and the composed pair step."""
+"""Step kernels: batching, the defect coin and the composed pair step.
+
+The references step on full per-site tables that hold the defect coin at the
+defect, as the kernels once took them; the kernels step on the bulk coins,
+which broadcast against the site axis, and apply the defect coin as a
+two-cell update.
+"""
 
 import numpy as np
 import pytest
@@ -6,6 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwsense import kernels
+from qwsense.walk import CoinField, half_angle
+
+
+def full_angles(params, field=None):
+    """Reference: a walk's per-site angles, batch + (N,), with theta02 at the defect.
+
+    ``field`` defaults to the clean walk of ``params``; its angles broadcast
+    to every site.
+    """
+    field = CoinField.from_params(params) if field is None else field
+    a1, a2 = (np.empty(field.batch + (params.lattice_size,)) for _ in range(2))
+    a1[...], a2[...] = field.angles1, field.angles2
+    a2[..., params.defect_index] = params.theta02
+    return a1, a2
+
+
+def full_tables(params, field=None):
+    """Reference: the per-site half-angle tables of ``full_angles``, defect coin included."""
+    a1, a2 = full_angles(params, field)
+    return np.cos(0.5 * a1), np.sin(0.5 * a1), np.cos(0.5 * a2), np.sin(0.5 * a2)
 
 
 def _random_inputs(n, seed):
@@ -57,8 +83,10 @@ def separate_pair_step(amps, damps, cos1, sin1, cos2, sin2, defect, out, dout):
 
 
 def stacked_pair_step(amps, damps, cos1, sin1, cos2, sin2, defect):
-    """``split_step_pair`` on psi and dpsi stacked into one buffer; (out, dout) views."""
+    """``split_step_pair`` on psi and dpsi stacked into one buffer, with full tables and
+    the defect coin read from them; (out, dout) views."""
     out = kernels.split_step_pair(np.stack((amps, damps)), cos1, sin1, cos2, sin2, defect,
+                                  cos2[..., defect], sin2[..., defect],
                                   np.empty((2,) + amps.shape, amps.dtype))
     return out[0], out[1]
 
@@ -175,10 +203,67 @@ def test_real_stack_steps_to_the_real_parts_of_the_complex_stack(kernel, tables)
     real = rng.normal(size=shape)
     full = real + 1j * rng.normal(size=shape)
     angles = rng.uniform(-np.pi, np.pi, size=(2,) + (batch if tables == "per_walk" else ()) + (n,))
-    args = (np.cos(angles[0] / 2), np.sin(angles[0] / 2), np.cos(angles[1] / 2),
-            np.sin(angles[1] / 2)) + ((n // 2,) if kernel == "split_step_pair" else ())
+    cos2, sin2 = np.cos(angles[1] / 2), np.sin(angles[1] / 2)
+    args = (np.cos(angles[0] / 2), np.sin(angles[0] / 2), cos2, sin2) + (
+        (n // 2, cos2[..., n // 2], sin2[..., n // 2]) if kernel == "split_step_pair" else ())
     step = getattr(kernels, kernel)
     out = step(real, *args, np.empty_like(real))
     assert out.dtype == np.float64
     assert np.array_equal(out, step(full, *args, np.empty_like(full)).real)
 
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float64, np.complex128]),
+    n=st.integers(1, 25).map(lambda k: 2 * k + 1),
+    shape=st.sampled_from(["single", "batched", "candidates"]),
+    walks=st.integers(1, 4),
+    defect=st.sampled_from(["first", "second", "centre", "last"]),
+    margin=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_broadcast_coins_and_defect_update_equal_the_full_table_reference(
+        dtype, n, shape, walks, defect, margin, seed):
+    # "single": one walk on float coins; "batched": B walks on (B, 1) columns and
+    # one defect coin; "candidates": C walks on float bulk coins, each with its own
+    # (C,) defect coin, stepped through the (C, N, 2) view of an (N, 2, C) stack.
+    # With a margin the step runs on rows [margin, margin + N) of a larger,
+    # non-zero buffer, as on a backward-diamond window, whose wrap reads across
+    # the window's edges.
+    rng = np.random.default_rng(seed)
+    batch = () if shape == "single" else (walks,)
+    bulk = rng.uniform(-np.pi, np.pi, size=(2,) + ((walks, 1) if shape == "batched" else ()))
+    theta02 = rng.uniform(-np.pi, np.pi, size=(walks,) if shape == "candidates" else ())
+    c1, s1, c2, s2 = CoinField(*bulk).half_angle_tables()
+    c02, s02 = half_angle(theta02)
+    if shape == "single":
+        assert all(type(coin) is float for coin in (c1, s1, c2, s2, c02, s02))
+    rows = slice(margin, margin + n)
+    defect = {"first": 0, "second": 1, "centre": (n - 1) // 2, "last": n - 1}[defect]
+
+    def amplitudes(size):
+        amps = rng.normal(size=size)
+        return amps + 1j * rng.normal(size=size) if dtype == np.complex128 else amps
+
+    if shape == "candidates":
+        psi = amplitudes((n + 2 * margin, 2, walks)).transpose(2, 0, 1)[:, rows]
+        pair = None
+    else:
+        pair = amplitudes((2,) + batch + (n + 2 * margin, 2))[..., rows, :]
+        psi = pair[0]
+    out = kernels.split_step(psi, c1, s1, c2, s2, np.empty_like(psi))
+    kernels.defect_coin(psi, c1, s1, defect, c02, s02, out)
+    pair_out = None if pair is None else kernels.split_step_pair(
+        pair, c1, s1, c2, s2, defect, c02, s02, np.empty_like(pair))
+    for walk in np.ndindex(batch):
+        row = walk if shape == "batched" else ()
+        a1, a2 = np.full(n, bulk[(0,) + row]), np.full(n, bulk[(1,) + row])
+        a2[defect] = theta02[walk if shape == "candidates" else ()]
+        tables = np.cos(0.5 * a1), np.sin(0.5 * a1), np.cos(0.5 * a2), np.sin(0.5 * a2)
+        dpsi = np.zeros_like(psi[walk]) if pair is None else pair[1][walk]
+        ref_out, ref_dout = np.empty_like(psi[walk]), np.empty_like(psi[walk])
+        reference_pair_step(psi[walk], dpsi, *tables, defect, ref_out, ref_dout)
+        assert out[walk].dtype == dtype and out[walk].tobytes() == ref_out.tobytes()
+        if pair_out is not None:
+            assert pair_out[0][walk].tobytes() == ref_out.tobytes()
+            assert pair_out[1][walk].tobytes() == ref_dout.tobytes()

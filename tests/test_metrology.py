@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kernels import separate_pair_step
+from test_kernels import full_tables, separate_pair_step
 from test_walk import start_grid, step_fields
 
 from qwsense import bayes, experiments, serialize
@@ -144,11 +144,12 @@ def stored_trajectory(params, steps, coin_fields=None):
     """Reference: the complex128 walk from the start on the whole ring, kept as
     (T+1, [B,] N, 2) arrays."""
     fields = step_fields(params, steps, coin_fields)
-    states = np.zeros((steps + 1,) + fields[0].angles1.shape + (2,), dtype=np.complex128)
+    states = np.zeros((steps + 1,) + fields[0].batch + (params.lattice_size, 2),
+                      dtype=np.complex128)
     dstates = np.zeros_like(states)
     states[0] = start_grid(params.lattice_size)
     for t, field in enumerate(fields):
-        separate_pair_step(states[t], dstates[t], *field.half_angle_tables(),
+        separate_pair_step(states[t], dstates[t], *full_tables(params, field),
                            params.defect_index, states[t + 1], dstates[t + 1])
     return states, dstates
 

@@ -11,6 +11,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernels import full_angles
+from test_walk import dense_step_operator
 
 import qwsense
 from qwsense import spectral
@@ -22,7 +24,7 @@ from qwsense.spectral import (
     find_localized_states,
     fit_localization_length,
 )
-from qwsense.walk import CoinField, WalkParams
+from qwsense.walk import WalkParams
 
 PI = math.pi
 
@@ -119,13 +121,20 @@ ANGLES = st.floats(-PI, PI, allow_nan=False, allow_infinity=False)
 )
 def test_direct_schur_is_bit_identical_to_scipy(n, theta1, theta2, theta02):
     assert_schur_matches_oracle(
-        build_step_matrix(CoinField.from_params(WalkParams(theta1, theta2, theta02, n)))
+        build_step_matrix(WalkParams(theta1, theta2, theta02, n))
     )
 
 
 def test_direct_schur_is_bit_identical_to_scipy_at_n301():
-    coins = CoinField.from_params(paper_params(-0.55 * PI, 301))
-    assert_schur_matches_oracle(build_step_matrix(coins))
+    assert_schur_matches_oracle(build_step_matrix(paper_params(-0.55 * PI, 301)))
+
+
+@pytest.mark.parametrize("theta02", [-0.55 * PI, -PI, 0.75 * PI])
+def test_step_matrix_equals_the_dense_oracle(theta02):
+    # the bulk step of the basis stack plus the defect coin at the defect
+    params = WalkParams(0.9 * PI, 0.75 * PI, theta02, 9)
+    dense = dense_step_operator(*full_angles(params))
+    np.testing.assert_allclose(build_step_matrix(params), dense, rtol=0, atol=1e-15)
 
 
 def test_direct_schur_rejects_non_finite_entries():
@@ -149,10 +158,9 @@ IMPORT_ORDER_PROBE = """
 import math, sys
 import numpy as np
 from qwsense import spectral
-from qwsense.walk import CoinField, WalkParams
+from qwsense.walk import WalkParams
 
-mat = spectral.build_step_matrix(
-    CoinField.from_params(WalkParams(0.9 * math.pi, 0.75 * math.pi, -math.pi, 41)))
+mat = spectral.build_step_matrix(WalkParams(0.9 * math.pi, 0.75 * math.pi, -math.pi, 41))
 if sys.argv[1] == "direct-first":
     t_mat, q_mat = spectral.complex_schur(mat)
     print("scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules)

@@ -17,13 +17,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kernels import separate_pair_step
+from test_kernels import full_angles, full_tables, separate_pair_step
 
 from qwsense import kernels
 from qwsense.bayes import defect_probability_series
 from qwsense.disorder import DYNAMIC, STATIC, DisorderSpec, sample_disorder
 from qwsense.metrology import fisher_at_defect
-from qwsense.walk import CoinField, WalkParams, light_cone, propagate, wrap_angle
+from qwsense.walk import (
+    CoinField,
+    WalkParams,
+    half_angle,
+    light_cone,
+    propagate,
+    wrap_angle,
+)
 
 PI = math.pi
 
@@ -85,9 +92,15 @@ def random_stack(shape, rng, dtype=np.complex128):
     return amps
 
 
-def kernel_step(amps, coins):
-    """One ``kernels.split_step`` of an arbitrary (..., N, 2) stack on ``coins``."""
-    return kernels.split_step(amps, *coins.half_angle_tables(), np.empty_like(amps))
+def kernel_step(amps, params, coins=None):
+    """One step of an arbitrary (..., N, 2) stack: ``kernels.split_step`` on the bulk
+    ``coins`` (the clean ones of ``params`` by default), then ``kernels.defect_coin``
+    with ``params.theta02``."""
+    coins = CoinField.from_params(params) if coins is None else coins
+    cos1, sin1, cos2, sin2 = coins.half_angle_tables()
+    out = kernels.split_step(amps, cos1, sin1, cos2, sin2, np.empty_like(amps))
+    kernels.defect_coin(amps, cos1, sin1, params.defect_index, *half_angle(params.theta02), out)
+    return out
 
 
 def nontrivial(n):
@@ -100,26 +113,25 @@ def nontrivial(n):
 def test_identity_coins_shift_down_left():
     rng = np.random.default_rng(1)
     amps = random_stack((3, 9, 2), rng)
-    out = kernel_step(amps, CoinField.from_params(WalkParams(0.0, 0.0, 0.0, 9)))
+    out = kernel_step(amps, WalkParams(0.0, 0.0, 0.0, 9))
     np.testing.assert_array_equal(out[..., 1], np.roll(amps[..., 1], -1, axis=-1))
 
 
 def test_identity_coins_shift_up_right():
     rng = np.random.default_rng(2)
     amps = random_stack((3, 9, 2), rng)
-    out = kernel_step(amps, CoinField.from_params(WalkParams(0.0, 0.0, 0.0, 9)))
+    out = kernel_step(amps, WalkParams(0.0, 0.0, 0.0, 9))
     np.testing.assert_array_equal(out[..., 0], np.roll(amps[..., 0], 1, axis=-1))
 
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_dense_operator_equivalence(n):
     params = WalkParams(0.9 * PI, 0.75 * PI, -0.55 * PI, n)
-    coins = CoinField.from_params(params)
-    dense = dense_step_operator(coins.angles1, coins.angles2)
+    dense = dense_step_operator(*full_angles(params))
     # elementwise: step every basis vector, as one stack of 2N walks
     for dtype in (np.float64, np.complex128):
         basis = np.eye(2 * n, dtype=dtype).reshape(2 * n, n, 2)
-        columns = kernel_step(basis, coins).reshape(2 * n, 2 * n)
+        columns = kernel_step(basis, params).reshape(2 * n, 2 * n)
         np.testing.assert_allclose(columns.T, dense, atol=1e-12)
 
 
@@ -127,11 +139,10 @@ def test_dense_oracle_random_input():
     rng = np.random.default_rng(3)
     n = 5
     params = WalkParams(1.1, -0.7, 2.4, n)
-    coins = CoinField.from_params(params)
-    dense = dense_step_operator(coins.angles1, coins.angles2)
+    dense = dense_step_operator(*full_angles(params))
     amps = random_stack((4, n, 2), rng)
     amps /= np.linalg.norm(amps.reshape(4, -1), axis=-1)[:, np.newaxis, np.newaxis]
-    out = kernel_step(amps, coins).reshape(4, -1)
+    out = kernel_step(amps, params).reshape(4, -1)
     np.testing.assert_allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-12)
     np.testing.assert_allclose(out, amps.reshape(4, -1) @ dense.T, atol=1e-12)
 
@@ -143,13 +154,13 @@ def test_step_preserves_norm():
         coins = CoinField(rng.uniform(-PI, PI, size=(3, n)), rng.uniform(-PI, PI, size=(3, n)))
         for dtype in (np.float64, np.complex128):
             amps = random_stack((3, n, 2), rng, dtype)
-            out = kernel_step(amps, coins)
+            out = kernel_step(amps, nontrivial(n), coins)
             np.testing.assert_allclose(np.linalg.norm(out.reshape(3, -1), axis=-1),
                                        np.linalg.norm(amps.reshape(3, -1), axis=-1), rtol=1e-12)
 
 
 def test_step_rejects_mismatched_field():
-    coins = CoinField.from_params(WalkParams(0.1, 0.2, 0.3, 11))
+    coins = CoinField(np.full(11, 0.1), np.full(11, 0.2))
     with pytest.raises(ValueError):
         list(propagate(nontrivial(9), 1, coins))
 
@@ -160,9 +171,8 @@ def test_step_rejects_mismatched_field():
 def test_initial_derivative_is_du_psi():
     n = 9
     params = nontrivial(n)
-    coins = CoinField.from_params(params)
-    *_, (_, dpsi) = propagate(params, 1, coins, derivative=True)
-    du = dense_step_derivative(coins.angles1, coins.angles2, params.defect_index)
+    *_, (_, dpsi) = propagate(params, 1, CoinField.from_params(params), derivative=True)
+    du = dense_step_derivative(*full_angles(params), params.defect_index)
     np.testing.assert_allclose(dpsi.reshape(-1), du @ start_grid(n).reshape(-1), atol=1e-14)
 
 
@@ -193,8 +203,9 @@ def test_derivative_zero_before_wavefront_arrives():
         psi = random_stack((3, n, 2), rng, dtype)
         psi[:, defect - 1 : defect + 1] = 0.0
         pair = np.stack((psi, np.zeros_like(psi)))
-        out = kernels.split_step_pair(pair, *CoinField.from_params(nontrivial(n))
-                                      .half_angle_tables(), defect, np.empty_like(pair))
+        params = nontrivial(n)
+        out = kernels.split_step_pair(pair, *CoinField.from_params(params).half_angle_tables(),
+                                      defect, *half_angle(params.theta02), np.empty_like(pair))
         assert np.array_equal(out[1], np.zeros_like(psi))
         assert out[0].any()
 
@@ -252,7 +263,7 @@ def test_defect_neutral_walk_is_bit_exact():
     uniform = CoinField(np.full(n, params.theta1), np.full(n, params.theta2))
     psi = start_grid(n)
     for expected in itertools.islice(propagate(params, 12), 1, None):
-        psi = kernel_step(psi, uniform)
+        psi = kernels.split_step(psi, *uniform.half_angle_tables(), np.empty_like(psi))
         assert np.array_equal(psi, expected)
 
 
@@ -285,12 +296,12 @@ def _bad_steps(params):
 
 def _bad_field(params):
     fields = [CoinField.from_params(params)] * 4
-    fields.append(CoinField.from_params(nontrivial(params.lattice_size + 2)))
+    fields.append(CoinField(*full_angles(nontrivial(params.lattice_size + 2))))
     return 5, fields
 
 
 def _bad_first_field(params):
-    return 5, [CoinField.from_params(nontrivial(params.lattice_size + 2))] * 5
+    return 5, [CoinField(*full_angles(nontrivial(params.lattice_size + 2)))] * 5
 
 
 def _mixed_batch(params):
@@ -328,8 +339,9 @@ def test_streamed_pair_equals_single_step_pairs():
         if t:
             pair = np.stack((psi, np.zeros_like(psi)))
             stepped, du_psi = kernels.split_step_pair(pair, *tables, params.defect_index,
+                                                      *half_angle(params.theta02),
                                                       np.empty_like(pair))
-            u_dpsi = kernels.split_step(dpsi, *tables, np.empty_like(dpsi))
+            u_dpsi = kernel_step(dpsi, params)
             psi, dpsi = stepped, u_dpsi + du_psi
         assert np.array_equal(streamed, psi)
         assert np.array_equal(dstreamed, dpsi)
@@ -362,14 +374,14 @@ def full_ring_walk(params, steps, coin_fields=None):
     """Reference: the complex walk from the start, every step on the whole ring
     into fresh arrays, no window."""
     fields = step_fields(params, steps, coin_fields)
-    batch = fields[0].angles1.shape[:-1] if fields else ()
+    batch = fields[0].batch if fields else ()
     psi = np.zeros(batch + (params.lattice_size, 2), dtype=np.complex128)
     psi[...] = start_grid(params.lattice_size)
     dpsi = np.zeros_like(psi)
     yield psi, dpsi
     for field in fields:
         out, dout = np.empty_like(psi), np.empty_like(psi)
-        separate_pair_step(psi, dpsi, *field.half_angle_tables(), params.defect_index, out, dout)
+        separate_pair_step(psi, dpsi, *full_tables(params, field), params.defect_index, out, dout)
         psi, dpsi = out, dout
         yield psi, dpsi
 
@@ -388,11 +400,12 @@ def _assert_walks_equal(params, steps, coin_fields=None):
 @st.composite
 def drawn_fields(draw, n, steps):
     """None (the clean walk), or random fields: one for every step or one per
-    step, each (N,) or (B, N)."""
+    step, each uniform, () or (B, 1), or per site, (N,) or (B, N)."""
     kind = draw(st.sampled_from(["clean", "static", "dynamic"]))
     if kind == "clean":
         return None
-    shape = (n,) if draw(st.booleans()) else (draw(st.integers(1, 3)), n)
+    walks = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from([(), (n,), (walks, 1), (walks, n)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def field():
