@@ -12,15 +12,13 @@ relative error (posterior variance plus squared bias, normalized by
 theta02^2) is the figure of merit and should fall as t^-2 at the Heisenberg
 limit.
 
-The candidate table steps all C candidate walks from the walk's one start,
-|-1, down> (``walk.write_start``), as one real (C, W, 2) stack, which is a
-view of a (W, 2, C) array: the candidate axis is innermost in memory.  The
-bulk coins are shared by every candidate, so each elementwise pass of the
-step kernel then runs one contiguous loop over the C candidates with each
-coin as a scalar, where the (C, W, 2) memory order would run W-long loops
-at a 16-byte stride.  The arithmetic is the same in either order, so the
-table's bits are too.  The candidates differ only in the defect coin, which
-``kernels.defect_coin`` applies with one entry per candidate.
+The candidate table and the true walk's P0 series both read the defect
+rows of a defect-only ``walk.propagate``: the causal diamond on the ring
+cut to the 2 t_max + 3 rows around the defect, or the whole ring when that
+is smaller.  The table walks the C candidates as one batch of per-walk
+defect angles on shared bulk coins; the batch is innermost in memory, so
+each kernel pass runs contiguously over the candidates (``walk`` module
+docstring).
 
 ``estimation_curve`` draws a scheduled step's R click counts, one seed
 stream per repetition, and computes their R posteriors as one (R, C) array
@@ -32,23 +30,12 @@ stay scalar Python arithmetic, whose x ** 2 is libm pow, not numpy's x * x.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, metrology
-from .walk import (
-    WalkParams,
-    coin_tables,
-    dynamics_lattice_size,
-    half_angle,
-    light_cone,
-    propagate,
-    site_probability,
-    tables_on,
-    wrap_angle,
-    write_start,
-)
+from . import metrology
+from .walk import WalkParams, propagate, site_probability
 
 RNG_NAME = "numpy-pcg64"  # np.random.default_rng's generator
 
@@ -130,14 +117,11 @@ class EstimationCurve:
 def defect_probability_series(params: WalkParams, steps: int, coin_fields=None) -> np.ndarray:
     """P0(t) for t = 0..steps (state-only propagation, no derivative).
 
-    Shape (steps + 1,), or (steps + 1, B) for coin fields of B walks.
-    Only the defect row is read, so the walk runs on the causal diamond
-    (``walk`` module docstring).
+    Shape (steps + 1,), or (steps + 1, B) for coin fields of B walks: the
+    site probability of each defect row a defect-only walk yields.
     """
-    defect = params.defect_index
     return np.array([
-        site_probability(psi[..., defect, :])
-        for psi in propagate(params, steps, coin_fields, defect_only=True)
+        site_probability(row) for row in propagate(params, steps, coin_fields, defect_only=True)
     ])
 
 
@@ -146,48 +130,17 @@ def candidate_probability_table(
 ) -> np.ndarray:
     """P0(t; candidate) for every scheduled t, shape (len(schedule), n_candidates).
 
-    All candidate walks step together from the start as one real (C, W, 2)
-    stack; this table is the expensive part of estimation and is reused
-    across trials and experiments.  The stack and its scratch buffer are
-    (W, 2, C) arrays stepped through their (C, W, 2) views, so every kernel
-    pass runs contiguously over the candidates with each coin broadcast as a
-    scalar (module docstring).  The candidates share the field's bulk coin
-    tables and differ only in the defect coin: ``kernels.defect_coin`` takes
-    one (C,) cosine and sine entry per candidate.  The stack holds the
-    W = 2 t_max + 3 sites around the defect that the last scheduled step's
-    light cone can reach, or the whole ring when that is smaller, and each
-    step runs on the causal diamond of that W-site geometry
-    (``walk.light_cone`` with horizon t_max): only the sites that can still
-    reach the defect by t_max.  The defect row is exact at every step, so
-    neither cut changes a bit of the table.  With ``coin_fields`` the
+    The candidates are the per-walk defect angles of one defect-only
+    ``walk.propagate`` batch, so all C walks step together (module
+    docstring); this table is the expensive part of estimation and is
+    reused across trials and experiments.  With ``coin_fields`` the
     candidate walks run on those (possibly disordered) bulk angles, in any
     form ``walk.coin_tables`` accepts with batch shape ().
     """
     schedule = [int(t) for t in schedule]
-    t_max = max(schedule)
-    batch, step_tables = coin_tables(params_template, t_max, coin_fields)
-    if batch:
-        raise ValueError(f"candidate walks take (N,) coin fields: batch must be (), got {batch}")
-    width = min(params_template.lattice_size, dynamics_lattice_size(t_max))
-    start = params_template.defect_index - (width - 1) // 2
-    defect = (width - 1) // 2
-    cone = light_cone(replace(params_template, lattice_size=width), t_max)
-    # (width, 2, C) in memory, stepped through its (C, width, 2) view; the
-    # forward windows widen into rows no step has written: they must be zero
-    current, scratch = (np.zeros((width, 2, len(candidates))).transpose(2, 0, 1)
-                        for _ in range(2))
-    write_start(current, defect)
-    cos02, sin02 = half_angle([wrap_angle(theta) for theta in candidates])
-    probs = np.empty((t_max + 1, len(candidates)))
-    probs[0] = site_probability(current[:, defect])
-    for t, (rows, tables) in enumerate(zip(cone, step_tables)):
-        c1, s1, c2, s2 = tables_on(tables, slice(start + rows.start, start + rows.stop))
-        source, out = current[:, rows], scratch[:, rows]
-        kernels.split_step(source, c1, s1, c2, s2, out)
-        kernels.defect_coin(source, c1, s1, defect - rows.start, cos02, sin02, out)
-        current, scratch = scratch, current
-        probs[t + 1] = site_probability(current[:, defect])
-    return probs[schedule]
+    rows = propagate(params_template, max(schedule), coin_fields, defect_only=True,
+                     defect_angles=candidates)
+    return np.array([site_probability(row) for row in rows])[schedule]
 
 
 def informative_schedule(table: np.ndarray, t_min: int) -> tuple[int, ...]:

@@ -226,6 +226,8 @@ def _read_phase_grid(check, doc):
     t1 = _grid(check, section, "phase_grid.theta1_over_pi")
     t2 = _grid(check, section, "phase_grid.theta2_over_pi")
     n_k = check.number(section, "phase_grid.n_k", default=topology.DEFAULT_NK, minimum=64, integer=True)
+    if n_k % 2:  # an odd grid has no k = 0, so a gap that closes there is missed
+        check.fail("phase_grid.n_k", f"must be even, got {n_k}")
     return {"theta1_over_pi": t1, "theta2_over_pi": t2, "n_k": n_k}
 
 

@@ -4,8 +4,8 @@ The walk spends essentially all of its time applying one step of
 U = T_down R2 T_up R1 to a state vector or a stack of them.  ``split_step``
 is that step with the bulk coins, and every walk runs through it;
 ``defect_coin`` then redoes the two cells the defect's layer-2 coin writes,
-for every walker: the walks of ``walk.propagate``, the Bayesian candidate
-stack (one defect coin per candidate) and ``spectral.build_step_matrix``.
+for every walker: the walks of ``walk.propagate`` (with one defect coin
+per walk for the Bayesian candidates) and ``spectral.build_step_matrix``.
 ``split_step_pair`` steps a state and its theta02-derivative stacked as one
 buffer: one ``split_step``, the defect coin on each half, and a two-cell
 derivative term that reads the (fu, fd) ``defect_coin`` returned for psi.
@@ -16,8 +16,8 @@ For one walk the defect arithmetic runs on Python floats, not on 0-d arrays.
 Layout contract: a state is a float64 or complex128 array of shape (N, 2)
 with the coin pair (up, down) on the last axis; site index i maps to
 physical position x = i - (N - 1) // 2.  The walks of ``walk.propagate``
-and the candidate walks in ``bayes`` all start at the real |-1, down> and
-step float64; ``spectral.build_step_matrix`` steps float64 basis columns
+all start at the real |-1, down> and step float64;
+``spectral.build_step_matrix`` steps float64 basis columns
 into a complex128 matrix.  Coin tables are the half-angle cosines/sines of
 the two bulk coin layers, and each broadcasts against the site axis: a
 float (one coin for every site of every walk), a (..., 1) column (one coin
@@ -26,9 +26,10 @@ coin is in no table, and a table's entry at the defect is never read.  The
 kernels also take a batch of B walks, shape (B, N, 2).  A state or batch
 may be a view with any strides: every pass is an elementwise ufunc or a
 slice copy, and numpy runs its inner loop along whichever axis is
-contiguous in memory, with the same values in any layout.  ``walk.propagate`` steps C-ordered buffers; the
-candidate stack in ``bayes`` is the (B, N, 2) view of a (N, 2, B) array, so
-each pass runs contiguously over the B walks with one coin as a scalar.
+contiguous in memory, with the same values in any layout.
+``walk.propagate`` steps every batch as the (B, N, 2) view of a (N, 2, B)
+array, so each pass runs contiguously over the B walks with one coin as a
+scalar.
 The pair kernel's stacked buffer puts psi at [0] and dpsi at [1] of a
 leading axis of length 2: (2, N, 2) for one walk, (2, B, N, 2) for a batch.
 Multiplying by a broadcast coin is the same IEEE operation as multiplying

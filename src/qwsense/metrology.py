@@ -18,14 +18,18 @@ the walk (elementwise, so with the bits of a per-step reduction):
 They obey FI <= GFI <= QFI pointwise.  Each of the paper's two passes is
 one function returning ``FisherSeries``, for one walk or, when the coin
 fields describe B walks (a disorder ensemble, a theta1 sweep), for B
-walks at once, each with the values of its own serial pass.
+walks at once, each with the values of its own serial pass.  The B walks
+are innermost in the buffers' memory (``walk`` module docstring); GFI and
+QFI sum over rows they allocate themselves, so that layout moves no bit.
 ``fisher_at_defect`` gives the defect-site FI, the t^2 signal; it reads
-only the defect row, so it walks the causal diamond of ``walk.light_cone``
-(the sites that can still reach the defect by the last step).
+only the defect rows that a defect-only ``walk.propagate`` yields, so it
+walks the causal diamond (the sites that can still reach the defect by the
+last step) and holds O(T) memory however wide the ring.
 ``information_values`` gives all three measures from one pass over the
 forward cone, for the hierarchy; ``global_fisher`` and ``quantum_fisher``
 pick their series from it.  GFI and QFI compute their per-site products on
-the light-cone window only and scatter them into full-size rows that are
+the light-cone window that ``propagate`` yields with each step's buffers,
+and scatter them into full-size rows that are
 zero elsewhere; each sum then runs over the whole row, so its pairwise
 partition, and with it every bit, does not depend on the window.  The
 buffers are real (``walk`` module docstring), so the products are built
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import WalkParams, coin_total, light_cone, propagate, site_probability
+from .walk import WalkParams, coin_total, propagate, site_probability
 
 P_FLOOR = 1e-12
 
@@ -88,19 +92,18 @@ class ScalingFit:
 
 def pair_trajectory(params: WalkParams, steps: int, coin_fields, observe,
                     defect_only: bool = False):
-    """Stacked ``observe(psi_t, dpsi_t, rows_t)`` for t = 0..steps over one streamed walk.
+    """Stacked ``observe`` of every item of one streamed (psi_t, dpsi_t) walk, t = 0..steps.
 
-    ``observe`` gets the (N, 2) state and theta02-derivative buffers of each
-    step, which are zero outside the light-cone rows ``rows_t``; they are
-    reused, so it must return a reduction or copy what it keeps, not the
-    buffers.  With ``defect_only`` the walk runs on the causal diamond
-    (``walk`` module docstring) and ``observe`` may read the defect row only.
+    ``observe`` gets the items of ``walk.propagate`` with the derivative:
+    the (N, 2) state and theta02-derivative buffers of each step and the
+    light-cone rows ``rows_t`` they are zero outside of, or with
+    ``defect_only`` the two defect rows alone.  The buffers are reused, so
+    it must return a reduction or copy what it keeps, not the buffers.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     pairs = propagate(params, steps, coin_fields, derivative=True, defect_only=defect_only)
-    cone = light_cone(params, steps if defect_only else None)
-    return np.array([observe(psi, dpsi, rows) for (psi, dpsi), rows in zip(pairs, cone)])
+    return np.array([observe(*pair) for pair in pairs])
 
 
 def binary_fisher(p0, dp0):
@@ -137,9 +140,8 @@ def fisher_at_defect(params: WalkParams, steps: int, coin_fields=None) -> Fisher
     fields.  Where P0 is within P_FLOOR of 0 or 1 the quotient is singular
     and the measurement uninformative: the value is 0 and flagged.
     """
-    defect = params.defect_index
-    rows = pair_trajectory(params, steps, coin_fields, lambda psi, dpsi, _: np.array(
-        (psi[..., defect, :], dpsi[..., defect, :])), defect_only=True)
+    rows = pair_trajectory(params, steps, coin_fields, lambda psi, dpsi: np.array((psi, dpsi)),
+                           defect_only=True)
     return _defect_site_fi(steps, rows)
 
 

@@ -50,8 +50,14 @@ class PhasePoint:
 
 
 def momentum_grid(n_k: int) -> np.ndarray:
-    """Uniform periodic grid over [-pi, pi) with n_k points."""
+    """Uniform periodic grid over [-pi, pi) with n_k points; k = 0 is on it for an even n_k."""
     return -np.pi + 2.0 * np.pi * np.arange(n_k) / n_k
+
+
+def _check_n_k(n_k):
+    # an odd grid has no k = 0, where the gap of theta1 = -theta2 closes
+    if n_k < 64 or n_k % 2:
+        raise ValueError(f"n_k must be even and >= 64, got {n_k}")
 
 
 def bloch_components(theta1: float, theta2: float, k_grid: np.ndarray) -> BlochDecomposition:
@@ -92,8 +98,7 @@ def winding_number(theta1: float, theta2: float, n_k: int = DEFAULT_NK) -> Phase
     below the gap tolerance; otherwise the integral is rounded to the nearest
     integer and the pre-rounding residual is reported.
     """
-    if n_k < 64:
-        raise ValueError(f"n_k must be >= 64, got {n_k}")
+    _check_n_k(n_k)
     bloch = bloch_components(theta1, theta2, momentum_grid(n_k))
     min_gap = float(np.sin(bloch.quasi_energy).min())
     if min_gap < GAP_TOLERANCE:
@@ -115,8 +120,7 @@ def phase_diagram(theta1_grid, theta2_grid, n_k: int = DEFAULT_NK) -> list[list[
     so they equal its bit for bit.  Each theta1 row is one
     (len(theta2_grid), n_k) block.  ``residual`` is left None.
     """
-    if n_k < 64:
-        raise ValueError(f"n_k must be >= 64, got {n_k}")
+    _check_n_k(n_k)
     t1s = np.atleast_1d(np.asarray(theta1_grid, dtype=np.float64))
     t2s = np.atleast_1d(np.asarray(theta2_grid, dtype=np.float64))
     if t1s.size == 0 or t2s.size == 0:

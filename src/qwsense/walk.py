@@ -9,15 +9,14 @@ jointly with the state by the product rule (no finite differences on the
 production path).
 
 Every walk starts at |-1, down>, one site left of the defect with its coin
-down; ``write_start`` is the one place that writes it, for ``propagate``
-and for the candidate walks of ``bayes``.
+down.
 
 ``propagate`` is the one loop over time steps: it streams the state (and,
-on request, its derivative) through two reused full-size buffers, so a run
-of any length holds O(N) memory.  With the derivative, each buffer stacks
-psi and dpsi as (2,) + batch + (N, 2), so one ``kernels.split_step_pair``
-call steps both, and the yielded (psi, dpsi) are its two halves.  The
-probability and Fisher series consume it.
+on request, its derivative) through two reused buffers, so a run of any
+length holds O(N) memory.  With the derivative, each buffer stacks psi and
+dpsi as (2,) + batch + (N, 2), so one ``kernels.split_step_pair`` call
+steps both, and the yielded psi and dpsi are its two halves.  The
+probability and Fisher series and the Bayesian candidate table consume it.
 
 Light-cone window: one step moves amplitude by at most one site, so after t
 steps the walk is zero outside the start site widened by t sites per side.
@@ -26,9 +25,9 @@ t sites plus one zero row per side, slice(d - 2 - t, d + 2 + t) around the
 defect d, until it no longer fits in the ring (then the whole ring).
 ``propagate`` takes step t on window t (the kernel's periodic wrap then
 reads zeros, as the ring does), so rows outside the window are never
-written and stay exact zeros; the Fisher observers reduce on the same
-windows.  The yielded buffers equal the full-ring walk's bit for bit (up to
-the sign of zero).
+written and stay exact zeros.  With the derivative it yields each window
+with its buffers, and the Fisher observers reduce on it.  The yielded
+buffers equal the full-ring walk's bit for bit (up to the sign of zero).
 
 Causal diamond: a series that reads only the defect row up to a horizon H
 needs, at step t, only the rows within H - t of the defect (row i of
@@ -42,9 +41,11 @@ is one row narrower per side and drops exactly those rows, and its rows
 read only rows of the window before, which were exact; so every row a later
 step reads is exact, and so is the defect row at every t <= H.  The step
 into psi_H runs on the three rows around the defect, and the window at
-t = H is the defect row alone.  Rows outside the window keep stale values:
-``propagate(..., defect_only=True)`` walks the diamond, and only the defect
-row of its buffers is meaningful.
+t = H is the defect row alone.  ``propagate(..., defect_only=True)`` walks
+the diamond of horizon H = steps on the ring cut to the min(N, 2 H + 3)
+rows around the defect, which hold every window of the diamond (a per-site
+coin table is read at the cut's offset), and yields the defect row alone.
+So a defect-only walk holds O(H) memory however wide its ring.
 
 Buffer dtype: the start and every coin and shift are real, so the walk
 stays real.  ``propagate`` steps float64 buffers, whose values are the real
@@ -56,22 +57,26 @@ a time.  A field holds the bulk coins in the shape they vary (``CoinField``);
 the defect coin is params.theta02, in no field.  ``coin_tables`` turns each
 form into the steps' half-angle tables, once per field, and they broadcast
 against the site axis (``kernels`` layout contract), so a uniform field
-costs 4 cos/sin per walk, not 4 N.  ``propagate`` and the candidate walks
-of ``bayes`` step from it, slice a table to the step's window only when it
-has a site axis (``tables_on``), and apply the defect coin with
-``kernels.defect_coin``.
+costs 4 cos/sin per walk, not 4 N.  ``propagate`` steps from it, slices a
+table to the step's window only when it has a site axis, and applies the
+defect coin with ``kernels.defect_coin``.
 
 Batch axis: a CoinField with (B, 1) or (B, N) angles describes B walks, one
-per row.  ``propagate`` walks all B from the start at once, through
-(B, N, 2) buffers and (B, 1) or (B, N) coin tables, each walk
-bit-identical to its own serial walk; disorder ensembles and parameter
-sweeps use this.
+per row; per-walk defect angles on batch-() fields describe one walk per
+angle (the Bayesian candidates).  ``propagate`` walks all B from the start
+at once, each walk bit-identical to its own serial walk; disorder
+ensembles, parameter sweeps and the candidate table use this.  Every batch
+is allocated batch-innermost: a buffer is a (N, 2, B) array stepped through
+its (B, N, 2) view, so each elementwise pass of the kernels runs one
+contiguous loop over the B walks, with a coin shared by all of them as a
+scalar.  The arithmetic is the same in any memory order, so the bits are
+too.
 """
 
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,15 +161,6 @@ def site_probability(psi):
     return coin_total(np.abs(psi) ** 2)
 
 
-def write_start(walks, defect: int):
-    """Write the start |-1, down> into zeroed (..., N, 2) buffers: one unit amplitude per walk.
-
-    Physical position x is site index i - (N - 1) // 2, so x = -1 is the row
-    left of the ``defect`` row.
-    """
-    walks[..., defect - 1, DOWN] = 1.0
-
-
 def half_angle(theta):
     """(cos, sin) of theta / 2 by numpy's ufuncs: floats for a scalar angle, arrays for an array.
 
@@ -230,38 +226,65 @@ class CoinField:
 
 
 def propagate(params: WalkParams, steps: int, coin_fields=None, derivative: bool = False,
-              defect_only: bool = False):
-    """Stream psi_t for t = 0..steps, or (psi_t, dpsi_t) with ``derivative``.
+              defect_only: bool = False, defect_angles=None):
+    """Stream psi_t for t = 0..steps, or (psi_t, dpsi_t, rows_t) with ``derivative``.
 
-    Yields full-size buffers that the next step overwrites: read them, copy
-    what must outlive the iteration, never write to them.  With
-    ``derivative``, psi and dpsi are the views [0] and [1] of one stacked
-    (2,) + batch + (N, 2) buffer, which ``kernels.split_step_pair`` steps.
-    They are float64 (module docstring) and zero outside ``light_cone``'s
-    window t.  psi_0 is the start.  ``coin_fields`` takes any form
-    ``coin_tables`` accepts; fields with (B, 1) or (B, N) angles walk B walks
-    from the start at once and the buffers are (B, N, 2).  Every walk's
-    defect coin is ``params.theta02``.  dpsi is the exact
-    derivative with respect to the layer-2 angle at ``params.defect_index``,
-    starting from zero.  Each step runs on the light-cone window of the
-    module docstring; with ``defect_only`` it runs on the causal diamond of
-    ``light_cone(params, steps)`` instead, and only the defect row of the
-    buffers is meaningful.  The step count is checked when iteration
-    starts, each field before its first step.
+    Yields views of two buffers that the next step overwrites: read them,
+    copy what must outlive the iteration, never write to them.  psi_0 is
+    the start.  With ``derivative``, psi and dpsi are the halves [0] and [1]
+    of one stacked (2,) + batch + (N, 2) buffer, which
+    ``kernels.split_step_pair`` steps, and rows_t is ``light_cone``'s
+    window t, outside which both are zero.  The buffers are float64
+    (module docstring).  ``coin_fields`` takes any form
+    ``coin_tables`` accepts; fields with (B, 1) or (B, N) angles walk B
+    walks from the start at once and the buffers are (B, N, 2).
+    ``defect_angles``, a (C,) array, gives C walks one defect coin each on
+    batch-() fields, as a batch of C; otherwise every walk's defect coin is
+    ``params.theta02``.  dpsi is the exact derivative with respect to each
+    walk's defect angle, starting from zero.  With ``defect_only`` the walk
+    runs on the causal diamond of the ring cut around the defect, and the
+    items are the defect rows alone: batch + (2,) for psi_t, (psi_t, dpsi_t)
+    with ``derivative``.  The step count is checked when iteration starts,
+    each field before its first step.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     batch, step_tables = coin_tables(params, steps, coin_fields)
-    defect = params.defect_index
-    cos02, sin02 = half_angle(params.theta02)
-    # ping-pong buffers start all zero: a windowed step leaves the rows
-    # outside its window as they are
-    current = np.zeros(((2,) if derivative else ()) + batch + (params.lattice_size, 2))
-    write_start(current[0] if derivative else current, defect)
-    scratch = np.zeros_like(current)
-    yield (current[0], current[1]) if derivative else current
-    for rows, tables in zip(light_cone(params, steps if defect_only else None), step_tables):
-        c1, s1, c2, s2 = tables_on(tables, rows)
+    if defect_angles is None:
+        cos02, sin02 = half_angle(params.theta02)
+    elif batch:
+        raise ValueError(f"per-walk defect angles take (N,) coin fields: batch must be (), "
+                         f"got {batch}")
+    else:
+        batch = (len(defect_angles),)
+        cos02, sin02 = half_angle([wrap_angle(theta) for theta in defect_angles])
+    width = params.lattice_size
+    if defect_only:
+        width = min(width, dynamics_lattice_size(steps))
+    start = params.defect_index - (width - 1) // 2  # the ring row at the cut's row 0
+    defect = (width - 1) // 2
+    cone = light_cone(replace(params, lattice_size=width), steps if defect_only else None)
+    lead = (2,) if derivative else ()
+    # zeroed buffers, batch innermost in memory (module docstring): a
+    # windowed step leaves the rows outside its window as they are
+    batch_axes = range(len(lead), len(lead) + len(batch))
+    current, scratch = (np.moveaxis(np.zeros(lead + (width, 2) + batch), range(-len(batch), 0),
+                                    batch_axes) for _ in range(2))
+    # the start |-1, down>: x = -1 is the row left of the defect
+    (current[0] if derivative else current)[..., defect - 1, DOWN] = 1.0
+
+    def item(rows):
+        if defect_only:
+            here = current[..., defect, :]
+            return (here[0], here[1]) if derivative else here
+        return (current[0], current[1], rows) if derivative else current
+
+    rows = next(cone)
+    yield item(rows)
+    for c1, s1, c2, s2 in step_tables:
+        if not isinstance(c1, float) and c1.shape[-1] != 1:  # per-site tables: on the window
+            c1, s1, c2, s2 = (table[..., start + rows.start:start + rows.stop]
+                              for table in (c1, s1, c2, s2))
         source, out = current[..., rows, :], scratch[..., rows, :]
         row = defect - rows.start
         if derivative:
@@ -270,14 +293,8 @@ def propagate(params: WalkParams, steps: int, coin_fields=None, derivative: bool
             kernels.split_step(source, c1, s1, c2, s2, out)
             kernels.defect_coin(source, c1, s1, row, cos02, sin02, out)
         current, scratch = scratch, current
-        yield (current[0], current[1]) if derivative else current
-
-
-def tables_on(tables, rows):
-    """A step's coin tables on the window ``rows``: only a per-site table is sliced."""
-    if isinstance(tables[0], float) or tables[0].shape[-1] == 1:
-        return tables
-    return tuple(table[..., rows] for table in tables)
+        rows = next(cone)
+        yield item(rows)
 
 
 def coin_tables(params: WalkParams, steps: int, coin_fields=None):

@@ -141,7 +141,7 @@ def test_criterion_07_derivative_oracle():
             for angle in (theta02 + h, theta02 - h)
         )
         pairs = propagate(params, steps, derivative=True)
-        for t, (_, dpsi) in enumerate(pairs):
+        for t, (_, dpsi, _) in enumerate(pairs):
             fd = (plus[t] - minus[t]).reshape(-1) / (2 * h)
             scale = max(np.linalg.norm(fd), 1e-8)
             worst = max(worst, np.linalg.norm(dpsi.reshape(-1) - fd) / scale)

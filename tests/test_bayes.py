@@ -171,6 +171,9 @@ def _dynamic(params, steps):
         (21, [1, 25], None, PRIOR),  # the walk wraps: full-ring fallback
         (21, [1, 25], _static, PRIOR),
         (63, [1, 17], None, (0.98 * PI, 1.02 * PI)),  # straddles +-pi
+        # rings far wider than 2 t_max + 3: per-site tables read at the cut's offset
+        (203, [12, 1, 5], _static, PRIOR),
+        (203, [3, 12], _dynamic, PRIOR),
     ],
 )
 def test_batched_table_equals_serial_walks_bit_for_bit(n, schedule, fields, prior):

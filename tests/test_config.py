@@ -100,6 +100,7 @@ RULES = [
     ("phase_grid.theta2-count-fraction",
      with_(PHASE, phase_grid__theta2_over_pi=[-1.0, 1.0, 2.5]), "phase_grid.theta2_over_pi:"),
     ("phase_grid.n_k", with_(PHASE, phase_grid__n_k=63), "phase_grid.n_k:"),
+    ("phase_grid.n_k-odd", with_(PHASE, phase_grid__n_k=1025), "phase_grid.n_k: must be even"),
     ("surface-missing", without(SURFACE, "surface"), "surface:"),
     ("surface.theta1-count-zero", with_(SURFACE, surface__theta1_over_pi=[-1.0, 1.0, 0]),
      "surface.theta1_over_pi:"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from test_kernels import full_tables, separate_pair_step
 from test_walk import start_grid, step_fields
 
-from qwsense import bayes, experiments, serialize
+from qwsense import bayes, experiments, metrology, serialize, walk
 from qwsense.config import validate_config
 from qwsense.disorder import DYNAMIC, STATIC, DisorderSpec, sample_disorder
 from qwsense.metrology import (
@@ -427,6 +427,38 @@ def test_long_fisher_series_streams_in_small_memory():
         tracemalloc.stop()
     # a stored (T+1, N, 2) trajectory pair would take 2 * 2001 * 4003 * 32 B = 513 MB
     assert peak < 8e6
+
+
+@pytest.mark.parametrize("series", [bayes.defect_probability_series, fisher_at_defect])
+def test_defect_only_walks_hold_rows_of_the_steps_not_of_the_ring(series):
+    # the walk is cut to the 2 * 30 + 3 rows around the defect: measured peaks
+    # 8.4 kB for P0 and 15.1 kB for FI, where one (4003, 2) buffer is 64 kB
+    p = params(*NONTRIVIAL, 4003)
+    series(p, 30)  # numpy's first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        series(p, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000
+
+
+@pytest.mark.parametrize("series", [information_values, fisher_at_defect])
+def test_each_walk_computes_its_windows_once(monkeypatch, series):
+    # propagate's light cone is the walk's only one; the observers read its rows
+    cone, windows = walk.light_cone, []
+
+    def counted(*args):
+        for rows in cone(*args):
+            windows.append(rows)
+            yield rows
+
+    monkeypatch.setattr(walk, "light_cone", counted)
+    monkeypatch.setattr(metrology, "light_cone", counted, raising=False)
+    steps = 30
+    series(series_params(*NONTRIVIAL, steps), steps)
+    assert len(windows) == steps + 1
 
 
 @settings(max_examples=20, deadline=None)

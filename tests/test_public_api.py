@@ -1,6 +1,6 @@
 """The package's export list names only what the package defines and uses,
-every function in the package reads each parameter it accepts, and the
-README's library example runs."""
+every function in the package reads each parameter it accepts, one loop
+steps every walk, and the README's library example runs."""
 
 import ast
 import re
@@ -73,6 +73,39 @@ def _unread_parameters(path):
 def test_every_parameter_is_read():
     unread = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _unread_parameters(path)]
     assert unread == []
+
+
+def _callers(names):
+    """{"module.function": node} for every package function outside ``kernels``
+    that calls one of ``names`` as an attribute or imports one of them."""
+    callers = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "kernels":
+                assert not {alias.name for alias in node.names} & names, path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call)
+                and (call.func.attr if isinstance(call.func, ast.Attribute)
+                     else getattr(call.func, "id", None)) in names
+                for call in ast.walk(node)
+            ):
+                callers[f"{path.stem}.{node.name}"] = node
+    return callers
+
+
+def test_one_loop_steps_every_walk():
+    # a second stepping loop would keep a second copy of the buffers, the
+    # windows and the start, as the Bayesian candidate table once did
+    callers = _callers({"split_step", "split_step_pair", "defect_coin"})
+    assert sorted(callers) == ["spectral.build_step_matrix", "walk.propagate"]
+    # the step matrix is one step of the basis stack, with no loop
+    assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
+                   for node in ast.walk(callers["spectral.build_step_matrix"]))
+    assert sorted(_callers({"light_cone"})) == ["walk.propagate"]
 
 
 def test_readme_python_blocks_run(capsys):

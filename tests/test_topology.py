@@ -67,6 +67,18 @@ def test_grid_too_small_rejected():
         phase_diagram([0.1], [0.2], n_k=32)
 
 
+def test_odd_grid_rejected():
+    # theta1 = -theta2 closes the gap at k = 0, which only an even grid holds:
+    # 1025 points read it as gapped with winding 0
+    t1, t2 = 0.3 * PI, -0.3 * PI
+    assert winding_number(t1, t2, n_k=1024).status == "gapless"
+    assert phase_diagram([t1], [t2], n_k=1024)[0][0].status == "gapless"
+    with pytest.raises(ValueError, match="n_k must be even"):
+        winding_number(t1, t2, n_k=1025)
+    with pytest.raises(ValueError, match="n_k must be even"):
+        phase_diagram([t1], [t2], n_k=1025)
+
+
 # --- winding anchors -------------------------------------------------------
 
 
