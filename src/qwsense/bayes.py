@@ -179,24 +179,27 @@ def informative_schedule(table: np.ndarray, t_min: int) -> tuple[int, ...]:
 def fold_ambiguity(col):
     """Fraction of the response range shared by both flanks of a fold.
 
-    0 for a monotone response (injective over the window); for a single fold
-    it is the overlap of the two branches' value ranges, i.e. how much of the
-    observable data is ambiguous between two candidate regions; multiple
-    folds are treated as fully ambiguous.
+    0 for a monotone response (injective over the window, flat steps
+    aside); for a single fold it is the overlap of the two branches' value
+    ranges, i.e. how much of the observable data is ambiguous between two
+    candidate regions; multiple folds, and a flat response, which tells no
+    candidate from another, are treated as fully ambiguous.  A turn is a
+    sign change between consecutive non-zero differences, so a fold with a
+    flat step at its tip is still one fold.
     """
     diffs = np.diff(col)
-    turns = np.where(diffs[1:] * diffs[:-1] < 0)[0]
+    moves = np.flatnonzero(diffs)
+    if moves.size == 0:
+        return 1.0
+    turns = moves[1:][diffs[moves[1:]] * diffs[moves[:-1]] < 0]
     if turns.size == 0:
         return 0.0
     if turns.size > 1:
         return 1.0
-    split = int(turns[0]) + 1
+    split = int(turns[0])
     left, right = col[: split + 1], col[split:]
     shared = min(left.max(), right.max()) - max(left.min(), right.min())
-    full = col.max() - col.min()
-    if full <= 0:
-        return 1.0
-    return max(0.0, float(shared / full))
+    return max(0.0, float(shared / (col.max() - col.min())))
 
 
 def _log_posteriors(probabilities: np.ndarray, trials: int, successes: np.ndarray) -> np.ndarray:

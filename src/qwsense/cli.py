@@ -1,8 +1,7 @@
 """Command-line front end: run experiments, validate configs, plot a CSV as its header selects.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O
-failure.  The output directory resolves as --out flag, then the
-QWSENSE_OUT_DIR environment variable, then the config's out_dir, then
+failure.  A run reads the config and writes to --out, by default
 ./qwsense-runs/<experiment>.
 """
 
@@ -13,8 +12,6 @@ import sys
 from . import plotting
 from .config import load_config, validate_config
 from .errors import ConfigError, NumericalError
-
-OUT_DIR_ENV = "QWSENSE_OUT_DIR"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -28,10 +25,7 @@ def _build_parser():
 
     run_p = sub.add_parser("run", help="execute one experiment from a config")
     run_p.add_argument("--config", required=True, help="path to the JSON config")
-    run_p.add_argument("--out", help="output directory (overrides env and config)")
-    run_p.add_argument("--seed", type=int, help="seed override")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="threads for a disorder msre ensemble; other runs accept only 1")
+    run_p.add_argument("--out", help="output directory (default qwsense-runs/<experiment>)")
 
     plot_p = sub.add_parser("plot", help="render the SVG view a data CSV's header selects")
     plot_p.add_argument("--data", required=True, help="input CSV path")
@@ -42,29 +36,12 @@ def _build_parser():
     return parser
 
 
-def _resolve_out_dir(args_out, cfg):
-    if args_out:
-        return args_out
-    env = os.environ.get(OUT_DIR_ENV)
-    if env:
-        return env
-    if cfg.out_dir:
-        return cfg.out_dir
-    return os.path.join("qwsense-runs", cfg.experiment)
-
-
 def _cmd_run(args) -> int:
-    cfg = validate_config(load_config(args.config), seed_override=args.seed)
-    if args.threads < 1:
-        raise ConfigError([f"--threads: must be >= 1, got {args.threads}"])
-    reads_threads = cfg.experiment == "disorder" and cfg.disorder_observable == "msre"
-    if args.threads > 1 and not reads_threads:
-        raise ConfigError([f"--threads: only a disorder msre run reads it, got {args.threads} "
-                           f"for a {cfg.experiment} run"])
-    out_dir = _resolve_out_dir(args.out, cfg)
+    cfg = validate_config(load_config(args.config))
+    out_dir = args.out or os.path.join("qwsense-runs", cfg.experiment)
     from . import experiments
 
-    manifest = experiments.run(cfg, out_dir, threads=args.threads)
+    manifest = experiments.run(cfg, out_dir)
     print(f"wrote {len(manifest.payload['files'])} files to {out_dir}")
     print(f"manifest: {manifest.path}")
     return EXIT_OK

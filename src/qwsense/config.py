@@ -46,14 +46,13 @@ _SECTIONS = {
     "disorder": ("kind", "observable", "half_width_over_pi", "n_realizations"),
     "averaging": ("window", "spacing"),
 }
-_TOP_LEVEL = ("experiment", "seed", "out_dir", "steps", *_SECTIONS)
+_TOP_LEVEL = ("experiment", "seed", "steps", *_SECTIONS)
 
 
 @dataclass
 class ExperimentConfig:
     experiment: str
     seed: int
-    out_dir: str | None
     raw: dict
     steps: int = DEFAULT_STEPS
     walk: WalkParams | None = None
@@ -75,7 +74,7 @@ class _Check:
 
     def __init__(self):
         self.violations = []
-        self.read = {"experiment", "out_dir"}  # top-level names read: every run reads these two
+        self.read = {"experiment"}  # top-level names read: every run reads experiment
 
     def fail(self, field_name, message):
         self.violations.append(f"{field_name}: {message}")
@@ -175,16 +174,6 @@ def _holds_angle(lo, hi, angle):
     slack = 1e-12  # an angle on an edge may round to just outside it
     offset = (angle - lo) % 2.0  # lo + offset is the first image of angle from lo up
     return offset <= hi - lo + slack or offset >= 2.0 - slack
-
-
-def _read_run(check, doc, experiment, seed_override):
-    seed = check.number(doc, "seed", default=0, minimum=0, integer=True)
-    if seed_override is not None:
-        seed = check.number({"seed": seed_override}, "seed", minimum=0, integer=True)
-    out_dir = doc.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        check.fail("out_dir", f"expected a string path, got {out_dir!r}")
-    return ExperimentConfig(experiment, seed, out_dir, doc)
 
 
 def _read_fit(check, doc, cfg):
@@ -328,19 +317,18 @@ def _read_averaging(check, doc, steps):
     return window, spacing
 
 
-def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
+def validate_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed config document; raises ConfigError listing every violation.
 
-    ``seed_override`` obeys the rule for ``seed``.  A fit runs over the steps
-    ``metrology.DEFAULT_FIT_T_MIN``..steps, and an fi-scaling run's steps must
-    leave at least 5 of them; that is necessary, not sufficient: flagged or
-    non-positive values, and ``peaks_only``, can still leave the run's fit
-    fewer than 5 points.  A top-level name that no reader of the experiment
-    reads is a violation and is not checked further: ``fit`` is read only by
-    the runs that fit, and top-level ``steps`` only by the runs that
-    propagate it (fi-surface reads ``surface.steps``).  An estimation run's
-    ``estimation`` is a ``bayes.EstimationConfig`` whose schedule is every
-    step the informative selector scores.
+    A fit runs over the steps ``metrology.DEFAULT_FIT_T_MIN``..steps, and an
+    fi-scaling run's steps must leave at least 5 of them; that is necessary,
+    not sufficient: flagged or non-positive values, and ``peaks_only``, can
+    still leave the run's fit fewer than 5 points.  A top-level name that no
+    reader of the experiment reads is a violation and is not checked further:
+    ``fit`` is read only by the runs that fit, and top-level ``steps`` only by
+    the runs that propagate it (fi-surface reads ``surface.steps``).  An
+    estimation run's ``estimation`` is a ``bayes.EstimationConfig`` whose
+    schedule is every step the informative selector scores.
     """
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -348,7 +336,8 @@ def validate_config(doc: dict, seed_override=None) -> ExperimentConfig:
         raise ConfigError([f"experiment: must be one of {expected}; got {experiment!r}"])
     check = _Check()
     check.known(doc, _TOP_LEVEL)
-    cfg = _read_run(check, doc, experiment, seed_override)
+    seed = check.number(doc, "seed", default=0, minimum=0, integer=True)
+    cfg = ExperimentConfig(experiment, seed, doc)
     if experiment == "phase-diagram":
         cfg.phase_grid = _read_phase_grid(check, doc)
     elif experiment == "spectrum":

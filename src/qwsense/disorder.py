@@ -123,23 +123,20 @@ def ensemble_fisher(spec: DisorderSpec, base: WalkParams, steps: int) -> Ensembl
     )
 
 
-def ensemble_msre(
-    spec: DisorderSpec,
-    config: "bayes.EstimationConfig",
-    threads: int = 1,
-) -> EnsembleResult:
+def ensemble_msre(spec: DisorderSpec, config: "bayes.EstimationConfig") -> EnsembleResult:
     """Per-step mean and std of the estimation error over disorder realizations.
 
     Measured data come from the disordered walk, and the candidate grid runs
     on the same realized bulk angles (the estimator models its own device,
     varying only the defect angle), so the error tracks the disordered
-    Fisher information.  At zero width every draw is the clean angle
-    (uniform(a, a) returns a), so each realization's curve is the clean
-    curve of its own seed stream.
+    Fisher information.  Each realization walks its own candidate table, one
+    after another in realization order.  At zero width every draw is the
+    clean angle (uniform(a, a) returns a), so each realization's curve is the
+    clean curve of its own seed stream.
     """
     steps = max(config.schedule)
-
-    def one(index):
+    curves = []
+    for index in range(spec.n_realizations):
         fields = sample_disorder(spec, config.params, index, steps)
         table = bayes.candidate_probability_table(
             config.params, config.candidates(), config.schedule, coin_fields=fields
@@ -147,19 +144,9 @@ def ensemble_msre(
         curve = bayes.estimation_curve(
             config, table, data_coin_fields=fields, seed_prefix=(index,)
         )
-        return np.array([record.msre for record in curve.records])
-
-    values = np.stack(_map(one, range(spec.n_realizations), threads))
+        curves.append([record.msre for record in curve.records])
+    values = np.array(curves)
     return EnsembleResult(
         np.asarray(config.schedule), values.mean(axis=0), values.std(axis=0),
         spec.n_realizations,
     )
-
-
-def _map(fn, items, threads):
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]

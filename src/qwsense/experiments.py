@@ -200,12 +200,12 @@ def _run_bayes(cfg: ExperimentConfig) -> Artifacts:
     return art
 
 
-def _run_disorder(cfg: ExperimentConfig, threads: int) -> Artifacts:
+def _run_disorder(cfg: ExperimentConfig) -> Artifacts:
     spec = cfg.disorder_spec
     art = Artifacts()
     if cfg.disorder_observable == "msre":
         est, _ = _estimation_config(cfg)
-        result = disorder.ensemble_msre(spec, est, threads=threads)
+        result = disorder.ensemble_msre(spec, est)
     else:
         result = disorder.ensemble_fisher(spec, cfg.walk, cfg.steps)
         mean_series = metrology.FisherSeries(result.steps, result.mean, None)
@@ -230,6 +230,7 @@ _DRIVERS = {
     "phase-diagram": _run_phase_diagram,
     "spectrum": _run_spectrum,
     "bayes": _run_bayes,
+    "disorder": _run_disorder,
     "avg-fi": _run_avg_fi,
     "gfi-qfi": _run_gfi_qfi,
 }
@@ -255,15 +256,15 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     ``schur_residual_max``, the largest ``||U v - lambda v||`` over the
     eigenvectors; for a gfi-qfi run, ``qfi_over_t2_max`` and
     ``qfi_over_t2_final``, the largest and the last QFI(t) / t^2 over
-    t >= 1, which the Heisenberg limit bounds by 1.  ``threads`` reaches only
-    the disorder msre ensemble; every other experiment runs serially.
+    t >= 1, which the Heisenberg limit bounds by 1.  Every experiment runs
+    serially: ``threads`` accepts only 1 and goes when the benchmark, which
+    passes it, stops passing it.
     """
+    if threads != 1:
+        raise ValueError(f"threads: every run is serial, got {threads}")
     start = time.perf_counter()
     out_dir = Path(out_dir)
-    if cfg.experiment == "disorder":
-        art = _run_disorder(cfg, threads)
-    else:
-        art = _DRIVERS[cfg.experiment](cfg)
+    art = _DRIVERS[cfg.experiment](cfg)
     marks = [start, time.perf_counter()]
     emitted = []
     for name, (header, rows) in art.csv.items():
@@ -286,7 +287,6 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
         "version": __version__,
         "experiment": cfg.experiment,
         "config": cfg.raw,
-        "effective_seed": cfg.seed,
         "rng": {"generator": bayes.RNG_NAME, "seed": cfg.seed},
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         "duration_seconds": time.perf_counter() - start,

@@ -19,6 +19,7 @@ from qwsense.bayes import (
     candidate_probability_table,
     defect_probability_series,
     estimation_curve,
+    fold_ambiguity,
     informative_schedule,
     posterior,
     record_seed,
@@ -325,6 +326,28 @@ def test_informative_schedule_is_deterministic_and_ordered():
     assert list(a) == sorted(a)
     assert 20 <= a[0] and a[-1] <= 100
     assert len(a) == 8
+
+
+# a single fold whose flanks share 0.7 of the response range
+FOLD = np.concatenate([np.linspace(0.0, 1.0, 6), np.linspace(1.0, 0.3, 6)[1:]])
+
+
+@pytest.mark.parametrize("col, ambiguity", [
+    (np.full(11, 0.3), 1.0),  # a flat response tells no candidate from another
+    (np.insert(FOLD, 5, 1.0), 0.7),  # the same fold with a flat step at its tip
+    (FOLD, 0.7),
+    (np.linspace(0.0, 1.0, 11), 0.0),
+], ids=["flat", "plateau-fold", "strict-fold", "monotone"])
+def test_fold_ambiguity_scores_flat_steps_as_no_information(col, ambiguity):
+    # turns were sign changes of consecutive differences, so a zero difference
+    # hid them: flat and plateau-fold columns both scored 0.0, "monotone"
+    assert fold_ambiguity(col) == pytest.approx(ambiguity, abs=1e-12)
+
+
+def test_informative_schedule_prefers_a_fold_to_a_flat_response():
+    # each two-step block holds a flat row and a fold; the flat row was picked
+    table = np.array([np.full(11, 0.3) if t % 2 else FOLD for t in range(1, 17)])
+    assert informative_schedule(table, 1) == (2, 4, 6, 8, 10, 12, 14, 16)
 
 
 def test_estimation_curve_reproducible_and_converging():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qwsense
-from qwsense import cli
+from qwsense import cli, experiments
 from qwsense.bayes import (
     EstimationConfig,
     candidate_probability_table,
@@ -20,7 +20,6 @@ from qwsense.bayes import (
     informative_schedule,
 )
 from qwsense.config import validate_config
-from qwsense.errors import ConfigError
 from qwsense.spectral import RESIDUAL_TOL, decompose_step_operator
 from qwsense.walk import WalkParams
 
@@ -223,22 +222,6 @@ def test_every_preset_validates(preset):
     assert cli.main(["validate", "--config", str(preset)]) == 0
 
 
-def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
-    fi = {"experiment": "fi-scaling", "steps": 30, "walk": WALK}
-    msre = {"experiment": "disorder", "steps": 30, "walk": WALK,
-            "disorder": {"kind": "static", "observable": "msre"},
-            "estimation": {"prior_over_pi": [-0.556, -0.544], "grid_points": 11, "trials": 10}}
-    for doc, seed in ((fi, "-5"), (msre, "-1")):
-        out = tmp_path / "out"
-        args = ["run", "--config", write_config(tmp_path, doc), "--out", str(out), "--seed", seed]
-        assert cli.main(args) == 2
-        assert f"seed: must be >= 0, got {seed}" in capsys.readouterr().err
-        assert not out.exists()
-    with pytest.raises(ConfigError, match="seed: expected an integer"):
-        validate_config(fi, seed_override=1.5)
-    assert validate_config(fi, seed_override=0).seed == 0
-
-
 def test_validate_rejects_a_selected_schedule_without_two_steps(tmp_path, capsys):
     # the model-selected schedule picks from steps t_min < t_max <= steps
     def estimation(experiment, steps, command="validate"):
@@ -373,22 +356,6 @@ def test_rerun_reproduces_identical_hashes(tmp_path):
     assert cli.main(["run", "--config", cfg, "--out", str(out_a)]) == 0
     assert cli.main(["run", "--config", cfg, "--out", str(out_b)]) == 0
     assert manifest_hashes(out_a) == manifest_hashes(out_b)
-
-
-def test_seed_override_changes_outputs(tmp_path):
-    doc = {
-        "experiment": "disorder",
-        "steps": 30,
-        "walk": WALK,
-        "disorder": {"kind": "static", "half_width_over_pi": 0.05, "n_realizations": 3},
-    }
-    cfg = write_config(tmp_path, doc)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["run", "--config", cfg, "--out", str(out_a), "--seed", "1"]) == 0
-    assert cli.main(["run", "--config", cfg, "--out", str(out_b), "--seed", "2"]) == 0
-    assert (
-        manifest_hashes(out_a)["ensemble.csv"] != manifest_hashes(out_b)["ensemble.csv"]
-    )
 
 
 GRID = {"theta1_over_pi": [-1.0, 1.0, 3], "theta2_over_pi": [-1.0, 1.0, 3], "n_k": 64}
@@ -662,24 +629,8 @@ def test_manifest_records_blas_thread_settings(tmp_path, monkeypatch):
     }
 
 
-def test_out_dir_env_override(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, {"experiment": "fi-scaling", "steps": 20, "walk": WALK})
-    env_dir = tmp_path / "from-env"
-    monkeypatch.setenv(cli.OUT_DIR_ENV, str(env_dir))
-    assert cli.main(["run", "--config", cfg]) == 0
-    assert (env_dir / "fi_series.csv").exists()
-
-
-@pytest.mark.parametrize("threads", [0, -1])
-def test_run_rejects_fewer_than_one_thread(tmp_path, capsys, threads):
-    cfg = write_config(tmp_path, {"experiment": "fi-scaling", "steps": 20, "walk": WALK})
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", cfg, "--out", str(out), "--threads", str(threads)]) == 2
-    assert f"--threads: must be >= 1, got {threads}" in capsys.readouterr().err
-    assert not out.exists()
-
-
-THREADS_DOCS = {
+# one small run per experiment kind, and per disorder observable
+KIND_DOCS = {
     "fi-scaling": {"experiment": "fi-scaling", "steps": 20, "walk": WALK},
     "fi-surface": {"experiment": "fi-surface", "walk": WALK,
                    "surface": {"theta1_over_pi": [-1.0, 1.0, 3], "steps": 12}},
@@ -703,21 +654,43 @@ THREADS_DOCS = {
 }
 
 
-@pytest.mark.parametrize("kind", list(THREADS_DOCS))
-def test_run_rejects_threads_where_the_run_does_not_read_them(tmp_path, capsys, kind):
-    # only a disorder msre ensemble spreads its realizations over threads
-    cfg = write_config(tmp_path, THREADS_DOCS[kind])
-    out = tmp_path / "out"
-    code = cli.main(["run", "--config", cfg, "--out", str(out), "--threads", "2"])
-    if kind == "disorder-msre":
-        assert code == 0
-        assert (out / "ensemble.csv").exists()
+# the data file of each run that draws random numbers; every other run draws none
+SEEDED = {"bayes": "estimation.csv", "disorder-fi": "ensemble.csv",
+          "disorder-msre": "ensemble.csv"}
+
+
+@pytest.mark.parametrize("kind", list(KIND_DOCS))
+def test_only_runs_that_draw_depend_on_the_seed(tmp_path, kind):
+    # a deterministic run's files keep their bytes at every seed
+    hashes = []
+    for seed in (1, 2):
+        cfg = write_config(tmp_path, {**KIND_DOCS[kind], "seed": seed})
+        out = tmp_path / f"seed-{seed}"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        hashes.append(manifest_hashes(out))
+    if kind in SEEDED:
+        assert hashes[0][SEEDED[kind]] != hashes[1][SEEDED[kind]]
     else:
-        assert code == 2
-        experiment = THREADS_DOCS[kind]["experiment"]
-        assert (f"--threads: only a disorder msre run reads it, got 2 for a {experiment} run"
-                in capsys.readouterr().err)
-        assert not out.exists()
+        assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--threads", "2")])
+def test_run_reads_the_config_and_out_only(tmp_path, capsys, flag, value):
+    # the config's seed is the one seed, and every run is serial
+    cfg = write_config(tmp_path, KIND_DOCS["disorder-msre"])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as caught:
+        cli.main(["run", "--config", cfg, "--out", str(out), flag, value])
+    assert caught.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_any_thread_count_but_one(tmp_path):
+    cfg = validate_config(KIND_DOCS["disorder-msre"])
+    with pytest.raises(ValueError, match="threads: every run is serial, got 2"):
+        experiments.run(cfg, tmp_path / "out", threads=2)
+    assert not (tmp_path / "out").exists()
 
 
 def test_io_failure_exit_code(tmp_path):

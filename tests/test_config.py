@@ -55,9 +55,10 @@ def without(doc, section, key=None):
 
 # (id, document, the start of the violation it must report)
 RULES = [
-    ("seed-negative", with_(FI, seed=-1), "seed:"),
-    ("seed-fraction", with_(FI, seed=1.5), "seed:"),
-    ("out_dir", with_(FI, out_dir=7), "out_dir:"),
+    ("seed-negative", with_(FI, seed=-1), "seed: must be >= 0, got -1"),
+    ("seed-fraction", with_(FI, seed=1.5), "seed: expected an integer, got 1.5"),
+    # --out is the one output path: a config names no directory
+    ("out_dir", with_(FI, out_dir="runs/fi"), "out_dir: unknown name"),
     # every run writes all its files: no rule reads a format list
     ("formats-unknown", with_(FI, formats=["csv"]), "formats: unknown name"),
     ("steps-zero", with_(FI, steps=0), "steps:"),
@@ -190,7 +191,7 @@ def test_unknown_names_are_rejected_together(tmp_path, capsys):
 
 
 # each base document's run, and the top-level names its readers read besides
-# experiment, seed and out_dir, which every run reads
+# experiment and seed, which every run reads
 READS = [
     ("fi-scaling", FI, ("steps", "walk", "fit")),
     ("fi-surface", SURFACE, ("walk", "surface")),
@@ -263,8 +264,7 @@ def test_every_benchmark_job_validates(tmp_path, workload):
 
 
 def test_every_accepted_name_is_set_by_a_preset_or_a_benchmark_job():
-    # a name that no caller sets keeps a code path that no run takes; out_dir
-    # is a deployment path
+    # a name that no caller sets keeps a code path that no run takes
     docs = [json.loads(path.read_text()) for path in sorted((ROOT / "configs").glob("*.json"))]
     for workload in WORKLOADS:
         jobs = job_list(workload, 0)
@@ -275,6 +275,6 @@ def test_every_accepted_name_is_set_by_a_preset_or_a_benchmark_job():
             set_names.add(name)
             if isinstance(value, dict):
                 set_names.update(f"{name}.{key}" for key in value)
-    accepted = {name for name in _TOP_LEVEL if name != "out_dir"}
+    accepted = set(_TOP_LEVEL)
     accepted |= {f"{section}.{name}" for section, names in _SECTIONS.items() for name in names}
     assert sorted(accepted - set_names) == []

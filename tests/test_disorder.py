@@ -274,7 +274,7 @@ def test_ensemble_msre_nontrivial_scaling_under_disorder(kind, band):
                               grid_points=201, trials=1000, master_seed=7,
                               repetitions=15)
     spec = DisorderSpec(kind=kind, half_width=W, n_realizations=10, master_seed=7)
-    result = ensemble_msre(spec, config, threads=2)
+    result = ensemble_msre(spec, config)
     fit = power_law_fit(result.steps, result.mean, window=(schedule[0], schedule[-1]))
     assert band[0] <= fit.exponent <= band[1]
     assert (result.std >= 0).all()
@@ -291,5 +291,5 @@ def test_trivial_msre_exceeds_nontrivial_at_final_step():
         config = EstimationConfig(base, (-0.556 * PI, -0.544 * PI), schedule,
                                   grid_points=201, trials=1000, master_seed=7,
                                   repetitions=5)
-        results[name] = ensemble_msre(spec, config, threads=2)
+        results[name] = ensemble_msre(spec, config)
     assert results["tr"].mean[-1] > results["nt"].mean[-1]

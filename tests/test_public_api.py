@@ -1,12 +1,16 @@
 """The package's export list names only what the package defines and uses,
 every function in the package reads each parameter it accepts, one loop
-steps every walk, and the README's library example runs."""
+steps every walk, the README's library example runs, and its command lines
+use exactly the flags the command line has."""
 
 import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import qwsense
+from qwsense import cli
 
 PACKAGE = Path(qwsense.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -116,3 +120,22 @@ def test_readme_python_blocks_run(capsys):
         exec(compile(block, str(README), "exec"), {})
     winding, exponent = capsys.readouterr().out.split()
     assert winding == "1" and abs(float(exponent) - 2.0) < 0.2
+
+
+def _help_flags(capsys, command):
+    """The flags ``qwsense <command> --help`` lists, --help aside."""
+    with pytest.raises(SystemExit) as caught:
+        cli.main([command, "--help"])
+    assert caught.value.code == 0
+    return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+
+
+def test_readme_command_lines_use_exactly_the_parsers_flags(capsys):
+    # a flag added to or deleted from a parser must be added to or deleted from the README
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.S | re.M)
+    lines = re.findall(r"^qwsense (\w+)(.*)$", "".join(blocks), re.M)
+    assert sorted({command for command, _ in lines}) == ["plot", "run", "validate"]
+    for command in ("plot", "run", "validate"):
+        written = {flag for name, rest in lines if name == command
+                   for flag in re.findall(r"--[a-z][a-z-]*", rest)}
+        assert written == _help_flags(capsys, command), command
