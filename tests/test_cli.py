@@ -686,6 +686,23 @@ def test_run_reads_the_config_and_out_only(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
+    # a negative seed stops the run before it writes, from the config or the command line
+    fi = {"experiment": "fi-scaling", "steps": 30, "walk": WALK}
+    for doc, seed in ((fi, -5), (KIND_DOCS["disorder-msre"], -1)):
+        out = tmp_path / "out"
+        args = ["run", "--config", write_config(tmp_path, {**doc, "seed": seed}), "--out", str(out)]
+        assert cli.main(args) == 2
+        assert f"seed: must be >= 0, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = write_config(tmp_path, doc)
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["run", "--config", cfg, "--out", str(out), "--seed", str(seed)])
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: --seed {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_run_rejects_any_thread_count_but_one(tmp_path):
     cfg = validate_config(KIND_DOCS["disorder-msre"])
     with pytest.raises(ValueError, match="threads: every run is serial, got 2"):
