@@ -6,7 +6,8 @@ preconditions of the module that will consume it before any computation
 starts, a name that no rule reads, or that no reader of the experiment
 reads, is a violation, and all violations are reported together.  Angles
 are written as multiples of pi (0.9 means 0.9*pi) to match how the
-parameter points are usually quoted.
+parameter points are usually quoted, and used as written: theta02 + 2 is
+another walk than theta02 (``walk.WalkParams``).
 """
 
 import json
@@ -169,13 +170,6 @@ def _grid(check, section, field_name):
     return np.linspace(start, stop, int(count))
 
 
-def _holds_angle(lo, hi, angle):
-    """Whether [lo, hi] holds ``angle`` modulo 2 (units of pi), up to rounding."""
-    slack = 1e-12  # an angle on an edge may round to just outside it
-    offset = (angle - lo) % 2.0  # lo + offset is the first image of angle from lo up
-    return offset <= hi - lo + slack or offset >= 2.0 - slack
-
-
 def _read_fit(check, doc, cfg):
     # the window is the steps t_min..steps, so steps is the one value that sets its size
     least = metrology.DEFAULT_FIT_T_MIN + 4
@@ -276,17 +270,17 @@ def _read_estimation(check, doc, cfg):
         return None
     if cfg.walk is not None and cfg.walk.theta02 == 0:
         # the msre is relative to theta02: the run would walk, then divide by zero
-        check.fail("walk.theta02_over_pi", "must not be 0 (modulo 2) for an estimation run")
+        check.fail("walk.theta02_over_pi", "must not be 0 for an estimation run")
     prior = check.numbers(section, "estimation.prior_over_pi", "[lo, hi] of finite numbers", 2)
     if prior is not None and not prior[0] < prior[1]:
         check.fail("estimation.prior_over_pi", "lo must be < hi")
     elif prior is not None and cfg.walk is not None:
         t02 = float(doc["walk"]["theta02_over_pi"])
-        if not _holds_angle(*prior, t02):
+        if not prior[0] <= t02 <= prior[1]:
             # the posterior would pile up at the grid edge, silently
             check.fail(
                 "estimation.prior_over_pi",
-                f"[{prior[0]}, {prior[1]}] leaves out walk.theta02_over_pi = {t02} (modulo 2)",
+                f"[{prior[0]}, {prior[1]}] leaves out walk.theta02_over_pi = {t02}",
             )
     grid_points = check.number(section, "estimation.grid_points",
                                default=bayes.DEFAULT_GRID_POINTS, minimum=11, integer=True)
@@ -312,7 +306,7 @@ def _read_averaging(check, doc, steps):
     window = check.number(section, "averaging.window", default=5, minimum=1, integer=True)
     spacing = check.number(section, "averaging.spacing", default=5, minimum=1, integer=True)
     span = (window - 1) * spacing
-    if span >= steps:
+    if span > steps:
         check.fail("averaging", f"window span {span} does not fit in {steps} steps")
     return window, spacing
 

@@ -8,12 +8,14 @@ as k sweeps the Brillouin zone is the integer phase label; it is undefined at
 gap closings (sin E -> 0).
 
 The label has a closed form.  With c_i, s_i = cos, sin(theta_i / 2), d(k)
-is perpendicular to A at every k and, in that plane, traces a circle of
-radius |c2 s1| centred at distance |s2 c1| from the origin.  So the winding
-is sign(c2 s1) when |c2 s1| > |s2 c1| and 0 otherwise: the split-step phase
-diagram of Kitagawa, Rudner, Berg and Demler, Phys. Rev. A 82, 033429
-(2010).  ``phase_diagram`` uses it; ``winding_number`` integrates n(k) by
-quadrature and is the reference the closed form is tested against.
+= c2 sin k e + (c2 s1 cos k + s2 c1) y with e = (s1, 0, -c1), e x y = A: an
+ellipse normal to A, of semi-axis |c2 s1| along y and centred at s2 c1 on
+y, whose turn in ``winding_number``'s sense has the sign of c2^2 s1.  So the
+winding is sign(s1) when |c2 s1| > |s2 c1| and 0 otherwise (sign(c2 s1) for
+theta2 in [-pi, pi], where c2 >= 0): the split-step phase diagram of Kitagawa,
+Rudner, Berg and Demler, Phys. Rev. A 82, 033429 (2010).  ``phase_diagram``
+uses it; ``winding_number`` integrates n(k) by quadrature and is the
+reference the closed form is tested against.
 """
 
 from dataclasses import dataclass
@@ -134,8 +136,7 @@ def phase_diagram(theta1_grid, theta2_grid, n_k: int = DEFAULT_NK) -> list[list[
         c1, s1 = np.cos(t1 / 2.0), np.sin(t1 / 2.0)
         d0 = (c2 * c1)[:, None] * cos_k - (s2 * s1)[:, None]
         gaps = np.sin(np.arccos(np.clip(d0, -1.0, 1.0))).min(axis=1)
-        radius = c2 * s1
-        windings = np.where(np.abs(radius) > np.abs(s2 * c1), np.sign(radius), 0.0)
+        windings = np.where(np.abs(c2 * s1) > np.abs(s2 * c1), np.sign(s1), 0.0)
         grid.append([
             PhasePoint(float(t1), float(t2), None, float(gap), GAPLESS)
             if gap < GAP_TOLERANCE

@@ -95,23 +95,6 @@ def _finite_scalar(theta) -> float:
     return value
 
 
-def wrap_angle(theta: float) -> float:
-    """Canonicalize an angle into [-pi, pi].
-
-    Angles already in [-pi, pi] are returned unchanged (both endpoints are
-    kept: the coin rotation is 2*pi-antiperiodic, so at a defect site -pi and
-    +pi are physically distinct).  Angles strictly outside are reduced by
-    multiples of 2*pi into (-pi, pi].
-    """
-    theta = _finite_scalar(theta)
-    if -math.pi <= theta <= math.pi:
-        return float(theta)
-    wrapped = math.remainder(theta, 2.0 * math.pi)
-    if wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped
-
-
 def _check_lattice_size(n) -> int:
     integral = isinstance(n, numbers.Integral) or (
         isinstance(n, numbers.Real) and float(n).is_integer()
@@ -126,7 +109,12 @@ def _check_lattice_size(n) -> int:
 
 @dataclass(frozen=True)
 class WalkParams:
-    """Coin angles and lattice geometry defining the step unitary."""
+    """Coin angles and lattice geometry defining the step unitary.
+
+    Angles are used as written.  R(theta + 2 pi) = -R(theta): at theta1 that
+    is a global sign, but at theta2 or theta02 it flips the defect's coin
+    against the rest of the ring, so the walk is 4 pi-periodic in theta02.
+    """
 
     theta1: float
     theta2: float
@@ -134,9 +122,9 @@ class WalkParams:
     lattice_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "theta1", wrap_angle(self.theta1))
-        object.__setattr__(self, "theta2", wrap_angle(self.theta2))
-        object.__setattr__(self, "theta02", wrap_angle(self.theta02))
+        object.__setattr__(self, "theta1", _finite_scalar(self.theta1))
+        object.__setattr__(self, "theta2", _finite_scalar(self.theta2))
+        object.__setattr__(self, "theta02", _finite_scalar(self.theta02))
         object.__setattr__(self, "lattice_size", _check_lattice_size(self.lattice_size))
 
     @property
@@ -256,8 +244,11 @@ def propagate(params: WalkParams, steps: int, coin_fields=None, derivative: bool
         raise ValueError(f"per-walk defect angles take (N,) coin fields: batch must be (), "
                          f"got {batch}")
     else:
-        batch = (len(defect_angles),)
-        cos02, sin02 = half_angle([wrap_angle(theta) for theta in defect_angles])
+        defect_angles = np.asarray(defect_angles, dtype=np.float64)
+        if defect_angles.ndim != 1 or not np.isfinite(defect_angles).all():
+            raise ValueError("defect angles must be a (C,) array of finite angles")
+        batch = defect_angles.shape
+        cos02, sin02 = half_angle(defect_angles)
     width = params.lattice_size
     if defect_only:
         width = min(width, dynamics_lattice_size(steps))

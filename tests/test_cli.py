@@ -209,12 +209,35 @@ def test_validate_rejects_prior_that_leaves_out_theta02(tmp_path, capsys):
     assert "estimation.prior_over_pi" in capsys.readouterr().err
     assert bayes(-0.55, [-0.7, -0.56], "disorder") == 2
     assert "estimation.prior_over_pi" in capsys.readouterr().err
-    # inside, on either edge, and across +-pi (angles hold modulo 2 pi)
+    # inside, on either edge, and windows across +-pi as written
     for theta02, prior in ((-0.55, [-0.556, -0.544]), (-0.556, [-0.556, -0.544]),
-                           (-0.544, [-0.556, -0.544]), (-0.98, [0.95, 1.05]),
-                           (1.0, [-1.02, -0.98]), (0.99, [-1.05, -0.95])):
+                           (-0.544, [-0.556, -0.544]), (1.02, [0.95, 1.05]),
+                           (-0.98, [-1.05, -0.95]), (1.0, [0.98, 1.02])):
         assert bayes(theta02, prior) == 0, (theta02, prior)
-    assert bayes(-0.9, [0.95, 1.05]) == 2
+    # an angle 2 pi away is another walk (R(theta + 2 pi) = -R(theta)), not in the window
+    for theta02, prior in ((-0.98, [0.95, 1.05]), (1.0, [-1.02, -0.98]),
+                           (0.99, [-1.05, -0.95]), (-0.9, [0.95, 1.05])):
+        assert bayes(theta02, prior) == 2, (theta02, prior)
+        assert "estimation.prior_over_pi" in capsys.readouterr().err
+
+
+def test_a_prior_window_across_pi_estimates_the_angle_as_written(tmp_path):
+    # theta02 = 1.02 pi once walked as -0.98 pi while its candidates walked as
+    # written, and every step's msre read ~4; -0.98 pi is another walk, so that
+    # window leaves it out
+    def config(theta02):
+        return write_config(tmp_path, {
+            "experiment": "bayes", "steps": 40, "seed": 1,
+            "walk": {**WALK, "theta02_over_pi": theta02},
+            "estimation": {"prior_over_pi": [0.95, 1.05], "grid_points": 101,
+                           "trials": 1000},
+        })
+
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", config(1.02), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "estimation.csv")
+    assert rows and all(float(row[3]) < 1e-2 for row in rows)
+    assert cli.main(["validate", "--config", config(-0.98)]) == 2
 
 
 @pytest.mark.parametrize("preset", PRESETS, ids=lambda path: path.name)

@@ -131,7 +131,7 @@ RULES = [
                                  estimation__prior_over_pi=[-0.01, 0.01]),
      "walk.theta02_over_pi:"),
     ("theta02-zero-msre", with_(DISORDER, disorder__observable="msre",
-                                walk={**WALK, "theta02_over_pi": 2.0},
+                                walk={**WALK, "theta02_over_pi": 0.0},
                                 estimation={**ESTIMATION, "prior_over_pi": [-0.01, 0.01]}),
      "walk.theta02_over_pi:"),
     ("disorder-missing", without(DISORDER, "disorder"), "disorder:"),
@@ -146,7 +146,8 @@ RULES = [
     ("averaging-not-an-object", with_(AVERAGING, averaging=5), "averaging:"),
     ("averaging.window", with_(AVERAGING, averaging__window=0), "averaging.window:"),
     ("averaging.spacing", with_(AVERAGING, averaging__spacing=1.5), "averaging.spacing:"),
-    ("averaging-span", with_(AVERAGING, averaging__window=16), "averaging:"),
+    # span (17 - 1) * 2 = 32 > 30 steps: no window fits
+    ("averaging-span", with_(AVERAGING, averaging__window=17), "averaging:"),
 ]
 
 
@@ -167,6 +168,16 @@ def test_every_base_document_validates(tmp_path, good):
 def test_each_rule_rejects_its_document_and_names_the_field(tmp_path, capsys, doc, violation):
     assert validate(tmp_path, doc) == 2
     assert f"\n  {violation}" in capsys.readouterr().err
+
+
+def test_an_averaging_window_that_spans_every_step_runs(tmp_path):
+    # span (5 - 1) * 5 = 20 = steps was rejected; it fits one window, centred at t = 10
+    doc = with_(AVERAGING, steps=20, averaging={"window": 5, "spacing": 5})
+    assert validate(tmp_path, doc) == 0
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+    rows = (out / "avg_fi_series.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("10,")
 
 
 def test_unknown_names_are_rejected_together(tmp_path, capsys):

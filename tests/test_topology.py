@@ -165,11 +165,12 @@ def test_phase_diagram_gapless_line_flagged():
 
 @settings(max_examples=25, deadline=None)
 @given(
-    theta1s=st.lists(st.floats(-PI, PI), min_size=1, max_size=3),
-    theta2s=st.lists(st.floats(-PI, PI), min_size=1, max_size=3),
+    theta1s=st.lists(st.floats(-3 * PI, 3 * PI), min_size=1, max_size=3),
+    theta2s=st.lists(st.floats(-3 * PI, 3 * PI), min_size=1, max_size=3),
     n_k=st.sampled_from([64, 1024]),
 )
 def test_phase_diagram_matches_quadrature(theta1s, theta2s, n_k):
+    # a config's phase grid may run past +-pi: theta2 + 2 pi flips c2 but not the winding
     grid = phase_diagram(theta1s, theta2s, n_k=n_k)
     for t1, row in zip(theta1s, grid):
         for t2, point in zip(theta2s, row):

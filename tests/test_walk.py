@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from test_kernels import full_angles, full_tables, separate_pair_step
 
 from qwsense import kernels
-from qwsense.bayes import defect_probability_series
+from qwsense.bayes import candidate_probability_table, defect_probability_series
 from qwsense.disorder import DYNAMIC, STATIC, DisorderSpec, sample_disorder
 from qwsense.metrology import fisher_at_defect
 from qwsense.walk import (
@@ -29,7 +29,6 @@ from qwsense.walk import (
     half_angle,
     light_cone,
     propagate,
-    wrap_angle,
 )
 
 PI = math.pi
@@ -567,34 +566,64 @@ def test_batched_walk_equals_serial_walks(kind, walks):
 # --- parameter validation ---------------------------------------
 
 
-def test_wrap_angle_reduces_out_of_range():
-    assert wrap_angle(1.2 * PI) == pytest.approx(-0.8 * PI, abs=1e-12)
-    assert wrap_angle(-1.2 * PI) == pytest.approx(0.8 * PI, abs=1e-12)
-    assert wrap_angle(2 * PI + 0.3) == pytest.approx(0.3, abs=1e-12)
-
-
-def test_wrap_angle_keeps_both_boundary_angles():
-    # R(-pi) = -R(pi): at a defect site the sign is physical, so both
-    # endpoints stay representable.
-    assert wrap_angle(PI) == PI
-    assert wrap_angle(-PI) == -PI
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "x", None])
-def test_wrap_angle_rejects_nonfinite(bad):
-    with pytest.raises(ValueError):
-        wrap_angle(bad)
-
-
-def test_params_wrap_and_validate():
-    p = WalkParams(2.2 * PI, 0.1, 0.2, 9)
-    assert p.theta1 == pytest.approx(0.2 * PI, abs=1e-12)
+def test_params_keep_angles_as_written_and_validate():
+    p = WalkParams(2.2 * PI, -1.2 * PI, 4.5 * PI, 9)
+    assert (p.theta1, p.theta2, p.theta02) == (2.2 * PI, -1.2 * PI, 4.5 * PI)
     with pytest.raises(ValueError):
         WalkParams(0.1, 0.2, 0.3, 8)  # even
     with pytest.raises(ValueError):
         WalkParams(0.1, 0.2, 0.3, 1)  # too small
-    with pytest.raises(ValueError):
-        WalkParams(float("nan"), 0.2, 0.3, 9)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "x", None])
+def test_params_reject_a_nonfinite_angle(bad):
+    for angles in ((bad, 0.2, 0.3), (0.1, bad, 0.3), (0.1, 0.2, bad)):
+        with pytest.raises(ValueError, match="angle must be"):
+            WalkParams(*angles, 9)
+
+
+def test_propagate_rejects_defect_angles_it_cannot_walk():
+    params = WalkParams(0.1, 0.2, 0.3, 9)
+    for angles in ([0.3, float("nan")], [0.3, float("inf")], [[0.3, 0.4]]):
+        with pytest.raises(ValueError, match="defect angles"):
+            next(propagate(params, 2, defect_only=True, defect_angles=angles))
+
+
+def assert_same_walk(angles, other, steps):
+    """P0 within 1e-12 and the defect-site FI within 1e-11 of each other, on the
+    steps where FI = dP0^2 / (P0 (1 - P0)) keeps its digits."""
+    walks = (WalkParams(*a, 2 * steps + 3) for a in (angles, other))
+    (p0, fi), (q0, gi) = ((defect_probability_series(p, steps), fisher_at_defect(p, steps).values)
+                          for p in walks)
+    np.testing.assert_allclose(q0, p0, rtol=0, atol=1e-12)
+    posed = (p0 > 1e-3) & (p0 < 1 - 1e-3)
+    scale = max(fi[posed].max(initial=0.0), 1.0)
+    np.testing.assert_allclose(gi[posed], fi[posed], rtol=1e-11, atol=1e-11 * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(angles=st.tuples(*[st.floats(-PI, PI)] * 3), steps=st.integers(1, 40))
+def test_the_walk_has_the_periods_of_its_coins(angles, steps):
+    # R(theta + 2 pi) = -R(theta): at theta1 a global sign; at theta2 every
+    # layer-2 coin but the defect's flips, which is theta02 + 2 pi up to that sign
+    t1, t2, t02 = angles
+    assert_same_walk(angles, (t1, t2, t02 + 4 * PI), steps)
+    assert_same_walk(angles, (t1 + 2 * PI, t2, t02), steps)
+    assert_same_walk((t1, t2, t02 + 2 * PI), (t1, t2 + 2 * PI, t02), steps)
+    table = candidate_probability_table(WalkParams(*angles, 2 * steps + 3),
+                                        np.array([t02, t02 + 4 * PI]), range(steps + 1))
+    np.testing.assert_allclose(table[:, 1], table[:, 0], rtol=0, atol=1e-12)
+
+
+def test_theta02_and_theta02_minus_2pi_are_different_walks():
+    # the defect coin's sign is physical: -2.55 pi once walked as -0.55 pi
+    params = WalkParams(0.9 * PI, 0.75 * PI, -0.55 * PI, 83)
+    flipped = replace(params, theta02=params.theta02 - 2 * PI)
+    gap = defect_probability_series(flipped, 40) - defect_probability_series(params, 40)
+    assert np.abs(gap).max() > 0.1
+    table = candidate_probability_table(params, np.array([params.theta02, flipped.theta02]),
+                                        range(41))
+    assert np.array_equal(table[:, 1] - table[:, 0], gap)
 
 
 @pytest.mark.parametrize("size", [203.7, 9.5, True, np.bool_(True), "9"])
