@@ -35,12 +35,11 @@ from .spectral import (
     decompose_step_operator,
     find_localized_states,
 )
-from .topology import BlochDecomposition, PhasePoint, bloch_components, phase_diagram, winding_number
+from .topology import PhasePoint, phase_diagram, winding_number
 from .walk import CoinField, WalkParams
 
 __all__ = [
     "BACKEND",
-    "BlochDecomposition",
     "CoinField",
     "DisorderSpec",
     "EnsembleResult",
@@ -55,7 +54,6 @@ __all__ = [
     "SpectralDecomposition",
     "WalkParams",
     "averaged_fisher",
-    "bloch_components",
     "decompose_step_operator",
     "ensemble_fisher",
     "ensemble_msre",

@@ -89,6 +89,9 @@ class EstimationConfig:
         lo, hi = self.prior_interval
         if not lo < hi:
             raise ValueError(f"prior interval must satisfy lo < hi, got ({lo}, {hi})")
+        if hi - lo >= 4.0 * math.pi:
+            # R(theta + 4 pi) = R(theta): a wider window holds one walk twice
+            raise ValueError(f"prior interval must be narrower than 4 pi, got ({lo}, {hi})")
         if self.grid_points < 11:
             raise ValueError(f"grid_points must be >= 11, got {self.grid_points}")
         if self.trials < 1:

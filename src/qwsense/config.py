@@ -274,6 +274,10 @@ def _read_estimation(check, doc, cfg):
     prior = check.numbers(section, "estimation.prior_over_pi", "[lo, hi] of finite numbers", 2)
     if prior is not None and not prior[0] < prior[1]:
         check.fail("estimation.prior_over_pi", "lo must be < hi")
+    elif prior is not None and prior[1] - prior[0] >= 4:
+        # R(theta + 4 pi) = R(theta): the window would hold one walk twice and
+        # split the posterior between its copies
+        check.fail("estimation.prior_over_pi", "hi - lo must be < 4")
     elif prior is not None and cfg.walk is not None:
         t02 = float(doc["walk"]["theta02_over_pi"])
         if not prior[0] <= t02 <= prior[1]:

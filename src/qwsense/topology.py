@@ -10,12 +10,12 @@ gap closings (sin E -> 0).
 The label has a closed form.  With c_i, s_i = cos, sin(theta_i / 2), d(k)
 = c2 sin k e + (c2 s1 cos k + s2 c1) y with e = (s1, 0, -c1), e x y = A: an
 ellipse normal to A, of semi-axis |c2 s1| along y and centred at s2 c1 on
-y, whose turn in ``winding_number``'s sense has the sign of c2^2 s1.  So the
-winding is sign(s1) when |c2 s1| > |s2 c1| and 0 otherwise (sign(c2 s1) for
-theta2 in [-pi, pi], where c2 >= 0): the split-step phase diagram of Kitagawa,
-Rudner, Berg and Demler, Phys. Rev. A 82, 033429 (2010).  ``phase_diagram``
-uses it; ``winding_number`` integrates n(k) by quadrature and is the
-reference the closed form is tested against.
+y, whose turn as k increases has the sign of c2^2 s1.  So the winding is
+sign(s1) when |c2 s1| > |s2 c1| and 0 otherwise (sign(c2 s1) for theta2 in
+[-pi, pi], where c2 >= 0): the split-step phase diagram of Kitagawa, Rudner,
+Berg and Demler, Phys. Rev. A 82, 033429 (2010).  ``phase_diagram`` is the
+one algorithm; the gap sin E is evaluated on a k grid.  The tests hold it
+to a quadrature of n(k)'s winding, kept beside them as a reference.
 """
 
 from dataclasses import dataclass
@@ -30,25 +30,12 @@ GAPLESS = "gapless"
 
 
 @dataclass
-class BlochDecomposition:
-    k: np.ndarray
-    d0: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    dz: np.ndarray
-    quasi_energy: np.ndarray
-    unit_vector: np.ndarray  # (nk, 3); NaN rows where sin E <= gap tolerance
-    axis: np.ndarray
-
-
-@dataclass
 class PhasePoint:
     theta1: float
     theta2: float
     winding: int | None
     min_gap: float
     status: str
-    residual: float | None = None  # |pre-rounding winding - integer|; quadrature only
 
 
 def momentum_grid(n_k: int) -> np.ndarray:
@@ -62,65 +49,18 @@ def _check_n_k(n_k):
         raise ValueError(f"n_k must be even and >= 64, got {n_k}")
 
 
-def bloch_components(theta1: float, theta2: float, k_grid: np.ndarray) -> BlochDecomposition:
-    """Evaluate d0..dz, E(k), n(k) and the reference axis A on a k grid."""
-    k = np.asarray(k_grid, dtype=np.float64)
-    if k.ndim != 1 or k.size < 8:
-        raise ValueError("k grid must be 1D with at least 8 points")
-    c1, s1 = np.cos(theta1 / 2.0), np.sin(theta1 / 2.0)
-    c2, s2 = np.cos(theta2 / 2.0), np.sin(theta2 / 2.0)
-    d0 = c2 * c1 * np.cos(k) - s2 * s1
-    dx = c2 * s1 * np.sin(k)
-    dy = c2 * s1 * np.cos(k) + s2 * c1
-    dz = -c2 * c1 * np.sin(k)
-    energy = np.arccos(np.clip(d0, -1.0, 1.0))
-    sin_e = np.sin(energy)
-    vec = np.stack([dx, dy, dz], axis=1)
-    unit = np.full_like(vec, np.nan)
-    defined = sin_e > GAP_TOLERANCE
-    unit[defined] = vec[defined] / sin_e[defined, None]
-    axis = np.array([c1, 0.0, s1])
-    return BlochDecomposition(k, d0, dx, dy, dz, energy, unit, axis)
-
-
-def _periodic_derivative(values: np.ndarray, dk: float) -> np.ndarray:
-    """Five-point centered difference on a periodic grid (O(dk^4))."""
-    return (
-        -np.roll(values, -2, axis=0)
-        + 8.0 * np.roll(values, -1, axis=0)
-        - 8.0 * np.roll(values, 1, axis=0)
-        + np.roll(values, 2, axis=0)
-    ) / (12.0 * dk)
-
-
 def winding_number(theta1: float, theta2: float, n_k: int = DEFAULT_NK) -> PhasePoint:
-    """Winding of n(k) about A, by periodic trapezoidal quadrature.
-
-    Returns a gapless PhasePoint (winding undefined) when min |sin E| falls
-    below the gap tolerance; otherwise the integral is rounded to the nearest
-    integer and the pre-rounding residual is reported.
-    """
-    _check_n_k(n_k)
-    bloch = bloch_components(theta1, theta2, momentum_grid(n_k))
-    min_gap = float(np.sin(bloch.quasi_energy).min())
-    if min_gap < GAP_TOLERANCE:
-        return PhasePoint(theta1, theta2, None, min_gap, GAPLESS)
-    n_vec = bloch.unit_vector
-    dk = 2.0 * np.pi / n_k
-    dn = _periodic_derivative(n_vec, dk)
-    integrand = np.cross(n_vec, dn) @ bloch.axis
-    raw = float(-integrand.sum() * dk / (2.0 * np.pi))
-    winding = int(round(raw))
-    return PhasePoint(theta1, theta2, winding, min_gap, GAPPED, abs(raw - winding))
+    """The phase label at one point: ``phase_diagram`` on a 1 x 1 grid."""
+    return phase_diagram(theta1, theta2, n_k)[0][0]
 
 
 def phase_diagram(theta1_grid, theta2_grid, n_k: int = DEFAULT_NK) -> list[list[PhasePoint]]:
     """Phase labels on the product grid; rows follow theta1_grid.
 
-    The winding is the closed form of the module docstring; ``min_gap`` and
-    the status come from ``winding_number``'s operations on the same k grid,
-    so they equal its bit for bit.  Each theta1 row is one
-    (len(theta2_grid), n_k) block.  ``residual`` is left None.
+    The winding is the closed form of the module docstring; ``min_gap`` is
+    the least sin E(k) on the k grid, and a point whose gap falls below
+    ``GAP_TOLERANCE`` is gapless with no winding.  Each theta1 row is one
+    (len(theta2_grid), n_k) block.
     """
     _check_n_k(n_k)
     t1s = np.atleast_1d(np.asarray(theta1_grid, dtype=np.float64))

