@@ -123,8 +123,7 @@ def _run_fi_surface(cfg: ExperimentConfig) -> Artifacts:
 def _run_phase_diagram(cfg: ExperimentConfig) -> Artifacts:
     t1s = cfg.phase_grid["theta1_over_pi"]
     t2s = cfg.phase_grid["theta2_over_pi"]
-    n_k = cfg.phase_grid["n_k"]
-    grid = topology.phase_diagram(t1s * PI, t2s * PI, n_k)
+    grid = topology.phase_diagram(t1s * PI, t2s * PI)
     rows = []
     for i, row in enumerate(grid):
         for j, point in enumerate(row):

@@ -13,9 +13,13 @@ ellipse normal to A, of semi-axis |c2 s1| along y and centred at s2 c1 on
 y, whose turn as k increases has the sign of c2^2 s1.  So the winding is
 sign(s1) when |c2 s1| > |s2 c1| and 0 otherwise (sign(c2 s1) for theta2 in
 [-pi, pi], where c2 >= 0): the split-step phase diagram of Kitagawa, Rudner,
-Berg and Demler, Phys. Rev. A 82, 033429 (2010).  ``phase_diagram`` is the
-one algorithm; the gap sin E is evaluated on a k grid.  The tests hold it
-to a quadrature of n(k)'s winding, kept beside them as a reference.
+Berg and Demler, Phys. Rev. A 82, 033429 (2010).
+
+The gap needs no k grid either.  d0(k) = c1 c2 cos k - s1 s2 is affine in
+cos k, so |d0| is largest, and sin E = sin(arccos d0) least, at cos k = -1
+or +1: the band edges k = -pi and k = 0.  ``phase_diagram`` is the one
+algorithm.  The tests hold it to a quadrature of n(k)'s winding and to the
+least gap on an even k grid, kept beside them as a reference.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 GAP_TOLERANCE = 1e-6
-DEFAULT_NK = 2048
 
 GAPPED = "gapped"
 GAPLESS = "gapless"
@@ -38,38 +41,26 @@ class PhasePoint:
     status: str
 
 
-def momentum_grid(n_k: int) -> np.ndarray:
-    """Uniform periodic grid over [-pi, pi) with n_k points; k = 0 is on it for an even n_k."""
-    return -np.pi + 2.0 * np.pi * np.arange(n_k) / n_k
-
-
-def _check_n_k(n_k):
-    # an odd grid has no k = 0, where the gap of theta1 = -theta2 closes
-    if n_k < 64 or n_k % 2:
-        raise ValueError(f"n_k must be even and >= 64, got {n_k}")
-
-
-def winding_number(theta1: float, theta2: float, n_k: int = DEFAULT_NK) -> PhasePoint:
+def winding_number(theta1: float, theta2: float) -> PhasePoint:
     """The phase label at one point: ``phase_diagram`` on a 1 x 1 grid."""
-    return phase_diagram(theta1, theta2, n_k)[0][0]
+    return phase_diagram(theta1, theta2)[0][0]
 
 
-def phase_diagram(theta1_grid, theta2_grid, n_k: int = DEFAULT_NK) -> list[list[PhasePoint]]:
+def phase_diagram(theta1_grid, theta2_grid) -> list[list[PhasePoint]]:
     """Phase labels on the product grid; rows follow theta1_grid.
 
     The winding is the closed form of the module docstring; ``min_gap`` is
-    the least sin E(k) on the k grid, and a point whose gap falls below
-    ``GAP_TOLERANCE`` is gapless with no winding.  Each theta1 row is one
-    (len(theta2_grid), n_k) block.
+    the lesser sin E at the two band edges, and a point whose gap falls
+    below ``GAP_TOLERANCE`` is gapless with no winding.  Each theta1 row is
+    one (len(theta2_grid), 2) block.
     """
-    _check_n_k(n_k)
     t1s = np.atleast_1d(np.asarray(theta1_grid, dtype=np.float64))
     t2s = np.atleast_1d(np.asarray(theta2_grid, dtype=np.float64))
     if t1s.size == 0 or t2s.size == 0:
         raise ValueError("phase diagram grids must be non-empty")
     if not (np.isfinite(t1s).all() and np.isfinite(t2s).all()):
         raise ValueError("phase diagram angles must be finite")
-    cos_k = np.cos(momentum_grid(n_k))
+    cos_k = np.array([-1.0, 1.0])  # the band edges k = -pi and k = 0
     c2, s2 = np.cos(t2s / 2.0), np.sin(t2s / 2.0)
     grid = []
     for t1 in t1s:

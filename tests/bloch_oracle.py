@@ -5,24 +5,30 @@ into U(k) = d0 I + i (dx sx + dy sy + dz sz) with quasi-energy
 E(k) = arccos(d0) in [0, pi] and Bloch vector n(k) = (dx, dy, dz)/sin E.
 ``quadrature_winding`` integrates the winding of n(k) about the axis
 A = (cos(theta1/2), 0, sin(theta1/2)) by periodic trapezoidal quadrature and
-reports how far the integral sat from an integer.  The library's
-``topology.phase_diagram`` uses the closed form instead; this module is the
-independent algorithm the tests hold it to.
+reports how far the integral sat from an integer, and its ``min_gap`` is the
+least sin E on the k grid.  The library's ``topology.phase_diagram`` uses the
+closed form and the two band edges instead; this module is the independent
+algorithm the tests hold it to.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from qwsense.topology import (
-    DEFAULT_NK,
-    GAP_TOLERANCE,
-    GAPLESS,
-    GAPPED,
-    PhasePoint,
-    _check_n_k,
-    momentum_grid,
-)
+from qwsense.topology import GAP_TOLERANCE, GAPLESS, GAPPED, PhasePoint
+
+DEFAULT_NK = 2048
+
+
+def momentum_grid(n_k: int) -> np.ndarray:
+    """Uniform periodic grid over [-pi, pi) with n_k points; k = 0 is on it for an even n_k."""
+    return -np.pi + 2.0 * np.pi * np.arange(n_k) / n_k
+
+
+def _check_n_k(n_k):
+    # an odd grid has no k = 0, where the gap of theta1 = -theta2 closes
+    if n_k < 64 or n_k % 2:
+        raise ValueError(f"n_k must be even and >= 64, got {n_k}")
 
 
 @dataclass

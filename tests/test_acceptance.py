@@ -67,9 +67,9 @@ def test_criterion_02_trivial_phase_suppression(fi_nontrivial, fi_trivial):
 
 
 def test_criterion_03_phase_diagram_pins():
-    plus = topology.winding_number(0.9 * PI, 0.75 * PI, n_k=2048)
-    zero = topology.winding_number(0.05 * PI, 0.75 * PI, n_k=2048)
-    critical = topology.winding_number(0.75 * PI, 0.75 * PI, n_k=2048)
+    plus = topology.phase_diagram(0.9 * PI, 0.75 * PI)[0][0]
+    zero = topology.phase_diagram(0.05 * PI, 0.75 * PI)[0][0]
+    critical = topology.phase_diagram(0.75 * PI, 0.75 * PI)[0][0]
     # the labels are the library's; the quadrature reference gives their residuals
     plus_residual = quadrature_winding(0.9 * PI, 0.75 * PI, n_k=2048).residual
     zero_residual = quadrature_winding(0.05 * PI, 0.75 * PI, n_k=2048).residual
@@ -90,7 +90,7 @@ def test_criterion_03_phase_diagram_pins():
 
 def test_criterion_04_mirror_fi_symmetry(fi_nontrivial):
     mirror_theta1 = -0.9 * PI  # located along the theta2 = 0.75 pi cut
-    mirror_point = topology.winding_number(mirror_theta1, 0.75 * PI)
+    mirror_point = topology.phase_diagram(mirror_theta1, 0.75 * PI)[0][0]
     mirror_params = WalkParams(mirror_theta1, 0.75 * PI, -0.55 * PI, N)
     fi_mirror = metrology.fisher_at_defect(mirror_params, STEPS)
     gap = np.abs(fi_mirror.values - fi_nontrivial.values).max()

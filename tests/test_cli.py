@@ -746,6 +746,20 @@ def test_run_rejects_a_negative_seed_override(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_an_estimation_run_rejects_a_theta02_whose_square_underflows(tmp_path, capsys):
+    # theta02 = 1e-300 pi passed the == 0 check: validate said ok, and the run
+    # walked, then divided by theta02 ** 2 = 0.0 (exit 1, ZeroDivisionError)
+    doc = {"experiment": "bayes", "steps": 30, "walk": {**WALK, "theta02_over_pi": 1e-300},
+           "estimation": {"prior_over_pi": [-0.5, 0.5], "grid_points": 11, "trials": 100}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    for args in (["validate", "--config", cfg], ["run", "--config", cfg, "--out", str(out)]):
+        assert cli.main(args) == 2
+        assert ("walk.theta02_over_pi: must not be 0 for an estimation run"
+                in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_run_rejects_any_thread_count_but_one(tmp_path):
     cfg = validate_config(KIND_DOCS["disorder-msre"])
     with pytest.raises(ValueError, match="threads: every run is serial, got 2"):

@@ -134,6 +134,15 @@ RULES = [
                                 walk={**WALK, "theta02_over_pi": 0.0},
                                 estimation={**ESTIMATION, "prior_over_pi": [-0.01, 0.01]}),
      "walk.theta02_over_pi:"),
+    # theta02 ** 2 underflowed to 0.0 past the == 0 check: the run walked, then crashed
+    ("theta02-underflow-bayes", with_(BAYES, walk__theta02_over_pi=1e-300,
+                                      estimation__prior_over_pi=[-0.5, 0.5]),
+     "walk.theta02_over_pi: must not be 0"),
+    ("theta02-subnormal-square-msre", with_(DISORDER, disorder__observable="msre",
+                                            walk={**WALK, "theta02_over_pi": -1e-160},
+                                            estimation={**ESTIMATION,
+                                                        "prior_over_pi": [-0.5, 0.5]}),
+     "walk.theta02_over_pi: must not be 0"),
     ("disorder-missing", without(DISORDER, "disorder"), "disorder:"),
     ("disorder.kind", with_(DISORDER, disorder__kind="frozen"), "disorder.kind:"),
     ("disorder.observable", with_(DISORDER, disorder__observable="qfi"),
@@ -257,13 +266,19 @@ def test_omitted_names_read_the_defaults_they_always_read():
     # that moved would move a data file
     fi = validate_config(FI)
     assert fi.fit_mode == "all_points"
-    grid = {name: GRID[name] for name in ("theta1_over_pi", "theta2_over_pi")}
-    phase = validate_config({**PHASE, "phase_grid": grid})
-    assert repr(phase.phase_grid["n_k"]) == "2048"
     disorder = validate_config({**DISORDER, "disorder": {"kind": "static"}})
     assert repr(disorder.disorder_spec.n_realizations) == "10"
     bayes = validate_config({**BAYES, "estimation": {"prior_over_pi": [-0.556, -0.544]}})
     assert repr((bayes.estimation.grid_points, bayes.estimation.trials)) == "(201, 1000)"
+
+
+def test_phase_grid_n_k_is_checked_and_read_by_nothing():
+    # the gap is read at the two band edges; the benchmark's jobs still set n_k
+    grids = [validate_config(with_(PHASE, phase_grid__n_k=n_k)).phase_grid
+             for n_k in (64, 1024, 2048)]
+    grids.append(validate_config(without(PHASE, "phase_grid", "n_k")).phase_grid)
+    for grid in grids:
+        assert set(grid) == {"theta1_over_pi", "theta2_over_pi"}
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

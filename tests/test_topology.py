@@ -5,12 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from bloch_oracle import bloch_components, quadrature_winding
+from bloch_oracle import bloch_components, momentum_grid, quadrature_winding
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwsense import spectral, topology
-from qwsense.topology import momentum_grid, phase_diagram, winding_number
+from qwsense.topology import phase_diagram
 from qwsense.walk import WalkParams
 
 PI = math.pi
@@ -62,22 +62,19 @@ def test_axis_orthogonal_to_bloch_vector():
 def test_grid_too_small_rejected():
     with pytest.raises(ValueError):
         bloch_components(0.1, 0.2, momentum_grid(4))
-    with pytest.raises(ValueError):
-        winding_number(0.1, 0.2, n_k=32)
-    with pytest.raises(ValueError):
-        phase_diagram([0.1], [0.2], n_k=32)
+    with pytest.raises(ValueError, match="n_k must be even and >= 64"):
+        quadrature_winding(0.1, 0.2, n_k=32)
 
 
 def test_odd_grid_rejected():
     # theta1 = -theta2 closes the gap at k = 0, which only an even grid holds:
     # 1025 points read it as gapped with winding 0
     t1, t2 = 0.3 * PI, -0.3 * PI
-    assert winding_number(t1, t2, n_k=1024).status == "gapless"
-    assert phase_diagram([t1], [t2], n_k=1024)[0][0].status == "gapless"
+    assert phase_diagram(t1, t2)[0][0].status == "gapless"
+    assert phase_diagram([t1], [t2])[0][0].status == "gapless"
+    assert quadrature_winding(t1, t2, n_k=1024).status == "gapless"
     with pytest.raises(ValueError, match="n_k must be even"):
-        winding_number(t1, t2, n_k=1025)
-    with pytest.raises(ValueError, match="n_k must be even"):
-        phase_diagram([t1], [t2], n_k=1025)
+        quadrature_winding(t1, t2, n_k=1025)
 
 
 # --- winding anchors -------------------------------------------------------
@@ -88,7 +85,7 @@ def test_winding_nontrivial_point():
     assert point.status == "gapped"
     assert point.winding == 1
     assert point.residual < 1e-6
-    assert winding_number(0.9 * PI, 0.75 * PI).winding == 1
+    assert phase_diagram(0.9 * PI, 0.75 * PI)[0][0].winding == 1
 
 
 def test_winding_trivial_point():
@@ -96,11 +93,11 @@ def test_winding_trivial_point():
     assert point.status == "gapped"
     assert point.winding == 0
     assert point.residual < 1e-6
-    assert winding_number(0.05 * PI, 0.75 * PI).winding == 0
+    assert phase_diagram(0.05 * PI, 0.75 * PI)[0][0].winding == 0
 
 
 def test_transition_point_is_gapless():
-    point = winding_number(0.75 * PI, 0.75 * PI)
+    point = phase_diagram(0.75 * PI, 0.75 * PI)[0][0]
     assert point.status == "gapless"
     assert point.winding is None
     assert point.min_gap < topology.GAP_TOLERANCE
@@ -140,7 +137,7 @@ def test_grid_doubling_convergence():
 def test_phase_diagram_interior_of_phase():
     t1s = (0.9 + 0.01 * np.arange(-1, 2)) * PI
     t2s = (0.75 + 0.01 * np.arange(-1, 2)) * PI
-    grid = phase_diagram(t1s, t2s, n_k=1024)
+    grid = phase_diagram(t1s, t2s)
     for row in grid:
         for point in row:
             assert point.status == "gapped"
@@ -149,7 +146,7 @@ def test_phase_diagram_interior_of_phase():
 
 def test_phase_diagram_sweep_crosses_boundary_once():
     t1s = np.linspace(0.05, 0.95, 19) * PI
-    grid = phase_diagram(t1s, [0.75 * PI], n_k=1024)
+    grid = phase_diagram(t1s, [0.75 * PI])
     windings = [row[0].winding for row in grid if row[0].status == "gapped"]
     assert set(windings) == {0, 1}
     changes = [i for i in range(1, len(windings)) if windings[i] != windings[i - 1]]
@@ -161,7 +158,7 @@ def test_phase_diagram_sweep_crosses_boundary_once():
 
 
 def test_phase_diagram_gapless_line_flagged():
-    grid = phase_diagram([0.74 * PI, 0.75 * PI, 0.76 * PI], [0.75 * PI], n_k=1024)
+    grid = phase_diagram([0.74 * PI, 0.75 * PI, 0.76 * PI], [0.75 * PI])
     statuses = [row[0].status for row in grid]
     assert statuses == ["gapped", "gapless", "gapped"]
 
@@ -170,11 +167,12 @@ def test_phase_diagram_gapless_line_flagged():
 @given(
     theta1s=st.lists(st.floats(-3 * PI, 3 * PI), min_size=1, max_size=3),
     theta2s=st.lists(st.floats(-3 * PI, 3 * PI), min_size=1, max_size=3),
-    n_k=st.sampled_from([64, 1024]),
+    n_k=st.sampled_from([64, 1024, 2048]) | st.integers(32, 1024).map(lambda half: 2 * half),
 )
 def test_phase_diagram_matches_quadrature(theta1s, theta2s, n_k):
-    # a config's phase grid may run past +-pi: theta2 + 2 pi flips c2 but not the winding
-    grid = phase_diagram(theta1s, theta2s, n_k=n_k)
+    # a config's phase grid may run past +-pi: theta2 + 2 pi flips c2 but not the winding.
+    # The least gap on any even k grid is the one at its band edges k = -pi and 0
+    grid = phase_diagram(theta1s, theta2s)
     for t1, row in zip(theta1s, grid):
         for t2, point in zip(theta2s, row):
             reference = quadrature_winding(t1, t2, n_k)
@@ -189,24 +187,26 @@ def test_phase_diagram_holds_one_row_at_a_time():
     grid = np.linspace(-1.0, 1.0, 41) * PI
     tracemalloc.start()
     try:
-        phase_diagram(grid, grid, n_k=1024)
-        peak = tracemalloc.get_traced_memory()[1]
+        points = phase_diagram(grid, grid)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the whole (41, 41, 1024) grid at once peaks at ~41 MB
-    assert peak < 4e6
+    assert len(points) == 41
+    # past the 1681 points it returns (~0.3 MB), a row's (41, 2) block of band
+    # edges needs a few kB; one row of a 1024-point k grid alone is 0.34 MB
+    assert peak - kept < 1e5
 
 
 def test_phase_diagram_rejects_non_finite_angles():
     with pytest.raises(ValueError, match="finite"):
-        phase_diagram([0.5, float("nan")], [0.5], n_k=512)
+        phase_diagram([0.5, float("nan")], [0.5])
     with pytest.raises(ValueError, match="finite"):
-        phase_diagram([0.5], [float("inf")], n_k=512)
+        phase_diagram([0.5], [float("inf")])
 
 
 def test_empty_grid_rejected():
     with pytest.raises(ValueError):
-        phase_diagram([], [0.5], n_k=512)
+        phase_diagram([], [0.5])
 
 
 # --- cross-module oracle ----------------------------------------------------
