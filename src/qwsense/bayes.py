@@ -6,7 +6,10 @@ arrival probability P0(t).  Every estimate reads one candidate table,
 P0(t; theta02) over the scheduled steps and a uniform grid of candidate
 theta02 values, built once by ``candidate_probability_table``;
 ``informative_schedule``, ``posterior`` and ``estimation_curve`` take that
-table as input and never walk.  The posterior multiplies the binomial
+table as input and walk no candidate.  ``informative_schedule`` and
+``posterior`` never walk; ``estimation_curve`` walks once, the true (data)
+walk through ``defect_probability_series``, for the P0 that its clicks are
+drawn from.  The posterior multiplies the binomial
 likelihood by the flat prior and normalizes in log space.  The mean squared
 relative error (posterior variance plus squared bias, normalized by
 theta02^2) is the figure of merit and should fall as t^-2 at the Heisenberg
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrology
+from .errors import ShortFitError
 from .walk import WalkParams, propagate, site_probability
 
 RNG_NAME = "numpy-pcg64"  # np.random.default_rng's generator
@@ -328,6 +332,6 @@ def estimation_curve(
             [r.step for r in records], [r.msre for r in records],
             window=(min(config.schedule), max(config.schedule)),
         )
-    except ValueError:
+    except ShortFitError:
         fit = None  # fewer than 5 usable records
     return EstimationCurve(records, fit, edge_mass, first_weights)

@@ -17,5 +17,13 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to meet its accuracy contract."""
 
 
+class ShortFitError(ValueError):
+    """A power-law fit has fewer than 5 usable points; ``points`` counts them."""
+
+    def __init__(self, points: int):
+        self.points = points
+        super().__init__(f"need at least 5 usable points in window, got {points}")
+
+
 class CapacityError(ValueError):
     """Requested problem size exceeds a configured solver cap."""

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__, bayes, disorder, metrology, plotting, serialize, spectral, topology
 from .config import ExperimentConfig
+from .errors import ShortFitError
 from .walk import CoinField
 
 PI = math.pi
@@ -60,12 +61,23 @@ def _fit_payload(fit):
 FI_HEADER = ("t", "value", "flagged")
 
 
+def _fit_series(art: Artifacts, series, mode: str) -> None:
+    """``fit.json`` from the power-law fit of ``series``, which is left out when
+    fewer than 5 points are usable; ``health.fit_points`` counts them either way."""
+    try:
+        fit = metrology.fit_scaling(series, mode=mode)
+    except ShortFitError as short:
+        art.health["fit_points"] = short.points
+        return
+    art.health["fit_points"] = fit.n_points
+    art.json["fit.json"] = _fit_payload(fit)
+
+
 def _run_fi_scaling(cfg: ExperimentConfig) -> Artifacts:
     series = metrology.fisher_at_defect(cfg.walk, cfg.steps)
-    fit = metrology.fit_scaling(series, mode=cfg.fit_mode)
     art = Artifacts()
     art.csv["fi_series.csv"] = (FI_HEADER, _fi_series_rows(series))
-    art.json["fit.json"] = _fit_payload(fit)
+    _fit_series(art, series, cfg.fit_mode)
     art.plots.append("fi_series.csv")
     return art
 
@@ -208,12 +220,7 @@ def _run_disorder(cfg: ExperimentConfig) -> Artifacts:
     else:
         result = disorder.ensemble_fisher(spec, cfg.walk, cfg.steps)
         mean_series = metrology.FisherSeries(result.steps, result.mean, None)
-        try:
-            art.json["fit.json"] = _fit_payload(
-                metrology.fit_scaling(mean_series, mode=cfg.fit_mode)
-            )
-        except ValueError:
-            pass  # short runs may not leave 5 usable points; the csv still stands
+        _fit_series(art, mean_series, cfg.fit_mode)
     rows = [
         (float(t), float(m), float(s), result.realizations)
         for t, m, s in zip(result.steps, result.mean, result.std)
@@ -253,7 +260,9 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     ``schedule_fold_ambiguity_max``, the largest ``bayes.fold_ambiguity`` of
     the candidate table's scheduled rows; for a spectrum run,
     ``schur_residual_max``, the largest ``||U v - lambda v||`` over the
-    eigenvectors; for a gfi-qfi run, ``qfi_over_t2_max`` and
+    eigenvectors; for an fi-scaling or disorder fi run, ``fit_points``, the
+    usable points of its power-law fit (below 5 it writes no ``fit.json``);
+    for a gfi-qfi run, ``qfi_over_t2_max`` and
     ``qfi_over_t2_final``, the largest and the last QFI(t) / t^2 over
     t >= 1, which the Heisenberg limit bounds by 1.  Every experiment runs
     serially: ``threads`` accepts only 1 and goes when the benchmark, which

@@ -5,7 +5,8 @@ U = T_down R2 T_up R1 to a state vector or a stack of them.  ``split_step``
 is that step with the bulk coins, and every walk runs through it;
 ``defect_coin`` then redoes the two cells the defect's layer-2 coin writes,
 for every walker: the walks of ``walk.propagate`` (with one defect coin
-per walk for the Bayesian candidates) and ``spectral.build_step_matrix``.
+per walk for the Bayesian candidates) and the column stacks of
+``spectral._step_columns`` (the step matrix and the Schur residual).
 ``split_step_pair`` steps a state and its theta02-derivative stacked as one
 buffer: one ``split_step``, the defect coin on each half, and a two-cell
 derivative term that reads the (fu, fd) ``defect_coin`` returned for psi.
@@ -18,7 +19,8 @@ with the coin pair (up, down) on the last axis; site index i maps to
 physical position x = i - (N - 1) // 2.  The walks of ``walk.propagate``
 all start at the real |-1, down> and step float64;
 ``spectral.build_step_matrix`` steps float64 basis columns
-into a complex128 matrix.  Coin tables are the half-angle cosines/sines of
+into a complex128 matrix, and the Schur residual steps complex128 blocks
+of its Schur vectors.  Coin tables are the half-angle cosines/sines of
 the two bulk coin layers, and each broadcasts against the site axis: a
 float (one coin for every site of every walk), a (..., 1) column (one coin
 per walk) or a (..., N) table (one per site; static disorder).  The defect

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ShortFitError
 from .walk import WalkParams, coin_total, propagate, site_probability
 
 P_FLOOR = 1e-12
@@ -228,7 +229,8 @@ def power_law_fit(steps, values, window, mode: str = ALL_POINTS) -> ScalingFit:
     """Least-squares line on (log t, log v) over the steps in ``window`` = (t_min, t_max).
 
     Returns exponent/prefactor/r^2; ``window`` is checked after ``peaks_only``
-    keeps the interior maxima.
+    keeps the interior maxima.  Fewer than 5 usable points (in the window,
+    positive step and value) raise ``ShortFitError``.
     """
     steps = np.asarray(steps, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -242,7 +244,7 @@ def power_law_fit(steps, values, window, mode: str = ALL_POINTS) -> ScalingFit:
     usable = (steps >= window[0]) & (steps <= window[1]) & (steps > 0) & (values > 0)
     steps, values = steps[usable], values[usable]
     if steps.size < 5:
-        raise ValueError(f"need at least 5 usable points in window, got {steps.size}")
+        raise ShortFitError(int(steps.size))
     log_t = np.log(steps)
     log_v = np.log(values)
     slope, intercept = np.polyfit(log_t, log_v, 1)

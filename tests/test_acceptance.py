@@ -125,8 +125,9 @@ def test_criterion_06_fisher_hierarchy():
     ok = True
     for params in (NONTRIVIAL, TRIVIAL):
         fi = metrology.fisher_at_defect(params, STEPS).values
-        gfi = metrology.global_fisher(params, STEPS).values
-        qfi = metrology.quantum_fisher(params, STEPS).values
+        measures = metrology.information_values(params, STEPS)
+        gfi = measures[metrology.GLOBAL_FI].values
+        qfi = measures[metrology.QUANTUM_FI].values
         ok = ok and (fi <= gfi + 1e-9).all() and (gfi <= qfi + 1e-9).all()
     record(6, "FI <= GFI <= QFI + 1e-9 pointwise for both parameter sets", ok)
 

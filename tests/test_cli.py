@@ -362,6 +362,36 @@ def test_fi_scaling_outputs_and_fit(tmp_path):
     assert len(rows) == 101
     fit = json.loads((out / "fit.json").read_text())
     assert 1.8 <= fit["exponent"] <= 2.2
+    health = json.loads((out / "manifest.json").read_text())["health"]
+    assert health == {"fit_points": fit["n_points"]}
+
+
+SHORT_FITS = {
+    # theta2 = 0 with a tiny theta02: FI is 0 at about half the steps, and
+    # peaks_only keeps 2 interior maxima in the window 10..20
+    "fi-scaling": ({"experiment": "fi-scaling", "steps": 20,
+                    "walk": {"theta1_over_pi": 0.5, "theta2_over_pi": 0.0,
+                             "theta02_over_pi": 1e-9},
+                    "fit": {"mode": "peaks_only"}}, "fi_series.csv", 2),
+    # the window 10..12 holds 3 steps
+    "disorder": ({"experiment": "disorder", "steps": 12, "walk": WALK,
+                  "disorder": {"kind": "static", "n_realizations": 2}}, "ensemble.csv", 3),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SHORT_FITS))
+def test_a_short_fit_writes_the_series_and_no_fit(tmp_path, experiment):
+    # fi-scaling once exited 2 after walking and wrote nothing, while a
+    # disorder run left out fit.json with no word; both now keep their series,
+    # leave out fit.json and count the fit's points
+    doc, series, points = SHORT_FITS[experiment]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", cfg]) == 0
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / series).exists()
+    assert not (out / "fit.json").exists()
+    assert json.loads((out / "manifest.json").read_text())["health"] == {"fit_points": points}
 
 
 def test_rerun_reproduces_identical_hashes(tmp_path):

@@ -14,6 +14,7 @@ from test_walk import start_grid, step_fields
 from qwsense import bayes, experiments, metrology, serialize, walk
 from qwsense.config import validate_config
 from qwsense.disorder import DYNAMIC, STATIC, DisorderSpec, sample_disorder
+from qwsense.errors import ShortFitError
 from qwsense.metrology import (
     DEFECT_SITE_FI,
     GLOBAL_FI,
@@ -84,7 +85,7 @@ def test_defect_neutral_point_keeps_parametric_sensitivity():
     steps = 10
     h = 1e-6
     p = WalkParams(*NONTRIVIAL, NONTRIVIAL[1], n)
-    gfi = global_fisher(p, steps)
+    gfi = information_values(p, steps)[GLOBAL_FI]
     assert gfi.values[0] == 0.0
     assert gfi.values[steps] > 0.0
     plus = bayes.defect_probability_series(
@@ -100,8 +101,9 @@ def test_defect_neutral_point_keeps_parametric_sensitivity():
 def test_information_hierarchy(point):
     p = series_params(*point, steps=60)
     fi = fisher_at_defect(p, 60).values
-    gfi = global_fisher(p, 60).values
-    qfi = quantum_fisher(p, 60).values
+    measures = information_values(p, 60)
+    gfi = measures[GLOBAL_FI].values
+    qfi = measures[QUANTUM_FI].values
     assert (fi <= gfi + 1e-9).all()
     assert (gfi <= qfi + 1e-9).all()
 
@@ -109,8 +111,8 @@ def test_information_hierarchy(point):
 def test_qfi_starts_at_zero_and_trivial_stays_below():
     p_nt = series_params(*NONTRIVIAL, steps=60)
     p_tr = series_params(*TRIVIAL, steps=60)
-    qfi_nt = quantum_fisher(p_nt, 60).values
-    qfi_tr = quantum_fisher(p_tr, 60).values
+    qfi_nt = information_values(p_nt, 60)[QUANTUM_FI].values
+    qfi_tr = information_values(p_tr, 60)[QUANTUM_FI].values
     assert qfi_nt[0] == 0.0 and qfi_tr[0] == 0.0
     sel = np.arange(20, 61)
     assert (qfi_tr[sel] < qfi_nt[sel]).all()
@@ -195,8 +197,9 @@ def test_streamed_fisher_equals_stored_trajectory(point, disorder):
     fields = disorder(p, steps) if disorder else None
     fi, gfi, qfi = stored_fisher_values(p, steps, fields)
     assert np.array_equal(fisher_at_defect(p, steps, fields).values, fi)
-    assert np.array_equal(global_fisher(p, steps, fields).values, gfi)
-    assert np.array_equal(quantum_fisher(p, steps, fields).values, qfi)
+    measures = information_values(p, steps, fields)
+    assert np.array_equal(measures[GLOBAL_FI].values, gfi)
+    assert np.array_equal(measures[QUANTUM_FI].values, qfi)
 
 
 @pytest.mark.parametrize("disorder", [None, _static, _dynamic])
@@ -407,9 +410,10 @@ def test_gfi_qfi_run_writes_each_separate_series(tmp_path):
            "walk": {"theta1_over_pi": 0.9, "theta2_over_pi": 0.75, "theta02_over_pi": -0.55}}
     cfg = validate_config(doc)
     experiments.run(cfg, tmp_path / "run")
-    for name, separate in (("fi_series.csv", fisher_at_defect), ("gfi_series.csv", global_fisher),
-                           ("qfi_series.csv", quantum_fisher)):
-        series = separate(cfg.walk, 30)
+    measures = information_values(cfg.walk, 30)
+    for name, series in (("fi_series.csv", fisher_at_defect(cfg.walk, 30)),
+                         ("gfi_series.csv", measures[GLOBAL_FI]),
+                         ("qfi_series.csv", measures[QUANTUM_FI])):
         rows = [(float(t), float(v), bool(f))
                 for t, v, f in zip(series.steps, series.values, series.flagged)]
         serialize.write_csv(tmp_path / name, experiments.FI_HEADER, rows)
@@ -471,8 +475,9 @@ def test_information_hierarchy_at_drawn_angles(angles, steps, margin):
     n = 2 * steps + 3 + 2 * margin
     p = WalkParams(*angles, n)
     fi = fisher_at_defect(p, steps).values
-    gfi = global_fisher(p, steps).values
-    qfi = quantum_fisher(p, steps).values
+    measures = information_values(p, steps)
+    gfi = measures[GLOBAL_FI].values
+    qfi = measures[QUANTUM_FI].values
     # the tolerance of perfbench/checks.py: a <= b + 1e-9 |b| + 1e-12
     assert (fi <= gfi + 1e-9 * np.abs(gfi) + 1e-12).all()
     assert (gfi <= qfi + 1e-9 * np.abs(qfi) + 1e-12).all()
@@ -500,7 +505,7 @@ def test_qfi_obeys_the_heisenberg_bound(theta1, others, steps):
     # theta02 enters each step once, through exp(-i theta02 sigma_y / 2) at the
     # defect: a generator of spectral range 1, so QFI(t) <= (1 * t)^2
     n = dynamics_lattice_size(steps)
-    qfi = quantum_fisher(WalkParams(theta1, *others, n), steps).values
+    qfi = information_values(WalkParams(theta1, *others, n), steps)[QUANTUM_FI].values
     ratio = qfi[1:] / np.arange(1, steps + 1) ** 2
     assert qfi[0] == 0.0
     assert (ratio <= 1.0 + 1e-9).all()
@@ -634,8 +639,9 @@ def test_fit_peaks_only_on_modulated_quadratic():
 
 def test_fit_requires_five_points():
     t = np.arange(1, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ShortFitError, match="got 4") as short:
         power_law_fit(t, t.astype(float), window=(1, 4))
+    assert short.value.points == 4
 
 
 def test_fit_excludes_flagged_and_zero_values():
@@ -663,5 +669,7 @@ def test_peaks_only_fit_window_ends_at_the_last_step():
 
 
 def test_fit_unknown_mode_rejected():
-    with pytest.raises(ValueError):
+    # a ValueError, but not the short fit that a run catches
+    with pytest.raises(ValueError) as caught:
         power_law_fit(np.arange(10), np.arange(10, dtype=float), window=(1, 9), mode="median")
+    assert not isinstance(caught.value, ShortFitError)

@@ -105,10 +105,11 @@ def test_one_loop_steps_every_walk():
     # a second stepping loop would keep a second copy of the buffers, the
     # windows and the start, as the Bayesian candidate table once did
     callers = _callers({"split_step", "split_step_pair", "defect_coin"})
-    assert sorted(callers) == ["spectral.build_step_matrix", "walk.propagate"]
-    # the step matrix is one step of the basis stack, with no loop
+    assert sorted(callers) == ["spectral._step_columns", "walk.propagate"]
+    # the step matrix and the Schur residual take one step of a column stack,
+    # with no loop
     assert not any(isinstance(node, (ast.For, ast.While, ast.comprehension))
-                   for node in ast.walk(callers["spectral.build_step_matrix"]))
+                   for node in ast.walk(callers["spectral._step_columns"]))
     assert sorted(_callers({"light_cone"})) == ["walk.propagate"]
 
 

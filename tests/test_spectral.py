@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -102,31 +103,68 @@ def test_profiles_and_ipr_are_built_once_and_read_only():
 # --- the direct zgees call against scipy.linalg.schur ---------------------
 
 
-def assert_schur_matches_oracle(mat):
-    t_mat, q_mat = complex_schur(mat)
+def assert_schur_matches_oracle(mat, overwrite_a):
     t_ref, q_ref = scipy.linalg.schur(mat, output="complex")
+    a = mat.copy(order="F")
+    t_mat, q_mat = complex_schur(a, overwrite_a=overwrite_a)
     assert np.array_equal(t_mat, t_ref)
     assert np.array_equal(q_mat, q_ref)
+    # a Fortran-contiguous complex128 input becomes T in place, or stays as it was
+    assert np.shares_memory(t_mat, a) == overwrite_a
+    if not overwrite_a:
+        assert np.array_equal(a, mat)
 
 
 ANGLES = st.floats(-PI, PI, allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(1, 20).map(lambda k: 2 * k + 1),
+WALKS = st.builds(
+    WalkParams,
     theta1=ANGLES,
     theta2=ANGLES,
     theta02=ANGLES | st.just(-PI),  # -pi: the domain wall
+    lattice_size=st.integers(1, 20).map(lambda k: 2 * k + 1),
 )
-def test_direct_schur_is_bit_identical_to_scipy(n, theta1, theta2, theta02):
-    assert_schur_matches_oracle(
-        build_step_matrix(WalkParams(theta1, theta2, theta02, n))
-    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=WALKS, overwrite_a=st.booleans())
+def test_direct_schur_is_bit_identical_to_scipy(params, overwrite_a):
+    assert_schur_matches_oracle(build_step_matrix(params), overwrite_a)
 
 
 def test_direct_schur_is_bit_identical_to_scipy_at_n301():
-    assert_schur_matches_oracle(build_step_matrix(paper_params(-0.55 * PI, 301)))
+    # in place, as the spectrum runs call it at this size
+    assert_schur_matches_oracle(build_step_matrix(paper_params(-0.55 * PI, 301)), True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=WALKS)
+def test_kernel_residuals_equal_the_dense_ones(params):
+    # U v through the step kernel against the dense mat @ Q - Q * lambda
+    decomp = decompose_step_operator(params)
+    q_mat, eigenvalues = decomp.eigenvectors, decomp.eigenvalues
+    dense = np.linalg.norm(build_step_matrix(params) @ q_mat - q_mat * eigenvalues, axis=0)
+    np.testing.assert_allclose(decomp.residuals, dense, rtol=0, atol=1e-15)
+
+
+def test_a_residual_above_the_tolerance_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "RESIDUAL_TOL", 1e-300)
+    with pytest.raises(NumericalError, match="residual .* exceeds"):
+        decompose_step_operator(paper_params(-0.55 * PI, n=21))
+
+
+def test_decomposition_peak_is_under_three_step_matrices():
+    # the matrix zgees overwrites, Q, and the kernel's temporaries; a copy of
+    # the input, T beside Q, or a dense mat @ Q residual would each add a matrix
+    n = 101
+    params = paper_params(-0.55 * PI, n)
+    decompose_step_operator(params)  # loads the wrapper outside the trace
+    tracemalloc.start()
+    try:
+        decompose_step_operator(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (2 * n) ** 2 * 16
 
 
 @pytest.mark.parametrize("theta02", [-0.55 * PI, -PI, 0.75 * PI])
