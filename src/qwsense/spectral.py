@@ -23,15 +23,14 @@ The bits still depend on the BLAS thread count; pin it (say
 ``OPENBLAS_NUM_THREADS=1``) to compare spectra across runs.
 
 ``decompose_step_operator`` lets ``zgees`` overwrite the step matrix it has
-just built (``overwrite_a``, as in ``schur``; the bits are the same),
-keeps only T's diagonal, and takes each residual ||U v - lambda v|| by
-stepping Q's columns through the same kernel step that built the matrix,
+just built (the bits are those of ``schur``, which copies it first), keeps
+only T's diagonal, and takes each residual ||U v - lambda v|| by stepping
+Q's columns through the same kernel step that built the matrix,
 ``RESIDUAL_BLOCK`` columns at a time, instead of the dense
 ``mat @ Q - Q * lambda``.  Its tracemalloc peak is then
 ``build_step_matrix``'s (the identity, the matrix and the kernel's
 temporaries): 2.5 times the (2N)^2 * 16-byte matrix at N = 301 and 511,
-2.75 at N = 101, where zgees's copy of the input, T beside Q, ``mat @ Q``
-and ``Q * lambda`` made it 5.0 and 5.2 (29.1 -> 14.5 MB at N = 301).
+2.75 at N = 101.
 """
 
 import os
@@ -98,15 +97,18 @@ def _step_columns(columns, tables, params: WalkParams, out: np.ndarray) -> np.nd
     return out
 
 
-def build_step_matrix(params: WalkParams) -> np.ndarray:
+def build_step_matrix(params: WalkParams, tables=None) -> np.ndarray:
     """Dense 2N x 2N matrix of the step operator: one step of the basis stack.
 
-    The matrix is the transpose of the (2N, 2N) stepped stack, so it is
-    Fortran-contiguous complex128, the layout ``zgees`` overwrites in place.
+    ``tables`` are the clean bulk coins' ``half_angle_tables``, built here
+    unless the caller has them.  The matrix is the transpose of the
+    (2N, 2N) stepped stack, so it is Fortran-contiguous complex128, the
+    layout ``zgees`` overwrites in place.
     """
     n = params.lattice_size
     out = np.empty((2 * n, n, 2), dtype=np.complex128)
-    tables = CoinField.from_params(params).half_angle_tables()
+    if tables is None:
+        tables = CoinField.from_params(params).half_angle_tables()
     _step_columns(np.eye(2 * n).reshape(2 * n, n, 2), tables, params, out)
     return out.reshape(2 * n, 2 * n).T
 
@@ -139,34 +141,33 @@ def _zgees():
     return flapack.zgees
 
 
-def complex_schur(mat: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def complex_schur(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T, Q) with mat = Q T Q^H, bit for bit ``scipy.linalg.schur(mat, output="complex")``.
 
     ``mat`` must be a square complex128 matrix.  A non-finite entry raises
-    ``ValueError``; a LAPACK failure raises ``NumericalError``.  With
-    ``overwrite_a``, as in ``schur``, a Fortran-contiguous ``mat`` is not
-    copied: it becomes T in place, and its contents are not to be read.
+    ``ValueError``; a LAPACK failure raises ``NumericalError``.  A
+    Fortran-contiguous ``mat`` is not copied: it becomes T in place.
     """
     zgees = _zgees()
     a = np.asarray_chkfinite(mat)
     # the workspace query, read the way schur reads it; with sort_t=0 LAPACK
     # never calls the eigenvalue selector, and the query leaves ``a`` as it is
-    lwork = zgees(lambda w: None, a, lwork=-1, overwrite_a=overwrite_a)[-2][0].real.astype(np.int_)
-    result = zgees(lambda w: None, a, lwork=lwork, overwrite_a=overwrite_a, sort_t=0)
+    lwork = zgees(lambda w: None, a, lwork=-1, overwrite_a=True)[-2][0].real.astype(np.int_)
+    result = zgees(lambda w: None, a, lwork=lwork, overwrite_a=True, sort_t=0)
     info = result[-1]
     if info != 0:
         raise NumericalError(f"complex Schur factorization failed: LAPACK zgees info = {info}")
     return result[0], result[-3]
 
 
-def _residuals(q_mat: np.ndarray, eigenvalues: np.ndarray, params: WalkParams) -> np.ndarray:
+def _residuals(q_mat: np.ndarray, eigenvalues: np.ndarray, params: WalkParams,
+               tables) -> np.ndarray:
     """||U v - lambda v|| of each column v of ``q_mat``, with U applied by the step kernel.
 
     The columns step ``RESIDUAL_BLOCK`` at a time, as the (k, N, 2) view of
     rows of ``q_mat.T``, so no second 2N x 2N matrix is held.
     """
     n = params.lattice_size
-    tables = CoinField.from_params(params).half_angle_tables()
     residuals = np.empty(2 * n)
     out = np.empty((RESIDUAL_BLOCK, n, 2), dtype=np.complex128)
     for start in range(0, 2 * n, RESIDUAL_BLOCK):
@@ -186,10 +187,11 @@ def decompose_step_operator(params: WalkParams) -> SpectralDecomposition:
     n = params.lattice_size
     if n > DENSE_SOLVER_CAP:
         raise CapacityError(f"lattice size {n} exceeds dense solver cap {DENSE_SOLVER_CAP}")
-    t_mat, q_mat = complex_schur(build_step_matrix(params), overwrite_a=True)
+    tables = CoinField.from_params(params).half_angle_tables()
+    t_mat, q_mat = complex_schur(build_step_matrix(params, tables))
     eigenvalues = np.diag(t_mat).copy()
     del t_mat
-    residuals = _residuals(q_mat, eigenvalues, params)
+    residuals = _residuals(q_mat, eigenvalues, params, tables)
     worst = float(residuals.max())
     if worst > RESIDUAL_TOL:
         raise NumericalError(
