@@ -10,11 +10,11 @@ the domain-wall limit, so this matters.
 The factorization is LAPACK's ``zgees`` (complex Schur form, eigenvalues
 unsorted), called through scipy's own f2py wrapper
 ``scipy.linalg._flapack.zgees`` with the arguments ``scipy.linalg.schur(a,
-output="complex")`` passes it, so ``T``, ``Q`` and every data bit are the
-ones ``schur`` gives.  On the first spectrum call the wrapper is loaded
-straight from its extension file in scipy's ``linalg`` directory (~3 ms),
-unless ``scipy.linalg`` is already imported, in which case its wrapper is
-used.  Importing the ``scipy.linalg`` package instead costs 0.23-0.27 s of
+output="complex")`` passes it, except that it works in place, so ``T``,
+``Q`` and every data bit are the ones ``schur`` gives.  On the first
+spectrum call the wrapper is loaded straight from its extension file in
+scipy's ``linalg`` directory (~3 ms), unless ``scipy.linalg`` is already
+imported, in which case its wrapper is used.  Importing the ``scipy.linalg`` package instead costs 0.23-0.27 s of
 a fresh interpreter on top of numpy (under ``-X importtime``), more than the
 rest of a spectrum run's start-up: scipy's array-API layer does
 ``from numpy import *``, which imports ``numpy.f2py``, ``numpy.testing``,
@@ -23,11 +23,10 @@ The bits still depend on the BLAS thread count; pin it (say
 ``OPENBLAS_NUM_THREADS=1``) to compare spectra across runs.
 
 ``decompose_step_operator`` lets ``zgees`` overwrite the step matrix it has
-just built (the bits are those of ``schur``, which copies it first), keeps
-only T's diagonal, and takes each residual ||U v - lambda v|| by stepping
-Q's columns through the same kernel step that built the matrix,
-``RESIDUAL_BLOCK`` columns at a time, instead of the dense
-``mat @ Q - Q * lambda``.  Its tracemalloc peak is then
+just built, keeps only T's diagonal, and takes each residual
+||U v - lambda v|| by stepping Q's columns through the same kernel step
+that built the matrix, ``RESIDUAL_BLOCK`` columns at a time, instead of
+the dense ``mat @ Q - Q * lambda``.  Its tracemalloc peak is then
 ``build_step_matrix``'s (the identity, the matrix and the kernel's
 temporaries): 2.5 times the (2N)^2 * 16-byte matrix at N = 301 and 511,
 2.75 at N = 101.
@@ -97,18 +96,17 @@ def _step_columns(columns, tables, params: WalkParams, out: np.ndarray) -> np.nd
     return out
 
 
-def build_step_matrix(params: WalkParams, tables=None) -> np.ndarray:
+def build_step_matrix(params: WalkParams, tables) -> np.ndarray:
     """Dense 2N x 2N matrix of the step operator: one step of the basis stack.
 
-    ``tables`` are the clean bulk coins' ``half_angle_tables``, built here
-    unless the caller has them.  The matrix is the transpose of the
-    (2N, 2N) stepped stack, so it is Fortran-contiguous complex128, the
-    layout ``zgees`` overwrites in place.
+    ``tables`` are the clean bulk coins' ``half_angle_tables``, which
+    ``decompose_step_operator`` builds once for the matrix and the
+    residual.  The matrix is the transpose of the (2N, 2N) stepped stack,
+    so it is Fortran-contiguous complex128, the layout ``zgees`` overwrites
+    in place.
     """
     n = params.lattice_size
     out = np.empty((2 * n, n, 2), dtype=np.complex128)
-    if tables is None:
-        tables = CoinField.from_params(params).half_angle_tables()
     _step_columns(np.eye(2 * n).reshape(2 * n, n, 2), tables, params, out)
     return out.reshape(2 * n, 2 * n).T
 

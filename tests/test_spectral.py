@@ -25,7 +25,7 @@ from qwsense.spectral import (
     find_localized_states,
     fit_localization_length,
 )
-from qwsense.walk import WalkParams
+from qwsense.walk import CoinField, WalkParams
 
 PI = math.pi
 
@@ -34,6 +34,10 @@ BULK = (0.9 * PI, 0.75 * PI)
 
 def paper_params(theta02, n=101):
     return WalkParams(BULK[0], BULK[1], theta02, n)
+
+
+def step_matrix(params):
+    return build_step_matrix(params, CoinField.from_params(params).half_angle_tables())
 
 
 def pair_profile_length(states):
@@ -126,11 +130,11 @@ WALKS = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(params=WALKS)
 def test_direct_schur_is_bit_identical_to_scipy(params):
-    assert_schur_matches_oracle(build_step_matrix(params))
+    assert_schur_matches_oracle(step_matrix(params))
 
 
 def test_direct_schur_is_bit_identical_to_scipy_at_n301():
-    assert_schur_matches_oracle(build_step_matrix(paper_params(-0.55 * PI, 301)))
+    assert_schur_matches_oracle(step_matrix(paper_params(-0.55 * PI, 301)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -139,7 +143,7 @@ def test_kernel_residuals_equal_the_dense_ones(params):
     # U v through the step kernel against the dense mat @ Q - Q * lambda
     decomp = decompose_step_operator(params)
     q_mat, eigenvalues = decomp.eigenvectors, decomp.eigenvalues
-    dense = np.linalg.norm(build_step_matrix(params) @ q_mat - q_mat * eigenvalues, axis=0)
+    dense = np.linalg.norm(step_matrix(params) @ q_mat - q_mat * eigenvalues, axis=0)
     np.testing.assert_allclose(decomp.residuals, dense, rtol=0, atol=1e-15)
 
 
@@ -169,7 +173,7 @@ def test_step_matrix_equals_the_dense_oracle(theta02):
     # the bulk step of the basis stack plus the defect coin at the defect
     params = WalkParams(0.9 * PI, 0.75 * PI, theta02, 9)
     dense = dense_step_operator(*full_angles(params))
-    np.testing.assert_allclose(build_step_matrix(params), dense, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(step_matrix(params), dense, rtol=0, atol=1e-15)
 
 
 def test_direct_schur_rejects_non_finite_entries():
@@ -193,9 +197,10 @@ IMPORT_ORDER_PROBE = """
 import math, sys
 import numpy as np
 from qwsense import spectral
-from qwsense.walk import WalkParams
+from qwsense.walk import CoinField, WalkParams
 
-mat = spectral.build_step_matrix(WalkParams(0.9 * math.pi, 0.75 * math.pi, -math.pi, 41))
+params = WalkParams(0.9 * math.pi, 0.75 * math.pi, -math.pi, 41)
+mat = spectral.build_step_matrix(params, CoinField.from_params(params).half_angle_tables())
 if sys.argv[1] == "direct-first":
     t_mat, q_mat = spectral.complex_schur(mat.copy(order="F"))
     print("scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules)
