@@ -171,6 +171,7 @@ def _run_spectrum(cfg: ExperimentConfig) -> Artifacts:
         for s in states
     ]
     art.health["schur_residual_max"] = float(decomp.residuals.max())
+    art.health["conjugate_pairing_max"] = spectral.conjugate_pairing_max(decomp.eigenvalues)
     return art
 
 
@@ -246,9 +247,11 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     """Execute the configured experiment and write its artifacts.
 
     Every run writes its data CSVs, then its JSON sidecars, then its SVG
-    plots.  Each SVG is rendered from the rows its CSV was written from,
-    read as the CSV gives them back, so it equals ``qwsense plot`` on that
-    CSV byte for byte.  The manifest (with content hashes of every
+    plots.  A CSV or an SVG is streamed to its file in bounded chunks
+    (``serialize.CSV_BLOCK`` rows, ``plotting.BLOCK`` lines), so no file's
+    whole text is ever held.  Each SVG is rendered from the rows its CSV was
+    written from, read as the CSV gives them back, so it equals ``qwsense
+    plot`` on that CSV byte for byte.  The manifest (with content hashes of every
     emitted file) is written last; it also records the BLAS thread settings
     found in the environment (None where unset), the seconds the run spent
     in each of its four parts (``timings``: ``compute``, ``csv``, ``json``,
@@ -260,8 +263,11 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     ``schedule_fold_ambiguity_max``, the largest ``bayes.fold_ambiguity`` of
     the candidate table's scheduled rows; for a spectrum run,
     ``schur_residual_max``, the largest ``||U v - lambda v||`` over the
-    eigenvectors; for an fi-scaling or disorder fi run, ``fit_points``, the
-    usable points of its power-law fit (below 5 it writes no ``fit.json``);
+    eigenvectors, and ``conjugate_pairing_max``, the largest distance from
+    an eigenvalue's conjugate to the nearest eigenvalue (the step matrix is
+    real, so its spectrum pairs up); for an fi-scaling or disorder fi run,
+    ``fit_points``, the usable points of its power-law fit (below 5 it
+    writes no ``fit.json``);
     for a gfi-qfi run, ``qfi_over_t2_max`` and
     ``qfi_over_t2_final``, the largest and the last QFI(t) / t^2 over
     t >= 1, which the Heisenberg limit bounds by 1.  Every experiment runs

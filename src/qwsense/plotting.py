@@ -15,10 +15,17 @@ AXIS_LIMIT on a linear axis, or PlotSchemaError names its file, column and
 line; value cells that are not positive and finite are dropped from log axes
 or drawn in the sentinel colour.  The output is a deterministic text document:
 re-rendering from the same data reproduces the SVG byte for byte.
+
+A renderer checks every cell it reads before it returns, and returns the
+document as a generator of chunks of at most ``BLOCK`` lines, which
+``serialize.atomic_write_text`` streams to the file: the per-cell marks (a
+heatmap's rects, a scaling plot's circles) and a heatmap's colours are made
+a block at a time as the file is written, and the whole text is never held.
 """
 
 import csv
 import math
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +39,7 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 24, 28, 56
 SENTINEL = "#9a9a9a"  # gapless / flagged cells
 AXIS_LIMIT = 1e300  # keeps a linear axis's spans, cell edges and tick steps finite
 MAX_LOG_TICKS = 9  # the most decades any preset or benchmark plot labels
+BLOCK = 1024  # SVG lines written as one chunk, and heatmap cells coloured per _viridis call
 PALETTE = ("#b4232d", "#2959aa", "#2d8a4d", "#b07c1f", "#7b3fa0", "#4a9ba6",
            "#d06b34", "#5d6b1f", "#a03f68", "#3f51a0")
 WINDING_COLORS = {-1: "#2959aa", 0: "#f5f2ea", 1: "#b4232d"}
@@ -147,7 +155,11 @@ def _page(x_label, y_label, title):
 
 
 def _document(parts):
-    return "\n".join(parts + ["</svg>"]) + "\n"
+    """The document of ``parts``, an iterable of elements, and the closing tag,
+    one a line, as chunks of at most BLOCK lines."""
+    parts = chain(parts, ["</svg>"])
+    while chunk := list(islice(parts, BLOCK)):
+        yield "\n".join(chunk) + "\n"
 
 
 def _no_data(parts):
@@ -298,13 +310,10 @@ def _render_scaling(table):
     py = [f"{y:.2f}" for y in scale.ys(vs)]
     parts.append(_polyline(_joined([x for x, _ in guide], gy), "black", 1.0, dash="6 4"))
     parts.append(_polyline(_joined(px, py), PALETTE[0]))
-    parts.extend(f'<circle cx="{x}" cy="{y}" r="2.5" fill="{PALETTE[0]}"/>'
-                 for x, y in zip(px, py))
-    parts.append(
-        f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16}" text-anchor="end">'
-        f'guide: t^{exponent:+.0f}</text>'
-    )
-    return _document(parts)
+    circles = (f'<circle cx="{x}" cy="{y}" r="2.5" fill="{PALETTE[0]}"/>' for x, y in zip(px, py))
+    label = (f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16}" text-anchor="end">'
+             f'guide: t^{exponent:+.0f}</text>')
+    return _document(chain(parts, circles, [label]))
 
 
 _HEX = tuple(f"{level:02x}" for level in range(256))
@@ -319,6 +328,14 @@ def _viridis(fracs):
     rgb = stops[i] * (1 - w) + stops[i + 1] * w
     levels = np.rint(255 * rgb).astype(np.intp)  # round() ties to even, as np.rint does
     return ["#" + _HEX[r] + _HEX[g] + _HEX[b] for r, g, b in levels.tolist()]
+
+
+def _shades(values, lo, hi):
+    """The ``_viridis`` colour of each value's place in [lo, hi] (the middle
+    when hi <= lo), BLOCK values at a time."""
+    for start in range(0, len(values), BLOCK):
+        yield from _viridis([(v - lo) / (hi - lo) if hi > lo else 0.5
+                             for v in values[start:start + BLOCK]])
 
 
 def _cell_edges(values):
@@ -351,7 +368,7 @@ def _render_heatmap(table):
         finite = [v for v in logs if v is not None]
         lo = min(finite) if finite else 0.0
         hi = max(finite) if finite else 1.0
-        shades = iter(_viridis([(v - lo) / (hi - lo) if hi > lo else 0.5 for v in finite]))
+        shades = _shades(finite, lo, hi)
         colors = (SENTINEL if v is None else next(shades) for v in logs)
     parts = _page(x_col, "theta1_over_pi", f"{table.name} ({title})")
     if not xs:
@@ -366,12 +383,12 @@ def _render_heatmap(table):
                for i, x in enumerate(x_cells)}
     rows = {y: (f'y="{py[j + 1]:.2f}"', f'height="{py[j] - py[j + 1]:.2f}"')
             for j, y in enumerate(y_cells)}
-    for x, y, color in zip(xs, ys, colors):
-        (x_attr, width), (y_attr, height) = columns[x], rows[y]
-        parts.append(f'<rect {x_attr} {y_attr} {width} {height} fill="{color}"/>')
-    parts.append(_AXES_BOX)
-    _draw_ticks(parts, scale, _nice_ticks(x_edges[0], x_edges[-1]), _nice_ticks(y_edges[0], y_edges[-1]))
-    return _document(parts)
+    rects = (f'<rect {x_attr} {y_attr} {width} {height} fill="{color}"/>'
+             for (x_attr, width), (y_attr, height), color
+             in zip(map(columns.__getitem__, xs), map(rows.__getitem__, ys), colors))
+    frame = [_AXES_BOX]
+    _draw_ticks(frame, scale, _nice_ticks(x_edges[0], x_edges[-1]), _nice_ticks(y_edges[0], y_edges[-1]))
+    return _document(chain(parts, rects, frame))
 
 
 def _render_band(table):
@@ -440,7 +457,9 @@ def render_plot(data_path, out_path, written=None) -> Path:
 
     ``written`` is the ``(header, rows)`` that ``serialize.write_csv`` wrote
     to ``data_path``; given, the plot reads those rows instead of the file,
-    with the same bytes as a result.  A header that selects no plot, or that
+    with the same bytes as a result.  Every cell the plot reads is checked
+    before ``out_path`` is touched; the document is then streamed to it in
+    chunks of at most BLOCK lines.  A header that selects no plot, or that
     repeats a column, raises PlotSchemaError.
     """
     table = _Table.read(data_path) if written is None else _Table.from_rows(data_path, *written)

@@ -3,7 +3,10 @@
 Every data file is written to a temporary sibling and atomically renamed, so
 a partially written run never leaves a corrupt artifact.  Floats are encoded
 with Python's repr (shortest string that round-trips the binary value), which
-makes byte-identical reruns possible.
+makes byte-identical reruns possible.  A file is streamed in bounded chunks,
+never built whole: a CSV ``CSV_BLOCK`` rows at a time, an SVG as the chunks
+``plotting`` generates, so emission holds one chunk of text, not the file's
+text and its copies.
 """
 
 import hashlib
@@ -13,6 +16,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+CSV_BLOCK = 1024  # rows that write_csv formats and writes as one chunk
 
 
 def format_value(value) -> str:
@@ -34,13 +39,17 @@ def _format_float(value: float) -> str:
     return repr(value)
 
 
-def atomic_write_text(path, text: str) -> Path:
+def atomic_write_text(path, text) -> Path:
+    """Write ``text``, a str or an iterable of str chunks, to ``path`` through a
+    temporary sibling that replaces it only once the last chunk is written; an
+    error, a chunk iterable's included, removes the sibling and leaves ``path``
+    as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -76,11 +85,22 @@ def format_column(column) -> list[str]:
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write ``rows`` under ``header``, formatting one column at a time
-    (``format_column``): each cell gets the bytes ``format_value`` gives it."""
-    columns = [format_column(column) for column in zip(*rows, strict=True)]
-    lines = [",".join(header), *map(",".join, zip(*columns))]
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write the sequence ``rows`` under ``header``, ``CSV_BLOCK`` rows at a
+    time, formatting one column of a block at a time (``format_column``): each
+    cell gets the bytes ``format_value`` gives it.  Rows of different widths
+    raise ValueError before anything is written."""
+    width = len(rows[0]) if rows else 0
+    ragged = next((i for i, row in enumerate(rows) if len(row) != width), None)
+    if ragged is not None:
+        raise ValueError(f"row {ragged} has {len(rows[ragged])} cells, row 0 has {width}")
+    return atomic_write_text(path, _csv_chunks(header, rows))
+
+
+def _csv_chunks(header, rows):
+    yield ",".join(header) + "\n"
+    for start in range(0, len(rows), CSV_BLOCK):
+        columns = [format_column(column) for column in zip(*rows[start:start + CSV_BLOCK])]
+        yield "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def write_json(path, payload) -> Path:

@@ -200,6 +200,21 @@ def decompose_step_operator(params: WalkParams) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues, energies, q_mat, residuals, n)
 
 
+def conjugate_pairing_max(eigenvalues: np.ndarray) -> float:
+    """The largest distance from an eigenvalue's conjugate to the nearest eigenvalue.
+
+    The step matrix is real, so its spectrum is closed under conjugation and
+    this is 0 in exact arithmetic.  On the unit circle the eigenvalue nearest
+    conj(lambda) is a neighbour of its angle among the sorted angles (to
+    roundoff), so this sorts once: O(N log N) time and O(N) memory.
+    """
+    ring = eigenvalues[np.argsort(np.angle(eigenvalues))]
+    conj = np.conj(eigenvalues)
+    above = np.searchsorted(np.angle(ring), np.angle(conj)) % len(ring)
+    below = above - 1  # -1 wraps to the largest angle, as above's len wraps to 0
+    return float(np.minimum(abs(conj - ring[above]), abs(conj - ring[below])).max())
+
+
 def _flank_points(profile, start, stop, step):
     """(distance-from-core-edge, log p) walking one flank until p < floor."""
     pts = []

@@ -15,6 +15,7 @@ from test_walk import start_grid, step_fields
 from qwsense import kernels
 from qwsense.bayes import (
     EstimationConfig,
+    _log_posteriors,
     _relative_error,
     candidate_probability_table,
     defect_probability_series,
@@ -41,6 +42,20 @@ def clean_table(config):
     return candidate_probability_table(config.params, config.candidates(), config.schedule)
 
 
+def log_posterior(probabilities, trials, successes):
+    """One experiment's normalized log posterior weights: the ``_log_posteriors``
+    row of its click count."""
+    return _log_posteriors(np.asarray(probabilities, dtype=np.float64), trials,
+                           np.array([successes]))[0]
+
+
+def moments(candidates, log_weights):
+    """The posterior's mean and variance over the candidate grid, as Python floats."""
+    weights = np.exp(log_weights)
+    mean = float((weights * candidates).sum())
+    return mean, float((weights * (candidates - mean) ** 2).sum())
+
+
 def test_probability_series_matches_evolve():
     p = nontrivial(43)
     series = defect_probability_series(p, 20)
@@ -61,19 +76,19 @@ def test_probability_series_starts_every_call_afresh():
 def test_posterior_uniform_without_data():
     candidates = np.linspace(*PRIOR, 51)
     table = candidate_probability_table(nontrivial(43), candidates, [10])[0]
-    grid = posterior(candidates, table, trials=0, successes=0)
-    np.testing.assert_allclose(grid.weights, 1.0 / 51, atol=1e-15)
-    assert abs(grid.weights.sum() - 1.0) < 1e-12
+    log_w = log_posterior(table, trials=0, successes=0)
+    np.testing.assert_allclose(np.exp(log_w), 1.0 / 51, atol=1e-15)
+    assert abs(np.exp(log_w).sum() - 1.0) < 1e-12
     lo, hi = PRIOR
-    assert lo <= grid.mean <= hi
+    assert lo <= moments(candidates, log_w)[0] <= hi
 
 
 def test_posterior_weights_normalized():
     p = nontrivial()
     candidates = np.linspace(*PRIOR, 101)
     table = candidate_probability_table(p, candidates, [48])[0]
-    grid = posterior(candidates, table, trials=1000, successes=700)
-    assert abs(grid.weights.sum() - 1.0) < 1e-12
+    log_w = log_posterior(table, trials=1000, successes=700)
+    assert abs(np.exp(log_w).sum() - 1.0) < 1e-12
 
 
 def test_posterior_mode_matches_direct_likelihood_comparison():
@@ -82,23 +97,23 @@ def test_posterior_mode_matches_direct_likelihood_comparison():
     candidates = np.linspace(*PRIOR, 11)
     table = candidate_probability_table(p, candidates, [t])[0]
     successes = int(round(trials * table[5]))  # data exactly matching the middle
-    grid = posterior(candidates, table, trials, successes)
+    log_w = log_posterior(table, trials, successes)
     direct = stats.binom.logpmf(successes, trials, table)
-    assert int(np.argmax(grid.log_weights)) == int(np.argmax(direct)) == 5
+    assert int(np.argmax(log_w)) == int(np.argmax(direct)) == 5
 
 
 def test_posterior_impossible_candidate_gets_zero_weight():
     probs = np.array([0.0, 0.2, 0.5, 0.7, 0.9, 0.3, 0.4, 0.6, 0.8, 0.1, 0.25])
-    grid = posterior(np.linspace(0.0, 1.0, 11), probs, trials=10, successes=3)
-    assert grid.weights[0] == 0.0
-    assert np.isneginf(grid.log_weights[0])
-    assert abs(grid.weights.sum() - 1.0) < 1e-12
+    log_w = log_posterior(probs, trials=10, successes=3)
+    assert np.exp(log_w)[0] == 0.0
+    assert np.isneginf(log_w[0])
+    assert abs(np.exp(log_w).sum() - 1.0) < 1e-12
 
 
 def test_posterior_rejects_impossible_dataset():
     probs = np.zeros(11)
     with pytest.raises(ValueError):
-        posterior(np.linspace(0.0, 1.0, 11), probs, trials=10, successes=3)
+        log_posterior(probs, trials=10, successes=3)
 
 
 def test_posterior_log_domain_stable_for_huge_trials():
@@ -107,10 +122,11 @@ def test_posterior_log_domain_stable_for_huge_trials():
     candidates = np.linspace(*PRIOR, 51)
     table = candidate_probability_table(p, candidates, [t])[0]
     m = int(round(1_000_000 * table[25]))
-    grid = posterior(candidates, table, 1_000_000, m)
-    assert np.isfinite(grid.weights).all()
-    assert abs(grid.weights.sum() - 1.0) < 1e-12
-    assert np.isfinite(grid.mean) and np.isfinite(grid.variance)
+    log_w = log_posterior(table, 1_000_000, m)
+    assert np.isfinite(np.exp(log_w)).all()
+    assert abs(np.exp(log_w).sum() - 1.0) < 1e-12
+    mean, variance = moments(candidates, log_w)
+    assert np.isfinite(mean) and np.isfinite(variance)
 
 
 def test_posterior_validates_arguments():
@@ -128,6 +144,16 @@ def test_posterior_validates_arguments():
         posterior(candidates, table, 10, 50)  # successes > trials
     with pytest.raises(ValueError):
         posterior(candidates, table[:-1], 10, 5)  # one probability short
+
+
+def test_posterior_is_the_log_posteriors_row_of_its_click_count():
+    candidates = np.linspace(*PRIOR, 51)
+    table = candidate_probability_table(nontrivial(43), candidates, [10])[0]
+    batch = _log_posteriors(table, 100, np.array([0, 37, 100]))
+    for successes, row in zip((0, 37, 100), batch):
+        grid = posterior(candidates, table, 100, successes)
+        assert np.array_equal(grid.log_weights, row)
+        assert (grid.mean, grid.variance) == moments(candidates, row)
 
 
 # --- batched candidate table ----------------------------------------------------
@@ -284,37 +310,35 @@ def test_informative_schedule_rejects_tables_it_cannot_read():
 
 def test_msre_concentrated_posterior_is_zero():
     candidates = np.linspace(*PRIOR, 51)
-    table = candidate_probability_table(nontrivial(43), candidates, [1])[0]
-    grid = posterior(candidates, table, trials=0, successes=0)
-    true = grid.candidates[25]
+    true = candidates[25]
     log_w = np.full(51, -np.inf)
     log_w[25] = 0.0
-    grid.log_weights = log_w
-    assert _relative_error(grid.variance, grid.mean, true) == pytest.approx(0.0, abs=1e-30)
+    mean, variance = moments(candidates, log_w)
+    assert _relative_error(variance, mean, true) == pytest.approx(0.0, abs=1e-30)
 
 
 def test_msre_uniform_posterior_matches_uniform_variance():
     grid_points = 201
     candidates = np.linspace(*PRIOR, grid_points)
     table = candidate_probability_table(nontrivial(43), candidates, [1])[0]
-    grid = posterior(candidates, table, trials=0, successes=0)
+    mean, variance = moments(candidates, log_posterior(table, trials=0, successes=0))
     lo, hi = PRIOR
     true = (lo + hi) / 2.0
     # discrete uniform variance on G equidistant points
     spacing = (hi - lo) / (grid_points - 1)
     expected = spacing**2 * (grid_points**2 - 1) / 12.0 / true**2
-    assert _relative_error(grid.variance, grid.mean, true) == pytest.approx(expected, rel=1e-12)
+    assert _relative_error(variance, mean, true) == pytest.approx(expected, rel=1e-12)
     # converges to the continuum (hi-lo)^2/12 value at this resolution
     continuum = (hi - lo) ** 2 / 12.0 / true**2
-    assert _relative_error(grid.variance, grid.mean, true) == pytest.approx(continuum, rel=2e-2)
+    assert _relative_error(variance, mean, true) == pytest.approx(continuum, rel=2e-2)
 
 
 def test_msre_rejects_zero_true_value():
     candidates = np.linspace(-0.1, 0.1, 51)
     table = candidate_probability_table(nontrivial(43), candidates, [1])[0]
-    grid = posterior(candidates, table, trials=0, successes=0)
+    mean, variance = moments(candidates, log_posterior(table, trials=0, successes=0))
     with pytest.raises(ZeroDivisionError):
-        _relative_error(grid.variance, grid.mean, 0.0)
+        _relative_error(variance, mean, 0.0)
 
 
 # --- schedules and curves -------------------------------------------------------
@@ -401,10 +425,8 @@ def test_doubling_trials_halves_posterior_variance():
         rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(rep,)))
         m1 = int(rng.binomial(1000, p_true))
         m2 = int(rng.binomial(2000, p_true))
-        g1 = posterior(candidates, table, 1000, m1)
-        g2 = posterior(candidates, table, 2000, m2)
-        v_small.append(g1.variance)
-        v_big.append(g2.variance)
+        v_small.append(moments(candidates, log_posterior(table, 1000, m1))[1])
+        v_big.append(moments(candidates, log_posterior(table, 2000, m2))[1])
     ratio = np.mean(v_small) / np.mean(v_big)
     assert 1.7 < ratio < 2.4
 
@@ -422,8 +444,7 @@ def test_mode_consistency_at_large_trials():
     for rep in range(100):
         rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(rep,)))
         m = int(rng.binomial(trials, p_true))
-        grid = posterior(candidates, table, trials, m)
-        hits += int(np.argmax(grid.log_weights)) == true_idx
+        hits += int(np.argmax(log_posterior(table, trials, m))) == true_idx
     assert hits >= 95
 
 
@@ -443,11 +464,12 @@ def one_posterior_log_weights(probs, trials, successes):
 
 
 def serial_curve(config, table, data_coin_fields=None, seed_prefix=()):
-    """Reference: one posterior per repetition, through ``posterior``, ``msre`` and ``std``.
+    """Reference: one posterior per repetition, each a ``_log_posteriors`` call
+    on its click count alone, then its ``msre`` and ``std``.
 
     Each posterior is also checked against ``one_posterior_log_weights``.
     Returns (step, successes, msre, posterior_std) per record and the
-    repetition-0 posteriors.
+    repetition-0 posterior weights.
     """
     p_true = defect_probability_series(config.params, max(config.schedule), data_coin_fields)
     records, grids = [], []
@@ -459,15 +481,16 @@ def serial_curve(config, table, data_coin_fields=None, seed_prefix=()):
             m = int(rng.binomial(config.trials, p_t))
             expected = one_posterior_log_weights(table[i], config.trials, m)  # may raise
             try:
-                grid = posterior(config.candidates(), table[i], config.trials, m)
+                log_w = log_posterior(table[i], config.trials, m)
             except ValueError as err:
                 pytest.fail(f"posterior rejected possible data: {err}")
-            assert np.array_equal(grid.log_weights, expected)
+            assert np.array_equal(log_w, expected)
             if rep == 0:
                 first_m = m
-                grids.append(grid)
-            errors.append(_relative_error(grid.variance, grid.mean, config.params.theta02))
-            stds.append(grid.std)
+                grids.append(np.exp(log_w))
+            mean, variance = moments(config.candidates(), log_w)
+            errors.append(_relative_error(variance, mean, config.params.theta02))
+            stds.append(math.sqrt(variance))
         records.append((t, first_m, float(np.mean(errors)), float(np.mean(stds))))
     return records, grids
 
@@ -515,7 +538,7 @@ def test_batched_curve_equals_serial_posteriors(repetitions, grid_points, trials
     assert got == expected
     assert curve.weights.shape == (len(schedule), grid_points)
     for kept, reference in zip(curve.weights, grids, strict=True):
-        assert np.array_equal(kept, reference.weights)
+        assert np.array_equal(kept, reference)
 
 
 def test_records_at_different_steps_use_independent_seeds():

@@ -20,7 +20,7 @@ from qwsense.bayes import (
     informative_schedule,
 )
 from qwsense.config import validate_config
-from qwsense.spectral import RESIDUAL_TOL, decompose_step_operator
+from qwsense.spectral import RESIDUAL_TOL, conjugate_pairing_max, decompose_step_operator
 from qwsense.walk import WalkParams
 
 PI = math.pi
@@ -478,8 +478,11 @@ def test_manifest_reports_the_schur_residual(tmp_path):
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
     health = json.loads((out / "manifest.json").read_text())["health"]
     decomp = decompose_step_operator(WalkParams(0.9 * PI, 0.75 * PI, -PI, 41))
-    assert health == {"schur_residual_max": float(decomp.residuals.max())}
+    assert health == {"schur_residual_max": float(decomp.residuals.max()),
+                      "conjugate_pairing_max": conjugate_pairing_max(decomp.eigenvalues)}
     assert 0.0 < health["schur_residual_max"] < RESIDUAL_TOL
+    # the step matrix is real: each eigenvalue's conjugate is an eigenvalue too
+    assert 0.0 <= health["conjugate_pairing_max"] < 1e-12
 
 
 def test_gfi_qfi_emits_three_series(tmp_path):

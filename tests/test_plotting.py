@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -364,3 +365,23 @@ def test_a_non_finite_mark_reads_the_same_error_in_memory(tmp_path):
     assert errors[0] == errors[1]
     assert errors[0].endswith(
         "column 'theta02_over_pi' line 3: expected a finite number, got 'inf'")
+
+
+def test_emission_peak_is_under_twice_the_rows(tmp_path):
+    # an fi-surface-sized heatmap, 81 theta1 x 61 steps: the CSV and the SVG
+    # are streamed in blocks, so neither file's text is held whole.  Joining
+    # every line and every rect held each file about three times over, and
+    # render_plot's peak stood at 3.2 times the rows
+    header = ("theta1_over_pi", "t", "value", "flagged")
+    tracemalloc.start()
+    try:
+        rows = [(-1.0 + i / 40, float(t), (t * (i + 1)) ** 2 / 7.0 + 0.1, t == 0)
+                for i in range(81) for t in range(61)]
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        path = serialize.write_csv(tmp_path / "fi_surface.csv", header, rows)
+        plotting.render_plot(path, tmp_path / "fi_surface.svg", (header, rows))
+        peak = tracemalloc.get_traced_memory()[1] - size
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * size

@@ -1,4 +1,5 @@
-"""CSV writing: column-wise formatting gives every cell format_value's bytes."""
+"""CSV writing: column-wise formatting gives every cell format_value's bytes, block by
+block, and a failed write leaves no partial file."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwsense.serialize import format_value, write_csv
+from qwsense.serialize import CSV_BLOCK, atomic_write_text, format_value, write_csv
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [0.0, -0.0, 1.0, -3.0, 1e15, 9999999999999998.0, 1e16, -1e16, 1e300, 5e-324]
@@ -70,3 +71,57 @@ def test_numpy_scalars_format_like_their_python_values(tmp_path_factory, data, w
 def test_rows_of_different_lengths_are_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "out.csv", ("a", "b"), [(1, 2.5), (3,)])
+
+
+def one_string_csv(header, rows):
+    """Reference: the whole file as one string, each cell ``format_value``'s bytes."""
+    lines = [",".join(header)] + [",".join(map(format_value, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("height", [0, 1, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1,
+                                    2 * CSV_BLOCK + 1])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), width=st.integers(1, 4))
+def test_block_boundaries_keep_the_bytes(tmp_path_factory, height, data, width):
+    # a few values per column, so that each block formats repeated values once
+    pools = [data.draw(st.lists(data.draw(st.sampled_from(REPEATS)), min_size=1, max_size=4))
+             for _ in range(width)]
+    rng = data.draw(st.randoms(use_true_random=True))  # seeded by hypothesis
+    rows = [tuple(rng.choice(pool) for pool in pools) for _ in range(height)]
+    header = [f"c{i}" for i in range(width)]
+    path = write_csv(tmp_path_factory.mktemp("csv") / "out.csv", header, rows)
+    assert path.read_text(encoding="utf-8") == one_string_csv(header, rows)
+
+
+@pytest.mark.parametrize("ragged", [CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK])
+def test_rows_that_differ_across_a_block_boundary_are_rejected(tmp_path, ragged):
+    # each block is rectangular on its own: only the check against row 0 sees it
+    rows = [(1, 2.5)] * ragged + [(3, 4.5, 6)] * CSV_BLOCK
+    with pytest.raises(ValueError, match=f"row {ragged} has 3 cells, row 0 has 2"):
+        write_csv(tmp_path / "out.csv", ("a", "b"), rows)
+    assert list(tmp_path.iterdir()) == []
+
+
+def failing_chunks():
+    yield "first chunk\n"
+    raise RuntimeError("the chunk source failed")
+
+
+@pytest.mark.parametrize("existing", [None, b"old,bytes\n"])
+def test_a_failed_stream_leaves_nothing_partial(tmp_path, existing):
+    target = tmp_path / "out.csv"
+    if existing is not None:
+        target.write_bytes(existing)
+    with pytest.raises(RuntimeError, match="the chunk source failed"):
+        atomic_write_text(target, failing_chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["out.csv"])
+    if existing is not None:
+        assert target.read_bytes() == existing
+
+
+def test_a_str_and_its_chunks_write_the_same_bytes(tmp_path):
+    text = "a,b\n1,\u00e9\n" * 3
+    whole = atomic_write_text(tmp_path / "whole.csv", text)
+    chunks = atomic_write_text(tmp_path / "chunks.csv", iter(text.splitlines(keepends=True)))
+    assert whole.read_bytes() == chunks.read_bytes() == text.encode("utf-8")

@@ -21,6 +21,7 @@ from qwsense.errors import CapacityError, NumericalError
 from qwsense.spectral import (
     build_step_matrix,
     complex_schur,
+    conjugate_pairing_max,
     decompose_step_operator,
     find_localized_states,
     fit_localization_length,
@@ -271,3 +272,16 @@ def test_localization_tightens_with_defect_strength():
         lengths.append(pair_profile_length(states))
     for tighter, looser in zip(lengths[1:], lengths[:-1]):
         assert tighter <= looser + 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles=st.lists(st.floats(-PI, PI), min_size=1, max_size=40),
+       broken=st.lists(st.floats(-PI, PI), max_size=3))
+def test_conjugate_pairing_max_equals_the_all_pairs_distance(angles, broken):
+    # a spectrum closed under conjugation, plus a few unit eigenvalues whose
+    # conjugates may be missing; the sort reads the neighbours of each angle
+    lam = np.exp(1j * np.array(angles + [-a for a in angles] + broken))
+    all_pairs = np.abs(np.conj(lam)[:, None] - lam[None, :]).min(axis=1).max()
+    assert conjugate_pairing_max(lam) == pytest.approx(all_pairs, rel=1e-12, abs=1e-15)
+    if not broken:
+        assert conjugate_pairing_max(lam) < 1e-15
