@@ -37,6 +37,10 @@ EXPERIMENTS = (
 
 DEFAULT_STEPS = 100
 SPECTRUM_LATTICE = 101
+# an estimation record's relative error (variance + bias^2) / theta02^2 is at
+# most 1.25 (hi - lo)^2 / theta02^2: the posterior and theta02 lie in the prior
+# window; a disorder run's spread squares it, which past ~1.3e154 is inf
+MSRE_CAP = 1e150
 
 # the names the rules of each section read; any other name in a section read is a violation
 _SECTIONS = {
@@ -271,7 +275,8 @@ def _read_estimation(check, doc, cfg):
     section = check.section(doc, "estimation", required=True)
     if section is None:
         return None
-    if cfg.walk is not None and not cfg.walk.theta02 * cfg.walk.theta02 >= sys.float_info.min:
+    square = cfg.walk.theta02 * cfg.walk.theta02 if cfg.walk is not None else None
+    if square is not None and not square >= sys.float_info.min:
         # the msre is relative to theta02 ** 2: a square that is 0 or subnormal
         # (theta02_over_pi = 1e-300) would walk, then divide by zero
         check.fail("walk.theta02_over_pi", "must not be 0 for an estimation run")
@@ -284,11 +289,20 @@ def _read_estimation(check, doc, cfg):
         check.fail("estimation.prior_over_pi", "hi - lo must be < 4")
     elif prior is not None and cfg.walk is not None:
         t02 = float(doc["walk"]["theta02_over_pi"])
+        width = (prior[1] - prior[0]) * math.pi
         if not prior[0] <= t02 <= prior[1]:
             # the posterior would pile up at the grid edge, silently
             check.fail(
                 "estimation.prior_over_pi",
                 f"[{prior[0]}, {prior[1]}] leaves out walk.theta02_over_pi = {t02}",
+            )
+        elif square >= sys.float_info.min and 1.25 * width * width > MSRE_CAP * square:
+            # theta02_over_pi = 1e-110 with a window 1.9 wide walked, then an
+            # msre of ~1e219 made the disorder spread inf and its plot failed
+            check.fail(
+                "walk.theta02_over_pi",
+                f"{t02} is too small for the prior window [{prior[0]}, {prior[1]}]: a "
+                f"relative error could exceed {MSRE_CAP:.0e}",
             )
     grid_points = check.number(section, "estimation.grid_points",
                                default=bayes.DEFAULT_GRID_POINTS, minimum=11, integer=True)

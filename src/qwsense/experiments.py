@@ -172,6 +172,8 @@ def _run_spectrum(cfg: ExperimentConfig) -> Artifacts:
     ]
     art.health["schur_residual_max"] = float(decomp.residuals.max())
     art.health["conjugate_pairing_max"] = spectral.conjugate_pairing_max(decomp.eigenvalues)
+    art.health["bulk_min_gap"] = topology.phase_diagram(params.theta1, params.theta2)[0][0].min_gap
+    art.health["phase_boundary_margin"] = topology.boundary_margin(params.theta1, params.theta2)
     return art
 
 
@@ -265,7 +267,12 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     ``schur_residual_max``, the largest ``||U v - lambda v||`` over the
     eigenvectors, and ``conjugate_pairing_max``, the largest distance from
     an eigenvalue's conjugate to the nearest eigenvalue (the step matrix is
-    real, so its spectrum pairs up); for an fi-scaling or disorder fi run,
+    real, so its spectrum pairs up), ``bulk_min_gap``, the least band gap
+    of the defect-free walk at (theta1, theta2) (``topology.phase_diagram``'s
+    ``min_gap``), and ``phase_boundary_margin``, ``topology.boundary_margin``
+    there, the same number by another formula: near 0 the bulk is close to
+    a phase boundary, where the bound states spread out; for an fi-scaling
+    or disorder fi run,
     ``fit_points``, the usable points of its power-law fit (below 5 it
     writes no ``fit.json``);
     for a gfi-qfi run, ``qfi_over_t2_max`` and

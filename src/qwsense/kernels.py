@@ -19,8 +19,9 @@ with the coin pair (up, down) on the last axis; site index i maps to
 physical position x = i - (N - 1) // 2.  The walks of ``walk.propagate``
 all start at the real |-1, down> and step float64;
 ``spectral.build_step_matrix`` steps float64 basis columns
-into a complex128 matrix, and the Schur residual steps complex128 blocks
-of its Schur vectors.  Coin tables are the half-angle cosines/sines of
+into a complex128 matrix ``spectral.BLOCK`` columns at a time (never the
+whole identity), and the Schur residual steps complex128 blocks of its
+Schur vectors the same way.  Coin tables are the half-angle cosines/sines of
 the two bulk coin layers, and each broadcasts against the site axis: a
 float (one coin for every site of every walk), a (..., 1) column (one coin
 per walk) or a (..., N) table (one per site; static disorder).  The defect

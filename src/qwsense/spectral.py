@@ -22,14 +22,16 @@ rest of a spectrum run's start-up: scipy's array-API layer does
 The bits still depend on the BLAS thread count; pin it (say
 ``OPENBLAS_NUM_THREADS=1``) to compare spectra across runs.
 
-``decompose_step_operator`` lets ``zgees`` overwrite the step matrix it has
-just built, keeps only T's diagonal, and takes each residual
-||U v - lambda v|| by stepping Q's columns through the same kernel step
-that built the matrix, ``RESIDUAL_BLOCK`` columns at a time, instead of
-the dense ``mat @ Q - Q * lambda``.  Its tracemalloc peak is then
-``build_step_matrix``'s (the identity, the matrix and the kernel's
-temporaries): 2.5 times the (2N)^2 * 16-byte matrix at N = 301 and 511,
-2.75 at N = 101.
+``build_step_matrix`` steps the basis ``BLOCK`` columns at a time, so no
+identity or full-size kernel temporary is held beside the matrix.
+``decompose_step_operator`` lets ``zgees`` overwrite that matrix, keeps
+only T's diagonal, and takes each residual ||U v - lambda v|| by stepping
+Q's columns through the same blocked kernel step that built the matrix,
+instead of the dense ``mat @ Q - Q * lambda``.  Its tracemalloc peak is
+then what ``zgees`` itself needs, the matrix it overwrites plus Q plus its
+workspace: 2.06 times the (2N)^2 * 16-byte matrix at N = 301 (11.9 MB),
+2.03 at N = 511 and 2.18 at N = 101.  A Schur factorization that returns
+Q holds at least 2.
 """
 
 import os
@@ -45,7 +47,7 @@ from .walk import CoinField, WalkParams, half_angle
 
 DENSE_SOLVER_CAP = 512
 RESIDUAL_TOL = 1e-10
-RESIDUAL_BLOCK = 64  # columns of Q that the residual steps at once
+BLOCK = 64  # columns stepped at once: basis columns into the matrix, Q's for the residual
 PROFILE_FLOOR = 1e-12
 
 
@@ -96,18 +98,41 @@ def _step_columns(columns, tables, params: WalkParams, out: np.ndarray) -> np.nd
     return out
 
 
+def _step_blocks(columns, tables, params: WalkParams, out=None):
+    """Yield (start, stop, block, stepped): one step of the 2N columns, ``BLOCK`` at a time.
+
+    ``columns(start, stop)`` is the (k, 2N) stack of columns start..stop - 1,
+    and ``stepped`` is its (k, 2N) step: rows start..stop - 1 of ``out``, a
+    (2N, N, 2) complex128 array, or without ``out`` one block's buffer that
+    the next block reuses.  So no 2N x 2N input or temporary is held.
+    """
+    n = params.lattice_size
+    buffer = np.empty((BLOCK, n, 2), dtype=np.complex128) if out is None else None
+    for start in range(0, 2 * n, BLOCK):
+        stop = min(start + BLOCK, 2 * n)
+        block = columns(start, stop)
+        target = buffer[:stop - start] if out is None else out[start:stop]
+        _step_columns(block.reshape(stop - start, n, 2), tables, params, target)
+        yield start, stop, block, target.reshape(stop - start, 2 * n)
+
+
 def build_step_matrix(params: WalkParams, tables) -> np.ndarray:
-    """Dense 2N x 2N matrix of the step operator: one step of the basis stack.
+    """Dense 2N x 2N matrix of the step operator: one step of the basis, block by block.
 
     ``tables`` are the clean bulk coins' ``half_angle_tables``, which
     ``decompose_step_operator`` builds once for the matrix and the
-    residual.  The matrix is the transpose of the (2N, 2N) stepped stack,
-    so it is Fortran-contiguous complex128, the layout ``zgees`` overwrites
-    in place.
+    residual.  Each block steps the float64 basis rows ``np.eye(k, 2N,
+    start)`` into its own rows of the (2N, 2N) stepped stack, so the whole
+    identity is never held.  The step is elementwise per column, so every
+    bit, signed zeros too, is that of one step of ``np.eye(2N)``.  The
+    matrix is the transpose of the stepped stack, so it is
+    Fortran-contiguous complex128, the layout ``zgees`` overwrites in place.
     """
     n = params.lattice_size
     out = np.empty((2 * n, n, 2), dtype=np.complex128)
-    _step_columns(np.eye(2 * n).reshape(2 * n, n, 2), tables, params, out)
+    for _ in _step_blocks(lambda start, stop: np.eye(stop - start, 2 * n, start), tables,
+                          params, out):
+        pass  # each block is stepped into its own rows of ``out``
     return out.reshape(2 * n, 2 * n).T
 
 
@@ -162,25 +187,22 @@ def _residuals(q_mat: np.ndarray, eigenvalues: np.ndarray, params: WalkParams,
                tables) -> np.ndarray:
     """||U v - lambda v|| of each column v of ``q_mat``, with U applied by the step kernel.
 
-    The columns step ``RESIDUAL_BLOCK`` at a time, as the (k, N, 2) view of
-    rows of ``q_mat.T``, so no second 2N x 2N matrix is held.
+    The columns step ``BLOCK`` at a time, as rows of ``q_mat.T``, so no
+    second 2N x 2N matrix is held.
     """
-    n = params.lattice_size
-    residuals = np.empty(2 * n)
-    out = np.empty((RESIDUAL_BLOCK, n, 2), dtype=np.complex128)
-    for start in range(0, 2 * n, RESIDUAL_BLOCK):
-        block = q_mat.T[start:start + RESIDUAL_BLOCK]
-        k = len(block)
-        stepped = _step_columns(block.reshape(k, n, 2), tables, params, out[:k]).reshape(k, 2 * n)
-        stepped -= block * eigenvalues[start:start + k, None]
-        residuals[start:start + k] = np.linalg.norm(stepped, axis=1)
+    residuals = np.empty(len(eigenvalues))
+    for start, stop, block, stepped in _step_blocks(lambda start, stop: q_mat.T[start:stop],
+                                                    tables, params):
+        stepped -= block * eigenvalues[start:stop, None]
+        residuals[start:stop] = np.linalg.norm(stepped, axis=1)
     return residuals
 
 
 def decompose_step_operator(params: WalkParams) -> SpectralDecomposition:
     """Full eigendecomposition of the step unitary with defect, N <= DENSE_SOLVER_CAP.
 
-    Holds about 2.5 step matrices at its peak (module docstring).
+    Holds about 2.06 step matrices at its peak, what ``zgees`` itself needs
+    (module docstring).
     """
     n = params.lattice_size
     if n > DENSE_SOLVER_CAP:
@@ -233,7 +255,9 @@ def fit_localization_length(profile: np.ndarray) -> float:
     least half the peak probability; the defect states live on a one- or
     two-site core) is excluded, then log(profile) is regressed against the
     outward distance on both decaying flanks, stopping where the probability
-    first drops below the floor.  Probability ~ exp(-2 d / length).
+    first drops below the floor.  Probability ~ exp(-2 d / length).  Points
+    at fewer than two distances (one per flank at most, as on a flat band's
+    compact states) leave the slope undetermined, and the length is inf.
     """
     n = profile.shape[0]
     peak = int(np.argmax(profile))
@@ -246,7 +270,7 @@ def fit_localization_length(profile: np.ndarray) -> float:
         left -= 1
     pts = _flank_points(profile, right + 1, n, 1)
     pts += _flank_points(profile, left - 1, -1, -1)
-    if len(pts) < 2:
+    if len({d for d, _ in pts}) < 2:
         return float("inf")
     arr = np.asarray(pts)
     slope = np.polyfit(arr[:, 0], arr[:, 1], 1)[0]

@@ -21,6 +21,7 @@ from qwsense.bayes import (
 )
 from qwsense.config import validate_config
 from qwsense.spectral import RESIDUAL_TOL, conjugate_pairing_max, decompose_step_operator
+from qwsense.topology import boundary_margin, phase_diagram
 from qwsense.walk import WalkParams
 
 PI = math.pi
@@ -478,11 +479,35 @@ def test_manifest_reports_the_schur_residual(tmp_path):
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
     health = json.loads((out / "manifest.json").read_text())["health"]
     decomp = decompose_step_operator(WalkParams(0.9 * PI, 0.75 * PI, -PI, 41))
+    bulk = phase_diagram(0.9 * PI, 0.75 * PI)[0][0]
     assert health == {"schur_residual_max": float(decomp.residuals.max()),
-                      "conjugate_pairing_max": conjugate_pairing_max(decomp.eigenvalues)}
+                      "conjugate_pairing_max": conjugate_pairing_max(decomp.eigenvalues),
+                      "bulk_min_gap": bulk.min_gap,
+                      "phase_boundary_margin": boundary_margin(0.9 * PI, 0.75 * PI)}
     assert 0.0 < health["schur_residual_max"] < RESIDUAL_TOL
     # the step matrix is real: each eigenvalue's conjugate is an eigenvalue too
     assert 0.0 <= health["conjugate_pairing_max"] < 1e-12
+
+
+def test_spectrum_health_reads_the_phase_boundary(tmp_path):
+    # the preset's bulk sits well inside the winding-1 phase; theta1 = 0.76 pi
+    # is 0.01 pi from the boundary theta1 = theta2, where the gap closes
+    def bulk_health(doc, name):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        health = json.loads((out / "manifest.json").read_text())["health"]
+        return health["bulk_min_gap"], health["phase_boundary_margin"]
+
+    preset = json.loads((REPO / "configs" / "spectrum_defect.json").read_text())
+    far_gap, far_margin = bulk_health(preset, "preset")
+    walk = {**preset["walk"], "theta1_over_pi": 0.76, "lattice_size": 21}
+    near_gap, near_margin = bulk_health({**preset, "walk": walk}, "near")
+    assert 0.0 < near_margin < far_margin
+    assert 0.0 < near_gap < far_gap
+    # two formulas for one number: the closed-form margin is the band-edge gap
+    assert near_gap == pytest.approx(near_margin, rel=0, abs=1e-12)
+    assert far_gap == pytest.approx(far_margin, rel=0, abs=1e-12)
 
 
 def test_gfi_qfi_emits_three_series(tmp_path):

@@ -3,13 +3,16 @@ every benchmark job document."""
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qwsense import cli
-from qwsense.config import _SECTIONS, _TOP_LEVEL, validate_config
-from qwsense.errors import ConfigError
+from qwsense import cli, experiments
+from qwsense.config import _SECTIONS, _TOP_LEVEL, EXPERIMENTS, validate_config
+from qwsense.errors import ConfigError, NumericalError
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -143,6 +146,11 @@ RULES = [
                                             estimation={**ESTIMATION,
                                                         "prior_over_pi": [-0.5, 0.5]}),
      "walk.theta02_over_pi: must not be 0"),
+    # an msre of ~1e219 walked, then its squared spread was inf and the plot failed
+    ("theta02-msre-overflow", with_(DISORDER, disorder__observable="msre",
+                                    walk={**WALK, "theta02_over_pi": 1e-110},
+                                    estimation={**ESTIMATION, "prior_over_pi": [-1.9, 1e-110]}),
+     "walk.theta02_over_pi: 1e-110 is too small for the prior window"),
     ("disorder-missing", without(DISORDER, "disorder"), "disorder:"),
     ("disorder.kind", with_(DISORDER, disorder__kind="frozen"), "disorder.kind:"),
     ("disorder.observable", with_(DISORDER, disorder__observable="qfi"),
@@ -304,3 +312,82 @@ def test_every_accepted_name_is_set_by_a_preset_or_a_benchmark_job():
     accepted = set(_TOP_LEVEL)
     accepted |= {f"{section}.{name}" for section, names in _SECTIONS.items() for name in names}
     assert sorted(accepted - set_names) == []
+
+
+# --- a config that validates runs --------------------------------------------
+
+# in units of pi: 0, the domain wall, the flat bands, a tiny and an underflowing
+# theta02, and angles past +-pi, which are used as written
+EDGE_ANGLES = st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1e-9, 1e-300, 3.9])
+SMALL_ANGLES = EDGE_ANGLES | st.floats(-4.0, 4.0, allow_nan=False)
+
+
+def small_grid(draw, count):
+    return [draw(SMALL_ANGLES), draw(SMALL_ANGLES), draw(st.integers(1, count))]
+
+
+@st.composite
+def small_configs(draw):
+    """Documents of every experiment, small enough to run: steps <= 12 (<= 20
+    for fi-scaling, whose fit needs 14), 11 prior grid points, at most 2
+    realizations, N <= 21; some are invalid."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    doc = {"experiment": experiment, "seed": draw(st.integers(0, 3))}
+    if experiment == "phase-diagram":
+        doc["phase_grid"] = {"theta1_over_pi": small_grid(draw, 4),
+                             "theta2_over_pi": small_grid(draw, 4)}
+        return doc
+    walk = {name: draw(SMALL_ANGLES)
+            for name in ("theta1_over_pi", "theta2_over_pi", "theta02_over_pi")}
+    if experiment == "spectrum" or draw(st.booleans()):
+        walk["lattice_size"] = draw(st.integers(1, 10)) * 2 + 1
+    doc["walk"] = walk
+    if experiment == "spectrum":
+        return doc
+    if experiment == "fi-surface":
+        doc["surface"] = {"theta1_over_pi": small_grid(draw, 3),
+                          "steps": draw(st.integers(1, 12))}
+        return doc
+    doc["steps"] = draw(st.integers(1, 20 if experiment == "fi-scaling" else 12))
+    if experiment == "disorder":
+        doc["disorder"] = {"kind": draw(st.sampled_from(["static", "dynamic"])),
+                           "observable": draw(st.sampled_from(["fi", "msre"])),
+                           "half_width_over_pi": draw(st.sampled_from([0.0, 0.05, 0.5])),
+                           "n_realizations": draw(st.integers(1, 2))}
+    if experiment == "bayes" or experiment == "disorder" and doc["disorder"]["observable"] == "msre":
+        t02 = walk["theta02_over_pi"]
+        doc["estimation"] = {
+            "prior_over_pi": [t02 - draw(st.sampled_from([0.0, 1e-3, 0.1, 1.9])),
+                              t02 + draw(st.sampled_from([0.0, 1e-3, 0.1, 1.9]))],
+            "grid_points": 11,
+            "trials": draw(st.integers(1, 50)),
+            "repetitions": draw(st.integers(1, 2)),
+        }
+    if experiment in ("fi-scaling", "disorder") and draw(st.booleans()):
+        doc["fit"] = {"mode": draw(st.sampled_from(["all_points", "peaks_only"]))}
+    if experiment == "avg-fi":
+        doc["averaging"] = {"window": draw(st.integers(1, 4)), "spacing": draw(st.integers(1, 4))}
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=small_configs())
+@example(doc={"experiment": "disorder", "seed": 2, "steps": 5,
+              "walk": {"theta1_over_pi": 3.9, "theta2_over_pi": -4e-118,
+                       "theta02_over_pi": 1.6511888624783327e-110},
+              "disorder": {"kind": "dynamic", "observable": "msre",
+                           "half_width_over_pi": 0.0, "n_realizations": 2},
+              "estimation": {"prior_over_pi": [-1.9, 1.6511888624783327e-110],
+                             "grid_points": 11, "trials": 38, "repetitions": 1}})
+def test_a_config_that_validates_runs(doc):
+    # the config is rejected up front, or the run finishes, or it stops on a
+    # breached numerical tolerance (exit 3): never a failure after validation
+    try:
+        cfg = validate_config(doc)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            experiments.run(cfg, out)
+        except NumericalError:
+            pass

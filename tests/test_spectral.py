@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,6 +170,60 @@ def test_decomposition_peak_is_under_three_step_matrices():
     assert peak < 3 * (2 * n) ** 2 * 16
 
 
+def test_decomposition_peak_is_at_the_schur_floor():
+    # zgees needs the matrix it overwrites, Q and its workspace: 2 matrices
+    # and a little; the identity or a full-size kernel temporary held beside
+    # the matrix while it is built would each add half a matrix or more
+    n = 151
+    params = paper_params(-0.55 * PI, n)
+    decompose_step_operator(params)  # loads the wrapper outside the trace
+    tracemalloc.start()
+    try:
+        decompose_step_operator(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * (2 * n) ** 2 * 16
+
+
+def one_shot_step_matrix(params):
+    """The step of the whole float64 identity at once: the unblocked build."""
+    n = params.lattice_size
+    out = np.empty((2 * n, n, 2), dtype=np.complex128)
+    tables = CoinField.from_params(params).half_angle_tables()
+    spectral._step_columns(np.eye(2 * n).reshape(2 * n, n, 2), tables, params, out)
+    return out.reshape(2 * n, 2 * n).T
+
+
+# odd N only, so 2N is 2 mod 4: with the block as it is, 2N sits below it
+# (N = 31), just past it (33), just below and past twice it (63, 65) and
+# past three times it (97); a drawn block size also puts 2N at one block,
+# at two, and one column past or short of one, down to single columns
+BLOCK_EDGE_SIZES = st.sampled_from([31, 33, 63, 65, 97])
+# a half angle past pi / 2 has a negative cosine, and the matrix negative zeros
+EDGE_ANGLES = st.sampled_from([0.0, -0.0, PI, -PI, 0.5 * PI, 1.5 * PI, -3.0 * PI]) | ANGLES
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta1=EDGE_ANGLES, theta2=EDGE_ANGLES, theta02=EDGE_ANGLES, n=BLOCK_EDGE_SIZES,
+       data=st.data())
+def test_blocked_step_matrix_is_bit_identical_to_the_one_shot_build(theta1, theta2, theta02, n,
+                                                                    data):
+    # tobytes compares every bit, the sign of every zero included
+    params = WalkParams(theta1, theta2, theta02, n)
+    block = data.draw(st.sampled_from([spectral.BLOCK, 1, n, 2 * n - 1, 2 * n, 2 * n + 1]))
+    with mock.patch.object(spectral, "BLOCK", block):
+        built = step_matrix(params)
+    assert built.flags.f_contiguous
+    assert built.tobytes() == one_shot_step_matrix(params).tobytes()
+
+
+def test_the_step_matrix_holds_negative_zeros():
+    # so the byte comparison above sees the sign of zero
+    built = step_matrix(WalkParams(1.5 * PI, 0.75 * PI, -PI, 31))
+    assert np.signbit(built.real[built.real == 0]).any()
+
+
 @pytest.mark.parametrize("theta02", [-0.55 * PI, -PI, 0.75 * PI])
 def test_step_matrix_equals_the_dense_oracle(theta02):
     # the bulk step of the basis stack plus the defect coin at the defect
@@ -272,6 +327,17 @@ def test_localization_tightens_with_defect_strength():
         lengths.append(pair_profile_length(states))
     for tighter, looser in zip(lengths[1:], lengths[:-1]):
         assert tighter <= looser + 1e-9
+
+
+def test_a_fit_with_one_point_per_flank_has_no_length():
+    # both points sit at distance 1, so no slope can be regressed: polyfit
+    # warned (RankWarning) and returned a min-norm slope, a length of 0.8 or so
+    profile = np.array([0.0, 0.0, 1.5e-2, 0.97, 1.5e-3, 0.0, 0.0])
+    assert fit_localization_length(profile) == float("inf")
+    # a flat band (theta2 = pi): the walk's bound states are compact
+    params = WalkParams(0.0, PI, 0.0, 11)
+    states = find_localized_states(decompose_step_operator(params))
+    assert states and all(s.localization_length > 0 for s in states)
 
 
 @settings(max_examples=200, deadline=None)
