@@ -4,24 +4,15 @@ An experiment at step count t repeats the walk M times and records how often
 the walker is detected at the defect; the count is binomial in the true
 arrival probability P0(t).  Every estimate reads one candidate table,
 P0(t; theta02) over the scheduled steps and a uniform grid of candidate
-theta02 values, built once by ``candidate_probability_table``;
-``informative_schedule``, ``posterior`` and ``estimation_curve`` take that
-table as input and walk no candidate.  ``informative_schedule`` and
-``posterior`` never walk; ``estimation_curve`` walks once, the true (data)
-walk through ``defect_probability_series``, for the P0 that its clicks are
-drawn from.  The posterior multiplies the binomial
-likelihood by the flat prior and normalizes in log space.  The mean squared
-relative error (posterior variance plus squared bias, normalized by
-theta02^2) is the figure of merit and should fall as t^-2 at the Heisenberg
-limit.
-
-The candidate table and the true walk's P0 series both read the defect
-rows of a defect-only ``walk.propagate``: the causal diamond on the ring
-cut to the 2 t_max + 3 rows around the defect, or the whole ring when that
-is smaller.  The table walks the C candidates as one batch of per-walk
-defect angles on shared bulk coins; the batch is innermost in memory, so
-each kernel pass runs contiguously over the candidates (``walk`` module
-docstring).
+theta02 values, built once by ``candidate_probability_table``, which walks
+the C candidates as one batch of per-walk defect angles on shared bulk
+coins.  ``informative_schedule`` and ``posterior`` never walk;
+``estimation_curve`` walks once, the true (data) walk through
+``defect_probability_series``, for the P0 that its clicks are drawn from.
+The posterior multiplies the binomial likelihood by the flat prior and
+normalizes in log space.  The mean squared relative error (posterior
+variance plus squared bias, normalized by theta02^2) is the figure of
+merit and should fall as t^-2 at the Heisenberg limit.
 
 ``estimation_curve`` draws a scheduled step's R click counts, one seed
 stream per repetition, and computes their R posteriors as one (R, C) array
@@ -64,10 +55,6 @@ class PosteriorGrid:
     @property
     def variance(self) -> float:
         return float((self.weights * (self.candidates - self.mean) ** 2).sum())
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
 
 
 @dataclass
@@ -137,12 +124,10 @@ def candidate_probability_table(
 ) -> np.ndarray:
     """P0(t; candidate) for every scheduled t, shape (len(schedule), n_candidates).
 
-    The candidates are the per-walk defect angles of one defect-only
-    ``walk.propagate`` batch, so all C walks step together (module
-    docstring); this table is the expensive part of estimation and is
-    reused across trials and experiments.  With ``coin_fields`` the
-    candidate walks run on those (possibly disordered) bulk angles, in any
-    form ``walk.coin_tables`` accepts with batch shape ().
+    This table is the expensive part of estimation and is reused across
+    trials and experiments.  With ``coin_fields`` the candidate walks run on
+    those (possibly disordered) bulk angles, in any form
+    ``walk.coin_tables`` accepts with batch shape ().
     """
     schedule = [int(t) for t in schedule]
     rows = propagate(params_template, max(schedule), coin_fields, defect_only=True,
@@ -258,9 +243,8 @@ def posterior(
 
 
 def _relative_error(variance: float, mean: float, true_theta02: float) -> float:
-    # Python floats: x ** 2 is libm pow here, where numpy would square
-    if true_theta02 == 0:
-        raise ZeroDivisionError("relative error undefined for true_theta02 = 0")
+    # Python floats: x ** 2 is libm pow here, where numpy would square, and a
+    # square of 0 (or one that underflows to 0) raises ZeroDivisionError
     return (variance + (mean - true_theta02) ** 2) / true_theta02**2
 
 

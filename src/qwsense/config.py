@@ -336,12 +336,9 @@ def _read_averaging(check, doc, steps):
 def validate_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed config document; raises ConfigError listing every violation.
 
-    A fit runs over the steps ``metrology.DEFAULT_FIT_T_MIN``..steps, and an
-    fi-scaling run's steps must leave at least 5 of them; that is necessary,
-    not sufficient: flagged or non-positive values, and ``peaks_only``, can
-    still leave the run's fit fewer than 5 points.  Such a run, fi-scaling or
-    disorder fi, still writes its series and leaves out ``fit.json``; its
-    manifest's ``health.fit_points`` counts the points.  A top-level name that no
+    An fi-scaling run's steps must leave at least 5 in its fit window; that
+    is necessary, not sufficient, since flagged or non-positive values and
+    ``peaks_only`` can still leave fewer.  A top-level name that no
     reader of the experiment reads is a violation and is not checked further:
     ``fit`` is read only by the runs that fit, and top-level ``steps`` only by
     the runs that propagate it (fi-surface reads ``surface.steps``).  An

@@ -3,23 +3,19 @@
 Static disorder draws every site's two coin angles independently and
 uniformly from [theta_i - w, theta_i + w], fixed for the whole run; dynamic
 disorder redraws one (theta1, theta2) pair per step, shared by all sites.
-The defect's layer-2 coin theta02 is never disordered: it is the estimand,
-the walk's own, and in no coin field (``walk.CoinField``).  All draws
-are deterministic functions of (master_seed, realization_index) through
-numpy's SeedSequence spawn keys, so realizations are order-independent.
+The estimand theta02 is never disordered.  All draws are deterministic
+functions of (master_seed, realization_index) through numpy's SeedSequence
+spawn keys, so realizations are order-independent.
 
 ``ensemble_fisher`` walks all R realizations as one batch through
 ``metrology.fisher_at_defect``: static disorder as one (R, N) coin field,
 dynamic disorder as one (R, 1) field per step, row r holding realization
 r's angle pair of that step, drawn from its stream as the walk reaches the
 step (so the run holds O(R N) angles, not O(R T N), and a step costs 4 R
-cos/sin, not 4 R N).  A lone realization's dynamic step is a uniform field
-of shape ().  Each row's FI equals that
-realization's own serial walk bit for bit, and the mean and std reduce the
-rows in realization order.
+cos/sin, not 4 R N).  Each row's FI equals that realization's own serial
+walk bit for bit, and the mean and std reduce the rows in realization order.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +26,13 @@ from .walk import CoinField, WalkParams
 STATIC = "static"
 DYNAMIC = "dynamic"
 
-DEFAULT_HALF_WIDTH = math.pi / 20.0
 DEFAULT_REALIZATIONS = 10
 
 
 @dataclass(frozen=True)
 class DisorderSpec:
     kind: str
-    half_width: float = DEFAULT_HALF_WIDTH
+    half_width: float
     n_realizations: int = DEFAULT_REALIZATIONS
     master_seed: int = 0
 
@@ -74,23 +69,19 @@ def sample_disorder(spec: DisorderSpec, base: WalkParams, realization_index: int
             f"realization_index {realization_index} outside 0..{spec.n_realizations - 1}"
         )
     rng = _realization_rng(spec, realization_index)
-    n = base.lattice_size
-    w = spec.half_width
     if spec.kind == STATIC:
-        a1 = rng.uniform(base.theta1 - w, base.theta1 + w, size=n)
-        a2 = rng.uniform(base.theta2 - w, base.theta2 + w, size=n)
-        return CoinField(a1, a2)
+        return CoinField(*_draw(spec, base, rng, base.lattice_size))
     if steps is None or steps < 1:
         raise ValueError("dynamic disorder requires a positive step count")
-    return [CoinField(*_draw_step(spec, base, rng)) for _ in range(steps)]
+    return [CoinField(*_draw(spec, base, rng)) for _ in range(steps)]
 
 
-def _draw_step(spec: DisorderSpec, base: WalkParams, rng: np.random.Generator):
-    """One dynamic step's (theta1, theta2) from one realization's stream."""
+def _draw(spec: DisorderSpec, base: WalkParams, rng: np.random.Generator, sites=None):
+    """(theta1, theta2) drawn from one realization's stream: a pair of floats,
+    one dynamic step's, or with ``sites`` a pair of (sites,) static arrays."""
     w = spec.half_width
-    t1 = rng.uniform(base.theta1 - w, base.theta1 + w)
-    t2 = rng.uniform(base.theta2 - w, base.theta2 + w)
-    return t1, t2
+    return (rng.uniform(base.theta1 - w, base.theta1 + w, sites),
+            rng.uniform(base.theta2 - w, base.theta2 + w, sites))
 
 
 def _ensemble_fields(spec: DisorderSpec, base: WalkParams, steps: int):
@@ -104,7 +95,7 @@ def _ensemble_fields(spec: DisorderSpec, base: WalkParams, steps: int):
     # each realization's stream draws its steps in the order sample_disorder does
     rngs = [_realization_rng(spec, r) for r in realizations]
     return (
-        CoinField(*np.array([_draw_step(spec, base, rng) for rng in rngs]).T[..., np.newaxis])
+        CoinField(*np.array([_draw(spec, base, rng) for rng in rngs]).T[..., np.newaxis])
         for _ in range(steps)
     )
 

@@ -173,7 +173,6 @@ def _run_spectrum(cfg: ExperimentConfig) -> Artifacts:
     art.health["schur_residual_max"] = float(decomp.residuals.max())
     art.health["conjugate_pairing_max"] = spectral.conjugate_pairing_max(decomp.eigenvalues)
     art.health["bulk_min_gap"] = topology.phase_diagram(params.theta1, params.theta2)[0][0].min_gap
-    art.health["phase_boundary_margin"] = topology.boundary_margin(params.theta1, params.theta2)
     return art
 
 
@@ -249,37 +248,13 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     """Execute the configured experiment and write its artifacts.
 
     Every run writes its data CSVs, then its JSON sidecars, then its SVG
-    plots.  A CSV or an SVG is streamed to its file in bounded chunks
-    (``serialize.CSV_BLOCK`` rows, ``plotting.BLOCK`` lines), so no file's
-    whole text is ever held.  Each SVG is rendered from the rows its CSV was
-    written from, read as the CSV gives them back, so it equals ``qwsense
-    plot`` on that CSV byte for byte.  The manifest (with content hashes of every
-    emitted file) is written last; it also records the BLAS thread settings
-    found in the environment (None where unset), the seconds the run spent
-    in each of its four parts (``timings``: ``compute``, ``csv``, ``json``,
-    ``svg``) and the run's ``health``
-    numbers: for a bayes run, ``posterior_edge_mass``, the largest posterior
-    weight in the prior grid's two edge cells together over every step and
-    repetition, ``posterior_min_std_cells``, the smallest record
-    ``posterior_std`` in units of the grid spacing, and
-    ``schedule_fold_ambiguity_max``, the largest ``bayes.fold_ambiguity`` of
-    the candidate table's scheduled rows; for a spectrum run,
-    ``schur_residual_max``, the largest ``||U v - lambda v||`` over the
-    eigenvectors, and ``conjugate_pairing_max``, the largest distance from
-    an eigenvalue's conjugate to the nearest eigenvalue (the step matrix is
-    real, so its spectrum pairs up), ``bulk_min_gap``, the least band gap
-    of the defect-free walk at (theta1, theta2) (``topology.phase_diagram``'s
-    ``min_gap``), and ``phase_boundary_margin``, ``topology.boundary_margin``
-    there, the same number by another formula: near 0 the bulk is close to
-    a phase boundary, where the bound states spread out; for an fi-scaling
-    or disorder fi run,
-    ``fit_points``, the usable points of its power-law fit (below 5 it
-    writes no ``fit.json``);
-    for a gfi-qfi run, ``qfi_over_t2_max`` and
-    ``qfi_over_t2_final``, the largest and the last QFI(t) / t^2 over
-    t >= 1, which the Heisenberg limit bounds by 1.  Every experiment runs
-    serially: ``threads`` accepts only 1 and goes when the benchmark, which
-    passes it, stops passing it.
+    plots, each SVG rendered from the rows its CSV was written from, so it
+    equals ``qwsense plot`` on that CSV byte for byte.  The manifest is
+    written last: the config, the seed, the BLAS thread settings found in
+    the environment, the seconds each of the four parts took (``timings``),
+    the run's ``health`` numbers (README) and a content hash of every
+    emitted file.  Every experiment runs serially: ``threads`` accepts only
+    1 and goes when the benchmark, which passes it, stops passing it.
     """
     if threads != 1:
         raise ValueError(f"threads: every run is serial, got {threads}")

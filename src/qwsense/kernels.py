@@ -1,61 +1,29 @@
 """Hot split-step kernel: one vectorized numpy step body and the defect coin.
 
-The walk spends essentially all of its time applying one step of
-U = T_down R2 T_up R1 to a state vector or a stack of them.  ``split_step``
-is that step with the bulk coins, and every walk runs through it;
-``defect_coin`` then redoes the two cells the defect's layer-2 coin writes,
-for every walker: the walks of ``walk.propagate`` (with one defect coin
-per walk for the Bayesian candidates) and the column stacks of
-``spectral._step_columns`` (the step matrix and the Schur residual).
-``split_step_pair`` steps a state and its theta02-derivative stacked as one
-buffer: one ``split_step``, the defect coin on each half, and a two-cell
-derivative term that reads the (fu, fd) ``defect_coin`` returned for psi.
-For one walk the defect arithmetic runs on Python floats, not on 0-d arrays.
+``split_step`` applies one step of U = T_down R2 T_up R1 with the bulk
+coins to a state or a stack of them; ``defect_coin`` then redoes the two
+cells the defect's layer-2 coin writes, for every walker.
+``split_step_pair`` steps a state and its theta02-derivative stacked as
+one buffer.  For one walk the defect arithmetic runs on Python floats, not
+on 0-d arrays.  ``BACKEND`` names the step body, for run records.
 
-``BACKEND`` names the step body, for run records.
+Layout: a state is a float64 or complex128 array of shape (N, 2), the
+coin pair (up, down) on the last axis, or a batch (B, N, 2); the pair
+kernel's buffer puts psi at [0] and dpsi at [1] of a leading axis of
+length 2.  A state may be a view with any strides: every pass is an
+elementwise ufunc or a slice copy, with the same values in any memory
+order.  Coin tables are the half-angle cosines/sines of the two bulk
+layers and broadcast against the site axis: a float, a (..., 1) column
+(one coin per walk) or a (..., N) table (one per site).  The defect coin
+is in no table, and a table's entry at the defect is never read.  A
+broadcast coin and a table that holds it give the same bits, and a real
+stack's values are the real parts of the same complex stack's, bit for
+bit (up to the sign of zero).
 
-Layout contract: a state is a float64 or complex128 array of shape (N, 2)
-with the coin pair (up, down) on the last axis; site index i maps to
-physical position x = i - (N - 1) // 2.  The walks of ``walk.propagate``
-all start at the real |-1, down> and step float64;
-``spectral.build_step_matrix`` steps float64 basis columns
-into a complex128 matrix ``spectral.BLOCK`` columns at a time (never the
-whole identity), and the Schur residual steps complex128 blocks of its
-Schur vectors the same way.  Coin tables are the half-angle cosines/sines of
-the two bulk coin layers, and each broadcasts against the site axis: a
-float (one coin for every site of every walk), a (..., 1) column (one coin
-per walk) or a (..., N) table (one per site; static disorder).  The defect
-coin is in no table, and a table's entry at the defect is never read.  The
-kernels also take a batch of B walks, shape (B, N, 2).  A state or batch
-may be a view with any strides: every pass is an elementwise ufunc or a
-slice copy, and numpy runs its inner loop along whichever axis is
-contiguous in memory, with the same values in any layout.
-``walk.propagate`` steps every batch as the (B, N, 2) view of a (N, 2, B)
-array, so each pass runs contiguously over the B walks with one coin as a
-scalar.
-The pair kernel's stacked buffer puts psi at [0] and dpsi at [1] of a
-leading axis of length 2: (2, N, 2) for one walk, (2, B, N, 2) for a batch.
-Multiplying by a broadcast coin is the same IEEE operation as multiplying
-by a table that holds it, and the defect cells are computed with the
-expressions, in the order, that a full per-site table gave them; so every
-form of the tables gives the same bits.  Every coin and shift is real, so a
-real (float64) stack stays real, and its values are the real parts of the
-same complex stack's, bit for bit (up to the sign of zero).
-
-The ring is periodic, so a kernel call on a contiguous window of rows wraps
-within the window: output row i reads input rows i - 1..i + 1, and only the
-up component of the first row and the down component of the last row read
-across the wrap.  The step is therefore exact on the window when its first
-and last rows hold zeros, which is how ``walk.propagate`` steps a walk's
-forward light cone.  When they do not, only those two output cells are
-wrong, and every other output cell reads only rows of the window.
-``walk.light_cone``'s causal diamond relies on this: its window at step t
-is the rows within H - t of the defect, so the next window is one row
-narrower per side, drops the two wrong cells, and holds only exact values;
-the step into the horizon H runs on the three rows around the defect.  The
-window is a view into the full-size buffers and may be non-contiguous.
-Every window holds the defect and the row before it, so the defect coin's
-cells are in the window.
+Wrap rule: the ring is periodic, so a call on a window of rows wraps
+within the window.  Output row i reads input rows i - 1..i + 1, and only
+the up cell of the first row and the down cell of the last row read across
+the wrap.
 """
 
 import numpy as np
@@ -126,13 +94,11 @@ def defect_coin(amps, cos1, sin1, defect, cos02, sin02, out):
 def split_step_pair(pair, cos1, sin1, cos2, sin2, defect, cos02, sin02, out):
     """Joint step of (psi, dpsi/dtheta02) stacked as ``pair``; exact product rule.
 
-    pair/out: (2, N, 2) or (2, B, N, 2), psi at [0] and dpsi at [1]; one
-    ``split_step`` call steps both, and ``defect_coin`` sets each half's
-    defect cells.  The derivative picks up U dpsi plus the defect term
-    T_down (dR) phi where phi = T_up R1 psi and dR = dR/dtheta(theta02) acts
-    at ``defect`` only, so only two entries of U dpsi are corrected.  Tables
-    and defect coin as in ``split_step`` and ``defect_coin``; ``defect``
-    indexes the site axis of every walk.
+    One ``split_step`` call steps both halves, and ``defect_coin`` sets each
+    half's defect cells.  The derivative picks up U dpsi plus the defect
+    term T_down (dR) phi where phi = T_up R1 psi and dR = dR/dtheta(theta02)
+    acts at ``defect`` only, so only two entries of U dpsi are corrected.
+    Tables and defect coin as in ``split_step`` and ``defect_coin``.
     """
     split_step(pair, cos1, sin1, cos2, sin2, out)
     fu, fd = defect_coin(pair[0], cos1, sin1, defect, cos02, sin02, out[0])

@@ -1,12 +1,9 @@
 """Fisher information of the defect measurement and its scaling in time.
 
 Three information measures are computed from the exactly propagated
-(state, derivative) pair as the walk streams through ``walk.propagate``
-from its one start, |-1, down>; no trajectory is stored, so a series of
-any length holds O(N) memory besides O(T) values.  GFI and QFI are reduced
-to one number per step; the defect-site FI keeps each step's psi and dpsi
-defect rows, four numbers per walk, and reduces all steps at once after
-the walk (elementwise, so with the bits of a per-step reduction):
+(state, derivative) pair as the walk streams through ``walk.propagate``;
+no trajectory is stored, so a series of any length holds O(N) memory
+besides O(T) values:
 
 * defect-site FI:  (dP0/dtheta02)^2 / [P0 (1 - P0)] from the binary
   "walker at the defect?" measurement,
@@ -16,32 +13,22 @@ the walk (elementwise, so with the bits of a per-step reduction):
   optimum for the pure state.
 
 They obey FI <= GFI <= QFI pointwise.  Each of the paper's two passes is
-one function returning ``FisherSeries``, for one walk or, when the coin
-fields describe B walks (a disorder ensemble, a theta1 sweep), for B
-walks at once, each with the values of its own serial pass.  The B walks
-are innermost in the buffers' memory (``walk`` module docstring); GFI and
-QFI sum over rows they allocate themselves, so that layout moves no bit.
-``fisher_at_defect`` gives the defect-site FI, the t^2 signal; it reads
-only the defect rows that a defect-only ``walk.propagate`` yields, so it
-walks the causal diamond (the sites that can still reach the defect by the
-last step) and holds O(T) memory however wide the ring.
-``information_values`` gives all three measures from one pass over the
-forward cone, for the hierarchy; ``global_fisher`` and ``quantum_fisher``
-pick their series from it.  GFI and QFI compute their per-site products on
-the light-cone window that ``propagate`` yields with each step's buffers,
-and scatter them into full-size rows that are
-zero elsewhere; each sum then runs over the whole row, so its pairwise
-partition, and with it every bit, does not depend on the window.  The
-buffers are real (``walk`` module docstring), so the products are built
-from them as real products, with the complex walk's real parts bit for
-bit: P from psi * psi (which is |psi|^2 on float64), one psi * dpsi for
-both dP and QFI's overlap <dpsi|psi>, and <dpsi|dpsi> from dpsi * dpsi.
-The overlap is still summed as a complex row, written into its real part,
-since a complex row's pairwise partition differs from a real row's.  A
-site's P and dP add its two coin terms with one addition
-(``walk.coin_total``), not a ``sum(axis=-1)`` over the length-2 coin axis:
-numpy reduces that axis with the same addition, so the bits are equal, but
-the reduction costs several times the addition on a 2003-site window.
+one function returning ``FisherSeries``, for one walk or for the B walks of
+B-walk coin fields, each with the values of its own serial pass.
+``fisher_at_defect`` gives the defect-site FI, the t^2 signal, from the
+defect rows of a defect-only walk, so it holds O(T) memory however wide
+the ring; it reduces all steps at once after the walk (elementwise, so with
+a per-step reduction's bits).  ``information_values`` gives all three
+measures from one pass over the forward cone, for the hierarchy.  GFI and
+QFI compute their per-site products on each step's light-cone window and
+scatter them into full-size rows that are zero elsewhere, so each sum's
+pairwise partition, and with it every bit, depends neither on the window
+nor on the batch's memory layout.  The products are real products of the
+float64 buffers: P from psi * psi, one psi * dpsi for both dP and QFI's
+overlap <dpsi|psi>, and <dpsi|dpsi> from dpsi * dpsi.  The overlap is still
+summed as a complex row, since a complex row's pairwise partition differs
+from a real row's.  A site's P and dP add its two coin terms with
+``walk.coin_total``, which has the bits of ``sum(axis=-1)`` at less cost.
 Power-law growth FI ~ t^b is extracted by least squares in log-log
 coordinates; b = 2 is the Heisenberg limit, b = 1 the shot-noise limit.
 """
@@ -95,11 +82,9 @@ def pair_trajectory(params: WalkParams, steps: int, coin_fields, observe,
                     defect_only: bool = False):
     """Stacked ``observe`` of every item of one streamed (psi_t, dpsi_t) walk, t = 0..steps.
 
-    ``observe`` gets the items of ``walk.propagate`` with the derivative:
-    the (N, 2) state and theta02-derivative buffers of each step and the
-    light-cone rows ``rows_t`` they are zero outside of, or with
-    ``defect_only`` the two defect rows alone.  The buffers are reused, so
-    it must return a reduction or copy what it keeps, not the buffers.
+    ``observe`` gets the items of ``walk.propagate`` with the derivative,
+    whose buffers are reused: it must return a reduction or copy what it
+    keeps, not the buffers.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -137,9 +122,8 @@ def _defect_site_fi(steps, defect_rows):
 def fisher_at_defect(params: WalkParams, steps: int, coin_fields=None) -> FisherSeries:
     """FI(t) of the defect-site measurement for t = 0..steps, on the causal diamond.
 
-    Values and flags are (steps + 1,), or (steps + 1, B) for B-walk coin
-    fields.  Where P0 is within P_FLOOR of 0 or 1 the quotient is singular
-    and the measurement uninformative: the value is 0 and flagged.
+    Values and flags (``binary_fisher``) are (steps + 1,), or (steps + 1, B)
+    for B-walk coin fields.
     """
     rows = pair_trajectory(params, steps, coin_fields, lambda psi, dpsi: np.array((psi, dpsi)),
                            defect_only=True)

@@ -190,12 +190,6 @@ class _Scale:
         y0, span, height = self.y0, self.y1 - self.y0, HEIGHT - MARGIN_T - MARGIN_B
         return [HEIGHT - MARGIN_B - (v - y0) / span * height for v in self._axis(values)]
 
-    def x(self, v):
-        return self.xs((v,))[0]
-
-    def y(self, v):
-        return self.ys((v,))[0]
-
 
 def _nice_ticks(lo, hi, target=5):
     raw = (hi - lo) / target
@@ -260,12 +254,10 @@ def _tick_label(value, extra=0):
 
 def _draw_ticks(parts, scale, x_ticks, y_ticks):
     y_base = HEIGHT - MARGIN_B
-    for tick, label in zip(x_ticks, _tick_labels(x_ticks)):
-        px = scale.x(tick)
+    for px, label in zip(scale.xs(x_ticks), _tick_labels(x_ticks)):
         parts.append(f'<line x1="{px:.2f}" y1="{y_base}" x2="{px:.2f}" y2="{y_base + 5}" stroke="black"/>')
         parts.append(f'<text x="{px:.2f}" y="{y_base + 20}" text-anchor="middle">{label}</text>')
-    for tick, label in zip(y_ticks, _tick_labels(y_ticks)):
-        py = scale.y(tick)
+    for py, label in zip(scale.ys(y_ticks), _tick_labels(y_ticks)):
         parts.append(f'<line x1="{MARGIN_L - 5}" y1="{py:.2f}" x2="{MARGIN_L}" y2="{py:.2f}" stroke="black"/>')
         parts.append(f'<text x="{MARGIN_L - 8}" y="{py + 4:.2f}" text-anchor="end">{label}</text>')
 
@@ -376,8 +368,7 @@ def _render_heatmap(table):
     x_cells, y_cells = sorted(set(xs)), sorted(set(ys))
     x_edges, y_edges = _cell_edges(x_cells), _cell_edges(y_cells)
     scale = _Scale((x_edges[0], x_edges[-1]), (y_edges[0], y_edges[-1]))
-    px = [scale.x(e) for e in x_edges]
-    py = [scale.y(e) for e in y_edges]
+    px, py = scale.xs(x_edges), scale.ys(y_edges)
     # each distinct coordinate's attributes are formatted once, not once per cell
     columns = {x: (f'x="{px[i]:.2f}"', f'width="{px[i + 1] - px[i]:.2f}"')
                for i, x in enumerate(x_cells)}
@@ -408,12 +399,10 @@ def _render_band(table):
     uppers = [min(m + s, 1e308) for _, m, s in pts]  # m + s may overflow
     lowers = [max(m - s, floor) for _, m, s in pts]
     scale = _Scale((pts[0][0], pts[-1][0]), (min(lowers), max(uppers)), log=True)
-    px = [scale.x(t) for t, _, _ in pts]
-    band = [(x, scale.y(u)) for x, u in zip(px, uppers)]
-    band += [(x, scale.y(low)) for x, low in reversed(list(zip(px, lowers)))]
+    px = scale.xs([t for t, _, _ in pts])
+    band = list(zip(px, scale.ys(uppers))) + list(zip(px, scale.ys(lowers)))[::-1]
     parts.append(f'<polygon points="{_coords(band)}" fill="#e8b4b8" stroke="none"/>')
-    means = [(x, scale.y(m)) for x, (_, m, _) in zip(px, pts)]
-    parts.append(_polyline(_coords(means), PALETTE[0]))
+    parts.append(_polyline(_coords(zip(px, scale.ys([m for _, m, _ in pts]))), PALETTE[0]))
     parts.append(_AXES_BOX)
     x_ticks, y_ticks = _log_ticks(pts[0][0], pts[-1][0]), _log_ticks(min(lowers), max(uppers))
     _draw_ticks(parts, scale, x_ticks, y_ticks)
@@ -433,7 +422,8 @@ def _render_posterior(table):
     scale = _Scale((min(xs), max(xs)), (0.0, max(max(ws), 1e-300)))
     parts.append(_AXES_BOX)
     _draw_ticks(parts, scale, _nice_ticks(min(xs), max(xs)), _nice_ticks(0.0, max(ws)))
-    px = {x: f"{scale.x(x):.2f}" for x in set(xs)}  # the curves share x: format each once
+    distinct = list(set(xs))  # the curves share x: format each once
+    px = {x: f"{v:.2f}" for x, v in zip(distinct, scale.xs(distinct))}
     for i, (label, rows) in enumerate(sorted(groups.items(), key=lambda kv: steps[kv[1][0]])):
         color = PALETTE[i % len(PALETTE)]
         rows.sort(key=lambda r: (xs[r], ws[r]))
@@ -457,9 +447,7 @@ def render_plot(data_path, out_path, written=None) -> Path:
 
     ``written`` is the ``(header, rows)`` that ``serialize.write_csv`` wrote
     to ``data_path``; given, the plot reads those rows instead of the file,
-    with the same bytes as a result.  Every cell the plot reads is checked
-    before ``out_path`` is touched; the document is then streamed to it in
-    chunks of at most BLOCK lines.  A header that selects no plot, or that
+    with the same bytes as a result.  A header that selects no plot, or that
     repeats a column, raises PlotSchemaError.
     """
     table = _Table.read(data_path) if written is None else _Table.from_rows(data_path, *written)

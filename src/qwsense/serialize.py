@@ -3,10 +3,8 @@
 Every data file is written to a temporary sibling and atomically renamed, so
 a partially written run never leaves a corrupt artifact.  Floats are encoded
 with Python's repr (shortest string that round-trips the binary value), which
-makes byte-identical reruns possible.  A file is streamed in bounded chunks,
-never built whole: a CSV ``CSV_BLOCK`` rows at a time, an SVG as the chunks
-``plotting`` generates, so emission holds one chunk of text, not the file's
-text and its copies.
+makes byte-identical reruns possible.  A CSV or an SVG is streamed in
+bounded chunks, never built whole.
 """
 
 import hashlib
@@ -86,9 +84,8 @@ def format_column(column) -> list[str]:
 
 def write_csv(path, header, rows) -> Path:
     """Write the sequence ``rows`` under ``header``, ``CSV_BLOCK`` rows at a
-    time, formatting one column of a block at a time (``format_column``): each
-    cell gets the bytes ``format_value`` gives it.  Rows of different widths
-    raise ValueError before anything is written."""
+    time, each cell with the bytes ``format_value`` gives it.  Rows of
+    different widths raise ValueError before anything is written."""
     width = len(rows[0]) if rows else 0
     ragged = next((i for i, row in enumerate(rows) if len(row) != width), None)
     if ragged is not None:

@@ -5,33 +5,18 @@ The one-step unitary is diagonalized via a complex Schur factorization
 orthonormal by construction), which sidesteps the non-orthogonality that a
 generic non-Hermitian eigensolver produces inside degenerate clusters.  The
 defect states of interest here sit at exactly degenerate quasi-energies in
-the domain-wall limit, so this matters.
-
-The factorization is LAPACK's ``zgees`` (complex Schur form, eigenvalues
-unsorted), called through scipy's own f2py wrapper
-``scipy.linalg._flapack.zgees`` with the arguments ``scipy.linalg.schur(a,
-output="complex")`` passes it, except that it works in place, so ``T``,
-``Q`` and every data bit are the ones ``schur`` gives.  On the first
-spectrum call the wrapper is loaded straight from its extension file in
-scipy's ``linalg`` directory (~3 ms), unless ``scipy.linalg`` is already
-imported, in which case its wrapper is used.  Importing the ``scipy.linalg`` package instead costs 0.23-0.27 s of
-a fresh interpreter on top of numpy (under ``-X importtime``), more than the
-rest of a spectrum run's start-up: scipy's array-API layer does
-``from numpy import *``, which imports ``numpy.f2py``, ``numpy.testing``,
-``numpy.ma`` and ``numpy.random``.
-The bits still depend on the BLAS thread count; pin it (say
-``OPENBLAS_NUM_THREADS=1``) to compare spectra across runs.
+the domain-wall limit, so this matters.  The factorization is LAPACK's
+``zgees`` (``_zgees``), with every bit ``scipy.linalg.schur(a,
+output="complex")`` gives; the bits depend on the BLAS thread count, so pin
+it (say ``OPENBLAS_NUM_THREADS=1``) to compare spectra across runs.
 
 ``build_step_matrix`` steps the basis ``BLOCK`` columns at a time, so no
 identity or full-size kernel temporary is held beside the matrix.
 ``decompose_step_operator`` lets ``zgees`` overwrite that matrix, keeps
 only T's diagonal, and takes each residual ||U v - lambda v|| by stepping
-Q's columns through the same blocked kernel step that built the matrix,
-instead of the dense ``mat @ Q - Q * lambda``.  Its tracemalloc peak is
-then what ``zgees`` itself needs, the matrix it overwrites plus Q plus its
-workspace: 2.06 times the (2N)^2 * 16-byte matrix at N = 301 (11.9 MB),
-2.03 at N = 511 and 2.18 at N = 101.  A Schur factorization that returns
-Q holds at least 2.
+Q's columns through the kernel the same way, instead of the dense
+``mat @ Q - Q * lambda``.  So its peak holds what ``zgees`` itself needs:
+the matrix it overwrites, Q and its workspace.
 """
 
 import os
@@ -88,9 +73,7 @@ class LocalizedState:
 def _step_columns(columns, tables, params: WalkParams, out: np.ndarray) -> np.ndarray:
     """``out`` = one step of each (N, 2) column of the (k, N, 2) stack ``columns``.
 
-    The columns step as one batch on the clean bulk coins, whose
-    ``half_angle_tables`` are ``tables``, and ``kernels.defect_coin``
-    applies theta02 at the defect.
+    ``tables`` are the clean bulk coins' ``half_angle_tables``.
     """
     cos1, sin1, cos2, sin2 = tables
     kernels.split_step(columns, cos1, sin1, cos2, sin2, out)
@@ -98,47 +81,33 @@ def _step_columns(columns, tables, params: WalkParams, out: np.ndarray) -> np.nd
     return out
 
 
-def _step_blocks(columns, tables, params: WalkParams, out=None):
-    """Yield (start, stop, block, stepped): one step of the 2N columns, ``BLOCK`` at a time.
-
-    ``columns(start, stop)`` is the (k, 2N) stack of columns start..stop - 1,
-    and ``stepped`` is its (k, 2N) step: rows start..stop - 1 of ``out``, a
-    (2N, N, 2) complex128 array, or without ``out`` one block's buffer that
-    the next block reuses.  So no 2N x 2N input or temporary is held.
-    """
-    n = params.lattice_size
-    buffer = np.empty((BLOCK, n, 2), dtype=np.complex128) if out is None else None
-    for start in range(0, 2 * n, BLOCK):
-        stop = min(start + BLOCK, 2 * n)
-        block = columns(start, stop)
-        target = buffer[:stop - start] if out is None else out[start:stop]
-        _step_columns(block.reshape(stop - start, n, 2), tables, params, target)
-        yield start, stop, block, target.reshape(stop - start, 2 * n)
-
-
 def build_step_matrix(params: WalkParams, tables) -> np.ndarray:
     """Dense 2N x 2N matrix of the step operator: one step of the basis, block by block.
 
-    ``tables`` are the clean bulk coins' ``half_angle_tables``, which
-    ``decompose_step_operator`` builds once for the matrix and the
-    residual.  Each block steps the float64 basis rows ``np.eye(k, 2N,
-    start)`` into its own rows of the (2N, 2N) stepped stack, so the whole
-    identity is never held.  The step is elementwise per column, so every
-    bit, signed zeros too, is that of one step of ``np.eye(2N)``.  The
-    matrix is the transpose of the stepped stack, so it is
-    Fortran-contiguous complex128, the layout ``zgees`` overwrites in place.
+    ``tables`` are the clean bulk coins' ``half_angle_tables``.  The step is
+    elementwise per column, so every bit, signed zeros too, is that of one
+    step of ``np.eye(2N)``.  The matrix is the transpose of the stepped
+    stack: Fortran-contiguous complex128, which ``zgees`` overwrites in place.
     """
     n = params.lattice_size
     out = np.empty((2 * n, n, 2), dtype=np.complex128)
-    for _ in _step_blocks(lambda start, stop: np.eye(stop - start, 2 * n, start), tables,
-                          params, out):
-        pass  # each block is stepped into its own rows of ``out``
+    for start in range(0, 2 * n, BLOCK):
+        block = out[start:start + BLOCK]
+        _step_columns(np.eye(len(block), 2 * n, start).reshape(block.shape), tables, params, block)
     return out.reshape(2 * n, 2 * n).T
 
 
 @cache
 def _zgees():
-    """scipy's f2py wrapper of LAPACK ``zgees``, without running ``scipy/linalg/__init__``."""
+    """scipy's f2py wrapper of LAPACK ``zgees``, without running ``scipy/linalg/__init__``.
+
+    The wrapper is loaded straight from its extension file in scipy's
+    ``linalg`` directory, unless ``scipy.linalg`` is already imported, in
+    which case its wrapper is used.  Importing the ``scipy.linalg`` package
+    would cost a fresh interpreter more than the rest of a spectrum run's
+    start-up: scipy's array-API layer imports ``numpy.f2py``,
+    ``numpy.testing``, ``numpy.ma`` and ``numpy.random``.
+    """
     if "scipy.linalg" in sys.modules:
         return sys.modules["scipy.linalg._flapack"].zgees
     import importlib.util
@@ -185,25 +154,21 @@ def complex_schur(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _residuals(q_mat: np.ndarray, eigenvalues: np.ndarray, params: WalkParams,
                tables) -> np.ndarray:
-    """||U v - lambda v|| of each column v of ``q_mat``, with U applied by the step kernel.
-
-    The columns step ``BLOCK`` at a time, as rows of ``q_mat.T``, so no
-    second 2N x 2N matrix is held.
-    """
+    """||U v - lambda v|| of each column v of ``q_mat``, stepped ``BLOCK`` at a time."""
+    n = params.lattice_size
     residuals = np.empty(len(eigenvalues))
-    for start, stop, block, stepped in _step_blocks(lambda start, stop: q_mat.T[start:stop],
-                                                    tables, params):
-        stepped -= block * eigenvalues[start:stop, None]
-        residuals[start:stop] = np.linalg.norm(stepped, axis=1)
+    stepped = np.empty((BLOCK, 2 * n), dtype=np.complex128)
+    for start in range(0, 2 * n, BLOCK):
+        columns = q_mat.T[start:start + BLOCK]
+        block = stepped[:len(columns)]
+        _step_columns(columns.reshape(-1, n, 2), tables, params, block.reshape(-1, n, 2))
+        block -= columns * eigenvalues[start:start + BLOCK, None]
+        residuals[start:start + BLOCK] = np.linalg.norm(block, axis=1)
     return residuals
 
 
 def decompose_step_operator(params: WalkParams) -> SpectralDecomposition:
-    """Full eigendecomposition of the step unitary with defect, N <= DENSE_SOLVER_CAP.
-
-    Holds about 2.06 step matrices at its peak, what ``zgees`` itself needs
-    (module docstring).
-    """
+    """Full eigendecomposition of the step unitary with defect, N <= DENSE_SOLVER_CAP."""
     n = params.lattice_size
     if n > DENSE_SOLVER_CAP:
         raise CapacityError(f"lattice size {n} exceeds dense solver cap {DENSE_SOLVER_CAP}")

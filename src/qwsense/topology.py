@@ -22,7 +22,6 @@ algorithm.  The tests hold it to a quadrature of n(k)'s winding and to the
 least gap on an even k grid, kept beside them as a reference.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,20 +39,6 @@ class PhasePoint:
     winding: int | None
     min_gap: float
     status: str
-
-
-def boundary_margin(theta1: float, theta2: float) -> float:
-    """||c2 s1| - |s2 c1||: 0 on the phase boundary, where the winding changes.
-
-    The ellipse of the module docstring winds about the axis while its
-    semi-axis |c2 s1| exceeds its offset |s2 c1|; the margin is how far the
-    two are apart.  In exact arithmetic it is ``phase_diagram``'s
-    ``min_gap``: ||a| - |b|| = min(|a - b|, |a + b|), and c2 s1 -+ s2 c1 =
-    sin((theta1 -+ theta2) / 2), whose magnitudes are sin E at the two band
-    edges.  So the two, found by different formulas, check each other.
-    """
-    return abs(abs(math.cos(theta2 / 2.0) * math.sin(theta1 / 2.0))
-               - abs(math.sin(theta2 / 2.0) * math.cos(theta1 / 2.0)))
 
 
 def winding_number(theta1: float, theta2: float) -> PhasePoint:

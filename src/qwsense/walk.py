@@ -1,76 +1,55 @@
 """Split-step quantum walk core: parameters, coin fields, the start, propagation.
 
 One step is U = T_down R2 T_up R1 on a periodic 1D lattice of N sites (N odd)
-with a two-level coin.  The second coin layer carries a defect angle theta02
-at physical position x = 0; everything downstream (Fisher information,
-spectra, Bayesian estimation) is a function of this walk and of the exact
-derivative of the evolved state with respect to theta02, which is propagated
-jointly with the state by the product rule (no finite differences on the
-production path).
-
-Every walk starts at |-1, down>, one site left of the defect with its coin
-down.
+with a two-level coin; site i is at physical position x = i - (N - 1) // 2.
+The second coin layer carries a defect angle theta02 at x = 0.  Everything
+downstream (Fisher information, spectra, Bayesian estimation) is a function
+of this walk and of the exact derivative of the evolved state with respect
+to theta02, propagated jointly with the state by the product rule.  Every
+walk starts at |-1, down>, one site left of the defect with its coin down.
 
 ``propagate`` is the one loop over time steps: it streams the state (and,
 on request, its derivative) through two reused buffers, so a run of any
 length holds O(N) memory.  With the derivative, each buffer stacks psi and
-dpsi as (2,) + batch + (N, 2), so one ``kernels.split_step_pair`` call
-steps both, and the yielded psi and dpsi are its two halves.  The
-probability and Fisher series and the Bayesian candidate table consume it.
+dpsi as (2,) + batch + (N, 2) for ``kernels.split_step_pair``.  The start
+and every coin and shift are real, so the buffers are float64, with the
+real parts of the complex walk's values.
 
-Light-cone window: one step moves amplitude by at most one site, so after t
-steps the walk is zero outside the start site widened by t sites per side.
-``light_cone`` gives, for each t, the start site and the defect widened by
-t sites plus one zero row per side, slice(d - 2 - t, d + 2 + t) around the
-defect d, until it no longer fits in the ring (then the whole ring).
-``propagate`` takes step t on window t (the kernel's periodic wrap then
-reads zeros, as the ring does), so rows outside the window are never
-written and stay exact zeros.  With the derivative it yields each window
-with its buffers, and the Fisher observers reduce on it.  The yielded
-buffers equal the full-ring walk's bit for bit (up to the sign of zero).
+Light cone: one step moves amplitude by at most one site, so after t steps
+the walk is zero outside the start site widened by t sites per side.
+``light_cone``'s window t is the start site and the defect widened by t
+sites plus one zero row per side, slice(d - 2 - t, d + 2 + t) around the
+defect d, or the whole ring once that does not fit.  ``propagate`` takes
+step t on window t (the kernels' wrap then reads zeros, as the ring does),
+so rows outside the window stay exact zeros, and the yielded buffers equal
+the full-ring walk's bit for bit (up to the sign of zero).
 
-Causal diamond: a series that reads only the defect row up to a horizon H
-needs, at step t, only the rows within H - t of the defect (row i of
-psi_{t+1} reads rows i - 1..i + 1 of psi_t).  With a horizon, ``light_cone``
-switches from the forward window to exactly those rows, the backward window
-slice(d - (H - t), d + (H - t) + 1), once the forward one no longer fits
-inside it.  A backward window's edge rows hold non-zero amplitudes, so the
-kernel's periodic wrap writes wrong values into two cells: the up component
-of its first row and the down component of its last row.  The next window
-is one row narrower per side and drops exactly those rows, and its rows
-read only rows of the window before, which were exact; so every row a later
-step reads is exact, and so is the defect row at every t <= H.  The step
-into psi_H runs on the three rows around the defect, and the window at
-t = H is the defect row alone.  ``propagate(..., defect_only=True)`` walks
-the diamond of horizon H = steps on the ring cut to the min(N, 2 H + 3)
-rows around the defect, which hold every window of the diamond (a per-site
-coin table is read at the cut's offset), and yields the defect row alone.
-So a defect-only walk holds O(H) memory however wide its ring.
+Causal diamond: the defect row at a horizon H reads, at step t, only the
+rows within H - t of the defect.  With a horizon, ``light_cone`` switches
+to that backward window, slice(d - (H - t), d + (H - t) + 1), once the
+forward one no longer fits inside it.  A backward window's edge rows hold
+amplitudes, so the kernels' wrap writes wrong values into its first row's
+up cell and its last row's down cell; the next window is one row narrower
+per side and drops exactly those rows, so every row a later step reads is
+exact, and so is the defect row at every t <= H.  ``propagate(...,
+defect_only=True)`` walks the diamond of horizon H = steps on the ring cut
+to the min(N, 2 H + 3) rows around the defect and yields the defect row
+alone, so it holds O(H) memory however wide the ring.
 
-Buffer dtype: the start and every coin and shift are real, so the walk
-stays real.  ``propagate`` steps float64 buffers, whose values are the real
-parts of the complex walk's, bit for bit (up to the sign of zero).
+Coin fields: a run takes None (the clean walk of its params), one
+``CoinField`` for every step, or per-step fields as a list or an iterator,
+read a step at a time.  The defect coin is params.theta02, in no field.
+``coin_tables`` turns each field into half-angle tables once, in the shape
+the angles vary (a uniform field costs 4 cos/sin per walk, not 4 N), and
+``propagate`` slices a per-site table to the step's window.
 
-Coin fields: a run takes None (the clean walk of its params), one CoinField
-for every step, or per-step fields as a list or an iterator, read a step at
-a time.  A field holds the bulk coins in the shape they vary (``CoinField``);
-the defect coin is params.theta02, in no field.  ``coin_tables`` turns each
-form into the steps' half-angle tables, once per field, and they broadcast
-against the site axis (``kernels`` layout contract), so a uniform field
-costs 4 cos/sin per walk, not 4 N.  ``propagate`` steps from it, slices a
-table to the step's window only when it has a site axis, and applies the
-defect coin with ``kernels.defect_coin``.
-
-Batch axis: a CoinField with (B, 1) or (B, N) angles describes B walks, one
-per row; per-walk defect angles on batch-() fields describe one walk per
-angle (the Bayesian candidates).  ``propagate`` walks all B from the start
-at once, each walk bit-identical to its own serial walk; disorder
-ensembles, parameter sweeps and the candidate table use this.  Every batch
-is allocated batch-innermost: a buffer is a (N, 2, B) array stepped through
-its (B, N, 2) view, so each elementwise pass of the kernels runs one
-contiguous loop over the B walks, with a coin shared by all of them as a
-scalar.  The arithmetic is the same in any memory order, so the bits are
-too.
+Batch axis: a CoinField with (B, 1) or (B, N) angles describes B walks, and
+per-walk defect angles on batch-() fields describe one walk per angle.
+``propagate`` walks all B at once, each bit-identical to its own serial
+walk.  Every batch is allocated batch-innermost: a buffer is a (N, 2, B)
+array stepped through its (B, N, 2) view, so each elementwise kernel pass
+runs one contiguous loop over the B walks, with a shared coin as a scalar.
+The arithmetic is the same in any memory order, so the bits are too.
 """
 
 import itertools
@@ -166,9 +145,7 @@ class CoinField:
 
     Angles of shape () give one walk the same coin at every site; (B, 1)
     give B walks one coin each; (N,) and (B, N) give one or B walks one coin
-    per site.  ``propagate`` steps the B walks of a batch as one.  The
-    defect's layer-2 coin is the walk's theta02 and is in no field: a
-    per-site field's layer-2 angle at the defect is never read.
+    per site.  A per-site field's layer-2 angle at the defect is never read.
     """
 
     angles1: np.ndarray
@@ -219,21 +196,16 @@ def propagate(params: WalkParams, steps: int, coin_fields=None, derivative: bool
 
     Yields views of two buffers that the next step overwrites: read them,
     copy what must outlive the iteration, never write to them.  psi_0 is
-    the start.  With ``derivative``, psi and dpsi are the halves [0] and [1]
-    of one stacked (2,) + batch + (N, 2) buffer, which
-    ``kernels.split_step_pair`` steps, and rows_t is ``light_cone``'s
-    window t, outside which both are zero.  The buffers are float64
-    (module docstring).  ``coin_fields`` takes any form
-    ``coin_tables`` accepts; fields with (B, 1) or (B, N) angles walk B
-    walks from the start at once and the buffers are (B, N, 2).
+    the start.  With ``derivative``, psi and dpsi are the halves of the
+    stacked buffer, dpsi starts from zero, and rows_t is ``light_cone``'s
+    window t, outside which both are zero.  ``coin_fields`` takes any form
+    ``coin_tables`` accepts; B-walk fields make the buffers (B, N, 2).
     ``defect_angles``, a (C,) array, gives C walks one defect coin each on
     batch-() fields, as a batch of C; otherwise every walk's defect coin is
-    ``params.theta02``.  dpsi is the exact derivative with respect to each
-    walk's defect angle, starting from zero.  With ``defect_only`` the walk
-    runs on the causal diamond of the ring cut around the defect, and the
-    items are the defect rows alone: batch + (2,) for psi_t, (psi_t, dpsi_t)
-    with ``derivative``.  The step count is checked when iteration starts,
-    each field before its first step.
+    ``params.theta02``.  With ``defect_only`` the walk runs on the causal
+    diamond and the items are the defect rows alone: batch + (2,) for
+    psi_t, (psi_t, dpsi_t) with ``derivative``.  The step count is checked
+    when iteration starts, each field before its first step.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -329,16 +301,11 @@ def _step_tables(fields, n, batch, steps):
 def light_cone(params: WalkParams, horizon: int | None = None):
     """Rows of window t: one slice each, for t = 0, 1, ... endlessly, or t = 0..horizon.
 
-    Window t holds the support of psi_t and dpsi_t: the start row and the
-    defect, widened by t sites plus one zero row per side, which is
-    slice(d - 2 - t, d + 2 + t) around the defect d.  It also holds
-    psi_{t+1}, so ``propagate`` takes step t on it.
-    With a ``horizon`` H, window t is that forward window while it fits
-    inside the backward window slice(d - (H - t), d + (H - t) + 1) around
-    the defect d, and the backward window after that (the causal diamond of
-    the module docstring); the last one, at t = H, is the defect row alone.
-    A window of either kind that does not fit in the ring is the whole ring,
-    slice(0, N).
+    Window t holds psi_t's and psi_{t+1}'s support, so ``propagate`` takes
+    step t on it.  With a ``horizon`` H, window t switches to the backward
+    window of the causal diamond (module docstring) once the forward one no
+    longer fits inside it; the last one, at t = H, is the defect row alone.
+    A window of either kind that does not fit in the ring is slice(0, N).
     """
     n = params.lattice_size
     defect = params.defect_index

@@ -364,7 +364,9 @@ FOLD = np.concatenate([np.linspace(0.0, 1.0, 6), np.linspace(1.0, 0.3, 6)[1:]])
     (np.insert(FOLD, 5, 1.0), 0.7),  # the same fold with a flat step at its tip
     (FOLD, 0.7),
     (np.linspace(0.0, 1.0, 11), 0.0),
-], ids=["flat", "plateau-fold", "strict-fold", "monotone"])
+    # flanks [1, 3] and [0.5, 3] share 2 of the range 2.5
+    (np.array([1.0, 2.0, 3.0, 0.5]), 0.8),
+], ids=["flat", "plateau-fold", "strict-fold", "monotone", "fold-above-zero"])
 def test_fold_ambiguity_scores_flat_steps_as_no_information(col, ambiguity):
     # turns were sign changes of consecutive differences, so a zero difference
     # hid them: flat and plateau-fold columns both scored 0.0, "monotone"

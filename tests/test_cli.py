@@ -21,7 +21,7 @@ from qwsense.bayes import (
 )
 from qwsense.config import validate_config
 from qwsense.spectral import RESIDUAL_TOL, conjugate_pairing_max, decompose_step_operator
-from qwsense.topology import boundary_margin, phase_diagram
+from qwsense.topology import phase_diagram
 from qwsense.walk import WalkParams
 
 PI = math.pi
@@ -482,11 +482,21 @@ def test_manifest_reports_the_schur_residual(tmp_path):
     bulk = phase_diagram(0.9 * PI, 0.75 * PI)[0][0]
     assert health == {"schur_residual_max": float(decomp.residuals.max()),
                       "conjugate_pairing_max": conjugate_pairing_max(decomp.eigenvalues),
-                      "bulk_min_gap": bulk.min_gap,
-                      "phase_boundary_margin": boundary_margin(0.9 * PI, 0.75 * PI)}
+                      "bulk_min_gap": bulk.min_gap}
     assert 0.0 < health["schur_residual_max"] < RESIDUAL_TOL
     # the step matrix is real: each eigenvalue's conjugate is an eigenvalue too
     assert 0.0 <= health["conjugate_pairing_max"] < 1e-12
+
+
+def boundary_margin(walk):
+    """||c2 s1| - |s2 c1|| with c_i, s_i = cos, sin(theta_i / 2): 0 on the phase boundary.
+
+    It is the band-edge gap in exact arithmetic: ||a| - |b|| = min(|a - b|,
+    |a + b|), and c2 s1 -+ s2 c1 = sin((theta1 -+ theta2) / 2), whose
+    magnitudes are sin E at the band edges k = 0 and k = -pi.
+    """
+    half1, half2 = walk["theta1_over_pi"] * PI / 2.0, walk["theta2_over_pi"] * PI / 2.0
+    return abs(abs(math.cos(half2) * math.sin(half1)) - abs(math.sin(half2) * math.cos(half1)))
 
 
 def test_spectrum_health_reads_the_phase_boundary(tmp_path):
@@ -497,7 +507,7 @@ def test_spectrum_health_reads_the_phase_boundary(tmp_path):
         cfg = write_config(tmp_path, doc, f"{name}.json")
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         health = json.loads((out / "manifest.json").read_text())["health"]
-        return health["bulk_min_gap"], health["phase_boundary_margin"]
+        return health["bulk_min_gap"], boundary_margin(doc["walk"])
 
     preset = json.loads((REPO / "configs" / "spectrum_defect.json").read_text())
     far_gap, far_margin = bulk_health(preset, "preset")
@@ -505,7 +515,7 @@ def test_spectrum_health_reads_the_phase_boundary(tmp_path):
     near_gap, near_margin = bulk_health({**preset, "walk": walk}, "near")
     assert 0.0 < near_margin < far_margin
     assert 0.0 < near_gap < far_gap
-    # two formulas for one number: the closed-form margin is the band-edge gap
+    # two formulas for one number: the closed-form margin is the recorded gap
     assert near_gap == pytest.approx(near_margin, rel=0, abs=1e-12)
     assert far_gap == pytest.approx(far_margin, rel=0, abs=1e-12)
 
@@ -612,12 +622,16 @@ def test_posterior_schema_and_weights(tmp_path):
     header, rows = read_csv(out / "posterior.csv")
     assert header == ["t", "theta02_over_pi", "weight"]
     assert len(rows) == len(scheduled) * 21
-    by_t = {}
+    by_t, grids = {}, {}
     for row in rows:
         by_t.setdefault(row[0], []).append(float(row[2]))
+        grids.setdefault(row[0], []).append(float(row[1]))
     assert list(by_t) == scheduled
     for weights in by_t.values():
         assert abs(sum(weights) - 1.0) < 1e-12
+    # every step's candidates are the config's prior grid, in units of pi
+    for grid in grids.values():
+        np.testing.assert_allclose(grid, np.linspace(-0.556, -0.544, 21), rtol=1e-15)
 
 
 def test_manifest_reports_posterior_mass_at_the_prior_edge(tmp_path):

@@ -151,6 +151,10 @@ RULES = [
                                     walk={**WALK, "theta02_over_pi": 1e-110},
                                     estimation={**ESTIMATION, "prior_over_pi": [-1.9, 1e-110]}),
      "walk.theta02_over_pi: 1e-110 is too small for the prior window"),
+    # the cap reads the window's width, not hi + lo: 1.25 * 2.4**2 > 4 > 1.25 * 1.4**2
+    ("theta02-msre-cap-width", with_(BAYES, walk__theta02_over_pi=2e-75,
+                                     estimation__prior_over_pi=[-0.5, 1.9]),
+     "walk.theta02_over_pi: 2e-75 is too small for the prior window"),
     ("disorder-missing", without(DISORDER, "disorder"), "disorder:"),
     ("disorder.kind", with_(DISORDER, disorder__kind="frozen"), "disorder.kind:"),
     ("disorder.observable", with_(DISORDER, disorder__observable="qfi"),

@@ -49,11 +49,11 @@ def relative_std(result, t_min, t_max):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        DisorderSpec(kind="fancy")
+        DisorderSpec(kind="fancy", half_width=W)
     with pytest.raises(ValueError):
         DisorderSpec(kind="static", half_width=-0.1)
     with pytest.raises(ValueError):
-        DisorderSpec(kind="static", n_realizations=0)
+        DisorderSpec(kind="static", half_width=W, n_realizations=0)
 
 
 def test_static_sampling_contracts():
@@ -126,6 +126,20 @@ def test_static_angles_are_uniform_on_the_interval():
     ks = max(np.abs(grid - sorted_sample).max(),
              np.abs(sorted_sample - (grid - 1.0 / n)).max())
     assert ks < 1.63 / math.sqrt(n)  # 1% critical value of the KS statistic
+
+
+@pytest.mark.parametrize("kind", [STATIC, DYNAMIC])
+def test_drawn_angles_fill_their_interval(kind):
+    # 401 uniform draws all miss an end's outer tenth with probability
+    # 0.95**401 < 2e-9, so a constant draw (a shift, no disorder) fails here
+    base = nontrivial(401)
+    drawn = sample_disorder(DisorderSpec(kind, W, 1, 23), base, 0, steps=401)
+    fields = [drawn] if kind == STATIC else drawn
+    for layer, theta in (("angles1", base.theta1), ("angles2", base.theta2)):
+        angles = np.concatenate([np.atleast_1d(getattr(f, layer)) for f in fields])
+        assert angles.shape == (401,)
+        assert theta - W <= angles.min() < theta - 0.9 * W
+        assert theta + 0.9 * W < angles.max() <= theta + W
 
 
 def test_zero_width_ensemble_collapses_to_clean_run():

@@ -668,6 +668,17 @@ def test_peaks_only_fit_window_ends_at_the_last_step():
     assert fit.n_points == 10  # the peaks in the window are the even steps 10..28
 
 
+def test_peaks_only_counts_no_point_of_a_plateau():
+    # t = 20 and 21 make a two-point plateau above both neighbours: neither is
+    # a strict interior maximum, and t = 22 is no longer one, so the fit keeps
+    # the even steps 10..28 but 20 and 22
+    steps = np.arange(0, 31)
+    values = steps**2 * (1.0 + 0.5 * (-1.0) ** steps)
+    values[20:22] = 1000.0
+    fit = fit_scaling(FisherSeries(steps, values, None), mode="peaks_only")
+    assert fit.n_points == 8
+
+
 def test_fit_unknown_mode_rejected():
     # a ValueError, but not the short fit that a run catches
     with pytest.raises(ValueError) as caught:
