@@ -13,7 +13,6 @@ from .bayes import (
     EstimationConfig,
     EstimationCurve,
     EstimationRecord,
-    PosteriorGrid,
     estimation_curve,
     informative_schedule,
     posterior,
@@ -49,7 +48,6 @@ __all__ = [
     "FisherSeries",
     "LocalizedState",
     "PhasePoint",
-    "PosteriorGrid",
     "ScalingFit",
     "SpectralDecomposition",
     "WalkParams",

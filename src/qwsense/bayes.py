@@ -40,24 +40,6 @@ SCHEDULE_POINTS = 8  # blocks informative_schedule splits its step range into
 
 
 @dataclass
-class PosteriorGrid:
-    candidates: np.ndarray
-    log_weights: np.ndarray  # normalized: the weights sum to 1
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
-
-    @property
-    def mean(self) -> float:
-        return float((self.weights * self.candidates).sum())
-
-    @property
-    def variance(self) -> float:
-        return float((self.weights * (self.candidates - self.mean) ** 2).sum())
-
-
-@dataclass
 class EstimationRecord:
     step: int
     trials: int
@@ -223,8 +205,8 @@ def _log_posteriors(probabilities: np.ndarray, trials: int, successes: np.ndarra
 
 def posterior(
     candidates: np.ndarray, probabilities: np.ndarray, trials: int, successes: int
-) -> PosteriorGrid:
-    """Grid posterior over candidate theta02 values after one experiment.
+) -> np.ndarray:
+    """The normalized (C,) log posterior weights of the C candidates after one experiment.
 
     ``probabilities`` holds P0(t; candidate) for each candidate, one row of
     candidate_probability_table.  ``trials`` = 0 is allowed and returns the
@@ -238,8 +220,7 @@ def posterior(
     probabilities = np.asarray(probabilities, dtype=np.float64)
     if probabilities.shape != np.shape(candidates):
         raise ValueError("probabilities must hold one value per candidate")
-    log_w = _log_posteriors(probabilities, trials, np.array([successes]))
-    return PosteriorGrid(candidates, log_w[0])
+    return _log_posteriors(probabilities, trials, np.array([successes]))[0]
 
 
 def _relative_error(variance: float, mean: float, true_theta02: float) -> float:
@@ -273,7 +254,7 @@ def estimation_curve(
     and schedule (one row per scheduled step, one column per grid point),
     built on whatever model the caller estimates with.  The curve's
     ``weights`` row i holds step i's first-repetition posterior weights,
-    those of ``posterior`` on that repetition's click count.
+    the exp of ``posterior`` on that repetition's click count.
     """
     t_max = max(config.schedule)
     p_true = defect_probability_series(config.params, t_max, data_coin_fields)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bayes, metrology
-from .disorder import DEFAULT_REALIZATIONS, DisorderSpec
+from .disorder import DEFAULT_REALIZATIONS, DYNAMIC, STATIC, DisorderSpec
 from .errors import ConfigError
 from .spectral import DENSE_SOLVER_CAP
 from .walk import WalkParams, dynamics_lattice_size
@@ -69,7 +69,7 @@ class ExperimentConfig:
     estimation: bayes.EstimationConfig | None = None
     disorder_spec: DisorderSpec | None = None
     disorder_observable: str = "fi"
-    averaging: tuple[int, int] = (5, 5)
+    averaging: tuple[int, int] | None = None  # window, spacing
 
 
 class _Check:
@@ -121,6 +121,14 @@ class _Check:
             self.fail(field_name, f"must be >= {minimum}, got {value!r}")
             return default
         return int(value) if integer else float(value)
+
+    def choice(self, doc, field_name, options, default=None):
+        """The value of ``field_name`` (``default`` when absent), which must be
+        one of ``options``; returned as read, so a message can quote it."""
+        value = doc.get(field_name.split(".")[-1], default)
+        if value not in options:
+            self.fail(field_name, f"must be {' or '.join(options)}, got {value!r}")
+        return value
 
     def numbers(self, doc, field_name, shape, length):
         """A tuple of ``length`` finite numbers, None after a violation.
@@ -185,9 +193,8 @@ def _read_fit(check, doc, cfg):
     section = check.section(doc, "fit")
     if section is None:
         return
-    cfg.fit_mode = section.get("mode", metrology.ALL_POINTS)
-    if cfg.fit_mode not in (metrology.ALL_POINTS, metrology.PEAKS_ONLY):
-        check.fail("fit.mode", f"must be all_points or peaks_only, got {cfg.fit_mode!r}")
+    cfg.fit_mode = check.choice(section, "fit.mode", (metrology.ALL_POINTS, metrology.PEAKS_ONLY),
+                                metrology.ALL_POINTS)
 
 
 def _read_walk(check, doc, default_lattice):
@@ -255,16 +262,12 @@ def _read_disorder(check, doc, cfg):
     section = check.section(doc, "disorder", required=True)
     if section is None:
         return
-    kind = section.get("kind")
-    cfg.disorder_observable = observable = section.get("observable", "fi")
     half_width = check.number(section, "disorder.half_width_over_pi", default=0.05, minimum=0.0)
     n_real = check.number(section, "disorder.n_realizations", default=DEFAULT_REALIZATIONS,
                           minimum=1, integer=True)
-    if observable not in ("fi", "msre"):
-        check.fail("disorder.observable", f"must be fi or msre, got {observable!r}")
-    if kind not in ("static", "dynamic"):
-        check.fail("disorder.kind", f"must be static or dynamic, got {kind!r}")
-    else:
+    cfg.disorder_observable = check.choice(section, "disorder.observable", ("fi", "msre"), "fi")
+    kind = check.choice(section, "disorder.kind", (STATIC, DYNAMIC))
+    if not check.violations:
         cfg.disorder_spec = DisorderSpec(kind, half_width * math.pi, n_real, master_seed=cfg.seed)
 
 
@@ -371,7 +374,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
     if experiment == "bayes" or cfg.disorder_observable == "msre":
         cfg.estimation = _read_estimation(check, doc, cfg)
     if experiment == "avg-fi":
-        cfg.averaging = _read_averaging(check, doc, cfg.steps) or cfg.averaging
+        cfg.averaging = _read_averaging(check, doc, cfg.steps)
     observable = f" with observable {cfg.disorder_observable}" if experiment == "disorder" else ""
     for name in doc:
         if name in _TOP_LEVEL and name not in check.read:  # the run would ignore it

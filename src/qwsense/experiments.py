@@ -8,7 +8,7 @@ last) so that identical configs reproduce byte-identical data files.
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -46,18 +46,6 @@ def _fi_series_rows(series):
     ]
 
 
-def _fit_payload(fit):
-    return {
-        "exponent": fit.exponent,
-        "prefactor": fit.prefactor,
-        "r_squared": fit.r_squared,
-        "t_min": fit.fit_window[0],
-        "t_max": fit.fit_window[1],
-        "mode": fit.mode,
-        "n_points": fit.n_points,
-    }
-
-
 FI_HEADER = ("t", "value", "flagged")
 
 
@@ -70,7 +58,7 @@ def _fit_series(art: Artifacts, series, mode: str) -> None:
         art.health["fit_points"] = short.points
         return
     art.health["fit_points"] = fit.n_points
-    art.json["fit.json"] = _fit_payload(fit)
+    art.json["fit.json"] = asdict(fit)
 
 
 def _run_fi_scaling(cfg: ExperimentConfig) -> Artifacts:
@@ -203,7 +191,7 @@ def _run_bayes(cfg: ExperimentConfig) -> Artifacts:
     art.csv["estimation.csv"] = (("t", "M", "m", "msre"), est_rows)
     art.csv["posterior.csv"] = (("t", "theta02_over_pi", "weight"), post_rows)
     if curve.fit is not None:
-        art.json["fit.json"] = _fit_payload(curve.fit)
+        art.json["fit.json"] = asdict(curve.fit)
     art.plots += ["posterior.csv", "estimation.csv"]
     art.health["posterior_edge_mass"] = curve.edge_mass
     lo, hi = est.prior_interval

@@ -73,7 +73,8 @@ class ScalingFit:
     exponent: float
     prefactor: float
     r_squared: float
-    fit_window: tuple[float, float]
+    t_min: float  # the window the fit read, whatever points it kept
+    t_max: float
     mode: str
     n_points: int
 
@@ -186,7 +187,7 @@ def quantum_fisher(params: WalkParams, steps: int, coin_fields=None) -> FisherSe
     return information_values(params, steps, coin_fields)[QUANTUM_FI]
 
 
-def averaged_fisher(series: FisherSeries, window: int = 5, spacing: int = 5) -> FisherSeries:
+def averaged_fisher(series: FisherSeries, window: int, spacing: int) -> FisherSeries:
     """Multi-time average: mean of FI at `window` times spaced by `spacing`.
 
     Each output point sits at the mean of its constituent times; every start
@@ -238,7 +239,7 @@ def power_law_fit(steps, values, window, mode: str = ALL_POINTS) -> ScalingFit:
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return ScalingFit(
         float(slope), float(np.exp(intercept)), r_squared,
-        (float(window[0]), float(window[1])), mode, int(steps.size),
+        float(window[0]), float(window[1]), mode, int(steps.size),
     )
 
 

@@ -56,28 +56,23 @@ _NO_DATA = (f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT / 2:.1f}" text-anchor="middle
             'fill="#777777">no data</text>')
 
 
-def _text_number(cell):
-    return float(cell) if cell else math.nan
-
-
 def _value_number(value):
-    """The float that ``value``'s CSV cell parses back to."""
+    """The float that ``value``'s CSV cell parses back to; a str is the cell's own text."""
     if value is None or isinstance(value, str):
-        return _text_number(value)
+        return float(value) if value else math.nan
     return float(value) + 0.0  # the CSV writes -0.0 as "0"
 
 
 class _Table:
     """A CSV's columns, from its file or from the rows written to it, with each row's line."""
 
-    def __init__(self, path, header, rows, lines, number, column_text=None):
+    def __init__(self, path, header, rows, lines):
         repeated = next((column for i, column in enumerate(header) if column in header[:i]), None)
         if repeated is not None:
             raise PlotSchemaError(f"{path}: the header repeats column '{repeated}'")
         self.path, self.name = path, Path(path).name
         self.columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
         self.lines = lines
-        self._number, self._column_text = number, column_text
 
     @classmethod
     def read(cls, path):
@@ -91,12 +86,12 @@ class _Table:
                 if row:  # a blank line holds no row; a short row reads blank cells
                     rows.append(row + [""] * (len(header) - len(row)))
                     lines.append(reader.line_num)
-        return cls(path, header, rows, lines, _text_number)
+        return cls(path, header, rows, lines)
 
     @classmethod
     def from_rows(cls, path, header, rows):
         """The table ``serialize.write_csv(path, header, rows)`` writes, without reading it."""
-        return cls(path, header, rows, range(2, len(rows) + 2), _value_number, format_column)
+        return cls(path, header, rows, range(2, len(rows) + 2))
 
     def _column(self, column):
         if column not in self.columns:
@@ -105,8 +100,7 @@ class _Table:
 
     def text(self, column):
         """The column's cells as the CSV's text."""
-        cells = self._column(column)
-        return cells if self._column_text is None else self._column_text(cells)
+        return format_column(self._column(column))
 
     def numbers(self, column, finite=False):
         """The column as floats, a blank cell read as nan; with ``finite``, every cell finite."""
@@ -117,7 +111,7 @@ class _Table:
             values = []
             for i, cell in enumerate(cells):
                 try:
-                    values.append(self._number(cell))
+                    values.append(_value_number(cell))
                 except (TypeError, ValueError):
                     raise self.error(column, i, "a number") from None
         if finite:
@@ -191,8 +185,8 @@ class _Scale:
         return [HEIGHT - MARGIN_B - (v - y0) / span * height for v in self._axis(values)]
 
 
-def _nice_ticks(lo, hi, target=5):
-    raw = (hi - lo) / target
+def _nice_ticks(lo, hi):
+    raw = (hi - lo) / 5
     if not 1e-300 <= raw < math.inf:  # an empty or non-finite range, or a subnormal step
         return [lo]
     exp = math.floor(math.log10(raw))

@@ -34,8 +34,6 @@ GAPLESS = "gapless"
 
 @dataclass
 class PhasePoint:
-    theta1: float
-    theta2: float
     winding: int | None
     min_gap: float
     status: str
@@ -69,9 +67,9 @@ def phase_diagram(theta1_grid, theta2_grid) -> list[list[PhasePoint]]:
         gaps = np.sin(np.arccos(np.clip(d0, -1.0, 1.0))).min(axis=1)
         windings = np.where(np.abs(c2 * s1) > np.abs(s2 * c1), np.sign(s1), 0.0)
         grid.append([
-            PhasePoint(float(t1), float(t2), None, float(gap), GAPLESS)
+            PhasePoint(None, float(gap), GAPLESS)
             if gap < GAP_TOLERANCE
-            else PhasePoint(float(t1), float(t2), int(winding), float(gap), GAPPED)
-            for t2, gap, winding in zip(t2s, gaps, windings)
+            else PhasePoint(int(winding), float(gap), GAPPED)
+            for gap, winding in zip(gaps, windings)
         ])
     return grid

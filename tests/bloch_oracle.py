@@ -90,11 +90,11 @@ def quadrature_winding(theta1: float, theta2: float, n_k: int = DEFAULT_NK) -> Q
     bloch = bloch_components(theta1, theta2, momentum_grid(n_k))
     min_gap = float(np.sin(bloch.quasi_energy).min())
     if min_gap < GAP_TOLERANCE:
-        return QuadraturePoint(theta1, theta2, None, min_gap, GAPLESS)
+        return QuadraturePoint(None, min_gap, GAPLESS)
     n_vec = bloch.unit_vector
     dk = 2.0 * np.pi / n_k
     dn = _periodic_derivative(n_vec, dk)
     integrand = np.cross(n_vec, dn) @ bloch.axis
     raw = float(-integrand.sum() * dk / (2.0 * np.pi))
     winding = int(round(raw))
-    return QuadraturePoint(theta1, theta2, winding, min_gap, GAPPED, abs(raw - winding))
+    return QuadraturePoint(winding, min_gap, GAPPED, abs(raw - winding))

@@ -140,6 +140,9 @@ def test_posterior_validates_arguments():
     EstimationConfig(p, (-4.4 * np.pi, -0.5 * np.pi), (10,))
     with pytest.raises(ValueError):
         posterior(candidates[:5], table[:5], 10, 5)  # grid too coarse
+    assert posterior(candidates[:11], table[:11], 10, 5).shape == (11,)  # the coarsest grid
+    with pytest.raises(ValueError, match="at least 11 candidates, got 10"):
+        posterior(candidates[:10], table[:10], 10, 5)
     with pytest.raises(ValueError):
         posterior(candidates, table, 10, 50)  # successes > trials
     with pytest.raises(ValueError):
@@ -151,9 +154,7 @@ def test_posterior_is_the_log_posteriors_row_of_its_click_count():
     table = candidate_probability_table(nontrivial(43), candidates, [10])[0]
     batch = _log_posteriors(table, 100, np.array([0, 37, 100]))
     for successes, row in zip((0, 37, 100), batch):
-        grid = posterior(candidates, table, 100, successes)
-        assert np.array_equal(grid.log_weights, row)
-        assert (grid.mean, grid.variance) == moments(candidates, row)
+        assert np.array_equal(posterior(candidates, table, 100, successes), row)
 
 
 # --- batched candidate table ----------------------------------------------------

@@ -280,8 +280,16 @@ def test_omitted_names_read_the_defaults_they_always_read():
     assert fi.fit_mode == "all_points"
     disorder = validate_config({**DISORDER, "disorder": {"kind": "static"}})
     assert repr(disorder.disorder_spec.n_realizations) == "10"
+    assert repr(disorder.disorder_spec.half_width) == "0.15707963267948966"  # 0.05 pi
+    assert repr(validate_config(without(AVERAGING, "averaging")).averaging) == "(5, 5)"
     bayes = validate_config({**BAYES, "estimation": {"prior_over_pi": [-0.556, -0.544]}})
     assert repr((bayes.estimation.grid_points, bayes.estimation.trials)) == "(201, 1000)"
+
+
+def test_a_zero_disorder_half_width_is_accepted():
+    # the clean walk as a disorder run: the half-width's minimum, 0, is allowed
+    cfg = validate_config(with_(DISORDER, disorder__half_width_over_pi=0.0))
+    assert repr(cfg.disorder_spec.half_width) == "0.0"
 
 
 def test_phase_grid_n_k_is_checked_and_read_by_nothing():

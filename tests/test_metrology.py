@@ -514,6 +514,19 @@ def test_qfi_obeys_the_heisenberg_bound(theta1, others, steps):
         np.testing.assert_allclose(ratio, 1.0, rtol=1e-9)
 
 
+@pytest.mark.parametrize("theta", [(PI, 0.75 * PI, -0.55 * PI), (-PI, 0.75 * PI, -0.55 * PI),
+                                   (3 * PI, 0.2 * PI, 0.3 * PI), (-PI, -0.3 * PI, 1.7 * PI)])
+def test_flat_band_defect_site_fi_is_t_squared(theta):
+    # at theta1 = +-pi the bulk band is flat and FI(t) = t^2 at every step, the
+    # paper's t^2 law with no fit.  Fixed points: drawn angles lose digits to
+    # the 1 - P0 subtraction where P0 is near 1, and those steps are not flagged
+    series = fisher_at_defect(WalkParams(*theta, dynamics_lattice_size(80)), 80)
+    usable = ~series.flagged[1:]
+    t, values = series.steps[1:][usable], series.values[1:][usable]
+    assert usable.sum() >= 70
+    assert (np.abs(values / t**2 - 1.0) <= 1e-11).all()
+
+
 def test_trivial_case_peaks_sit_above_the_bulk_fit():
     p = series_params(*TRIVIAL, steps=100)
     series = fisher_at_defect(p, 100)
@@ -642,6 +655,8 @@ def test_fit_requires_five_points():
     with pytest.raises(ShortFitError, match="got 4") as short:
         power_law_fit(t, t.astype(float), window=(1, 4))
     assert short.value.points == 4
+    t = np.arange(1, 6)
+    assert power_law_fit(t, t.astype(float), window=(1, 5)).n_points == 5  # five suffice
 
 
 def test_fit_excludes_flagged_and_zero_values():
@@ -654,7 +669,7 @@ def test_fit_excludes_flagged_and_zero_values():
     fit = fit_scaling(series)
     assert fit.exponent == pytest.approx(2.0, abs=1e-10)
     # the window is always the steps 10..last (fit.json writes t_min as 10.0)
-    assert repr(fit.fit_window) == "(10.0, 30.0)"
+    assert repr((fit.t_min, fit.t_max)) == "(10.0, 30.0)"
     assert fit.n_points == 17  # 21 in the window minus three flagged and one zero-valued
 
 
@@ -664,7 +679,7 @@ def test_peaks_only_fit_window_ends_at_the_last_step():
     steps = np.arange(0, 31)
     values = steps**2 * (1.0 + 0.5 * (-1.0) ** steps)
     fit = fit_scaling(FisherSeries(steps, values, None), mode="peaks_only")
-    assert repr(fit.fit_window) == "(10.0, 30.0)"
+    assert repr((fit.t_min, fit.t_max)) == "(10.0, 30.0)"
     assert fit.n_points == 10  # the peaks in the window are the even steps 10..28
 
 

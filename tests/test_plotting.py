@@ -60,6 +60,10 @@ PINNED = {
                   "5172fa95672a8bc47040abe81083bcaa50ebf86c170b2fefb06da48e4104bf85"),
     "posterior-respelled-step": (POSTERIOR_RESPELLED_STEP,
                                  "d41d61e08120ad9af08d0fa7bb4d3d8ef0a88342ec0cc94284914a03ababa0ff"),
+    # one constant value: its y range is one decade wide, so the t^2 guide
+    # falls below the points by the box height per decade
+    "scaling-constant": ("t,value,flagged\n1,1000.0,0\n2,1000.0,0\n4,1000.0,0\n",
+                         "0b4ca24661d5e396de9e2b25297f109cc40cb0c25ec7857cf013bed6d175eeb4"),
     "empty-scaling": ("t,value,flagged\n",
                       "6b631b9a86da68d980bb993a95644d6c76a1cc9fa1b9967dce3a8b038f23d039"),
     "empty-heatmap": ("theta1_over_pi,t,value,flagged\n",

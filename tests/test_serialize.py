@@ -68,6 +68,14 @@ def test_numpy_scalars_format_like_their_python_values(tmp_path_factory, data, w
     assert as_numpy.read_bytes() == as_python.read_bytes()
 
 
+def test_integral_floats_below_1e16_are_written_as_integers(tmp_path):
+    # 9999999999999998.0 is the largest float below 1e16
+    assert format_value(1e16) == "1e+16"
+    assert format_value(9999999999999998.0) == "9999999999999998"
+    path = write_csv(tmp_path / "out.csv", ["x"], [(1e16,), (9999999999999998.0,)])
+    assert path.read_text() == "x\n1e+16\n9999999999999998\n"
+
+
 def test_rows_of_different_lengths_are_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "out.csv", ("a", "b"), [(1, 2.5), (3,)])

@@ -152,7 +152,7 @@ def test_phase_diagram_sweep_crosses_boundary_once():
     changes = [i for i in range(1, len(windings)) if windings[i] != windings[i - 1]]
     assert len(changes) == 1
     # the boundary sits at theta1 = theta2 = 0.75 pi
-    gapped_t1 = [row[0].theta1 for row in grid if row[0].status == "gapped"]
+    gapped_t1 = [t1 for t1, row in zip(t1s, grid) if row[0].status == "gapped"]
     boundary = (gapped_t1[changes[0] - 1] + gapped_t1[changes[0]]) / 2
     assert abs(boundary - 0.75 * PI) < 0.06 * PI
 
