@@ -35,6 +35,7 @@ from .walk import WalkParams, propagate, site_probability
 RNG_NAME = "numpy-pcg64"  # np.random.default_rng's generator
 
 DEFAULT_GRID_POINTS = 201
+MIN_GRID_POINTS = 11  # candidates a posterior needs
 DEFAULT_TRIALS = 1000
 SCHEDULE_POINTS = 8  # blocks informative_schedule splits its step range into
 
@@ -65,8 +66,8 @@ class EstimationConfig:
         if hi - lo >= 4.0 * math.pi:
             # R(theta + 4 pi) = R(theta): a wider window holds one walk twice
             raise ValueError(f"prior interval must be narrower than 4 pi, got ({lo}, {hi})")
-        if self.grid_points < 11:
-            raise ValueError(f"grid_points must be >= 11, got {self.grid_points}")
+        if self.grid_points < MIN_GRID_POINTS:
+            raise ValueError(f"grid_points must be >= {MIN_GRID_POINTS}, got {self.grid_points}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.repetitions < 1:
@@ -213,8 +214,8 @@ def posterior(
     flat prior.  This is the R = 1 case of the batched posterior that
     ``estimation_curve`` computes for all repetitions of a step at once.
     """
-    if len(candidates) < 11:
-        raise ValueError(f"need at least 11 candidates, got {len(candidates)}")
+    if len(candidates) < MIN_GRID_POINTS:
+        raise ValueError(f"need at least {MIN_GRID_POINTS} candidates, got {len(candidates)}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} outside 0..{trials}")
     probabilities = np.asarray(probabilities, dtype=np.float64)
@@ -298,5 +299,5 @@ def estimation_curve(
             window=(min(config.schedule), max(config.schedule)),
         )
     except ShortFitError:
-        fit = None  # fewer than 5 usable records
+        fit = None  # fewer than metrology.MIN_FIT_POINTS usable records
     return EstimationCurve(records, fit, edge_mass, first_weights)

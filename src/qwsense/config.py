@@ -42,7 +42,7 @@ SPECTRUM_LATTICE = 101
 # window; a disorder run's spread squares it, which past ~1.3e154 is inf
 MSRE_CAP = 1e150
 
-# the names the rules of each section read; any other name in a section read is a violation
+# the names each section's reader reads; a name outside them is unknown
 _SECTIONS = {
     "fit": ("mode",),
     "walk": ("theta1_over_pi", "theta2_over_pi", "theta02_over_pi", "lattice_size"),
@@ -62,13 +62,13 @@ class ExperimentConfig:
     raw: dict
     steps: int = DEFAULT_STEPS
     walk: WalkParams | None = None
-    fit_mode: str = metrology.ALL_POINTS
+    fit_mode: str | None = None  # set by _read_fit, which owns its default
     phase_grid: dict | None = None  # theta1/theta2 over-pi arrays
     surface: dict | None = None  # theta1 over-pi array + steps
     # the schedule is every step the informative selector scores at run time
     estimation: bayes.EstimationConfig | None = None
     disorder_spec: DisorderSpec | None = None
-    disorder_observable: str = "fi"
+    disorder_observable: str | None = None  # set by _read_disorder
     averaging: tuple[int, int] | None = None  # window, spacing
 
 
@@ -80,30 +80,28 @@ class _Check:
 
     def __init__(self):
         self.violations = []
-        self.read = {"experiment"}  # top-level names read: every run reads experiment
+        self.read = set()  # the dotted names ``get`` looked up
 
     def fail(self, field_name, message):
         self.violations.append(f"{field_name}: {message}")
 
-    def known(self, doc, names, prefix=""):
-        for name in doc:
-            if name not in names:
-                self.fail(f"{prefix}{name}", f"unknown name; expected one of {', '.join(names)}")
+    def get(self, doc, field_name, default=None):
+        """The value of dotted ``field_name`` in ``doc``, its section or the top
+        level (``default`` when absent); the one lookup that marks a name read."""
+        self.read.add(field_name)
+        return doc.get(field_name.split(".")[-1], default)
 
     def section(self, doc, name, required=False):
         """The object ``doc[name]``, None after a violation; an absent optional
         section reads as {}."""
-        self.read.add(name)
-        value = doc.get(name, None if required else {})
+        value = self.get(doc, name, None if required else {})
         if not isinstance(value, dict):
             self.fail(name, "must be an object" if name in doc else "required section")
             return None
-        self.known(value, _SECTIONS[name], f"{name}.")
         return value
 
     def number(self, doc, field_name, default=None, minimum=None, integer=False):
-        self.read.add(field_name.split(".")[0])
-        value = doc.get(field_name.split(".")[-1], default)
+        value = self.get(doc, field_name, default)
         if value is None:
             if default is None:
                 self.fail(field_name, "required")
@@ -125,7 +123,7 @@ class _Check:
     def choice(self, doc, field_name, options, default=None):
         """The value of ``field_name`` (``default`` when absent), which must be
         one of ``options``; returned as read, so a message can quote it."""
-        value = doc.get(field_name.split(".")[-1], default)
+        value = self.get(doc, field_name, default)
         if value not in options:
             self.fail(field_name, f"must be {' or '.join(options)}, got {value!r}")
         return value
@@ -133,7 +131,7 @@ class _Check:
     def numbers(self, doc, field_name, shape, length):
         """A tuple of ``length`` finite numbers, None after a violation.
         ``shape`` describes the expected list in the violation."""
-        value = doc.get(field_name.split(".")[-1])
+        value = self.get(doc, field_name)
         if (
             not isinstance(value, (list, tuple))
             or len(value) != length
@@ -185,16 +183,15 @@ def _grid(check, section, field_name):
 
 def _read_fit(check, doc, cfg):
     # the window is the steps t_min..steps, so steps is the one value that sets its size
-    least = metrology.DEFAULT_FIT_T_MIN + 4
+    least = metrology.DEFAULT_FIT_T_MIN + metrology.MIN_FIT_POINTS - 1
     if cfg.experiment == "fi-scaling" and cfg.steps < least:
         check.fail("steps", f"an fi-scaling run needs steps >= {least}: its fit window "
-                            f"{metrology.DEFAULT_FIT_T_MIN}..steps must cover at least 5 "
-                            f"steps, got {cfg.steps}")
+                            f"{metrology.DEFAULT_FIT_T_MIN}..steps must cover at least "
+                            f"{metrology.MIN_FIT_POINTS} steps, got {cfg.steps}")
     section = check.section(doc, "fit")
-    if section is None:
-        return
-    cfg.fit_mode = check.choice(section, "fit.mode", (metrology.ALL_POINTS, metrology.PEAKS_ONLY),
-                                metrology.ALL_POINTS)
+    if section is not None:
+        modes = (metrology.ALL_POINTS, metrology.PEAKS_ONLY)
+        cfg.fit_mode = check.choice(section, "fit.mode", modes, metrology.ALL_POINTS)
 
 
 def _read_walk(check, doc, default_lattice):
@@ -247,14 +244,13 @@ def _read_dynamics(check, doc, cfg):
     else:
         cfg.steps = propagated = check.number(doc, "steps", default=DEFAULT_STEPS, minimum=1,
                                               integer=True)
-    cfg.walk = _read_walk(check, doc, dynamics_lattice_size(propagated or cfg.steps))
-    if cfg.walk is None or propagated is None:
-        return
-    if cfg.walk.lattice_size < dynamics_lattice_size(propagated):
+    least = dynamics_lattice_size(propagated or cfg.steps)
+    cfg.walk = _read_walk(check, doc, least)
+    if cfg.walk is not None and propagated is not None and cfg.walk.lattice_size < least:
         check.fail(
             "walk.lattice_size",
             f"{cfg.walk.lattice_size} sites let a {propagated}-step walk wrap the ring; "
-            f"need >= {dynamics_lattice_size(propagated)}",
+            f"need >= {least}",
         )
 
 
@@ -307,8 +303,8 @@ def _read_estimation(check, doc, cfg):
                 f"{t02} is too small for the prior window [{prior[0]}, {prior[1]}]: a "
                 f"relative error could exceed {MSRE_CAP:.0e}",
             )
-    grid_points = check.number(section, "estimation.grid_points",
-                               default=bayes.DEFAULT_GRID_POINTS, minimum=11, integer=True)
+    grid_points = check.number(section, "estimation.grid_points", bayes.DEFAULT_GRID_POINTS,
+                               bayes.MIN_GRID_POINTS, integer=True)
     trials = check.number(section, "estimation.trials", default=bayes.DEFAULT_TRIALS, minimum=1,
                           integer=True)
     repetitions = check.number(section, "estimation.repetitions", default=1, minimum=1, integer=True)
@@ -339,21 +335,20 @@ def _read_averaging(check, doc, steps):
 def validate_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed config document; raises ConfigError listing every violation.
 
-    An fi-scaling run's steps must leave at least 5 in its fit window; that
-    is necessary, not sufficient, since flagged or non-positive values and
-    ``peaks_only`` can still leave fewer.  A top-level name that no
-    reader of the experiment reads is a violation and is not checked further:
-    ``fit`` is read only by the runs that fit, and top-level ``steps`` only by
-    the runs that propagate it (fi-surface reads ``surface.steps``).  An
+    An fi-scaling run's steps must leave ``metrology.MIN_FIT_POINTS`` in its
+    fit window; that is necessary, not sufficient, since flagged or
+    non-positive values and ``peaks_only`` can still leave fewer.  A name, top-level or in a section,
+    that no reader of the experiment reads is a violation and is not checked
+    further: ``fit`` is read only by the runs that fit, and top-level ``steps``
+    only by the runs that propagate it (fi-surface reads ``surface.steps``).  An
     estimation run's ``estimation`` is a ``bayes.EstimationConfig`` whose
     schedule is every step the informative selector scores.
     """
-    experiment = doc.get("experiment")
+    check = _Check()
+    experiment = check.get(doc, "experiment")
     if experiment not in EXPERIMENTS:
         expected = ", ".join(EXPERIMENTS)
         raise ConfigError([f"experiment: must be one of {expected}; got {experiment!r}"])
-    check = _Check()
-    check.known(doc, _TOP_LEVEL)
     seed = check.number(doc, "seed", default=0, minimum=0, integer=True)
     cfg = ExperimentConfig(experiment, seed, doc)
     if experiment == "phase-diagram":
@@ -375,10 +370,17 @@ def validate_config(doc: dict) -> ExperimentConfig:
         cfg.estimation = _read_estimation(check, doc, cfg)
     if experiment == "avg-fi":
         cfg.averaging = _read_averaging(check, doc, cfg.steps)
-    observable = f" with observable {cfg.disorder_observable}" if experiment == "disorder" else ""
-    for name in doc:
-        if name in _TOP_LEVEL and name not in check.read:  # the run would ignore it
-            check.fail(name, f"not read by {experiment} runs{observable}")
+    observable = f" with observable {cfg.disorder_observable}" if cfg.disorder_observable else ""
+    # every name the readers did not read, at the top level and in each section read
+    levels = [("", _TOP_LEVEL, doc)]
+    for prefix, names, level in levels:
+        for name, value in level.items():
+            if name not in names:
+                check.fail(prefix + name, f"unknown name; expected one of {', '.join(names)}")
+            elif prefix + name not in check.read:  # the run would ignore it
+                check.fail(prefix + name, f"not read by {experiment} runs{observable}")
+            elif prefix + name in _SECTIONS and isinstance(value, dict):
+                levels.append((f"{name}.", _SECTIONS[name], value))
     if check.violations:
         raise ConfigError(check.violations)
     return cfg

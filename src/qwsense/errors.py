@@ -18,11 +18,11 @@ class NumericalError(RuntimeError):
 
 
 class ShortFitError(ValueError):
-    """A power-law fit has fewer than 5 usable points; ``points`` counts them."""
+    """A power-law fit has fewer usable points than its ``minimum``; ``points`` counts them."""
 
-    def __init__(self, points: int):
+    def __init__(self, points: int, minimum: int):
         self.points = points
-        super().__init__(f"need at least 5 usable points in window, got {points}")
+        super().__init__(f"need at least {minimum} usable points in window, got {points}")
 
 
 class CapacityError(ValueError):

@@ -51,7 +51,8 @@ FI_HEADER = ("t", "value", "flagged")
 
 def _fit_series(art: Artifacts, series, mode: str) -> None:
     """``fit.json`` from the power-law fit of ``series``, which is left out when
-    fewer than 5 points are usable; ``health.fit_points`` counts them either way."""
+    fewer than ``metrology.MIN_FIT_POINTS`` points are usable;
+    ``health.fit_points`` counts them either way."""
     try:
         fit = metrology.fit_scaling(series, mode=mode)
     except ShortFitError as short:
@@ -100,15 +101,13 @@ def _run_avg_fi(cfg: ExperimentConfig) -> Artifacts:
 
 
 def _run_fi_surface(cfg: ExperimentConfig) -> Artifacts:
-    params = cfg.walk
     t1_over_pi = cfg.surface["theta1_over_pi"]
     steps = cfg.surface["steps"]
     # every theta1 walks as one row of a (B, 1) batch; the batch buffers are
     # gone before the rows are built
-    fields = CoinField.stack([
-        CoinField.from_params(replace(params, theta1=float(t1) * PI)) for t1 in t1_over_pi
-    ])
-    series = metrology.fisher_at_defect(params, steps, fields)
+    theta1 = t1_over_pi[:, np.newaxis] * PI
+    coins = CoinField(theta1, np.full_like(theta1, cfg.walk.theta2))
+    series = metrology.fisher_at_defect(cfg.walk, steps, coins)
     rows = [
         (float(t1), float(t), float(v), bool(f))
         for t1, walk_values, walk_flagged in zip(t1_over_pi, series.values.T, series.flagged.T)

@@ -50,6 +50,7 @@ ALL_POINTS = "all_points"
 PEAKS_ONLY = "peaks_only"
 
 DEFAULT_FIT_T_MIN = 10
+MIN_FIT_POINTS = 5  # usable points a power-law fit needs
 
 
 @dataclass
@@ -109,8 +110,8 @@ def binary_fisher(p0, dp0):
 
 
 def _probability_pair(psi, dpsi):
-    """P and dP/dtheta02 at each site of (..., 2) coin components."""
-    return site_probability(psi), 2.0 * coin_total(np.real(np.conj(psi) * dpsi))
+    """P and dP/dtheta02 at each site of (..., 2) real coin components."""
+    return site_probability(psi), 2.0 * coin_total(psi * dpsi)
 
 
 def _defect_site_fi(steps, defect_rows):
@@ -159,7 +160,7 @@ def information_values(params: WalkParams, steps: int, coin_fields=None) -> dict
         at_defect.append(np.array((psi[..., defect, :], dpsi[..., defect, :])))
         psi, dpsi = psi[..., rows, :], dpsi[..., rows, :]
         cross = psi * dpsi
-        probs, dprobs = coin_total(psi * psi), 2.0 * coin_total(cross)
+        probs, dprobs = site_probability(psi), 2.0 * coin_total(cross)
         usable = probs >= P_FLOOR
         gfi = row_sum(GLOBAL_FI, rows,
                       np.where(usable, dprobs**2 / np.where(usable, probs, 1.0), 0.0), n)
@@ -214,8 +215,8 @@ def power_law_fit(steps, values, window, mode: str = ALL_POINTS) -> ScalingFit:
     """Least-squares line on (log t, log v) over the steps in ``window`` = (t_min, t_max).
 
     Returns exponent/prefactor/r^2; ``window`` is checked after ``peaks_only``
-    keeps the interior maxima.  Fewer than 5 usable points (in the window,
-    positive step and value) raise ``ShortFitError``.
+    keeps the interior maxima.  Fewer than ``MIN_FIT_POINTS`` usable points
+    (in the window, positive step and value) raise ``ShortFitError``.
     """
     steps = np.asarray(steps, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -228,8 +229,8 @@ def power_law_fit(steps, values, window, mode: str = ALL_POINTS) -> ScalingFit:
         raise ValueError(f"unknown fit mode {mode!r}")
     usable = (steps >= window[0]) & (steps <= window[1]) & (steps > 0) & (values > 0)
     steps, values = steps[usable], values[usable]
-    if steps.size < 5:
-        raise ShortFitError(int(steps.size))
+    if steps.size < MIN_FIT_POINTS:
+        raise ShortFitError(int(steps.size), MIN_FIT_POINTS)
     log_t = np.log(steps)
     log_v = np.log(values)
     slope, intercept = np.polyfit(log_t, log_v, 1)

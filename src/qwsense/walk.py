@@ -115,7 +115,8 @@ def coin_total(values):
     """``values.sum(axis=-1)`` over a length-2 coin axis, as one addition.
 
     numpy reduces a length-2 axis as ``values[..., 0] + values[..., 1]``, so
-    the bits are the reduction's; the addition skips its per-call set-up,
+    the bits are the reduction's, but for two -0.0 terms: they add to -0.0,
+    and reduce to 0.0.  The addition skips the reduction's per-call set-up,
     which dominates at these sizes.  The operands stay arrays, so a single
     site's terms are the elementwise ones (a numpy scalar's ``** 2`` calls
     ``pow`` and may round differently).
@@ -124,8 +125,8 @@ def coin_total(values):
 
 
 def site_probability(psi):
-    """|psi_up|^2 + |psi_down|^2 at each site of (..., 2) coin components."""
-    return coin_total(np.abs(psi) ** 2)
+    """|psi_up|^2 + |psi_down|^2 at each site of (..., 2) real coin components."""
+    return coin_total(psi * psi)
 
 
 def half_angle(theta):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwsense import cli, experiments
+from qwsense import cli, config, experiments
 from qwsense.config import _SECTIONS, _TOP_LEVEL, EXPERIMENTS, validate_config
 from qwsense.errors import ConfigError, NumericalError
 
@@ -253,6 +253,34 @@ UNREAD = [
 def test_a_name_the_experiment_does_not_read_is_a_violation(doc, violation):
     # a section the run did not read was never checked: a walk with theta1 "x"
     # validated on a phase diagram, and averaging on an fi-scaling run
+    with pytest.raises(ConfigError) as caught:
+        validate_config(doc)
+    assert caught.value.violations == [violation]
+
+
+def _read_window_only(check, doc, steps):
+    """``_read_averaging`` with its read of ``averaging.spacing`` removed."""
+    section = check.section(doc, "averaging")
+    return check.number(section, "averaging.window", default=5, minimum=1, integer=True), 5
+
+
+# (reader, the reader with one read removed, a document that sets the name, the violation)
+REMOVED_READS = [
+    ("_read_averaging", _read_window_only, AVERAGING,
+     "averaging.spacing: not read by avg-fi runs"),
+    ("_read_fit", lambda check, doc, cfg: None, with_(FI, fit={"mode": "peaks_only"}),
+     "fit: not read by fi-scaling runs"),
+]
+
+
+@pytest.mark.parametrize("reader, replacement, doc, violation", REMOVED_READS,
+                         ids=[case[2]["experiment"] for case in REMOVED_READS])
+def test_removing_a_read_rejects_the_name_at_any_depth(monkeypatch, reader, replacement, doc,
+                                                       violation):
+    # a section name was accepted if _SECTIONS listed it, so a reader that
+    # stopped reading averaging.spacing left the run ignoring it in silence
+    validate_config(doc)
+    monkeypatch.setattr(config, reader, replacement)
     with pytest.raises(ConfigError) as caught:
         validate_config(doc)
     assert caught.value.violations == [violation]

@@ -285,6 +285,26 @@ def same_bits(a, b):
                                                                           np.signbit(b))
 
 
+# signed zeros, subnormals, and values whose squares or coin sums overflow
+EDGE_AMPLITUDES = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2e-308, -1e-160, 1e154,
+                                   -9e153, 1.3e154]) | st.floats(-1.4e154, 1.4e154)
+# rows of (psi_up, psi_down, dpsi_up, dpsi_down)
+PAIR_ROWS = st.lists(st.tuples(*[EDGE_AMPLITUDES] * 4), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=PAIR_ROWS)
+def test_probabilities_in_real_arithmetic_keep_the_complex_formulas_bits(rows):
+    # the reference is the complex formulas on the float64 rows every walk steps
+    # (np.conj and np.real are identities there; a complex128 cast would turn a
+    # -0.0 product into +0.0), with each site's coin terms added by coin_total
+    psi, dpsi = np.array(rows)[:, :2], np.array(rows)[:, 2:]
+    with np.errstate(over="ignore"):
+        p, dp = _probability_pair(psi, dpsi)  # p is walk.site_probability(psi)
+        assert same_bits(p, walk.coin_total(np.abs(psi) ** 2))
+        assert same_bits(dp, 2.0 * walk.coin_total(np.real(np.conj(psi) * dpsi)))
+
+
 def _static_batch(p, steps):
     return CoinField.stack([sample_disorder(DisorderSpec(STATIC, 0.1 * PI, 3, 8), p, r)
                             for r in range(3)])
