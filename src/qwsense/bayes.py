@@ -63,9 +63,10 @@ class EstimationConfig:
         lo, hi = self.prior_interval
         if not lo < hi:
             raise ValueError(f"prior interval must satisfy lo < hi, got ({lo}, {hi})")
-        if hi - lo >= 4.0 * math.pi:
-            # R(theta + 4 pi) = R(theta): a wider window holds one walk twice
-            raise ValueError(f"prior interval must be narrower than 4 pi, got ({lo}, {hi})")
+        mirror = mirror_in_window(self.params.theta02, lo, hi)
+        if mirror is not None:
+            raise ValueError(f"prior interval ({lo}, {hi}) holds {mirror!r}, a mirror image "
+                             f"of theta02 = {self.params.theta02!r} that P0 cannot tell from it")
         if self.grid_points < MIN_GRID_POINTS:
             raise ValueError(f"grid_points must be >= {MIN_GRID_POINTS}, got {self.grid_points}")
         if self.trials < 1:
@@ -149,6 +150,25 @@ def informative_schedule(table: np.ndarray, t_min: int) -> tuple[int, ...]:
         best = min(block, key=lambda i: (penalty[i], -span[i]))
         schedule.append(steps[best])
     return tuple(dict.fromkeys(schedule))
+
+
+def mirror_in_window(theta02, lo, hi):
+    """The least mirror image 2 c pi - theta02 of theta02, c an odd integer,
+    that lies in [lo, hi] and differs from theta02; None if none does.
+
+    R(2 pi - theta) = -sz R(theta) sz, so P0(t) reads theta02 and each mirror
+    alike at every t, clean or disordered, and a prior window that holds both
+    splits the posterior between them.  A window that holds theta02 twice,
+    as theta02 and the same walk theta02 +- 4 pi, holds a mirror too.
+    """
+    # the least odd c whose mirror may reach lo, with a step of slack for
+    # rounding, and the next two: one of the three may be theta02's own c
+    first = 2 * math.ceil(lo / (4 * math.pi) + theta02 / (4 * math.pi) - 1) + 1
+    for c in (first, first + 2, first + 4):
+        mirror = 2.0 * c * math.pi - theta02
+        if lo <= mirror <= hi and mirror != theta02:
+            return mirror
+    return None
 
 
 def fold_ambiguity(col):

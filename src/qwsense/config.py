@@ -282,10 +282,6 @@ def _read_estimation(check, doc, cfg):
     prior = check.numbers(section, "estimation.prior_over_pi", "[lo, hi] of finite numbers", 2)
     if prior is not None and not prior[0] < prior[1]:
         check.fail("estimation.prior_over_pi", "lo must be < hi")
-    elif prior is not None and prior[1] - prior[0] >= 4:
-        # R(theta + 4 pi) = R(theta): the window would hold one walk twice and
-        # split the posterior between its copies
-        check.fail("estimation.prior_over_pi", "hi - lo must be < 4")
     elif prior is not None and cfg.walk is not None:
         t02 = float(doc["walk"]["theta02_over_pi"])
         width = (prior[1] - prior[0]) * math.pi
@@ -294,6 +290,15 @@ def _read_estimation(check, doc, cfg):
             check.fail(
                 "estimation.prior_over_pi",
                 f"[{prior[0]}, {prior[1]}] leaves out walk.theta02_over_pi = {t02}",
+            )
+        elif (mirror := bayes.mirror_in_window(
+                cfg.walk.theta02, prior[0] * math.pi, prior[1] * math.pi)) is not None:
+            # the posterior would split between theta02 and its mirror, silently;
+            # read in the radians that EstimationConfig checks, so both agree
+            check.fail(
+                "estimation.prior_over_pi",
+                f"[{prior[0]}, {prior[1]}] holds {mirror / math.pi:g}, a mirror image of "
+                f"walk.theta02_over_pi = {t02} that defect-site clicks cannot tell from it",
             )
         elif square >= sys.float_info.min and 1.25 * width * width > MSRE_CAP * square:
             # theta02_over_pi = 1e-110 with a window 1.9 wide walked, then an

@@ -9,7 +9,6 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 
 @dataclass
 class Artifacts:
-    csv: dict = field(default_factory=dict)  # name -> (header, rows)
+    csv: dict = field(default_factory=dict)  # name -> (header, columns)
     json: dict = field(default_factory=dict)  # name -> payload
     plots: list = field(default_factory=list)  # csv names, each drawn as its header selects
     health: dict = field(default_factory=dict)  # manifest-only numbers, in no digest
@@ -39,11 +38,14 @@ class RunManifest:
     payload: dict
 
 
-def _fi_series_rows(series):
-    return [
-        (float(t), float(v), bool(f))
-        for t, v, f in zip(series.steps, series.values, series.flagged)
-    ]
+def _fi_series_columns(series):
+    return [series.steps.tolist(), series.values.tolist(), series.flagged.tolist()]
+
+
+def _repeated(values, times):
+    """Each of ``values`` ``times`` times over, in order: the outer index of a
+    table whose rows run over an inner index ``times`` long."""
+    return [value for value in values for _ in range(times)]
 
 
 FI_HEADER = ("t", "value", "flagged")
@@ -65,7 +67,7 @@ def _fit_series(art: Artifacts, series, mode: str) -> None:
 def _run_fi_scaling(cfg: ExperimentConfig) -> Artifacts:
     series = metrology.fisher_at_defect(cfg.walk, cfg.steps)
     art = Artifacts()
-    art.csv["fi_series.csv"] = (FI_HEADER, _fi_series_rows(series))
+    art.csv["fi_series.csv"] = (FI_HEADER, _fi_series_columns(series))
     _fit_series(art, series, cfg.fit_mode)
     art.plots.append("fi_series.csv")
     return art
@@ -79,7 +81,7 @@ def _run_gfi_qfi(cfg: ExperimentConfig) -> Artifacts:
         ("gfi_series.csv", metrology.GLOBAL_FI),
         ("qfi_series.csv", metrology.QUANTUM_FI),
     ):
-        art.csv[name] = (FI_HEADER, _fi_series_rows(series[kind]))
+        art.csv[name] = (FI_HEADER, _fi_series_columns(series[kind]))
         art.plots.append(name)
     qfi = series[metrology.QUANTUM_FI]
     per_t2 = qfi.values[1:] / qfi.steps[1:] ** 2
@@ -93,8 +95,8 @@ def _run_avg_fi(cfg: ExperimentConfig) -> Artifacts:
     window, spacing = cfg.averaging
     averaged = metrology.averaged_fisher(series, window, spacing)
     art = Artifacts()
-    art.csv["fi_series.csv"] = (FI_HEADER, _fi_series_rows(series))
-    art.csv["avg_fi_series.csv"] = (FI_HEADER, _fi_series_rows(averaged))
+    art.csv["fi_series.csv"] = (FI_HEADER, _fi_series_columns(series))
+    art.csv["avg_fi_series.csv"] = (FI_HEADER, _fi_series_columns(averaged))
     art.json["averaging.json"] = {"window": window, "spacing": spacing}
     art.plots.append("avg_fi_series.csv")
     return art
@@ -104,17 +106,14 @@ def _run_fi_surface(cfg: ExperimentConfig) -> Artifacts:
     t1_over_pi = cfg.surface["theta1_over_pi"]
     steps = cfg.surface["steps"]
     # every theta1 walks as one row of a (B, 1) batch; the batch buffers are
-    # gone before the rows are built
+    # gone before the columns are built, one walk's steps after another
     theta1 = t1_over_pi[:, np.newaxis] * PI
     coins = CoinField(theta1, np.full_like(theta1, cfg.walk.theta2))
     series = metrology.fisher_at_defect(cfg.walk, steps, coins)
-    rows = [
-        (float(t1), float(t), float(v), bool(f))
-        for t1, walk_values, walk_flagged in zip(t1_over_pi, series.values.T, series.flagged.T)
-        for t, v, f in zip(range(steps + 1), walk_values, walk_flagged)
-    ]
+    columns = [_repeated(t1_over_pi.tolist(), steps + 1), list(range(steps + 1)) * len(t1_over_pi),
+               series.values.T.ravel().tolist(), series.flagged.T.ravel().tolist()]
     art = Artifacts()
-    art.csv["fi_surface.csv"] = (("theta1_over_pi", "t", "value", "flagged"), rows)
+    art.csv["fi_surface.csv"] = (("theta1_over_pi", "t", "value", "flagged"), columns)
     art.plots.append("fi_surface.csv")
     return art
 
@@ -122,15 +121,14 @@ def _run_fi_surface(cfg: ExperimentConfig) -> Artifacts:
 def _run_phase_diagram(cfg: ExperimentConfig) -> Artifacts:
     t1s = cfg.phase_grid["theta1_over_pi"]
     t2s = cfg.phase_grid["theta2_over_pi"]
-    grid = topology.phase_diagram(t1s * PI, t2s * PI)
-    rows = []
-    for i, row in enumerate(grid):
-        for j, point in enumerate(row):
-            rows.append((float(t1s[i]), float(t2s[j]), point.winding, point.min_gap, point.status))
+    points = [point for row in topology.phase_diagram(t1s * PI, t2s * PI) for point in row]
+    columns = [_repeated(t1s.tolist(), len(t2s)), t2s.tolist() * len(t1s),
+               [p.winding for p in points], [p.min_gap for p in points],
+               [p.status for p in points]]
     art = Artifacts()
     art.csv["phase_diagram.csv"] = (
         ("theta1_over_pi", "theta2_over_pi", "winding", "min_gap", "status"),
-        rows,
+        columns,
     )
     art.plots.append("phase_diagram.csv")
     return art
@@ -140,15 +138,12 @@ def _run_spectrum(cfg: ExperimentConfig) -> Artifacts:
     params = cfg.walk
     decomp = spectral.decompose_step_operator(params)
     states = spectral.find_localized_states(decomp)
-    localized_columns = {s.eigen_index for s in states}
-    ipr = decomp.ipr
-    order = np.argsort(decomp.quasi_energies, kind="stable")
-    rows = []
-    for idx, j in enumerate(order):
-        e = float(decomp.quasi_energies[j])
-        rows.append((idx, e, float(ipr[j]), int(j) in localized_columns))
+    localized = {s.eigen_index for s in states}
+    order = np.argsort(decomp.quasi_energies, kind="stable").tolist()
+    columns = [list(range(len(order))), decomp.quasi_energies[order].tolist(),
+               decomp.ipr[order].tolist(), [j in localized for j in order]]
     art = Artifacts()
-    art.csv["spectrum.csv"] = (("index", "quasi_energy", "ipr", "is_localized"), rows)
+    art.csv["spectrum.csv"] = (("index", "quasi_energy", "ipr", "is_localized"), columns)
     art.json["localized_states.json"] = [
         {
             "quasi_energy": s.quasi_energy,
@@ -181,22 +176,24 @@ def _estimation_config(
 def _run_bayes(cfg: ExperimentConfig) -> Artifacts:
     est, table = _estimation_config(cfg)
     curve = bayes.estimation_curve(est, table)
-    est_rows = [(r.step, r.trials, r.successes, r.msre) for r in curve.records]
+    records = curve.records
+    steps = [r.step for r in records]
     thetas = (est.candidates() / PI).tolist()
-    post_rows = []
-    for record, weights in zip(curve.records, curve.weights.tolist()):
-        post_rows.extend(zip(repeat(record.step), thetas, weights))
     art = Artifacts()
-    art.csv["estimation.csv"] = (("t", "M", "m", "msre"), est_rows)
-    art.csv["posterior.csv"] = (("t", "theta02_over_pi", "weight"), post_rows)
+    art.csv["estimation.csv"] = (("t", "M", "m", "msre"), [
+        steps, [r.trials for r in records], [r.successes for r in records],
+        [r.msre for r in records],
+    ])
+    art.csv["posterior.csv"] = (("t", "theta02_over_pi", "weight"), [
+        _repeated(steps, len(thetas)), thetas * len(steps), curve.weights.ravel().tolist(),
+    ])
     if curve.fit is not None:
         art.json["fit.json"] = asdict(curve.fit)
     art.plots += ["posterior.csv", "estimation.csv"]
     art.health["posterior_edge_mass"] = curve.edge_mass
     lo, hi = est.prior_interval
     spacing = (hi - lo) / (est.grid_points - 1)
-    art.health["posterior_min_std_cells"] = min(r.posterior_std for r in curve.records) / spacing
-    art.health["schedule_fold_ambiguity_max"] = max(map(bayes.fold_ambiguity, table))
+    art.health["posterior_min_std_cells"] = min(r.posterior_std for r in records) / spacing
     return art
 
 
@@ -210,11 +207,9 @@ def _run_disorder(cfg: ExperimentConfig) -> Artifacts:
         result = disorder.ensemble_fisher(spec, cfg.walk, cfg.steps)
         mean_series = metrology.FisherSeries(result.steps, result.mean, None)
         _fit_series(art, mean_series, cfg.fit_mode)
-    rows = [
-        (float(t), float(m), float(s), result.realizations)
-        for t, m, s in zip(result.steps, result.mean, result.std)
-    ]
-    art.csv["ensemble.csv"] = (("t", "mean", "std", "n_realizations"), rows)
+    columns = [result.steps.tolist(), result.mean.tolist(), result.std.tolist(),
+               [result.realizations] * len(result.steps)]
+    art.csv["ensemble.csv"] = (("t", "mean", "std", "n_realizations"), columns)
     art.plots.append("ensemble.csv")
     return art
 
@@ -235,7 +230,7 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     """Execute the configured experiment and write its artifacts.
 
     Every run writes its data CSVs, then its JSON sidecars, then its SVG
-    plots, each SVG rendered from the rows its CSV was written from, so it
+    plots, each SVG rendered from the columns its CSV was written from, so it
     equals ``qwsense plot`` on that CSV byte for byte.  The manifest is
     written last: the config, the seed, the BLAS thread settings found in
     the environment, the seconds each of the four parts took (``timings``),
@@ -250,8 +245,8 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1) -> RunManifest:
     art = _DRIVERS[cfg.experiment](cfg)
     marks = [start, time.perf_counter()]
     emitted = []
-    for name, (header, rows) in art.csv.items():
-        serialize.write_csv(out_dir / name, header, rows)
+    for name, (header, columns) in art.csv.items():
+        serialize.write_csv(out_dir / name, header, columns)
         emitted.append(name)
     marks.append(time.perf_counter())
     for name, payload in art.json.items():

@@ -5,7 +5,7 @@ The CSV header picks the plot: a ``theta02_over_pi`` column a posterior
 FI surface), ``std`` a band (ensemble mean with a +/- std ribbon), ``value``
 or ``msre`` a scaling plot (log-log, with a power-law guide line).  A plot reads
 its CSV's columns once: from the file (``qwsense plot``), or, in a run,
-from the ``(header, rows)`` the run has just written to that file.  Either
+from the ``(header, columns)`` the run has just written to that file.  Either
 way each cell reads as the file gives it back: a float as the float its
 shortest text parses to (so -0.0 reads 0.0), ``None`` as a blank cell
 (nan), a bool as 1 or 0; errors name the same line numbers.  So a run's
@@ -64,14 +64,14 @@ def _value_number(value):
 
 
 class _Table:
-    """A CSV's columns, from its file or from the rows written to it, with each row's line."""
+    """A CSV's columns, from its file or as written to it, with each row's line."""
 
-    def __init__(self, path, header, rows, lines):
+    def __init__(self, path, header, columns, lines):
         repeated = next((column for i, column in enumerate(header) if column in header[:i]), None)
         if repeated is not None:
             raise PlotSchemaError(f"{path}: the header repeats column '{repeated}'")
         self.path, self.name = path, Path(path).name
-        self.columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+        self.columns = dict(zip(header, columns)) if lines else dict.fromkeys(header, ())
         self.lines = lines
 
     @classmethod
@@ -86,12 +86,12 @@ class _Table:
                 if row:  # a blank line holds no row; a short row reads blank cells
                     rows.append(row + [""] * (len(header) - len(row)))
                     lines.append(reader.line_num)
-        return cls(path, header, rows, lines)
+        return cls(path, header, zip(*rows), lines)
 
     @classmethod
-    def from_rows(cls, path, header, rows):
-        """The table ``serialize.write_csv(path, header, rows)`` writes, without reading it."""
-        return cls(path, header, rows, range(2, len(rows) + 2))
+    def written(cls, path, header, columns):
+        """The table ``serialize.write_csv(path, header, columns)`` writes, without reading it."""
+        return cls(path, header, columns, range(2, 2 + (len(columns[0]) if columns else 0)))
 
     def _column(self, column):
         if column not in self.columns:
@@ -439,12 +439,12 @@ _RENDERERS = {"theta02_over_pi": _render_posterior, "theta1_over_pi": _render_he
 def render_plot(data_path, out_path, written=None) -> Path:
     """Render one CSV data file to the standalone SVG document its header selects.
 
-    ``written`` is the ``(header, rows)`` that ``serialize.write_csv`` wrote
-    to ``data_path``; given, the plot reads those rows instead of the file,
-    with the same bytes as a result.  A header that selects no plot, or that
+    ``written`` is the ``(header, columns)`` that ``serialize.write_csv``
+    wrote to ``data_path``; given, the plot reads those columns instead of
+    the file, with the same bytes as a result.  A header that selects no plot, or that
     repeats a column, raises PlotSchemaError.
     """
-    table = _Table.read(data_path) if written is None else _Table.from_rows(data_path, *written)
+    table = _Table.read(data_path) if written is None else _Table.written(data_path, *written)
     for column, render in _RENDERERS.items():
         if column in table.columns:
             return atomic_write_text(out_path, render(table))

@@ -3,8 +3,9 @@
 Every data file is written to a temporary sibling and atomically renamed, so
 a partially written run never leaves a corrupt artifact.  Floats are encoded
 with Python's repr (shortest string that round-trips the binary value), which
-makes byte-identical reruns possible.  A CSV or an SVG is streamed in
-bounded chunks, never built whole.
+makes byte-identical reruns possible.  A CSV travels as columns, one
+sequence per header name, and a CSV or an SVG is streamed in bounded
+chunks, never built whole.
 """
 
 import hashlib
@@ -82,22 +83,24 @@ def format_column(column) -> list[str]:
     return list(map(dict(zip(distinct, map(formatter, distinct))).__getitem__, column))
 
 
-def write_csv(path, header, rows) -> Path:
-    """Write the sequence ``rows`` under ``header``, ``CSV_BLOCK`` rows at a
-    time, each cell with the bytes ``format_value`` gives it.  Rows of
-    different widths raise ValueError before anything is written."""
-    width = len(rows[0]) if rows else 0
-    ragged = next((i for i, row in enumerate(rows) if len(row) != width), None)
+def write_csv(path, header, columns) -> Path:
+    """Write the sequences ``columns`` under ``header``, one row per index,
+    ``CSV_BLOCK`` rows at a time, each cell with the bytes ``format_value``
+    gives it.  Columns of different lengths raise ValueError before anything
+    is written."""
+    length = len(columns[0]) if columns else 0
+    ragged = next((i for i, column in enumerate(columns) if len(column) != length), None)
     if ragged is not None:
-        raise ValueError(f"row {ragged} has {len(rows[ragged])} cells, row 0 has {width}")
-    return atomic_write_text(path, _csv_chunks(header, rows))
+        raise ValueError(f"column {ragged} has {len(columns[ragged])} cells, column 0 has "
+                         f"{length}")
+    return atomic_write_text(path, _csv_chunks(header, columns, length))
 
 
-def _csv_chunks(header, rows):
+def _csv_chunks(header, columns, length):
     yield ",".join(header) + "\n"
-    for start in range(0, len(rows), CSV_BLOCK):
-        columns = [format_column(column) for column in zip(*rows[start:start + CSV_BLOCK])]
-        yield "\n".join(map(",".join, zip(*columns))) + "\n"
+    for start in range(0, length, CSV_BLOCK):
+        cells = [format_column(column[start:start + CSV_BLOCK]) for column in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def write_json(path, payload) -> Path:

@@ -31,10 +31,14 @@ forward one no longer fits inside it.  A backward window's edge rows hold
 amplitudes, so the kernels' wrap writes wrong values into its first row's
 up cell and its last row's down cell; the next window is one row narrower
 per side and drops exactly those rows, so every row a later step reads is
-exact, and so is the defect row at every t <= H.  ``propagate(...,
-defect_only=True)`` walks the diamond of horizon H = steps on the ring cut
-to the min(N, 2 H + 3) rows around the defect and yields the defect row
-alone, so it holds O(H) memory however wide the ring.
+exact, and so is the defect row at every t <= H.  No window reaches more
+than H // 2 + 1 rows from the defect.  ``propagate(..., defect_only=True)``
+walks the diamond of horizon H = steps on the ring cut to the smallest odd
+width that holds every window, the 2 (H // 2) + 3 rows around the defect
+(H + 2 at odd H, H + 3 at even H), or on the whole ring if that is
+narrower, and yields the defect row alone, so it holds O(H) memory however
+wide the ring.  Every window keeps its place relative to the defect, so
+the cut moves no bit.
 
 Coin fields: a run takes None (the clean walk of its params), one
 ``CoinField`` for every step, or per-step fields as a list or an iterator,
@@ -204,7 +208,8 @@ def propagate(params: WalkParams, steps: int, coin_fields=None, derivative: bool
     ``defect_angles``, a (C,) array, gives C walks one defect coin each on
     batch-() fields, as a batch of C; otherwise every walk's defect coin is
     ``params.theta02``.  With ``defect_only`` the walk runs on the causal
-    diamond and the items are the defect rows alone: batch + (2,) for
+    diamond, on the min(N, 2 (steps // 2) + 3) rows around the defect that
+    hold it, and the items are the defect rows alone: batch + (2,) for
     psi_t, (psi_t, dpsi_t) with ``derivative``.  The step count is checked
     when iteration starts, each field before its first step.
     """
@@ -223,8 +228,8 @@ def propagate(params: WalkParams, steps: int, coin_fields=None, derivative: bool
         batch = defect_angles.shape
         cos02, sin02 = half_angle(defect_angles)
     width = params.lattice_size
-    if defect_only:
-        width = min(width, dynamics_lattice_size(steps))
+    if defect_only:  # the causal diamond's widest window (module docstring)
+        width = min(width, 2 * (steps // 2) + 3)
     start = params.defect_index - (width - 1) // 2  # the ring row at the cut's row 0
     defect = (width - 1) // 2
     cone = light_cone(replace(params, lattice_size=width), steps if defect_only else None)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from qwsense.bayes import (
     estimation_curve,
     fold_ambiguity,
     informative_schedule,
+    mirror_in_window,
     posterior,
     record_seed,
 )
@@ -129,15 +131,45 @@ def test_posterior_log_domain_stable_for_huge_trials():
     assert np.isfinite(mean) and np.isfinite(variance)
 
 
+@settings(max_examples=200, deadline=None)
+@given(theta02=st.floats(-12, 12) | st.integers(-12, 12), lo=st.floats(-12, 12),
+       width=st.floats(0, 10))
+def test_mirror_in_window_finds_the_least_mirror_that_is_not_theta02(theta02, lo, width):
+    # in units of pi, as configs give them; an odd integer is its own mirror
+    theta02, lo, hi = theta02 * PI, lo * PI, (lo + width) * PI
+    mirrors = [2.0 * c * PI - theta02 for c in range(-21, 22, 2)]  # odd c
+    inside = [m for m in mirrors if lo <= m <= hi and m != theta02]
+    assert mirror_in_window(theta02, lo, hi) == min(inside, default=None)
+
+
+def test_candidate_table_walks_the_rows_of_its_causal_diamond():
+    # 201 candidates to t = 200 on a 4003-site ring: the walk holds the
+    # 2 * (200 // 2) + 3 = 203 rows that reach the defect by t = 200, two
+    # (203, 2, 201) buffers of 0.65 MB each.  Measured peaks: 2.83 MB, and
+    # 4.12 MB on the 2 * 200 + 3 = 403 rows the walk was once cut to
+    p = nontrivial(4003)
+    candidates = np.linspace(*PRIOR, 201)
+    candidate_probability_table(p, candidates, [200])  # numpy's first-call caches stay out
+    tracemalloc.start()
+    try:
+        candidate_probability_table(p, candidates, [200])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_400_000
+
+
 def test_posterior_validates_arguments():
     p = nontrivial(43)
     candidates = np.linspace(*PRIOR, 51)
     table = candidate_probability_table(p, candidates, [10])[0]
     with pytest.raises(ValueError):
         EstimationConfig(p, (0.2, 0.1), (10,))  # lo >= hi: the config owns the prior window
-    with pytest.raises(ValueError, match="narrower than 4 pi"):
-        EstimationConfig(p, (-4.6 * np.pi, -0.5 * np.pi), (10,))  # holds theta02 - 4 pi too
-    EstimationConfig(p, (-4.4 * np.pi, -0.5 * np.pi), (10,))
+    # -4.6 pi holds theta02 - 4 pi too; every window holds the mirror -1.45 pi
+    for lo in (-4.6, -4.4, -1.5):
+        with pytest.raises(ValueError, match="mirror image"):
+            EstimationConfig(p, (lo * np.pi, -0.5 * np.pi), (10,))
+    EstimationConfig(p, (-1.4 * np.pi, -0.5 * np.pi), (10,))
     with pytest.raises(ValueError):
         posterior(candidates[:5], table[:5], 10, 5)  # grid too coarse
     assert posterior(candidates[:11], table[:11], 10, 5).shape == (11,)  # the coarsest grid

@@ -16,7 +16,6 @@ from qwsense.bayes import (
     EstimationConfig,
     candidate_probability_table,
     estimation_curve,
-    fold_ambiguity,
     informative_schedule,
 )
 from qwsense.config import validate_config
@@ -210,11 +209,12 @@ def test_validate_rejects_prior_that_leaves_out_theta02(tmp_path, capsys):
     assert "estimation.prior_over_pi" in capsys.readouterr().err
     assert bayes(-0.55, [-0.7, -0.56], "disorder") == 2
     assert "estimation.prior_over_pi" in capsys.readouterr().err
-    # inside, on either edge, and windows across +-pi as written
+    # inside, on either edge, and windows across +-pi as written that hold
+    # no mirror image 2c - theta02 (odd c) but theta02's own
     for theta02, prior in ((-0.55, [-0.556, -0.544]), (-0.556, [-0.556, -0.544]),
-                           (-0.544, [-0.556, -0.544]), (1.02, [0.95, 1.05]),
-                           (-0.98, [-1.05, -0.95]), (1.0, [0.98, 1.02]),
-                           (-0.55, [-4.4, -0.5])):
+                           (-0.544, [-0.556, -0.544]), (1.02, [0.99, 1.05]),
+                           (-0.98, [-1.01, -0.95]), (1.0, [0.98, 1.02]),
+                           (-0.55, [-1.4, -0.5])):
         assert bayes(theta02, prior) == 0, (theta02, prior)
     # an angle 2 pi away is another walk (R(theta + 2 pi) = -R(theta)), not in the
     # window; one 4 pi away is the same walk (R(theta + 4 pi) = R(theta)), so a
@@ -224,17 +224,23 @@ def test_validate_rejects_prior_that_leaves_out_theta02(tmp_path, capsys):
                            (-0.55, [-4.6, -0.5]), (-0.55, [-4.5, -0.5])):
         assert bayes(theta02, prior) == 2, (theta02, prior)
         assert "estimation.prior_over_pi" in capsys.readouterr().err
+    # clicks read theta02 and its mirror alike: a window holding both split the
+    # posterior, and -0.55 with [-1.5, -0.5] read an msre near 1 at every step
+    for theta02, prior in ((1.02, [0.95, 1.05]), (-0.98, [-1.05, -0.95]),
+                           (-0.55, [-4.4, -0.5]), (-0.55, [-1.5, -0.5]), (1.0, [0.98, 5.0])):
+        assert bayes(theta02, prior) == 2, (theta02, prior)
+        assert "a mirror image of walk.theta02_over_pi" in capsys.readouterr().err
 
 
 def test_a_prior_window_across_pi_estimates_the_angle_as_written(tmp_path):
     # theta02 = 1.02 pi once walked as -0.98 pi while its candidates walked as
     # written, and every step's msre read ~4; -0.98 pi is another walk, so that
-    # window leaves it out
+    # window leaves it out.  The window holds 1.02 but not its mirror 0.98
     def config(theta02):
         return write_config(tmp_path, {
             "experiment": "bayes", "steps": 40, "seed": 1,
             "walk": {**WALK, "theta02_over_pi": theta02},
-            "estimation": {"prior_over_pi": [0.95, 1.05], "grid_points": 101,
+            "estimation": {"prior_over_pi": [0.99, 1.05], "grid_points": 101,
                            "trials": 1000},
         })
 
@@ -649,7 +655,7 @@ def test_manifest_reports_posterior_mass_at_the_prior_edge(tmp_path):
     assert 0.0 < 2 * centred < edge <= 1.0
 
 
-def test_manifest_reports_posterior_resolution_and_schedule_ambiguity(tmp_path):
+def test_manifest_reports_posterior_resolution(tmp_path):
     estimation = {"prior_over_pi": [-0.556, -0.544], "grid_points": 21, "trials": 200,
                   "repetitions": 2}
     doc = {"experiment": "bayes", "steps": 40, "seed": 3, "walk": WALK, "estimation": estimation}
@@ -667,8 +673,6 @@ def test_manifest_reports_posterior_resolution_and_schedule_ambiguity(tmp_path):
     spacing = (prior[1] - prior[0]) / 20
     assert health["posterior_min_std_cells"] == min(r.posterior_std for r in records) / spacing
     assert health["posterior_min_std_cells"] > 0
-    assert health["schedule_fold_ambiguity_max"] == max(fold_ambiguity(row) for row in table)
-    assert 0.0 <= health["schedule_fold_ambiguity_max"] <= 1.0
 
 
 def test_bayes_with_selected_schedule_matches_the_library_path(tmp_path):

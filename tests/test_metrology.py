@@ -421,7 +421,7 @@ def test_batched_fi_surface_equals_per_theta1_walks(tmp_path):
     experiments.run(cfg, tmp_path / "batched")
     rows = fi_surface_rows(cfg.walk, cfg.surface["theta1_over_pi"], 21)
     reference = tmp_path / "reference.csv"
-    serialize.write_csv(reference, ("theta1_over_pi", "t", "value", "flagged"), rows)
+    serialize.write_csv(reference, ("theta1_over_pi", "t", "value", "flagged"), list(zip(*rows)))
     assert (tmp_path / "batched" / "fi_surface.csv").read_bytes() == reference.read_bytes()
 
 
@@ -434,9 +434,9 @@ def test_gfi_qfi_run_writes_each_separate_series(tmp_path):
     for name, series in (("fi_series.csv", fisher_at_defect(cfg.walk, 30)),
                          ("gfi_series.csv", measures[GLOBAL_FI]),
                          ("qfi_series.csv", measures[QUANTUM_FI])):
-        rows = [(float(t), float(v), bool(f))
-                for t, v, f in zip(series.steps, series.values, series.flagged)]
-        serialize.write_csv(tmp_path / name, experiments.FI_HEADER, rows)
+        columns = [[float(t) for t in series.steps], [float(v) for v in series.values],
+                   [bool(f) for f in series.flagged]]
+        serialize.write_csv(tmp_path / name, experiments.FI_HEADER, columns)
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
@@ -455,8 +455,9 @@ def test_long_fisher_series_streams_in_small_memory():
 
 @pytest.mark.parametrize("series", [bayes.defect_probability_series, fisher_at_defect])
 def test_defect_only_walks_hold_rows_of_the_steps_not_of_the_ring(series):
-    # the walk is cut to the 2 * 30 + 3 rows around the defect: measured peaks
-    # 8.4 kB for P0 and 15.1 kB for FI, where one (4003, 2) buffer is 64 kB
+    # the walk is cut to the 2 * (30 // 2) + 3 = 33 rows around the defect that
+    # hold its causal diamond: measured peaks 7.4 kB for P0 and 13.2 kB for FI
+    # (8.4 and 15.1 kB on 63 rows), where one (4003, 2) buffer is 64 kB
     p = params(*NONTRIVIAL, 4003)
     series(p, 30)  # numpy's first-call caches stay out of the peak
     tracemalloc.start()

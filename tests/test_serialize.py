@@ -1,5 +1,5 @@
-"""CSV writing: column-wise formatting gives every cell format_value's bytes, block by
-block, and a failed write leaves no partial file."""
+"""CSV writing: a table passed as columns gets every cell format_value's bytes, block
+by block, and a failed write leaves no partial file."""
 
 import math
 
@@ -35,10 +35,10 @@ COLUMNS = st.sampled_from([FLOATS, st.integers(-(10**20), 10**20), st.booleans()
 @given(data=st.data(), width=st.integers(1, 5), height=st.integers(0, 12))
 def test_columns_keep_each_cells_bytes(tmp_path_factory, data, width, height):
     kinds = [data.draw(COLUMNS) for _ in range(width)]
-    rows = [tuple(data.draw(kind) for kind in kinds) for _ in range(height)]
+    columns = [[data.draw(kind) for _ in range(height)] for kind in kinds]
     header = [f"c{i}" for i in range(width)]
-    path = write_csv(tmp_path_factory.mktemp("csv") / "out.csv", header, rows)
-    expected = [",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]
+    path = write_csv(tmp_path_factory.mktemp("csv") / "out.csv", header, columns)
+    expected = [",".join(header)] + [",".join(map(format_value, row)) for row in zip(*columns)]
     assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
 
@@ -58,13 +58,13 @@ NUMPY_COLUMNS = st.sampled_from([*NUMPY_KINDS, st.one_of(NUMPY_KINDS)])
 @given(data=st.data(), width=st.integers(1, 4), height=st.integers(0, 6))
 def test_numpy_scalars_format_like_their_python_values(tmp_path_factory, data, width, height):
     kinds = [data.draw(NUMPY_COLUMNS) for _ in range(width)]
-    pairs = [[data.draw(kind) for kind in kinds] for _ in range(height)]
-    for numpy_value, python_value in (pair for row in pairs for pair in row):
+    pairs = [[data.draw(kind) for _ in range(height)] for kind in kinds]
+    for numpy_value, python_value in (pair for column in pairs for pair in column):
         assert format_value(numpy_value) == format_value(python_value)
     header = [f"c{i}" for i in range(width)]
     folder = tmp_path_factory.mktemp("csv")
-    as_numpy = write_csv(folder / "numpy.csv", header, [[n for n, _ in row] for row in pairs])
-    as_python = write_csv(folder / "python.csv", header, [[v for _, v in row] for row in pairs])
+    as_numpy = write_csv(folder / "numpy.csv", header, [[n for n, _ in col] for col in pairs])
+    as_python = write_csv(folder / "python.csv", header, [[v for _, v in col] for col in pairs])
     assert as_numpy.read_bytes() == as_python.read_bytes()
 
 
@@ -72,13 +72,14 @@ def test_integral_floats_below_1e16_are_written_as_integers(tmp_path):
     # 9999999999999998.0 is the largest float below 1e16
     assert format_value(1e16) == "1e+16"
     assert format_value(9999999999999998.0) == "9999999999999998"
-    path = write_csv(tmp_path / "out.csv", ["x"], [(1e16,), (9999999999999998.0,)])
+    path = write_csv(tmp_path / "out.csv", ["x"], [[1e16, 9999999999999998.0]])
     assert path.read_text() == "x\n1e+16\n9999999999999998\n"
 
 
 def test_rows_of_different_lengths_are_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "out.csv", ("a", "b"), [(1, 2.5), (3,)])
+    # the table's columns must hold one cell per row each
+    with pytest.raises(ValueError, match="column 1 has 1 cells, column 0 has 2"):
+        write_csv(tmp_path / "out.csv", ("a", "b"), [[1, 3], [2.5]])
 
 
 def one_string_csv(header, rows):
@@ -96,18 +97,20 @@ def test_block_boundaries_keep_the_bytes(tmp_path_factory, height, data, width):
     pools = [data.draw(st.lists(data.draw(st.sampled_from(REPEATS)), min_size=1, max_size=4))
              for _ in range(width)]
     rng = data.draw(st.randoms(use_true_random=True))  # seeded by hypothesis
-    rows = [tuple(rng.choice(pool) for pool in pools) for _ in range(height)]
+    columns = [[rng.choice(pool) for _ in range(height)] for pool in pools]
     header = [f"c{i}" for i in range(width)]
-    path = write_csv(tmp_path_factory.mktemp("csv") / "out.csv", header, rows)
-    assert path.read_text(encoding="utf-8") == one_string_csv(header, rows)
+    path = write_csv(tmp_path_factory.mktemp("csv") / "out.csv", header, columns)
+    assert path.read_text(encoding="utf-8") == one_string_csv(header, zip(*columns))
 
 
 @pytest.mark.parametrize("ragged", [CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK])
 def test_rows_that_differ_across_a_block_boundary_are_rejected(tmp_path, ragged):
-    # each block is rectangular on its own: only the check against row 0 sees it
-    rows = [(1, 2.5)] * ragged + [(3, 4.5, 6)] * CSV_BLOCK
-    with pytest.raises(ValueError, match=f"row {ragged} has 3 cells, row 0 has 2"):
-        write_csv(tmp_path / "out.csv", ("a", "b"), rows)
+    # the short column runs out only past a block boundary: the check before
+    # the first block sees it, and no block is written
+    columns = [[1] * (2 * CSV_BLOCK + 1), [2.5] * ragged]
+    with pytest.raises(ValueError, match=f"column 1 has {ragged} cells, column 0 has "
+                                         f"{2 * CSV_BLOCK + 1}"):
+        write_csv(tmp_path / "out.csv", ("a", "b"), columns)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -103,6 +103,16 @@ def test_transition_point_is_gapless():
     assert point.min_gap < topology.GAP_TOLERANCE
 
 
+@pytest.mark.parametrize("theta1_over_pi, winding", [(0.9, 1), (0.05, 0), (0.8, 1), (0.7, 0),
+                                                     (0.75, None)])
+def test_winding_number_is_the_phase_diagram_at_one_point(theta1_over_pi, winding):
+    # the presets' points at theta2 = 0.75 pi, and the gapless one at theta1 = theta2
+    theta1, theta2 = theta1_over_pi * PI, 0.75 * PI
+    point = topology.winding_number(theta1, theta2)
+    assert point == phase_diagram([theta1], [theta2])[0][0]
+    assert point.winding == winding
+
+
 def test_winding_membership_and_quantization():
     rng = np.random.default_rng(11)
     checked = 0

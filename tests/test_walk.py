@@ -443,7 +443,7 @@ def test_windowed_walk_equals_full_ring_walk_under_disorder():
        data=st.data())
 def test_diamond_walk_keeps_the_full_ring_walks_defect_row(n, angles, steps, data):
     # the cone often wraps these rings; on the others the walk cuts the ring
-    # to the 2 steps + 3 rows around the defect
+    # to the 2 (steps // 2) + 3 rows around the defect that hold its diamond
     params = WalkParams(*angles, n)
     fields = data.draw(drawn_fields(n, steps))
     defect = params.defect_index
