@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .bayes import (
     EstimationConfig,
     EstimationCurve,
-    EstimationRecord,
     estimation_curve,
     informative_schedule,
     posterior,
@@ -44,7 +43,6 @@ __all__ = [
     "EnsembleResult",
     "EstimationConfig",
     "EstimationCurve",
-    "EstimationRecord",
     "FisherSeries",
     "LocalizedState",
     "PhasePoint",

@@ -12,7 +12,8 @@ coins.  ``informative_schedule`` and ``posterior`` never walk;
 The posterior multiplies the binomial likelihood by the flat prior and
 normalizes in log space.  The mean squared relative error (posterior
 variance plus squared bias, normalized by theta02^2) is the figure of
-merit and should fall as t^-2 at the Heisenberg limit.
+merit and should fall as t^-2 at the Heisenberg limit; this module
+computes it per scheduled step and fits no power law to it.
 
 ``estimation_curve`` draws a scheduled step's R click counts, one seed
 stream per repetition, and computes their R posteriors as one (R, C) array
@@ -21,6 +22,9 @@ max, log-sum-exp, weights, mean and variance, every reduction over the last
 axis.  Row r holds the bits of ``posterior`` on click count r alone, which
 is the R = 1 case of the same computation.  Each repetition's msre and std
 stay scalar Python arithmetic, whose x ** 2 is libm pow, not numpy's x * x.
+The curve returns its per-step results as columns (``successes``, ``msre``,
+``posterior_std``, one row per scheduled step) beside ``edge_mass`` and the
+(steps, C) first-repetition ``weights``.
 """
 
 import math
@@ -28,8 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrology
-from .errors import ShortFitError
 from .walk import WalkParams, propagate, site_probability
 
 RNG_NAME = "numpy-pcg64"  # np.random.default_rng's generator
@@ -38,15 +40,6 @@ DEFAULT_GRID_POINTS = 201
 MIN_GRID_POINTS = 11  # candidates a posterior needs
 DEFAULT_TRIALS = 1000
 SCHEDULE_POINTS = 8  # blocks informative_schedule splits its step range into
-
-
-@dataclass
-class EstimationRecord:
-    step: int
-    trials: int
-    successes: int
-    msre: float
-    posterior_std: float
 
 
 @dataclass(frozen=True)
@@ -63,6 +56,8 @@ class EstimationConfig:
         lo, hi = self.prior_interval
         if not lo < hi:
             raise ValueError(f"prior interval must satisfy lo < hi, got ({lo}, {hi})")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"prior interval must have finite bounds and width, got ({lo}, {hi})")
         mirror = mirror_in_window(self.params.theta02, lo, hi)
         if mirror is not None:
             raise ValueError(f"prior interval ({lo}, {hi}) holds {mirror!r}, a mirror image "
@@ -84,8 +79,11 @@ class EstimationConfig:
 
 @dataclass
 class EstimationCurve:
-    records: list[EstimationRecord]
-    fit: metrology.ScalingFit | None  # slope of log msre vs log t; None below 5 records
+    """One row per scheduled step in every array, in schedule order."""
+
+    successes: np.ndarray  # the first repetition's click count out of the config's trials
+    msre: np.ndarray  # mean over the repetitions
+    posterior_std: np.ndarray  # mean over the repetitions
     # largest posterior weight in the grid's first and last cells together,
     # over every step and repetition: near 1 when the prior window cuts the mass
     edge_mass: float
@@ -265,7 +263,7 @@ def estimation_curve(
     data_coin_fields=None,
     seed_prefix: tuple = (),
 ) -> EstimationCurve:
-    """Fresh M-trial experiments at each scheduled step; msre per record.
+    """Fresh M-trial experiments at each scheduled step, as one curve of columns.
 
     With ``repetitions`` > 1 the msre and the posterior std at each step
     are means over that many independent experiments (the reported
@@ -275,7 +273,9 @@ def estimation_curve(
     and schedule (one row per scheduled step, one column per grid point),
     built on whatever model the caller estimates with.  The curve's
     ``weights`` row i holds step i's first-repetition posterior weights,
-    the exp of ``posterior`` on that repetition's click count.
+    the exp of ``posterior`` on that repetition's click count.  The curve
+    holds no fit: a run fits its msre column where it fits every other
+    series, in ``experiments``.
     """
     t_max = max(config.schedule)
     p_true = defect_probability_series(config.params, t_max, data_coin_fields)
@@ -285,39 +285,28 @@ def estimation_curve(
             "candidate_table must have one row per scheduled step and one column per grid point"
         )
     candidate_table = np.asarray(candidate_table, dtype=np.float64)
-    records = []
+    successes = np.empty(len(config.schedule), dtype=np.int64)
+    msre = np.empty(len(config.schedule))
+    posterior_std = np.empty(len(config.schedule))
     first_weights = np.empty(np.shape(candidate_table))
     edge_mass = 0.0
     for i, t in enumerate(config.schedule):
         p_t = min(max(p_true[t], 0.0), 1.0)
-        successes = np.array([
+        clicks = np.array([
             np.random.default_rng(record_seed(config, seed_prefix, rep, i)).binomial(
                 config.trials, p_t)
             for rep in range(config.repetitions)
         ])
-        log_w = _log_posteriors(candidate_table[i], config.trials, successes)
+        log_w = _log_posteriors(candidate_table[i], config.trials, clicks)
         weights = np.exp(log_w)
         means = (weights * candidates).sum(axis=-1, keepdims=True)
         variances = (weights * (candidates - means) ** 2).sum(axis=-1)
         edge_mass = max(edge_mass, float((weights[:, 0] + weights[:, -1]).max()))
         first_weights[i] = weights[0]
-        errors = [
+        successes[i] = clicks[0]
+        msre[i] = np.mean([
             _relative_error(float(var), float(mean), config.params.theta02)
             for var, mean in zip(variances, means[:, 0])
-        ]
-        stds = [math.sqrt(var) for var in variances]
-        records.append(
-            EstimationRecord(
-                step=t, trials=config.trials, successes=int(successes[0]),
-                msre=float(np.mean(errors)),
-                posterior_std=float(np.mean(stds)),
-            )
-        )
-    try:
-        fit = metrology.power_law_fit(
-            [r.step for r in records], [r.msre for r in records],
-            window=(min(config.schedule), max(config.schedule)),
-        )
-    except ShortFitError:
-        fit = None  # fewer than metrology.MIN_FIT_POINTS usable records
-    return EstimationCurve(records, fit, edge_mass, first_weights)
+        ])
+        posterior_std[i] = np.mean([math.sqrt(var) for var in variances])
+    return EstimationCurve(successes, msre, posterior_std, edge_mass, first_weights)

@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bayes, metrology
-from .disorder import DEFAULT_REALIZATIONS, DYNAMIC, STATIC, DisorderSpec
+from .disorder import DEFAULT_REALIZATIONS, DYNAMIC, STATIC, DisorderSpec, draw_range
 from .errors import ConfigError
+from .plotting import AXIS_LIMIT
 from .spectral import DENSE_SOLVER_CAP
 from .walk import WalkParams, dynamics_lattice_size
 
@@ -178,6 +179,11 @@ def _grid(check, section, field_name):
     if count != int(count) or count < 1:
         check.fail(field_name, f"count must be a positive integer, got {count!r}")
         return None
+    if max(abs(start), abs(stop)) >= AXIS_LIMIT:
+        # a plot axis's limit, which also keeps the spacing and the radians finite
+        check.fail(field_name, f"start and stop must be below {AXIS_LIMIT:g} in magnitude, "
+                               f"got {start!r}, {stop!r}")
+        return None
     return np.linspace(start, stop, int(count))
 
 
@@ -263,8 +269,15 @@ def _read_disorder(check, doc, cfg):
                           minimum=1, integer=True)
     cfg.disorder_observable = check.choice(section, "disorder.observable", ("fi", "msre"), "fi")
     kind = check.choice(section, "disorder.kind", (STATIC, DYNAMIC))
+    w = half_width * math.pi
+    # numpy cannot draw from a range whose width overflows
+    if cfg.walk is not None and not all(
+            math.isfinite(high - low) for low, high in
+            (draw_range(angle, w) for angle in (cfg.walk.theta1, cfg.walk.theta2))):
+        check.fail("disorder.half_width_over_pi",
+                   f"{half_width} draws bulk angles from a range that overflows a float")
     if not check.violations:
-        cfg.disorder_spec = DisorderSpec(kind, half_width * math.pi, n_real, master_seed=cfg.seed)
+        cfg.disorder_spec = DisorderSpec(kind, w, n_real, master_seed=cfg.seed)
 
 
 def _read_estimation(check, doc, cfg):
@@ -279,35 +292,42 @@ def _read_estimation(check, doc, cfg):
         # the msre is relative to theta02 ** 2: a square that is 0 or subnormal
         # (theta02_over_pi = 1e-300) would walk, then divide by zero
         check.fail("walk.theta02_over_pi", "must not be 0 for an estimation run")
+    elif square is not None and math.isinf(square):
+        # theta02_over_pi = 1e155 with a window of a few ulps walked, then
+        # theta02 ** 2 raised OverflowError
+        check.fail("walk.theta02_over_pi", "its square, which the msre divides by, overflows")
     prior = check.numbers(section, "estimation.prior_over_pi", "[lo, hi] of finite numbers", 2)
-    if prior is not None and not prior[0] < prior[1]:
-        check.fail("estimation.prior_over_pi", "lo must be < hi")
-    elif prior is not None and cfg.walk is not None:
-        t02 = float(doc["walk"]["theta02_over_pi"])
-        width = (prior[1] - prior[0]) * math.pi
-        if not prior[0] <= t02 <= prior[1]:
-            # the posterior would pile up at the grid edge, silently
-            check.fail(
-                "estimation.prior_over_pi",
-                f"[{prior[0]}, {prior[1]}] leaves out walk.theta02_over_pi = {t02}",
-            )
-        elif (mirror := bayes.mirror_in_window(
-                cfg.walk.theta02, prior[0] * math.pi, prior[1] * math.pi)) is not None:
-            # the posterior would split between theta02 and its mirror, silently;
-            # read in the radians that EstimationConfig checks, so both agree
-            check.fail(
-                "estimation.prior_over_pi",
-                f"[{prior[0]}, {prior[1]}] holds {mirror / math.pi:g}, a mirror image of "
-                f"walk.theta02_over_pi = {t02} that defect-site clicks cannot tell from it",
-            )
-        elif square >= sys.float_info.min and 1.25 * width * width > MSRE_CAP * square:
-            # theta02_over_pi = 1e-110 with a window 1.9 wide walked, then an
-            # msre of ~1e219 made the disorder spread inf and its plot failed
-            check.fail(
-                "walk.theta02_over_pi",
-                f"{t02} is too small for the prior window [{prior[0]}, {prior[1]}]: a "
-                f"relative error could exceed {MSRE_CAP:.0e}",
-            )
+    if prior is not None:
+        # the window in radians, which EstimationConfig reads, so the two agree
+        lo, hi = prior[0] * math.pi, prior[1] * math.pi
+        if not lo < hi:
+            check.fail("estimation.prior_over_pi", "lo must be < hi, also times pi")
+        elif not math.isfinite(hi - lo):
+            check.fail("estimation.prior_over_pi",
+                       f"[{prior[0]}, {prior[1]}] times pi overflows a float at an end or in width")
+        elif cfg.walk is not None:
+            t02 = float(doc["walk"]["theta02_over_pi"])
+            if not prior[0] <= t02 <= prior[1]:
+                # the posterior would pile up at the grid edge, silently
+                check.fail(
+                    "estimation.prior_over_pi",
+                    f"[{prior[0]}, {prior[1]}] leaves out walk.theta02_over_pi = {t02}",
+                )
+            elif (mirror := bayes.mirror_in_window(cfg.walk.theta02, lo, hi)) is not None:
+                # the posterior would split between theta02 and its mirror, silently
+                check.fail(
+                    "estimation.prior_over_pi",
+                    f"[{prior[0]}, {prior[1]}] holds {mirror / math.pi:g}, a mirror image of "
+                    f"walk.theta02_over_pi = {t02} that defect-site clicks cannot tell from it",
+                )
+            elif square >= sys.float_info.min and 1.25 * (hi - lo) * (hi - lo) > MSRE_CAP * square:
+                # theta02_over_pi = 1e-110 with a window 1.9 wide walked, then an
+                # msre of ~1e219 made the disorder spread inf and its plot failed
+                check.fail(
+                    "walk.theta02_over_pi",
+                    f"{t02} is too small for the prior window [{prior[0]}, {prior[1]}]: a "
+                    f"relative error could exceed {MSRE_CAP:.0e}",
+                )
     grid_points = check.number(section, "estimation.grid_points", bayes.DEFAULT_GRID_POINTS,
                                bayes.MIN_GRID_POINTS, integer=True)
     trials = check.number(section, "estimation.trials", default=bayes.DEFAULT_TRIALS, minimum=1,
@@ -320,7 +340,7 @@ def _read_estimation(check, doc, cfg):
         return None
     t_min = 20 if cfg.steps > 40 else max(1, cfg.steps // 5)
     return bayes.EstimationConfig(
-        cfg.walk, (prior[0] * math.pi, prior[1] * math.pi), range(t_min, cfg.steps + 1),
+        cfg.walk, (lo, hi), range(t_min, cfg.steps + 1),
         grid_points, trials, master_seed=cfg.seed, repetitions=repetitions,
     )
 

@@ -50,7 +50,6 @@ class EnsembleResult:
     steps: np.ndarray
     mean: np.ndarray
     std: np.ndarray  # population standard deviation over realizations
-    realizations: int
 
 
 def _realization_rng(spec: DisorderSpec, realization_index: int) -> np.random.Generator:
@@ -76,12 +75,16 @@ def sample_disorder(spec: DisorderSpec, base: WalkParams, realization_index: int
     return [CoinField(*_draw(spec, base, rng)) for _ in range(steps)]
 
 
+def draw_range(angle: float, half_width: float):
+    """(low, high) of the uniform draw of a bulk angle ``angle``."""
+    return angle - half_width, angle + half_width
+
+
 def _draw(spec: DisorderSpec, base: WalkParams, rng: np.random.Generator, sites=None):
     """(theta1, theta2) drawn from one realization's stream: a pair of floats,
     one dynamic step's, or with ``sites`` a pair of (sites,) static arrays."""
-    w = spec.half_width
-    return (rng.uniform(base.theta1 - w, base.theta1 + w, sites),
-            rng.uniform(base.theta2 - w, base.theta2 + w, sites))
+    return (rng.uniform(*draw_range(base.theta1, spec.half_width), sites),
+            rng.uniform(*draw_range(base.theta2, spec.half_width), sites))
 
 
 def _ensemble_fields(spec: DisorderSpec, base: WalkParams, steps: int):
@@ -109,8 +112,7 @@ def ensemble_fisher(spec: DisorderSpec, base: WalkParams, steps: int) -> Ensembl
     fi = metrology.fisher_at_defect(base, steps, _ensemble_fields(spec, base, steps)).values
     per_realization = np.ascontiguousarray(fi.T)  # rows summed in realization order
     return EnsembleResult(
-        np.arange(steps + 1), per_realization.mean(axis=0), per_realization.std(axis=0),
-        spec.n_realizations,
+        np.arange(steps + 1), per_realization.mean(axis=0), per_realization.std(axis=0)
     )
 
 
@@ -132,12 +134,8 @@ def ensemble_msre(spec: DisorderSpec, config: "bayes.EstimationConfig") -> Ensem
         table = bayes.candidate_probability_table(
             config.params, config.candidates(), config.schedule, coin_fields=fields
         )
-        curve = bayes.estimation_curve(
+        curves.append(bayes.estimation_curve(
             config, table, data_coin_fields=fields, seed_prefix=(index,)
-        )
-        curves.append([record.msre for record in curve.records])
+        ).msre)
     values = np.array(curves)
-    return EnsembleResult(
-        np.asarray(config.schedule), values.mean(axis=0), values.std(axis=0),
-        spec.n_realizations,
-    )
+    return EnsembleResult(np.asarray(config.schedule), values.mean(axis=0), values.std(axis=0))

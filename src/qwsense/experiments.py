@@ -51,12 +51,13 @@ def _repeated(values, times):
 FI_HEADER = ("t", "value", "flagged")
 
 
-def _fit_series(art: Artifacts, series, mode: str) -> None:
-    """``fit.json`` from the power-law fit of ``series``, which is left out when
-    fewer than ``metrology.MIN_FIT_POINTS`` points are usable;
-    ``health.fit_points`` counts them either way."""
+def _fit_series(art: Artifacts, power_law, *args, **kwargs) -> None:
+    """``fit.json`` from ``power_law(*args, **kwargs)``, a ``metrology`` fit,
+    which is left out when fewer than ``metrology.MIN_FIT_POINTS`` points are
+    usable; ``health.fit_points`` counts them either way.  Every run that
+    fits a series fits it here."""
     try:
-        fit = metrology.fit_scaling(series, mode=mode)
+        fit = power_law(*args, **kwargs)
     except ShortFitError as short:
         art.health["fit_points"] = short.points
         return
@@ -68,7 +69,7 @@ def _run_fi_scaling(cfg: ExperimentConfig) -> Artifacts:
     series = metrology.fisher_at_defect(cfg.walk, cfg.steps)
     art = Artifacts()
     art.csv["fi_series.csv"] = (FI_HEADER, _fi_series_columns(series))
-    _fit_series(art, series, cfg.fit_mode)
+    _fit_series(art, metrology.fit_scaling, series, mode=cfg.fit_mode)
     art.plots.append("fi_series.csv")
     return art
 
@@ -176,24 +177,21 @@ def _estimation_config(
 def _run_bayes(cfg: ExperimentConfig) -> Artifacts:
     est, table = _estimation_config(cfg)
     curve = bayes.estimation_curve(est, table)
-    records = curve.records
-    steps = [r.step for r in records]
+    steps = list(est.schedule)
     thetas = (est.candidates() / PI).tolist()
     art = Artifacts()
     art.csv["estimation.csv"] = (("t", "M", "m", "msre"), [
-        steps, [r.trials for r in records], [r.successes for r in records],
-        [r.msre for r in records],
+        steps, [est.trials] * len(steps), curve.successes.tolist(), curve.msre.tolist(),
     ])
     art.csv["posterior.csv"] = (("t", "theta02_over_pi", "weight"), [
         _repeated(steps, len(thetas)), thetas * len(steps), curve.weights.ravel().tolist(),
     ])
-    if curve.fit is not None:
-        art.json["fit.json"] = asdict(curve.fit)
+    _fit_series(art, metrology.power_law_fit, steps, curve.msre, window=(min(steps), max(steps)))
     art.plots += ["posterior.csv", "estimation.csv"]
     art.health["posterior_edge_mass"] = curve.edge_mass
     lo, hi = est.prior_interval
     spacing = (hi - lo) / (est.grid_points - 1)
-    art.health["posterior_min_std_cells"] = min(r.posterior_std for r in records) / spacing
+    art.health["posterior_min_std_cells"] = float(curve.posterior_std.min()) / spacing
     return art
 
 
@@ -206,9 +204,9 @@ def _run_disorder(cfg: ExperimentConfig) -> Artifacts:
     else:
         result = disorder.ensemble_fisher(spec, cfg.walk, cfg.steps)
         mean_series = metrology.FisherSeries(result.steps, result.mean, None)
-        _fit_series(art, mean_series, cfg.fit_mode)
+        _fit_series(art, metrology.fit_scaling, mean_series, mode=cfg.fit_mode)
     columns = [result.steps.tolist(), result.mean.tolist(), result.std.tolist(),
-               [result.realizations] * len(result.steps)]
+               [spec.n_realizations] * len(result.steps)]
     art.csv["ensemble.csv"] = (("t", "mean", "std", "n_realizations"), columns)
     art.plots.append("ensemble.csv")
     return art

@@ -165,9 +165,11 @@ def test_criterion_08_bayesian_convergence():
     curve = bayes.estimation_curve(
         config, bayes.candidate_probability_table(NONTRIVIAL, candidates, schedule)
     )
-    sigma_first = curve.records[0].posterior_std
-    sigma_last = curve.records[-1].posterior_std
-    slope = curve.fit.exponent
+    sigma_first = curve.posterior_std[0]
+    sigma_last = curve.posterior_std[-1]
+    slope = metrology.power_law_fit(
+        schedule, curve.msre, window=(min(schedule), max(schedule))
+    ).exponent
     ok = sigma_last < sigma_first and -2.2 <= slope <= -1.8
     record(
         8,

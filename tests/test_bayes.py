@@ -28,6 +28,7 @@ from qwsense.bayes import (
     record_seed,
 )
 from qwsense.disorder import DisorderSpec, sample_disorder
+from qwsense.metrology import power_law_fit
 from qwsense.walk import CoinField, WalkParams, propagate
 
 PI = math.pi
@@ -421,9 +422,10 @@ def test_estimation_curve_reproducible_and_converging():
                               master_seed=1, repetitions=3)
     curve = estimation_curve(config, clean_table(config))
     again = estimation_curve(config, clean_table(config))
-    assert [r.msre for r in curve.records] == [r.msre for r in again.records]
-    assert curve.records[-1].posterior_std < curve.records[0].posterior_std
-    assert curve.fit.exponent < -1.0  # error falls steeply with steps
+    assert np.array_equal(curve.msre, again.msre)
+    assert curve.posterior_std[-1] < curve.posterior_std[0]
+    fit = power_law_fit(schedule, curve.msre, window=(min(schedule), max(schedule)))
+    assert fit.exponent < -1.0  # error falls steeply with steps
 
 
 def test_estimation_curve_keeps_each_steps_posterior_weights():
@@ -445,7 +447,9 @@ def test_estimation_curve_checks_the_candidate_table_shape():
         with pytest.raises(ValueError, match="one row per scheduled step"):
             estimation_curve(config, candidate_table=table)
     sliced = estimation_curve(config, candidate_table=full[[9, 19, 29]])
-    assert sliced.records == estimation_curve(config, clean_table(config)).records
+    clean = estimation_curve(config, clean_table(config))
+    for column in ("successes", "msre", "posterior_std"):
+        assert np.array_equal(getattr(sliced, column), getattr(clean, column))
 
 
 def test_doubling_trials_halves_posterior_variance():
@@ -569,7 +573,8 @@ def test_batched_curve_equals_serial_posteriors(repetitions, grid_points, trials
             estimation_curve(config, table, fields, seed_prefix=(3,))
         return
     curve = estimation_curve(config, table, fields, seed_prefix=(3,))
-    got = [(r.step, r.successes, r.msre, r.posterior_std) for r in curve.records]
+    got = list(zip(config.schedule, curve.successes.tolist(), curve.msre.tolist(),
+                   curve.posterior_std.tolist()))
     assert got == expected
     assert curve.weights.shape == (len(schedule), grid_points)
     for kept, reference in zip(curve.weights, grids, strict=True):
@@ -582,4 +587,4 @@ def test_records_at_different_steps_use_independent_seeds():
                               master_seed=7)
     curve = estimation_curve(config, clean_table(config))
     # same step scheduled twice draws distinct data (independent experiments)
-    assert curve.records[0].successes != curve.records[1].successes
+    assert curve.successes[0] != curve.successes[1]

@@ -383,14 +383,19 @@ SHORT_FITS = {
     # the window 10..12 holds 3 steps
     "disorder": ({"experiment": "disorder", "steps": 12, "walk": WALK,
                   "disorder": {"kind": "static", "n_realizations": 2}}, "ensemble.csv", 3),
+    # the informative schedule picks each of the steps 1..4, and the fit
+    # window is its first and last step
+    "bayes": ({"experiment": "bayes", "steps": 4, "walk": WALK,
+               "estimation": {"prior_over_pi": [-0.556, -0.544], "grid_points": 11,
+                              "trials": 10}}, "estimation.csv", 4),
 }
 
 
 @pytest.mark.parametrize("experiment", sorted(SHORT_FITS))
 def test_a_short_fit_writes_the_series_and_no_fit(tmp_path, experiment):
     # fi-scaling once exited 2 after walking and wrote nothing, while a
-    # disorder run left out fit.json with no word; both now keep their series,
-    # leave out fit.json and count the fit's points
+    # disorder run left out fit.json with no word; every run that fits now
+    # keeps its series, leaves out fit.json and counts the fit's points
     doc, series, points = SHORT_FITS[experiment]
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
@@ -398,7 +403,12 @@ def test_a_short_fit_writes_the_series_and_no_fit(tmp_path, experiment):
     assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
     assert (out / series).exists()
     assert not (out / "fit.json").exists()
-    assert json.loads((out / "manifest.json").read_text())["health"] == {"fit_points": points}
+    health = json.loads((out / "manifest.json").read_text())["health"]
+    if experiment == "bayes":
+        # a bayes run reports its posterior's numbers beside the fit's
+        assert health.pop("posterior_edge_mass") >= 0
+        assert health.pop("posterior_min_std_cells") > 0
+    assert health == {"fit_points": points}
 
 
 def test_rerun_reproduces_identical_hashes(tmp_path):
@@ -669,9 +679,9 @@ def test_manifest_reports_posterior_resolution(tmp_path):
     config = EstimationConfig(params, prior, schedule, grid_points=21, trials=200,
                               master_seed=3, repetitions=2)
     table = candidate_probability_table(params, config.candidates(), config.schedule)
-    records = estimation_curve(config, table).records
+    posterior_std = estimation_curve(config, table).posterior_std
     spacing = (prior[1] - prior[0]) / 20
-    assert health["posterior_min_std_cells"] == min(r.posterior_std for r in records) / spacing
+    assert health["posterior_min_std_cells"] == posterior_std.min() / spacing
     assert health["posterior_min_std_cells"] > 0
 
 
@@ -688,7 +698,8 @@ def test_bayes_with_selected_schedule_matches_the_library_path(tmp_path):
     schedule = informative_schedule(candidate_probability_table(params, candidates, range(6, 31)), 6)
     config = EstimationConfig(params, prior, schedule, grid_points=21, trials=200, master_seed=5)
     table = candidate_probability_table(params, candidates, schedule)
-    expected = [(r.step, r.successes, r.msre) for r in estimation_curve(config, table).records]
+    curve = estimation_curve(config, table)
+    expected = list(zip(config.schedule, curve.successes.tolist(), curve.msre.tolist()))
     assert [(int(t), int(m), float(e)) for t, _, m, e in rows] == expected
 
 

@@ -357,9 +357,12 @@ def test_every_accepted_name_is_set_by_a_preset_or_a_benchmark_job():
 # --- a config that validates runs --------------------------------------------
 
 # in units of pi: 0, the domain wall, the flat bands, a tiny and an underflowing
-# theta02, and angles past +-pi, which are used as written
-EDGE_ANGLES = st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1e-9, 1e-300, 3.9])
-SMALL_ANGLES = EDGE_ANGLES | st.floats(-4.0, 4.0, allow_nan=False)
+# theta02, angles past +-pi, which are used as written, and angles whose
+# radians overflow
+EDGE_ANGLES = st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 1e-9, 1e-300, 3.9,
+                               1e308, -1e308])
+SMALL_ANGLES = (EDGE_ANGLES | st.floats(-4.0, 4.0, allow_nan=False)
+                | st.floats(-1e308, 1e308, allow_nan=False))
 
 
 def small_grid(draw, count):
@@ -392,13 +395,13 @@ def small_configs(draw):
     if experiment == "disorder":
         doc["disorder"] = {"kind": draw(st.sampled_from(["static", "dynamic"])),
                            "observable": draw(st.sampled_from(["fi", "msre"])),
-                           "half_width_over_pi": draw(st.sampled_from([0.0, 0.05, 0.5])),
+                           "half_width_over_pi": draw(st.sampled_from([0.0, 0.05, 0.5, 1e308])),
                            "n_realizations": draw(st.integers(1, 2))}
     if experiment == "bayes" or experiment == "disorder" and doc["disorder"]["observable"] == "msre":
         t02 = walk["theta02_over_pi"]
+        offsets = st.sampled_from([0.0, 1e-3, 0.1, 1.9, 1e308])
         doc["estimation"] = {
-            "prior_over_pi": [t02 - draw(st.sampled_from([0.0, 1e-3, 0.1, 1.9])),
-                              t02 + draw(st.sampled_from([0.0, 1e-3, 0.1, 1.9]))],
+            "prior_over_pi": [t02 - draw(offsets), t02 + draw(offsets)],
             "grid_points": 11,
             "trials": draw(st.integers(1, 50)),
             "repetitions": draw(st.integers(1, 2)),
@@ -419,6 +422,24 @@ def small_configs(draw):
                            "half_width_over_pi": 0.0, "n_realizations": 2},
               "estimation": {"prior_over_pi": [-1.9, 1.6511888624783327e-110],
                              "grid_points": 11, "trials": 38, "repetitions": 1}})
+# each ran at the float limit after validating: the prior window's bounds in
+# radians were +-inf, each disorder draw's range overflowed, a grid's spacing
+# overflowed, and theta02 ** 2 overflowed
+@example(doc={"experiment": "bayes", "steps": 10, "walk": WALK,
+              "estimation": {"prior_over_pi": [-1e308, 1e308], "grid_points": 11,
+                             "trials": 10}})
+@example(doc={"experiment": "disorder", "steps": 5, "walk": WALK,
+              "disorder": {"kind": "static", "half_width_over_pi": 1e308}})
+@example(doc={"experiment": "disorder", "steps": 5, "walk": WALK,
+              "disorder": {"kind": "dynamic", "half_width_over_pi": 1e308}})
+@example(doc={"experiment": "phase-diagram",
+              "phase_grid": {"theta1_over_pi": [-1e308, 1e308, 3],
+                             "theta2_over_pi": [0.5, 0.5, 1]}})
+@example(doc={"experiment": "fi-surface", "walk": WALK,
+              "surface": {"theta1_over_pi": [-1e308, 1e308, 3], "steps": 3}})
+@example(doc={"experiment": "bayes", "steps": 4, "walk": {**WALK, "theta02_over_pi": 1e155},
+              "estimation": {"prior_over_pi": [9.999999999999999e154, 1.0000000000000001e155],
+                             "grid_points": 11, "trials": 10}})
 def test_a_config_that_validates_runs(doc):
     # the config is rejected up front, or the run finishes, or it stops on a
     # breached numerical tolerance (exit 3): never a failure after validation

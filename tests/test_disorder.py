@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwsense import experiments, metrology
 from qwsense.bayes import (
     EstimationConfig,
     candidate_probability_table,
     estimation_curve,
     informative_schedule,
 )
+from qwsense.config import validate_config
 from qwsense.disorder import (
     DYNAMIC,
     STATIC,
@@ -164,7 +166,6 @@ def test_zero_width_ensemble_is_the_clean_run(kind, realizations, steps):
     result = ensemble_fisher(spec, base, steps)
     assert np.array_equal(result.mean, fisher_at_defect(base, steps).values)
     assert np.array_equal(result.std, np.zeros(steps + 1))
-    assert result.realizations == realizations
 
 
 def serial_ensemble_fisher(spec, base, steps):
@@ -251,8 +252,7 @@ def test_ensemble_msre_zero_width_matches_clean_curves():
     clean = candidate_probability_table(base, config.candidates(), config.schedule)
     # each realization must reproduce the clean run with its own seed stream
     curves = np.array([
-        [r.msre for r in estimation_curve(config, clean, seed_prefix=(idx,)).records]
-        for idx in range(2)
+        estimation_curve(config, clean, seed_prefix=(idx,)).msre for idx in range(2)
     ])
     np.testing.assert_allclose(result.mean, curves.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(result.std, curves.std(axis=0), rtol=1e-9, atol=1e-18)
@@ -267,11 +267,26 @@ def test_zero_width_msre_ensemble_is_the_clean_curves(kind):
     result = ensemble_msre(spec, config)
     clean = candidate_probability_table(config.params, config.candidates(), config.schedule)
     curves = np.array([
-        [r.msre for r in estimation_curve(config, clean, seed_prefix=(idx,)).records]
-        for idx in range(3)
+        estimation_curve(config, clean, seed_prefix=(idx,)).msre for idx in range(3)
     ])
     assert np.array_equal(result.mean, curves.mean(axis=0))
     assert np.array_equal(result.std, curves.std(axis=0))
+
+
+def test_an_msre_run_fits_no_power_law(monkeypatch, tmp_path):
+    # each realization's curve once fitted a power law that the ensemble
+    # then dropped; a disorder msre run fits nothing
+    calls = []
+    fit = metrology.power_law_fit
+    monkeypatch.setattr(metrology, "power_law_fit",
+                        lambda *args, **kwargs: calls.append(args) or fit(*args, **kwargs))
+    doc = {"experiment": "disorder", "steps": 30,
+           "walk": {"theta1_over_pi": 0.9, "theta2_over_pi": 0.75, "theta02_over_pi": -0.55},
+           "disorder": {"kind": "static", "observable": "msre", "n_realizations": 3},
+           "estimation": {"prior_over_pi": [-0.556, -0.544], "grid_points": 21, "trials": 100}}
+    experiments.run(validate_config(doc), tmp_path)
+    assert (tmp_path / "ensemble.csv").exists()
+    assert calls == []
 
 
 # static disorder preserves the Heisenberg slope; dynamic disorder softens it
